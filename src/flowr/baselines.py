@@ -4,7 +4,9 @@ Nearest-class-mean and prototypical-network heads share one piece of
 bookkeeping: per-class feature sums and counts, updated online after every
 revealed label. Their novelty score is the Euclidean distance to the
 nearest prototype (higher = more novel), so the evaluation pipeline can
-consume them interchangeably with the probabilistic model.
+consume them interchangeably with the probabilistic model. With no
+prototype yet the score is EMPTY_NOVELTY, the largest finite float, which
+ranks above every real distance and keeps the metric code finite.
 """
 
 from __future__ import annotations
@@ -15,15 +17,15 @@ import numpy as np
 
 from .model import PredictionRecord, ProtocolError
 
+EMPTY_NOVELTY = float(np.finfo(np.float64).max)
+
 
 @dataclass(frozen=True)
 class PrototypeState:
-    """Per-class running means stored as (sums, counts). threshold is an
-    optional reference cutoff; decisions are made by the evaluator."""
+    """Per-class running means stored as (sums, counts)."""
 
     sums: np.ndarray
     counts: np.ndarray
-    threshold: float | None = None
 
     def __post_init__(self):
         sums = np.asarray(self.sums, dtype=np.float64)
@@ -87,9 +89,9 @@ def _distances(state: PrototypeState, z):
 
 def protonet_predict(state: PrototypeState, z):
     """Softmax over negative squared prototype distances plus the nearest
-    distance as novelty score; no classes yet means an infinitely novel point."""
+    distance as novelty score; with no classes yet, (empty probs, EMPTY_NOVELTY)."""
     if state.n_classes == 0:
-        return np.zeros(0), np.inf
+        return np.zeros(0), EMPTY_NOVELTY
     dist = _distances(state, z)
     logits = -dist**2
     logits -= logits.max()
@@ -98,9 +100,10 @@ def protonet_predict(state: PrototypeState, z):
 
 
 def ncm_predict(state: PrototypeState, z):
-    """Nearest class mean: (1-based argmin class, Euclidean distance)."""
+    """Nearest class mean: (1-based argmin class, Euclidean distance); with no
+    classes yet, (None, EMPTY_NOVELTY)."""
     if state.n_classes == 0:
-        return None, np.inf
+        return None, EMPTY_NOVELTY
     dist = _distances(state, z)
     best = int(np.argmin(dist))
     return best + 1, float(dist[best])

@@ -24,6 +24,24 @@ pi_c = u_c / T with T = sum(u), u_novel = b + a N+, so
 
     d logpi_c / d b = 1[c == novel] / u_novel - 1 / T.
 
+Both meta-training settings score queries against one class table
+
+    [ n_kk trainable rows | one row per support class | novel slot ]
+
+Large-context episodes have n_kk free rows (class_q, class_log_lambda) and
+no support; small-context episodes are the n_kk = 0 case, with rows
+Q_c = q0 + S_c / s_eps, lam_c = lam0 + K_c / s_eps built from the support.
+Every row at or above n_kk, and the novel slot (q0, lam0), holds one copy
+of the shared prior, so d q0 is the sum of d Q over those rows.
+
+The frozen loss scores every query against that table. The teacher-forced
+sequential loss scores query j against the table after queries 1..j-1 have
+conditioned it with their true labels; rows below n_kk count labels but are
+never conditioned. A running per-row sum R_c of d loss / d Q_c scatters the
+gradient back to the conditioning points: a query that conditioned row c
+at step j gets (R_c at the end - R_c after step j) / s_eps, a support point
+of row c gets R_c at the end / s_eps.
+
 All gradients are certified against central finite differences by grad_check.
 """
 
@@ -51,6 +69,13 @@ def encode(weight, bias, H):
     if weight is None:
         return H
     return H @ weight.T + bias
+
+
+def _encoder_grads(weight, pairs):
+    """d loss / d (weight, bias) from (raw inputs, d loss / d embedding) pairs."""
+    if weight is None:
+        return None, None
+    return sum(dZ.T @ H for H, dZ in pairs), sum(dZ.sum(axis=0) for _, dZ in pairs)
 
 
 def _mixture_nll_grads(Z, y_idx, means, variances, log_prior):
@@ -112,16 +137,89 @@ def _d_b_from_log_prior(d_log_prior, counts, params):
     return float(d_b)
 
 
+def _state_nll(Z, y_idx, Q, lam, counts, q0, lam0, noise_var, params):
+    """Mean NLL of Z against the table rows (Q, lam, counts) plus the novel slot.
+
+    y_idx is 0-based, the novel slot being index len(Q). Returns
+    (nll, d_Q, d_lam, d_Z, d_b); d_Q and d_lam end with the novel slot's row.
+    """
+    Qp = np.vstack([Q, q0[None, :]])
+    lamp = np.append(lam, lam0)
+    log_prior = _log_prior_from_counts(counts, params)
+    means = Qp / lamp[:, None]
+    variances = 1.0 / lamp + noise_var
+    nll, d_means, d_vars, d_Z, d_log_prior = _mixture_nll_grads(
+        Z, y_idx, means, variances, log_prior
+    )
+    d_Q, d_lam = _natural_chain(d_means, d_vars, Qp, lamp)
+    return nll, d_Q, d_lam, d_Z, _d_b_from_log_prior(d_log_prior, counts, params)
+
+
+def _sequential_nll(
+    Z, y_idx, Q, lam, counts, q0, lam0, noise_var, params, *, n_kk, novel_first_count
+):
+    """Teacher-forced query pass over the class table.
+
+    Query j is scored against the table conditioned on queries 0..j-1 with
+    their true labels, then conditions its own row (a label one past the
+    last row starts a new row from the prior). Rows below n_kk count labels
+    but are never conditioned. Returns what _state_nll returns, with d_Q
+    and d_lam summed over the steps per table position: the novel slot sits
+    one past the last row, so a row born in the pass shares its position's
+    sum with the novel slot that held it before; both hold one copy of q0.
+    """
+    m, d = Z.shape
+    inv = 1.0 / noise_var
+    n = Q.shape[0]
+    Q = np.vstack([Q, np.zeros((m, d))])              # room for one new row per query
+    lam = np.append(lam, np.zeros(m))
+    counts = np.append(counts, np.zeros(m, dtype=np.int64))
+    R = np.zeros((n + m + 1, d))                      # running sum of d loss / d Q per position
+    R_lam = np.zeros(n + m + 1)
+    row = np.full(m, -1)                              # row each query conditioned
+    seen = np.zeros((m, d))                           # R[row] when it did
+    d_Z = np.zeros_like(Z)
+    total = 0.0
+    d_b = 0.0
+
+    for j, y in enumerate(y_idx):
+        if y > n:
+            raise ValueError(f"query {j}: label {y + 1} skips ahead of the {n} known classes")
+        nll, d_Qp, d_lamp, d_z, d_bj = _state_nll(
+            Z[j : j + 1], y_idx[j : j + 1], Q[:n], lam[:n], counts[:n], q0, lam0, noise_var, params
+        )
+        total += nll
+        d_b += d_bj
+        d_Z[j] = d_z[0]
+        R[: n + 1] += d_Qp
+        R_lam[: n + 1] += d_lamp
+
+        if y == n:
+            Q[n] = q0 + Z[j] * inv
+            lam[n] = lam0 + inv
+            counts[n] = novel_first_count
+            n += 1
+        else:
+            counts[y] += 1
+            if y < n_kk:
+                continue
+            Q[y] += Z[j] * inv
+            lam[y] += inv
+        row[j] = y
+        seen[j] = R[y]
+
+    cond = row >= 0
+    d_Z[cond] += (R[row[cond]] - seen[cond]) * inv
+    scale = 1.0 / m
+    return total * scale, R[: n + 1] * scale, R_lam[: n + 1] * scale, d_Z * scale, d_b * scale
+
+
 def support_sums(Z, labels, n_classes):
     """Per-class embedding sums and counts for a dense-labelled support set."""
-    labels = np.asarray(labels, dtype=np.int64)
-    d = Z.shape[1]
-    S = np.zeros((n_classes, d))
-    K = np.zeros(n_classes, dtype=np.int64)
-    for z, y in zip(Z, labels):
-        S[y - 1] += z
-        K[y - 1] += 1
-    return S, K
+    idx = np.asarray(labels, dtype=np.int64) - 1
+    S = np.zeros((n_classes, Z.shape[1]))
+    np.add.at(S, idx, Z)
+    return S, np.bincount(idx, minlength=n_classes)
 
 
 @dataclass
@@ -138,21 +236,6 @@ class MetaGrads:
     d_rho: float
     d_class_q: np.ndarray | None = None
     d_class_log_lambda: np.ndarray | None = None
-
-
-class _EncoderTape:
-    """Accumulates d loss / d embedding per raw input row."""
-
-    def __init__(self, weight, bias, H):
-        self.weight = weight
-        self.H = np.asarray(H, dtype=np.float64)
-        self.Z = encode(weight, bias, H)
-        self.dZ = np.zeros_like(self.Z)
-
-    def grads(self):
-        if self.weight is None:
-            return None, None
-        return self.dZ.T @ self.H, self.dZ.sum(axis=0)
 
 
 def _adaptation_term(q0, lam0, noise_var, Za, adapt_labels, cond_idx):
@@ -196,328 +279,104 @@ def _adaptation_term(q0, lam0, noise_var, Za, adapt_labels, cond_idx):
     return nll, d_q0, d_lam0, d_Za
 
 
-def sc_meta_grads(
-    weight,
-    bias,
-    q0,
-    log_lambda0,
-    rho,
-    episode,
-    *,
-    a,
-    noise_var,
-    lambda_w,
-    cond_idx,
-    novel_first_count=2,
-    sequential=False,
+def _episode_grads(
+    weight, bias, q0, log_lambda0, rho, episode, class_q, class_lam, class_counts, *,
+    a, noise_var, lambda_w, cond_idx, novel_first_count, sequential,
 ):
-    """Small-context episode loss and gradients w.r.t. (encoder, q0, log lam0, rho)."""
+    """Episode loss over the table [class_q rows | support rows | novel slot].
+
+    Returns (MetaGrads without class fields, d_class_q, d_class_lam).
+    """
     lam0 = float(np.exp(log_lambda0))
     params = CrpParams(a=a, rho=rho)
     inv = 1.0 / noise_var
-
-    sup = _EncoderTape(weight, bias, episode.support_x)
-    qry = _EncoderTape(weight, bias, episode.query_x)
-    n = episode.n_known
-    S, K = support_sums(sup.Z, episode.support_y, n)
-    counts = K + (novel_first_count - 1)
-
-    d_q0 = np.zeros_like(np.asarray(q0, dtype=np.float64))
     q0 = np.asarray(q0, dtype=np.float64)
-    d_lam0 = 0.0
-    d_b = 0.0
+    n_kk = class_q.shape[0]
 
+    raw = (episode.support_x, episode.query_x, episode.adapt_x)
+    H_s, H_q, H_a = (np.asarray(x, dtype=np.float64) for x in raw)
+    Z_s, Z_q, Z_a = (encode(weight, bias, H) for H in (H_s, H_q, H_a))
+    S, K = support_sums(Z_s, episode.support_y, episode.n_known - n_kk)
+    Q = np.vstack([class_q, q0[None, :] + S * inv])
+    lam = np.append(class_lam, lam0 + K * inv)
+    counts = np.append(class_counts, K + (novel_first_count - 1))
+
+    y_idx = np.asarray(episode.query_y, dtype=np.int64) - 1
     if sequential:
-        nll, d_q0_s, d_lam0_s, d_b = _sequential_nll(
-            qry, q0, lam0, inv, noise_var, params,
-            init_Q=q0[None, :] + S * inv,
-            init_lam=lam0 + K * inv,
-            init_counts=counts.copy(),
-            init_contrib=_support_contrib(episode.support_y, n),
-            support_tape=sup,
-            class_origin=["prior"] * n,
-            novel_first_count=novel_first_count,
-            labels=episode.query_y,
+        nll, d_Q, d_lam, d_Zq, d_b = _sequential_nll(
+            Z_q, y_idx, Q, lam, counts, q0, lam0, noise_var, params,
+            n_kk=n_kk, novel_first_count=novel_first_count,
         )
-        d_q0 += d_q0_s
-        d_lam0 += d_lam0_s
     else:
-        Q = np.vstack([q0[None, :] + S * inv, q0[None, :]])
-        lam = np.append(lam0 + K * inv, lam0)
-        log_prior = _log_prior_from_counts(counts, params)
-        means = Q / lam[:, None]
-        variances = 1.0 / lam + noise_var
-        yq = np.asarray(episode.query_y, dtype=np.int64) - 1
-        nll, d_means, d_vars, d_Zq, d_log_prior = _mixture_nll_grads(
-            qry.Z, yq, means, variances, log_prior
+        nll, d_Q, d_lam, d_Zq, d_b = _state_nll(
+            Z_q, y_idx, Q, lam, counts, q0, lam0, noise_var, params
         )
-        d_Q, d_lam = _natural_chain(d_means, d_vars, Q, lam)
-        d_q0 += d_Q.sum(axis=0)
-        d_lam0 += float(d_lam.sum())
-        qry.dZ += d_Zq
-        for i, y in enumerate(episode.support_y):
-            sup.dZ[i] += d_Q[y - 1] * inv
-        d_b = _d_b_from_log_prior(d_log_prior, counts, params)
+    d_q0 = d_Q[n_kk:].sum(axis=0)
+    d_lam0 = float(d_lam[n_kk:].sum())
+    d_Zs = d_Q[n_kk + np.asarray(episode.support_y, dtype=np.int64) - 1] * inv
 
-    adapt = _EncoderTape(weight, bias, episode.adapt_x) if len(episode.adapt_x) else None
-    adapt_val = 0.0
-    if adapt is not None and lambda_w != 0.0:
-        adapt_val, da_q0, da_lam0, da_Z = _adaptation_term(
-            q0, lam0, noise_var, adapt.Z, episode.adapt_y, cond_idx
+    adapt = 0.0
+    d_Za = np.zeros_like(Z_a)
+    if lambda_w != 0.0:
+        adapt, da_q0, da_lam0, da_Z = _adaptation_term(
+            q0, lam0, noise_var, Z_a, episode.adapt_y, cond_idx
         )
         d_q0 += lambda_w * da_q0
         d_lam0 += lambda_w * da_lam0
-        adapt.dZ += lambda_w * da_Z
+        d_Za = lambda_w * da_Z
 
-    d_weight, d_bias = _merge_encoder_grads([sup, qry] + ([adapt] if adapt is not None else []))
-    return MetaGrads(
-        value=nll + lambda_w * adapt_val,
+    d_weight, d_bias = _encoder_grads(weight, [(H_s, d_Zs), (H_q, d_Zq), (H_a, d_Za)])
+    g = MetaGrads(
+        value=nll + lambda_w * adapt,
         nll=nll,
-        adapt=adapt_val,
+        adapt=adapt,
         d_weight=d_weight,
         d_bias=d_bias,
         d_q0=d_q0,
         d_log_lambda0=d_lam0 * lam0,
         d_rho=d_b * sigmoid(rho),
     )
+    return g, d_Q[:n_kk], d_lam[:n_kk]
+
+
+def sc_meta_grads(
+    weight, bias, q0, log_lambda0, rho, episode, *,
+    a, noise_var, lambda_w, cond_idx, novel_first_count=2, sequential=False,
+):
+    """Small-context episode loss and gradients w.r.t. (encoder, q0, log lam0, rho).
+
+    The shared episode loss with no trainable class rows.
+    """
+    d = np.shape(q0)[0]
+    g, _, _ = _episode_grads(
+        weight, bias, q0, log_lambda0, rho, episode,
+        np.zeros((0, d)), np.zeros(0), np.zeros(0, dtype=np.int64),
+        a=a, noise_var=noise_var, lambda_w=lambda_w, cond_idx=cond_idx,
+        novel_first_count=novel_first_count, sequential=sequential,
+    )
+    return g
 
 
 def lc_meta_grads(
-    weight,
-    bias,
-    q0,
-    log_lambda0,
-    rho,
-    class_q,
-    class_log_lambda,
-    episode,
-    *,
-    a,
-    noise_var,
-    lambda_w,
-    cond_idx,
-    lc_init_count=1,
-    novel_first_count=2,
-    sequential=False,
+    weight, bias, q0, log_lambda0, rho, class_q, class_log_lambda, episode, *,
+    a, noise_var, lambda_w, cond_idx, lc_init_count=1, novel_first_count=2, sequential=False,
 ):
-    """Large-context episode loss and gradients; class stats are free parameters."""
-    lam0 = float(np.exp(log_lambda0))
-    params = CrpParams(a=a, rho=rho)
-    inv = 1.0 / noise_var
-    q0 = np.asarray(q0, dtype=np.float64)
-    class_q = np.asarray(class_q, dtype=np.float64)
-    class_lam = np.exp(np.asarray(class_log_lambda, dtype=np.float64))
-    n = class_q.shape[0]
-    counts = np.full(n, int(lc_init_count), dtype=np.int64)
+    """Large-context episode loss and gradients; class stats are free parameters.
 
-    qry = _EncoderTape(weight, bias, episode.query_x)
-    d_q0 = np.zeros_like(q0)
-    d_lam0 = 0.0
-    d_class_q = np.zeros_like(class_q)
-    d_class_lam = np.zeros_like(class_lam)
-
-    if sequential:
-        nll, grads = _sequential_nll_lc(
-            qry, q0, lam0, inv, noise_var, params,
-            class_q=class_q, class_lam=class_lam, counts=counts.copy(),
-            novel_first_count=novel_first_count, labels=episode.query_y,
-        )
-        d_q0 += grads["q0"]
-        d_lam0 += grads["lam0"]
-        d_class_q += grads["class_q"]
-        d_class_lam += grads["class_lam"]
-        d_b = grads["b"]
-    else:
-        Q = np.vstack([class_q, q0[None, :]])
-        lam = np.append(class_lam, lam0)
-        log_prior = _log_prior_from_counts(counts, params)
-        means = Q / lam[:, None]
-        variances = 1.0 / lam + noise_var
-        yq = np.asarray(episode.query_y, dtype=np.int64) - 1
-        nll, d_means, d_vars, d_Zq, d_log_prior = _mixture_nll_grads(
-            qry.Z, yq, means, variances, log_prior
-        )
-        d_Q, d_lam = _natural_chain(d_means, d_vars, Q, lam)
-        d_class_q += d_Q[:n]
-        d_class_lam += d_lam[:n]
-        d_q0 += d_Q[n]
-        d_lam0 += float(d_lam[n])
-        qry.dZ += d_Zq
-        d_b = _d_b_from_log_prior(d_log_prior, counts, params)
-
-    adapt = _EncoderTape(weight, bias, episode.adapt_x) if len(episode.adapt_x) else None
-    adapt_val = 0.0
-    if adapt is not None and lambda_w != 0.0:
-        adapt_val, da_q0, da_lam0, da_Z = _adaptation_term(
-            q0, lam0, noise_var, adapt.Z, episode.adapt_y, cond_idx
-        )
-        d_q0 += lambda_w * da_q0
-        d_lam0 += lambda_w * da_lam0
-        adapt.dZ += lambda_w * da_Z
-
-    d_weight, d_bias = _merge_encoder_grads([qry] + ([adapt] if adapt is not None else []))
-    return MetaGrads(
-        value=nll + lambda_w * adapt_val,
-        nll=nll,
-        adapt=adapt_val,
-        d_weight=d_weight,
-        d_bias=d_bias,
-        d_q0=d_q0,
-        d_log_lambda0=d_lam0 * lam0,
-        d_rho=d_b * sigmoid(rho),
-        d_class_q=d_class_q,
-        d_class_log_lambda=d_class_lam * class_lam,
-    )
-
-
-def _support_contrib(support_y, n_classes):
-    contrib = [[] for _ in range(n_classes)]
-    for i, y in enumerate(support_y):
-        contrib[y - 1].append(("support", i))
-    return contrib
-
-
-def _sequential_nll(
-    qry, q0, lam0, inv, noise_var, params, *,
-    init_Q, init_lam, init_counts, init_contrib, support_tape,
-    class_origin, novel_first_count, labels,
-):
-    """Teacher-forced query pass for the small-context setting.
-
-    The count trajectory is fixed by the labels, so only the Gaussian stats
-    carry parameter dependence across steps; each class keeps the list of
-    embeddings that conditioned it so that per-step dQ can be scattered back.
+    The shared episode loss with one trainable row per known class, each
+    starting at lc_init_count observations.
     """
-    Q = init_Q.copy()
-    lam = init_lam.copy()
-    counts = init_counts.copy()
-    contrib = [list(c) for c in init_contrib]
-    labels = np.asarray(labels, dtype=np.int64)
-    m = len(labels)
-    total = 0.0
-    d_q0 = np.zeros_like(q0)
-    d_lam0 = 0.0
-    d_b = 0.0
-
-    for j, y in enumerate(labels):
-        n = Q.shape[0]
-        Qp = np.vstack([Q, q0[None, :]])
-        lamp = np.append(lam, lam0)
-        log_prior = _log_prior_from_counts(counts, params)
-        means = Qp / lamp[:, None]
-        variances = 1.0 / lamp + noise_var
-        z = qry.Z[j : j + 1]
-        nll, d_means, d_vars, d_Z, d_log_prior = _mixture_nll_grads(
-            z, np.array([y - 1]), means, variances, log_prior
-        )
-        total += nll
-        d_Qp, d_lamp = _natural_chain(d_means, d_vars, Qp, lamp)
-        d_q0 += d_Qp.sum(axis=0)      # every slot's Q contains one copy of q0
-        d_lam0 += float(d_lamp.sum())
-        qry.dZ[j] += d_Z[0]
-        for c in range(n):
-            for kind, i in contrib[c]:
-                if kind == "support":
-                    support_tape.dZ[i] += d_Qp[c] * inv
-                else:
-                    qry.dZ[i] += d_Qp[c] * inv
-        d_b += _d_b_from_log_prior(d_log_prior, counts, params)
-
-        # teacher-forced update with the true label
-        if y == n + 1:
-            Q = np.vstack([Q, q0[None, :] + z[0] * inv])
-            lam = np.append(lam, lam0 + inv)
-            counts = np.append(counts, novel_first_count)
-            contrib.append([("query", j)])
-        elif y <= n:
-            counts[y - 1] += 1
-            Q[y - 1] = Q[y - 1] + z[0] * inv
-            lam[y - 1] += inv
-            contrib[y - 1].append(("query", j))
-        else:
-            raise ValueError(f"query {j}: label {y} skips ahead of the {n} known classes")
-
-    scale = 1.0 / m
-    qry.dZ *= scale
-    support_tape.dZ *= scale
-    return total * scale, d_q0 * scale, d_lam0 * scale, d_b * scale
-
-
-def _sequential_nll_lc(
-    qry, q0, lam0, inv, noise_var, params, *,
-    class_q, class_lam, counts, novel_first_count, labels,
-):
-    """Teacher-forced query pass for the large-context setting."""
-    n_kk = class_q.shape[0]
-    Q = class_q.copy()
-    lam = class_lam.copy()
-    contrib = [[] for _ in range(n_kk)]
-    labels = np.asarray(labels, dtype=np.int64)
-    m = len(labels)
-    total = 0.0
-    g = {
-        "q0": np.zeros_like(q0),
-        "lam0": 0.0,
-        "class_q": np.zeros_like(class_q),
-        "class_lam": np.zeros(n_kk),
-        "b": 0.0,
-    }
-
-    for j, y in enumerate(labels):
-        n = Q.shape[0]
-        Qp = np.vstack([Q, q0[None, :]])
-        lamp = np.append(lam, lam0)
-        log_prior = _log_prior_from_counts(counts, params)
-        means = Qp / lamp[:, None]
-        variances = 1.0 / lamp + noise_var
-        z = qry.Z[j : j + 1]
-        nll, d_means, d_vars, d_Z, d_log_prior = _mixture_nll_grads(
-            z, np.array([y - 1]), means, variances, log_prior
-        )
-        total += nll
-        d_Qp, d_lamp = _natural_chain(d_means, d_vars, Qp, lamp)
-        # known-known slots chain to the trainable class stats; every slot
-        # born after Phase 1 (and the novel slot itself) chains to the prior
-        g["class_q"] += d_Qp[:n_kk]
-        g["class_lam"] += d_lamp[:n_kk]
-        g["q0"] += d_Qp[n_kk:].sum(axis=0)
-        g["lam0"] += float(d_lamp[n_kk:].sum())
-        qry.dZ[j] += d_Z[0]
-        for c in range(n):
-            for i in contrib[c]:
-                qry.dZ[i] += d_Qp[c] * inv
-        g["b"] += _d_b_from_log_prior(d_log_prior, counts, params)
-
-        if y == n + 1:
-            Q = np.vstack([Q, q0[None, :] + z[0] * inv])
-            lam = np.append(lam, lam0 + inv)
-            counts = np.append(counts, novel_first_count)
-            contrib.append([j])
-        elif y <= n:
-            counts[y - 1] += 1
-            if y > n_kk:
-                Q[y - 1] = Q[y - 1] + z[0] * inv
-                lam[y - 1] += inv
-                contrib[y - 1].append(j)
-        else:
-            raise ValueError(f"query {j}: label {y} skips ahead of the {n} known classes")
-
-    scale = 1.0 / m
-    qry.dZ *= scale
-    for key in ("q0", "class_q", "class_lam"):
-        g[key] = g[key] * scale
-    g["lam0"] *= scale
-    g["b"] *= scale
-    return total * scale, g
-
-
-def _merge_encoder_grads(tapes):
-    live = [t for t in tapes if t.weight is not None]
-    if not live:
-        return None, None
-    d_weight = sum(t.dZ.T @ t.H for t in live)
-    d_bias = sum(t.dZ.sum(axis=0) for t in live)
-    return d_weight, d_bias
+    class_lam = np.exp(np.asarray(class_log_lambda, dtype=np.float64))
+    g, d_class_q, d_class_lam = _episode_grads(
+        weight, bias, q0, log_lambda0, rho, episode,
+        np.asarray(class_q, dtype=np.float64), class_lam,
+        np.full(len(class_lam), int(lc_init_count), dtype=np.int64),
+        a=a, noise_var=noise_var, lambda_w=lambda_w, cond_idx=cond_idx,
+        novel_first_count=novel_first_count, sequential=sequential,
+    )
+    g.d_class_q = d_class_q
+    g.d_class_log_lambda = d_class_lam * class_lam
+    return g
 
 
 def pretrain_grads(weight, bias, H, labels, means, log_variances, beta):
@@ -539,12 +398,7 @@ def pretrain_grads(weight, bias, H, labels, means, log_variances, beta):
     nll, d_means, d_vars, d_Z, _ = _mixture_nll_grads(Z, labels - 1, means, variances, log_prior)
     reg = beta * float(np.sum(d / variances))
     d_log_vars = d_vars * variances - beta * d / variances
-
-    if weight is None:
-        d_weight, d_bias = None, None
-    else:
-        d_weight = d_Z.T @ H
-        d_bias = d_Z.sum(axis=0)
+    d_weight, d_bias = _encoder_grads(weight, [(H, d_Z)])
     return nll + reg, d_weight, d_bias, d_means, d_log_vars
 
 
@@ -567,33 +421,21 @@ def loo_support_grads(H, labels, weight, bias, q0, lam0, *, params, noise_var, n
 
     for i in range(s):
         rest = np.arange(s) != i
-        rest_labels = labels[rest]
-        kept = np.unique(rest_labels)
-        remap = {int(c): j + 1 for j, c in enumerate(kept)}
+        kept, dense = np.unique(labels[rest], return_inverse=True)
         n = len(kept)
-        y_held = remap.get(int(labels[i]), n + 1)
+        y_held = int(np.searchsorted(kept, labels[i]))
+        if y_held == n or kept[y_held] != labels[i]:
+            y_held = n                                # its class left with it: novel slot
 
-        dense = np.array([remap[int(c)] for c in rest_labels])
-        S, K = support_sums(Z[rest], dense, n)
-        counts = K + (novel_first_count - 1)
-        Q = np.vstack([q0[None, :] + S * inv, q0[None, :]])
-        lam = np.append(lam0 + K * inv, lam0)
-        log_prior = _log_prior_from_counts(counts, params)
-        means = Q / lam[:, None]
-        variances = 1.0 / lam + noise_var
-
-        nll, d_means, d_vars, d_Zq, _ = _mixture_nll_grads(
-            Z[i : i + 1], np.array([y_held - 1]), means, variances, log_prior
+        S, K = support_sums(Z[rest], dense + 1, n)
+        nll, d_Q, _, d_Zq, _ = _state_nll(
+            Z[i : i + 1], np.array([y_held]), q0[None, :] + S * inv, lam0 + K * inv,
+            K + (novel_first_count - 1), q0, lam0, noise_var, params,
         )
         total += nll
-        d_Q, _ = _natural_chain(d_means, d_vars, Q, lam)
         dZ[i] += d_Zq[0]
-        rest_idx = np.flatnonzero(rest)
-        for j, y in zip(rest_idx, dense):
-            dZ[j] += d_Q[y - 1] * inv
+        dZ[rest] += d_Q[dense] * inv
 
     total /= s
     dZ /= s
-    if weight is None:
-        return total, None, None
-    return total, dZ.T @ H, dZ.sum(axis=0)
+    return (total, *_encoder_grads(weight, [(H, dZ)]))

@@ -2,10 +2,13 @@
 
 Small-context episodes carry a labelled support set plus a query set in
 which every unknown class shares one bucket label N + 1; large-context
-episodes have no support and instead train per-class stats directly. The
-episode loss is the query NLL read from the frozen post-support state (a
-teacher-forced sequential variant is available for study) plus a weighted
-adaptation loss that scores one-shot class instantiation on the novel pool.
+episodes have no support and instead train per-class stats directly. Both
+settings share one episode loss (losses.sc_meta_grads and lc_meta_grads
+only build its initial class table): small-context is the large-context
+case with no trainable class rows. The loss is the query NLL read from the
+frozen post-support state (or, with sequential=True, teacher-forced through
+the query stream as inference would see it) plus a weighted adaptation
+loss that scores one-shot class instantiation on the novel pool.
 """
 
 from __future__ import annotations

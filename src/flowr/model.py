@@ -75,6 +75,11 @@ class PredictionRecord:
 
 def state_log_posterior(state: ModelState, Z) -> np.ndarray:
     """Log posterior over (classes 1..N, novel) for each embedded row of Z."""
+    return _log_posterior(state, Z)[0]
+
+
+def _log_posterior(state: ModelState, Z):
+    """(log posterior, log predictive density) over (classes 1..N, novel) per row of Z."""
     n = state.n_classes
     p0 = state.prior.prior
     d = p0.dim
@@ -87,21 +92,32 @@ def state_log_posterior(state: ModelState, Z) -> np.ndarray:
     with np.errstate(divide="ignore"):
         log_prior = np.log(predictive_class_probs(state.counts, state.crp_params))
     logits = logf + log_prior[None, :]
-    return logits - losses.logsumexp(logits, axis=1)[:, None]
+    return logits - losses.logsumexp(logits, axis=1)[:, None], logf
 
 
 def predict(state: ModelState, x) -> PredictionRecord:
-    """Posterior over known classes and the novel slot for one raw input."""
+    """Posterior over known classes and the novel slot for one raw input.
+
+    known_argmax is the most probable known class. When no known class has
+    posterior mass left (every known count is zero, as in a fresh
+    large-context state, or the masses underflow), it is the known class
+    with the highest log posterior, or with the highest predictive
+    log-density when every known prior is zero.
+    """
     z = state.encoder(np.asarray(x, dtype=np.float64))
     if z.ndim != 1:
         raise ValueError(f"predict takes a single input vector, got shape {z.shape}")
-    log_post = state_log_posterior(state, z[None, :])[0]
+    log_post, logf = _log_posterior(state, z[None, :])
+    log_post, logf = log_post[0], logf[0]
     probs = np.exp(log_post)
     n = state.n_classes
+    known = probs[:n]
+    if n > 0 and not known.any():
+        known = log_post[:n] if np.isfinite(log_post[:n]).any() else logf[:n]
     return PredictionRecord(
         probs=probs,
         predicted=int(np.argmax(probs)) + 1,
-        known_argmax=int(np.argmax(probs[:n])) + 1 if n > 0 else None,
+        known_argmax=int(np.argmax(known)) + 1 if n > 0 else None,
         novelty_score=float(probs[-1]),
         n_at_prediction=n,
     )

@@ -8,7 +8,9 @@ sum_i z_i 1[y_i = n] / sum_i 1[y_i = n]; the protonet softmax value
 import numpy as np
 import pytest
 
+from flowr import meta, runner
 from flowr.baselines import (
+    EMPTY_NOVELTY,
     PrototypeState,
     init_prototypes,
     ncm_predict,
@@ -16,6 +18,11 @@ from flowr.baselines import (
     protonet_predict,
     run_baseline_episode,
 )
+from flowr.checkpoint import Checkpoint
+from flowr.config import ExperimentConfig
+from flowr.crp import CrpParams
+from flowr.data import generate_synthetic_world
+from flowr.gaussian import NoiseModel
 from flowr.model import ProtocolError
 
 
@@ -83,7 +90,7 @@ class TestProtonetPredict:
     def test_empty_state_sentinel(self):
         probs, score = protonet_predict(PrototypeState.empty(3), [0.0, 0.0, 0.0])
         assert probs.shape == (0,)
-        assert score == np.inf
+        assert score == EMPTY_NOVELTY == np.finfo(np.float64).max
 
     def test_argmax_agrees_with_ncm(self):
         """Softmax over negative squared distances peaks at the nearest
@@ -113,7 +120,7 @@ class TestNcmPredict:
     def test_empty_state_sentinel(self):
         best, score = ncm_predict(PrototypeState.empty(2), [0.0, 0.0])
         assert best is None
-        assert score == np.inf
+        assert score == EMPTY_NOVELTY == np.finfo(np.float64).max
 
     def test_argmin_invariant_under_scaling(self):
         """Scaling every vector by c > 0 keeps the argmin and scales the
@@ -164,3 +171,25 @@ class TestRunBaselineEpisode:
     def test_init_prototypes_error_position(self):
         with pytest.raises(ProtocolError, match="support point 1"):
             init_prototypes([([0.0], 1), ([0.0], 3)], 1)
+
+
+@pytest.mark.parametrize("method", ["ncm", "protonet"])
+def test_evaluate_without_support_classes(method):
+    """An episode with no support classes starts from an empty prototype
+    state; its first query scores EMPTY_NOVELTY and the metric suite stays
+    finite (an infinite score used to abort with "scores must be finite")."""
+    world = generate_synthetic_world(12, 4, 25.0, 0.5, 20, seed=10)
+    params = meta.init_meta_params(4, np.random.default_rng(1))
+    ckpt = Checkpoint(
+        params=params, crp=CrpParams(a=0.5, rho=params.rho), noise=NoiseModel(0.5), setting="sc"
+    )
+    cfg = ExperimentConfig(
+        setting="sc", d=4, eval_support_classes=0, eval_novel_classes=3,
+        eval_queries_per_class=4, eval_episodes=4, operating_tpr=0.6, seed=3,
+    )
+    result = runner.evaluate(world, ckpt, cfg, method=method)
+    assert result.metrics["n_support"] == 0
+    assert result.metrics["n_queries"] == 48
+    assert np.isfinite(result.tau)
+    assert 0.0 <= result.metrics["auroc"] <= 1.0
+    assert np.isfinite(result.metrics["h_measure"])

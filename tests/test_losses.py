@@ -15,7 +15,9 @@ from flowr import losses, meta
 from flowr.crp import CrpParams
 from flowr.data import generate_synthetic_world
 from flowr.encoder import Encoder
+from flowr.gaussian import NoiseModel
 from flowr.meta import EpisodeConfig, grad_check, meta_loss, meta_loss_functions
+from flowr.model import init_large_context, init_small_context, run_episode
 
 TOL = 1e-4
 
@@ -90,7 +92,8 @@ class TestGradients:
         err = grad_check(loss_fn, grad_fn, meta.params_to_vector(template))
         assert err <= TOL
 
-    def test_lc_meta_gradient(self):
+    @pytest.mark.parametrize("sequential", [False, True])
+    def test_lc_meta_gradient(self, sequential):
         rng = np.random.default_rng(13)
         d_in, d = 4, 3
         ds = generate_synthetic_world(6, d_in, 9.0, 0.5, 16, seed=13)
@@ -105,7 +108,9 @@ class TestGradients:
             class_log_lambda=0.2 * rng.normal(size=3),
         )
         episode = meta.sample_lc_task(ds, cfg, rng, known)
-        loss_fn, grad_fn = meta_loss_functions(template, episode, 0.1, "lc", cond_seed=5)
+        loss_fn, grad_fn = meta_loss_functions(
+            template, episode, 0.1, "lc", sequential=sequential, cond_seed=5
+        )
         assert grad_check(loss_fn, grad_fn, meta.params_to_vector(template)) <= TOL
 
     def test_fine_tune_gradient(self):
@@ -180,3 +185,40 @@ class TestMetaLossStructure:
         np.testing.assert_allclose(
             meta_loss(template, swapped, 0.1, "sc", cond_seed=5), base, rtol=1e-12
         )
+
+
+class TestSequentialMatchesInference:
+    """The teacher-forced sequential loss is the mean -log posterior that
+    inference assigns to each true label while replaying the same stream."""
+
+    @pytest.mark.parametrize("setting", ["sc", "lc"])
+    def test_nll_equals_run_episode(self, setting):
+        rng = np.random.default_rng(31)
+        d = 3
+        ds = generate_synthetic_world(8, d, 4.0, 0.5, 20, seed=31)
+        if setting == "sc":
+            cfg = EpisodeConfig(
+                n_support_classes=3, n_novel_classes=2, shots_min=1, shots_max=3, queries_per_class=4
+            )
+            params = meta.init_meta_params(d, rng)
+            episode = meta.sample_sc_task(ds, cfg, rng)
+        else:
+            cfg = EpisodeConfig(n_support_classes=0, n_novel_classes=2, queries_per_class=4)
+            params = replace(
+                meta.init_meta_params(d, rng),
+                class_q=rng.normal(size=(3, d)),
+                class_log_lambda=0.2 * rng.normal(size=3),
+            )
+            episode = meta.sample_lc_task(ds, cfg, rng, [1, 2, 3])
+        g = meta.meta_grads(
+            params, episode, 0.0, setting, sequential=True, a=0.5, noise_variance=0.5
+        )
+
+        parts = (params.prior(), CrpParams(a=0.5, rho=params.rho), NoiseModel(0.5), Encoder.identity())
+        if setting == "sc":
+            state = init_small_context(*parts, zip(episode.support_x, episode.support_y))
+        else:
+            state = init_large_context(params.class_embeddings(), *parts, init_count=1)
+        records, _ = run_episode(state, zip(episode.query_x, episode.query_y))
+        nll = np.mean([-np.log(r.probs[r.true_label - 1]) for r in records])
+        np.testing.assert_allclose(g.nll, nll, rtol=1e-12)

@@ -271,6 +271,38 @@ class TestInitLargeContext:
         )
         np.testing.assert_array_equal(state.counts.counts, [1, 1])
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_zero_counts_known_argmax_follows_likelihood(self, k):
+        """With init_count=0 every known class has zero prior mass, so the
+        known argmax must come from the class densities: a query at class
+        k's mean names class k (it used to name class 1 every time)."""
+        means = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]])
+        state = init_large_context(
+            ClassEmbeddings(means=means, variances=[1.0, 1.0, 1.0]),
+            SharedPrior(NaturalClassStats(q=np.zeros(2), lam=0.1)),
+            CrpParams.from_b(a=0.5, b=1.0),
+            NOISE,
+            Encoder.identity(),
+        )
+        record = predict(state, means[k - 1])
+        np.testing.assert_array_equal(record.probs, [0.0, 0.0, 0.0, 1.0])
+        assert record.known_argmax == k
+
+    def test_underflowed_known_mass_keeps_posterior_argmax(self):
+        """A far outlier drives every known posterior below the smallest
+        float; the known argmax is still the class nearest to it."""
+        state = init_large_context(
+            ClassEmbeddings(means=[[0.0, 0.0], [6.0, 0.0]], variances=[1.0, 1.0]),
+            SharedPrior(NaturalClassStats(q=np.zeros(2), lam=0.1)),
+            CrpParams.from_b(a=0.5, b=1.0),
+            NOISE,
+            Encoder.identity(),
+            init_count=1,
+        )
+        record = predict(state, [300.0, 0.0])
+        np.testing.assert_array_equal(record.probs[:2], [0.0, 0.0])
+        assert record.known_argmax == 2
+
 
 class TestRunEpisode:
     def test_empty_queries(self):
