@@ -8,7 +8,7 @@ analytically derived gradients; metrics, baselines, dataset plumbing, and
 a CLI round out the toolkit.
 """
 
-from .baselines import PrototypeState, ncm_predict, prototype_update, protonet_predict
+from .baselines import PrototypeState, ncm_predict, prototype_update
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, config_hash, preset, preset_names
 from .crp import ClassCounts, CrpParams, InvalidStateError, predictive_class_probs, sequence_log_prob
@@ -119,7 +119,6 @@ __all__ = [
     "preset_names",
     "pretrain",
     "prototype_update",
-    "protonet_predict",
     "ranking_flip_search",
     "read_dataset",
     "roc_curve",

@@ -1,12 +1,11 @@
 """Distance-based open-set baselines over running class means.
 
-Nearest-class-mean and prototypical-network heads share one piece of
-bookkeeping: per-class feature sums and counts, updated online after every
-revealed label. Their novelty score is the Euclidean distance to the
-nearest prototype (higher = more novel), so the evaluation pipeline can
-consume them interchangeably with the probabilistic model. With no
-prototype yet the score is EMPTY_NOVELTY, the largest finite float, which
-ranks above every real distance and keeps the metric code finite.
+The nearest-class-mean head keeps per-class feature sums and counts,
+updated online after every revealed label. Its novelty score is the
+Euclidean distance to the nearest prototype (higher = more novel), so the
+evaluation pipeline can consume it interchangeably with the probabilistic
+model. With no prototype yet the score is EMPTY_NOVELTY, the largest finite
+float, which ranks above every real distance and keeps the metric code finite.
 """
 
 from __future__ import annotations
@@ -82,29 +81,13 @@ def prototype_update(state: PrototypeState, z, y) -> PrototypeState:
     return replace(state, sums=sums, counts=counts)
 
 
-def _distances(state: PrototypeState, z):
-    diff = state.means - np.asarray(z, dtype=np.float64)[None, :]
-    return np.sqrt(np.einsum("nd,nd->n", diff, diff))
-
-
-def protonet_predict(state: PrototypeState, z):
-    """Softmax over negative squared prototype distances plus the nearest
-    distance as novelty score; with no classes yet, (empty probs, EMPTY_NOVELTY)."""
-    if state.n_classes == 0:
-        return np.zeros(0), EMPTY_NOVELTY
-    dist = _distances(state, z)
-    logits = -dist**2
-    logits -= logits.max()
-    e = np.exp(logits)
-    return e / e.sum(), float(dist.min())
-
-
 def ncm_predict(state: PrototypeState, z):
     """Nearest class mean: (1-based argmin class, Euclidean distance); with no
     classes yet, (None, EMPTY_NOVELTY)."""
     if state.n_classes == 0:
         return None, EMPTY_NOVELTY
-    dist = _distances(state, z)
+    diff = state.means - np.asarray(z, dtype=np.float64)[None, :]
+    dist = np.sqrt(np.einsum("nd,nd->n", diff, diff))
     best = int(np.argmin(dist))
     return best + 1, float(dist[best])
 
@@ -123,29 +106,13 @@ def init_prototypes(support, dim) -> PrototypeState:
 def run_baseline_episode(state: PrototypeState, queries, method="ncm", encoder=None):
     """Predict-then-update over a query stream, mirroring the probabilistic
     episode loop; returns the per-query records and the final state."""
-    if method not in ("ncm", "protonet"):
+    if method != "ncm":
         raise ValueError(f"unknown baseline {method!r}")
     records = []
     for i, (x, y) in enumerate(queries):
         z = encoder(x) if encoder is not None else np.asarray(x, dtype=np.float64)
-        n = state.n_classes
-        if method == "protonet":
-            probs, score = protonet_predict(state, z)
-            best = int(np.argmax(probs)) + 1 if n else None
-            probs_out = probs
-        else:
-            best, score = ncm_predict(state, z)
-            probs_out = None
-        records.append(
-            PredictionRecord(
-                probs=probs_out,
-                predicted=best,
-                known_argmax=best,
-                novelty_score=score,
-                n_at_prediction=n,
-                true_label=int(y),
-            )
-        )
+        best, score = ncm_predict(state, z)
+        records.append(PredictionRecord(None, best, best, score, state.n_classes, true_label=int(y)))
         try:
             state = prototype_update(state, z, y)
         except ProtocolError as exc:

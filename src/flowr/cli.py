@@ -106,7 +106,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--tpr", type=float, help="operating true-positive rate")
     ev.add_argument("--episodes", type=int)
     ev.add_argument("--workers", type=int, default=1)
-    ev.add_argument("--method", choices=["flowr", "ncm", "protonet"], default="flowr")
+    ev.add_argument("--method", choices=["flowr", "ncm"], default="flowr")
     ev.add_argument("--out-dir", help="output directory (FLOWR_OUT_DIR overrides the default)")
     ev.add_argument("--train-classes", type=int, default=0,
                     help="leading class ids reserved for training; sc eval samples the rest")

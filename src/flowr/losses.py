@@ -366,6 +366,8 @@ def lc_meta_grads(
     The shared episode loss with one trainable row per known class, each
     starting at lc_init_count observations.
     """
+    if lc_init_count < 1:
+        raise ValueError(f"lc_init_count must be at least 1, got {lc_init_count}: known classes need prior mass")
     class_lam = np.exp(np.asarray(class_log_lambda, dtype=np.float64))
     g, d_class_q, d_class_lam = _episode_grads(
         weight, bias, q0, log_lambda0, rho, episode,

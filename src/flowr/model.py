@@ -7,56 +7,106 @@ updates are pure functions so episodes can be replayed and states shared.
 
 Labels follow the dense arrival protocol: classes are numbered 1..N in order
 of first appearance, and a label of exactly N + 1 announces a new class.
+
+A state keeps read-only arrays with one row per class and the prior's row
+(the novel slot) last: natural parameters Q (N + 1, d) and lam (N + 1,),
+the cached predictive means Q / lam and variances 1 / lam + s_eps, and the
+int64 counts, so predict is one log_density_matrix and one
+predictive_class_probs call. update is copy-on-write: it copies the counts,
+and copies the four arrays only to rewrite the row it conditions (labels
+above n_kk) and, for a new class, to append one row; every other array is
+shared with the parent state, which stays valid. `class_stats` builds
+NaturalClassStats on demand; the known-known rows, which no update
+rewrites, are built once per lineage of states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import losses
 from .crp import ClassCounts, CrpParams, instantiate, observe, predictive_class_probs
 from .encoder import ClassEmbeddings, Encoder
-from .gaussian import (
-    IsotropicGaussian,
-    NaturalClassStats,
-    NoiseModel,
-    SharedPrior,
-    condition,
-    factor_to_natural,
-    log_density_matrix,
-)
+from .gaussian import NaturalClassStats, NoiseModel, SharedPrior, log_density_matrix
 
 
 class ProtocolError(ValueError):
     """A label or state transition violated the dense arrival protocol."""
 
 
-@dataclass(frozen=True)
-class ModelState:
-    encoder: Encoder
-    class_stats: tuple
-    counts: ClassCounts
-    crp_params: CrpParams
-    prior: SharedPrior
-    noise: NoiseModel
-    n_kk: int = 0
-    novel_first_count: int = 2
+def _predictive(Q, lam, noise: NoiseModel):
+    """Predictive means and variances of the rows (Q, lam)."""
+    return Q / lam[:, None], 1.0 / lam + noise.noise_variance
 
-    def __post_init__(self):
-        if len(self.class_stats) != self.counts.n_classes:
-            raise ValueError(
-                f"{len(self.class_stats)} class stats but {self.counts.n_classes} counts"
-            )
-        if not 0 <= self.n_kk <= len(self.class_stats):
-            raise ValueError(f"n_kk = {self.n_kk} outside 0..{len(self.class_stats)}")
-        if self.novel_first_count not in (1, 2):
-            raise ValueError(f"novel_first_count must be 1 or 2, got {self.novel_first_count}")
+
+class ModelState:
+    """Immutable model state over per-class arrays (see the module docstring);
+    ModelState(...) is the validated constructor, update derives states without it."""
+
+    def __init__(self, encoder, class_stats, counts, crp_params, prior, noise, n_kk=0, novel_first_count=2):
+        class_stats = tuple(class_stats)
+        d = prior.prior.dim
+        if any(s.dim != d for s in class_stats):
+            raise ValueError(f"class stats must have the prior's dimension {d}")
+        self._fill(
+            np.array([s.q for s in class_stats]).reshape(len(class_stats), d), np.array([s.lam for s in class_stats]),
+            encoder=encoder, counts=counts, crp_params=crp_params, prior=prior, noise=noise,
+            n_kk=n_kk, novel_first_count=novel_first_count, kk_stats=class_stats[:n_kk],
+        )
+
+    @classmethod
+    def _from_arrays(cls, Q, lam, **fields) -> "ModelState":
+        """A validated state from the class rows (Q, lam)."""
+        state = object.__new__(cls)
+        state._fill(Q, lam, **fields)
+        return state
+
+    def _fill(self, Q, lam, *, encoder, counts, crp_params, prior, noise, n_kk, novel_first_count, kk_stats=None):
+        """Validate, append the prior's row and set every field."""
+        p0 = prior.prior
+        Q, lam = np.vstack([Q, p0.q[None, :]]), np.append(lam, p0.lam)
+        n = lam.shape[0] - 1
+        if n != counts.n_classes:
+            raise ValueError(f"{n} class stats but {counts.n_classes} counts")
+        if not 0 <= n_kk <= n:
+            raise ValueError(f"n_kk = {n_kk} outside 0..{n}")
+        if novel_first_count not in (1, 2):
+            raise ValueError(f"novel_first_count must be 1 or 2, got {novel_first_count}")
+        if encoder.kind == "affine" and encoder.weight.shape[0] != Q.shape[1]:
+            raise ValueError(f"encoder output dimension {encoder.weight.shape[0]} != class dimension {Q.shape[1]}")
+        if not (np.isfinite(Q).all() and np.isfinite(lam).all() and (lam > 0.0).all()):
+            raise ValueError("class stats must be finite with positive precision")
+        means, variances = _predictive(Q, lam, noise)
+        for a in (Q, lam, means, variances):
+            a.setflags(write=False)
+        self.__dict__.update(
+            encoder=encoder, counts=counts, crp_params=crp_params, prior=prior, noise=noise,
+            n_kk=int(n_kk), novel_first_count=novel_first_count,
+            Q=Q, lam=lam, means=means, variances=variances, _kk_stats=[kk_stats],
+        )
+
+    def _evolve(self, **changes) -> "ModelState":
+        """A copy sharing every field not in changes (no validation)."""
+        state = object.__new__(ModelState)
+        state.__dict__.update(self.__dict__, **changes)
+        return state
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ModelState is immutable; cannot set {name!r}")
 
     @property
     def n_classes(self) -> int:
-        return len(self.class_stats)
+        return self.lam.shape[0] - 1
+
+    @property
+    def class_stats(self) -> tuple:
+        """The N class rows as NaturalClassStats, built on demand."""
+        rows = lambda lo, hi: tuple(NaturalClassStats(q=self.Q[i], lam=self.lam[i]) for i in range(lo, hi))
+        if self._kk_stats[0] is None:
+            self._kk_stats[0] = rows(0, self.n_kk)
+        return self._kk_stats[0] + rows(self.n_kk, self.n_classes)
 
 
 @dataclass
@@ -73,26 +123,16 @@ class PredictionRecord:
     true_label: int | None = None
 
 
-def state_log_posterior(state: ModelState, Z) -> np.ndarray:
-    """Log posterior over (classes 1..N, novel) for each embedded row of Z."""
-    return _log_posterior(state, Z)[0]
-
-
-def _log_posterior(state: ModelState, Z):
-    """(log posterior, log predictive density) over (classes 1..N, novel) per row of Z."""
-    n = state.n_classes
-    p0 = state.prior.prior
-    d = p0.dim
-    Z = np.asarray(Z, dtype=np.float64)
-    Q = np.vstack([np.array([s.q for s in state.class_stats]).reshape(n, d), p0.q[None, :]])
-    lam = np.append(np.array([s.lam for s in state.class_stats]), p0.lam)
-    means = Q / lam[:, None]
-    variances = 1.0 / lam + state.noise.noise_variance
-    logf = log_density_matrix(Z, means, variances)
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(predictive_class_probs(state.counts, state.crp_params))
-    logits = logf + log_prior[None, :]
-    return logits - losses.logsumexp(logits, axis=1)[:, None], logf
+def _embed(state: ModelState, x) -> np.ndarray:
+    """Encode one raw input, rejecting a wrong-shaped or non-finite one."""
+    x = np.asarray(x, dtype=np.float64)
+    d_in = state.Q.shape[1] if state.encoder.kind == "identity" else state.encoder.weight.shape[1]
+    if x.shape != (d_in,):
+        raise ValueError(f"input must be one vector of length {d_in}, got shape {x.shape}")
+    z = state.encoder(x)
+    if not np.isfinite(z).all():
+        raise ValueError("input must be finite (after encoding)")
+    return z
 
 
 def predict(state: ModelState, x) -> PredictionRecord:
@@ -104,11 +144,15 @@ def predict(state: ModelState, x) -> PredictionRecord:
     with the highest log posterior, or with the highest predictive
     log-density when every known prior is zero.
     """
-    z = state.encoder(np.asarray(x, dtype=np.float64))
-    if z.ndim != 1:
-        raise ValueError(f"predict takes a single input vector, got shape {z.shape}")
-    log_post, logf = _log_posterior(state, z[None, :])
-    log_post, logf = log_post[0], logf[0]
+    return _predict(state, _embed(state, x))
+
+
+def _predict(state: ModelState, z) -> PredictionRecord:
+    logf = log_density_matrix(z[None, :], state.means, state.variances)
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(predictive_class_probs(state.counts, state.crp_params))
+    logits = logf + log_prior[None, :]
+    log_post, logf = (logits - losses.logsumexp(logits, axis=1)[:, None])[0], logf[0]
     probs = np.exp(log_post)
     n = state.n_classes
     known = probs[:n]
@@ -125,6 +169,10 @@ def predict(state: ModelState, x) -> PredictionRecord:
 
 def update(state: ModelState, x, y) -> ModelState:
     """Condition the state on one labelled point; returns a new state."""
+    return _update(state, _embed(state, x), y)
+
+
+def _update(state: ModelState, z, y) -> ModelState:
     y = int(y)
     n = state.n_classes
     if y < 1:
@@ -132,19 +180,23 @@ def update(state: ModelState, x, y) -> ModelState:
     if y > n + 1:
         raise ProtocolError(f"label {y} skips ahead of the {n} known classes")
 
-    z = state.encoder(np.asarray(x, dtype=np.float64))
-    stats = list(state.class_stats)
-    counts = state.counts
-    if y == n + 1:
-        stats.append(state.prior.prior)
-        counts = instantiate(counts)
-        if state.novel_first_count == 2:
-            counts = observe(counts, y)
-    else:
+    counts = instantiate(state.counts) if y == n + 1 else state.counts
+    if y <= n or state.novel_first_count == 2:
         counts = observe(counts, y)
-    if y > state.n_kk:
-        stats[y - 1] = condition(stats[y - 1], z, state.noise)
-    return replace(state, class_stats=tuple(stats), counts=counts)
+    if y <= state.n_kk:
+        return state._evolve(counts=counts)
+
+    # a new class starts as a copy of the prior's row, which stays last
+    arrays = (state.Q, state.lam, state.means, state.variances)
+    Q, lam, means, variances = (np.concatenate([a, a[-1:]]) if y == n + 1 else a.copy() for a in arrays)
+    row = slice(y - 1, y)
+    inv = 1.0 / state.noise.noise_variance
+    Q[row] += z * inv
+    lam[row] += inv
+    means[row], variances[row] = _predictive(Q[row], lam[row], state.noise)
+    for a in (Q, lam, means, variances):
+        a.setflags(write=False)
+    return state._evolve(counts=counts, Q=Q, lam=lam, means=means, variances=variances)
 
 
 def init_small_context(
@@ -157,16 +209,7 @@ def init_small_context(
     novel_first_count=2,
 ) -> ModelState:
     """Condition an empty state on a labelled support set in arrival order."""
-    state = ModelState(
-        encoder=encoder,
-        class_stats=(),
-        counts=ClassCounts.empty(),
-        crp_params=crp_params,
-        prior=prior,
-        noise=noise,
-        n_kk=0,
-        novel_first_count=novel_first_count,
-    )
+    state = ModelState(encoder, (), ClassCounts.empty(), crp_params, prior, noise, novel_first_count=novel_first_count)
     for i, (x, y) in enumerate(support):
         try:
             state = update(state, x, y)
@@ -193,36 +236,31 @@ def init_large_context(
     many pseudo-observations instead (matching the count floor used when
     meta-training in this setting).
     """
-    stats = tuple(
-        factor_to_natural(IsotropicGaussian(mean=m, variance=v))
-        for m, v in zip(embeddings.means, embeddings.variances)
-    )
-    counts = np.full(embeddings.n_classes, int(init_count), dtype=np.int64)
-    return ModelState(
-        encoder=encoder,
-        class_stats=stats,
-        counts=ClassCounts(counts),
-        crp_params=crp_params,
-        prior=prior,
-        noise=noise,
-        n_kk=embeddings.n_classes,
-        novel_first_count=novel_first_count,
+    if embeddings.dim != prior.prior.dim:
+        raise ValueError(f"embeddings have dimension {embeddings.dim}, the prior {prior.prior.dim}")
+    n, lam = embeddings.n_classes, 1.0 / embeddings.variances
+    return ModelState._from_arrays(
+        embeddings.means * lam[:, None], lam, encoder=encoder,
+        counts=ClassCounts(np.full(n, int(init_count), dtype=np.int64)), crp_params=crp_params,
+        prior=prior, noise=noise, n_kk=n, novel_first_count=novel_first_count,
     )
 
 
 def run_episode(state: ModelState, queries):
     """Predict-then-update over a labelled query stream.
 
-    Returns (records, final_state); records keep stream order and carry the
-    true labels and the class count at prediction time.
+    Each query is encoded once for both steps. Returns (records,
+    final_state); records keep stream order and carry the true labels and
+    the class count at prediction time.
     """
     records = []
     for i, (x, y) in enumerate(queries):
-        record = predict(state, x)
+        z = _embed(state, x)
+        record = _predict(state, z)
         record.true_label = int(y)
         records.append(record)
         try:
-            state = update(state, x, y)
+            state = _update(state, z, y)
         except ProtocolError as e:
             raise ProtocolError(f"query {i}: {e}") from e
     return records, state

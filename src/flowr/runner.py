@@ -60,6 +60,8 @@ def _episode_records(ckpt: Checkpoint, cfg: ExperimentConfig, dataset, index, se
     queries = list(zip(episode.query_x, truth))
     support = list(zip(episode.support_x, episode.support_y))
     encoder = ckpt.params.encoder
+    if cfg.setting == "lc":
+        embeddings = ckpt.params.class_embeddings() if ckpt.params.class_q is not None else ckpt.embeddings
 
     if method == "flowr":
         if cfg.setting == "sc":
@@ -71,11 +73,6 @@ def _episode_records(ckpt: Checkpoint, cfg: ExperimentConfig, dataset, index, se
                     state, support, cfg.fine_tune_steps, cfg.fine_tune_step_size
                 )
         else:
-            embeddings = (
-                ckpt.params.class_embeddings()
-                if ckpt.params.class_q is not None
-                else ckpt.embeddings
-            )
             state = init_large_context(
                 embeddings, ckpt.params.prior(), ckpt.crp, ckpt.noise, encoder,
                 init_count=cfg.lc_eval_init_count,
@@ -86,11 +83,6 @@ def _episode_records(ckpt: Checkpoint, cfg: ExperimentConfig, dataset, index, se
             enc_support = encoder(episode.support_x)
             proto = init_prototypes(zip(enc_support, episode.support_y), enc_support.shape[1])
         else:
-            embeddings = (
-                ckpt.params.class_embeddings()
-                if ckpt.params.class_q is not None
-                else ckpt.embeddings
-            )
             proto = PrototypeState.from_means(embeddings.means)
         records, _ = run_baseline_episode(proto, queries, method=method, encoder=encoder)
     return EpisodeRecords(records, n_initial=episode.n_known)

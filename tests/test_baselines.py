@@ -1,8 +1,8 @@
-"""Nearest-class-mean and prototypical-network baselines.
+"""Nearest-class-mean baseline.
 
 Prototypes are checked against the indicator-sum definition
-sum_i z_i 1[y_i = n] / sum_i 1[y_i = n]; the protonet softmax value
-1/(1 + e^-4) and the 3-4-5 distance are frozen scalar arithmetic.
+sum_i z_i 1[y_i = n] / sum_i 1[y_i = n]; the 3-4-5 distance is frozen
+scalar arithmetic.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from flowr.baselines import (
     init_prototypes,
     ncm_predict,
     prototype_update,
-    protonet_predict,
     run_baseline_episode,
 )
 from flowr.checkpoint import Checkpoint
@@ -71,39 +70,6 @@ class TestPrototypeState:
         np.testing.assert_array_equal(state.means[0], [0.0, 0.0])
 
 
-class TestProtonetPredict:
-    def test_two_prototype_scalar_case(self):
-        """Prototypes at 0 and 2, z=0: softmax(-d^2) gives
-        p1 = 1/(1 + e^-4) = 0.98201."""
-        state = PrototypeState.from_means([[0.0], [2.0]])
-        probs, score = protonet_predict(state, [0.0])
-        np.testing.assert_allclose(probs[0], 0.9820137900379085, rtol=1e-12)
-        assert score == 0.0
-
-    def test_probs_sum_to_one(self):
-        rng = np.random.default_rng(1)
-        state = PrototypeState.from_means(rng.normal(size=(6, 3)))
-        for _ in range(50):
-            probs, _ = protonet_predict(state, rng.normal(size=3))
-            np.testing.assert_allclose(probs.sum(), 1.0, rtol=0, atol=1e-12)
-
-    def test_empty_state_sentinel(self):
-        probs, score = protonet_predict(PrototypeState.empty(3), [0.0, 0.0, 0.0])
-        assert probs.shape == (0,)
-        assert score == EMPTY_NOVELTY == np.finfo(np.float64).max
-
-    def test_argmax_agrees_with_ncm(self):
-        """Softmax over negative squared distances peaks at the nearest
-        prototype, so both heads name the same class."""
-        rng = np.random.default_rng(2)
-        state = PrototypeState.from_means(rng.normal(size=(5, 4)))
-        for _ in range(100):
-            z = rng.normal(size=4) * 2
-            probs, _ = protonet_predict(state, z)
-            best, _ = ncm_predict(state, z)
-            assert int(np.argmax(probs)) + 1 == best
-
-
 class TestNcmPredict:
     def test_pythagorean_case(self):
         """Single mean at the origin, z=[3,4] -> class 1 at distance 5."""
@@ -147,13 +113,6 @@ class TestRunBaselineEpisode:
         assert records[1].novelty_score > records[0].novelty_score
         assert final.n_classes == 2
 
-    def test_protonet_records(self):
-        state = PrototypeState.from_means([[0.0, 0.0]])
-        records, _ = run_baseline_episode(state, self._queries(), method="protonet")
-        assert records[0].probs.shape == (1,)
-        assert records[2].probs.shape == (2,)
-        assert records[2].known_argmax == 2
-
     def test_encoder_applied(self):
         """Queries are embedded before matching: the doubling encoder maps
         [0.05, 0] onto the prototype at [0.1, 0]."""
@@ -173,10 +132,10 @@ class TestRunBaselineEpisode:
             init_prototypes([([0.0], 1), ([0.0], 3)], 1)
 
 
-@pytest.mark.parametrize("method", ["ncm", "protonet"])
+@pytest.mark.parametrize("method", ["ncm", "flowr"])
 def test_evaluate_without_support_classes(method):
-    """An episode with no support classes starts from an empty prototype
-    state; its first query scores EMPTY_NOVELTY and the metric suite stays
+    """An episode with no support classes starts from an empty state; for
+    ncm its first query scores EMPTY_NOVELTY, and the metric suite stays
     finite (an infinite score used to abort with "scores must be finite")."""
     world = generate_synthetic_world(12, 4, 25.0, 0.5, 20, seed=10)
     params = meta.init_meta_params(4, np.random.default_rng(1))

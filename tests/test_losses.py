@@ -222,3 +222,18 @@ class TestSequentialMatchesInference:
         records, _ = run_episode(state, zip(episode.query_x, episode.query_y))
         nll = np.mean([-np.log(r.probs[r.true_label - 1]) for r in records])
         np.testing.assert_allclose(g.nll, nll, rtol=1e-12)
+
+
+def test_lc_zero_init_count_is_rejected():
+    """With lc_init_count=0 every known class has zero prior mass, so the
+    loss was inf with NaN gradients; it is now refused with one line."""
+    rng = np.random.default_rng(13)
+    ds = generate_synthetic_world(6, 3, 9.0, 0.5, 16, seed=13)
+    params = replace(
+        meta.init_meta_params(3, rng), class_q=rng.normal(size=(3, 3)), class_log_lambda=np.zeros(3)
+    )
+    cfg = EpisodeConfig(n_support_classes=0, n_novel_classes=2, queries_per_class=3)
+    episode = meta.sample_lc_task(ds, cfg, rng, [1, 2, 3])
+    with pytest.raises(ValueError, match="lc_init_count must be at least 1, got 0"):
+        meta.meta_grads(params, episode, 0.1, "lc", lc_init_count=0)
+    assert np.isfinite(meta.meta_grads(params, episode, 0.1, "lc", lc_init_count=1).value)

@@ -8,9 +8,12 @@ by counts [14, 14] with a=0.5, b=2 ((14-0.5)/30 = 0.45, (2+0.5*2)/30 = 0.1).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
-from flowr.crp import ClassCounts, CrpParams
+from flowr import losses
+from flowr.crp import ClassCounts, CrpParams, instantiate, observe, predictive_class_probs
 from flowr.encoder import ClassEmbeddings, Encoder
 from flowr.gaussian import (
     IsotropicGaussian,
@@ -21,6 +24,7 @@ from flowr.gaussian import (
     condition,
     factor_to_natural,
     log_density,
+    log_density_matrix,
     posterior_predictive,
 )
 from flowr.model import (
@@ -378,3 +382,151 @@ class TestFineTune:
         enc = Encoder.identity_affine(3)
         x = np.array([0.4, -1.0, 2.0])
         np.testing.assert_array_equal(enc(x), x)
+
+
+class TestInputValidation:
+    """predict and update reject a bad input with one line instead of a
+    silent all-NaN posterior or a numpy broadcasting error."""
+
+    def _lc_state(self):
+        return init_large_context(
+            ClassEmbeddings(means=[[0.0, 0.0], [6.0, 0.0]], variances=[1.0, 1.0]),
+            SharedPrior(NaturalClassStats(q=np.zeros(2), lam=0.1)),
+            CrpParams.from_b(a=0.5, b=1.0),
+            NOISE,
+            Encoder.affine(np.eye(2), np.zeros(2)),
+            init_count=1,
+        )
+
+    @pytest.mark.parametrize("x", [[np.nan], [np.inf], [-np.inf]])
+    def test_predict_rejects_non_finite(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            predict(_two_class_state(), x)
+
+    @pytest.mark.parametrize("x", [[0.0, 1.0], [[0.0]], 0.0])
+    def test_predict_rejects_wrong_shape(self, x):
+        with pytest.raises(ValueError, match="one vector of length 1"):
+            predict(_two_class_state(), x)
+
+    def test_affine_input_dimension(self):
+        with pytest.raises(ValueError, match="one vector of length 2, got shape \\(3,\\)"):
+            predict(self._lc_state(), [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("y", [1, 3])
+    def test_update_rejects_non_finite_for_every_label(self, y):
+        """Label 1 is a known-known class, which update never conditions;
+        a NaN point used to be accepted there silently."""
+        with pytest.raises(ValueError, match="finite"):
+            update(self._lc_state(), [np.nan, 0.0], y)
+
+    def test_update_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError, match="one vector of length 1"):
+            update(_two_class_state(), [0.0, 0.0], 1)
+
+    def test_run_episode_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            run_episode(self._lc_state(), [([0.5, 0.0], 1), ([np.nan, 0.0], 2)])
+
+
+def _reference_probs(stats, state, counts, z):
+    """The posterior as predict computed it from a tuple of NaturalClassStats
+    before the state became arrays: rebuild the class table per query."""
+    n = len(stats)
+    p0 = state.prior.prior
+    Q = np.vstack([np.array([s.q for s in stats]).reshape(n, p0.dim), p0.q[None, :]])
+    lam = np.append(np.array([s.lam for s in stats]), p0.lam)
+    means = Q / lam[:, None]
+    variances = 1.0 / lam + state.noise.noise_variance
+    logf = log_density_matrix(z[None, :], means, variances)
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(predictive_class_probs(counts, state.crp_params))
+    logits = logf + log_prior[None, :]
+    return np.exp(logits - losses.logsumexp(logits, axis=1)[:, None])[0]
+
+
+@st.composite
+def _streams(draw):
+    """A random state (small- or large-context) and a dense label stream."""
+    d = draw(st.integers(1, 4))
+    n_kk = draw(st.sampled_from([0, 0, 1, 3]))
+    choices = draw(st.lists(st.integers(0, 6), min_size=0, max_size=25))
+    labels, n = [], n_kk
+    for c in choices:
+        y = min(c, n) + 1  # 1..n, or n + 1 to open a new class
+        n = max(n, y)
+        labels.append(y)
+    return dict(
+        d=d,
+        n_kk=n_kk,
+        labels=labels,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        noise=draw(st.floats(0.05, 5.0)),
+        lam0=draw(st.floats(0.05, 5.0)),
+        a=draw(st.floats(0.0, 0.9)),
+        b=draw(st.floats(0.1, 3.0)),
+        affine=draw(st.booleans()),
+        init_count=draw(st.integers(1, 3)),
+        novel_first_count=draw(st.sampled_from([1, 2])),
+    )
+
+
+class TestArrayStateMatchesDataclassFold:
+    """The array state equals folding gaussian.condition over
+    NaturalClassStats, row for row and bit for bit, and predict reproduces
+    the dataclass-era posterior bit for bit; every intermediate state stays
+    valid after its successors were derived (copy-on-write)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_streams())
+    def test_stream(self, case):
+        rng = np.random.default_rng(case["seed"])
+        d, n_kk = case["d"], case["n_kk"]
+        noise = NoiseModel(case["noise"])
+        prior = SharedPrior(NaturalClassStats(q=rng.normal(size=d), lam=case["lam0"]))
+        crp = CrpParams.from_b(a=case["a"], b=case["b"])
+        enc = Encoder.affine(rng.normal(size=(d, d)), rng.normal(size=d)) if case["affine"] else Encoder.identity()
+        kw = dict(novel_first_count=case["novel_first_count"])
+        if n_kk:
+            emb = ClassEmbeddings(means=rng.normal(size=(n_kk, d)), variances=rng.uniform(0.1, 2.0, n_kk))
+            state = init_large_context(emb, prior, crp, noise, enc, init_count=case["init_count"], **kw)
+            stats = [factor_to_natural(IsotropicGaussian(m, v)) for m, v in zip(emb.means, emb.variances)]
+            counts = ClassCounts(np.full(n_kk, case["init_count"]))
+        else:
+            state = init_small_context(prior, crp, noise, enc, [], **kw)
+            stats, counts = [], ClassCounts.empty()
+        X = rng.normal(size=(len(case["labels"]), d))
+
+        states, expected = [state], [(list(stats), counts)]
+        for x, y in zip(X, case["labels"]):
+            np.testing.assert_array_equal(predict(state, x).probs, _reference_probs(stats, state, counts, enc(x)))
+            state = update(state, x, y)
+            if y == len(stats) + 1:
+                stats.append(prior.prior)
+                counts = instantiate(counts)
+                if case["novel_first_count"] == 2:
+                    counts = observe(counts, y)
+            else:
+                counts = observe(counts, y)
+            if y > n_kk:
+                stats[y - 1] = condition(stats[y - 1], enc(x), noise)
+            states.append(state)
+            expected.append((list(stats), counts))
+
+        for state, (stats, counts) in zip(states, expected):
+            n = len(stats)
+            assert state.n_classes == n
+            np.testing.assert_array_equal(state.counts.counts, counts.counts)
+            np.testing.assert_array_equal(state.Q[:n].reshape(n, d), np.array([s.q for s in stats]).reshape(n, d))
+            np.testing.assert_array_equal(state.lam[:n], [s.lam for s in stats])
+            np.testing.assert_array_equal(state.Q[n], prior.prior.q)  # the novel slot stays last
+            for got, want in zip(state.class_stats, stats):
+                np.testing.assert_array_equal(got.q, want.q)
+                assert got.lam == want.lam
+
+        # run_episode encodes each query once for both steps: same outputs
+        records, final = run_episode(states[0], zip(X, case["labels"]))
+        for i, record in enumerate(records):
+            stats, counts = expected[i]
+            np.testing.assert_array_equal(record.probs, _reference_probs(stats, states[i], counts, enc(X[i])))
+        np.testing.assert_array_equal(final.Q, states[-1].Q)
+        np.testing.assert_array_equal(final.counts.counts, states[-1].counts.counts)
