@@ -103,11 +103,10 @@ def init_prototypes(support, dim) -> PrototypeState:
     return state
 
 
-def run_baseline_episode(state: PrototypeState, queries, method="ncm", encoder=None):
-    """Predict-then-update over a query stream, mirroring the probabilistic
-    episode loop; returns the per-query records and the final state."""
-    if method != "ncm":
-        raise ValueError(f"unknown baseline {method!r}")
+def run_baseline_episode(state: PrototypeState, queries, encoder=None):
+    """Nearest-class-mean predict-then-update over a query stream, mirroring
+    the probabilistic episode loop; returns the per-query records and the
+    final state."""
     records = []
     for i, (x, y) in enumerate(queries):
         z = encoder(x) if encoder is not None else np.asarray(x, dtype=np.float64)

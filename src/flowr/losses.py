@@ -24,7 +24,12 @@ pi_c = u_c / T with T = sum(u), u_novel = b + a N+, so
 
     d logpi_c / d b = 1[c == novel] / u_novel - 1 / T.
 
-Both meta-training settings score queries against one class table
+The model's recursion lives here too, shared with flowr.model: ClassTable
+holds the rows [classes | novel slot] and takes the one conditioning step,
+and log_posterior is the one forward pass (log densities, then Bayes rule
+under a CRP log prior), which _mixture_nll_grads differentiates.
+
+Both meta-training settings score queries against one table
 
     [ n_kk trainable rows | one row per support class | novel slot ]
 
@@ -35,12 +40,12 @@ Every row at or above n_kk, and the novel slot (q0, lam0), holds one copy
 of the shared prior, so d q0 is the sum of d Q over those rows.
 
 The frozen loss scores every query against that table. The teacher-forced
-sequential loss scores query j against the table after queries 1..j-1 have
-conditioned it with their true labels; rows below n_kk count labels but are
-never conditioned. A running per-row sum R_c of d loss / d Q_c scatters the
-gradient back to the conditioning points: a query that conditioned row c
-at step j gets (R_c at the end - R_c after step j) / s_eps, a support point
-of row c gets R_c at the end / s_eps.
+sequential loss scores query j, then steps the table with condition() on
+its arrival-order label, exactly as model.run_episode does. A running
+per-row sum R_c of d loss / d Q_c scatters the gradient back to the
+conditioning points: a query that conditioned row c at step j gets
+(R_c at the end - R_c after step j) / s_eps, a support point of row c gets
+R_c at the end / s_eps.
 
 All gradients are certified against central finite differences by grad_check.
 """
@@ -78,6 +83,106 @@ def _encoder_grads(weight, pairs):
     return sum(dZ.T @ H for H, dZ in pairs), sum(dZ.sum(axis=0) for _, dZ in pairs)
 
 
+class ProtocolError(ValueError):
+    """A label or state transition violated the dense arrival protocol."""
+
+
+class ClassTable:
+    """The class table [classes | novel slot], the prior's row last: Q, lam,
+    the cached predictive means Q / lam and variances 1 / lam + s_eps, and
+    int64 counts (the novel slot's stays 0), in buffers with room to grow in
+    place. Rows below n_kk count labels but are never conditioned.
+    """
+
+    _BUFFERS = ("_Q", "_lam", "_means", "_variances", "_counts")
+
+    def __init__(self, Q, lam, counts, q0, lam0, noise_var, *, n_kk=0, novel_first_count=2):
+        self._Q = np.vstack([Q, q0[None, :]])
+        self._lam = np.append(lam, lam0)
+        self._means = self._Q / self._lam[:, None]
+        self._variances = 1.0 / self._lam + noise_var
+        self._counts = np.append(np.asarray(counts, dtype=np.int64), 0)
+        self.n = self._lam.shape[0] - 1
+        self.n_kk, self.novel_first_count, self.noise_var = n_kk, novel_first_count, noise_var
+
+    Q = property(lambda t: t._Q[: t.n + 1])
+    lam = property(lambda t: t._lam[: t.n + 1])
+    means = property(lambda t: t._means[: t.n + 1])
+    variances = property(lambda t: t._variances[: t.n + 1])
+    counts = property(lambda t: t._counts[: t.n])
+
+    def copy(self, room=0, *, rows=True):
+        """A writable copy with room for `room` more classes; rows=False
+        copies only the counts and shares the row buffers."""
+        table = object.__new__(ClassTable)
+        table.__dict__.update(self.__dict__)
+        if rows:
+            table._resize(self.n + 1 + room)
+        else:
+            table._counts = self._counts.copy()
+        return table
+
+    def _resize(self, size):
+        for name in self._BUFFERS:
+            old = getattr(self, name)
+            new = np.empty((size,) + old.shape[1:], dtype=old.dtype)
+            new[: self.n + 1] = old[: self.n + 1]
+            setattr(self, name, new)
+
+    def freeze(self) -> "ClassTable":
+        for name in self._BUFFERS:
+            getattr(self, name).setflags(write=False)
+        return self
+
+    def check(self, y) -> int:
+        """The label as an int, or a ProtocolError if it breaks the dense arrival protocol."""
+        y = int(y)
+        if y < 1:
+            raise ProtocolError(f"label {y} is not a positive class index")
+        if y > self.n + 1:
+            raise ProtocolError(f"label {y} skips ahead of the {self.n} known classes")
+        return y
+
+    def condition(self, z, y):
+        """The one conditioning step, on point z with label y; returns the row
+        conditioned, or None when only the count moved. A label n + 1 opens
+        a class as a copy of the prior's row, which moves down to stay last."""
+        y = self.check(y)
+        n = self.n
+        if y == n + 1:
+            if self._lam.shape[0] == n + 1:
+                self._resize(2 * n + 2)
+            for name in self._BUFFERS:
+                a = getattr(self, name)
+                a[n + 1] = a[n]
+            self._counts[n] = self.novel_first_count
+            self.n = n + 1
+        else:
+            self._counts[y - 1] += 1
+            if y <= self.n_kk:
+                return None
+        r, inv = y - 1, 1.0 / self.noise_var
+        self._Q[r] += z * inv
+        self._lam[r] += inv
+        self._means[r] = self._Q[r] / self._lam[r]
+        self._variances[r] = 1.0 / self._lam[r] + self.noise_var
+        return r
+
+
+def log_class_prior(counts: ClassCounts, params: CrpParams) -> np.ndarray:
+    """Log CRP predictive over the classes and the novel slot (-inf for no mass)."""
+    with np.errstate(divide="ignore"):
+        return np.log(predictive_class_probs(counts, params))
+
+
+def log_posterior(Z, means, variances, log_prior):
+    """The forward pass: log densities (m, c) of the points Z under each
+    row, and the Bayes-rule log posterior (m, c) under log_prior (c,)."""
+    logf = log_density_matrix(Z, means, variances)
+    logits = logf + log_prior[None, :]
+    return logf, logits - logsumexp(logits, axis=1)[:, None]
+
+
 def _mixture_nll_grads(Z, y_idx, means, variances, log_prior):
     """Mean NLL of a Gaussian mixture classifier plus gradients.
 
@@ -86,13 +191,10 @@ def _mixture_nll_grads(Z, y_idx, means, variances, log_prior):
     Returns (nll, d_means, d_variances, d_Z, d_log_prior).
     """
     m, d = Z.shape
-    logf = log_density_matrix(Z, means, variances)
-    logits = logf + log_prior[None, :]
-    lse = logsumexp(logits, axis=1)
-    nll = float(np.mean(lse - logits[np.arange(m), y_idx]))
+    _, log_post = log_posterior(Z, means, variances, log_prior)
+    nll = float(np.mean(-log_post[np.arange(m), y_idx]))
 
-    P = np.exp(logits - lse[:, None])
-    G = P.copy()
+    G = np.exp(log_post)
     G[np.arange(m), y_idx] -= 1.0
     G /= m
 
@@ -116,12 +218,6 @@ def _natural_chain(d_means, d_vars, Q, lam):
     return d_Q, d_lam
 
 
-def _log_prior_from_counts(counts, params):
-    p = predictive_class_probs(ClassCounts(counts=np.asarray(counts, dtype=np.int64)), params)
-    with np.errstate(divide="ignore"):
-        return np.log(p)
-
-
 def _d_b_from_log_prior(d_log_prior, counts, params):
     """d loss / d b given d loss / d logpi under the renormalised CRP rule.
 
@@ -137,81 +233,60 @@ def _d_b_from_log_prior(d_log_prior, counts, params):
     return float(d_b)
 
 
-def _state_nll(Z, y_idx, Q, lam, counts, q0, lam0, noise_var, params):
-    """Mean NLL of Z against the table rows (Q, lam, counts) plus the novel slot.
+def _table_nll(table, Z, y_idx, params):
+    """Mean NLL of Z against the table under its CRP prior.
 
-    y_idx is 0-based, the novel slot being index len(Q). Returns
+    y_idx is 0-based, the novel slot being index table.n. Returns
     (nll, d_Q, d_lam, d_Z, d_b); d_Q and d_lam end with the novel slot's row.
     """
-    Qp = np.vstack([Q, q0[None, :]])
-    lamp = np.append(lam, lam0)
-    log_prior = _log_prior_from_counts(counts, params)
-    means = Qp / lamp[:, None]
-    variances = 1.0 / lamp + noise_var
+    counts = table.counts
     nll, d_means, d_vars, d_Z, d_log_prior = _mixture_nll_grads(
-        Z, y_idx, means, variances, log_prior
+        Z, y_idx, table.means, table.variances, log_class_prior(ClassCounts(counts), params)
     )
-    d_Q, d_lam = _natural_chain(d_means, d_vars, Qp, lamp)
+    d_Q, d_lam = _natural_chain(d_means, d_vars, table.Q, table.lam)
     return nll, d_Q, d_lam, d_Z, _d_b_from_log_prior(d_log_prior, counts, params)
 
 
-def _sequential_nll(
-    Z, y_idx, Q, lam, counts, q0, lam0, noise_var, params, *, n_kk, novel_first_count
-):
-    """Teacher-forced query pass over the class table.
+def _sequential_nll(table, Z, labels, params):
+    """Teacher-forced query pass: query j is scored against the table, then
+    conditions it with its 1-based arrival-order label.
 
-    Query j is scored against the table conditioned on queries 0..j-1 with
-    their true labels, then conditions its own row (a label one past the
-    last row starts a new row from the prior). Rows below n_kk count labels
-    but are never conditioned. Returns what _state_nll returns, with d_Q
-    and d_lam summed over the steps per table position: the novel slot sits
-    one past the last row, so a row born in the pass shares its position's
-    sum with the novel slot that held it before; both hold one copy of q0.
+    Returns what _table_nll returns, with d_Q and d_lam summed over the
+    steps per table position: the novel slot sits one past the last row, so
+    a row born in the pass shares its position's sum with the novel slot
+    that held it before; both hold one copy of q0.
     """
     m, d = Z.shape
-    inv = 1.0 / noise_var
-    n = Q.shape[0]
-    Q = np.vstack([Q, np.zeros((m, d))])              # room for one new row per query
-    lam = np.append(lam, np.zeros(m))
-    counts = np.append(counts, np.zeros(m, dtype=np.int64))
-    R = np.zeros((n + m + 1, d))                      # running sum of d loss / d Q per position
-    R_lam = np.zeros(n + m + 1)
+    size = table.n + m + 1
+    R = np.zeros((size, d))                           # running sum of d loss / d Q per position
+    R_lam = np.zeros(size)
     row = np.full(m, -1)                              # row each query conditioned
     seen = np.zeros((m, d))                           # R[row] when it did
     d_Z = np.zeros_like(Z)
     total = 0.0
     d_b = 0.0
 
-    for j, y in enumerate(y_idx):
-        if y > n:
-            raise ValueError(f"query {j}: label {y + 1} skips ahead of the {n} known classes")
-        nll, d_Qp, d_lamp, d_z, d_bj = _state_nll(
-            Z[j : j + 1], y_idx[j : j + 1], Q[:n], lam[:n], counts[:n], q0, lam0, noise_var, params
-        )
+    for j, y in enumerate(labels):
+        try:
+            y = table.check(y)
+        except ProtocolError as e:
+            raise ProtocolError(f"query {j}: {e}") from e
+        used = table.n + 1
+        nll, d_Qp, d_lamp, d_z, d_bj = _table_nll(table, Z[j : j + 1], np.array([y - 1]), params)
         total += nll
         d_b += d_bj
         d_Z[j] = d_z[0]
-        R[: n + 1] += d_Qp
-        R_lam[: n + 1] += d_lamp
-
-        if y == n:
-            Q[n] = q0 + Z[j] * inv
-            lam[n] = lam0 + inv
-            counts[n] = novel_first_count
-            n += 1
-        else:
-            counts[y] += 1
-            if y < n_kk:
-                continue
-            Q[y] += Z[j] * inv
-            lam[y] += inv
-        row[j] = y
-        seen[j] = R[y]
+        R[:used] += d_Qp
+        R_lam[:used] += d_lamp
+        r = table.condition(Z[j], y)
+        if r is not None:
+            row[j] = r
+            seen[j] = R[r]
 
     cond = row >= 0
-    d_Z[cond] += (R[row[cond]] - seen[cond]) * inv
-    scale = 1.0 / m
-    return total * scale, R[: n + 1] * scale, R_lam[: n + 1] * scale, d_Z * scale, d_b * scale
+    d_Z[cond] += (R[row[cond]] - seen[cond]) * (1.0 / table.noise_var)
+    used, scale = table.n + 1, 1.0 / m
+    return total * scale, R[:used] * scale, R_lam[:used] * scale, d_Z * scale, d_b * scale
 
 
 def support_sums(Z, labels, n_classes):
@@ -297,20 +372,16 @@ def _episode_grads(
     H_s, H_q, H_a = (np.asarray(x, dtype=np.float64) for x in raw)
     Z_s, Z_q, Z_a = (encode(weight, bias, H) for H in (H_s, H_q, H_a))
     S, K = support_sums(Z_s, episode.support_y, episode.n_known - n_kk)
-    Q = np.vstack([class_q, q0[None, :] + S * inv])
-    lam = np.append(class_lam, lam0 + K * inv)
-    counts = np.append(class_counts, K + (novel_first_count - 1))
-
-    y_idx = np.asarray(episode.query_y, dtype=np.int64) - 1
+    table = ClassTable(
+        np.vstack([class_q, q0[None, :] + S * inv]), np.append(class_lam, lam0 + K * inv),
+        np.append(class_counts, K + (novel_first_count - 1)), q0, lam0, noise_var,
+        n_kk=n_kk, novel_first_count=novel_first_count,
+    )
     if sequential:
-        nll, d_Q, d_lam, d_Zq, d_b = _sequential_nll(
-            Z_q, y_idx, Q, lam, counts, q0, lam0, noise_var, params,
-            n_kk=n_kk, novel_first_count=novel_first_count,
-        )
+        nll, d_Q, d_lam, d_Zq, d_b = _sequential_nll(table, Z_q, episode.query_y, params)
     else:
-        nll, d_Q, d_lam, d_Zq, d_b = _state_nll(
-            Z_q, y_idx, Q, lam, counts, q0, lam0, noise_var, params
-        )
+        y_idx = np.asarray(episode.query_y, dtype=np.int64) - 1
+        nll, d_Q, d_lam, d_Zq, d_b = _table_nll(table, Z_q, y_idx, params)
     d_q0 = d_Q[n_kk:].sum(axis=0)
     d_lam0 = float(d_lam[n_kk:].sum())
     d_Zs = d_Q[n_kk + np.asarray(episode.support_y, dtype=np.int64) - 1] * inv
@@ -430,10 +501,8 @@ def loo_support_grads(H, labels, weight, bias, q0, lam0, *, params, noise_var, n
             y_held = n                                # its class left with it: novel slot
 
         S, K = support_sums(Z[rest], dense + 1, n)
-        nll, d_Q, _, d_Zq, _ = _state_nll(
-            Z[i : i + 1], np.array([y_held]), q0[None, :] + S * inv, lam0 + K * inv,
-            K + (novel_first_count - 1), q0, lam0, noise_var, params,
-        )
+        table = ClassTable(q0[None, :] + S * inv, lam0 + K * inv, K + (novel_first_count - 1), q0, lam0, noise_var)
+        nll, d_Q, _, d_Zq, _ = _table_nll(table, Z[i : i + 1], np.array([y_held]), params)
         total += nll
         dZ[i] += d_Zq[0]
         dZ[rest] += d_Q[dense] * inv

@@ -124,32 +124,48 @@ def sample_sc_task(dataset, cfg: EpisodeConfig, rng) -> Episode:
     if needed > len(class_ids):
         raise ValueError(f"dataset has {len(class_ids)} classes, episode needs {needed}")
     chosen = rng.choice(class_ids, size=needed, replace=False)
-    support_classes = chosen[: cfg.n_support_classes]
-    novel_classes = chosen[cfg.n_support_classes :]
+    return _episode(dataset, cfg, rng, chosen[: cfg.n_support_classes], chosen[cfg.n_support_classes :], support=True)
 
+
+def sample_lc_task(dataset, cfg: EpisodeConfig, rng, known_classes) -> Episode:
+    """Sample a large-context episode: no support; queries mix the fixed
+    known-known classes with novel classes bucketed at N_kk + 1."""
+    known_classes = np.asarray(known_classes, dtype=np.int64)
+    rest = np.setdiff1d(np.asarray(dataset.class_ids), known_classes)
+    if cfg.n_novel_classes > len(rest):
+        raise ValueError(
+            f"dataset has {len(rest)} classes outside the known list, "
+            f"episode needs {cfg.n_novel_classes}"
+        )
+    novel_classes = rng.choice(rest, size=cfg.n_novel_classes, replace=False)
+    return _episode(dataset, cfg, rng, known_classes, novel_classes, support=False)
+
+
+def _episode(dataset, cfg: EpisodeConfig, rng, known_classes, novel_classes, *, support) -> Episode:
+    """Pick each known class's rows (shots drawn per class when support is
+    set), then each novel class's, and build the shuffled episode."""
     support_rows, support_y = [], []
     query_rows, query_y, query_class = [], [], []
-    for j, c in enumerate(support_classes):
-        rows = dataset.class_rows(int(c))
-        shots = int(rng.integers(cfg.shots_min, cfg.shots_max + 1))
-        picked = _pick_rows(rng, rows, shots + cfg.queries_per_class, "support plus queries")
+    what = "support plus queries" if support else "queries"
+    for j, c in enumerate(known_classes):
+        shots = int(rng.integers(cfg.shots_min, cfg.shots_max + 1)) if support else 0
+        picked = _pick_rows(rng, dataset.class_rows(int(c)), shots + cfg.queries_per_class, what)
         support_rows.extend(picked[:shots])
         support_y.extend([j + 1] * shots)
         query_rows.extend(picked[shots:])
         query_y.extend([j + 1] * cfg.queries_per_class)
         query_class.extend([int(c)] * cfg.queries_per_class)
-    bucket = cfg.n_support_classes + 1
+    bucket = len(known_classes) + 1
     for c in novel_classes:
-        rows = dataset.class_rows(int(c))
-        picked = _pick_rows(rng, rows, cfg.queries_per_class, "novel queries")
+        picked = _pick_rows(rng, dataset.class_rows(int(c)), cfg.queries_per_class, "novel queries")
         query_rows.extend(picked)
         query_y.extend([bucket] * cfg.queries_per_class)
         query_class.extend([int(c)] * cfg.queries_per_class)
 
     perm = rng.permutation(len(query_rows))
-    query_rows = np.asarray(query_rows)[perm]
-    query_y = np.asarray(query_y)[perm]
-    query_class = np.asarray(query_class)[perm]
+    query_rows = np.asarray(query_rows, dtype=np.int64)[perm]
+    query_y = np.asarray(query_y, dtype=np.int64)[perm]
+    query_class = np.asarray(query_class, dtype=np.int64)[perm]
     support_rows = np.asarray(support_rows, dtype=np.int64)
 
     novel_mask = query_y == bucket
@@ -161,69 +177,32 @@ def sample_sc_task(dataset, cfg: EpisodeConfig, rng) -> Episode:
         support_x=features[support_rows],
         support_y=np.asarray(support_y, dtype=np.int64),
         query_x=features[query_rows],
-        query_y=query_y.astype(np.int64),
+        query_y=query_y,
         adapt_x=features[query_rows[novel_mask]],
         adapt_y=adapt_y,
-        n_known=cfg.n_support_classes,
+        n_known=len(known_classes),
         support_rows=support_rows,
-        query_rows=query_rows.astype(np.int64),
-        query_class=query_class.astype(np.int64),
-        known_classes=support_classes.astype(np.int64),
+        query_rows=query_rows,
+        query_class=query_class,
+        known_classes=np.asarray(known_classes, dtype=np.int64),
         novel_classes=np.asarray(novel_classes, dtype=np.int64),
     )
 
 
-def sample_lc_task(dataset, cfg: EpisodeConfig, rng, known_classes) -> Episode:
-    """Sample a large-context episode: no support; queries mix the fixed
-    known-known classes with novel classes bucketed at N_kk + 1."""
-    known_classes = np.asarray(known_classes, dtype=np.int64)
-    n_kk = len(known_classes)
-    rest = np.setdiff1d(np.asarray(dataset.class_ids), known_classes)
-    if cfg.n_novel_classes > len(rest):
-        raise ValueError(
-            f"dataset has {len(rest)} classes outside the known list, "
-            f"episode needs {cfg.n_novel_classes}"
-        )
-    novel_classes = rng.choice(rest, size=cfg.n_novel_classes, replace=False)
-
-    query_rows, query_y, query_class = [], [], []
-    for j, c in enumerate(known_classes):
-        picked = _pick_rows(rng, dataset.class_rows(int(c)), cfg.queries_per_class, "queries")
-        query_rows.extend(picked)
-        query_y.extend([j + 1] * cfg.queries_per_class)
-        query_class.extend([int(c)] * cfg.queries_per_class)
-    bucket = n_kk + 1
-    for c in novel_classes:
-        picked = _pick_rows(rng, dataset.class_rows(int(c)), cfg.queries_per_class, "novel queries")
-        query_rows.extend(picked)
-        query_y.extend([bucket] * cfg.queries_per_class)
-        query_class.extend([int(c)] * cfg.queries_per_class)
-
-    perm = rng.permutation(len(query_rows))
-    query_rows = np.asarray(query_rows)[perm]
-    query_y = np.asarray(query_y)[perm]
-    query_class = np.asarray(query_class)[perm]
-
-    novel_mask = query_y == bucket
-    novel_order = {int(c): m + 1 for m, c in enumerate(novel_classes)}
-    adapt_y = np.array([novel_order[int(c)] for c in query_class[novel_mask]], dtype=np.int64)
-
-    features = dataset.features_f64
-    d = features.shape[1]
-    return Episode(
-        support_x=np.zeros((0, d)),
-        support_y=np.zeros(0, dtype=np.int64),
-        query_x=features[query_rows],
-        query_y=query_y.astype(np.int64),
-        adapt_x=features[query_rows[novel_mask]],
-        adapt_y=adapt_y,
-        n_known=n_kk,
-        support_rows=np.zeros(0, dtype=np.int64),
-        query_rows=query_rows.astype(np.int64),
-        query_class=query_class.astype(np.int64),
-        known_classes=known_classes,
-        novel_classes=np.asarray(novel_classes, dtype=np.int64),
-    )
+def oracle_labels(episode: Episode) -> np.ndarray:
+    """Arrival-order labels for the query stream: known classes keep their
+    dense ids, each novel class takes the next free id when first seen."""
+    bucket = episode.n_known + 1
+    assigned = {}
+    labels = np.zeros(len(episode.query_y), dtype=np.int64)
+    for i, (y, c) in enumerate(zip(episode.query_y, episode.query_class)):
+        if y < bucket:
+            labels[i] = y
+        else:
+            if int(c) not in assigned:
+                assigned[int(c)] = bucket + len(assigned)
+            labels[i] = assigned[int(c)]
+    return labels
 
 
 def choose_conditioning(adapt_y, rng) -> np.ndarray:

@@ -8,16 +8,17 @@ updates are pure functions so episodes can be replayed and states shared.
 Labels follow the dense arrival protocol: classes are numbered 1..N in order
 of first appearance, and a label of exactly N + 1 announces a new class.
 
-A state keeps read-only arrays with one row per class and the prior's row
-(the novel slot) last: natural parameters Q (N + 1, d) and lam (N + 1,),
-the cached predictive means Q / lam and variances 1 / lam + s_eps, and the
-int64 counts, so predict is one log_density_matrix and one
-predictive_class_probs call. update is copy-on-write: it copies the counts,
-and copies the four arrays only to rewrite the row it conditions (labels
-above n_kk) and, for a new class, to append one row; every other array is
-shared with the parent state, which stays valid. `class_stats` builds
-NaturalClassStats on demand; the known-known rows, which no update
-rewrites, are built once per lineage of states.
+A state wraps a frozen losses.ClassTable, the class table the training
+losses use too: one row per class and the prior's row (the novel slot)
+last, natural parameters Q (N + 1, d) and lam (N + 1,), the cached
+predictive means Q / lam and variances 1 / lam + s_eps, and int64 counts.
+predict is the table's forward pass under the state's ClassCounts. update
+copies the table (only its counts for a known-known label) and takes one
+condition step; run_episode and init_small_context copy the table once,
+step it through the whole stream and freeze the result. Earlier states
+stay valid. `class_stats` builds NaturalClassStats on demand; the
+known-known rows, which no step rewrites, are built once per lineage of
+states.
 """
 
 from __future__ import annotations
@@ -27,23 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from .crp import ClassCounts, CrpParams, instantiate, observe, predictive_class_probs
+from .crp import ClassCounts, CrpParams
 from .encoder import ClassEmbeddings, Encoder
-from .gaussian import NaturalClassStats, NoiseModel, SharedPrior, log_density_matrix
-
-
-class ProtocolError(ValueError):
-    """A label or state transition violated the dense arrival protocol."""
-
-
-def _predictive(Q, lam, noise: NoiseModel):
-    """Predictive means and variances of the rows (Q, lam)."""
-    return Q / lam[:, None], 1.0 / lam + noise.noise_variance
+from .gaussian import NaturalClassStats, NoiseModel, SharedPrior
+from .losses import ProtocolError
 
 
 class ModelState:
-    """Immutable model state over per-class arrays (see the module docstring);
-    ModelState(...) is the validated constructor, update derives states without it."""
+    """Immutable model state over a frozen losses.ClassTable (see the module
+    docstring); ModelState(...) is the validated constructor, the model's
+    steps derive states without it."""
 
     def __init__(self, encoder, class_stats, counts, crp_params, prior, noise, n_kk=0, novel_first_count=2):
         class_stats = tuple(class_stats)
@@ -64,10 +58,8 @@ class ModelState:
         return state
 
     def _fill(self, Q, lam, *, encoder, counts, crp_params, prior, noise, n_kk, novel_first_count, kk_stats=None):
-        """Validate, append the prior's row and set every field."""
-        p0 = prior.prior
-        Q, lam = np.vstack([Q, p0.q[None, :]]), np.append(lam, p0.lam)
-        n = lam.shape[0] - 1
+        """Validate, build the class table and set every field."""
+        n = lam.shape[0]
         if n != counts.n_classes:
             raise ValueError(f"{n} class stats but {counts.n_classes} counts")
         if not 0 <= n_kk <= n:
@@ -76,29 +68,36 @@ class ModelState:
             raise ValueError(f"novel_first_count must be 1 or 2, got {novel_first_count}")
         if encoder.kind == "affine" and encoder.weight.shape[0] != Q.shape[1]:
             raise ValueError(f"encoder output dimension {encoder.weight.shape[0]} != class dimension {Q.shape[1]}")
-        if not (np.isfinite(Q).all() and np.isfinite(lam).all() and (lam > 0.0).all()):
-            raise ValueError("class stats must be finite with positive precision")
-        means, variances = _predictive(Q, lam, noise)
-        for a in (Q, lam, means, variances):
-            a.setflags(write=False)
-        self.__dict__.update(
-            encoder=encoder, counts=counts, crp_params=crp_params, prior=prior, noise=noise,
+        p0 = prior.prior
+        table = losses.ClassTable(
+            Q, lam, counts.counts, p0.q, p0.lam, noise.noise_variance,
             n_kk=int(n_kk), novel_first_count=novel_first_count,
-            Q=Q, lam=lam, means=means, variances=variances, _kk_stats=[kk_stats],
+        )
+        if not (np.isfinite(table.Q).all() and np.isfinite(table.lam).all() and (table.lam > 0.0).all()):
+            raise ValueError("class stats must be finite with positive precision")
+        self.__dict__.update(
+            encoder=encoder, crp_params=crp_params, prior=prior, noise=noise, n_kk=int(n_kk),
+            novel_first_count=novel_first_count, _kk_stats=[kk_stats], _table=table.freeze(), counts=counts,
         )
 
-    def _evolve(self, **changes) -> "ModelState":
-        """A copy sharing every field not in changes (no validation)."""
+    def _derive(self, table) -> "ModelState":
+        """The state over a table stepped from this state's, sharing every other field."""
         state = object.__new__(ModelState)
-        state.__dict__.update(self.__dict__, **changes)
+        state.__dict__.update(self.__dict__, _table=table.freeze(), counts=ClassCounts(table.counts))
         return state
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ModelState is immutable; cannot set {name!r}")
 
+    # the table's read-only rows
+    Q = property(lambda s: s._table.Q)
+    lam = property(lambda s: s._table.lam)
+    means = property(lambda s: s._table.means)
+    variances = property(lambda s: s._table.variances)
+
     @property
     def n_classes(self) -> int:
-        return self.lam.shape[0] - 1
+        return self._table.n
 
     @property
     def class_stats(self) -> tuple:
@@ -126,7 +125,7 @@ class PredictionRecord:
 def _embed(state: ModelState, x) -> np.ndarray:
     """Encode one raw input, rejecting a wrong-shaped or non-finite one."""
     x = np.asarray(x, dtype=np.float64)
-    d_in = state.Q.shape[1] if state.encoder.kind == "identity" else state.encoder.weight.shape[1]
+    d_in = state.prior.prior.dim if state.encoder.kind == "identity" else state.encoder.weight.shape[1]
     if x.shape != (d_in,):
         raise ValueError(f"input must be one vector of length {d_in}, got shape {x.shape}")
     z = state.encoder(x)
@@ -144,17 +143,15 @@ def predict(state: ModelState, x) -> PredictionRecord:
     with the highest log posterior, or with the highest predictive
     log-density when every known prior is zero.
     """
-    return _predict(state, _embed(state, x))
+    return _predict(state._table, state.counts, state.crp_params, _embed(state, x))
 
 
-def _predict(state: ModelState, z) -> PredictionRecord:
-    logf = log_density_matrix(z[None, :], state.means, state.variances)
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(predictive_class_probs(state.counts, state.crp_params))
-    logits = logf + log_prior[None, :]
-    log_post, logf = (logits - losses.logsumexp(logits, axis=1)[:, None])[0], logf[0]
+def _predict(table, counts: ClassCounts, crp_params, z) -> PredictionRecord:
+    log_prior = losses.log_class_prior(counts, crp_params)
+    logf, log_post = losses.log_posterior(z[None, :], table.means, table.variances, log_prior)
+    logf, log_post = logf[0], log_post[0]
     probs = np.exp(log_post)
-    n = state.n_classes
+    n = table.n
     known = probs[:n]
     if n > 0 and not known.any():
         known = log_post[:n] if np.isfinite(log_post[:n]).any() else logf[:n]
@@ -168,35 +165,15 @@ def _predict(state: ModelState, z) -> PredictionRecord:
 
 
 def update(state: ModelState, x, y) -> ModelState:
-    """Condition the state on one labelled point; returns a new state."""
-    return _update(state, _embed(state, x), y)
+    """Condition the state on one labelled point; returns a new state.
 
-
-def _update(state: ModelState, z, y) -> ModelState:
-    y = int(y)
-    n = state.n_classes
-    if y < 1:
-        raise ProtocolError(f"label {y} is not a positive class index")
-    if y > n + 1:
-        raise ProtocolError(f"label {y} skips ahead of the {n} known classes")
-
-    counts = instantiate(state.counts) if y == n + 1 else state.counts
-    if y <= n or state.novel_first_count == 2:
-        counts = observe(counts, y)
-    if y <= state.n_kk:
-        return state._evolve(counts=counts)
-
-    # a new class starts as a copy of the prior's row, which stays last
-    arrays = (state.Q, state.lam, state.means, state.variances)
-    Q, lam, means, variances = (np.concatenate([a, a[-1:]]) if y == n + 1 else a.copy() for a in arrays)
-    row = slice(y - 1, y)
-    inv = 1.0 / state.noise.noise_variance
-    Q[row] += z * inv
-    lam[row] += inv
-    means[row], variances[row] = _predictive(Q[row], lam[row], state.noise)
-    for a in (Q, lam, means, variances):
-        a.setflags(write=False)
-    return state._evolve(counts=counts, Q=Q, lam=lam, means=means, variances=variances)
+    A known-known label (y <= n_kk) copies only the counts; any other label
+    copies the table's rows, with room for one more class.
+    """
+    z = _embed(state, x)
+    table = state._table.copy(room=1, rows=int(y) > state.n_kk)
+    table.condition(z, y)
+    return state._derive(table)
 
 
 def init_small_context(
@@ -210,12 +187,13 @@ def init_small_context(
 ) -> ModelState:
     """Condition an empty state on a labelled support set in arrival order."""
     state = ModelState(encoder, (), ClassCounts.empty(), crp_params, prior, noise, novel_first_count=novel_first_count)
+    table = state._table.copy()
     for i, (x, y) in enumerate(support):
         try:
-            state = update(state, x, y)
+            table.condition(_embed(state, x), y)
         except ProtocolError as e:
             raise ProtocolError(f"support point {i}: {e}") from e
-    return state
+    return state._derive(table)
 
 
 def init_large_context(
@@ -253,17 +231,18 @@ def run_episode(state: ModelState, queries):
     final_state); records keep stream order and carry the true labels and
     the class count at prediction time.
     """
+    table = state._table.copy()
     records = []
     for i, (x, y) in enumerate(queries):
         z = _embed(state, x)
-        record = _predict(state, z)
+        record = _predict(table, ClassCounts(table.counts), state.crp_params, z)
         record.true_label = int(y)
         records.append(record)
         try:
-            state = _update(state, z, y)
+            table.condition(z, y)
         except ProtocolError as e:
             raise ProtocolError(f"query {i}: {e}") from e
-    return records, state
+    return records, (state._derive(table) if records else state)
 
 
 def fine_tune_output_layer(state: ModelState, support, steps, step_size, *, return_trace=False):

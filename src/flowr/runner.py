@@ -21,24 +21,9 @@ from .config import ExperimentConfig
 from .crp import CrpParams
 from .data import EmbeddingDataset
 from .encoder import Encoder
+from .meta import oracle_labels
 from .metrics import EpisodeRecords, accuracy_suite, roc_curve, scores_from_records, threshold_at_tpr
 from .model import PredictionRecord, fine_tune_output_layer, init_large_context, init_small_context, run_episode
-
-
-def oracle_labels(episode: meta.Episode) -> np.ndarray:
-    """Arrival-order labels for the query stream: known classes keep their
-    dense ids, each novel class takes the next free id when first seen."""
-    bucket = episode.n_known + 1
-    assigned = {}
-    labels = np.zeros(len(episode.query_y), dtype=np.int64)
-    for i, (y, c) in enumerate(zip(episode.query_y, episode.query_class)):
-        if y < bucket:
-            labels[i] = y
-        else:
-            if int(c) not in assigned:
-                assigned[int(c)] = bucket + len(assigned)
-            labels[i] = assigned[int(c)]
-    return labels
 
 
 @dataclass
@@ -84,7 +69,7 @@ def _episode_records(ckpt: Checkpoint, cfg: ExperimentConfig, dataset, index, se
             proto = init_prototypes(zip(enc_support, episode.support_y), enc_support.shape[1])
         else:
             proto = PrototypeState.from_means(embeddings.means)
-        records, _ = run_baseline_episode(proto, queries, method=method, encoder=encoder)
+        records, _ = run_baseline_episode(proto, queries, encoder=encoder)
     return EpisodeRecords(records, n_initial=episode.n_known)
 
 
@@ -105,6 +90,8 @@ def evaluate(
     the checkpoint carries stats for (ids 1..n_kk in the dataset); the
     remaining dataset classes form the novel pool.
     """
+    if method not in ("flowr", "ncm"):
+        raise ValueError(f"unknown method {method!r}")
     n_episodes = cfg.eval_episodes if n_episodes is None else n_episodes
     seed = cfg.seed if seed is None else seed
     if cfg.setting == "lc" and known_classes is None:

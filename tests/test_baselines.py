@@ -107,7 +107,7 @@ class TestRunBaselineEpisode:
 
     def test_ncm_records(self):
         state = PrototypeState.from_means([[0.0, 0.0]])
-        records, final = run_baseline_episode(state, self._queries(), method="ncm")
+        records, final = run_baseline_episode(state, self._queries())
         assert [r.predicted for r in records][0] == 1
         assert all(r.probs is None for r in records)
         assert records[1].novelty_score > records[0].novelty_score
@@ -120,12 +120,8 @@ class TestRunBaselineEpisode:
 
         double = Encoder.affine(2.0 * np.eye(2), np.zeros(2))
         state = PrototypeState.from_means([[0.1, 0.0]])
-        records, _ = run_baseline_episode(state, [([0.05, 0.0], 1)], method="ncm", encoder=double)
+        records, _ = run_baseline_episode(state, [([0.05, 0.0], 1)], encoder=double)
         np.testing.assert_allclose(records[0].novelty_score, 0.0, atol=1e-15)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown baseline"):
-            run_baseline_episode(PrototypeState.empty(2), [], method="svm")
 
     def test_init_prototypes_error_position(self):
         with pytest.raises(ProtocolError, match="support point 1"):
@@ -152,3 +148,8 @@ def test_evaluate_without_support_classes(method):
     assert np.isfinite(result.tau)
     assert 0.0 <= result.metrics["auroc"] <= 1.0
     assert np.isfinite(result.metrics["h_measure"])
+
+
+def test_evaluate_rejects_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'svm'"):
+        runner.evaluate(None, None, None, method="svm")

@@ -523,10 +523,24 @@ class TestArrayStateMatchesDataclassFold:
                 np.testing.assert_array_equal(got.q, want.q)
                 assert got.lam == want.lam
 
-        # run_episode encodes each query once for both steps: same outputs
-        records, final = run_episode(states[0], zip(X, case["labels"]))
+        # run_episode steps one copy of the table: same outputs, and the
+        # input state is left as it was
+        start = states[0]
+        before = [a.copy() for a in (start.Q, start.lam, start.means, start.variances, start.counts.counts)]
+        records, final = run_episode(start, zip(X, case["labels"]))
         for i, record in enumerate(records):
             stats, counts = expected[i]
             np.testing.assert_array_equal(record.probs, _reference_probs(stats, states[i], counts, enc(X[i])))
-        np.testing.assert_array_equal(final.Q, states[-1].Q)
+        for got, want in zip((start.Q, start.lam, start.means, start.variances, start.counts.counts), before):
+            np.testing.assert_array_equal(got, want)
+        for name in ("Q", "lam", "means", "variances"):
+            np.testing.assert_array_equal(getattr(final, name), getattr(states[-1], name))
+            assert not getattr(final, name).flags.writeable
         np.testing.assert_array_equal(final.counts.counts, states[-1].counts.counts)
+
+        # init_small_context steps the same table: the rows of the update fold
+        if n_kk == 0:
+            built = init_small_context(prior, crp, noise, enc, zip(X, case["labels"]), **kw)
+            for name in ("Q", "lam", "means", "variances"):
+                np.testing.assert_array_equal(getattr(built, name), getattr(states[-1], name))
+            np.testing.assert_array_equal(built.counts.counts, states[-1].counts.counts)
