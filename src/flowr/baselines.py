@@ -105,8 +105,7 @@ def init_prototypes(support, dim) -> PrototypeState:
 
 def run_baseline_episode(state: PrototypeState, queries, encoder=None):
     """Nearest-class-mean predict-then-update over a query stream, mirroring
-    the probabilistic episode loop; returns the per-query records and the
-    final state."""
+    the probabilistic episode loop; returns the records and the final state."""
     records = []
     for i, (x, y) in enumerate(queries):
         z = encoder(x) if encoder is not None else np.asarray(x, dtype=np.float64)

@@ -115,11 +115,9 @@ class ClassTable:
         """A writable copy with room for `room` more classes; rows=False
         copies only the counts and shares the row buffers."""
         table = object.__new__(ClassTable)
-        table.__dict__.update(self.__dict__)
+        table.__dict__.update(self.__dict__, _counts=self._counts.copy())
         if rows:
             table._resize(self.n + 1 + room)
-        else:
-            table._counts = self._counts.copy()
         return table
 
     def _resize(self, size):
@@ -249,35 +247,30 @@ def _table_nll(table, Z, y_idx, params):
 
 def _sequential_nll(table, Z, labels, params):
     """Teacher-forced query pass: query j is scored against the table, then
-    conditions it with its 1-based arrival-order label.
-
-    Returns what _table_nll returns, with d_Q and d_lam summed over the
-    steps per table position: the novel slot sits one past the last row, so
-    a row born in the pass shares its position's sum with the novel slot
-    that held it before; both hold one copy of q0.
+    conditions it with its 1-based arrival-order label. Returns what
+    _table_nll returns, with d_Q and d_lam summed over the steps per table
+    position: a row born in the pass shares its position's sum with the
+    novel slot that held it before; both hold one copy of q0.
     """
     m, d = Z.shape
-    size = table.n + m + 1
-    R = np.zeros((size, d))                           # running sum of d loss / d Q per position
-    R_lam = np.zeros(size)
+    R = np.zeros((table.n + m + 1, d))                # running sum of d loss / d Q per position
+    R_lam = np.zeros(table.n + m + 1)
     row = np.full(m, -1)                              # row each query conditioned
     seen = np.zeros((m, d))                           # R[row] when it did
     d_Z = np.zeros_like(Z)
-    total = 0.0
-    d_b = 0.0
+    total = d_b = 0.0
 
     for j, y in enumerate(labels):
         try:
             y = table.check(y)
         except ProtocolError as e:
             raise ProtocolError(f"query {j}: {e}") from e
-        used = table.n + 1
         nll, d_Qp, d_lamp, d_z, d_bj = _table_nll(table, Z[j : j + 1], np.array([y - 1]), params)
         total += nll
         d_b += d_bj
         d_Z[j] = d_z[0]
-        R[:used] += d_Qp
-        R_lam[:used] += d_lamp
+        R[: len(d_lamp)] += d_Qp
+        R_lam[: len(d_lamp)] += d_lamp
         r = table.condition(Z[j], y)
         if r is not None:
             row[j] = r

@@ -9,6 +9,12 @@ case with no trainable class rows. The loss is the query NLL read from the
 frozen post-support state (or, with sequential=True, teacher-forced through
 the query stream as inference would see it) plus a weighted adaptation
 loss that scores one-shot class instantiation on the novel pool.
+
+The frozen loss scores novel queries against the bucket label, the novel
+slot of a table that never grows. The sequential loss replays the
+arrival-order labels of oracle_labels instead, as evaluation does: each
+novel class opens its own row when first seen, so later points of that
+class are scored against it.
 """
 
 from __future__ import annotations
@@ -144,64 +150,46 @@ def sample_lc_task(dataset, cfg: EpisodeConfig, rng, known_classes) -> Episode:
 def _episode(dataset, cfg: EpisodeConfig, rng, known_classes, novel_classes, *, support) -> Episode:
     """Pick each known class's rows (shots drawn per class when support is
     set), then each novel class's, and build the shuffled episode."""
-    support_rows, support_y = [], []
-    query_rows, query_y, query_class = [], [], []
-    what = "support plus queries" if support else "queries"
-    for j, c in enumerate(known_classes):
-        shots = int(rng.integers(cfg.shots_min, cfg.shots_max + 1)) if support else 0
-        picked = _pick_rows(rng, dataset.class_rows(int(c)), shots + cfg.queries_per_class, what)
+    n_known, q = len(known_classes), cfg.queries_per_class
+    classes = np.concatenate([known_classes, novel_classes]).astype(np.int64)
+    support_rows, support_y, query_rows = [], [], []
+    for j, c in enumerate(classes):
+        shots = int(rng.integers(cfg.shots_min, cfg.shots_max + 1)) if support and j < n_known else 0
+        what = "novel queries" if j >= n_known else "support plus queries" if support else "queries"
+        picked = _pick_rows(rng, dataset.class_rows(int(c)), shots + q, what)
         support_rows.extend(picked[:shots])
         support_y.extend([j + 1] * shots)
         query_rows.extend(picked[shots:])
-        query_y.extend([j + 1] * cfg.queries_per_class)
-        query_class.extend([int(c)] * cfg.queries_per_class)
-    bucket = len(known_classes) + 1
-    for c in novel_classes:
-        picked = _pick_rows(rng, dataset.class_rows(int(c)), cfg.queries_per_class, "novel queries")
-        query_rows.extend(picked)
-        query_y.extend([bucket] * cfg.queries_per_class)
-        query_class.extend([int(c)] * cfg.queries_per_class)
 
     perm = rng.permutation(len(query_rows))
+    which = np.repeat(np.arange(len(classes)), q)[perm]  # each query's index into classes
     query_rows = np.asarray(query_rows, dtype=np.int64)[perm]
-    query_y = np.asarray(query_y, dtype=np.int64)[perm]
-    query_class = np.asarray(query_class, dtype=np.int64)[perm]
     support_rows = np.asarray(support_rows, dtype=np.int64)
-
-    novel_mask = query_y == bucket
-    novel_order = {int(c): m + 1 for m, c in enumerate(novel_classes)}
-    adapt_y = np.array([novel_order[int(c)] for c in query_class[novel_mask]], dtype=np.int64)
-
+    novel_mask = which >= n_known
     features = dataset.features_f64
     return Episode(
         support_x=features[support_rows],
         support_y=np.asarray(support_y, dtype=np.int64),
         query_x=features[query_rows],
-        query_y=query_y,
+        query_y=np.minimum(which + 1, n_known + 1),
         adapt_x=features[query_rows[novel_mask]],
-        adapt_y=adapt_y,
-        n_known=len(known_classes),
+        adapt_y=which[novel_mask] - n_known + 1,
+        n_known=n_known,
         support_rows=support_rows,
         query_rows=query_rows,
-        query_class=query_class,
-        known_classes=np.asarray(known_classes, dtype=np.int64),
-        novel_classes=np.asarray(novel_classes, dtype=np.int64),
+        query_class=classes[which],
+        known_classes=classes[:n_known],
+        novel_classes=classes[n_known:],
     )
 
 
 def oracle_labels(episode: Episode) -> np.ndarray:
     """Arrival-order labels for the query stream: known classes keep their
     dense ids, each novel class takes the next free id when first seen."""
-    bucket = episode.n_known + 1
-    assigned = {}
-    labels = np.zeros(len(episode.query_y), dtype=np.int64)
-    for i, (y, c) in enumerate(zip(episode.query_y, episode.query_class)):
-        if y < bucket:
-            labels[i] = y
-        else:
-            if int(c) not in assigned:
-                assigned[int(c)] = bucket + len(assigned)
-            labels[i] = assigned[int(c)]
+    labels = np.array(episode.query_y, dtype=np.int64)
+    novel = labels > episode.n_known
+    _, first, inverse = np.unique(episode.query_class[novel], return_index=True, return_inverse=True)
+    labels[novel] = episode.n_known + 1 + np.argsort(np.argsort(first))[inverse]
     return labels
 
 
@@ -264,7 +252,13 @@ def meta_grads(
     novel_first_count=2,
     cond_seed=0,
 ) -> losses.MetaGrads:
-    """Episode loss plus analytic gradients for every trainable parameter."""
+    """Episode loss plus analytic gradients for every trainable parameter.
+
+    The sequential loss replays the arrival-order labels of oracle_labels;
+    the frozen loss keeps the novel bucket label.
+    """
+    if sequential:
+        episode = replace(episode, query_y=oracle_labels(episode))
     cond = choose_conditioning(episode.adapt_y, np.random.default_rng(cond_seed))
     w, b = params.encoder.params
     common = dict(

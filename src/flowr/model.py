@@ -165,11 +165,8 @@ def _predict(table, counts: ClassCounts, crp_params, z) -> PredictionRecord:
 
 
 def update(state: ModelState, x, y) -> ModelState:
-    """Condition the state on one labelled point; returns a new state.
-
-    A known-known label (y <= n_kk) copies only the counts; any other label
-    copies the table's rows, with room for one more class.
-    """
+    """Condition the state on one labelled point; returns a new state. A
+    known-known label (y <= n_kk) copies only the table's counts."""
     z = _embed(state, x)
     table = state._table.copy(room=1, rows=int(y) > state.n_kk)
     table.condition(z, y)

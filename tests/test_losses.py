@@ -17,7 +17,7 @@ from flowr.data import generate_synthetic_world
 from flowr.encoder import Encoder
 from flowr.gaussian import NoiseModel
 from flowr.meta import EpisodeConfig, grad_check, meta_loss, meta_loss_functions
-from flowr.model import init_large_context, init_small_context, run_episode
+from flowr.model import ProtocolError, init_large_context, init_small_context, run_episode
 
 TOL = 1e-4
 
@@ -219,9 +219,24 @@ class TestSequentialMatchesInference:
             state = init_small_context(*parts, zip(episode.support_x, episode.support_y))
         else:
             state = init_large_context(params.class_embeddings(), *parts, init_count=1)
-        records, _ = run_episode(state, zip(episode.query_x, episode.query_y))
+        records, _ = run_episode(state, zip(episode.query_x, meta.oracle_labels(episode)))
         nll = np.mean([-np.log(r.probs[r.true_label - 1]) for r in records])
         np.testing.assert_allclose(g.nll, nll, rtol=1e-12)
+
+
+def test_teacher_forced_label_skipping_ahead_is_rejected():
+    """The teacher-forced loss replays labels through the model's class
+    table, so a label past the next free class fails with one line that
+    names the query."""
+    template, episode = _sc_problem(seed=37)
+    query_y = episode.query_y.copy()
+    query_y[2] = 99
+    w, b = template.encoder.params
+    with pytest.raises(ProtocolError, match="^query 2: label 99 skips ahead of the [0-9]+ known classes$"):
+        losses.sc_meta_grads(
+            w, b, template.q0, template.log_lambda0, template.rho, replace(episode, query_y=query_y),
+            a=0.5, noise_var=0.5, lambda_w=0.0, cond_idx=[], sequential=True,
+        )
 
 
 def test_lc_zero_init_count_is_rejected():
