@@ -113,7 +113,7 @@ class ClassTable:
 
     def copy(self, room=0, *, rows=True):
         """A writable copy with room for `room` more classes; rows=False
-        copies only the counts and shares the row buffers."""
+        copies only the counts and shares the (frozen) row buffers."""
         table = object.__new__(ClassTable)
         table.__dict__.update(self.__dict__, _counts=self._counts.copy())
         if rows:

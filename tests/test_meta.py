@@ -6,6 +6,8 @@ N(+-4/3, 5/6); the single query at 2 then has NLL -log softmax = 0.0016602
 under a uniform class prior.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from flowr.meta import (
     init_meta_params,
     meta_loss,
     meta_step,
+    oracle_labels,
     params_to_vector,
     run_meta_training,
     sample_lc_task,
@@ -118,6 +121,32 @@ class TestSampleLcTask:
         for j, c in enumerate([2, 5]):
             rows = ep.query_rows[ep.query_y == j + 1]
             assert set(world.labels[rows]) == {c}
+
+
+def _oracle_labels_loop(episode):
+    """Arrival-order relabelling written as a plain loop, the reference."""
+    bucket, assigned, labels = episode.n_known + 1, {}, []
+    for y, c in zip(episode.query_y, episode.query_class):
+        labels.append(int(y) if y < bucket else assigned.setdefault(int(c), bucket + len(assigned)))
+    return labels
+
+
+class TestOracleLabels:
+    def test_hand_case(self):
+        """Known labels stay; novel classes 9 then 7 take 3 and 4 in the
+        order they first appear."""
+        ep = SimpleNamespace(n_known=2, query_y=np.array([3, 1, 3, 2, 3]), query_class=np.array([9, 4, 7, 5, 9]))
+        np.testing.assert_array_equal(oracle_labels(ep), [3, 1, 4, 2, 3])
+
+    def test_matches_loop_reference(self, world):
+        rng = np.random.default_rng(5)
+        cfg = EpisodeConfig(n_support_classes=3, n_novel_classes=4, queries_per_class=3)
+        lc_cfg = EpisodeConfig(n_support_classes=0, n_novel_classes=4, queries_per_class=3)
+        for _ in range(20):
+            for ep in (sample_sc_task(world, cfg, rng), sample_lc_task(world, lc_cfg, rng, [2, 6])):
+                labels = oracle_labels(ep)
+                assert labels.dtype == np.int64
+                np.testing.assert_array_equal(labels, _oracle_labels_loop(ep))
 
 
 class TestAdaptationLoss:
