@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -43,11 +43,15 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _add_config_flags(p, *, setting=True):
-    p.add_argument("--preset", choices=preset_names(), help="named configuration preset")
-    p.add_argument("--config", help="JSON configuration file")
-    if setting:
-        p.add_argument("--setting", choices=["sc", "lc"])
+def _add_config_flags(p):
+    """The base configuration (a preset or a JSON file, not both) plus the
+    overrides every stage shares. A flag that overrides the configuration
+    has its ExperimentConfig field as its dest; _build_config collects the
+    overrides by field name."""
+    base = p.add_mutually_exclusive_group()
+    base.add_argument("--preset", choices=preset_names(), help="named configuration preset")
+    base.add_argument("--config", help="JSON configuration file")
+    p.add_argument("--setting", choices=["sc", "lc"])
     p.add_argument("--a", type=float)
     p.add_argument("--noise-variance", type=float)
     p.add_argument("--seed", type=int)
@@ -71,9 +75,9 @@ def build_parser() -> _Parser:
     pre.add_argument("--out", required=True, help="checkpoint path to write")
     pre.add_argument("--out-dim", type=int, help="embedding dimension (default: data dim)")
     pre.add_argument("--beta", type=float)
-    pre.add_argument("--step-size", type=float)
-    pre.add_argument("--epochs", type=int)
-    pre.add_argument("--batch-size", type=int)
+    pre.add_argument("--step-size", type=float, dest="pretrain_step_size")
+    pre.add_argument("--epochs", type=int, dest="pretrain_epochs")
+    pre.add_argument("--batch-size", type=int, dest="pretrain_batch_size")
     pre.add_argument("--train-classes", type=int, default=0,
                      help="restrict training to the first K class ids (0 = all)")
     _add_config_flags(pre)
@@ -82,15 +86,15 @@ def build_parser() -> _Parser:
     mt.add_argument("--data", required=True)
     mt.add_argument("--out", required=True, help="checkpoint path to write")
     mt.add_argument("--init", help="checkpoint to initialize from (required for lc)")
-    mt.add_argument("--episodes", type=int)
-    mt.add_argument("--batch-size", type=int)
-    mt.add_argument("--step-size", type=float)
+    mt.add_argument("--episodes", type=int, dest="meta_episodes")
+    mt.add_argument("--batch-size", type=int, dest="meta_batch_size")
+    mt.add_argument("--step-size", type=float, dest="meta_step_size")
     mt.add_argument("--lambda-w", type=float)
-    mt.add_argument("--support-classes", type=int)
-    mt.add_argument("--novel-classes", type=int)
+    mt.add_argument("--support-classes", type=int, dest="train_support_classes")
+    mt.add_argument("--novel-classes", type=int, dest="train_novel_classes")
     mt.add_argument("--shots-min", type=int)
     mt.add_argument("--shots-max", type=int)
-    mt.add_argument("--queries-per-class", type=int)
+    mt.add_argument("--queries-per-class", type=int, dest="train_queries_per_class")
     mt.add_argument("--train-classes", type=int, default=0,
                     help="restrict training to the first K class ids (0 = all)")
     mt.add_argument("--encoder", choices=["identity", "affine"], default="identity",
@@ -103,19 +107,19 @@ def build_parser() -> _Parser:
     ev = sub.add_parser("eval", help="run evaluation episodes and write reports")
     ev.add_argument("--data", required=True)
     ev.add_argument("--checkpoint", required=True)
-    ev.add_argument("--tpr", type=float, help="operating true-positive rate")
-    ev.add_argument("--episodes", type=int)
+    ev.add_argument("--tpr", type=float, dest="operating_tpr", help="operating true-positive rate")
+    ev.add_argument("--episodes", type=int, dest="eval_episodes")
     ev.add_argument("--workers", type=int, default=1)
     ev.add_argument("--method", choices=["flowr", "ncm"], default="flowr")
     ev.add_argument("--out-dir", help="output directory (FLOWR_OUT_DIR overrides the default)")
     ev.add_argument("--train-classes", type=int, default=0,
                     help="leading class ids reserved for training; sc eval samples the rest")
-    ev.add_argument("--support-classes", type=int)
-    ev.add_argument("--novel-classes", type=int)
-    ev.add_argument("--queries-per-class", type=int)
+    ev.add_argument("--support-classes", type=int, dest="eval_support_classes")
+    ev.add_argument("--novel-classes", type=int, dest="eval_novel_classes")
+    ev.add_argument("--queries-per-class", type=int, dest="eval_queries_per_class")
     ev.add_argument("--fine-tune-steps", type=int)
     ev.add_argument("--fine-tune-step-size", type=float)
-    ev.add_argument("--lc-init-count", type=int,
+    ev.add_argument("--lc-init-count", type=int, dest="lc_eval_init_count",
                     help="pseudo-count seeded into each known-known class (default 0)")
     _add_config_flags(ev)
 
@@ -131,40 +135,14 @@ def build_parser() -> _Parser:
 
 
 def _build_config(args, *, default_setting=None) -> ExperimentConfig:
-    if getattr(args, "preset", None):
+    if args.preset:
         cfg = preset(args.preset)
-    elif getattr(args, "config", None):
+    elif args.config:
         with open(args.config) as fh:
             cfg = config_from_json(fh.read())
     else:
         cfg = ExperimentConfig(setting=default_setting or "sc")
-    overrides = {
-        "setting": getattr(args, "setting", None),
-        "a": getattr(args, "a", None),
-        "noise_variance": getattr(args, "noise_variance", None),
-        "seed": getattr(args, "seed", None),
-        "beta": getattr(args, "beta", None),
-        "pretrain_step_size": getattr(args, "step_size", None) if args.command == "pretrain" else None,
-        "pretrain_epochs": getattr(args, "epochs", None),
-        "pretrain_batch_size": getattr(args, "batch_size", None) if args.command == "pretrain" else None,
-        "meta_step_size": getattr(args, "step_size", None) if args.command == "metatrain" else None,
-        "meta_episodes": getattr(args, "episodes", None) if args.command == "metatrain" else None,
-        "meta_batch_size": getattr(args, "batch_size", None) if args.command == "metatrain" else None,
-        "lambda_w": getattr(args, "lambda_w", None),
-        "train_support_classes": getattr(args, "support_classes", None) if args.command == "metatrain" else None,
-        "train_novel_classes": getattr(args, "novel_classes", None) if args.command == "metatrain" else None,
-        "shots_min": getattr(args, "shots_min", None),
-        "shots_max": getattr(args, "shots_max", None),
-        "train_queries_per_class": getattr(args, "queries_per_class", None) if args.command == "metatrain" else None,
-        "eval_support_classes": getattr(args, "support_classes", None) if args.command == "eval" else None,
-        "eval_novel_classes": getattr(args, "novel_classes", None) if args.command == "eval" else None,
-        "eval_queries_per_class": getattr(args, "queries_per_class", None) if args.command == "eval" else None,
-        "eval_episodes": getattr(args, "episodes", None) if args.command == "eval" else None,
-        "operating_tpr": getattr(args, "tpr", None),
-        "fine_tune_steps": getattr(args, "fine_tune_steps", None),
-        "fine_tune_step_size": getattr(args, "fine_tune_step_size", None),
-        "lc_eval_init_count": getattr(args, "lc_init_count", None),
-    }
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
     return config_with_overrides(cfg, **overrides)
 
 
@@ -216,13 +194,6 @@ def _cmd_pretrain(args):
     return 0
 
 
-def _lc_stats_from_embeddings(params, embeddings):
-    lam = 1.0 / embeddings.variances
-    return replace(
-        params, class_q=embeddings.means * lam[:, None], class_log_lambda=np.log(lam)
-    )
-
-
 def _cmd_metatrain(args):
     cfg = _build_config(args)
     ds = _train_split(read_dataset(args.data), args.train_classes)
@@ -235,7 +206,7 @@ def _cmd_metatrain(args):
         if cfg.setting == "lc" and params.class_q is None:
             if embeddings is None:
                 raise CliError("large-context training needs class embeddings in --init")
-            params = _lc_stats_from_embeddings(params, embeddings)
+            params = params.with_class_embeddings(embeddings)
     else:
         if cfg.setting == "lc":
             raise CliError("large-context training requires --init with a pretrained checkpoint")

@@ -106,25 +106,31 @@ def instantiate(counts: ClassCounts) -> ClassCounts:
     return ClassCounts(counts=np.append(counts.counts, 1))
 
 
-def predictive_class_probs(counts: ClassCounts, params: CrpParams) -> np.ndarray:
+def _numerators(counts: np.ndarray, a, b) -> np.ndarray:
+    """The CRP rule's unnormalised masses: max(k_n - a, 0) per class, then
+    b + a * N+ for the novel slot, N+ counting classes with k_n > 0."""
+    c = counts.astype(np.float64)
+    return np.append(np.maximum(c - a, 0.0), b + a * int(np.count_nonzero(c)))
+
+
+def predictive_class_probs(counts, params: CrpParams) -> np.ndarray:
     """Predictive over the N existing classes plus one novel slot (length N + 1).
 
+    counts is anything whose .counts is a non-negative int64 vector: a
+    ClassCounts, or the class table the model steps (losses.ClassTable).
     p[n] = max(k_n - a, 0) / (k + b) for existing classes and
     p[novel] = (b + a * N+) / (k + b) where N+ counts classes with k_n > 0,
-    renormalised. Zero-count classes keep exactly zero mass; when no class has
-    a zero count the raw rule already sums to one and the renormalisation is
-    a no-op up to rounding.
+    renormalised. Zero-count classes keep exactly zero mass; the masses sum
+    to k + b, so the renormalisation is a no-op up to rounding.
     """
     a, b = params.a, params.b
-    k = counts.total
-    n = counts.n_classes
-    if n == 0:
+    c = counts.counts
+    if c.shape[0] == 0:
         return np.array([1.0])
+    k = int(c.sum())
     if k == 0 and b <= 0.0:
         raise InvalidStateError(f"no observations and b = {b} <= 0 leaves no probability mass")
-    c = counts.counts.astype(np.float64)
-    n_pos = int(np.count_nonzero(c))
-    numer = np.append(np.maximum(c - a, 0.0), b + a * n_pos)
+    numer = _numerators(c, a, b)
     denom = k + b
     if denom <= 0.0:
         raise InvalidStateError(f"k + b = {denom} is not positive")
@@ -133,6 +139,17 @@ def predictive_class_probs(counts: ClassCounts, params: CrpParams) -> np.ndarray
     if total <= 0.0:
         raise InvalidStateError("predictive has no mass to normalise")
     return p / total
+
+
+def predictive_grad_b(counts, params: CrpParams, d_log_probs) -> float:
+    """d loss / d b given d loss / d log predictive_class_probs(counts, params).
+
+    The predictive is u / T with masses u from the rule above and
+    T = sum(u) = k + b; only the novel mass u_novel = b + a N+ moves with
+    b, so d log p_c / d b = 1[c == novel] / u_novel - 1 / T.
+    """
+    u = _numerators(counts.counts, params.a, params.b)
+    return float(d_log_probs[-1] / u[-1] - d_log_probs.sum() / u.sum())
 
 
 def sequence_log_prob(labels, params: CrpParams) -> float:

@@ -96,6 +96,11 @@ class ClassEmbeddings:
     def dim(self):
         return self.means.shape[1]
 
+    def natural_params(self):
+        """The class rows as natural parameters (Q, lam): lam = 1 / variance, Q = mean * lam."""
+        lam = 1.0 / self.variances
+        return self.means * lam[:, None], lam
+
 
 def gda_predict(emb: ClassEmbeddings, z) -> np.ndarray:
     """Class probabilities under the Gaussian classifier with a uniform prior."""

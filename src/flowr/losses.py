@@ -22,10 +22,13 @@ Class parameters enter through mu_c = Q_c / lam_c and v_c = 1 / lam_c + s_eps:
 and the CRP strength b reaches the loss only through the class prior
 pi_c = u_c / T with T = sum(u), u_novel = b + a N+, so
 
-    d logpi_c / d b = 1[c == novel] / u_novel - 1 / T.
+    d logpi_c / d b = 1[c == novel] / u_novel - 1 / T,
+
+which crp.predictive_grad_b applies next to the CRP rule itself.
 
 The model's recursion lives here too, shared with flowr.model: ClassTable
-holds the rows [classes | novel slot] and takes the one conditioning step,
+holds the rows [classes | novel slot] and the class counts, and takes the
+one conditioning step,
 and log_posterior is the one forward pass (log densities, then Bayes rule
 under a CRP log prior), which _mixture_nll_grads differentiates.
 
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crp import ClassCounts, CrpParams, predictive_class_probs, sigmoid
+from .crp import CrpParams, predictive_class_probs, predictive_grad_b, sigmoid
 from .gaussian import log_density_matrix
 
 
@@ -91,19 +94,27 @@ class ClassTable:
     """The class table [classes | novel slot], the prior's row last: Q, lam,
     the cached predictive means Q / lam and variances 1 / lam + s_eps, and
     int64 counts (the novel slot's stays 0), in buffers with room to grow in
-    place. Rows below n_kk count labels but are never conditioned.
+    place. Rows below n_kk count labels but are never conditioned. The
+    table is the only holder of the class counts: its .counts is what
+    crp.predictive_class_probs reads.
     """
 
     _BUFFERS = ("_Q", "_lam", "_means", "_variances", "_counts")
+    NEW_CLASS_COUNT = 2  # a class's count after its first point: instantiated at 1, then observed
 
-    def __init__(self, Q, lam, counts, q0, lam0, noise_var, *, n_kk=0, novel_first_count=2):
+    def __init__(self, Q, lam, counts, q0, lam0, noise_var, *, n_kk=0):
         self._Q = np.vstack([Q, q0[None, :]])
         self._lam = np.append(lam, lam0)
         self._means = self._Q / self._lam[:, None]
         self._variances = 1.0 / self._lam + noise_var
         self._counts = np.append(np.asarray(counts, dtype=np.int64), 0)
         self.n = self._lam.shape[0] - 1
-        self.n_kk, self.novel_first_count, self.noise_var = n_kk, novel_first_count, noise_var
+        self.n_kk, self.noise_var = n_kk, noise_var
+
+    @classmethod
+    def counts_after(cls, K):
+        """The counts condition() leaves on classes that have seen K >= 1 points each."""
+        return K + (cls.NEW_CLASS_COUNT - 1)
 
     Q = property(lambda t: t._Q[: t.n + 1])
     lam = property(lambda t: t._lam[: t.n + 1])
@@ -153,7 +164,7 @@ class ClassTable:
             for name in self._BUFFERS:
                 a = getattr(self, name)
                 a[n + 1] = a[n]
-            self._counts[n] = self.novel_first_count
+            self._counts[n] = self.NEW_CLASS_COUNT
             self.n = n + 1
         else:
             self._counts[y - 1] += 1
@@ -167,8 +178,9 @@ class ClassTable:
         return r
 
 
-def log_class_prior(counts: ClassCounts, params: CrpParams) -> np.ndarray:
-    """Log CRP predictive over the classes and the novel slot (-inf for no mass)."""
+def log_class_prior(counts, params: CrpParams) -> np.ndarray:
+    """Log CRP predictive over the classes and the novel slot (-inf for no
+    mass); counts is a ClassTable or a crp.ClassCounts."""
     with np.errstate(divide="ignore"):
         return np.log(predictive_class_probs(counts, params))
 
@@ -216,33 +228,17 @@ def _natural_chain(d_means, d_vars, Q, lam):
     return d_Q, d_lam
 
 
-def _d_b_from_log_prior(d_log_prior, counts, params):
-    """d loss / d b given d loss / d logpi under the renormalised CRP rule.
-
-    With no zero-count classes the renormalisation is exact and pi = u / T,
-    where only the novel numerator u_novel = b + a N+ depends on b.
-    """
-    a, b = params.a, params.b
-    c = np.asarray(counts, dtype=np.float64)
-    n_pos = int(np.count_nonzero(c))
-    u = np.append(np.maximum(c - a, 0.0), b + a * n_pos)
-    T = u.sum()
-    d_b = d_log_prior[-1] / u[-1] - d_log_prior.sum() / T
-    return float(d_b)
-
-
 def _table_nll(table, Z, y_idx, params):
     """Mean NLL of Z against the table under its CRP prior.
 
     y_idx is 0-based, the novel slot being index table.n. Returns
     (nll, d_Q, d_lam, d_Z, d_b); d_Q and d_lam end with the novel slot's row.
     """
-    counts = table.counts
     nll, d_means, d_vars, d_Z, d_log_prior = _mixture_nll_grads(
-        Z, y_idx, table.means, table.variances, log_class_prior(ClassCounts(counts), params)
+        Z, y_idx, table.means, table.variances, log_class_prior(table, params)
     )
     d_Q, d_lam = _natural_chain(d_means, d_vars, table.Q, table.lam)
-    return nll, d_Q, d_lam, d_Z, _d_b_from_log_prior(d_log_prior, counts, params)
+    return nll, d_Q, d_lam, d_Z, predictive_grad_b(table, params, d_log_prior)
 
 
 def _sequential_nll(table, Z, labels, params):
@@ -349,7 +345,7 @@ def _adaptation_term(q0, lam0, noise_var, Za, adapt_labels, cond_idx):
 
 def _episode_grads(
     weight, bias, q0, log_lambda0, rho, episode, class_q, class_lam, class_counts, *,
-    a, noise_var, lambda_w, cond_idx, novel_first_count, sequential,
+    a, noise_var, lambda_w, cond_idx, sequential,
 ):
     """Episode loss over the table [class_q rows | support rows | novel slot].
 
@@ -367,8 +363,7 @@ def _episode_grads(
     S, K = support_sums(Z_s, episode.support_y, episode.n_known - n_kk)
     table = ClassTable(
         np.vstack([class_q, q0[None, :] + S * inv]), np.append(class_lam, lam0 + K * inv),
-        np.append(class_counts, K + (novel_first_count - 1)), q0, lam0, noise_var,
-        n_kk=n_kk, novel_first_count=novel_first_count,
+        np.append(class_counts, ClassTable.counts_after(K)), q0, lam0, noise_var, n_kk=n_kk,
     )
     if sequential:
         nll, d_Q, d_lam, d_Zq, d_b = _sequential_nll(table, Z_q, episode.query_y, params)
@@ -405,7 +400,7 @@ def _episode_grads(
 
 def sc_meta_grads(
     weight, bias, q0, log_lambda0, rho, episode, *,
-    a, noise_var, lambda_w, cond_idx, novel_first_count=2, sequential=False,
+    a, noise_var, lambda_w, cond_idx, sequential=False,
 ):
     """Small-context episode loss and gradients w.r.t. (encoder, q0, log lam0, rho).
 
@@ -415,15 +410,14 @@ def sc_meta_grads(
     g, _, _ = _episode_grads(
         weight, bias, q0, log_lambda0, rho, episode,
         np.zeros((0, d)), np.zeros(0), np.zeros(0, dtype=np.int64),
-        a=a, noise_var=noise_var, lambda_w=lambda_w, cond_idx=cond_idx,
-        novel_first_count=novel_first_count, sequential=sequential,
+        a=a, noise_var=noise_var, lambda_w=lambda_w, cond_idx=cond_idx, sequential=sequential,
     )
     return g
 
 
 def lc_meta_grads(
     weight, bias, q0, log_lambda0, rho, class_q, class_log_lambda, episode, *,
-    a, noise_var, lambda_w, cond_idx, lc_init_count=1, novel_first_count=2, sequential=False,
+    a, noise_var, lambda_w, cond_idx, lc_init_count=1, sequential=False,
 ):
     """Large-context episode loss and gradients; class stats are free parameters.
 
@@ -437,8 +431,7 @@ def lc_meta_grads(
         weight, bias, q0, log_lambda0, rho, episode,
         np.asarray(class_q, dtype=np.float64), class_lam,
         np.full(len(class_lam), int(lc_init_count), dtype=np.int64),
-        a=a, noise_var=noise_var, lambda_w=lambda_w, cond_idx=cond_idx,
-        novel_first_count=novel_first_count, sequential=sequential,
+        a=a, noise_var=noise_var, lambda_w=lambda_w, cond_idx=cond_idx, sequential=sequential,
     )
     g.d_class_q = d_class_q
     g.d_class_log_lambda = d_class_lam * class_lam
@@ -468,7 +461,7 @@ def pretrain_grads(weight, bias, H, labels, means, log_variances, beta):
     return nll + reg, d_weight, d_bias, d_means, d_log_vars
 
 
-def loo_support_grads(H, labels, weight, bias, q0, lam0, *, params, noise_var, novel_first_count=2):
+def loo_support_grads(H, labels, weight, bias, q0, lam0, *, params, noise_var):
     """Leave-one-out support NLL and its gradient w.r.t. the affine layer.
 
     Each support point is scored against the state built from the remaining
@@ -494,7 +487,7 @@ def loo_support_grads(H, labels, weight, bias, q0, lam0, *, params, noise_var, n
             y_held = n                                # its class left with it: novel slot
 
         S, K = support_sums(Z[rest], dense + 1, n)
-        table = ClassTable(q0[None, :] + S * inv, lam0 + K * inv, K + (novel_first_count - 1), q0, lam0, noise_var)
+        table = ClassTable(q0[None, :] + S * inv, lam0 + K * inv, ClassTable.counts_after(K), q0, lam0, noise_var)
         nll, d_Q, _, d_Zq, _ = _table_nll(table, Z[i : i + 1], np.array([y_held]), params)
         total += nll
         dZ[i] += d_Zq[0]

@@ -82,6 +82,11 @@ class MetaParams:
     def prior(self) -> SharedPrior:
         return SharedPrior(prior=NaturalClassStats(q=self.q0, lam=float(np.exp(self.log_lambda0))))
 
+    def with_class_embeddings(self, embeddings: ClassEmbeddings) -> "MetaParams":
+        """These parameters with the large-context class stats taken from class embeddings."""
+        Q, lam = embeddings.natural_params()
+        return replace(self, class_q=Q, class_log_lambda=np.log(lam))
+
     def class_embeddings(self) -> ClassEmbeddings:
         if self.class_q is None:
             raise ValueError("no per-class stats; this is a small-context parameter set")
@@ -103,17 +108,12 @@ def init_meta_params(
     pre-trained class embeddings."""
     encoder = encoder if encoder is not None else Encoder.identity()
     q0 = rng.normal(0.0, 0.1, size=d)
-    kwargs = {}
-    if setting == "lc":
-        if embeddings is None:
-            raise ValueError("large-context initialisation needs class embeddings")
-        lam = 1.0 / embeddings.variances
-        kwargs = dict(class_q=embeddings.means * lam[:, None], class_log_lambda=np.log(lam))
-    elif setting != "sc":
+    if setting not in ("sc", "lc"):
         raise ValueError(f"unknown setting {setting!r}")
-    return MetaParams(
-        encoder=encoder, q0=q0, log_lambda0=0.0, rho=inverse_softplus(init_b + a), **kwargs
-    )
+    if setting == "lc" and embeddings is None:
+        raise ValueError("large-context initialisation needs class embeddings")
+    params = MetaParams(encoder=encoder, q0=q0, log_lambda0=0.0, rho=inverse_softplus(init_b + a))
+    return params.with_class_embeddings(embeddings) if setting == "lc" else params
 
 
 def _pick_rows(rng, rows, k, what):
@@ -249,7 +249,6 @@ def meta_grads(
     noise_variance=0.5,
     sequential=False,
     lc_init_count=1,
-    novel_first_count=2,
     cond_seed=0,
 ) -> losses.MetaGrads:
     """Episode loss plus analytic gradients for every trainable parameter.
@@ -261,14 +260,7 @@ def meta_grads(
         episode = replace(episode, query_y=oracle_labels(episode))
     cond = choose_conditioning(episode.adapt_y, np.random.default_rng(cond_seed))
     w, b = params.encoder.params
-    common = dict(
-        a=a,
-        noise_var=noise_variance,
-        lambda_w=lambda_w,
-        cond_idx=cond,
-        novel_first_count=novel_first_count,
-        sequential=sequential,
-    )
+    common = dict(a=a, noise_var=noise_variance, lambda_w=lambda_w, cond_idx=cond, sequential=sequential)
     if setting == "sc":
         return losses.sc_meta_grads(
             w, b, params.q0, params.log_lambda0, params.rho, episode, **common
@@ -357,56 +349,48 @@ def run_meta_training(
 # ---------------------------------------------------------------------------
 # parameter packing and the finite-difference certificate
 
+def _layout(template: MetaParams):
+    """The flat vector's blocks in order, as (name, shape): encoder weight
+    and bias (affine encoders only), q0, log lambda0, rho, then class_q and
+    class_log_lambda (large-context only). A MetaGrads field is named
+    d_<name>."""
+    blocks = []
+    if template.encoder.kind == "affine":
+        blocks += [("weight", template.encoder.weight.shape), ("bias", template.encoder.bias.shape)]
+    blocks += [("q0", np.shape(template.q0)), ("log_lambda0", ()), ("rho", ())]
+    if template.class_q is not None:
+        blocks += [("class_q", template.class_q.shape), ("class_log_lambda", template.class_log_lambda.shape)]
+    return blocks
+
+
+def _flatten(blocks) -> np.ndarray:
+    return np.concatenate([np.asarray(b, dtype=np.float64).ravel() for b in blocks])
+
+
 def params_to_vector(params: MetaParams) -> np.ndarray:
-    parts = []
-    if params.encoder.kind == "affine":
-        parts += [params.encoder.weight.ravel(), params.encoder.bias]
-    parts += [np.asarray(params.q0, dtype=np.float64), [params.log_lambda0], [params.rho]]
-    if params.class_q is not None:
-        parts += [params.class_q.ravel(), params.class_log_lambda]
-    return np.concatenate([np.asarray(p, dtype=np.float64) for p in parts])
+    return _flatten(
+        getattr(params.encoder if name in ("weight", "bias") else params, name) for name, _ in _layout(params)
+    )
 
 
 def vector_to_params(template: MetaParams, vec) -> MetaParams:
     vec = np.asarray(vec, dtype=np.float64)
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(vec):
-            raise ValueError(f"vector has {len(vec)} entries, parameters need at least {pos + n}")
-        out = vec[pos : pos + n]
+    layout = _layout(template)
+    sizes = [int(np.prod(shape)) for _, shape in layout]
+    if len(vec) != sum(sizes):
+        raise ValueError(f"vector has {len(vec)} entries, parameters need {sum(sizes)}")
+    values, pos = {}, 0
+    for (name, shape), n in zip(layout, sizes):
+        block = vec[pos : pos + n]
+        values[name] = block.reshape(shape).copy() if shape else float(block[0])
         pos += n
-        return out
-
-    encoder = template.encoder
-    if encoder.kind == "affine":
-        w_shape = encoder.weight.shape
-        weight = take(w_shape[0] * w_shape[1]).reshape(w_shape)
-        bias = take(w_shape[0]).copy()
-        encoder = Encoder.affine(weight, bias)
-    q0 = take(len(template.q0)).copy()
-    log_lambda0 = float(take(1)[0])
-    rho = float(take(1)[0])
-    out = replace(template, encoder=encoder, q0=q0, log_lambda0=log_lambda0, rho=rho)
-    if template.class_q is not None:
-        shape = template.class_q.shape
-        class_q = take(shape[0] * shape[1]).reshape(shape)
-        class_log_lambda = take(shape[0]).copy()
-        out = replace(out, class_q=class_q, class_log_lambda=class_log_lambda)
-    if pos != len(vec):
-        raise ValueError(f"vector has {len(vec)} entries, parameters need {pos}")
-    return out
+    if "weight" in values:
+        values["encoder"] = Encoder.affine(values.pop("weight"), values.pop("bias"))
+    return replace(template, **values)
 
 
 def grads_to_vector(template: MetaParams, g: losses.MetaGrads) -> np.ndarray:
-    parts = []
-    if template.encoder.kind == "affine":
-        parts += [g.d_weight.ravel(), g.d_bias]
-    parts += [g.d_q0, [g.d_log_lambda0], [g.d_rho]]
-    if template.class_q is not None:
-        parts += [g.d_class_q.ravel(), g.d_class_log_lambda]
-    return np.concatenate([np.asarray(p, dtype=np.float64) for p in parts])
+    return _flatten(getattr(g, f"d_{name}") for name, _ in _layout(template))
 
 
 def grad_check(loss_fn, grad_fn, params, *, step=1e-4, max_coords=200, rng=None):

@@ -12,13 +12,14 @@ A state wraps a frozen losses.ClassTable, the class table the training
 losses use too: one row per class and the prior's row (the novel slot)
 last, natural parameters Q (N + 1, d) and lam (N + 1,), the cached
 predictive means Q / lam and variances 1 / lam + s_eps, and int64 counts.
-predict is the table's forward pass under the state's ClassCounts. update
-copies the table (only its counts for a known-known label) and takes one
-condition step; run_episode and init_small_context copy the table once,
-step it through the whole stream and freeze the result. Earlier states
-stay valid. `class_stats` builds NaturalClassStats on demand; the
-known-known rows, which no step rewrites, are built once per lineage of
-states.
+The table is the only holder of the counts: predict is the table's forward
+pass under the CRP prior read straight from the table's counts, and
+`counts` builds a crp.ClassCounts on demand. update copies the table (only
+its counts for a known-known label) and takes one condition step;
+run_episode and init_small_context copy the table once, step it through
+the whole stream and freeze the result. Earlier states stay valid.
+`class_stats` builds NaturalClassStats on demand; the known-known rows,
+which no step rewrites, are built once per lineage of states.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class ModelState:
     docstring); ModelState(...) is the validated constructor, the model's
     steps derive states without it."""
 
-    def __init__(self, encoder, class_stats, counts, crp_params, prior, noise, n_kk=0, novel_first_count=2):
+    def __init__(self, encoder, class_stats, counts, crp_params, prior, noise, n_kk=0):
         class_stats = tuple(class_stats)
         d = prior.prior.dim
         if any(s.dim != d for s in class_stats):
@@ -47,7 +48,7 @@ class ModelState:
         self._fill(
             np.array([s.q for s in class_stats]).reshape(len(class_stats), d), np.array([s.lam for s in class_stats]),
             encoder=encoder, counts=counts, crp_params=crp_params, prior=prior, noise=noise,
-            n_kk=n_kk, novel_first_count=novel_first_count, kk_stats=class_stats[:n_kk],
+            n_kk=n_kk, kk_stats=class_stats[:n_kk],
         )
 
     @classmethod
@@ -57,33 +58,28 @@ class ModelState:
         state._fill(Q, lam, **fields)
         return state
 
-    def _fill(self, Q, lam, *, encoder, counts, crp_params, prior, noise, n_kk, novel_first_count, kk_stats=None):
+    def _fill(self, Q, lam, *, encoder, counts: ClassCounts, crp_params, prior, noise, n_kk, kk_stats=None):
         """Validate, build the class table and set every field."""
         n = lam.shape[0]
         if n != counts.n_classes:
             raise ValueError(f"{n} class stats but {counts.n_classes} counts")
         if not 0 <= n_kk <= n:
             raise ValueError(f"n_kk = {n_kk} outside 0..{n}")
-        if novel_first_count not in (1, 2):
-            raise ValueError(f"novel_first_count must be 1 or 2, got {novel_first_count}")
         if encoder.kind == "affine" and encoder.weight.shape[0] != Q.shape[1]:
             raise ValueError(f"encoder output dimension {encoder.weight.shape[0]} != class dimension {Q.shape[1]}")
         p0 = prior.prior
-        table = losses.ClassTable(
-            Q, lam, counts.counts, p0.q, p0.lam, noise.noise_variance,
-            n_kk=int(n_kk), novel_first_count=novel_first_count,
-        )
+        table = losses.ClassTable(Q, lam, counts.counts, p0.q, p0.lam, noise.noise_variance, n_kk=int(n_kk))
         if not (np.isfinite(table.Q).all() and np.isfinite(table.lam).all() and (table.lam > 0.0).all()):
             raise ValueError("class stats must be finite with positive precision")
         self.__dict__.update(
-            encoder=encoder, crp_params=crp_params, prior=prior, noise=noise, n_kk=int(n_kk),
-            novel_first_count=novel_first_count, _kk_stats=[kk_stats], _table=table.freeze(), counts=counts,
+            encoder=encoder, crp_params=crp_params, prior=prior, noise=noise,
+            _kk_stats=[kk_stats], _table=table.freeze(),
         )
 
     def _derive(self, table) -> "ModelState":
         """The state over a table stepped from this state's, sharing every other field."""
         state = object.__new__(ModelState)
-        state.__dict__.update(self.__dict__, _table=table.freeze(), counts=ClassCounts(table.counts))
+        state.__dict__.update(self.__dict__, _table=table.freeze())
         return state
 
     def __setattr__(self, name, value):
@@ -94,10 +90,16 @@ class ModelState:
     lam = property(lambda s: s._table.lam)
     means = property(lambda s: s._table.means)
     variances = property(lambda s: s._table.variances)
+    n_kk = property(lambda s: s._table.n_kk)
 
     @property
     def n_classes(self) -> int:
         return self._table.n
+
+    @property
+    def counts(self) -> ClassCounts:
+        """The table's class counts as a ClassCounts, built on demand."""
+        return ClassCounts(self._table.counts)
 
     @property
     def class_stats(self) -> tuple:
@@ -143,11 +145,11 @@ def predict(state: ModelState, x) -> PredictionRecord:
     with the highest log posterior, or with the highest predictive
     log-density when every known prior is zero.
     """
-    return _predict(state._table, state.counts, state.crp_params, _embed(state, x))
+    return _predict(state._table, state.crp_params, _embed(state, x))
 
 
-def _predict(table, counts: ClassCounts, crp_params, z) -> PredictionRecord:
-    log_prior = losses.log_class_prior(counts, crp_params)
+def _predict(table, crp_params, z) -> PredictionRecord:
+    log_prior = losses.log_class_prior(table, crp_params)
     logf, log_post = losses.log_posterior(z[None, :], table.means, table.variances, log_prior)
     logf, log_post = logf[0], log_post[0]
     probs = np.exp(log_post)
@@ -179,11 +181,9 @@ def init_small_context(
     noise: NoiseModel,
     encoder: Encoder,
     support,
-    *,
-    novel_first_count=2,
 ) -> ModelState:
     """Condition an empty state on a labelled support set in arrival order."""
-    state = ModelState(encoder, (), ClassCounts.empty(), crp_params, prior, noise, novel_first_count=novel_first_count)
+    state = ModelState(encoder, (), ClassCounts.empty(), crp_params, prior, noise)
     table = state._table.copy()
     for i, (x, y) in enumerate(support):
         try:
@@ -200,7 +200,6 @@ def init_large_context(
     noise: NoiseModel,
     encoder: Encoder,
     *,
-    novel_first_count=2,
     init_count=0,
 ) -> ModelState:
     """Start from pre-trained per-class Gaussians.
@@ -213,11 +212,11 @@ def init_large_context(
     """
     if embeddings.dim != prior.prior.dim:
         raise ValueError(f"embeddings have dimension {embeddings.dim}, the prior {prior.prior.dim}")
-    n, lam = embeddings.n_classes, 1.0 / embeddings.variances
+    n = embeddings.n_classes
     return ModelState._from_arrays(
-        embeddings.means * lam[:, None], lam, encoder=encoder,
+        *embeddings.natural_params(), encoder=encoder,
         counts=ClassCounts(np.full(n, int(init_count), dtype=np.int64)), crp_params=crp_params,
-        prior=prior, noise=noise, n_kk=n, novel_first_count=novel_first_count,
+        prior=prior, noise=noise, n_kk=n,
     )
 
 
@@ -232,7 +231,7 @@ def run_episode(state: ModelState, queries):
     records = []
     for i, (x, y) in enumerate(queries):
         z = _embed(state, x)
-        record = _predict(table, ClassCounts(table.counts), state.crp_params, z)
+        record = _predict(table, state.crp_params, z)
         record.true_label = int(y)
         records.append(record)
         try:
@@ -262,11 +261,7 @@ def fine_tune_output_layer(state: ModelState, support, steps, step_size, *, retu
     labels = np.array([int(y) for _, y in support])
     w, b = state.encoder.params
     p0 = state.prior.prior
-    kwargs = dict(
-        params=state.crp_params,
-        noise_var=state.noise.noise_variance,
-        novel_first_count=state.novel_first_count,
-    )
+    kwargs = dict(params=state.crp_params, noise_var=state.noise.noise_variance)
 
     loss, d_w, d_b = losses.loo_support_grads(X, labels, w, b, p0.q, p0.lam, **kwargs)
     trace = [loss]
@@ -288,12 +283,5 @@ def fine_tune_output_layer(state: ModelState, support, steps, step_size, *, retu
             break
         trace.append(loss)
 
-    tuned = init_small_context(
-        state.prior,
-        state.crp_params,
-        state.noise,
-        Encoder.affine(w, b),
-        support,
-        novel_first_count=state.novel_first_count,
-    )
+    tuned = init_small_context(state.prior, state.crp_params, state.noise, Encoder.affine(w, b), support)
     return (tuned, trace) if return_trace else tuned

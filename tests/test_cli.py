@@ -7,13 +7,15 @@ and the single-line error contract.
 
 import subprocess
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from flowr.checkpoint import load_checkpoint
-from flowr.cli import main
+from flowr.cli import _build_config, build_parser, main
+from flowr.config import ExperimentConfig
 from flowr.data import read_dataset
 from flowr.runner import read_records
 
@@ -220,3 +222,57 @@ class TestErrorContract:
             _eval_args(pipeline, tmp_path) + ["--train-classes", "10"]
         ) == 2
         assert "leaves no evaluation classes" in capsys.readouterr().err
+
+
+_REQUIRED = {
+    "pretrain": ["--data", "d.fse", "--out", "o.ckpt"],
+    "metatrain": ["--data", "d.fse", "--out", "o.ckpt"],
+    "eval": ["--data", "d.fse", "--checkpoint", "c.ckpt"],
+}
+
+
+class TestConfigOverrides:
+    @pytest.mark.parametrize("command, flag, value, field", [
+        ("pretrain", "--setting", "lc", "setting"),
+        ("pretrain", "--a", "0.25", "a"),
+        ("pretrain", "--noise-variance", "0.75", "noise_variance"),
+        ("pretrain", "--seed", "9", "seed"),
+        ("pretrain", "--beta", "0.3", "beta"),
+        ("pretrain", "--step-size", "0.05", "pretrain_step_size"),
+        ("pretrain", "--epochs", "7", "pretrain_epochs"),
+        ("pretrain", "--batch-size", "5", "pretrain_batch_size"),
+        ("metatrain", "--episodes", "11", "meta_episodes"),
+        ("metatrain", "--batch-size", "3", "meta_batch_size"),
+        ("metatrain", "--step-size", "0.02", "meta_step_size"),
+        ("metatrain", "--lambda-w", "0.4", "lambda_w"),
+        ("metatrain", "--support-classes", "6", "train_support_classes"),
+        ("metatrain", "--novel-classes", "4", "train_novel_classes"),
+        ("metatrain", "--shots-min", "2", "shots_min"),
+        ("metatrain", "--shots-max", "4", "shots_max"),
+        ("metatrain", "--queries-per-class", "3", "train_queries_per_class"),
+        ("eval", "--tpr", "0.5", "operating_tpr"),
+        ("eval", "--episodes", "12", "eval_episodes"),
+        ("eval", "--support-classes", "7", "eval_support_classes"),
+        ("eval", "--novel-classes", "3", "eval_novel_classes"),
+        ("eval", "--queries-per-class", "4", "eval_queries_per_class"),
+        ("eval", "--fine-tune-steps", "2", "fine_tune_steps"),
+        ("eval", "--fine-tune-step-size", "0.02", "fine_tune_step_size"),
+        ("eval", "--lc-init-count", "1", "lc_eval_init_count"),
+    ])
+    def test_flag_lands_in_its_field(self, command, flag, value, field):
+        """Each override flag sets its own config field and no other."""
+        args = build_parser().parse_args([command, *_REQUIRED[command], flag, value])
+        default = ExperimentConfig()
+        want = replace(default, **{field: type(getattr(default, field))(value)})
+        assert want != default
+        assert _build_config(args) == want
+
+    def test_preset_and_config_are_exclusive(self, tmp_path, capsys):
+        """Given both, the config file used to be ignored silently."""
+        cfg = tmp_path / "f.json"
+        cfg.write_text('{"setting": "lc", "seed": 7}')
+        argv = ["eval", *_REQUIRED["eval"], "--preset", "sc-paper", "--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --config: not allowed with argument --preset")
+        assert err.count("\n") == 1

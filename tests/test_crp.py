@@ -19,6 +19,7 @@ from flowr.crp import (
     inverse_softplus,
     observe,
     predictive_class_probs,
+    predictive_grad_b,
     sequence_log_prob,
     softplus,
 )
@@ -148,6 +149,30 @@ class TestPredictive:
         after = predictive_class_probs(ClassCounts(counts=[4, 2]), params)
         assert after[0] > before[0]
         assert after[-1] < before[-1]
+
+
+class TestPredictiveGradB:
+    @given(
+        counts=st.lists(st.integers(0, 5), min_size=0, max_size=10),
+        a=st.floats(0.0, 0.9),
+        b=st.floats(0.1, 5.0),
+    )
+    @settings(max_examples=200)
+    def test_matches_central_differences(self, counts, a, b):
+        """Fed a one-hot d loss / d log p, predictive_grad_b is d log p_c / d b,
+        which matches central differences in b on every class with mass."""
+        c = ClassCounts(counts=np.array(counts, dtype=np.int64))
+        params = CrpParams.from_b(a=a, b=b)
+        b, h = params.b, 1e-5
+        p = predictive_class_probs(c, params)
+        with np.errstate(divide="ignore"):
+            hi, lo = (np.log(predictive_class_probs(c, CrpParams.from_b(a=a, b=b + s))) for s in (h, -h))
+        for k in np.flatnonzero(p > 0.0):
+            one_hot = np.zeros(len(p))
+            one_hot[k] = 1.0
+            np.testing.assert_allclose(
+                predictive_grad_b(c, params, one_hot), (hi[k] - lo[k]) / (2 * h), rtol=1e-6, atol=1e-6
+            )
 
 
 def _canonical_arrival(labels):

@@ -11,13 +11,13 @@ import pytest
 from dataclasses import replace
 from scipy.special import logsumexp as scipy_logsumexp
 
-from flowr import losses, meta
+from flowr import crp, losses, meta
 from flowr.crp import CrpParams
 from flowr.data import generate_synthetic_world
 from flowr.encoder import Encoder
 from flowr.gaussian import NoiseModel
 from flowr.meta import EpisodeConfig, grad_check, meta_loss, meta_loss_functions
-from flowr.model import ProtocolError, init_large_context, init_small_context, run_episode
+from flowr.model import ProtocolError, init_large_context, init_small_context, predict, run_episode, update
 
 TOL = 1e-4
 
@@ -252,3 +252,31 @@ def test_lc_zero_init_count_is_rejected():
     with pytest.raises(ValueError, match="lc_init_count must be at least 1, got 0"):
         meta.meta_grads(params, episode, 0.1, "lc", lc_init_count=0)
     assert np.isfinite(meta.meta_grads(params, episode, 0.1, "lc", lc_init_count=1).value)
+
+
+def test_hot_path_builds_no_class_counts(monkeypatch):
+    """Inference, the teacher-forced loss and the leave-one-out loss read
+    the class table's counts directly: none of them builds a
+    crp.ClassCounts per query or per loss step."""
+    template, episode = _sc_problem(seed=41)
+    params = CrpParams(a=0.5, rho=template.rho)
+    state = init_small_context(
+        template.prior(), params, NoiseModel(0.5), template.encoder, zip(episode.support_x, episode.support_y)
+    )
+
+    def refuse(self):
+        raise AssertionError("a ClassCounts was built")
+
+    monkeypatch.setattr(crp.ClassCounts, "__post_init__", refuse)
+    records, final = run_episode(state, zip(episode.query_x, meta.oracle_labels(episode)))
+    assert len(records) == len(episode.query_x)
+    x = episode.query_x[0]
+    predict(final, x)
+    for y in (1, final.n_classes + 1):
+        update(final, x, y)
+    assert np.isfinite(meta.meta_grads(template, episode, 0.1, "sc", sequential=True).value)
+    w, b = template.encoder.params
+    loss, _, _ = losses.loo_support_grads(
+        episode.support_x, episode.support_y, w, b, template.q0, 1.0, params=params, noise_var=0.5
+    )
+    assert np.isfinite(loss)

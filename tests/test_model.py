@@ -59,7 +59,7 @@ def _two_class_state():
     )
 
 
-def _empty_state(dim=1, *, b=1.0, novel_first_count=2):
+def _empty_state(dim=1, *, b=1.0):
     prior = SharedPrior(NaturalClassStats(q=np.zeros(dim), lam=1.0))
     return ModelState(
         encoder=Encoder.identity(),
@@ -68,7 +68,6 @@ def _empty_state(dim=1, *, b=1.0, novel_first_count=2):
         crp_params=CrpParams.from_b(a=0.5, b=b),
         prior=prior,
         noise=NOISE,
-        novel_first_count=novel_first_count,
     )
 
 
@@ -160,11 +159,6 @@ class TestUpdate:
         np.testing.assert_allclose(out.class_stats[2].lam, expected.lam, rtol=1e-12)
         # default bookkeeping: append 1, then the observe step lands on 2
         np.testing.assert_array_equal(out.counts.counts, [14, 14, 2])
-
-    def test_novel_first_count_one_variant(self):
-        state = _empty_state(novel_first_count=1)
-        out = update(state, [0.5], 1)
-        np.testing.assert_array_equal(out.counts.counts, [1])
 
     def test_protocol_errors(self):
         state = _two_class_state()
@@ -466,7 +460,6 @@ def _streams(draw):
         b=draw(st.floats(0.1, 3.0)),
         affine=draw(st.booleans()),
         init_count=draw(st.integers(1, 3)),
-        novel_first_count=draw(st.sampled_from([1, 2])),
     )
 
 
@@ -485,14 +478,13 @@ class TestArrayStateMatchesDataclassFold:
         prior = SharedPrior(NaturalClassStats(q=rng.normal(size=d), lam=case["lam0"]))
         crp = CrpParams.from_b(a=case["a"], b=case["b"])
         enc = Encoder.affine(rng.normal(size=(d, d)), rng.normal(size=d)) if case["affine"] else Encoder.identity()
-        kw = dict(novel_first_count=case["novel_first_count"])
         if n_kk:
             emb = ClassEmbeddings(means=rng.normal(size=(n_kk, d)), variances=rng.uniform(0.1, 2.0, n_kk))
-            state = init_large_context(emb, prior, crp, noise, enc, init_count=case["init_count"], **kw)
+            state = init_large_context(emb, prior, crp, noise, enc, init_count=case["init_count"])
             stats = [factor_to_natural(IsotropicGaussian(m, v)) for m, v in zip(emb.means, emb.variances)]
             counts = ClassCounts(np.full(n_kk, case["init_count"]))
         else:
-            state = init_small_context(prior, crp, noise, enc, [], **kw)
+            state = init_small_context(prior, crp, noise, enc, [])
             stats, counts = [], ClassCounts.empty()
         X = rng.normal(size=(len(case["labels"]), d))
 
@@ -502,9 +494,7 @@ class TestArrayStateMatchesDataclassFold:
             state = update(state, x, y)
             if y == len(stats) + 1:
                 stats.append(prior.prior)
-                counts = instantiate(counts)
-                if case["novel_first_count"] == 2:
-                    counts = observe(counts, y)
+                counts = observe(instantiate(counts), y)
             else:
                 counts = observe(counts, y)
             if y > n_kk:
@@ -540,7 +530,7 @@ class TestArrayStateMatchesDataclassFold:
 
         # init_small_context steps the same table: the rows of the update fold
         if n_kk == 0:
-            built = init_small_context(prior, crp, noise, enc, zip(X, case["labels"]), **kw)
+            built = init_small_context(prior, crp, noise, enc, zip(X, case["labels"]))
             for name in ("Q", "lam", "means", "variances"):
                 np.testing.assert_array_equal(getattr(built, name), getattr(states[-1], name))
             np.testing.assert_array_equal(built.counts.counts, states[-1].counts.counts)
