@@ -109,7 +109,8 @@ def build_parser() -> _Parser:
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--tpr", type=float, dest="operating_tpr", help="operating true-positive rate")
     ev.add_argument("--episodes", type=int, dest="eval_episodes")
-    ev.add_argument("--workers", type=int, default=1)
+    ev.add_argument("--workers", type=int, default=1,
+                    help="accepted for compatibility; evaluation always runs serially")
     ev.add_argument("--method", choices=["flowr", "ncm"], default="flowr")
     ev.add_argument("--out-dir", help="output directory (FLOWR_OUT_DIR overrides the default)")
     ev.add_argument("--train-classes", type=int, default=0,
@@ -154,6 +155,18 @@ def _train_split(ds, train_classes):
     return subset_classes(ds, range(1, train_classes + 1))
 
 
+def _write_checkpoint(path, cfg, params, embeddings):
+    """Write a training stage's checkpoint with the CRP, noise and hash of cfg."""
+    save_checkpoint(path, Checkpoint(
+        params=params,
+        crp=CrpParams(a=cfg.a, rho=params.rho),
+        noise=NoiseModel(noise_variance=cfg.noise_variance),
+        setting=cfg.setting,
+        embeddings=embeddings,
+        config_hash=config_hash(cfg),
+    ))
+
+
 def _cmd_gen_synthetic(args):
     ds = generate_synthetic_world(
         args.classes, args.dim, args.prior_variance, args.noise_variance,
@@ -178,15 +191,7 @@ def _cmd_pretrain(args):
     )
     d = result.embeddings.dim
     params = meta.init_meta_params(d, np.random.default_rng(cfg.seed), encoder=result.encoder, a=cfg.a)
-    ckpt = Checkpoint(
-        params=params,
-        crp=CrpParams(a=cfg.a, rho=params.rho),
-        noise=NoiseModel(noise_variance=cfg.noise_variance),
-        setting=cfg.setting,
-        embeddings=result.embeddings,
-        config_hash=config_hash(cfg),
-    )
-    save_checkpoint(args.out, ckpt)
+    _write_checkpoint(args.out, cfg, params, result.embeddings)
     print(
         f"wrote {args.out}: {result.embeddings.n_classes} class embeddings, dim {d}, "
         f"final loss {result.loss_trace[-1]:.6f}"
@@ -231,15 +236,7 @@ def _cmd_metatrain(args):
         noise_variance=cfg.noise_variance,
         sequential=args.sequential,
     )
-    ckpt = Checkpoint(
-        params=params,
-        crp=CrpParams(a=cfg.a, rho=params.rho),
-        noise=NoiseModel(noise_variance=cfg.noise_variance),
-        setting=cfg.setting,
-        embeddings=embeddings,
-        config_hash=config_hash(cfg),
-    )
-    save_checkpoint(args.out, ckpt)
+    _write_checkpoint(args.out, cfg, params, embeddings)
     if args.trace:
         with open(args.trace, "w") as fh:
             for row in trace:

@@ -53,6 +53,10 @@ class ExperimentConfig:
             raise ValueError("noise_variance must be positive")
         if not 0.0 < self.operating_tpr <= 1.0:
             raise ValueError(f"operating_tpr must be in (0, 1], got {self.operating_tpr}")
+        for name in ("pretrain_epochs", "pretrain_batch_size", "meta_episodes",
+                     "meta_batch_size", "eval_episodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def train_episode_config(self) -> EpisodeConfig:
         return EpisodeConfig(

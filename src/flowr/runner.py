@@ -1,15 +1,14 @@
 """Evaluation orchestration: sampled test episodes, metrics, and reports.
 
-Each episode draws its RNG from a counter-based seed split, so results are
-identical for any worker count; the per-query record files, ROC CSV, and
-metric tables are written deterministically (floats via repr) so repeated
-runs are byte-identical.
+Episodes run serially in index order, each with its own (seed, index) RNG
+split; `evaluate(workers=...)` is kept for compatibility and selects nothing.
+Record files, ROC CSV, and metric tables are written deterministically
+(floats via repr) so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +87,7 @@ def evaluate(
 
     For the large-context setting, known_classes defaults to the classes
     the checkpoint carries stats for (ids 1..n_kk in the dataset); the
-    remaining dataset classes form the novel pool.
+    remaining dataset classes form the novel pool. `workers` is ignored.
     """
     if method not in ("flowr", "ncm"):
         raise ValueError(f"unknown method {method!r}")
@@ -103,14 +102,10 @@ def evaluate(
             raise ValueError("large-context evaluation needs class stats in the checkpoint")
         known_classes = np.arange(1, n_kk + 1)
 
-    def one(i):
-        return _episode_records(ckpt, cfg, dataset, i, seed, method, known_classes)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            episodes = list(pool.map(one, range(n_episodes)))
-    else:
-        episodes = [one(i) for i in range(n_episodes)]
+    episodes = [
+        _episode_records(ckpt, cfg, dataset, i, seed, method, known_classes)
+        for i in range(n_episodes)
+    ]
 
     scores = scores_from_records(episodes)
     tau, achieved = threshold_at_tpr(scores, cfg.operating_tpr)

@@ -21,6 +21,7 @@ from flowr.checkpoint import Checkpoint
 from flowr.config import ExperimentConfig
 from flowr.crp import CrpParams
 from flowr.data import generate_synthetic_world
+from flowr.encoder import ClassEmbeddings, Encoder
 from flowr.gaussian import NoiseModel
 from flowr.model import ProtocolError
 
@@ -116,8 +117,6 @@ class TestRunBaselineEpisode:
     def test_encoder_applied(self):
         """Queries are embedded before matching: the doubling encoder maps
         [0.05, 0] onto the prototype at [0.1, 0]."""
-        from flowr.encoder import Encoder
-
         double = Encoder.affine(2.0 * np.eye(2), np.zeros(2))
         state = PrototypeState.from_means([[0.1, 0.0]])
         records, _ = run_baseline_episode(state, [([0.05, 0.0], 1)], encoder=double)
@@ -153,3 +152,31 @@ def test_evaluate_without_support_classes(method):
 def test_evaluate_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown method 'svm'"):
         runner.evaluate(None, None, None, method="svm")
+
+
+def test_evaluate_ncm_large_context_starts_from_class_means():
+    """In the large-context setting NCM starts every episode from the
+    checkpoint's class embedding means, one prototype per known class."""
+    world = generate_synthetic_world(12, 4, 25.0, 0.5, 20, seed=11)
+    rng = np.random.default_rng(2)
+    encoder = Encoder.affine(rng.normal(size=(3, 4)), rng.normal(size=3))
+    means = rng.normal(size=(6, 3))
+    params = meta.init_meta_params(3, rng, encoder=encoder)
+    ckpt = Checkpoint(
+        params=params, crp=CrpParams(a=0.5, rho=params.rho), noise=NoiseModel(0.5), setting="lc",
+        embeddings=ClassEmbeddings(means=means, variances=np.ones(6)),
+    )
+    cfg = ExperimentConfig(
+        setting="lc", d=3, eval_support_classes=0, eval_novel_classes=3,
+        eval_queries_per_class=4, eval_episodes=3, operating_tpr=0.6, seed=5,
+    )
+    result = runner.evaluate(world, ckpt, cfg, method="ncm")
+    assert result.metrics["n_queries"] == 3 * (6 + 3) * 4
+    for i, episode in enumerate(result.episodes):
+        sample_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, i)))
+        x = meta.sample_lc_task(world, cfg.eval_episode_config(), sample_rng, np.arange(1, 7)).query_x[0]
+        first = episode.records[0]
+        assert (first.predicted, first.novelty_score) == ncm_predict(
+            PrototypeState.from_means(means), encoder(x)
+        )
+        assert first.n_at_prediction == 6

@@ -223,6 +223,24 @@ class TestErrorContract:
         ) == 2
         assert "leaves no evaluation classes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, field", [
+        ("pretrain", "--epochs", "pretrain_epochs"),
+        ("pretrain", "--batch-size", "pretrain_batch_size"),
+        ("metatrain", "--episodes", "meta_episodes"),
+        ("metatrain", "--batch-size", "meta_batch_size"),
+        ("eval", "--episodes", "eval_episodes"),
+    ])
+    def test_zero_count_rejected_before_writing(self, pipeline, tmp_path, capsys, command, flag, field):
+        """A count field of 0 fails as one line naming the field, before any
+        output exists (pretrain and metatrain used to write --out and then
+        crash; eval blamed accuracy_suite)."""
+        out = tmp_path / "out"
+        where = ["--checkpoint", str(pipeline.trained), "--out-dir"] if command == "eval" else ["--out"]
+        shape = [] if command == "pretrain" else ["--support-classes", "3", "--novel-classes", "2"]
+        assert main([command, "--data", str(pipeline.data), *where, str(out), *shape, flag, "0"]) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {field} must be at least 1, got 0\n"
+        assert not out.exists()
+
 
 _REQUIRED = {
     "pretrain": ["--data", "d.fse", "--out", "o.ckpt"],
