@@ -107,17 +107,21 @@ def instantiate(counts: ClassCounts) -> ClassCounts:
 
 
 def _numerators(counts: np.ndarray, a, b) -> np.ndarray:
-    """The CRP rule's unnormalised masses: max(k_n - a, 0) per class, then
-    b + a * N+ for the novel slot, N+ counting classes with k_n > 0."""
-    c = counts.astype(np.float64)
-    return np.append(np.maximum(c - a, 0.0), b + a * int(np.count_nonzero(c)))
+    """The CRP rule's unnormalised masses along the last axis: max(k_n - a, 0)
+    per class, then b + a * N+ for the novel slot, N+ counting classes with
+    k_n > 0."""
+    u = np.empty(counts.shape[:-1] + (counts.shape[-1] + 1,))
+    np.maximum(np.subtract(counts, a, out=u[..., :-1]), 0.0, out=u[..., :-1])
+    u[..., -1] = b + a * np.count_nonzero(counts, axis=-1 if counts.ndim > 1 else None)  # None: numpy's fast path
+    return u
 
 
 def predictive_class_probs(counts, params: CrpParams) -> np.ndarray:
     """Predictive over the N existing classes plus one novel slot (length N + 1).
 
     counts is anything whose .counts is a non-negative int64 vector: a
-    ClassCounts, or the class table the model steps (losses.ClassTable).
+    ClassCounts, or the class table the model steps (losses.ClassTable);
+    an (m, N) .counts gives the m predictives (m, N + 1) row by row.
     p[n] = max(k_n - a, 0) / (k + b) for existing classes and
     p[novel] = (b + a * N+) / (k + b) where N+ counts classes with k_n > 0,
     renormalised. Zero-count classes keep exactly zero mass; the masses sum
@@ -125,31 +129,28 @@ def predictive_class_probs(counts, params: CrpParams) -> np.ndarray:
     """
     a, b = params.a, params.b
     c = counts.counts
-    if c.shape[0] == 0:
-        return np.array([1.0])
-    k = int(c.sum())
-    if k == 0 and b <= 0.0:
+    if c.shape[-1] == 0:
+        return np.ones(c.shape[:-1] + (1,))
+    k = c.sum(axis=-1, keepdims=True)
+    # b > -a makes k + b and the total mass positive once any count is
+    if b <= 0.0 and not k.all():
         raise InvalidStateError(f"no observations and b = {b} <= 0 leaves no probability mass")
-    numer = _numerators(c, a, b)
-    denom = k + b
-    if denom <= 0.0:
-        raise InvalidStateError(f"k + b = {denom} is not positive")
-    p = numer / denom
-    total = p.sum()
-    if total <= 0.0:
-        raise InvalidStateError("predictive has no mass to normalise")
-    return p / total
+    p = _numerators(c, a, b)
+    p /= k + b
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
-def predictive_grad_b(counts, params: CrpParams, d_log_probs) -> float:
-    """d loss / d b given d loss / d log predictive_class_probs(counts, params).
+def predictive_grad_b(counts, params: CrpParams, d_log_probs):
+    """d loss / d b given d loss / d log predictive_class_probs(counts, params),
+    row by row for (m, N) counts.
 
     The predictive is u / T with masses u from the rule above and
     T = sum(u) = k + b; only the novel mass u_novel = b + a N+ moves with
     b, so d log p_c / d b = 1[c == novel] / u_novel - 1 / T.
     """
     u = _numerators(counts.counts, params.a, params.b)
-    return float(d_log_probs[-1] / u[-1] - d_log_probs.sum() / u.sum())
+    return d_log_probs[..., -1] / u[..., -1] - d_log_probs.sum(axis=-1) / u.sum(axis=-1)
 
 
 def sequence_log_prob(labels, params: CrpParams) -> float:

@@ -138,13 +138,15 @@ def log_density(g: IsotropicGaussian, z) -> float:
 def log_density_matrix(Z, means, variances):
     """Log densities of isotropic Gaussians at many points.
 
-    Z: (m, d), means: (c, d), variances: (c,). Returns (m, c). This is the
-    vectorised workhorse shared by prediction and the training losses.
+    Z: (m, d), means: (c, d), variances: (c,). Returns (m, c). Means
+    (m, c, d) and variances (m, c) give each point its own c Gaussians.
+    This is the vectorised workhorse shared by prediction and the training
+    losses.
     """
     Z = np.asarray(Z, dtype=np.float64)
     means = np.asarray(means, dtype=np.float64)
     variances = np.asarray(variances, dtype=np.float64)
     d = Z.shape[1]
-    diff = Z[:, None, :] - means[None, :, :]
+    diff = Z[:, None, :] - means
     sq = np.einsum("mcd,mcd->mc", diff, diff)
-    return -0.5 * d * (LOG_2PI + np.log(variances))[None, :] - sq / (2.0 * variances)[None, :]
+    return -0.5 * d * (LOG_2PI + np.log(variances)) - sq / (2.0 * variances)

@@ -28,9 +28,13 @@ which crp.predictive_grad_b applies next to the CRP rule itself.
 
 The model's recursion lives here too, shared with flowr.model: ClassTable
 holds the rows [classes | novel slot] and the class counts, and takes the
-one conditioning step,
-and log_posterior is the one forward pass (log densities, then Bayes rule
-under a CRP log prior), which _mixture_nll_grads differentiates.
+one online conditioning step, condition(); log_posterior is the one forward
+pass (log densities, then Bayes rule under a CRP log prior), which
+_mixture_nll_grads differentiates. When a stream's labels are all known in
+advance, as in evaluation and the teacher-forced loss, Prefix builds every
+table the stream passes through at once: the table before step j is the
+initial table plus the points before j, so predict-then-update becomes one
+batched pass with the same additions in the same order, bit for bit.
 
 Both meta-training settings score queries against one table
 
@@ -43,10 +47,11 @@ Every row at or above n_kk, and the novel slot (q0, lam0), holds one copy
 of the shared prior, so d q0 is the sum of d Q over those rows.
 
 The frozen loss scores every query against that table. The teacher-forced
-sequential loss scores query j, then steps the table with condition() on
-its arrival-order label, exactly as model.run_episode does. A running
-per-row sum R_c of d loss / d Q_c scatters the gradient back to the
-conditioning points: a query that conditioned row c at step j gets
+sequential loss scores query j against the table conditioned on the
+queries before it, with their arrival-order labels, through the same
+Prefix pass as model.run_episode. A running per-row sum R_c of
+d loss / d Q_c, accumulated in step order, scatters the gradient back to
+the conditioning points: a query that conditioned row c at step j gets
 (R_c at the end - R_c after step j) / s_eps, a support point of row c gets
 R_c at the end / s_eps.
 
@@ -143,13 +148,21 @@ class ClassTable:
             getattr(self, name).setflags(write=False)
         return self
 
+    @staticmethod
+    def fault(y, n):
+        """Why label y breaks the dense arrival protocol at n known classes, or None."""
+        if y < 1:
+            return f"label {y} is not a positive class index"
+        if y > n + 1:
+            return f"label {y} skips ahead of the {n} known classes"
+        return None
+
     def check(self, y) -> int:
         """The label as an int, or a ProtocolError if it breaks the dense arrival protocol."""
         y = int(y)
-        if y < 1:
-            raise ProtocolError(f"label {y} is not a positive class index")
-        if y > self.n + 1:
-            raise ProtocolError(f"label {y} skips ahead of the {self.n} known classes")
+        fault = self.fault(y, self.n)
+        if fault:
+            raise ProtocolError(fault)
         return y
 
     def condition(self, z, y):
@@ -189,42 +202,180 @@ def log_posterior(Z, means, variances, log_prior):
     """The forward pass: log densities (m, c) of the points Z under each
     row, and the Bayes-rule log posterior (m, c) under log_prior (c,)."""
     logf = log_density_matrix(Z, means, variances)
-    logits = logf + log_prior[None, :]
-    return logf, logits - logsumexp(logits, axis=1)[:, None]
+    return logf, _bayes(logf, log_prior)
 
 
-def _mixture_nll_grads(Z, y_idx, means, variances, log_prior):
-    """Mean NLL of a Gaussian mixture classifier plus gradients.
+def _bayes(logf, log_prior):
+    """The log posterior (m, c) from log densities (m, c) and a log prior (c,) or (m, c)."""
+    logits = logf + log_prior
+    return logits - logsumexp(logits, axis=1)[:, None]
 
-    Z: (m, d) points, y_idx: (m,) 0-based targets, means: (c, d),
-    variances: (c,), log_prior: (c,) possibly containing -inf.
-    Returns (nll, d_means, d_variances, d_Z, d_log_prior).
+
+# most (step, row, dimension) entries a prefix-pass temporary holds, unless one step needs more
+PREFIX_ENTRIES = 1 << 16
+
+
+def check_labels(table, labels, params) -> np.ndarray:
+    """A stream's arrival-order labels as int64, or its first fault in stream
+    order: the CRP rule refusing to score the first step (no class count yet
+    and b <= 0, the only state it refuses), then a label breaking the dense
+    arrival protocol, as a ProtocolError naming its query."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size and not table.counts.any():
+        predictive_class_probs(table, params)
+    n_at = np.maximum.accumulate(np.append(table.n, labels))[:-1]
+    bad = np.flatnonzero((labels < 1) | (labels > n_at + 1))
+    if bad.size:
+        j = bad[0]
+        raise ProtocolError(f"query {j}: {ClassTable.fault(labels[j], n_at[j])}")
+    return labels
+
+
+class _Steps:
+    """A run of prefix-pass steps that all see n classes: their class counts
+    before each step (m, n), which the CRP rule reads as .counts, the
+    version index of each step's rows n_kk..n-1 and novel slot, and the
+    forward pass, log densities and log posteriors (m, n + 1)."""
+
+    __slots__ = ("steps", "n", "counts", "rows", "logf", "log_post")
+
+
+class Prefix:
+    """Every table a labelled stream passes through, built without stepping one.
+
+    With all labels known in advance, the table before step j is the
+    initial table plus the points before j. Each conditioned row's versions
+    are the running sums np.add.accumulate([row; z * (1 / s_eps) ...]) and
+    likewise for lam: the same additions condition() makes one step at a
+    time. Means and variances are computed once per version; each step's
+    counts are the table's plus a cumsum of the count increments. chunks()
+    scores the steps in runs that share a class count, split so that no
+    temporary holds more than PREFIX_ENTRIES entries. Rows below n_kk never
+    change and are scored as the table's own rows, never gathered per step
+    for the forward pass. final_table() is the table after the stream.
+    """
+
+    def __init__(self, table, Z, labels, params):
+        self.labels = check_labels(table, labels, params)
+        self.table, self.Z, self.params = table, Z, params
+        n0, n_kk, inv = table.n, table.n_kk, 1.0 / table.noise_var
+        n_at = np.maximum.accumulate(np.append(n0, self.labels))
+        self.n_at, self.n = n_at[:-1], int(n_at[-1])
+
+        # versions: one block [first; after each of its points] per row n_kk..n-1, then the novel slot
+        row = self.labels - 1 - n_kk  # the row each step conditions, counted from n_kk
+        steps = np.flatnonzero(row >= 0)
+        steps = steps[np.argsort(row[steps], kind="stable")]
+        self.start = np.append(0, np.cumsum(np.bincount(row[steps], minlength=self.n - n_kk) + 1))
+        heads, novel = self.start[:-1], self.start[-1]
+        first = np.minimum(np.arange(n_kk, self.n), n0)  # rows born in the pass start as the prior's row
+        Q, lam = np.empty((novel + 1, Z.shape[1])), np.full(novel + 1, inv)
+        Q[heads], lam[heads] = table.Q[first], table.lam[first]
+        Q[novel], lam[novel] = table.Q[n0], table.lam[n0]
+        points = np.ones(novel + 1, dtype=bool)
+        points[heads] = points[novel] = False
+        Q[points] = Z[steps] * inv
+        for lo, hi in zip(heads, self.start[1:]):
+            Q[lo:hi] = np.add.accumulate(Q[lo:hi])
+            lam[lo:hi] = np.add.accumulate(lam[lo:hi])
+        self.Q, self.lam = Q, lam
+        self.means, self.variances = Q / lam[:, None], 1.0 / lam + table.noise_var
+        # class counts before any step; a row born in the pass counts NEW_CLASS_COUNT after its first point
+        self.counts = np.append(table.counts, np.full(self.n - n0, ClassTable.NEW_CLASS_COUNT - 1))
+
+    def chunks(self, every_row=False):
+        """Yield the steps in stream order as _Steps, their forward pass done.
+
+        A chunk holds as many steps as keep their counts and the rows
+        gathered for them within PREFIX_ENTRIES entries: the rows from n_kk
+        on, or every row with every_row (as the loss's backward pass needs).
+        The rows below n_kk are scored in runs of steps of that size too.
+        """
+        m, d = self.Z.shape
+        table, n_kk = self.table, self.table.n_kk
+        tally = np.zeros(self.n + 1, dtype=np.int64)  # labels so far per table position
+        kk_size = max(1, PREFIX_ENTRIES // (max(n_kk, 1) * d))
+        starts = np.flatnonzero(np.diff(self.n_at, prepend=-1))
+        for lo, hi in zip(starts, np.append(starts[1:], m)):
+            n = int(self.n_at[lo])
+            size = max(1, PREFIX_ENTRIES // ((n + 1) * d if every_row else (n + 1 - n_kk) * d + n + 1))
+            for s in range(lo, hi, size):
+                c = _Steps()
+                c.steps, c.n = slice(s, min(s + size, hi)), n
+                y = self.labels[c.steps] - 1
+                hit = np.zeros((len(y), n + 1), dtype=np.int64)
+                hit[np.arange(len(y)), y] = 1
+                before = np.cumsum(hit, axis=0) - hit + tally[: n + 1]
+                np.add.at(tally, y, 1)
+                c.counts = self.counts[:n] + before[:, :n]
+                c.rows = np.empty((len(y), n + 1 - n_kk), dtype=np.int64)
+                c.rows[:, :-1], c.rows[:, -1] = self.start[: n - n_kk] + before[:, n_kk:n], self.start[-1]
+                Zc = self.Z[c.steps]
+                c.logf = np.empty((len(y), n + 1))
+                c.logf[:, n_kk:] = log_density_matrix(Zc, self.means[c.rows], self.variances[c.rows])
+                for k in range(0, len(y) if n_kk else 0, kk_size):
+                    kk = slice(k, k + kk_size)
+                    c.logf[kk, :n_kk] = log_density_matrix(Zc[kk], table.means[:n_kk], table.variances[:n_kk])
+                c.log_post = _bayes(c.logf, log_class_prior(c, self.params))
+                yield c
+
+    def columns(self, c, name):
+        """Field name (Q, lam, means or variances) of each step's rows in
+        chunk c, (m, n + 1, ...): the table's rows below n_kk, then the
+        versions the step sees."""
+        n_kk = self.table.n_kk
+        versions = getattr(self, name)[c.rows]
+        if not n_kk:
+            return versions
+        # one C-order array: the einsum sums over it keep the order the stepped loss used
+        out = np.empty((len(versions), n_kk + versions.shape[1]) + versions.shape[2:])
+        out[:, :n_kk], out[:, n_kk:] = getattr(self.table, name)[:n_kk], versions
+        return out
+
+    def final_table(self) -> "ClassTable":
+        """The table after the whole stream: every row's last version and the final counts."""
+        t, n_kk = self.table, self.table.n_kk
+        last = self.start[1:] - 1
+        counts = self.counts + np.bincount(self.labels - 1, minlength=self.n)
+        return ClassTable(
+            np.vstack([t.Q[:n_kk], self.Q[last]]), np.append(t.lam[:n_kk], self.lam[last]), counts,
+            t.Q[t.n], t.lam[t.n], t.noise_var, n_kk=n_kk,
+        )
+
+
+def _mixture_nll_grads(Z, y_idx, means, variances, log_post):
+    """Mean NLL of a Gaussian mixture classifier plus gradients, from its
+    forward pass log_post (m, c).
+
+    Z: (m, d) points, y_idx: (m,) 0-based targets, means: (c, d) and
+    variances: (c,). Returns (nll, d_means, d_variances, d_Z, d_log_prior).
+    Means (m, c, d) and variances (m, c) give each point its own rows and
+    its own loss: every value and gradient but d_Z then keeps the point axis.
     """
     m, d = Z.shape
-    _, log_post = log_posterior(Z, means, variances, log_prior)
-    nll = float(np.mean(-log_post[np.arange(m), y_idx]))
-
+    own = means.ndim == 3
+    nll = -log_post[np.arange(m), y_idx]
     G = np.exp(log_post)
     G[np.arange(m), y_idx] -= 1.0
-    G /= m
+    if not own:
+        nll = float(np.mean(nll))
+        G /= m
 
-    diff = Z[:, None, :] - means[None, :, :]          # (m, c, d)
-    r = diff / variances[None, :, None]               # (z - mu) / v
+    diff = Z[:, None, :] - means                      # (m, c, d)
+    r = diff / variances[..., None]                   # (z - mu) / v
     sq = np.einsum("mcd,mcd->mc", diff, diff)
-
-    d_means = np.einsum("mc,mcd->cd", G, r)
-    d_vars = np.einsum(
-        "mc,mc->c", G, -d / (2.0 * variances)[None, :] + sq / (2.0 * variances**2)[None, :]
-    )
+    d_v = -d / (2.0 * variances) + sq / (2.0 * variances**2)
     d_Z = -np.einsum("mc,mcd->md", G, r)
-    d_log_prior = G.sum(axis=0)
-    return nll, d_means, d_vars, d_Z, d_log_prior
+    if own:
+        return nll, G[:, :, None] * r, G * d_v, d_Z, G
+    return nll, np.einsum("mc,mcd->cd", G, r), np.einsum("mc,mc->c", G, d_v), d_Z, G.sum(axis=0)
 
 
 def _natural_chain(d_means, d_vars, Q, lam):
-    """Chain gradients from (mu, v) back to natural parameters (Q, lam)."""
-    d_Q = d_means / lam[:, None]
-    d_lam = -(np.einsum("cd,cd->c", d_means, Q) + d_vars) / lam**2
+    """Chain gradients from (mu, v) back to natural parameters (Q, lam),
+    for one table (c, ...) or one per point (m, c, ...)."""
+    d_Q = d_means / lam[..., None]
+    d_lam = -(np.einsum("...cd,...cd->...c", d_means, Q) + d_vars) / lam**2
     return d_Q, d_lam
 
 
@@ -234,11 +385,10 @@ def _table_nll(table, Z, y_idx, params):
     y_idx is 0-based, the novel slot being index table.n. Returns
     (nll, d_Q, d_lam, d_Z, d_b); d_Q and d_lam end with the novel slot's row.
     """
-    nll, d_means, d_vars, d_Z, d_log_prior = _mixture_nll_grads(
-        Z, y_idx, table.means, table.variances, log_class_prior(table, params)
-    )
+    _, log_post = log_posterior(Z, table.means, table.variances, log_class_prior(table, params))
+    nll, d_means, d_vars, d_Z, d_log_prior = _mixture_nll_grads(Z, y_idx, table.means, table.variances, log_post)
     d_Q, d_lam = _natural_chain(d_means, d_vars, table.Q, table.lam)
-    return nll, d_Q, d_lam, d_Z, predictive_grad_b(table, params, d_log_prior)
+    return nll, d_Q, d_lam, d_Z, float(predictive_grad_b(table, params, d_log_prior))
 
 
 def _sequential_nll(table, Z, labels, params):
@@ -247,35 +397,40 @@ def _sequential_nll(table, Z, labels, params):
     _table_nll returns, with d_Q and d_lam summed over the steps per table
     position: a row born in the pass shares its position's sum with the
     novel slot that held it before; both hold one copy of q0.
+
+    One Prefix pass scores every step. Each step's terms are summed in step
+    order, as stepping the table would: R is the running sum of
+    d loss / d Q per position, and seen[j] is R at the row query j
+    conditioned just after step j.
     """
     m, d = Z.shape
-    R = np.zeros((table.n + m + 1, d))                # running sum of d loss / d Q per position
-    R_lam = np.zeros(table.n + m + 1)
-    row = np.full(m, -1)                              # row each query conditioned
-    seen = np.zeros((m, d))                           # R[row] when it did
-    d_Z = np.zeros_like(Z)
-    total = d_b = 0.0
+    prefix = Prefix(table, Z, labels, params)
+    y = prefix.labels - 1
+    R, R_lam = np.zeros((prefix.n + 1, d)), np.zeros(prefix.n + 1)
+    seen, d_Z = np.zeros((m, d)), np.empty((m, d))
+    nll, d_b = np.empty(m), np.empty(m)
 
-    for j, y in enumerate(labels):
-        try:
-            y = table.check(y)
-        except ProtocolError as e:
-            raise ProtocolError(f"query {j}: {e}") from e
-        nll, d_Qp, d_lamp, d_z, d_bj = _table_nll(table, Z[j : j + 1], np.array([y - 1]), params)
-        total += nll
-        d_b += d_bj
-        d_Z[j] = d_z[0]
-        R[: len(d_lamp)] += d_Qp
-        R_lam[: len(d_lamp)] += d_lamp
-        r = table.condition(Z[j], y)
-        if r is not None:
-            row[j] = r
-            seen[j] = R[r]
+    for c in prefix.chunks(every_row=True):
+        n, yc = c.n, y[c.steps]
+        means, variances, Q, lam = (prefix.columns(c, name) for name in ("means", "variances", "Q", "lam"))
+        nll[c.steps], d_means, d_vars, d_Z[c.steps], G = _mixture_nll_grads(
+            Z[c.steps], yc, means, variances, c.log_post
+        )
+        d_Q, d_lam = _natural_chain(d_means, d_vars, Q, lam)
+        d_b[c.steps] = predictive_grad_b(c, params, G)
 
-    cond = row >= 0
-    d_Z[cond] += (R[row[cond]] - seen[cond]) * (1.0 / table.noise_var)
-    used, scale = table.n + 1, 1.0 / m
-    return total * scale, R[:used] * scale, R_lam[:used] * scale, d_Z * scale, d_b * scale
+        for running, terms in ((R, d_Q), (R_lam, d_lam)):  # the sums after each step, in place
+            terms[0] += running[: n + 1]
+            np.add.accumulate(terms, axis=0, out=terms)
+            running[: n + 1] = terms[-1]
+        cond = np.flatnonzero(yc >= table.n_kk)
+        seen[c.steps.start + cond] = d_Q[cond, yc[cond]]
+
+    cond = y >= table.n_kk
+    d_Z[cond] += (R[y[cond]] - seen[cond]) * (1.0 / table.noise_var)
+    total, d_b = (float(np.add.accumulate(np.append(0.0, v))[-1]) for v in (nll, d_b))
+    scale = 1.0 / m
+    return total * scale, R * scale, R_lam * scale, d_Z * scale, d_b * scale
 
 
 def support_sums(Z, labels, n_classes):
@@ -332,8 +487,8 @@ def _adaptation_term(q0, lam0, noise_var, Za, adapt_labels, cond_idx):
     yq = adapt_labels[query_mask] - 1
     means = Qa / lama[:, None]
     variances = 1.0 / lama + noise_var
-    log_prior = np.zeros(n_classes)
-    nll, d_means, d_vars, d_Zq, _ = _mixture_nll_grads(Zq, yq, means, variances, log_prior)
+    _, log_post = log_posterior(Zq, means, variances, np.zeros(n_classes))
+    nll, d_means, d_vars, d_Zq, _ = _mixture_nll_grads(Zq, yq, means, variances, log_post)
     d_Qa, d_lama = _natural_chain(d_means, d_vars, Qa, lama)
 
     d_q0 = d_Qa.sum(axis=0)
@@ -453,8 +608,8 @@ def pretrain_grads(weight, bias, H, labels, means, log_variances, beta):
     d = means.shape[1]
 
     Z = encode(weight, bias, H)
-    log_prior = np.zeros(means.shape[0])
-    nll, d_means, d_vars, d_Z, _ = _mixture_nll_grads(Z, labels - 1, means, variances, log_prior)
+    _, log_post = log_posterior(Z, means, variances, np.zeros(means.shape[0]))
+    nll, d_means, d_vars, d_Z, _ = _mixture_nll_grads(Z, labels - 1, means, variances, log_post)
     reg = beta * float(np.sum(d / variances))
     d_log_vars = d_vars * variances - beta * d / variances
     d_weight, d_bias = _encoder_grads(weight, [(H, d_Z)])

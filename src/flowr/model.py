@@ -14,10 +14,13 @@ last, natural parameters Q (N + 1, d) and lam (N + 1,), the cached
 predictive means Q / lam and variances 1 / lam + s_eps, and int64 counts.
 The table is the only holder of the counts: predict is the table's forward
 pass under the CRP prior read straight from the table's counts, and
-`counts` builds a crp.ClassCounts on demand. update copies the table (only
-its counts for a known-known label) and takes one condition step;
-run_episode and init_small_context copy the table once, step it through
-the whole stream and freeze the result. Earlier states stay valid.
+`counts` builds a crp.ClassCounts on demand. condition is the online step:
+update copies the table (only its counts for a known-known label) and
+takes one condition step, and init_small_context copies it once and steps
+it through the support. run_episode knows every label in advance, so it
+scores the whole stream in one losses.Prefix pass and builds the final
+table from the pass's last row versions and counts, stepping nothing.
+Earlier states stay valid.
 `class_stats` builds NaturalClassStats on demand; the known-known rows,
 which no step rewrites, are built once per lineage of states.
 """
@@ -151,19 +154,32 @@ def predict(state: ModelState, x) -> PredictionRecord:
 def _predict(table, crp_params, z) -> PredictionRecord:
     log_prior = losses.log_class_prior(table, crp_params)
     logf, log_post = losses.log_posterior(z[None, :], table.means, table.variances, log_prior)
-    logf, log_post = logf[0], log_post[0]
+    return _records(table.n, logf, log_post)[0]
+
+
+def _records(n, logf, log_post, labels=None) -> list:
+    """PredictionRecords of m queries, each scored against a table of n
+    classes: their log densities and log posteriors (m, n + 1)."""
     probs = np.exp(log_post)
-    n = table.n
-    known = probs[:n]
-    if n > 0 and not known.any():
-        known = log_post[:n] if np.isfinite(log_post[:n]).any() else logf[:n]
-    return PredictionRecord(
-        probs=probs,
-        predicted=int(np.argmax(probs)) + 1,
-        known_argmax=int(np.argmax(known)) + 1 if n > 0 else None,
-        novelty_score=float(probs[-1]),
-        n_at_prediction=n,
-    )
+    m = len(probs)
+    known_argmax = [None] * m
+    if n > 0:
+        known = probs[:, :n]
+        has_mass = known.any(axis=1)
+        if not has_mass.all():
+            post = log_post[:, :n]
+            fallback = np.where(np.isfinite(post).any(axis=1, keepdims=True), post, logf[:, :n])
+            known = np.where(has_mass[:, None], known, fallback)
+        known_argmax = (known.argmax(axis=1) + 1).tolist()
+    predicted, novelty = (probs.argmax(axis=1) + 1).tolist(), probs[:, -1].tolist()
+    labels = [None] * m if labels is None else labels.tolist()
+    return [
+        PredictionRecord(
+            probs=probs[i], predicted=predicted[i], known_argmax=known_argmax[i], novelty_score=novelty[i],
+            n_at_prediction=n, true_label=labels[i],
+        )
+        for i in range(m)
+    ]
 
 
 def update(state: ModelState, x, y) -> ModelState:
@@ -223,22 +239,29 @@ def init_large_context(
 def run_episode(state: ModelState, queries):
     """Predict-then-update over a labelled query stream.
 
-    Each query is encoded once for both steps. Returns (records,
-    final_state); records keep stream order and carry the true labels and
-    the class count at prediction time.
+    Each query is encoded once. With every label known up front, one
+    losses.Prefix pass scores each query against the table conditioned on
+    the queries before it, and the final state is built from the pass's
+    last row versions and counts. A fault is reported as stepping would
+    meet it: the first in stream order, a query's input before its score
+    before its label. Returns (records, final_state); records keep stream
+    order and carry the true labels and the class count at prediction time.
     """
-    table = state._table.copy()
-    records = []
-    for i, (x, y) in enumerate(queries):
-        z = _embed(state, x)
-        record = _predict(table, state.crp_params, z)
-        record.true_label = int(y)
-        records.append(record)
+    Z, labels = [], []
+    for x, y in queries:
         try:
-            table.condition(z, y)
-        except ProtocolError as e:
-            raise ProtocolError(f"query {i}: {e}") from e
-    return records, (state._derive(table) if records else state)
+            Z.append(_embed(state, x))
+        except ValueError:
+            losses.check_labels(state._table, labels, state.crp_params)
+            raise
+        labels.append(y)
+    if not Z:
+        return [], state
+    prefix = losses.Prefix(state._table, np.array(Z), labels, state.crp_params)
+    records = []
+    for c in prefix.chunks():
+        records += _records(c.n, c.logf, c.log_post, prefix.labels[c.steps])
+    return records, state._derive(prefix.final_table())
 
 
 def fine_tune_output_layer(state: ModelState, support, steps, step_size, *, return_trace=False):

@@ -92,6 +92,8 @@ def evaluate(
     if method not in ("flowr", "ncm"):
         raise ValueError(f"unknown method {method!r}")
     n_episodes = cfg.eval_episodes if n_episodes is None else n_episodes
+    if n_episodes < 1:
+        raise ValueError(f"n_episodes must be at least 1, got {n_episodes}")
     seed = cfg.seed if seed is None else seed
     if cfg.setting == "lc" and known_classes is None:
         if ckpt.params.class_q is not None:

@@ -154,6 +154,26 @@ def test_evaluate_rejects_unknown_method():
         runner.evaluate(None, None, None, method="svm")
 
 
+@pytest.mark.parametrize("n_episodes", [0, -1])
+def test_evaluate_rejects_fewer_than_one_episode(n_episodes, monkeypatch):
+    """The n_episodes keyword overrides the validated eval_episodes field,
+    so it is checked on its own, before any episode is sampled (it used to
+    fail later, blaming accuracy_suite)."""
+    world = generate_synthetic_world(12, 4, 25.0, 0.5, 20, seed=10)
+    params = meta.init_meta_params(4, np.random.default_rng(1))
+    ckpt = Checkpoint(
+        params=params, crp=CrpParams(a=0.5, rho=params.rho), noise=NoiseModel(0.5), setting="sc"
+    )
+    cfg = ExperimentConfig(setting="sc", d=4, eval_support_classes=2, eval_novel_classes=2, eval_episodes=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an episode was sampled")
+
+    monkeypatch.setattr(meta, "sample_sc_task", refuse)
+    with pytest.raises(ValueError, match=f"^n_episodes must be at least 1, got {n_episodes}$"):
+        runner.evaluate(world, ckpt, cfg, n_episodes=n_episodes)
+
+
 def test_evaluate_ncm_large_context_starts_from_class_means():
     """In the large-context setting NCM starts every episode from the
     checkpoint's class embedding means, one prototype per known class."""

@@ -6,9 +6,13 @@ checker a deliberately corrupted gradient to confirm the certificate can
 actually fail.
 """
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
-from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 from flowr import crp, losses, meta
@@ -224,6 +228,108 @@ class TestSequentialMatchesInference:
         np.testing.assert_allclose(g.nll, nll, rtol=1e-12)
 
 
+def _stepped_sequential_nll(table, Z, labels, params):
+    """The teacher-forced loss as it was written before the prefix pass:
+    score query j against the table, then step the table with condition().
+    Kept as the reference the batched pass must match bit for bit."""
+    m, d = Z.shape
+    R = np.zeros((table.n + m + 1, d))
+    R_lam = np.zeros(table.n + m + 1)
+    row = np.full(m, -1)
+    seen = np.zeros((m, d))
+    d_Z = np.zeros_like(Z)
+    total = d_b = 0.0
+
+    for j, y in enumerate(labels):
+        try:
+            y = table.check(y)
+        except ProtocolError as e:
+            raise ProtocolError(f"query {j}: {e}") from e
+        nll, d_Qp, d_lamp, d_z, d_bj = losses._table_nll(table, Z[j : j + 1], np.array([y - 1]), params)
+        total += nll
+        d_b += d_bj
+        d_Z[j] = d_z[0]
+        R[: len(d_lamp)] += d_Qp
+        R_lam[: len(d_lamp)] += d_lamp
+        r = table.condition(Z[j], y)
+        if r is not None:
+            row[j] = r
+            seen[j] = R[r]
+
+    cond = row >= 0
+    d_Z[cond] += (R[row[cond]] - seen[cond]) * (1.0 / table.noise_var)
+    used, scale = table.n + 1, 1.0 / m
+    return total * scale, R[:used] * scale, R_lam[:used] * scale, d_Z * scale, d_b * scale
+
+
+@st.composite
+def _teacher_forced_cases(draw):
+    """A class table [n_kk rows | support rows | novel slot] and a dense
+    label stream over it, at extreme noise and prior scales."""
+    n_kk = draw(st.sampled_from([0, 0, 1, 4]))
+    n_support = draw(st.integers(0, 3))
+    start = n_kk + n_support
+    kind = draw(st.sampled_from(["mixed", "open first", "known-known only"]))
+    if kind == "known-known only" and n_kk == 0:
+        kind = "mixed"
+    choices = draw(st.lists(st.integers(0, 7), min_size=1, max_size=40))
+    labels, n = [], start
+    for i, c in enumerate(choices):
+        if kind == "known-known only":
+            y = c % n_kk + 1
+        elif kind == "open first" and i == 0:
+            y = n + 1
+        else:
+            y = min(c, n) + 1
+        n = max(n, y)
+        labels.append(y)
+    return dict(
+        n_kk=n_kk,
+        n_support=n_support,
+        labels=labels,
+        d=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        noise=10.0 ** draw(st.floats(-6.0, 6.0)),
+        lam0=draw(st.sampled_from([1e-6, 1e-3, 0.5, 5.0])),
+        init_count=draw(st.integers(0, 3)),
+        a=draw(st.floats(0.0, 0.9)),
+        b=draw(st.floats(0.1, 3.0)),
+        entries=draw(st.sampled_from([None, 1, 7, 40])),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_teacher_forced_cases())
+def test_prefix_pass_matches_stepped_teacher_forced_loss(case):
+    """The batched teacher-forced loss returns exactly what stepping the
+    table query by query returned: all five values, bit for bit, across
+    small- and large-context tables (known-known counts 0 or more), streams
+    that open a class first or only ever name known-known classes, runs of
+    steps split into several chunks, and noise variances from 1e-6 to 1e6."""
+    rng = np.random.default_rng(case["seed"])
+    d, n_kk, n_support = case["d"], case["n_kk"], case["n_support"]
+    noise, lam0 = case["noise"], case["lam0"]
+    q0 = rng.normal(size=d)
+    K = rng.integers(1, 4, size=n_support)
+    Q = np.vstack([rng.normal(size=(n_kk, d)), q0 + rng.normal(size=(n_support, d)) * K[:, None] / noise])
+    lam = np.append(rng.uniform(0.1, 3.0, n_kk), lam0 + K / noise)
+    counts = np.append(np.full(n_kk, case["init_count"]), losses.ClassTable.counts_after(K))
+    table = losses.ClassTable(Q, lam, counts, q0, lam0, noise, n_kk=n_kk)
+    Z = rng.normal(size=(len(case["labels"]), d))
+    params = CrpParams.from_b(a=case["a"], b=case["b"])
+
+    want = _stepped_sequential_nll(table.copy(), Z, case["labels"], params)
+    entries = case["entries"] or losses.PREFIX_ENTRIES
+    with mock.patch.object(losses, "PREFIX_ENTRIES", entries):
+        got = losses._sequential_nll(table, Z, case["labels"], params)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        if isinstance(w, float):
+            assert g == w
+        else:
+            np.testing.assert_array_equal(g, w)
+
+
 def test_teacher_forced_label_skipping_ahead_is_rejected():
     """The teacher-forced loss replays labels through the model's class
     table, so a label past the next free class fails with one line that
@@ -233,6 +339,28 @@ def test_teacher_forced_label_skipping_ahead_is_rejected():
     query_y[2] = 99
     w, b = template.encoder.params
     with pytest.raises(ProtocolError, match="^query 2: label 99 skips ahead of the [0-9]+ known classes$"):
+        losses.sc_meta_grads(
+            w, b, template.q0, template.log_lambda0, template.rho, replace(episode, query_y=query_y),
+            a=0.5, noise_var=0.5, lambda_w=0.0, cond_idx=[], sequential=True,
+        )
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({3: 0, 5: 99}, "^query 3: label 0 is not a positive class index$"),
+        ({4: 99, 1: 0}, "^query 1: label 0 is not a positive class index$"),
+        ({0: -2}, "^query 0: label -2 is not a positive class index$"),
+    ],
+)
+def test_teacher_forced_first_bad_label_is_reported(faults, message):
+    """Of several bad labels, the first in stream order is the one named."""
+    template, episode = _sc_problem(seed=37)
+    query_y = episode.query_y.copy()
+    for j, y in faults.items():
+        query_y[j] = y
+    w, b = template.encoder.params
+    with pytest.raises(ProtocolError, match=message):
         losses.sc_meta_grads(
             w, b, template.q0, template.log_lambda0, template.rho, replace(episode, query_y=query_y),
             a=0.5, noise_var=0.5, lambda_w=0.0, cond_idx=[], sequential=True,

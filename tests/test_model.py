@@ -6,6 +6,8 @@ N(0,5) and class prior [0.45, 0.45, 0.10]; that prior is realised exactly
 by counts [14, 14] with a=0.5, b=2 ((14-0.5)/30 = 0.45, (2+0.5*2)/30 = 0.1).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from flowr import losses
-from flowr.crp import ClassCounts, CrpParams, instantiate, observe, predictive_class_probs
+from flowr.crp import ClassCounts, CrpParams, InvalidStateError, instantiate, observe, predictive_class_probs
 from flowr.encoder import ClassEmbeddings, Encoder
 from flowr.gaussian import (
     IsotropicGaussian,
@@ -346,6 +348,41 @@ class TestRunEpisode:
         with pytest.raises(ProtocolError, match="query 1"):
             run_episode(_empty_state(), [([0.0], 1), ([0.0], 3)])
 
+    @pytest.mark.parametrize(
+        "queries, error, message",
+        [
+            ([([0.0], 1), ([0.0], 3), ([0.0, 0.0], 2)], ProtocolError,
+             "^query 1: label 3 skips ahead of the 1 known classes$"),
+            ([([0.0], 1), ([0.0, 0.0], 2), ([0.0], 5)], ValueError,
+             "^input must be one vector of length 1, got shape \\(2,\\)$"),
+            ([([0.0], 1), ([0.0], 1), ([0.0], 0)], ProtocolError,
+             "^query 2: label 0 is not a positive class index$"),
+            ([([0.0], 0), ([np.nan], 1)], ProtocolError,
+             "^query 0: label 0 is not a positive class index$"),
+            ([([0.0], 1), ([np.nan], 9)], ValueError, "^input must be finite \\(after encoding\\)$"),
+        ],
+    )
+    def test_first_fault_in_stream_order_is_reported(self, queries, error, message):
+        """Each query is encoded, scored, then its label is applied: the
+        first fault in that order is the one raised, whatever follows it."""
+        with pytest.raises(error, match=message):
+            run_episode(_empty_state(), queries)
+
+    @pytest.mark.parametrize("later", [([0.0], 9), ([0.0, 0.0], 1)])
+    def test_unscorable_first_query_comes_before_later_faults(self, later):
+        """With every count zero and b <= 0 the CRP rule has no mass, so
+        the first query cannot be scored; that comes before a bad label or
+        input further down the stream."""
+        state = init_large_context(
+            ClassEmbeddings(means=[[0.0], [1.0]], variances=[1.0, 1.0]),
+            SharedPrior(NaturalClassStats(q=[0.0], lam=1.0)),
+            CrpParams.from_b(a=0.5, b=-0.25),
+            NOISE,
+            Encoder.identity(),
+        )
+        with pytest.raises(InvalidStateError, match="no probability mass"):
+            run_episode(state, [([0.0], 1), later])
+
 
 class TestFineTune:
     def _affine_state(self, seed=0):
@@ -460,6 +497,7 @@ def _streams(draw):
         b=draw(st.floats(0.1, 3.0)),
         affine=draw(st.booleans()),
         init_count=draw(st.integers(1, 3)),
+        entries=draw(st.sampled_from([None, 1, 6, 30])),
     )
 
 
@@ -513,14 +551,22 @@ class TestArrayStateMatchesDataclassFold:
                 np.testing.assert_array_equal(got.q, want.q)
                 assert got.lam == want.lam
 
-        # run_episode steps one copy of the table: same outputs, and the
-        # input state is left as it was
+        # run_episode's prefix pass gives the same outputs, also when its
+        # steps are split over several chunks, and leaves the input state
+        # as it was
         start = states[0]
         before = [a.copy() for a in (start.Q, start.lam, start.means, start.variances, start.counts.counts)]
-        records, final = run_episode(start, zip(X, case["labels"]))
+        with mock.patch.object(losses, "PREFIX_ENTRIES", case["entries"] or losses.PREFIX_ENTRIES):
+            records, final = run_episode(start, zip(X, case["labels"]))
+        assert len(records) == len(case["labels"])
         for i, record in enumerate(records):
             stats, counts = expected[i]
             np.testing.assert_array_equal(record.probs, _reference_probs(stats, states[i], counts, enc(X[i])))
+            stepped = predict(states[i], X[i])
+            assert (record.predicted, record.known_argmax, record.novelty_score, record.n_at_prediction) == (
+                stepped.predicted, stepped.known_argmax, stepped.novelty_score, stepped.n_at_prediction
+            )
+            assert record.true_label == case["labels"][i]
         for got, want in zip((start.Q, start.lam, start.means, start.variances, start.counts.counts), before):
             np.testing.assert_array_equal(got, want)
         for name in ("Q", "lam", "means", "variances"):
