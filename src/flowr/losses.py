@@ -151,6 +151,9 @@ class ClassTable:
     @staticmethod
     def fault(y, n):
         """Why label y breaks the dense arrival protocol at n known classes, or None."""
+        if not float(y).is_integer():
+            return f"label {y} is not an integer class index"
+        y = int(y)
         if y < 1:
             return f"label {y} is not a positive class index"
         if y > n + 1:
@@ -159,11 +162,10 @@ class ClassTable:
 
     def check(self, y) -> int:
         """The label as an int, or a ProtocolError if it breaks the dense arrival protocol."""
-        y = int(y)
         fault = self.fault(y, self.n)
         if fault:
             raise ProtocolError(fault)
-        return y
+        return int(y)
 
     def condition(self, z, y):
         """The one conditioning step, on point z with label y; returns the row
@@ -215,19 +217,33 @@ def _bayes(logf, log_prior):
 PREFIX_ENTRIES = 1 << 16
 
 
+def label_fault(n, labels):
+    """A stream's arrival-order labels, from n known classes, as int64, and
+    its first label in stream order that breaks the dense arrival protocol
+    (not an integer, below 1, or skipping past the classes seen so far) as
+    (position, why), or None."""
+    raw = np.asarray(labels)
+    y = raw.astype(np.float64)
+    # a label that is no integer in int64 range reads 0, a fault that ClassTable.fault names from its raw value
+    y = np.where((y == np.round(y)) & (np.abs(y) < 2.0**62), y, 0.0).astype(np.int64)
+    n_at = np.maximum.accumulate(np.append(n, y))[:-1]
+    bad = np.flatnonzero((y < 1) | (y > n_at + 1))
+    if not bad.size:
+        return y, None
+    j = int(bad[0])
+    return y, (j, ClassTable.fault(raw[j], n_at[j]))
+
+
 def check_labels(table, labels, params) -> np.ndarray:
-    """A stream's arrival-order labels as int64, or its first fault in stream
-    order: the CRP rule refusing to score the first step (no class count yet
-    and b <= 0, the only state it refuses), then a label breaking the dense
-    arrival protocol, as a ProtocolError naming its query."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """A scored stream's arrival-order labels as int64, or its first fault
+    in stream order: the CRP rule refusing to score the first step (no
+    class count yet and b <= 0, the only state it refuses), then a label
+    breaking the dense arrival protocol, as a ProtocolError naming its query."""
+    labels, fault = label_fault(table.n, labels)
     if labels.size and not table.counts.any():
         predictive_class_probs(table, params)
-    n_at = np.maximum.accumulate(np.append(table.n, labels))[:-1]
-    bad = np.flatnonzero((labels < 1) | (labels > n_at + 1))
-    if bad.size:
-        j = bad[0]
-        raise ProtocolError(f"query {j}: {ClassTable.fault(labels[j], n_at[j])}")
+    if fault:
+        raise ProtocolError(f"query {fault[0]}: {fault[1]}")
     return labels
 
 
@@ -253,11 +269,12 @@ class Prefix:
     temporary holds more than PREFIX_ENTRIES entries. Rows below n_kk never
     change and are scored as the table's own rows, never gathered per step
     for the forward pass. final_table() is the table after the stream.
+    labels are the stream's checked int64 labels (check_labels, or
+    label_fault for a stream that is never scored).
     """
 
     def __init__(self, table, Z, labels, params):
-        self.labels = check_labels(table, labels, params)
-        self.table, self.Z, self.params = table, Z, params
+        self.table, self.Z, self.labels, self.params = table, Z, labels, params
         n0, n_kk, inv = table.n, table.n_kk, 1.0 / table.noise_var
         n_at = np.maximum.accumulate(np.append(n0, self.labels))
         self.n_at, self.n = n_at[:-1], int(n_at[-1])
@@ -404,7 +421,7 @@ def _sequential_nll(table, Z, labels, params):
     conditioned just after step j.
     """
     m, d = Z.shape
-    prefix = Prefix(table, Z, labels, params)
+    prefix = Prefix(table, Z, check_labels(table, labels, params), params)
     y = prefix.labels - 1
     R, R_lam = np.zeros((prefix.n + 1, d)), np.zeros(prefix.n + 1)
     seen, d_Z = np.zeros((m, d)), np.empty((m, d))

@@ -91,7 +91,7 @@ def h_measure(s: ScoreSet, alpha=2.0, beta=2.0) -> float:
     _require_both(s, "h_measure")
     fpr, tpr, _ = roc_curve(s)
     order = np.argsort(fpr, kind="stable")
-    hull = _upper_hull(fpr[order], tpr[order])
+    hull = _upper_hull(fpr[order].tolist(), tpr[order].tolist())
 
     n_pos, n_neg = len(s.positives), len(s.negatives)
     pi1 = n_pos / (n_pos + n_neg)

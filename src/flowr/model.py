@@ -16,10 +16,11 @@ The table is the only holder of the counts: predict is the table's forward
 pass under the CRP prior read straight from the table's counts, and
 `counts` builds a crp.ClassCounts on demand. condition is the online step:
 update copies the table (only its counts for a known-known label) and
-takes one condition step, and init_small_context copies it once and steps
-it through the support. run_episode knows every label in advance, so it
-scores the whole stream in one losses.Prefix pass and builds the final
-table from the pass's last row versions and counts, stepping nothing.
+takes one condition step. run_episode and init_small_context know every
+label in advance, so they build the final table from one losses.Prefix
+pass, its last row versions and counts, stepping nothing; run_episode
+also scores the whole stream in that pass. Every call encodes its inputs
+once, in one block through _encode, the model's only encoding path.
 Earlier states stay valid.
 `class_stats` builds NaturalClassStats on demand; the known-known rows,
 which no step rewrites, are built once per lineage of states.
@@ -127,16 +128,41 @@ class PredictionRecord:
     true_label: int | None = None
 
 
-def _embed(state: ModelState, x) -> np.ndarray:
-    """Encode one raw input, rejecting a wrong-shaped or non-finite one."""
-    x = np.asarray(x, dtype=np.float64)
-    d_in = state.prior.prior.dim if state.encoder.kind == "identity" else state.encoder.weight.shape[1]
-    if x.shape != (d_in,):
-        raise ValueError(f"input must be one vector of length {d_in}, got shape {x.shape}")
-    z = state.encoder(x)
-    if not np.isfinite(z).all():
-        raise ValueError("input must be finite (after encoding)")
-    return z
+def _encode(state: ModelState, inputs) -> np.ndarray:
+    """Encode a list of raw inputs, one vector of length d_in each, in one
+    call: Z (m, d). An affine encoder applies the stacked
+    matmul(weight, x[:, :, None]), which gives weight @ x + bias bit for
+    bit for every row (the 2-D GEMM of Encoder.__call__ does not). A bad
+    input raises the error a check of that row alone raises, with the row
+    as .row: the first that is not one vector of length d_in or is not
+    finite after encoding.
+    """
+    enc = state.encoder
+    d_in = state.prior.prior.dim if enc.kind == "identity" else enc.weight.shape[1]
+    m, fault = len(inputs), None
+    try:
+        X = np.asarray(inputs, dtype=np.float64)
+    except (TypeError, ValueError):
+        X = None  # ragged, or not numbers: the row check below finds the row
+    if X is None or X.shape != (m, d_in):
+        for row, x in enumerate(inputs):
+            try:
+                shape = np.asarray(x, dtype=np.float64).shape
+                if shape != (d_in,):
+                    raise ValueError(f"input must be one vector of length {d_in}, got shape {shape}")
+            except (TypeError, ValueError) as e:
+                e.row = m = row
+                fault = e
+                break
+        X = np.asarray(inputs[:m], dtype=np.float64).reshape(m, d_in)
+    Z = X if enc.kind == "identity" else np.matmul(enc.weight, X[:, :, None])[:, :, 0] + enc.bias
+    finite = np.isfinite(Z)
+    if not finite.all():
+        fault = ValueError("input must be finite (after encoding)")
+        fault.row = int(finite.all(axis=1).argmin())
+    if fault is not None:
+        raise fault
+    return Z
 
 
 def predict(state: ModelState, x) -> PredictionRecord:
@@ -148,12 +174,9 @@ def predict(state: ModelState, x) -> PredictionRecord:
     with the highest log posterior, or with the highest predictive
     log-density when every known prior is zero.
     """
-    return _predict(state._table, state.crp_params, _embed(state, x))
-
-
-def _predict(table, crp_params, z) -> PredictionRecord:
-    log_prior = losses.log_class_prior(table, crp_params)
-    logf, log_post = losses.log_posterior(z[None, :], table.means, table.variances, log_prior)
+    table = state._table
+    log_prior = losses.log_class_prior(table, state.crp_params)
+    logf, log_post = losses.log_posterior(_encode(state, [x]), table.means, table.variances, log_prior)
     return _records(table.n, logf, log_post)[0]
 
 
@@ -185,8 +208,9 @@ def _records(n, logf, log_post, labels=None) -> list:
 def update(state: ModelState, x, y) -> ModelState:
     """Condition the state on one labelled point; returns a new state. A
     known-known label (y <= n_kk) copies only the table's counts."""
-    z = _embed(state, x)
-    table = state._table.copy(room=1, rows=int(y) > state.n_kk)
+    z = _encode(state, [x])[0]
+    y = state._table.check(y)
+    table = state._table.copy(room=1, rows=y > state.n_kk)
     table.condition(z, y)
     return state._derive(table)
 
@@ -198,15 +222,26 @@ def init_small_context(
     encoder: Encoder,
     support,
 ) -> ModelState:
-    """Condition an empty state on a labelled support set in arrival order."""
+    """Condition an empty state on a labelled support set in arrival order.
+
+    The support is encoded in one call and its table built by one
+    losses.Prefix pass, which nothing scores. A fault is reported as
+    stepping would meet it: the first in stream order, a point's input
+    before its label, a label's as `support point i: ...`.
+    """
     state = ModelState(encoder, (), ClassCounts.empty(), crp_params, prior, noise)
-    table = state._table.copy()
-    for i, (x, y) in enumerate(support):
-        try:
-            table.condition(_embed(state, x), y)
-        except ProtocolError as e:
-            raise ProtocolError(f"support point {i}: {e}") from e
-    return state._derive(table)
+    support = list(support)
+    if not support:
+        return state
+    labels, fault = losses.label_fault(0, [y for _, y in support])
+    try:
+        Z = _encode(state, [x for x, _ in support])
+    except (TypeError, ValueError) as e:
+        if not fault or fault[0] >= e.row:
+            raise
+    if fault:
+        raise ProtocolError(f"support point {fault[0]}: {fault[1]}")
+    return state._derive(losses.Prefix(state._table, Z, labels, crp_params).final_table())
 
 
 def init_large_context(
@@ -247,17 +282,17 @@ def run_episode(state: ModelState, queries):
     before its label. Returns (records, final_state); records keep stream
     order and carry the true labels and the class count at prediction time.
     """
-    Z, labels = [], []
-    for x, y in queries:
-        try:
-            Z.append(_embed(state, x))
-        except ValueError:
-            losses.check_labels(state._table, labels, state.crp_params)
-            raise
-        labels.append(y)
-    if not Z:
+    queries = list(queries)
+    if not queries:
         return [], state
-    prefix = losses.Prefix(state._table, np.array(Z), labels, state.crp_params)
+    table, params = state._table, state.crp_params
+    labels = [y for _, y in queries]
+    try:
+        Z = _encode(state, [x for x, _ in queries])
+    except ValueError as e:
+        losses.check_labels(table, labels[: e.row], params)
+        raise
+    prefix = losses.Prefix(table, Z, losses.check_labels(table, labels, params), params)
     records = []
     for c in prefix.chunks():
         records += _records(c.n, c.logf, c.log_post, prefix.labels[c.steps])

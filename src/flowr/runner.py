@@ -150,22 +150,22 @@ def write_metrics(path, metrics):
 
 def write_roc_csv(path, roc):
     fpr, tpr, thresholds = roc
+    text = "".join(f"{float(f)!r},{float(t)!r},{float(th)!r}\n" for f, t, th in zip(fpr, tpr, thresholds))
     with open(path, "w") as fh:
-        fh.write("fpr,tpr,threshold\n")
-        for f, t, th in zip(fpr, tpr, thresholds):
-            fh.write(f"{float(f)!r},{float(t)!r},{float(th)!r}\n")
+        fh.write("fpr,tpr,threshold\n" + text)
 
 
 def write_records(path, episodes):
+    text = "".join(
+        f"record episode={e} query={i} true={r.true_label} "
+        f"predicted={_fmt(r.predicted)} known_argmax={_fmt(r.known_argmax)} "
+        f"novelty={float(r.novelty_score)!r} n_at_prediction={r.n_at_prediction} "
+        f"n_initial={ep.n_initial}\n"
+        for e, ep in enumerate(episodes)
+        for i, r in enumerate(ep.records)
+    )
     with open(path, "w") as fh:
-        for e, ep in enumerate(episodes):
-            for i, r in enumerate(ep.records):
-                fh.write(
-                    f"record episode={e} query={i} true={r.true_label} "
-                    f"predicted={_fmt(r.predicted)} known_argmax={_fmt(r.known_argmax)} "
-                    f"novelty={float(r.novelty_score)!r} n_at_prediction={r.n_at_prediction} "
-                    f"n_initial={ep.n_initial}\n"
-                )
+        fh.write(text)
 
 
 def read_records(path) -> list:

@@ -367,6 +367,20 @@ def test_teacher_forced_first_bad_label_is_reported(faults, message):
         )
 
 
+def test_teacher_forced_non_integer_label_is_rejected():
+    """A label that is not an integer used to be truncated to the class
+    below it; the teacher-forced loss now refuses it, naming the query."""
+    template, episode = _sc_problem(seed=37)
+    query_y = episode.query_y.astype(np.float64)
+    query_y[2] += 0.5
+    w, b = template.encoder.params
+    with pytest.raises(ProtocolError, match="^query 2: label [0-9]+.5 is not an integer class index$"):
+        losses.sc_meta_grads(
+            w, b, template.q0, template.log_lambda0, template.rho, replace(episode, query_y=query_y),
+            a=0.5, noise_var=0.5, lambda_w=0.0, cond_idx=[], sequential=True,
+        )
+
+
 def test_lc_zero_init_count_is_rejected():
     """With lc_init_count=0 every known class has zero prior mass, so the
     loss was inf with NaN gradients; it is now refused with one line."""

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -32,6 +32,7 @@ from flowr.gaussian import (
 from flowr.model import (
     ModelState,
     ProtocolError,
+    _encode,
     fine_tune_output_layer,
     init_large_context,
     init_small_context,
@@ -71,6 +72,43 @@ def _empty_state(dim=1, *, b=1.0):
         prior=prior,
         noise=NOISE,
     )
+
+
+def _overflowing_state():
+    """An empty 1-d state whose affine encoder (weight 1e300) maps a finite
+    input of 1e10 past the largest float, to inf."""
+    return ModelState(
+        encoder=Encoder.affine([[1e300]], [0.0]),
+        class_stats=(),
+        counts=ClassCounts.empty(),
+        crp_params=CrpParams.from_b(a=0.5, b=1.0),
+        prior=SharedPrior(NaturalClassStats(q=np.zeros(1), lam=1.0)),
+        noise=NOISE,
+    )
+
+
+# Input faults against label faults, as (state, inputs, labels, error,
+# message after "query i: " or "support point i: " for a ProtocolError);
+# stream order decides, and a point's input comes before its label.
+_INPUT_FAULTS = [
+    # wrong shape (all rows alike, so they stack) before a bad label
+    (_empty_state, [[0.0, 0.0], [0.0, 0.0]], [1, 5], ValueError,
+     "input must be one vector of length 1, got shape \\(2,\\)"),
+    # a NaN input before label 0
+    (_empty_state, [[0.0], [np.nan], [0.0]], [1, 1, 0], ValueError, "input must be finite \\(after encoding\\)"),
+    # ragged inputs: the bad label comes first, then the odd row
+    (_empty_state, [[0.0], [0.0], [0.0, 0.0]], [1, 5, 1], ProtocolError,
+     "1: label 5 skips ahead of the 1 known classes"),
+    # ragged inputs: the odd row comes first, then the bad label
+    (_empty_state, [[0.0], [[0.0], [0.0]], [0.0]], [1, 1, 0], ValueError,
+     "input must be one vector of length 1, got shape \\(2, 1\\)"),
+    # finite inputs, one not finite after encoding, before a bad label
+    (_overflowing_state, [[1e-300], [1e10], [0.0]], [1, 1, 7], ValueError,
+     "input must be finite \\(after encoding\\)"),
+    # a bad label before an input that overflows in the encoder
+    (_overflowing_state, [[1e-300], [1e-300], [1e10]], [1, 3, 1], ProtocolError,
+     "1: label 3 skips ahead of the 1 known classes"),
+]
 
 
 class TestPredict:
@@ -169,6 +207,17 @@ class TestUpdate:
         with pytest.raises(ProtocolError, match="positive class index"):
             update(state, [0.0], 0)
 
+    @pytest.mark.parametrize("y", [1.9, 2.5, np.nan, np.inf])
+    def test_non_integer_label_is_refused(self, y):
+        """A label that is not an integer used to be truncated: 1.9
+        conditioned class 1, and NaN or inf failed inside int()."""
+        with pytest.raises(ProtocolError, match=f"^label {y} is not an integer class index$"):
+            update(_two_class_state(), [0.0], y)
+
+    def test_integer_valued_float_label_is_accepted(self):
+        out = update(_two_class_state(), [1.9], 2.0)
+        np.testing.assert_array_equal(out.counts.counts, [14, 15])
+
     def test_update_is_pure(self):
         state = _two_class_state()
         before = [(s.q.copy(), s.lam) for s in state.class_stats]
@@ -225,6 +274,27 @@ class TestInitSmallContext:
         prior, crp, noise, enc = self._ingredients()
         with pytest.raises(ProtocolError, match="support point 1"):
             init_small_context(prior, crp, noise, enc, [([0.0, 0.0], 1), ([0.0, 0.0], 3)])
+
+    def test_non_integer_label_is_refused(self):
+        """1.5 used to open class 1 silently."""
+        prior, crp, noise, enc = self._ingredients()
+        with pytest.raises(ProtocolError, match="^support point 1: label 1.5 is not an integer class index$"):
+            init_small_context(prior, crp, noise, enc, [([0.0, 0.0], 1), ([0.0, 0.0], 1.5)])
+
+    @pytest.mark.parametrize("make_state, inputs, labels, error, message", _INPUT_FAULTS)
+    def test_first_fault_in_stream_order_is_reported(self, make_state, inputs, labels, error, message):
+        """The support is encoded in one call, yet the fault raised is the
+        one stepping point by point met first: a point's input, then its label."""
+        state = make_state()
+        message = f"^support point {message}$" if error is ProtocolError else f"^{message}$"
+        with np.errstate(over="ignore"), pytest.raises(error, match=message):
+            init_small_context(state.prior, state.crp_params, state.noise, state.encoder, zip(inputs, labels))
+
+    def test_no_mass_prior_still_builds(self):
+        """Building the support table scores nothing, so b <= 0 is no fault."""
+        prior, _, noise, enc = self._ingredients()
+        state = init_small_context(prior, CrpParams.from_b(a=0.5, b=-0.25), noise, enc, [([0.0, 0.0], 1)])
+        assert state.n_classes == 1
 
 
 class TestInitLargeContext:
@@ -367,6 +437,20 @@ class TestRunEpisode:
         first fault in that order is the one raised, whatever follows it."""
         with pytest.raises(error, match=message):
             run_episode(_empty_state(), queries)
+
+    @pytest.mark.parametrize("make_state, inputs, labels, error, message", _INPUT_FAULTS)
+    def test_first_input_fault_in_stream_order_is_reported(self, make_state, inputs, labels, error, message):
+        """The stream is encoded in one call, yet the fault raised is the
+        one stepping query by query met first."""
+        state = make_state()
+        message = f"^query {message}$" if error is ProtocolError else f"^{message}$"
+        with np.errstate(over="ignore"), pytest.raises(error, match=message):
+            run_episode(state, zip(inputs, labels))
+
+    def test_non_integer_label_is_refused(self):
+        """2.7 used to open class 2 and be recorded as true_label=2."""
+        with pytest.raises(ProtocolError, match="^query 1: label 2.7 is not an integer class index$"):
+            run_episode(_empty_state(), [([0.0], 1), ([0.0], 2.7)])
 
     @pytest.mark.parametrize("later", [([0.0], 9), ([0.0, 0.0], 1)])
     def test_unscorable_first_query_comes_before_later_faults(self, later):
@@ -580,3 +664,99 @@ class TestArrayStateMatchesDataclassFold:
             for name in ("Q", "lam", "means", "variances"):
                 np.testing.assert_array_equal(getattr(built, name), getattr(states[-1], name))
             np.testing.assert_array_equal(built.counts.counts, states[-1].counts.counts)
+
+
+class TestEncode:
+    """_encode, the one encoding path of predict, update, run_episode and
+    init_small_context, encodes a whole block at once and gives each row
+    what encoding that vector alone gives, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d_in=st.integers(1, 70),
+        d=st.integers(1, 70),
+        m=st.integers(1, 40),
+        affine=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d_in=5, d=1, m=1, affine=True, seed=0)
+    @example(d_in=1, d=4, m=1, affine=True, seed=1)
+    @example(d_in=64, d=48, m=30, affine=True, seed=2)
+    @example(d_in=1, d=1, m=3, affine=False, seed=3)
+    def test_matches_per_row_encoding(self, d_in, d, m, affine, seed):
+        rng = np.random.default_rng(seed)
+        if affine:
+            enc = Encoder.affine(rng.normal(size=(d, d_in)), rng.normal(size=d))
+        else:
+            enc, d = Encoder.identity(), d_in
+        state = init_small_context(
+            SharedPrior(NaturalClassStats(q=np.zeros(d), lam=1.0)), CrpParams.from_b(a=0.5, b=1.0), NOISE, enc, []
+        )
+        X = rng.normal(size=(m, d_in)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+        Z = _encode(state, list(X))
+        want = np.array([enc.weight @ x + enc.bias if affine else x for x in X])
+        assert Z.shape == (m, d)
+        np.testing.assert_array_equal(Z, want)
+
+
+def _stepped_support_table(state, support):
+    """init_small_context as it was written before the prefix pass: encode
+    each point alone and step the empty state's class table with
+    condition(). Kept as the reference the one-pass build must match bit
+    for bit."""
+    table = state._table.copy()
+    for x, y in support:
+        table.condition(state.encoder(np.asarray(x, dtype=np.float64)), y)
+    return table
+
+
+@st.composite
+def _supports(draw):
+    """A dense-labelled support set and the model parts, at extreme noise
+    and prior scales, with CRP strengths b <= 0 among them."""
+    choices = draw(st.lists(st.integers(0, 5), min_size=0, max_size=30))
+    labels, n = [], 0
+    for c in choices:
+        y = min(c, n) + 1
+        n = max(n, y)
+        labels.append(y)
+    a = draw(st.floats(0.1, 0.9))
+    return dict(
+        labels=labels,
+        d_in=draw(st.integers(1, 5)),
+        d=draw(st.integers(1, 5)),
+        affine=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        noise=10.0 ** draw(st.floats(-6.0, 6.0)),
+        lam0=draw(st.sampled_from([1e-6, 1e-3, 0.5, 5.0])),
+        a=a,
+        b=a * draw(st.floats(-0.95, 3.0)),
+        fine_tune=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_supports())
+def test_init_small_context_matches_stepped_fold(case):
+    """init_small_context builds exactly the table that stepping the
+    support through ClassTable.condition builds: rows, cached means and
+    variances and counts, bit for bit; also for the state the fine-tuned
+    encoder rebuilds, and with b <= 0, which building never scores."""
+    rng = np.random.default_rng(case["seed"])
+    d_in, d = case["d_in"], case["d"]
+    if case["affine"]:
+        enc = Encoder.affine(rng.normal(size=(d, d_in)), rng.normal(size=d))
+    else:
+        enc, d = Encoder.identity(), d_in
+    prior = SharedPrior(NaturalClassStats(q=rng.normal(size=d), lam=case["lam0"]))
+    crp, noise = CrpParams.from_b(a=case["a"], b=case["b"]), NoiseModel(case["noise"])
+    support = [(x, y) for x, y in zip(rng.normal(size=(len(case["labels"]), d_in)), case["labels"])]
+
+    built = init_small_context(prior, crp, noise, enc, support)
+    # one point leaves leave-one-out an empty table, whose d/db is 0/0 when b rounds to 0
+    if case["fine_tune"] and case["affine"] and len(support) > 1:
+        built = fine_tune_output_layer(built, support, 1, 0.01)
+    want = _stepped_support_table(init_small_context(prior, crp, noise, built.encoder, []), support)
+    assert built.n_classes == want.n
+    for name in ("Q", "lam", "means", "variances", "counts"):
+        np.testing.assert_array_equal(getattr(built._table, name), getattr(want, name))
