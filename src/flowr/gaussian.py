@@ -135,18 +135,28 @@ def log_density(g: IsotropicGaussian, z) -> float:
     return float(-0.5 * d * (LOG_2PI + np.log(g.variance)) - diff @ diff / (2.0 * g.variance))
 
 
+def differences(Z, means):
+    """The difference block z - mu (m, c, d) of points Z (m, d) from means
+    (c, d), or per point (m, c, d), and its squared norms (m, c)."""
+    diff = Z[:, None, :] - means
+    return diff, np.einsum("mcd,mcd->mc", diff, diff)
+
+
+def log_density_sq(sq, variances, d):
+    """Log density of N(mu, v I) in d dimensions at squared distance sq from mu."""
+    return -0.5 * d * (LOG_2PI + np.log(variances)) - sq / (2.0 * variances)
+
+
 def log_density_matrix(Z, means, variances):
     """Log densities of isotropic Gaussians at many points.
 
     Z: (m, d), means: (c, d), variances: (c,). Returns (m, c). Means
     (m, c, d) and variances (m, c) give each point its own c Gaussians.
-    This is the vectorised workhorse shared by prediction and the training
-    losses.
+    This is differences() then log_density_sq(), the forward pass of
+    prediction; every training loss runs the same two steps in
+    losses._mixture_nll_grads, which keeps the block for its gradients.
     """
     Z = np.asarray(Z, dtype=np.float64)
     means = np.asarray(means, dtype=np.float64)
     variances = np.asarray(variances, dtype=np.float64)
-    d = Z.shape[1]
-    diff = Z[:, None, :] - means
-    sq = np.einsum("mcd,mcd->mc", diff, diff)
-    return -0.5 * d * (LOG_2PI + np.log(variances)) - sq / (2.0 * variances)
+    return log_density_sq(differences(Z, means)[1], variances, Z.shape[1])

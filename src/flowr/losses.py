@@ -28,13 +28,15 @@ which crp.predictive_grad_b applies next to the CRP rule itself.
 
 The model's recursion lives here too, shared with flowr.model: ClassTable
 holds the rows [classes | novel slot] and the class counts, and takes the
-one online conditioning step, condition(); log_posterior is the one forward
-pass (log densities, then Bayes rule under a CRP log prior), which
-_mixture_nll_grads differentiates. When a stream's labels are all known in
-advance, as in evaluation and the teacher-forced loss, Prefix builds every
-table the stream passes through at once: the table before step j is the
-initial table plus the points before j, so predict-then-update becomes one
-batched pass with the same additions in the same order, bit for bit.
+one online conditioning step, condition(). Inference scores through
+log_posterior (log densities, then Bayes rule under a CRP log prior);
+every training loss runs _mixture_nll_grads, one forward and backward
+pass over a single difference block z - mu. When a stream's labels are
+all known in advance, as in evaluation and the teacher-forced loss,
+Prefix builds every table the stream passes through at once: the table
+before step j is the initial table plus the points before j, so
+predict-then-update becomes one batched pass with the same additions in
+the same order, bit for bit.
 
 Both meta-training settings score queries against one table
 
@@ -49,7 +51,8 @@ of the shared prior, so d q0 is the sum of d Q over those rows.
 The frozen loss scores every query against that table. The teacher-forced
 sequential loss scores query j against the table conditioned on the
 queries before it, with their arrival-order labels, through the same
-Prefix pass as model.run_episode. A running per-row sum R_c of
+Prefix pass as model.run_episode and the same fused pass. A running
+per-row sum R_c of
 d loss / d Q_c, accumulated in step order, scatters the gradient back to
 the conditioning points: a query that conditioned row c at step j gets
 (R_c at the end - R_c after step j) / s_eps, a support point of row c gets
@@ -65,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crp import CrpParams, predictive_class_probs, predictive_grad_b, sigmoid
-from .gaussian import log_density_matrix
+from .gaussian import differences, log_density_matrix, log_density_sq
 
 
 def logsumexp(x, axis=-1):
@@ -201,8 +204,9 @@ def log_class_prior(counts, params: CrpParams) -> np.ndarray:
 
 
 def log_posterior(Z, means, variances, log_prior):
-    """The forward pass: log densities (m, c) of the points Z under each
-    row, and the Bayes-rule log posterior (m, c) under log_prior (c,)."""
+    """The inference forward pass (model.predict): log densities (m, c) of
+    the points Z under each row, and the Bayes-rule log posterior (m, c)
+    under log_prior (c,). The losses run it fused with their gradients."""
     logf = log_density_matrix(Z, means, variances)
     return logf, _bayes(logf, log_prior)
 
@@ -250,8 +254,8 @@ def check_labels(table, labels, params) -> np.ndarray:
 class _Steps:
     """A run of prefix-pass steps that all see n classes: their class counts
     before each step (m, n), which the CRP rule reads as .counts, the
-    version index of each step's rows n_kk..n-1 and novel slot, and the
-    forward pass, log densities and log posteriors (m, n + 1)."""
+    version index of each step's rows n_kk..n-1 and novel slot, and, unless
+    every_row, the forward pass: log densities and log posteriors (m, n + 1)."""
 
     __slots__ = ("steps", "n", "counts", "rows", "logf", "log_post")
 
@@ -301,12 +305,13 @@ class Prefix:
         self.counts = np.append(table.counts, np.full(self.n - n0, ClassTable.NEW_CLASS_COUNT - 1))
 
     def chunks(self, every_row=False):
-        """Yield the steps in stream order as _Steps, their forward pass done.
+        """Yield the steps in stream order as _Steps.
 
         A chunk holds as many steps as keep their counts and the rows
         gathered for them within PREFIX_ENTRIES entries: the rows from n_kk
-        on, or every row with every_row (as the loss's backward pass needs).
-        The rows below n_kk are scored in runs of steps of that size too.
+        on, its forward pass done (the rows below n_kk scored in runs of
+        steps of that size too), or every row with every_row, as the loss's
+        fused pass gathers them.
         """
         m, d = self.Z.shape
         table, n_kk = self.table, self.table.n_kk
@@ -327,13 +332,14 @@ class Prefix:
                 c.counts = self.counts[:n] + before[:, :n]
                 c.rows = np.empty((len(y), n + 1 - n_kk), dtype=np.int64)
                 c.rows[:, :-1], c.rows[:, -1] = self.start[: n - n_kk] + before[:, n_kk:n], self.start[-1]
-                Zc = self.Z[c.steps]
-                c.logf = np.empty((len(y), n + 1))
-                c.logf[:, n_kk:] = log_density_matrix(Zc, self.means[c.rows], self.variances[c.rows])
-                for k in range(0, len(y) if n_kk else 0, kk_size):
-                    kk = slice(k, k + kk_size)
-                    c.logf[kk, :n_kk] = log_density_matrix(Zc[kk], table.means[:n_kk], table.variances[:n_kk])
-                c.log_post = _bayes(c.logf, log_class_prior(c, self.params))
+                if not every_row:
+                    Zc = self.Z[c.steps]
+                    c.logf = np.empty((len(y), n + 1))
+                    c.logf[:, n_kk:] = log_density_matrix(Zc, self.means[c.rows], self.variances[c.rows])
+                    for k in range(0, len(y) if n_kk else 0, kk_size):
+                        kk = slice(k, k + kk_size)
+                        c.logf[kk, :n_kk] = log_density_matrix(Zc[kk], table.means[:n_kk], table.variances[:n_kk])
+                    c.log_post = _bayes(c.logf, log_class_prior(c, self.params))
                 yield c
 
     def columns(self, c, name):
@@ -360,17 +366,20 @@ class Prefix:
         )
 
 
-def _mixture_nll_grads(Z, y_idx, means, variances, log_post):
-    """Mean NLL of a Gaussian mixture classifier plus gradients, from its
-    forward pass log_post (m, c).
+def _mixture_nll_grads(Z, y_idx, means, variances, log_prior):
+    """Mean NLL of a Gaussian mixture classifier under log_prior (c,) plus
+    gradients: the forward and backward pass over one difference block.
 
     Z: (m, d) points, y_idx: (m,) 0-based targets, means: (c, d) and
     variances: (c,). Returns (nll, d_means, d_variances, d_Z, d_log_prior).
-    Means (m, c, d) and variances (m, c) give each point its own rows and
-    its own loss: every value and gradient but d_Z then keeps the point axis.
+    Means (m, c, d), variances (m, c) and log_prior (m, c) give each point
+    its own rows and its own loss: every value and gradient but d_Z then
+    keeps the point axis.
     """
     m, d = Z.shape
     own = means.ndim == 3
+    diff, sq = differences(Z, means)                   # (m, c, d), the only such block
+    log_post = _bayes(log_density_sq(sq, variances, d), log_prior)
     nll = -log_post[np.arange(m), y_idx]
     G = np.exp(log_post)
     G[np.arange(m), y_idx] -= 1.0
@@ -378,13 +387,11 @@ def _mixture_nll_grads(Z, y_idx, means, variances, log_post):
         nll = float(np.mean(nll))
         G /= m
 
-    diff = Z[:, None, :] - means                      # (m, c, d)
-    r = diff / variances[..., None]                   # (z - mu) / v
-    sq = np.einsum("mcd,mcd->mc", diff, diff)
+    r = np.divide(diff, variances[..., None], out=diff)   # (z - mu) / v
     d_v = -d / (2.0 * variances) + sq / (2.0 * variances**2)
     d_Z = -np.einsum("mc,mcd->md", G, r)
     if own:
-        return nll, G[:, :, None] * r, G * d_v, d_Z, G
+        return nll, np.multiply(r, G[:, :, None], out=r), G * d_v, d_Z, G
     return nll, np.einsum("mc,mcd->cd", G, r), np.einsum("mc,mc->c", G, d_v), d_Z, G.sum(axis=0)
 
 
@@ -400,18 +407,19 @@ def _table_nll(table, Z, y_idx, params):
     """Mean NLL of Z against the table under its CRP prior.
 
     y_idx is 0-based, the novel slot being index table.n. Returns
-    (nll, d_Q, d_lam, d_Z, d_b); d_Q and d_lam end with the novel slot's row.
+    (nll, d_Q, d_lam, d_Z, d_log_prior); d_Q and d_lam end with the novel
+    slot's row. Only the losses that train b take d/db from d_log_prior.
     """
-    _, log_post = log_posterior(Z, table.means, table.variances, log_class_prior(table, params))
-    nll, d_means, d_vars, d_Z, d_log_prior = _mixture_nll_grads(Z, y_idx, table.means, table.variances, log_post)
+    log_prior = log_class_prior(table, params)
+    nll, d_means, d_vars, d_Z, d_log_prior = _mixture_nll_grads(Z, y_idx, table.means, table.variances, log_prior)
     d_Q, d_lam = _natural_chain(d_means, d_vars, table.Q, table.lam)
-    return nll, d_Q, d_lam, d_Z, float(predictive_grad_b(table, params, d_log_prior))
+    return nll, d_Q, d_lam, d_Z, d_log_prior
 
 
 def _sequential_nll(table, Z, labels, params):
     """Teacher-forced query pass: query j is scored against the table, then
-    conditions it with its 1-based arrival-order label. Returns what
-    _table_nll returns, with d_Q and d_lam summed over the steps per table
+    conditions it with its 1-based arrival-order label. Returns (nll, d_Q,
+    d_lam, d_Z, d_b), d_Q and d_lam summed over the steps per table
     position: a row born in the pass shares its position's sum with the
     novel slot that held it before; both hold one copy of q0.
 
@@ -431,7 +439,7 @@ def _sequential_nll(table, Z, labels, params):
         n, yc = c.n, y[c.steps]
         means, variances, Q, lam = (prefix.columns(c, name) for name in ("means", "variances", "Q", "lam"))
         nll[c.steps], d_means, d_vars, d_Z[c.steps], G = _mixture_nll_grads(
-            Z[c.steps], yc, means, variances, c.log_post
+            Z[c.steps], yc, means, variances, log_class_prior(c, params)
         )
         d_Q, d_lam = _natural_chain(d_means, d_vars, Q, lam)
         d_b[c.steps] = predictive_grad_b(c, params, G)
@@ -504,8 +512,7 @@ def _adaptation_term(q0, lam0, noise_var, Za, adapt_labels, cond_idx):
     yq = adapt_labels[query_mask] - 1
     means = Qa / lama[:, None]
     variances = 1.0 / lama + noise_var
-    _, log_post = log_posterior(Zq, means, variances, np.zeros(n_classes))
-    nll, d_means, d_vars, d_Zq, _ = _mixture_nll_grads(Zq, yq, means, variances, log_post)
+    nll, d_means, d_vars, d_Zq, _ = _mixture_nll_grads(Zq, yq, means, variances, np.zeros(n_classes))
     d_Qa, d_lama = _natural_chain(d_means, d_vars, Qa, lama)
 
     d_q0 = d_Qa.sum(axis=0)
@@ -541,7 +548,8 @@ def _episode_grads(
         nll, d_Q, d_lam, d_Zq, d_b = _sequential_nll(table, Z_q, episode.query_y, params)
     else:
         y_idx = np.asarray(episode.query_y, dtype=np.int64) - 1
-        nll, d_Q, d_lam, d_Zq, d_b = _table_nll(table, Z_q, y_idx, params)
+        nll, d_Q, d_lam, d_Zq, d_log_prior = _table_nll(table, Z_q, y_idx, params)
+        d_b = float(predictive_grad_b(table, params, d_log_prior))
     d_q0 = d_Q[n_kk:].sum(axis=0)
     d_lam0 = float(d_lam[n_kk:].sum())
     d_Zs = d_Q[n_kk + np.asarray(episode.support_y, dtype=np.int64) - 1] * inv
@@ -625,8 +633,7 @@ def pretrain_grads(weight, bias, H, labels, means, log_variances, beta):
     d = means.shape[1]
 
     Z = encode(weight, bias, H)
-    _, log_post = log_posterior(Z, means, variances, np.zeros(means.shape[0]))
-    nll, d_means, d_vars, d_Z, _ = _mixture_nll_grads(Z, labels - 1, means, variances, log_post)
+    nll, d_means, d_vars, d_Z, _ = _mixture_nll_grads(Z, labels - 1, means, variances, np.zeros(means.shape[0]))
     reg = beta * float(np.sum(d / variances))
     d_log_vars = d_vars * variances - beta * d / variances
     d_weight, d_bias = _encoder_grads(weight, [(H, d_Z)])

@@ -6,6 +6,7 @@ checker a deliberately corrupted gradient to confirm the certificate can
 actually fail.
 """
 
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -19,7 +20,7 @@ from flowr import crp, losses, meta
 from flowr.crp import CrpParams
 from flowr.data import generate_synthetic_world
 from flowr.encoder import Encoder
-from flowr.gaussian import NoiseModel
+from flowr.gaussian import LOG_2PI, NoiseModel
 from flowr.meta import EpisodeConfig, grad_check, meta_loss, meta_loss_functions
 from flowr.model import ProtocolError, init_large_context, init_small_context, predict, run_episode, update
 
@@ -228,10 +229,120 @@ class TestSequentialMatchesInference:
         np.testing.assert_allclose(g.nll, nll, rtol=1e-12)
 
 
+def _two_pass_nll_grads(Z, y_idx, means, variances, log_prior):
+    """The training pass as it was written before it was fused: the
+    forward pass of losses.log_posterior, then the gradients from a second
+    difference block. Kept as the reference the fused
+    losses._mixture_nll_grads must match bit for bit."""
+    m, d = Z.shape
+    own = means.ndim == 3
+    diff = Z[:, None, :] - means
+    sq = np.einsum("mcd,mcd->mc", diff, diff)
+    logf = -0.5 * d * (LOG_2PI + np.log(variances)) - sq / (2.0 * variances)
+    logits = logf + log_prior
+    log_post = logits - losses.logsumexp(logits, axis=1)[:, None]
+
+    nll = -log_post[np.arange(m), y_idx]
+    G = np.exp(log_post)
+    G[np.arange(m), y_idx] -= 1.0
+    if not own:
+        nll = float(np.mean(nll))
+        G /= m
+    diff = Z[:, None, :] - means
+    r = diff / variances[..., None]
+    sq = np.einsum("mcd,mcd->mc", diff, diff)
+    d_v = -d / (2.0 * variances) + sq / (2.0 * variances**2)
+    d_Z = -np.einsum("mc,mcd->md", G, r)
+    if own:
+        return nll, G[:, :, None] * r, G * d_v, d_Z, G
+    return nll, np.einsum("mc,mcd->cd", G, r), np.einsum("mc,mc->c", G, d_v), d_Z, G.sum(axis=0)
+
+
+def _two_pass_table_nll(table, Z, y_idx, params):
+    """_table_nll through the two-pass reference, with d/db as the frozen
+    episode loss takes it."""
+    log_prior = losses.log_class_prior(table, params)
+    nll, d_means, d_vars, d_Z, d_log_prior = _two_pass_nll_grads(Z, y_idx, table.means, table.variances, log_prior)
+    d_Q, d_lam = losses._natural_chain(d_means, d_vars, table.Q, table.lam)
+    return nll, d_Q, d_lam, d_Z, float(crp.predictive_grad_b(table, params, d_log_prior))
+
+
+def _assert_same(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert type(g) is type(w)
+        if isinstance(w, float):
+            assert g == w
+        else:
+            np.testing.assert_array_equal(g, w)
+
+
+def _fused_pass_callers(d):
+    """Every caller of the fused pass on one problem in d dimensions, by name."""
+    rng = np.random.default_rng(d)
+    d_in, n, m = d + 2, 6, 40
+    W, b = rng.normal(size=(d, d_in)) / np.sqrt(d_in), rng.normal(size=d)
+    q0, noise = rng.normal(size=d), 0.5
+    K = rng.integers(1, 4, size=n)
+    table = losses.ClassTable(
+        q0 + rng.normal(size=(n, d)) * K[:, None], 1.3 + K / noise, losses.ClassTable.counts_after(K), q0, 1.3, noise
+    )
+    params = CrpParams(a=0.5, rho=0.7)
+    Z, y_idx = rng.normal(size=(m, d)) * 2.0, rng.integers(0, n + 1, size=m)
+    H, labels = rng.normal(size=(m, d_in)), np.concatenate([np.arange(1, n + 1), rng.integers(1, n + 1, size=m - n)])
+    adapt_y = np.repeat(np.arange(1, 5), 4)
+    means, log_vars = rng.normal(size=(n, d)), 0.3 * rng.normal(size=n)
+    return {
+        "_table_nll": lambda: losses._table_nll(table, Z, y_idx, params),
+        "_adaptation_term": lambda: losses._adaptation_term(q0, 1.3, noise, Z[:16], adapt_y, np.arange(4) * 4),
+        "pretrain_grads": lambda: losses.pretrain_grads(W, b, H, labels, means, log_vars, 0.1),
+        "loo_support_grads": lambda: losses.loo_support_grads(
+            H[:12], labels[:12], W, b, q0, 1.3, params=params, noise_var=noise
+        ),
+    }
+
+
+@pytest.mark.parametrize("d", [2, 64])
+@pytest.mark.parametrize("caller", ["_table_nll", "_adaptation_term", "pretrain_grads", "loo_support_grads"])
+def test_fused_pass_matches_two_pass_reference(d, caller):
+    """Every training loss that scores one table returns exactly what the
+    two-pass code returned, bit for bit, at small d and at d = 64, where
+    numpy's reductions take their SIMD paths."""
+    call = _fused_pass_callers(d)[caller]
+    with mock.patch.object(losses, "_mixture_nll_grads", _two_pass_nll_grads):
+        want = call()
+    _assert_same(call(), want)
+
+
+def test_table_nll_holds_one_difference_block():
+    """The frozen loss builds its (queries, rows, d) difference block once
+    and takes (z - mu) / v from it in place: on 500 queries against 50
+    classes and the novel slot at d = 64, it never holds more than 1.5
+    such blocks (the two-pass code held 2.12)."""
+    rng = np.random.default_rng(43)
+    m, n, d = 500, 50, 64
+    q0 = rng.normal(size=d)
+    K = rng.integers(1, 6, size=n)
+    Q = q0 + rng.normal(size=(n, d)) * K[:, None]
+    table = losses.ClassTable(Q, 1.0 + K, losses.ClassTable.counts_after(K), q0, 1.0, 1.0)
+    Z, y_idx = rng.normal(size=(m, d)), rng.integers(0, n + 1, size=m)
+    params = CrpParams(a=0.5, rho=0.7)
+    block = m * (n + 1) * d * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        losses._table_nll(table, Z, y_idx, params)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block, f"peak {peak / block:.2f} blocks"
+
+
 def _stepped_sequential_nll(table, Z, labels, params):
     """The teacher-forced loss as it was written before the prefix pass:
-    score query j against the table, then step the table with condition().
-    Kept as the reference the batched pass must match bit for bit."""
+    score query j against the table through the two-pass reference, then
+    step the table with condition(). Kept as the reference the batched
+    pass must match bit for bit."""
     m, d = Z.shape
     R = np.zeros((table.n + m + 1, d))
     R_lam = np.zeros(table.n + m + 1)
@@ -245,7 +356,7 @@ def _stepped_sequential_nll(table, Z, labels, params):
             y = table.check(y)
         except ProtocolError as e:
             raise ProtocolError(f"query {j}: {e}") from e
-        nll, d_Qp, d_lamp, d_z, d_bj = losses._table_nll(table, Z[j : j + 1], np.array([y - 1]), params)
+        nll, d_Qp, d_lamp, d_z, d_bj = _two_pass_table_nll(table, Z[j : j + 1], np.array([y - 1]), params)
         total += nll
         d_b += d_bj
         d_Z[j] = d_z[0]
@@ -287,7 +398,7 @@ def _teacher_forced_cases(draw):
         n_kk=n_kk,
         n_support=n_support,
         labels=labels,
-        d=draw(st.integers(1, 4)),
+        d=draw(st.sampled_from([1, 2, 3, 4, 64])),
         seed=draw(st.integers(0, 2**32 - 1)),
         noise=10.0 ** draw(st.floats(-6.0, 6.0)),
         lam0=draw(st.sampled_from([1e-6, 1e-3, 0.5, 5.0])),
@@ -305,7 +416,8 @@ def test_prefix_pass_matches_stepped_teacher_forced_loss(case):
     table query by query returned: all five values, bit for bit, across
     small- and large-context tables (known-known counts 0 or more), streams
     that open a class first or only ever name known-known classes, runs of
-    steps split into several chunks, and noise variances from 1e-6 to 1e6."""
+    steps split into several chunks, noise variances from 1e-6 to 1e6, and
+    d = 64, where numpy's reductions take their SIMD paths."""
     rng = np.random.default_rng(case["seed"])
     d, n_kk, n_support = case["d"], case["n_kk"], case["n_support"]
     noise, lam0 = case["noise"], case["lam0"]
@@ -322,12 +434,7 @@ def test_prefix_pass_matches_stepped_teacher_forced_loss(case):
     entries = case["entries"] or losses.PREFIX_ENTRIES
     with mock.patch.object(losses, "PREFIX_ENTRIES", entries):
         got = losses._sequential_nll(table, Z, case["labels"], params)
-    for g, w in zip(got, want):
-        assert type(g) is type(w)
-        if isinstance(w, float):
-            assert g == w
-        else:
-            np.testing.assert_array_equal(g, w)
+    _assert_same(got, want)
 
 
 def test_teacher_forced_label_skipping_ahead_is_rejected():

@@ -493,6 +493,18 @@ class TestFineTune:
         assert len(trace) >= 1
         assert np.all(np.diff(trace) <= 0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_point_support_at_zero_strength(self):
+        """Leave-one-out scores a one-point support's only point against an
+        empty table, where d/db is 0/0 at b = 0; fine-tuning treats b as
+        constant, so it used to warn (or raise) computing a value it never used."""
+        enc = Encoder.affine(np.eye(2), np.zeros(2))
+        prior = SharedPrior(NaturalClassStats(q=np.zeros(2), lam=1.0))
+        state = init_small_context(prior, CrpParams.from_b(0.5, 0.0), NOISE, enc, [])
+        tuned = fine_tune_output_layer(state, [(np.array([1.0, -2.0]), 1)], 3, 0.1)
+        assert tuned.n_classes == 1
+        assert np.all(np.isfinite(tuned.encoder.weight))
+
     def test_identity_affine_start_matches_raw(self):
         enc = Encoder.identity_affine(3)
         x = np.array([0.4, -1.0, 2.0])
@@ -741,7 +753,8 @@ def test_init_small_context_matches_stepped_fold(case):
     """init_small_context builds exactly the table that stepping the
     support through ClassTable.condition builds: rows, cached means and
     variances and counts, bit for bit; also for the state the fine-tuned
-    encoder rebuilds, and with b <= 0, which building never scores."""
+    encoder rebuilds (one-point supports included), and with b <= 0, which
+    building never scores."""
     rng = np.random.default_rng(case["seed"])
     d_in, d = case["d_in"], case["d"]
     if case["affine"]:
@@ -753,8 +766,7 @@ def test_init_small_context_matches_stepped_fold(case):
     support = [(x, y) for x, y in zip(rng.normal(size=(len(case["labels"]), d_in)), case["labels"])]
 
     built = init_small_context(prior, crp, noise, enc, support)
-    # one point leaves leave-one-out an empty table, whose d/db is 0/0 when b rounds to 0
-    if case["fine_tune"] and case["affine"] and len(support) > 1:
+    if case["fine_tune"] and case["affine"] and support:
         built = fine_tune_output_layer(built, support, 1, 0.01)
     want = _stepped_support_table(init_small_context(prior, crp, noise, built.encoder, []), support)
     assert built.n_classes == want.n
