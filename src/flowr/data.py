@@ -5,10 +5,19 @@ The on-disk FSE1 format is little-endian: magic "FSE1", version u32,
 dim u32, count u64, then count records of [label u32][dim x float32].
 Features are stored as float32 in memory so a write/read round trip is
 bit-exact.
+
+Loading costs one size check, one read and one sort: `read_dataset` sizes
+the payload with `os.fstat` and rejects a truncated or overlong file (or a
+pipe, which has no size) before it allocates anything, then reads every
+record into one structured array, whose features it keeps as a read-only
+view. `EmbeddingDataset` indexes the rows of every class from one stable
+argsort of the labels.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from functools import cached_property
 
@@ -31,14 +40,18 @@ class EmbeddingDataset:
             raise ValueError(f"{len(labels)} labels for {len(features)} feature rows")
         if not np.all(np.isfinite(features)):
             raise ValueError("features must be finite")
-        uniq = np.unique(labels)
+        # stable, so each class keeps its rows in ascending order
+        order = np.argsort(labels, kind="stable")
+        ordered = labels[order]
+        heads = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+        uniq = ordered[np.concatenate([[0], heads])] if len(ordered) else ordered
         if len(uniq) and (uniq[0] < 1 or uniq[-1] != len(uniq)):
             missing = np.setdiff1d(np.arange(1, uniq[-1] + 1), uniq)
             what = f"missing {missing[0]}" if len(missing) else f"label {uniq[0]}"
             raise ValueError(f"labels must be dense 1..N ({what})")
         self.labels = labels
         self.features = features
-        self._rows = {int(c): np.flatnonzero(labels == c) for c in uniq}
+        self._rows = dict(zip(uniq.tolist(), np.split(order, heads)))
 
     @property
     def dim(self) -> int:
@@ -91,10 +104,10 @@ def generate_synthetic_world(
 def subset_classes(ds: EmbeddingDataset, class_ids) -> EmbeddingDataset:
     """Dataset restricted to the given classes, relabelled densely in
     ascending order of the original ids; row order preserved."""
-    class_ids = sorted(int(c) for c in class_ids)
-    remap = {c: j + 1 for j, c in enumerate(class_ids)}
+    class_ids = np.sort(np.array([int(c) for c in class_ids], dtype=np.int64))
     mask = np.isin(ds.labels, class_ids)
-    labels = np.array([remap[int(c)] for c in ds.labels[mask]], dtype=np.int64)
+    # 1-based position of each label among the sorted ids (the last, if repeated)
+    labels = np.searchsorted(class_ids, ds.labels[mask], side="right")
     return EmbeddingDataset(labels, ds.features[mask])
 
 
@@ -129,22 +142,29 @@ def read_dataset(path) -> EmbeddingDataset:
             raise ValueError(f"{path}: unsupported version {version} (expected {_VERSION})")
         if dim < 1:
             raise ValueError(f"{path}: dim must be positive, got {dim}")
-        payload = fh.read()
-    rec_size = 4 + 4 * dim
-    need = count * rec_size
-    if len(payload) < need:
-        raise ValueError(
-            f"{path}: truncated in record {len(payload) // rec_size} "
-            f"(need {need} payload bytes, got {len(payload)})"
-        )
-    if len(payload) > need:
-        raise ValueError(f"{path}: trailing garbage ({len(payload) - need} bytes past count)")
-    rec = np.frombuffer(payload, dtype=_record_dtype(dim), count=count)
+        rec_size = 4 + 4 * dim
+        need = count * rec_size
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise ValueError(f"{path}: not a regular file, so its records cannot be sized")
+        _check_payload(path, st.st_size - _HEADER.size, need, rec_size)
+        rec = np.empty(count, dtype=_record_dtype(dim))
+        _check_payload(path, fh.readinto(rec), need, rec_size)
+    rec.flags.writeable = False
     labels = rec["label"].astype(np.int64)
     if np.any(labels == 0):
         raise ValueError(f"{path}: record {int(np.flatnonzero(labels == 0)[0])}: label 0")
-    features = rec["feat"].reshape(count, dim) if count else np.zeros((0, dim), dtype=np.float32)
-    return EmbeddingDataset(labels, features)
+    return EmbeddingDataset(labels, rec["feat"])
+
+
+def _check_payload(path, got, need, rec_size):
+    if got < need:
+        raise ValueError(
+            f"{path}: truncated in record {got // rec_size} "
+            f"(need {need} payload bytes, got {got})"
+        )
+    if got > need:
+        raise ValueError(f"{path}: trailing garbage ({got - need} bytes past count)")
 
 
 def _record_dtype(dim):

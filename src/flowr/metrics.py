@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import betainc
-from scipy.stats import rankdata
 
 
 @dataclass(frozen=True)
@@ -61,9 +60,23 @@ def auroc(s: ScoreSet) -> float:
     mean over pairs of 1[pos > neg] + 0.5 * 1[pos == neg]."""
     _require_both(s, "auroc")
     n_pos, n_neg = len(s.positives), len(s.negatives)
-    ranks = rankdata(np.concatenate([s.negatives, s.positives]))
+    ranks = _average_ranks(np.concatenate([s.negatives, s.positives]))
     u = ranks[n_neg:].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of the 1-d array x, tied values sharing the mean of their
+    ranks (as scipy.stats.rankdata's default). The ranks are half-integers,
+    so they and their sums are exact in float64."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    new = np.concatenate([[True], ordered[1:] != ordered[:-1]])
+    dense = np.cumsum(new)  # 1-based tie group of each sorted value
+    count = np.append(np.flatnonzero(new), len(x))  # first position of each group, then n
+    ranks = np.empty(len(x))
+    ranks[order] = 0.5 * (count[dense] + count[dense - 1] + 1)
+    return ranks
 
 
 def _upper_hull(fpr, tpr):

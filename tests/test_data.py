@@ -2,14 +2,20 @@
 
 The FSE1 header test parses the written bytes with struct independently of
 the reader. The checkpoint round trip must be bit-exact because arrays are
-written as raw little-endian float64.
+written as raw little-endian float64. The class index and the relabelling
+of subsets are checked against the per-class scan and the dict remap they
+replaced, so sampled episodes cannot move.
 """
 
+import os
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowr.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from flowr.crp import CrpParams
@@ -25,6 +31,14 @@ from flowr.encoder import ClassEmbeddings, Encoder
 from flowr.gaussian import NoiseModel
 from flowr.meta import MetaParams
 from flowr.model import init_large_context, predict
+
+
+@st.composite
+def shuffled_dense_labels(draw, max_classes=8):
+    """Labels 1..N, each class 1..6 rows, in a random order (N may be 0)."""
+    counts = draw(st.lists(st.integers(1, 6), max_size=max_classes))
+    labels = np.repeat(np.arange(1, len(counts) + 1), counts).tolist()
+    return np.array(draw(st.permutations(labels)), dtype=np.int64)
 
 
 class TestEmbeddingDataset:
@@ -50,6 +64,19 @@ class TestEmbeddingDataset:
         assert sorted(rows) == list(range(len(ds)))
         for c in ds.class_ids:
             assert np.all(ds.labels[ds.class_rows(c)] == c)
+
+    @given(labels=shuffled_dense_labels())
+    @example(labels=np.array([1, 1, 1], dtype=np.int64))  # one class
+    @example(labels=np.array([3, 1, 2], dtype=np.int64))  # one row per class
+    @example(labels=np.zeros(0, dtype=np.int64))  # empty
+    @settings(max_examples=150)
+    def test_class_rows_match_per_class_scan(self, labels):
+        ds = EmbeddingDataset(labels, np.zeros((len(labels), 2), dtype=np.float32))
+        assert ds.n_classes == (labels.max() if len(labels) else 0)
+        for c in ds.class_ids:
+            rows, ref = ds.class_rows(c), np.flatnonzero(labels == c)
+            assert rows.dtype == ref.dtype == np.int64
+            np.testing.assert_array_equal(rows, ref)
 
 
 class TestSyntheticWorld:
@@ -105,6 +132,27 @@ class TestSubsetAndSplit:
         np.testing.assert_array_equal(sub.features[sub.class_rows(1)], ds.features[ds.class_rows(2)])
         np.testing.assert_array_equal(sub.features[sub.class_rows(2)], ds.features[ds.class_rows(5)])
 
+    @given(labels=shuffled_dense_labels(max_classes=10), data=st.data())
+    @settings(max_examples=100)
+    def test_subset_matches_dict_relabelling(self, labels, data):
+        """Shuffled labels, class ids in any order: the relabelled dataset
+        equals the one built by remapping each row through a dict."""
+        rng = np.random.default_rng(len(labels))
+        ds = EmbeddingDataset(labels, rng.normal(size=(len(labels), 3)))
+        ids = data.draw(st.permutations(range(1, ds.n_classes + 1)))
+        class_ids = ids[: data.draw(st.integers(0, len(ids)))]
+        sub = subset_classes(ds, class_ids)
+
+        remap = {c: j + 1 for j, c in enumerate(sorted(class_ids))}
+        mask = np.isin(ds.labels, class_ids)
+        ref_labels = np.array([remap[int(c)] for c in ds.labels[mask]], dtype=np.int64)
+        assert sub.labels.dtype == np.int64
+        np.testing.assert_array_equal(sub.labels, ref_labels)
+        np.testing.assert_array_equal(sub.features, ds.features[mask])
+        assert sub.n_classes == len(class_ids)
+        for c in sub.class_ids:
+            np.testing.assert_array_equal(sub.class_rows(c), np.flatnonzero(ref_labels == c))
+
     def test_split_covers_everything(self):
         ds = generate_synthetic_world(6, 3, 1.0, 0.2, 4, seed=4)
         left, right = split_dataset(ds, 4)
@@ -135,6 +183,20 @@ class TestDatasetFile:
         write_dataset(path, ds)
         back = read_dataset(path)
         assert len(back) == 0 and back.dim == 3
+        assert back.features.shape == (0, 3) and back.n_classes == 0
+
+    @pytest.mark.parametrize("points_per_class", [0, 5])
+    def test_read_features_are_read_only(self, tmp_path, points_per_class):
+        ds = EmbeddingDataset(
+            np.repeat([1, 2], points_per_class), np.ones((2 * points_per_class, 3))
+        )
+        path = tmp_path / "d.fse"
+        write_dataset(path, ds)
+        back = read_dataset(path)
+        assert not back.features.flags.writeable
+        if points_per_class:
+            with pytest.raises(ValueError, match="read-only"):
+                back.features[0, 0] = 2.0
 
     def test_header_layout(self, tmp_path):
         """Independent struct parse: magic, version, dim, count occupy the
@@ -177,6 +239,36 @@ class TestDatasetFile:
         path.write_bytes(raw[: 20 + 2 * 12 + 5])  # dies partway through record 2
         with pytest.raises(ValueError, match="truncated in record 2"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("count", [250_000, 2**40])
+    def test_overstated_count_fails_before_allocating(self, tmp_path, count):
+        """A header claiming more records than the file holds is refused
+        from the file size: no count-record buffer is ever allocated (at
+        2**40 records of dim 64 the buffer could not be)."""
+        path = tmp_path / "d.fse"
+        record = struct.pack("<I64f", 1, *range(64))
+        path.write_bytes(struct.pack("<4sIIQ", b"FSE1", 1, 64, count) + 2 * record)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated in record 2"):
+                read_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_pipe_is_refused(self, tmp_path):
+        """The payload is sized from the file, which a pipe does not have."""
+        path = tmp_path / "d.fse"
+        write_dataset(path, generate_synthetic_world(2, 2, 1.0, 0.1, 3, seed=7))
+        read_fd, write_fd = os.pipe()
+        with os.fdopen(write_fd, "wb") as w:
+            w.write(path.read_bytes())
+        try:
+            with pytest.raises(ValueError, match="not a regular file"):
+                read_dataset(f"/dev/fd/{read_fd}")
+        finally:
+            os.close(read_fd)
 
     def test_trailing_garbage(self, tmp_path):
         ds = generate_synthetic_world(2, 2, 1.0, 0.1, 3, seed=7)

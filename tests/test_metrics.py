@@ -6,20 +6,28 @@ Independent oracle routes used here:
   - AUROC versus explicit pair counting (1[pos > neg] + 0.5 1[pos == neg]).
   - H-measure versus brute-force integration of the minimum weighted loss
     over a dense cost grid with scipy.stats.beta weights.
+  - The average ranks behind AUROC versus scipy.stats.rankdata, bit for
+    bit; the package itself does not import scipy.stats.
 The committed ranking-flip fixture preserves one searched instance where
 AUROC and H-measure disagree about which score set is better.
 """
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import beta as beta_dist
+from scipy.stats import rankdata
 
 from flowr.metrics import (
     EpisodeRecords,
     RankingFlip,
     ScoreSet,
+    _average_ranks,
     accuracy_suite,
     auroc,
     h_measure,
@@ -109,6 +117,39 @@ class TestAuroc:
         s = ScoreSet(rng.normal(1, 1, 40), rng.normal(0, 1, 40))
         monotone = ScoreSet(np.exp(s.positives), np.exp(s.negatives))
         np.testing.assert_allclose(auroc(monotone), auroc(s), rtol=0, atol=1e-12)
+
+
+class TestAverageRanks:
+    @given(
+        x=st.lists(
+            st.floats(-1e6, 1e6) | st.sampled_from([-0.0, 0.0, 0.5, 2.0]),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    @settings(max_examples=200)
+    def test_equals_scipy_rankdata_bitwise(self, x):
+        """Tied and untied inputs (the sampled values force ties, -0.0
+        ties with 0.0): same float64 ranks as scipy, bit for bit."""
+        x = np.array(x)
+        ours, ref = _average_ranks(x), rankdata(x)
+        assert ours.dtype == ref.dtype == np.float64
+        assert ours.tobytes() == ref.tobytes()
+
+    def test_untied_ranks_are_a_permutation(self):
+        x = np.random.default_rng(3).normal(size=1000)
+        ranks = _average_ranks(x)
+        np.testing.assert_array_equal(np.sort(ranks), np.arange(1, 1001))
+        assert ranks.tobytes() == rankdata(x).tobytes()
+
+
+def test_import_leaves_out_scipy_stats():
+    """AUROC ranks with numpy, so importing the package does not load
+    scipy.stats."""
+    code = "import sys, flowr; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestHMeasure:
