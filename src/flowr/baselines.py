@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import PredictionRecord, ProtocolError
+from .crp import ProtocolError, arrival_labels, label_fault
+from .model import PredictionRecord
 
 EMPTY_NOVELTY = float(np.finfo(np.float64).max)
 
@@ -63,11 +64,16 @@ class PrototypeState:
 
 def prototype_update(state: PrototypeState, z, y) -> PrototypeState:
     """Fold one labelled point into the running means; y = N + 1 appends."""
+    fault = label_fault(y, state.n_classes)
+    if fault:
+        raise ProtocolError(fault)
+    return _fold(state, z, int(y))
+
+
+def _fold(state: PrototypeState, z, y) -> PrototypeState:
+    """prototype_update on a label the arrival protocol check has passed."""
     z = np.asarray(z, dtype=np.float64)
     n = state.n_classes
-    y = int(y)
-    if not 1 <= y <= n + 1:
-        raise ProtocolError(f"label {y} outside 1..{n + 1}")
     if y == n + 1:
         return replace(
             state,
@@ -94,25 +100,22 @@ def ncm_predict(state: PrototypeState, z):
 
 def init_prototypes(support, dim) -> PrototypeState:
     """Prototype state from a labelled support stream in arrival order."""
+    support = list(support)
     state = PrototypeState.empty(dim)
-    for i, (x, y) in enumerate(support):
-        try:
-            state = prototype_update(state, x, y)
-        except ProtocolError as exc:
-            raise ProtocolError(f"support point {i}: {exc}") from exc
+    for (x, _), y in zip(support, arrival_labels(0, [y for _, y in support], "support point").tolist()):
+        state = _fold(state, x, y)
     return state
 
 
 def run_baseline_episode(state: PrototypeState, queries, encoder=None):
     """Nearest-class-mean predict-then-update over a query stream, mirroring
-    the probabilistic episode loop; returns the records and the final state."""
+    the probabilistic episode loop; returns the records and the final state.
+    The labels are checked before any query is scored."""
+    queries = list(queries)
     records = []
-    for i, (x, y) in enumerate(queries):
+    for (x, _), y in zip(queries, arrival_labels(state.n_classes, [y for _, y in queries], "query").tolist()):
         z = encoder(x) if encoder is not None else np.asarray(x, dtype=np.float64)
         best, score = ncm_predict(state, z)
-        records.append(PredictionRecord(None, best, best, score, state.n_classes, true_label=int(y)))
-        try:
-            state = prototype_update(state, z, y)
-        except ProtocolError as exc:
-            raise ProtocolError(f"query {i}: {exc}") from exc
+        records.append(PredictionRecord(None, best, best, score, state.n_classes, true_label=y))
+        state = _fold(state, z, y)
     return records, state

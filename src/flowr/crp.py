@@ -5,6 +5,15 @@ over "one of the N seen classes" versus "a brand-new class". b is derived
 from an unconstrained parameter rho via b = softplus(rho) - a so that b > -a
 holds by construction and rho can be trained by plain gradient descent while
 a stays fixed.
+
+Labels arrive in dense order: classes are numbered 1..N as they first
+appear, and a label of N + 1 opens a new class. label_fault is that rule
+for one label and arrival_labels scans a stream with it; no other module
+checks it.
+
+sequence_log_prob is the two-parameter CRP of Pitman and Yor (1997): a
+class counts 1 after its first point, so it is exchangeable. The model's
+class table (losses.ClassTable) counts 2, so its sequential prior is not.
 """
 
 from __future__ import annotations
@@ -23,14 +32,50 @@ def sigmoid(x):
 
 
 def inverse_softplus(y):
-    # y = log(1 + exp(rho))  =>  rho = y + log(1 - exp(-y)), valid for y > 0
+    # y = log(1 + exp(rho))  =>  rho = log(expm1(y)) = y + log(1 - exp(-y)), valid for y > 0;
+    # the first form keeps its precision as y -> 0, the second cannot overflow for large y
     if y <= 0.0:
         raise ValueError(f"softplus output must be positive, got {y}")
+    if y < 0.5:
+        return float(np.log(np.expm1(y)))
     return float(y + np.log1p(-np.exp(-y)))
 
 
 class InvalidStateError(ValueError):
     """Raised when the count/parameter state admits no valid predictive."""
+
+
+class ProtocolError(ValueError):
+    """A label broke the dense arrival protocol."""
+
+
+def label_fault(y, n):
+    """Why label y breaks the dense arrival protocol at n known classes, or None."""
+    if not float(y).is_integer():
+        return f"label {y} is not an integer class index"
+    y = int(y)
+    if y < 1:
+        return f"label {y} is not a positive class index"
+    if y > n + 1:
+        return f"label {y} skips ahead of the {n} known classes"
+    return None
+
+
+def arrival_labels(n, labels, what) -> np.ndarray:
+    """A stream's labels, arriving at n known classes, as int64; or a
+    ProtocolError `{what} i: {why}` for its first label i that label_fault
+    refuses."""
+    if not isinstance(labels, np.ndarray):
+        labels = list(labels)
+    y = np.asarray(labels).astype(np.float64)
+    # a label that is no integer in int64 range reads 0, a fault that label_fault names from its own value
+    y = np.where((y == np.round(y)) & (np.abs(y) < 2.0**62), y, 0.0).astype(np.int64)
+    n_at = np.maximum.accumulate(np.append(n, y))[:-1]
+    bad = np.flatnonzero((y < 1) | (y > n_at + 1))
+    if bad.size:
+        i = int(bad[0])
+        raise ProtocolError(f"{what} {i}: {label_fault(labels[i], int(n_at[i]))}")
+    return y
 
 
 @dataclass(frozen=True)
@@ -91,21 +136,6 @@ class ClassCounts:
         return int(self.counts.sum())
 
 
-def observe(counts: ClassCounts, y: int) -> ClassCounts:
-    """Increment the count of existing class y (1-based)."""
-    n = counts.n_classes
-    if not 1 <= y <= n:
-        raise ValueError(f"label {y} outside existing classes 1..{n}")
-    c = counts.counts.copy()
-    c[y - 1] += 1
-    return ClassCounts(counts=c)
-
-
-def instantiate(counts: ClassCounts) -> ClassCounts:
-    """Append a brand-new class with count 1."""
-    return ClassCounts(counts=np.append(counts.counts, 1))
-
-
 def _numerators(counts: np.ndarray, a, b) -> np.ndarray:
     """The CRP rule's unnormalised masses along the last axis: max(k_n - a, 0)
     per class, then b + a * N+ for the novel slot, N+ counting classes with
@@ -154,23 +184,21 @@ def predictive_grad_b(counts, params: CrpParams, d_log_probs):
 
 
 def sequence_log_prob(labels, params: CrpParams) -> float:
-    """Log probability of a dense label sequence under the sequential predictive.
+    """Log probability of a label sequence in dense arrival order under the
+    sequential predictive (ProtocolError for a label that breaks it).
 
-    Labels are 1-based and must obey the arrival protocol: the first point of
-    class m may appear only after classes 1..m-1 have appeared. Each
-    observation adds one to its class count, so the value depends only on the
-    induced partition (exchangeability).
+    Each point adds one to its class's count, a new class's first point
+    included, so the value depends only on the induced partition
+    (exchangeability).
     """
-    counts = ClassCounts.empty()
-    total = 0.0
+    labels = arrival_labels(0, labels, "position")
+    counts = np.zeros(int(labels.max(initial=0)), dtype=np.int64)
+    total, n = 0.0, 0
     for i, y in enumerate(labels):
-        y = int(y)
-        n = counts.n_classes
-        if not 1 <= y <= n + 1:
-            raise ValueError(f"label {y} at position {i} violates the arrival protocol (seen {n} classes)")
-        p = predictive_class_probs(counts, params)
+        p = predictive_class_probs(ClassCounts(counts[:n]), params)
         if p[y - 1] <= 0.0:
             raise InvalidStateError(f"label {y} at position {i} has zero predictive probability")
         total += float(np.log(p[y - 1]))
-        counts = instantiate(counts) if y == n + 1 else observe(counts, y)
+        counts[y - 1] += 1
+        n = max(n, y)
     return total

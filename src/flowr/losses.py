@@ -28,7 +28,10 @@ which crp.predictive_grad_b applies next to the CRP rule itself.
 
 The model's recursion lives here too, shared with flowr.model: ClassTable
 holds the rows [classes | novel slot] and the class counts, and takes the
-one online conditioning step, condition(). Inference scores through
+one online conditioning step, condition(), on a label that crp's arrival
+protocol check has passed. A class counts NEW_CLASS_COUNT = 2 after its
+first point, not the 1 of the two-parameter CRP (crp.sequence_log_prob),
+so the model's sequential prior is not exchangeable. Inference scores through
 log_posterior (log densities, then Bayes rule under a CRP log prior);
 every training loss runs _mixture_nll_grads, one forward and backward
 pass over a single difference block z - mu. When a stream's labels are
@@ -67,7 +70,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crp import CrpParams, predictive_class_probs, predictive_grad_b, sigmoid
+from .crp import CrpParams, arrival_labels, predictive_class_probs, predictive_grad_b, sigmoid
+from .crp import ProtocolError  # noqa: F401  re-exported as flowr.losses.ProtocolError
 from .gaussian import differences, log_density_matrix, log_density_sq
 
 
@@ -94,10 +98,6 @@ def _encoder_grads(weight, pairs):
     return sum(dZ.T @ H for H, dZ in pairs), sum(dZ.sum(axis=0) for _, dZ in pairs)
 
 
-class ProtocolError(ValueError):
-    """A label or state transition violated the dense arrival protocol."""
-
-
 class ClassTable:
     """The class table [classes | novel slot], the prior's row last: Q, lam,
     the cached predictive means Q / lam and variances 1 / lam + s_eps, and
@@ -108,7 +108,9 @@ class ClassTable:
     """
 
     _BUFFERS = ("_Q", "_lam", "_means", "_variances", "_counts")
-    NEW_CLASS_COUNT = 2  # a class's count after its first point: instantiated at 1, then observed
+    # a class's count after its first point; the two-parameter CRP of
+    # crp.sequence_log_prob counts 1, so unlike it this sequential prior is not exchangeable
+    NEW_CLASS_COUNT = 2
 
     def __init__(self, Q, lam, counts, q0, lam0, noise_var, *, n_kk=0):
         self._Q = np.vstack([Q, q0[None, :]])
@@ -151,30 +153,11 @@ class ClassTable:
             getattr(self, name).setflags(write=False)
         return self
 
-    @staticmethod
-    def fault(y, n):
-        """Why label y breaks the dense arrival protocol at n known classes, or None."""
-        if not float(y).is_integer():
-            return f"label {y} is not an integer class index"
-        y = int(y)
-        if y < 1:
-            return f"label {y} is not a positive class index"
-        if y > n + 1:
-            return f"label {y} skips ahead of the {n} known classes"
-        return None
-
-    def check(self, y) -> int:
-        """The label as an int, or a ProtocolError if it breaks the dense arrival protocol."""
-        fault = self.fault(y, self.n)
-        if fault:
-            raise ProtocolError(fault)
-        return int(y)
-
     def condition(self, z, y):
-        """The one conditioning step, on point z with label y; returns the row
-        conditioned, or None when only the count moved. A label n + 1 opens
-        a class as a copy of the prior's row, which moves down to stay last."""
-        y = self.check(y)
+        """The one conditioning step, on point z with int label y, which
+        crp.label_fault accepts; returns the row conditioned, or None when
+        only the count moved. A label n + 1 opens a class as a copy of the
+        prior's row, which moves down to stay last."""
         n = self.n
         if y == n + 1:
             if self._lam.shape[0] == n + 1:
@@ -221,36 +204,6 @@ def _bayes(logf, log_prior):
 PREFIX_ENTRIES = 1 << 16
 
 
-def label_fault(n, labels):
-    """A stream's arrival-order labels, from n known classes, as int64, and
-    its first label in stream order that breaks the dense arrival protocol
-    (not an integer, below 1, or skipping past the classes seen so far) as
-    (position, why), or None."""
-    raw = np.asarray(labels)
-    y = raw.astype(np.float64)
-    # a label that is no integer in int64 range reads 0, a fault that ClassTable.fault names from its raw value
-    y = np.where((y == np.round(y)) & (np.abs(y) < 2.0**62), y, 0.0).astype(np.int64)
-    n_at = np.maximum.accumulate(np.append(n, y))[:-1]
-    bad = np.flatnonzero((y < 1) | (y > n_at + 1))
-    if not bad.size:
-        return y, None
-    j = int(bad[0])
-    return y, (j, ClassTable.fault(raw[j], n_at[j]))
-
-
-def check_labels(table, labels, params) -> np.ndarray:
-    """A scored stream's arrival-order labels as int64, or its first fault
-    in stream order: the CRP rule refusing to score the first step (no
-    class count yet and b <= 0, the only state it refuses), then a label
-    breaking the dense arrival protocol, as a ProtocolError naming its query."""
-    labels, fault = label_fault(table.n, labels)
-    if labels.size and not table.counts.any():
-        predictive_class_probs(table, params)
-    if fault:
-        raise ProtocolError(f"query {fault[0]}: {fault[1]}")
-    return labels
-
-
 class _Steps:
     """A run of prefix-pass steps that all see n classes: their class counts
     before each step (m, n), which the CRP rule reads as .counts, the
@@ -273,8 +226,7 @@ class Prefix:
     temporary holds more than PREFIX_ENTRIES entries. Rows below n_kk never
     change and are scored as the table's own rows, never gathered per step
     for the forward pass. final_table() is the table after the stream.
-    labels are the stream's checked int64 labels (check_labels, or
-    label_fault for a stream that is never scored).
+    labels are the stream's int64 labels, checked by crp.arrival_labels.
     """
 
     def __init__(self, table, Z, labels, params):
@@ -429,7 +381,7 @@ def _sequential_nll(table, Z, labels, params):
     conditioned just after step j.
     """
     m, d = Z.shape
-    prefix = Prefix(table, Z, check_labels(table, labels, params), params)
+    prefix = Prefix(table, Z, arrival_labels(table.n, labels, "query"), params)
     y = prefix.labels - 1
     R, R_lam = np.zeros((prefix.n + 1, d)), np.zeros(prefix.n + 1)
     seen, d_Z = np.zeros((m, d)), np.empty((m, d))

@@ -7,6 +7,7 @@ updates are pure functions so episodes can be replayed and states shared.
 
 Labels follow the dense arrival protocol: classes are numbered 1..N in order
 of first appearance, and a label of exactly N + 1 announces a new class.
+crp checks it: update with the one-label rule, the streams with its scan.
 
 A state wraps a frozen losses.ClassTable, the class table the training
 losses use too: one row per class and the prior's row (the novel slot)
@@ -21,9 +22,7 @@ label in advance, so they build the final table from one losses.Prefix
 pass, its last row versions and counts, stepping nothing; run_episode
 also scores the whole stream in that pass. Every call encodes its inputs
 once, in one block through _encode, the model's only encoding path.
-Earlier states stay valid.
-`class_stats` builds NaturalClassStats on demand; the known-known rows,
-which no step rewrites, are built once per lineage of states.
+Earlier states stay valid. `class_stats` builds NaturalClassStats on demand.
 """
 
 from __future__ import annotations
@@ -33,10 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from .crp import ClassCounts, CrpParams
+from .crp import ClassCounts, CrpParams, ProtocolError, arrival_labels, label_fault, predictive_class_probs
 from .encoder import ClassEmbeddings, Encoder
 from .gaussian import NaturalClassStats, NoiseModel, SharedPrior
-from .losses import ProtocolError
 
 
 class ModelState:
@@ -51,8 +49,7 @@ class ModelState:
             raise ValueError(f"class stats must have the prior's dimension {d}")
         self._fill(
             np.array([s.q for s in class_stats]).reshape(len(class_stats), d), np.array([s.lam for s in class_stats]),
-            encoder=encoder, counts=counts, crp_params=crp_params, prior=prior, noise=noise,
-            n_kk=n_kk, kk_stats=class_stats[:n_kk],
+            encoder=encoder, counts=counts, crp_params=crp_params, prior=prior, noise=noise, n_kk=n_kk,
         )
 
     @classmethod
@@ -62,7 +59,7 @@ class ModelState:
         state._fill(Q, lam, **fields)
         return state
 
-    def _fill(self, Q, lam, *, encoder, counts: ClassCounts, crp_params, prior, noise, n_kk, kk_stats=None):
+    def _fill(self, Q, lam, *, encoder, counts: ClassCounts, crp_params, prior, noise, n_kk):
         """Validate, build the class table and set every field."""
         n = lam.shape[0]
         if n != counts.n_classes:
@@ -75,10 +72,7 @@ class ModelState:
         table = losses.ClassTable(Q, lam, counts.counts, p0.q, p0.lam, noise.noise_variance, n_kk=int(n_kk))
         if not (np.isfinite(table.Q).all() and np.isfinite(table.lam).all() and (table.lam > 0.0).all()):
             raise ValueError("class stats must be finite with positive precision")
-        self.__dict__.update(
-            encoder=encoder, crp_params=crp_params, prior=prior, noise=noise,
-            _kk_stats=[kk_stats], _table=table.freeze(),
-        )
+        self.__dict__.update(encoder=encoder, crp_params=crp_params, prior=prior, noise=noise, _table=table.freeze())
 
     def _derive(self, table) -> "ModelState":
         """The state over a table stepped from this state's, sharing every other field."""
@@ -108,10 +102,7 @@ class ModelState:
     @property
     def class_stats(self) -> tuple:
         """The N class rows as NaturalClassStats, built on demand."""
-        rows = lambda lo, hi: tuple(NaturalClassStats(q=self.Q[i], lam=self.lam[i]) for i in range(lo, hi))
-        if self._kk_stats[0] is None:
-            self._kk_stats[0] = rows(0, self.n_kk)
-        return self._kk_stats[0] + rows(self.n_kk, self.n_classes)
+        return tuple(NaturalClassStats(q=self.Q[i], lam=self.lam[i]) for i in range(self.n_classes))
 
 
 @dataclass
@@ -165,6 +156,28 @@ def _encode(state: ModelState, inputs) -> np.ndarray:
     return Z
 
 
+def _encode_labelled(state: ModelState, stream, what, scored) -> tuple:
+    """Encode a labelled stream (a list of (input, label)) in one call and
+    check its labels: Z (m, d) and the int64 labels. A fault is reported
+    as stepping the stream would meet it: the first in stream order, a
+    point's input before its label, and in a scored stream the CRP rule
+    refusing to score step 0 (no class count yet and b <= 0) before any
+    label fault. A label fault reads `{what} i: ...`."""
+    table, labels = state._table, [y for _, y in stream]
+
+    def checked(labels):
+        if scored and labels and not table.counts.any():
+            predictive_class_probs(table, state.crp_params)
+        return arrival_labels(table.n, labels, what)
+
+    try:
+        Z = _encode(state, [x for x, _ in stream])
+    except (TypeError, ValueError) as e:
+        checked(labels[: e.row])
+        raise
+    return Z, checked(labels)
+
+
 def predict(state: ModelState, x) -> PredictionRecord:
     """Posterior over known classes and the novel slot for one raw input.
 
@@ -209,7 +222,10 @@ def update(state: ModelState, x, y) -> ModelState:
     """Condition the state on one labelled point; returns a new state. A
     known-known label (y <= n_kk) copies only the table's counts."""
     z = _encode(state, [x])[0]
-    y = state._table.check(y)
+    fault = label_fault(y, state.n_classes)
+    if fault:
+        raise ProtocolError(fault)
+    y = int(y)
     table = state._table.copy(room=1, rows=y > state.n_kk)
     table.condition(z, y)
     return state._derive(table)
@@ -226,21 +242,14 @@ def init_small_context(
 
     The support is encoded in one call and its table built by one
     losses.Prefix pass, which nothing scores. A fault is reported as
-    stepping would meet it: the first in stream order, a point's input
-    before its label, a label's as `support point i: ...`.
+    stepping would meet it (_encode_labelled), a label's as
+    `support point i: ...`.
     """
     state = ModelState(encoder, (), ClassCounts.empty(), crp_params, prior, noise)
     support = list(support)
     if not support:
         return state
-    labels, fault = losses.label_fault(0, [y for _, y in support])
-    try:
-        Z = _encode(state, [x for x, _ in support])
-    except (TypeError, ValueError) as e:
-        if not fault or fault[0] >= e.row:
-            raise
-    if fault:
-        raise ProtocolError(f"support point {fault[0]}: {fault[1]}")
+    Z, labels = _encode_labelled(state, support, "support point", scored=False)
     return state._derive(losses.Prefix(state._table, Z, labels, crp_params).final_table())
 
 
@@ -278,21 +287,15 @@ def run_episode(state: ModelState, queries):
     losses.Prefix pass scores each query against the table conditioned on
     the queries before it, and the final state is built from the pass's
     last row versions and counts. A fault is reported as stepping would
-    meet it: the first in stream order, a query's input before its score
-    before its label. Returns (records, final_state); records keep stream
-    order and carry the true labels and the class count at prediction time.
+    meet it (_encode_labelled), a label's as `query i: ...`. Returns
+    (records, final_state); records keep stream order and carry the true
+    labels and the class count at prediction time.
     """
     queries = list(queries)
     if not queries:
         return [], state
-    table, params = state._table, state.crp_params
-    labels = [y for _, y in queries]
-    try:
-        Z = _encode(state, [x for x, _ in queries])
-    except ValueError as e:
-        losses.check_labels(table, labels[: e.row], params)
-        raise
-    prefix = losses.Prefix(table, Z, losses.check_labels(table, labels, params), params)
+    Z, labels = _encode_labelled(state, queries, "query", scored=True)
+    prefix = losses.Prefix(state._table, Z, labels, state.crp_params)
     records = []
     for c in prefix.chunks():
         records += _records(c.n, c.logf, c.log_post, prefix.labels[c.steps])

@@ -22,8 +22,8 @@ from flowr.config import ExperimentConfig
 from flowr.crp import CrpParams
 from flowr.data import generate_synthetic_world
 from flowr.encoder import ClassEmbeddings, Encoder
-from flowr.gaussian import NoiseModel
-from flowr.model import ProtocolError
+from flowr.gaussian import NaturalClassStats, NoiseModel, SharedPrior
+from flowr.model import ProtocolError, init_small_context, run_episode
 
 
 class TestPrototypeState:
@@ -48,10 +48,14 @@ class TestPrototypeState:
 
     def test_label_range(self):
         state = PrototypeState.empty(2)
-        with pytest.raises(ProtocolError, match="outside"):
+        with pytest.raises(ProtocolError, match="^label 2 skips ahead of the 0 known classes$"):
             prototype_update(state, [0.0, 0.0], 2)
-        with pytest.raises(ProtocolError, match="outside"):
+        with pytest.raises(ProtocolError, match="^label 0 is not a positive class index$"):
             prototype_update(state, [0.0, 0.0], 0)
+        # 1.5 used to be truncated to class 1, giving counts [2]
+        state = prototype_update(state, [0.0, 0.0], 1)
+        with pytest.raises(ProtocolError, match="^label 1.5 is not an integer class index$"):
+            prototype_update(state, [0.0, 0.0], 1.5)
 
     def test_from_means(self):
         state = PrototypeState.from_means([[1.0, 2.0], [3.0, 4.0]])
@@ -125,6 +129,33 @@ class TestRunBaselineEpisode:
     def test_init_prototypes_error_position(self):
         with pytest.raises(ProtocolError, match="support point 1"):
             init_prototypes([([0.0], 1), ([0.0], 3)], 1)
+
+
+@pytest.mark.parametrize("method", ["ncm", "flowr"])
+@pytest.mark.parametrize("position", ["support point", "query"])
+@pytest.mark.parametrize(
+    "bad, why",
+    [
+        (1.5, "label 1.5 is not an integer class index"),
+        (0, "label 0 is not a positive class index"),
+        (3, "label 3 skips ahead of the 1 known classes"),
+    ],
+)
+def test_bad_label_is_refused_alike(method, position, bad, why):
+    """flowr and the NCM baseline refuse the same bad label in a support
+    set or a query stream with the same one-line error; NCM used to open
+    class 1 again for 1.5."""
+    stream = [([0.0], 1), ([0.0], bad), ([0.0], 1)]
+    prior, params = SharedPrior(NaturalClassStats(q=[0.0], lam=1.0)), CrpParams.from_b(a=0.5, b=1.0)
+    with pytest.raises(ProtocolError, match=f"^{position} 1: {why}$"):
+        if method == "flowr" and position == "support point":
+            init_small_context(prior, params, NoiseModel(0.5), Encoder.identity(), stream)
+        elif method == "flowr":
+            run_episode(init_small_context(prior, params, NoiseModel(0.5), Encoder.identity(), []), stream)
+        elif position == "support point":
+            init_prototypes(stream, 1)
+        else:
+            run_baseline_episode(PrototypeState.empty(1), stream)
 
 
 @pytest.mark.parametrize("method", ["ncm", "flowr"])

@@ -8,16 +8,17 @@ sequences canonicalised back to arrival order.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowr.crp import (
     ClassCounts,
     CrpParams,
     InvalidStateError,
-    instantiate,
+    ProtocolError,
+    arrival_labels,
     inverse_softplus,
-    observe,
+    label_fault,
     predictive_class_probs,
     predictive_grad_b,
     sequence_log_prob,
@@ -48,24 +49,25 @@ class TestCrpParams:
         with pytest.raises(ValueError):
             inverse_softplus(0.0)
 
+    @pytest.mark.parametrize("y", [1e-8, 1e-12, 1e-15, 1e-300])
+    def test_inverse_softplus_keeps_precision_near_zero(self, y):
+        """y + log1p(-exp(-y)) lost the digits of 1 - exp(-y) as y -> 0:
+        the round trip was off by 2e-5 at 1e-12 and gave -inf at 1e-300."""
+        np.testing.assert_allclose(softplus(inverse_softplus(y)), y, rtol=1e-13, atol=0)
+
+    def test_strength_near_minus_a_constructs(self):
+        """b + a = 1e-300 used to fail as "rho must be finite"."""
+        p = CrpParams.from_b(0.0, 1e-300)
+        np.testing.assert_allclose(p.b, 1e-300, rtol=1e-13, atol=0)
+
+    def test_inverse_softplus_keeps_large_y_form(self):
+        """Above the cut-off the value is y + log1p(-exp(-y)) bit for bit, as
+        at the 1.5 every default strength uses."""
+        for y in [0.5, 1.5, 2.5, 800.0]:
+            assert inverse_softplus(y) == float(y + np.log1p(-np.exp(-y)))
+
 
 class TestCounts:
-    def test_observe_increments_by_one(self):
-        c = ClassCounts(counts=[0])
-        for i in range(10):
-            assert c.total == i
-            c = observe(c, 1)
-        np.testing.assert_array_equal(c.counts, [10])
-
-    def test_observe_range(self):
-        with pytest.raises(ValueError, match="outside existing classes"):
-            observe(ClassCounts(counts=[1, 2]), 3)
-
-    def test_instantiate_appends(self):
-        c = instantiate(ClassCounts(counts=[3]))
-        assert c.n_classes == 2
-        np.testing.assert_array_equal(c.counts, [3, 1])
-
     def test_counts_are_immutable_and_owned(self):
         raw = np.array([1, 2], dtype=np.int64)
         c = ClassCounts(counts=raw)
@@ -199,10 +201,18 @@ class TestSequenceLogProb:
 
     def test_arrival_protocol_enforced(self):
         params = CrpParams.from_b(a=0.5, b=1.0)
-        with pytest.raises(ValueError, match="arrival protocol"):
+        with pytest.raises(ProtocolError, match="^position 0: label 2 skips ahead of the 0 known classes$"):
             sequence_log_prob([2], params)
-        with pytest.raises(ValueError, match="arrival protocol"):
+        with pytest.raises(ProtocolError, match="^position 1: label 3 skips ahead of the 1 known classes$"):
             sequence_log_prob([1, 3], params)
+
+    @pytest.mark.parametrize("labels", [[1, 1.5], [1, 2.7]])
+    def test_non_integer_label_is_refused(self, labels):
+        """[1, 1.5] used to score as [1, 1] (-1.3863 at a = 0.5, b = 1) and
+        [1, 2.7] as [1, 2] (-0.2877)."""
+        message = f"^position 1: label {labels[1]} is not an integer class index$"
+        with pytest.raises(ProtocolError, match=message):
+            sequence_log_prob(labels, CrpParams.from_b(a=0.5, b=1.0))
 
     @given(
         labels=st.lists(st.integers(1, 4), min_size=2, max_size=10),
@@ -227,3 +237,45 @@ class TestSequenceLogProb:
         params = CrpParams.from_b(a=0.5, b=2.0)
         expected = np.log(2.5 / 3.0) + np.log(0.5 / 4.0)
         np.testing.assert_allclose(sequence_log_prob([1, 2, 1], params), expected, rtol=1e-12)
+
+
+def _stepped_fault(n, labels):
+    """The first (position, why) that stepping label_fault meets, or None."""
+    for i, y in enumerate(labels):
+        why = label_fault(y, n)
+        if why:
+            return i, why
+        n = max(n, int(y))
+    return None
+
+
+_LABELS = st.one_of(
+    st.integers(-3, 8),
+    st.integers(-3, 8).map(float),
+    st.integers(-3, 8).map(lambda y: y + 0.5),
+    st.just(float("nan")),
+    st.integers(2**62, 2**70),
+    st.floats(2.0**62, 1e300),
+    st.sampled_from([0, 0.0, -0.0, float("inf"), float("-inf")]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 6), labels=st.lists(_LABELS, max_size=12), as_array=st.booleans())
+@example(n=0, labels=[1.0, 2**62 + 1], as_array=False)
+def test_scan_agrees_with_stepping_the_rule(n, labels, as_array):
+    """arrival_labels names the fault stepping label_fault meets first, by
+    position and message, and otherwise returns the labels as int64; a list
+    or the array numpy makes of it. A fault is named from the label as
+    given: in a list mixing floats and ints, 2**62 + 1 is no float."""
+    if as_array:
+        labels = np.asarray(labels)
+    fault = _stepped_fault(n, labels)
+    if fault:
+        with pytest.raises(ProtocolError) as e:
+            arrival_labels(n, labels, "step")
+        assert str(e.value) == f"step {fault[0]}: {fault[1]}"
+    else:
+        got = arrival_labels(n, labels, "step")
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, [int(y) for y in labels])

@@ -352,10 +352,10 @@ def _stepped_sequential_nll(table, Z, labels, params):
     total = d_b = 0.0
 
     for j, y in enumerate(labels):
-        try:
-            y = table.check(y)
-        except ProtocolError as e:
-            raise ProtocolError(f"query {j}: {e}") from e
+        fault = crp.label_fault(y, table.n)
+        if fault:
+            raise ProtocolError(f"query {j}: {fault}")
+        y = int(y)
         nll, d_Qp, d_lamp, d_z, d_bj = _two_pass_table_nll(table, Z[j : j + 1], np.array([y - 1]), params)
         total += nll
         d_b += d_bj

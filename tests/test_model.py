@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from flowr import losses
-from flowr.crp import ClassCounts, CrpParams, InvalidStateError, instantiate, observe, predictive_class_probs
+from flowr.crp import ClassCounts, CrpParams, InvalidStateError, predictive_class_probs
 from flowr.encoder import ClassEmbeddings, Encoder
 from flowr.gaussian import (
     IsotropicGaussian,
@@ -108,6 +108,9 @@ _INPUT_FAULTS = [
     # a bad label before an input that overflows in the encoder
     (_overflowing_state, [[1e-300], [1e-300], [1e10]], [1, 3, 1], ProtocolError,
      "1: label 3 skips ahead of the 1 known classes"),
+    # a bad label before an input that is not a number (a TypeError in the row check)
+    (_empty_state, [[0.0], [0.0], {}], [1, 5, 1], ProtocolError,
+     "1: label 5 skips ahead of the 1 known classes"),
 ]
 
 
@@ -411,7 +414,8 @@ class TestRunEpisode:
         queries = [([-1.9], 1), ([2.2], 2), ([8.0], 3), ([8.1], 3), ([-2.1], 1)]
         _, final = run_episode(state, queries)
         for before, after in zip(state.class_stats, final.class_stats[:2]):
-            assert before is after
+            np.testing.assert_array_equal(after.q, before.q)
+            assert after.lam == before.lam
         assert final.n_classes == 3
 
     def test_query_position_in_error(self):
@@ -628,9 +632,11 @@ class TestArrayStateMatchesDataclassFold:
             state = update(state, x, y)
             if y == len(stats) + 1:
                 stats.append(prior.prior)
-                counts = observe(instantiate(counts), y)
+                counts = ClassCounts(np.append(counts.counts, 2))  # a new class counts 2 after its first point
             else:
-                counts = observe(counts, y)
+                k = counts.counts.copy()
+                k[y - 1] += 1
+                counts = ClassCounts(k)
             if y > n_kk:
                 stats[y - 1] = condition(stats[y - 1], enc(x), noise)
             states.append(state)
