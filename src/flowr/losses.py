@@ -27,17 +27,19 @@ pi_c = u_c / T with T = sum(u), u_novel = b + a N+, so
 which crp.predictive_grad_b applies next to the CRP rule itself.
 
 The model's recursion lives here too, shared with flowr.model: ClassTable
-holds the rows [classes | novel slot] and the class counts, and takes the
-one online conditioning step, condition(), on a label that crp's arrival
-protocol check has passed. A class counts NEW_CLASS_COUNT = 2 after its
-first point, not the 1 of the two-parameter CRP (crp.sequence_log_prob),
-so the model's sequential prior is not exchangeable. Inference scores through
-log_posterior (log densities, then Bayes rule under a CRP log prior);
-every training loss runs _mixture_nll_grads, one forward and backward
-pass over a single difference block z - mu. When a stream's labels are
-all known in advance, as in evaluation and the teacher-forced loss,
-Prefix builds every table the stream passes through at once: the table
-before step j is the initial table plus the points before j, so
+is an immutable value holding the rows [classes | novel slot] and the
+class counts. Its one online conditioning step, condition(), on a label
+that crp's arrival protocol check has passed, returns the next table: a
+known-known label shares the rows and moves a count, any other copies the
+rows once. A class counts NEW_CLASS_COUNT = 2 after its first point, not
+the 1 of the two-parameter CRP (crp.sequence_log_prob), so the model's
+sequential prior is not exchangeable. Every training loss runs
+_mixture_nll_grads, one forward and backward pass over a single
+difference block z - mu; _bayes is Bayes rule under a CRP log prior,
+which model.predict applies to its log densities too. When a stream's
+labels are all known in advance, as in evaluation and the teacher-forced
+loss, Prefix builds every table the stream passes through at once: the
+table before step j is the initial table plus the points before j, so
 predict-then-update becomes one batched pass with the same additions in
 the same order, bit for bit.
 
@@ -101,82 +103,60 @@ def _encoder_grads(weight, pairs):
 class ClassTable:
     """The class table [classes | novel slot], the prior's row last: Q, lam,
     the cached predictive means Q / lam and variances 1 / lam + s_eps, and
-    int64 counts (the novel slot's stays 0), in buffers with room to grow in
-    place. Rows below n_kk count labels but are never conditioned. The
-    table is the only holder of the class counts: its .counts is what
+    int64 counts (the novel slot holds none), every array exact-size and
+    read-only. A table is a value: condition() returns the next one. Rows
+    below n_kk count labels but are never conditioned. The table is the
+    only holder of the class counts: its .counts is what
     crp.predictive_class_probs reads.
     """
 
-    _BUFFERS = ("_Q", "_lam", "_means", "_variances", "_counts")
     # a class's count after its first point; the two-parameter CRP of
     # crp.sequence_log_prob counts 1, so unlike it this sequential prior is not exchangeable
     NEW_CLASS_COUNT = 2
 
     def __init__(self, Q, lam, counts, q0, lam0, noise_var, *, n_kk=0):
-        self._Q = np.vstack([Q, q0[None, :]])
-        self._lam = np.append(lam, lam0)
-        self._means = self._Q / self._lam[:, None]
-        self._variances = 1.0 / self._lam + noise_var
-        self._counts = np.append(np.asarray(counts, dtype=np.int64), 0)
-        self.n = self._lam.shape[0] - 1
-        self.n_kk, self.noise_var = n_kk, noise_var
+        Q, lam = np.vstack([Q, q0[None, :]]), np.append(lam, lam0)
+        self._set(Q, lam, Q / lam[:, None], 1.0 / lam + noise_var, np.array(counts, dtype=np.int64), n_kk, noise_var)
+
+    def _set(self, Q, lam, means, variances, counts, n_kk, noise_var) -> "ClassTable":
+        for a in (Q, lam, means, variances, counts):
+            a.setflags(write=False)
+        self.Q, self.lam, self.means, self.variances, self.counts = Q, lam, means, variances, counts
+        self.n, self.n_kk, self.noise_var = len(counts), n_kk, noise_var
+        return self
 
     @classmethod
     def counts_after(cls, K):
         """The counts condition() leaves on classes that have seen K >= 1 points each."""
         return K + (cls.NEW_CLASS_COUNT - 1)
 
-    Q = property(lambda t: t._Q[: t.n + 1])
-    lam = property(lambda t: t._lam[: t.n + 1])
-    means = property(lambda t: t._means[: t.n + 1])
-    variances = property(lambda t: t._variances[: t.n + 1])
-    counts = property(lambda t: t._counts[: t.n])
-
-    def copy(self, room=0, *, rows=True):
-        """A writable copy with room for `room` more classes; rows=False
-        copies only the counts and shares the (frozen) row buffers."""
-        table = object.__new__(ClassTable)
-        table.__dict__.update(self.__dict__, _counts=self._counts.copy())
-        if rows:
-            table._resize(self.n + 1 + room)
-        return table
-
-    def _resize(self, size):
-        for name in self._BUFFERS:
-            old = getattr(self, name)
-            new = np.empty((size,) + old.shape[1:], dtype=old.dtype)
-            new[: self.n + 1] = old[: self.n + 1]
-            setattr(self, name, new)
-
-    def freeze(self) -> "ClassTable":
-        for name in self._BUFFERS:
-            getattr(self, name).setflags(write=False)
-        return self
-
-    def condition(self, z, y):
-        """The one conditioning step, on point z with int label y, which
-        crp.label_fault accepts; returns the row conditioned, or None when
-        only the count moved. A label n + 1 opens a class as a copy of the
-        prior's row, which moves down to stay last."""
-        n = self.n
+    def condition(self, z, y) -> "ClassTable":
+        """The table after one conditioning step on point z with int label
+        y, which crp.label_fault accepts; this table stays as it is. A
+        known-known label (y <= n_kk) moves only its count and shares the
+        rows. Any other label copies the rows once and conditions row
+        y - 1; a label n + 1 opens it as a copy of the prior's row, which
+        stays last."""
+        n, rows = self.n, (self.Q, self.lam, self.means, self.variances)
         if y == n + 1:
-            if self._lam.shape[0] == n + 1:
-                self._resize(2 * n + 2)
-            for name in self._BUFFERS:
-                a = getattr(self, name)
-                a[n + 1] = a[n]
-            self._counts[n] = self.NEW_CLASS_COUNT
-            self.n = n + 1
+            counts = np.append(self.counts, self.NEW_CLASS_COUNT)
+            rows = [np.concatenate((a[: n + 1], a[n:])) for a in rows]
         else:
-            self._counts[y - 1] += 1
+            counts = self.counts.copy()
+            counts[y - 1] += 1
             if y <= self.n_kk:
-                return None
+                return self._next(rows, counts)
+            rows = [a.copy() for a in rows]
+        Q, lam, means, variances = rows
         r, inv = y - 1, 1.0 / self.noise_var
-        self._Q[r] += z * inv
-        self._lam[r] += inv
-        self._means[r] = self._Q[r] / self._lam[r]
-        self._variances[r] = 1.0 / self._lam[r] + self.noise_var
-        return r
+        Q[r] += z * inv
+        lam[r] += inv
+        means[r] = Q[r] / lam[r]
+        variances[r] = 1.0 / lam[r] + self.noise_var
+        return self._next(rows, counts)
+
+    def _next(self, rows, counts) -> "ClassTable":
+        return object.__new__(ClassTable)._set(*rows, counts, self.n_kk, self.noise_var)
 
 
 def log_class_prior(counts, params: CrpParams) -> np.ndarray:
@@ -184,14 +164,6 @@ def log_class_prior(counts, params: CrpParams) -> np.ndarray:
     mass); counts is a ClassTable or a crp.ClassCounts."""
     with np.errstate(divide="ignore"):
         return np.log(predictive_class_probs(counts, params))
-
-
-def log_posterior(Z, means, variances, log_prior):
-    """The inference forward pass (model.predict): log densities (m, c) of
-    the points Z under each row, and the Bayes-rule log posterior (m, c)
-    under log_prior (c,). The losses run it fused with their gradients."""
-    logf = log_density_matrix(Z, means, variances)
-    return logf, _bayes(logf, log_prior)
 
 
 def _bayes(logf, log_prior):

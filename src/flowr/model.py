@@ -9,20 +9,21 @@ Labels follow the dense arrival protocol: classes are numbered 1..N in order
 of first appearance, and a label of exactly N + 1 announces a new class.
 crp checks it: update with the one-label rule, the streams with its scan.
 
-A state wraps a frozen losses.ClassTable, the class table the training
+A state wraps a losses.ClassTable, the immutable class table the training
 losses use too: one row per class and the prior's row (the novel slot)
 last, natural parameters Q (N + 1, d) and lam (N + 1,), the cached
 predictive means Q / lam and variances 1 / lam + s_eps, and int64 counts.
 The table is the only holder of the counts: predict is the table's forward
 pass under the CRP prior read straight from the table's counts, and
 `counts` builds a crp.ClassCounts on demand. condition is the online step:
-update copies the table (only its counts for a known-known label) and
-takes one condition step. run_episode and init_small_context know every
-label in advance, so they build the final table from one losses.Prefix
-pass, its last row versions and counts, stepping nothing; run_episode
-also scores the whole stream in that pass. Every call encodes its inputs
-once, in one block through _encode, the model's only encoding path.
-Earlier states stay valid. `class_stats` builds NaturalClassStats on demand.
+update builds the next table with it, which shares the rows for a
+known-known label and copies them once otherwise. run_episode and
+init_small_context know every label in advance, so they build the final
+table from one losses.Prefix pass, its last row versions and counts,
+stepping nothing; run_episode also scores the whole stream in that pass.
+Every call encodes its inputs once, in one block through _encode, the
+model's only encoding path. Earlier states stay valid. `class_stats`
+builds NaturalClassStats on demand.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ import numpy as np
 from . import losses
 from .crp import ClassCounts, CrpParams, ProtocolError, arrival_labels, label_fault, predictive_class_probs
 from .encoder import ClassEmbeddings, Encoder
-from .gaussian import NaturalClassStats, NoiseModel, SharedPrior
+from .gaussian import NaturalClassStats, NoiseModel, SharedPrior, log_density_matrix
 
 
 class ModelState:
-    """Immutable model state over a frozen losses.ClassTable (see the module
+    """Immutable model state over a losses.ClassTable (see the module
     docstring); ModelState(...) is the validated constructor, the model's
     steps derive states without it."""
 
@@ -72,12 +73,12 @@ class ModelState:
         table = losses.ClassTable(Q, lam, counts.counts, p0.q, p0.lam, noise.noise_variance, n_kk=int(n_kk))
         if not (np.isfinite(table.Q).all() and np.isfinite(table.lam).all() and (table.lam > 0.0).all()):
             raise ValueError("class stats must be finite with positive precision")
-        self.__dict__.update(encoder=encoder, crp_params=crp_params, prior=prior, noise=noise, _table=table.freeze())
+        self.__dict__.update(encoder=encoder, crp_params=crp_params, prior=prior, noise=noise, _table=table)
 
     def _derive(self, table) -> "ModelState":
-        """The state over a table stepped from this state's, sharing every other field."""
+        """The state over a table derived from this state's, sharing every other field."""
         state = object.__new__(ModelState)
-        state.__dict__.update(self.__dict__, _table=table.freeze())
+        state.__dict__.update(self.__dict__, _table=table)
         return state
 
     def __setattr__(self, name, value):
@@ -125,25 +126,25 @@ def _encode(state: ModelState, inputs) -> np.ndarray:
     matmul(weight, x[:, :, None]), which gives weight @ x + bias bit for
     bit for every row (the 2-D GEMM of Encoder.__call__ does not). A bad
     input raises the error a check of that row alone raises, with the row
-    as .row: the first that is not one vector of length d_in or is not
-    finite after encoding.
+    as .row: the first that is not one vector of length d_in, holds a
+    number beyond float range or is not finite after encoding.
     """
     enc = state.encoder
     d_in = state.prior.prior.dim if enc.kind == "identity" else enc.weight.shape[1]
     m, fault = len(inputs), None
     try:
         X = np.asarray(inputs, dtype=np.float64)
-    except (TypeError, ValueError):
-        X = None  # ragged, or not numbers: the row check below finds the row
+    except (TypeError, ValueError, OverflowError):
+        X = None  # ragged, not numbers, or beyond float range: the row check below finds the row
     if X is None or X.shape != (m, d_in):
         for row, x in enumerate(inputs):
             try:
                 shape = np.asarray(x, dtype=np.float64).shape
                 if shape != (d_in,):
                     raise ValueError(f"input must be one vector of length {d_in}, got shape {shape}")
-            except (TypeError, ValueError) as e:
-                e.row = m = row
-                fault = e
+            except (TypeError, ValueError, OverflowError) as e:
+                fault = ValueError(f"input must be finite: {e}") if isinstance(e, OverflowError) else e
+                fault.row = m = row
                 break
         X = np.asarray(inputs[:m], dtype=np.float64).reshape(m, d_in)
     Z = X if enc.kind == "identity" else np.matmul(enc.weight, X[:, :, None])[:, :, 0] + enc.bias
@@ -188,8 +189,8 @@ def predict(state: ModelState, x) -> PredictionRecord:
     log-density when every known prior is zero.
     """
     table = state._table
-    log_prior = losses.log_class_prior(table, state.crp_params)
-    logf, log_post = losses.log_posterior(_encode(state, [x]), table.means, table.variances, log_prior)
+    logf = log_density_matrix(_encode(state, [x]), table.means, table.variances)
+    log_post = losses._bayes(logf, losses.log_class_prior(table, state.crp_params))
     return _records(table.n, logf, log_post)[0]
 
 
@@ -219,16 +220,14 @@ def _records(n, logf, log_post, labels=None) -> list:
 
 
 def update(state: ModelState, x, y) -> ModelState:
-    """Condition the state on one labelled point; returns a new state. A
-    known-known label (y <= n_kk) copies only the table's counts."""
+    """Condition the state on one labelled point; returns a new state over
+    the next class table, which shares the rows for a known-known label
+    (y <= n_kk)."""
     z = _encode(state, [x])[0]
     fault = label_fault(y, state.n_classes)
     if fault:
         raise ProtocolError(fault)
-    y = int(y)
-    table = state._table.copy(room=1, rows=y > state.n_kk)
-    table.condition(z, y)
-    return state._derive(table)
+    return state._derive(state._table.condition(z, int(y)))
 
 
 def init_small_context(
@@ -308,7 +307,8 @@ def fine_tune_output_layer(state: ModelState, support, steps, step_size, *, retu
     Minimises the leave-one-out support NLL with a fixed step plus
     backtracking halving (at most 20 halvings per step); a step that cannot
     decrease the loss is rejected, so the trajectory never increases. The
-    returned state is rebuilt from the support with the adapted encoder.
+    support labels are checked before the first step. The returned state is
+    rebuilt from the support with the adapted encoder.
     """
     if state.encoder.kind != "affine":
         raise ValueError("fine-tuning requires an encoder with an affine output layer")
@@ -319,7 +319,7 @@ def fine_tune_output_layer(state: ModelState, support, steps, step_size, *, retu
         return (state, [])  if return_trace else state
 
     X = np.stack([np.asarray(x, dtype=np.float64) for x, _ in support])
-    labels = np.array([int(y) for _, y in support])
+    labels = arrival_labels(0, [y for _, y in support], "support point")
     w, b = state.encoder.params
     p0 = state.prior.prior
     kwargs = dict(params=state.crp_params, noise_var=state.noise.noise_variance)

@@ -34,7 +34,7 @@ class EvalResult:
     roc: tuple
 
 
-def _episode_records(ckpt: Checkpoint, cfg: ExperimentConfig, dataset, index, seed, method, known_classes):
+def _episode_records(ckpt: Checkpoint, cfg: ExperimentConfig, dataset, index, seed, method, known_classes, embeddings):
     rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
     if cfg.setting == "sc":
         episode = meta.sample_sc_task(dataset, cfg.eval_episode_config(), rng)
@@ -44,8 +44,6 @@ def _episode_records(ckpt: Checkpoint, cfg: ExperimentConfig, dataset, index, se
     queries = list(zip(episode.query_x, truth))
     support = list(zip(episode.support_x, episode.support_y))
     encoder = ckpt.params.encoder
-    if cfg.setting == "lc":
-        embeddings = ckpt.params.class_embeddings() if ckpt.params.class_q is not None else ckpt.embeddings
 
     if method == "flowr":
         if cfg.setting == "sc":
@@ -85,9 +83,10 @@ def evaluate(
 ) -> EvalResult:
     """Run sampled evaluation episodes and compute the metric suite.
 
-    For the large-context setting, known_classes defaults to the classes
-    the checkpoint carries stats for (ids 1..n_kk in the dataset); the
-    remaining dataset classes form the novel pool. `workers` is ignored.
+    For the large-context setting, the class stats (the checkpoint's
+    class_q, else its embeddings) are built once for all episodes, and
+    known_classes defaults to the classes they cover (ids 1..n_kk in the
+    dataset); the remaining classes form the novel pool. `workers` is ignored.
     """
     if method not in ("flowr", "ncm"):
         raise ValueError(f"unknown method {method!r}")
@@ -95,17 +94,15 @@ def evaluate(
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be at least 1, got {n_episodes}")
     seed = cfg.seed if seed is None else seed
-    if cfg.setting == "lc" and known_classes is None:
-        if ckpt.params.class_q is not None:
-            n_kk = ckpt.params.class_q.shape[0]
-        elif ckpt.embeddings is not None:
-            n_kk = ckpt.embeddings.n_classes
-        else:
+    embeddings = ckpt.params.class_embeddings() if ckpt.params.class_q is not None else ckpt.embeddings
+    if cfg.setting == "lc":
+        if embeddings is None:
             raise ValueError("large-context evaluation needs class stats in the checkpoint")
-        known_classes = np.arange(1, n_kk + 1)
+        if known_classes is None:
+            known_classes = np.arange(1, embeddings.n_classes + 1)
 
     episodes = [
-        _episode_records(ckpt, cfg, dataset, i, seed, method, known_classes)
+        _episode_records(ckpt, cfg, dataset, i, seed, method, known_classes, embeddings)
         for i in range(n_episodes)
     ]
 

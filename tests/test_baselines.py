@@ -5,6 +5,9 @@ sum_i z_i 1[y_i = n] / sum_i 1[y_i = n]; the 3-4-5 distance is frozen
 scalar arithmetic.
 """
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -231,3 +234,36 @@ def test_evaluate_ncm_large_context_starts_from_class_means():
             PrototypeState.from_means(means), encoder(x)
         )
         assert first.n_at_prediction == 6
+
+
+@pytest.mark.parametrize("method", ["flowr", "ncm"])
+def test_evaluate_decides_large_context_class_stats_once(method):
+    """evaluate builds the large-context class stats once for all episodes,
+    the trained class_q over the embeddings, where each episode used to
+    rebuild them: the records equal those of a checkpoint that carries the
+    same stats as embeddings only, and one with neither is refused."""
+    world = generate_synthetic_world(12, 4, 25.0, 0.5, 20, seed=11)
+    rng = np.random.default_rng(4)
+    params = meta.init_meta_params(3, rng, encoder=Encoder.affine(rng.normal(size=(3, 4)), rng.normal(size=3)))
+    emb = ClassEmbeddings(means=rng.normal(size=(6, 3)), variances=rng.uniform(0.5, 2.0, 6))
+    trained = params.with_class_embeddings(emb)
+    stale = ClassEmbeddings(means=rng.normal(size=(6, 3)), variances=np.ones(6))
+    ckpt = Checkpoint(
+        params=trained, crp=CrpParams(a=0.5, rho=params.rho), noise=NoiseModel(0.5), setting="lc", embeddings=stale
+    )
+    cfg = ExperimentConfig(
+        setting="lc", d=3, eval_support_classes=0, eval_novel_classes=3,
+        eval_queries_per_class=4, eval_episodes=3, operating_tpr=0.6, seed=5, lc_eval_init_count=1,
+    )
+    built = meta.MetaParams.class_embeddings
+    with mock.patch.object(meta.MetaParams, "class_embeddings", autospec=True, side_effect=built) as spy:
+        result = runner.evaluate(world, ckpt, cfg, method=method)
+    assert spy.call_count == 1 and len(result.episodes) == 3
+    only = replace(ckpt, params=params, embeddings=trained.class_embeddings())
+    for got, want in zip(result.episodes, runner.evaluate(world, only, cfg, method=method).episodes):
+        assert [(r.predicted, r.known_argmax, r.novelty_score, r.n_at_prediction) for r in got.records] == [
+            (r.predicted, r.known_argmax, r.novelty_score, r.n_at_prediction) for r in want.records
+        ]
+    for known in (None, [1, 2]):
+        with pytest.raises(ValueError, match="^large-context evaluation needs class stats in the checkpoint$"):
+            runner.evaluate(world, replace(only, embeddings=None), cfg, method=method, known_classes=known)

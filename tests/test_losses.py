@@ -231,7 +231,7 @@ class TestSequentialMatchesInference:
 
 def _two_pass_nll_grads(Z, y_idx, means, variances, log_prior):
     """The training pass as it was written before it was fused: the
-    forward pass of losses.log_posterior, then the gradients from a second
+    forward pass of model.predict, then the gradients from a second
     difference block. Kept as the reference the fused
     losses._mixture_nll_grads must match bit for bit."""
     m, d = Z.shape
@@ -362,10 +362,10 @@ def _stepped_sequential_nll(table, Z, labels, params):
         d_Z[j] = d_z[0]
         R[: len(d_lamp)] += d_Qp
         R_lam[: len(d_lamp)] += d_lamp
-        r = table.condition(Z[j], y)
-        if r is not None:
-            row[j] = r
-            seen[j] = R[r]
+        table = table.condition(Z[j], y)
+        if y > table.n_kk:
+            row[j] = y - 1
+            seen[j] = R[y - 1]
 
     cond = row >= 0
     d_Z[cond] += (R[row[cond]] - seen[cond]) * (1.0 / table.noise_var)
@@ -430,7 +430,7 @@ def test_prefix_pass_matches_stepped_teacher_forced_loss(case):
     Z = rng.normal(size=(len(case["labels"]), d))
     params = CrpParams.from_b(a=case["a"], b=case["b"])
 
-    want = _stepped_sequential_nll(table.copy(), Z, case["labels"], params)
+    want = _stepped_sequential_nll(table, Z, case["labels"], params)
     entries = case["entries"] or losses.PREFIX_ENTRIES
     with mock.patch.object(losses, "PREFIX_ENTRIES", entries):
         got = losses._sequential_nll(table, Z, case["labels"], params)
@@ -529,3 +529,37 @@ def test_hot_path_builds_no_class_counts(monkeypatch):
         episode.support_x, episode.support_y, w, b, template.q0, 1.0, params=params, noise_var=0.5
     )
     assert np.isfinite(loss)
+
+
+@pytest.mark.parametrize("y", [1, 3, 4])
+def test_condition_returns_the_next_table_and_leaves_its_input(y):
+    """ClassTable is a value: condition() returns the next table, every
+    array of it read-only, and never writes to its input. A known-known
+    label (y = 1 <= n_kk) moves only a count and shares the row arrays with
+    its parent, which is all model.update pays for one; label 3 conditions
+    a copy of row 3, and label 4 opens class 4 from the prior's row, which
+    stays last."""
+    rng = np.random.default_rng(17)
+    d, noise = 3, 0.5
+    q0 = rng.normal(size=d)
+    table = losses.ClassTable(rng.normal(size=(3, d)), rng.uniform(0.5, 2.0, 3), [1, 4, 2], q0, 0.7, noise, n_kk=2)
+    names = ("Q", "lam", "means", "variances", "counts")
+    before = {name: getattr(table, name).copy() for name in names}
+    z = rng.normal(size=d)
+
+    after = table.condition(z, y)
+    for name in names:
+        np.testing.assert_array_equal(getattr(table, name), before[name])
+        assert not getattr(table, name).flags.writeable
+        assert not getattr(after, name).flags.writeable
+    assert after.counts is not table.counts
+    assert [getattr(after, name) is getattr(table, name) for name in names[:4]] == [y == 1] * 4
+    want_counts = {1: [2, 4, 2], 3: [1, 4, 3], 4: [1, 4, 2, losses.ClassTable.NEW_CLASS_COUNT]}[y]
+    np.testing.assert_array_equal(after.counts, want_counts)
+    assert (after.n, after.n_kk, after.noise_var) == (len(want_counts), 2, noise)
+    np.testing.assert_array_equal(after.Q[-1], q0)
+    if y > 1:
+        start = before["Q"][y - 1] if y <= 3 else q0
+        np.testing.assert_array_equal(after.Q[y - 1], start + z * (1.0 / noise))
+        np.testing.assert_array_equal(after.means[y - 1], after.Q[y - 1] / after.lam[y - 1])
+        np.testing.assert_array_equal(after.Q[: y - 1], before["Q"][: y - 1])

@@ -111,6 +111,12 @@ _INPUT_FAULTS = [
     # a bad label before an input that is not a number (a TypeError in the row check)
     (_empty_state, [[0.0], [0.0], {}], [1, 5, 1], ProtocolError,
      "1: label 5 skips ahead of the 1 known classes"),
+    # a bad label before an int beyond float range (an OverflowError, which used to escape first)
+    (_empty_state, [[0.0], [0.0], [10**400]], [1, 5, 1], ProtocolError,
+     "1: label 5 skips ahead of the 1 known classes"),
+    # an int beyond float range before a bad label
+    (_empty_state, [[0.0], [10**400], [0.0]], [1, 1, 0], ValueError,
+     "input must be finite: int too large to convert to float"),
 ]
 
 
@@ -509,6 +515,16 @@ class TestFineTune:
         assert tuned.n_classes == 1
         assert np.all(np.isfinite(tuned.encoder.weight))
 
+    def test_support_labels_are_checked_before_any_step(self):
+        """A non-integer support label used to be truncated by int(y) and
+        only refused after every leave-one-out evaluation had run."""
+        state, support = self._affine_state()
+        support[1] = (support[1][0], 1.5)
+        with mock.patch.object(losses, "loo_support_grads", wraps=losses.loo_support_grads) as loo:
+            with pytest.raises(ProtocolError, match="^support point 1: label 1.5 is not an integer class index$"):
+                fine_tune_output_layer(state, support, 50, 0.05)
+        assert loo.call_count == 0
+
     def test_identity_affine_start_matches_raw(self):
         enc = Encoder.identity_affine(3)
         x = np.array([0.4, -1.0, 2.0])
@@ -529,7 +545,8 @@ class TestInputValidation:
             init_count=1,
         )
 
-    @pytest.mark.parametrize("x", [[np.nan], [np.inf], [-np.inf]])
+    # an int beyond float range raised a bare OverflowError
+    @pytest.mark.parametrize("x", [[np.nan], [np.inf], [-np.inf], [10**400]])
     def test_predict_rejects_non_finite(self, x):
         with pytest.raises(ValueError, match="finite"):
             predict(_two_class_state(), x)
@@ -722,9 +739,9 @@ def _stepped_support_table(state, support):
     each point alone and step the empty state's class table with
     condition(). Kept as the reference the one-pass build must match bit
     for bit."""
-    table = state._table.copy()
+    table = state._table
     for x, y in support:
-        table.condition(state.encoder(np.asarray(x, dtype=np.float64)), y)
+        table = table.condition(state.encoder(np.asarray(x, dtype=np.float64)), y)
     return table
 
 
@@ -778,3 +795,61 @@ def test_init_small_context_matches_stepped_fold(case):
     assert built.n_classes == want.n
     for name in ("Q", "lam", "means", "variances", "counts"):
         np.testing.assert_array_equal(getattr(built._table, name), getattr(want, name))
+
+
+# the edge-state fuzz: every axis at its everyday value, then one moved at a time
+_EDGE_BASE = dict(noise=0.5, lam0=1.0, b=1.0, count=1, scale=1.0)
+_EDGE_EXPONENTS = dict(noise=(-300.0, 6.0), lam0=(-300.0, 300.0), b=(-12.0, 300.0), scale=(0.0, 150.0))
+
+
+@st.composite
+def _edge_cases(draw):
+    """A state of n classes in dimension d and a dense labelled stream, with
+    one of noise variance, lambda_0, b, the known classes' counts and the
+    inputs' scale taken to an extreme."""
+    case = dict(_EDGE_BASE, d=draw(st.integers(1, 6)), n=draw(st.integers(0, 8)), seed=draw(st.integers(0, 2**32 - 1)))
+    axis = draw(st.sampled_from(sorted(_EDGE_EXPONENTS) + ["count"]))
+    if axis == "count":
+        case["count"] = draw(st.sampled_from([0, 1, 10**18]))
+    else:
+        case[axis] = 10.0 ** draw(st.floats(*_EDGE_EXPONENTS[axis]))
+    choices = draw(st.lists(st.integers(0, 9), min_size=1, max_size=8))
+    labels, n = [], case["n"]
+    for c in choices:
+        y = min(c, n) + 1
+        n = max(n, y)
+        labels.append(y)
+    return dict(case, labels=labels)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_edge_cases())
+@example(dict(_EDGE_BASE, d=512, n=1000, seed=0, labels=[1, 1000, 1001, 1001, 7, 1002]))
+def test_edge_states_give_a_posterior_or_one_line_error(case):
+    """predict, update and run_episode at extreme noise, prior and CRP
+    scales, huge class counts and huge inputs, up to d = 512 with 1,000
+    classes, return finite posteriors that sum to 1 within 1e-9, or refuse
+    with a one-line ValueError."""
+    rng = np.random.default_rng(case["seed"])
+    d, n = case["d"], case["n"]
+    prior = SharedPrior(NaturalClassStats(q=case["lam0"] * rng.normal(size=d), lam=case["lam0"]))
+    parts = (prior, CrpParams.from_b(a=0.5, b=case["b"]), NoiseModel(case["noise"]), Encoder.identity())
+    X = rng.normal(size=(len(case["labels"]), d)) * case["scale"]
+    records = []
+    try:
+        if n:
+            emb = ClassEmbeddings(means=rng.normal(size=(n, d)), variances=rng.uniform(0.5, 2.0, n))
+            state = init_large_context(emb, *parts, init_count=case["count"])
+        else:
+            state = init_small_context(*parts, [])
+        stepped = state
+        for x, y in zip(X, case["labels"]):
+            records.append(predict(stepped, x))
+            stepped = update(stepped, x, y)
+        records += run_episode(state, zip(X, case["labels"]))[0]
+    except ValueError as e:
+        assert str(e) and "\n" not in str(e)
+        return
+    for record in records:
+        assert np.isfinite(record.probs).all()
+        assert abs(record.probs.sum() - 1.0) <= 1e-9
