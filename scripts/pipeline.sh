@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# Run the whole flowr pipeline on a small synthetic world and write every
+# output to OUT_DIR: the dataset, the checkpoints, the meta-training traces,
+# the eval records, ROC curves and metric tables, and each command's stdout
+# (in <step>.log). Every path is relative to OUT_DIR, so two runs of this
+# script must leave byte-identical directories: `diff -r` checks that the
+# pipeline is deterministic, and a run at two commits that their outputs agree.
+#
+# Usage: scripts/pipeline.sh OUT_DIR
+set -euo pipefail
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUT_DIR" >&2
+    exit 2
+fi
+root=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$1"
+cd "$1"
+export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
+unset FLOWR_OUT_DIR
+
+# run STEP ARGS...: one flowr command, its stdout kept in STEP.log
+run() {
+    local step=$1
+    shift
+    python -m flowr.cli "$@" > "$step.log"
+}
+
+# 60 classes: 1-40 train the encoder and the small-context model; small-context
+# evaluation samples 41-60; large-context runs keep 1-40 as the known classes
+run gen-synthetic gen-synthetic --out world.fse --classes 60 --dim 16 --points-per-class 40 --seed 0
+run pretrain pretrain --data world.fse --out pre.ckpt --out-dim 8 --train-classes 40 --epochs 10 --seed 0
+
+train=(--episodes 400 --step-size 0.005 --queries-per-class 4 --seed 0)
+run metatrain-sc metatrain --data world.fse --init pre.ckpt --out sc.ckpt --train-classes 40 \
+    --support-classes 8 --novel-classes 4 "${train[@]}" --trace sc-trace.txt
+run metatrain-sc-seq metatrain --data world.fse --init pre.ckpt --out sc-seq.ckpt --train-classes 40 \
+    --support-classes 8 --novel-classes 4 "${train[@]}" --sequential --trace sc-seq-trace.txt
+run metatrain-lc metatrain --data world.fse --init pre.ckpt --out lc.ckpt --setting lc \
+    --novel-classes 4 "${train[@]}" --trace lc-trace.txt
+
+sc=(--data world.fse --train-classes 40 --preset sc-paper --episodes 400 --seed 1)
+run eval-sc eval "${sc[@]}" --checkpoint sc.ckpt --out-dir eval-sc
+run eval-sc-fine-tune eval "${sc[@]}" --checkpoint sc.ckpt --fine-tune-steps 3 --out-dir eval-sc-fine-tune
+run eval-sc-ncm eval "${sc[@]}" --checkpoint sc.ckpt --method ncm --out-dir eval-sc-ncm
+
+lc=(--data world.fse --preset lc-paper --episodes 20 --seed 1)
+for ckpt in lc pre; do
+    for count in 0 1; do
+        run "eval-lc-$ckpt-count$count" eval "${lc[@]}" --checkpoint "$ckpt.ckpt" --lc-init-count "$count" \
+            --out-dir "eval-lc-$ckpt-count$count"
+    done
+done
+run eval-lc-ncm eval "${lc[@]}" --checkpoint lc.ckpt --method ncm --out-dir eval-lc-ncm
+
+run grad-check grad-check --trials 3

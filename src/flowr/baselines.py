@@ -6,6 +6,10 @@ Euclidean distance to the nearest prototype (higher = more novel), so the
 evaluation pipeline can consume it interchangeably with the probabilistic
 model. With no prototype yet the score is EMPTY_NOVELTY, the largest finite
 float, which ranks above every real distance and keeps the metric code finite.
+
+Inputs are read by the model's reader (model._encode, _encode_labelled): a
+bad point is refused with the model's one-line error, and a stream, read
+in one call, reports its first fault in stream order, as flowr does.
 """
 
 from __future__ import annotations
@@ -14,10 +18,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .crp import ProtocolError, arrival_labels, label_fault
-from .model import PredictionRecord
+from .crp import ProtocolError, label_fault
+from .encoder import Encoder
+from .model import PredictionRecord, _encode, _encode_labelled
 
 EMPTY_NOVELTY = float(np.finfo(np.float64).max)
+_IDENTITY = Encoder.identity()
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,7 @@ class PrototypeState:
 
 def prototype_update(state: PrototypeState, z, y) -> PrototypeState:
     """Fold one labelled point into the running means; y = N + 1 appends."""
+    z = _encode(_IDENTITY, state.sums.shape[1], [z])[0]
     fault = label_fault(y, state.n_classes)
     if fault:
         raise ProtocolError(fault)
@@ -71,15 +78,10 @@ def prototype_update(state: PrototypeState, z, y) -> PrototypeState:
 
 
 def _fold(state: PrototypeState, z, y) -> PrototypeState:
-    """prototype_update on a label the arrival protocol check has passed."""
-    z = np.asarray(z, dtype=np.float64)
+    """prototype_update on a point and a label the reader has passed."""
     n = state.n_classes
     if y == n + 1:
-        return replace(
-            state,
-            sums=np.vstack([state.sums, z[None, :]]) if n else z[None, :].copy(),
-            counts=np.append(state.counts, 1),
-        )
+        return replace(state, sums=np.vstack([state.sums, z[None, :]]), counts=np.append(state.counts, 1))
     sums = state.sums.copy()
     counts = state.counts.copy()
     sums[y - 1] += z
@@ -90,32 +92,37 @@ def _fold(state: PrototypeState, z, y) -> PrototypeState:
 def ncm_predict(state: PrototypeState, z):
     """Nearest class mean: (1-based argmin class, Euclidean distance); with no
     classes yet, (None, EMPTY_NOVELTY)."""
+    return _nearest(state, _encode(_IDENTITY, state.sums.shape[1], [z])[0])
+
+
+def _nearest(state: PrototypeState, z):
+    """ncm_predict on a point the reader has passed."""
     if state.n_classes == 0:
         return None, EMPTY_NOVELTY
-    diff = state.means - np.asarray(z, dtype=np.float64)[None, :]
+    diff = state.means - z[None, :]
     dist = np.sqrt(np.einsum("nd,nd->n", diff, diff))
     best = int(np.argmin(dist))
     return best + 1, float(dist[best])
 
 
 def init_prototypes(support, dim) -> PrototypeState:
-    """Prototype state from a labelled support stream in arrival order."""
-    support = list(support)
+    """Prototype state from a labelled stream of dim-vectors in arrival order."""
+    Z, labels = _encode_labelled(_IDENTITY, dim, 0, list(support), "support point")
     state = PrototypeState.empty(dim)
-    for (x, _), y in zip(support, arrival_labels(0, [y for _, y in support], "support point").tolist()):
-        state = _fold(state, x, y)
+    for z, y in zip(Z, labels.tolist()):
+        state = _fold(state, z, y)
     return state
 
 
 def run_baseline_episode(state: PrototypeState, queries, encoder=None):
     """Nearest-class-mean predict-then-update over a query stream, mirroring
     the probabilistic episode loop; returns the records and the final state.
-    The labels are checked before any query is scored."""
-    queries = list(queries)
+    The stream is read and encoded in one call, so every input and label
+    is checked before any query is scored."""
+    Z, labels = _encode_labelled(encoder or _IDENTITY, state.sums.shape[1], state.n_classes, list(queries), "query")
     records = []
-    for (x, _), y in zip(queries, arrival_labels(state.n_classes, [y for _, y in queries], "query").tolist()):
-        z = encoder(x) if encoder is not None else np.asarray(x, dtype=np.float64)
-        best, score = ncm_predict(state, z)
+    for z, y in zip(Z, labels.tolist()):
+        best, score = _nearest(state, z)
         records.append(PredictionRecord(None, best, best, score, state.n_classes, true_label=y))
         state = _fold(state, z, y)
     return records, state

@@ -31,7 +31,6 @@ from .crp import CrpParams
 from .data import generate_synthetic_world, read_dataset, subset_classes, write_dataset
 from .encoder import Encoder, pretrain
 from .gaussian import NoiseModel
-from .metrics import accuracy_suite, scores_from_records, threshold_at_tpr
 
 
 class CliError(Exception):
@@ -272,11 +271,7 @@ def _cmd_eval(args):
 
 
 def _cmd_report(args):
-    episodes = runner.read_records(args.records)
-    scores = scores_from_records(episodes)
-    tau, achieved = threshold_at_tpr(scores, args.tpr)
-    metrics = accuracy_suite(episodes, tau)
-    metrics.update({"tau": tau, "achieved_tpr": achieved, "target_tpr": args.tpr})
+    metrics, _ = runner.metrics_at_tpr(runner.read_records(args.records), args.tpr)
     sys.stdout.write(runner.format_metrics(metrics))
     return 0
 

@@ -166,13 +166,14 @@ def _episode(dataset, cfg: EpisodeConfig, rng, known_classes, novel_classes, *, 
     query_rows = np.asarray(query_rows, dtype=np.int64)[perm]
     support_rows = np.asarray(support_rows, dtype=np.int64)
     novel_mask = which >= n_known
-    features = dataset.features_f64
+    # gathered from the float32 features and converted, which is exact
+    query_x = dataset.features[query_rows].astype(np.float64)
     return Episode(
-        support_x=features[support_rows],
+        support_x=dataset.features[support_rows].astype(np.float64),
         support_y=np.asarray(support_y, dtype=np.int64),
-        query_x=features[query_rows],
+        query_x=query_x,
         query_y=np.minimum(which + 1, n_known + 1),
-        adapt_x=features[query_rows[novel_mask]],
+        adapt_x=query_x[novel_mask],
         adapt_y=which[novel_mask] - n_known + 1,
         n_known=n_known,
         support_rows=support_rows,

@@ -21,9 +21,11 @@ known-known label and copies them once otherwise. run_episode and
 init_small_context know every label in advance, so they build the final
 table from one losses.Prefix pass, its last row versions and counts,
 stepping nothing; run_episode also scores the whole stream in that pass.
-Every call encodes its inputs once, in one block through _encode, the
-model's only encoding path. Earlier states stay valid. `class_stats`
-builds NaturalClassStats on demand.
+_encode and _encode_labelled are flowr's only readers of raw inputs and
+labelled streams: every call here, fine-tuning and the NCM baseline read
+each input once, in one block, refuse a bad one with the same one-line
+error and report a stream's first fault in stream order. Earlier states
+stay valid. `class_stats` builds NaturalClassStats on demand.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ class ModelState:
     means = property(lambda s: s._table.means)
     variances = property(lambda s: s._table.variances)
     n_kk = property(lambda s: s._table.n_kk)
+    dim = property(lambda s: s._table.Q.shape[1])
 
     @property
     def n_classes(self) -> int:
@@ -120,17 +123,17 @@ class PredictionRecord:
     true_label: int | None = None
 
 
-def _encode(state: ModelState, inputs) -> np.ndarray:
-    """Encode a list of raw inputs, one vector of length d_in each, in one
-    call: Z (m, d). An affine encoder applies the stacked
+def _encode(encoder: Encoder, dim, inputs) -> np.ndarray:
+    """Read and encode a list of raw inputs in one call: Z (m, dim), where
+    an identity encoder takes vectors of length dim and an affine one of
+    length weight.shape[1]. An affine encoder applies the stacked
     matmul(weight, x[:, :, None]), which gives weight @ x + bias bit for
     bit for every row (the 2-D GEMM of Encoder.__call__ does not). A bad
     input raises the error a check of that row alone raises, with the row
     as .row: the first that is not one vector of length d_in, holds a
     number beyond float range or is not finite after encoding.
     """
-    enc = state.encoder
-    d_in = state.prior.prior.dim if enc.kind == "identity" else enc.weight.shape[1]
+    d_in = dim if encoder.kind == "identity" else encoder.weight.shape[1]
     m, fault = len(inputs), None
     try:
         X = np.asarray(inputs, dtype=np.float64)
@@ -147,7 +150,7 @@ def _encode(state: ModelState, inputs) -> np.ndarray:
                 fault.row = m = row
                 break
         X = np.asarray(inputs[:m], dtype=np.float64).reshape(m, d_in)
-    Z = X if enc.kind == "identity" else np.matmul(enc.weight, X[:, :, None])[:, :, 0] + enc.bias
+    Z = X if encoder.kind == "identity" else np.matmul(encoder.weight, X[:, :, None])[:, :, 0] + encoder.bias
     finite = np.isfinite(Z)
     if not finite.all():
         fault = ValueError("input must be finite (after encoding)")
@@ -157,22 +160,22 @@ def _encode(state: ModelState, inputs) -> np.ndarray:
     return Z
 
 
-def _encode_labelled(state: ModelState, stream, what, scored) -> tuple:
-    """Encode a labelled stream (a list of (input, label)) in one call and
-    check its labels: Z (m, d) and the int64 labels. A fault is reported
-    as stepping the stream would meet it: the first in stream order, a
-    point's input before its label, and in a scored stream the CRP rule
-    refusing to score step 0 (no class count yet and b <= 0) before any
-    label fault. A label fault reads `{what} i: ...`."""
-    table, labels = state._table, [y for _, y in stream]
+def _encode_labelled(encoder: Encoder, dim, n, stream, what, first_score=None) -> tuple:
+    """Read and encode a labelled stream (a list of (input, label)) in one
+    call and check its labels against n known classes: Z (m, dim) and the
+    int64 labels. A fault is reported as stepping the stream would meet
+    it: the first in stream order, a point's input before its label, and
+    first_score() (run_episode's CRP check of scoring step 0) after point
+    0's input and before any label. A label fault reads `{what} i: ...`."""
+    labels = [y for _, y in stream]
 
     def checked(labels):
-        if scored and labels and not table.counts.any():
-            predictive_class_probs(table, state.crp_params)
-        return arrival_labels(table.n, labels, what)
+        if first_score is not None and labels:
+            first_score()
+        return arrival_labels(n, labels, what)
 
     try:
-        Z = _encode(state, [x for x, _ in stream])
+        Z = _encode(encoder, dim, [x for x, _ in stream])
     except (TypeError, ValueError) as e:
         checked(labels[: e.row])
         raise
@@ -189,7 +192,7 @@ def predict(state: ModelState, x) -> PredictionRecord:
     log-density when every known prior is zero.
     """
     table = state._table
-    logf = log_density_matrix(_encode(state, [x]), table.means, table.variances)
+    logf = log_density_matrix(_encode(state.encoder, state.dim, [x]), table.means, table.variances)
     log_post = losses._bayes(logf, losses.log_class_prior(table, state.crp_params))
     return _records(table.n, logf, log_post)[0]
 
@@ -223,7 +226,7 @@ def update(state: ModelState, x, y) -> ModelState:
     """Condition the state on one labelled point; returns a new state over
     the next class table, which shares the rows for a known-known label
     (y <= n_kk)."""
-    z = _encode(state, [x])[0]
+    z = _encode(state.encoder, state.dim, [x])[0]
     fault = label_fault(y, state.n_classes)
     if fault:
         raise ProtocolError(fault)
@@ -248,7 +251,7 @@ def init_small_context(
     support = list(support)
     if not support:
         return state
-    Z, labels = _encode_labelled(state, support, "support point", scored=False)
+    Z, labels = _encode_labelled(encoder, prior.prior.dim, 0, support, "support point")
     return state._derive(losses.Prefix(state._table, Z, labels, crp_params).final_table())
 
 
@@ -293,8 +296,11 @@ def run_episode(state: ModelState, queries):
     queries = list(queries)
     if not queries:
         return [], state
-    Z, labels = _encode_labelled(state, queries, "query", scored=True)
-    prefix = losses.Prefix(state._table, Z, labels, state.crp_params)
+    table = state._table
+    # the CRP rule refuses to score step 0 when no class has a count yet and b <= 0
+    first_score = None if table.counts.any() else lambda: predictive_class_probs(table, state.crp_params)
+    Z, labels = _encode_labelled(state.encoder, state.dim, table.n, queries, "query", first_score)
+    prefix = losses.Prefix(table, Z, labels, state.crp_params)
     records = []
     for c in prefix.chunks():
         records += _records(c.n, c.logf, c.log_post, prefix.labels[c.steps])
@@ -307,19 +313,20 @@ def fine_tune_output_layer(state: ModelState, support, steps, step_size, *, retu
     Minimises the leave-one-out support NLL with a fixed step plus
     backtracking halving (at most 20 halvings per step); a step that cannot
     decrease the loss is rejected, so the trajectory never increases. The
-    support labels are checked before the first step. The returned state is
-    rebuilt from the support with the adapted encoder.
+    support is read as init_small_context reads it (_encode_labelled),
+    before the first step, and the raw inputs are taken once it has passed.
+    The returned state is rebuilt from the support with the adapted encoder.
     """
     if state.encoder.kind != "affine":
         raise ValueError("fine-tuning requires an encoder with an affine output layer")
     support = list(support)
     if not support:
         raise ValueError("fine-tuning requires a non-empty support set")
+    _, labels = _encode_labelled(state.encoder, state.dim, 0, support, "support point")
     if steps == 0:
-        return (state, [])  if return_trace else state
+        return (state, []) if return_trace else state
 
-    X = np.stack([np.asarray(x, dtype=np.float64) for x, _ in support])
-    labels = arrival_labels(0, [y for _, y in support], "support point")
+    X = np.asarray([x for x, _ in support], dtype=np.float64)
     w, b = state.encoder.params
     p0 = state.prior.prior
     kwargs = dict(params=state.crp_params, noise_var=state.noise.noise_variance)

@@ -18,7 +18,7 @@ from .baselines import PrototypeState, init_prototypes, run_baseline_episode
 from .checkpoint import Checkpoint
 from .config import ExperimentConfig
 from .crp import CrpParams
-from .data import EmbeddingDataset
+from .data import generate_synthetic_world
 from .encoder import Encoder
 from .meta import oracle_labels
 from .metrics import EpisodeRecords, accuracy_suite, roc_curve, scores_from_records, threshold_at_tpr
@@ -106,22 +106,23 @@ def evaluate(
         for i in range(n_episodes)
     ]
 
-    scores = scores_from_records(episodes)
-    tau, achieved = threshold_at_tpr(scores, cfg.operating_tpr)
-    metrics = accuracy_suite(episodes, tau)
-    metrics.update(
-        {
-            "tau": tau,
-            "achieved_tpr": achieved,
-            "target_tpr": cfg.operating_tpr,
-            "method": method,
-            "n_episodes": n_episodes,
-            "seed": seed,
-        }
-    )
+    metrics, scores = metrics_at_tpr(episodes, cfg.operating_tpr)
+    metrics.update({"method": method, "n_episodes": n_episodes, "seed": seed})
     return EvalResult(
-        episodes=episodes, tau=tau, achieved_tpr=achieved, metrics=metrics, roc=roc_curve(scores)
+        episodes=episodes, tau=metrics["tau"], achieved_tpr=metrics["achieved_tpr"], metrics=metrics,
+        roc=roc_curve(scores),
     )
+
+
+def metrics_at_tpr(episodes, target_tpr) -> tuple:
+    """The metric suite at the threshold whose TPR first reaches target_tpr
+    (threshold_at_tpr), with tau and the achieved and target TPR added:
+    (metrics, the novelty scores). flowr eval and flowr report both use it."""
+    scores = scores_from_records(episodes)
+    tau, achieved = threshold_at_tpr(scores, target_tpr)
+    metrics = accuracy_suite(episodes, tau)
+    metrics.update({"tau": tau, "achieved_tpr": achieved, "target_tpr": target_tpr})
+    return metrics, scores
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +205,6 @@ def output_dir(flag_value=None) -> str:
 # ---------------------------------------------------------------------------
 # gradient verification suite
 
-def _flat_check(loss_grad, x0, rng):
-    def loss_fn(v):
-        return loss_grad(v)[0]
-
-    def grad_fn(v):
-        return loss_grad(v)[1]
-
-    return meta.grad_check(loss_fn, grad_fn, x0, rng=rng)
-
-
 def run_grad_check_suite(seed=0, trials=10) -> dict:
     """Finite-difference certification of every analytic gradient.
 
@@ -241,9 +232,9 @@ def run_grad_check_suite(seed=0, trials=10) -> dict:
         x0 = np.concatenate(
             [rng.normal(size=(d, d_in)).ravel(), rng.normal(size=d), rng.normal(size=(n, d)).ravel(), 0.2 * rng.normal(size=n)]
         )
-        record("pretrain", _flat_check(pretrain_lg, x0, rng))
+        record("pretrain", meta.grad_check(lambda v: pretrain_lg(v)[0], lambda v: pretrain_lg(v)[1], x0, rng=rng))
 
-        dataset = _tiny_dataset(rng, n_classes=6, dim=d_in, points=16)
+        dataset = generate_synthetic_world(6, d_in, 9.0, 1.0, 16, seed=rng)
         ecfg = meta.EpisodeConfig(
             n_support_classes=2, n_novel_classes=2, shots_min=1, shots_max=3, queries_per_class=3
         )
@@ -286,7 +277,7 @@ def run_grad_check_suite(seed=0, trials=10) -> dict:
             return value, np.concatenate([dW.ravel(), db])
 
         x0 = np.concatenate([rng.normal(size=(d, d_in)).ravel(), rng.normal(size=d)])
-        record("fine_tune", _flat_check(finetune_lg, x0, rng))
+        record("fine_tune", meta.grad_check(lambda v: finetune_lg(v)[0], lambda v: finetune_lg(v)[1], x0, rng=rng))
     return out
 
 
@@ -301,10 +292,3 @@ def _unflatten(vec, shapes):
 
 def _random_affine(rng, d_out, d_in) -> Encoder:
     return Encoder.affine(rng.normal(size=(d_out, d_in)) / np.sqrt(d_in), rng.normal(size=d_out))
-
-
-def _tiny_dataset(rng, n_classes, dim, points):
-    labels = np.repeat(np.arange(1, n_classes + 1), points)
-    means = rng.normal(0.0, 3.0, size=(n_classes, dim))
-    features = np.repeat(means, points, axis=0) + rng.normal(size=(n_classes * points, dim))
-    return EmbeddingDataset(labels, features)

@@ -27,6 +27,7 @@ from flowr.data import generate_synthetic_world
 from flowr.encoder import ClassEmbeddings, Encoder
 from flowr.gaussian import NaturalClassStats, NoiseModel, SharedPrior
 from flowr.model import ProtocolError, init_small_context, run_episode
+from test_model import _INPUT_FAULTS
 
 
 class TestPrototypeState:
@@ -77,6 +78,21 @@ class TestPrototypeState:
         prototype_update(state, [2.0, 2.0], 1)
         np.testing.assert_array_equal(state.means[0], [0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "means, z, y",
+        [
+            # used to broadcast 9 into class 2: sums [[1, 2], [12, 13]]
+            ([[1.0, 2.0], [3.0, 4.0]], [9.0], 2),
+            ([[1.0, 2.0]], [1.0, 2.0, 3.0], 1),
+            # an empty state used to take a short first point as a 1-d class
+            (np.zeros((0, 2)), [5.0], 1),
+        ],
+    )
+    def test_wrong_length_is_refused(self, means, z, y):
+        state = PrototypeState.from_means(means)
+        with pytest.raises(ValueError, match=f"^input must be one vector of length 2, got shape \\({len(z)},\\)$"):
+            prototype_update(state, z, y)
+
 
 class TestNcmPredict:
     def test_pythagorean_case(self):
@@ -95,6 +111,21 @@ class TestNcmPredict:
         best, score = ncm_predict(PrototypeState.empty(2), [0.0, 0.0])
         assert best is None
         assert score == EMPTY_NOVELTY == np.finfo(np.float64).max
+
+    @pytest.mark.parametrize("n_classes", [0, 2])
+    @pytest.mark.parametrize(
+        "z, message",
+        [
+            # a short query used to broadcast against every mean
+            ([7.0], "one vector of length 2, got shape \\(1,\\)"),
+            ([[1.0, 2.0]], "one vector of length 2, got shape \\(1, 2\\)"),
+            ([np.nan, 0.0], "finite \\(after encoding\\)"),
+        ],
+    )
+    def test_bad_query_is_refused(self, n_classes, z, message):
+        state = PrototypeState.from_means(np.arange(2.0 * n_classes).reshape(n_classes, 2))
+        with pytest.raises(ValueError, match=f"^input must be {message}$"):
+            ncm_predict(state, z)
 
     def test_argmin_invariant_under_scaling(self):
         """Scaling every vector by c > 0 keeps the argmin and scales the
@@ -129,9 +160,49 @@ class TestRunBaselineEpisode:
         records, _ = run_baseline_episode(state, [([0.05, 0.0], 1)], encoder=double)
         np.testing.assert_allclose(records[0].novelty_score, 0.0, atol=1e-15)
 
-    def test_init_prototypes_error_position(self):
-        with pytest.raises(ProtocolError, match="support point 1"):
-            init_prototypes([([0.0], 1), ([0.0], 3)], 1)
+    @pytest.mark.parametrize(
+        "support, dim, error, message",
+        [
+            ([([0.0], 1), ([0.0], 3)], 1, ProtocolError, "support point 1"),
+            # used to give sums [[5, 5]]
+            ([([0.0, 0.0], 1), ([5.0], 1)], 2, ValueError, "one vector of length 2, got shape \\(1,\\)"),
+            # used to give a 1-d state
+            ([([5.0], 1)], 2, ValueError, "one vector of length 2, got shape \\(1,\\)"),
+        ],
+    )
+    def test_init_prototypes_error_position(self, support, dim, error, message):
+        message = message if error is ProtocolError else f"^input must be {message}$"
+        with pytest.raises(error, match=message):
+            init_prototypes(support, dim)
+
+    @pytest.mark.parametrize("position", ["support point", "query"])
+    @pytest.mark.parametrize("make_state, inputs, labels, error, message", _INPUT_FAULTS)
+    def test_first_fault_in_stream_order_is_reported(self, position, make_state, inputs, labels, error, message):
+        """Both streams are read by the model's reader, so NCM raises the
+        fault flowr raises for the same stream (the support arrives
+        encoded, so an affine state's rows are encoded one by one first)."""
+        state = make_state()
+        message = f"^{position} {message}$" if error is ProtocolError else f"^{message}$"
+        with np.errstate(over="ignore"), pytest.raises(error, match=message):
+            if position == "query":
+                run_baseline_episode(PrototypeState.empty(state.dim), zip(inputs, labels), encoder=state.encoder)
+            else:
+                encoded = inputs if state.encoder.kind == "identity" else [state.encoder(x) for x in inputs]
+                init_prototypes(zip(encoded, labels), state.dim)
+
+    @pytest.mark.parametrize(
+        "queries, message",
+        [
+            # query 0 used to score as class 2 at distance 5.0 and fold [8, 9] into class 1
+            ([([7.0], 1), ([3.0, 4.0], 2)], "one vector of length 2, got shape \\(1,\\)"),
+            # a NaN query used to be scored and its NaN novelty recorded first
+            ([([3.0, 4.0], 2), ([np.nan, 0.0], 1)], "finite \\(after encoding\\)"),
+        ],
+    )
+    def test_bad_query_is_refused_before_scoring(self, queries, message):
+        state = PrototypeState.from_means([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match=f"^input must be {message}$"):
+            run_baseline_episode(state, queries)
 
 
 @pytest.mark.parametrize("method", ["ncm", "flowr"])
@@ -142,15 +213,22 @@ class TestRunBaselineEpisode:
         (1.5, "label 1.5 is not an integer class index"),
         (0, "label 0 is not a positive class index"),
         (3, "label 3 skips ahead of the 1 known classes"),
+        # a bad input, as a whole point: NCM used to broadcast, score or fold it
+        (([0.0, 0.0], 1), "input must be one vector of length 1, got shape \\(2,\\)"),
+        (([np.nan], 9), "input must be finite \\(after encoding\\)"),
+        ((["a"], 1), "could not convert string to float: 'a'"),
+        (([10**400], 1), "input must be finite: int too large to convert to float"),
     ],
 )
 def test_bad_label_is_refused_alike(method, position, bad, why):
-    """flowr and the NCM baseline refuse the same bad label in a support
-    set or a query stream with the same one-line error; NCM used to open
-    class 1 again for 1.5."""
-    stream = [([0.0], 1), ([0.0], bad), ([0.0], 1)]
+    """flowr and the NCM baseline refuse the same bad label or input in a
+    support set or a query stream with the same one-line error; NCM used
+    to open class 1 again for 1.5."""
+    point = bad if isinstance(bad, tuple) else ([0.0], bad)
+    stream = [([0.0], 1), point, ([0.0], 1)]
     prior, params = SharedPrior(NaturalClassStats(q=[0.0], lam=1.0)), CrpParams.from_b(a=0.5, b=1.0)
-    with pytest.raises(ProtocolError, match=f"^{position} 1: {why}$"):
+    error, message = (ValueError, f"^{why}$") if isinstance(bad, tuple) else (ProtocolError, f"^{position} 1: {why}$")
+    with pytest.raises(error, match=message):
         if method == "flowr" and position == "support point":
             init_small_context(prior, params, NoiseModel(0.5), Encoder.identity(), stream)
         elif method == "flowr":

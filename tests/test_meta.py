@@ -11,8 +11,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from flowr.data import generate_synthetic_world
-from flowr.encoder import Encoder
+from flowr import runner
+from flowr.checkpoint import Checkpoint
+from flowr.config import ExperimentConfig
+from flowr.crp import CrpParams
+from flowr.data import EmbeddingDataset, generate_synthetic_world
+from flowr.encoder import ClassEmbeddings, Encoder
 from flowr.gaussian import NaturalClassStats, NoiseModel, SharedPrior
 from flowr.meta import (
     EpisodeConfig,
@@ -100,6 +104,38 @@ class TestSampleScTask:
         assert len(ep.adapt_y) == 12
         np.testing.assert_array_equal(np.unique(ep.adapt_y), [1, 2, 3])
         np.testing.assert_allclose(ep.adapt_x, ep.query_x[ep.query_y == 3])
+
+    def test_episodes_gather_only_the_sampled_rows(self, world, monkeypatch):
+        """Sampling converts the gathered float32 rows, exactly, instead of
+        reading the float64 copy of the whole dataset: evaluation and meta-
+        training in both settings run with that copy made unreadable."""
+        cfg = EpisodeConfig(n_support_classes=2, n_novel_classes=3, queries_per_class=4)
+        ep = sample_sc_task(world, cfg, np.random.default_rng(3))
+        for x, rows in ((ep.support_x, ep.support_rows), (ep.query_x, ep.query_rows)):
+            assert x.dtype == np.float64
+            np.testing.assert_array_equal(x, world.features_f64[rows])
+
+        def unreadable(ds):
+            raise AssertionError("features_f64 was read")
+
+        monkeypatch.setattr(EmbeddingDataset, "features_f64", property(unreadable))
+        params = init_meta_params(world.dim, np.random.default_rng(1))
+        lc_params = params.with_class_embeddings(
+            ClassEmbeddings(means=np.zeros((3, world.dim)), variances=np.ones(3))
+        )
+        for setting, start in (("sc", params), ("lc", lc_params)):
+            ckpt = Checkpoint(params=start, crp=CrpParams(a=0.5, rho=start.rho), noise=NoiseModel(0.5), setting=setting)
+            exp = ExperimentConfig(
+                setting=setting, d=world.dim, eval_support_classes=2, eval_novel_classes=2,
+                eval_queries_per_class=2, eval_episodes=2, lc_eval_init_count=1,
+            )
+            for method in ("flowr", "ncm"):
+                assert len(runner.evaluate(world, ckpt, exp, method=method).episodes) == 2
+            train = EpisodeConfig(n_support_classes=2 if setting == "sc" else 0, n_novel_classes=2, queries_per_class=2)
+            _, trace = run_meta_training(
+                world, cfg=train, setting=setting, n_episodes=2, init=start, known_classes=[1, 2, 3]
+            )
+            assert len(trace) == 2
 
 
 class TestSampleLcTask:

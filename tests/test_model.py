@@ -515,14 +515,38 @@ class TestFineTune:
         assert tuned.n_classes == 1
         assert np.all(np.isfinite(tuned.encoder.weight))
 
-    def test_support_labels_are_checked_before_any_step(self):
+    @pytest.mark.parametrize(
+        "x, y, error, message",
+        [
+            (None, 1.5, ProtocolError, "^support point 1: label 1.5 is not an integer class index$"),
+            # a ragged support used to raise numpy's "all input arrays must have the same shape"
+            ([0.0, 0.0, 0.0], None, ValueError, "^input must be one vector of length 2, got shape \\(3,\\)$"),
+            # a NaN input used to be fine-tuned on, and only refused at the end
+            ([np.nan, 0.0], None, ValueError, "^input must be finite \\(after encoding\\)$"),
+        ],
+    )
+    def test_support_labels_are_checked_before_any_step(self, x, y, error, message):
         """A non-integer support label used to be truncated by int(y) and
         only refused after every leave-one-out evaluation had run."""
         state, support = self._affine_state()
-        support[1] = (support[1][0], 1.5)
+        support[1] = (support[1][0] if x is None else x, support[1][1] if y is None else y)
         with mock.patch.object(losses, "loo_support_grads", wraps=losses.loo_support_grads) as loo:
-            with pytest.raises(ProtocolError, match="^support point 1: label 1.5 is not an integer class index$"):
+            with pytest.raises(error, match=message):
                 fine_tune_output_layer(state, support, 50, 0.05)
+        assert loo.call_count == 0
+
+    @pytest.mark.parametrize("make_state, inputs, labels, error, message", _INPUT_FAULTS)
+    def test_first_fault_in_stream_order_is_reported(self, make_state, inputs, labels, error, message):
+        """Fine-tuning reads its support as init_small_context does, so it
+        raises the same first fault, before any step (an identity state
+        becomes the identity affine one)."""
+        state = make_state()
+        if state.encoder.kind != "affine":
+            state = init_small_context(state.prior, state.crp_params, state.noise, Encoder.affine([[1.0]], [0.0]), [])
+        message = f"^support point {message}$" if error is ProtocolError else f"^{message}$"
+        with mock.patch.object(losses, "loo_support_grads", wraps=losses.loo_support_grads) as loo:
+            with np.errstate(over="ignore"), pytest.raises(error, match=message):
+                fine_tune_output_layer(state, zip(inputs, labels), 5, 0.1)
         assert loo.call_count == 0
 
     def test_identity_affine_start_matches_raw(self):
@@ -702,8 +726,8 @@ class TestArrayStateMatchesDataclassFold:
 
 
 class TestEncode:
-    """_encode, the one encoding path of predict, update, run_episode and
-    init_small_context, encodes a whole block at once and gives each row
+    """_encode, the one encoding path of predict, update, run_episode,
+    init_small_context, fine-tuning and the NCM baseline, encodes a whole block at once and gives each row
     what encoding that vector alone gives, bit for bit."""
 
     @settings(max_examples=100, deadline=None)
@@ -728,7 +752,7 @@ class TestEncode:
             SharedPrior(NaturalClassStats(q=np.zeros(d), lam=1.0)), CrpParams.from_b(a=0.5, b=1.0), NOISE, enc, []
         )
         X = rng.normal(size=(m, d_in)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
-        Z = _encode(state, list(X))
+        Z = _encode(state.encoder, state.dim, list(X))
         want = np.array([enc.weight @ x + enc.bias if affine else x for x in X])
         assert Z.shape == (m, d)
         np.testing.assert_array_equal(Z, want)
