@@ -37,6 +37,8 @@ run metatrain-sc-seq metatrain --data world.fse --init pre.ckpt --out sc-seq.ckp
     --support-classes 8 --novel-classes 4 "${train[@]}" --sequential --trace sc-seq-trace.txt
 run metatrain-lc metatrain --data world.fse --init pre.ckpt --out lc.ckpt --setting lc \
     --novel-classes 4 "${train[@]}" --trace lc-trace.txt
+run metatrain-lc-seq metatrain --data world.fse --init pre.ckpt --out lc-seq.ckpt --setting lc \
+    --novel-classes 4 "${train[@]}" --sequential --trace lc-seq-trace.txt
 
 sc=(--data world.fse --train-classes 40 --preset sc-paper --episodes 400 --seed 1)
 run eval-sc eval "${sc[@]}" --checkpoint sc.ckpt --out-dir eval-sc

@@ -59,21 +59,20 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def train_episode_config(self) -> EpisodeConfig:
-        return EpisodeConfig(
-            n_support_classes=self.train_support_classes if self.setting == "sc" else 0,
-            n_novel_classes=self.train_novel_classes,
-            shots_min=self.shots_min,
-            shots_max=self.shots_max,
-            queries_per_class=self.train_queries_per_class,
-        )
+        return self._episode_config("train")
 
     def eval_episode_config(self) -> EpisodeConfig:
+        return self._episode_config("eval")
+
+    def _episode_config(self, stage) -> EpisodeConfig:
+        """The episode shape of the fields prefixed stage (train or eval);
+        large-context episodes have no support."""
         return EpisodeConfig(
-            n_support_classes=self.eval_support_classes if self.setting == "sc" else 0,
-            n_novel_classes=self.eval_novel_classes,
+            n_support_classes=getattr(self, f"{stage}_support_classes") if self.setting == "sc" else 0,
+            n_novel_classes=getattr(self, f"{stage}_novel_classes"),
             shots_min=self.shots_min,
             shots_max=self.shots_max,
-            queries_per_class=self.eval_queries_per_class,
+            queries_per_class=getattr(self, f"{stage}_queries_per_class"),
         )
 
 

@@ -43,13 +43,15 @@ table before step j is the initial table plus the points before j, so
 predict-then-update becomes one batched pass with the same additions in
 the same order, bit for bit.
 
-Both meta-training settings score queries against one table
+Both meta-training settings run one loss, episode_grads, which scores
+queries against one table
 
     [ n_kk trainable rows | one row per support class | novel slot ]
 
 Large-context episodes have n_kk free rows (class_q, class_log_lambda) and
-no support; small-context episodes are the n_kk = 0 case, with rows
-Q_c = q0 + S_c / s_eps, lam_c = lam0 + K_c / s_eps built from the support.
+no support; small-context episodes are the n_kk = 0 case (class_q=None),
+with rows Q_c = q0 + S_c / s_eps, lam_c = lam0 + K_c / s_eps built from
+the support.
 Every row at or above n_kk, and the novel slot (q0, lam0), holds one copy
 of the shared prior, so d q0 is the sum of d Q over those rows.
 
@@ -446,19 +448,30 @@ def _adaptation_term(q0, lam0, noise_var, Za, adapt_labels, cond_idx):
     return nll, d_q0, d_lam0, d_Za
 
 
-def _episode_grads(
-    weight, bias, q0, log_lambda0, rho, episode, class_q, class_lam, class_counts, *,
-    a, noise_var, lambda_w, cond_idx, sequential,
+def episode_grads(
+    weight, bias, q0, log_lambda0, rho, episode, class_q=None, class_log_lambda=None, *,
+    a, noise_var, lambda_w, cond_idx, lc_init_count=1, sequential=False,
 ):
-    """Episode loss over the table [class_q rows | support rows | novel slot].
+    """Episode loss over the table [class_q rows | support rows | novel slot]
+    and its gradients w.r.t. (encoder, q0, log lam0, rho) and the class rows.
 
-    Returns (MetaGrads without class fields, d_class_q, d_class_lam).
+    class_q=None is small-context: the table has no trainable rows and the
+    MetaGrads no class fields. Otherwise each of the class_q rows, with
+    precision exp(class_log_lambda), is a free parameter that starts at
+    lc_init_count observations.
     """
+    q0 = np.asarray(q0, dtype=np.float64)
+    trainable = class_q is not None
+    if not trainable:
+        class_q, class_log_lambda = np.zeros((0, q0.shape[0])), np.zeros(0)
+    elif lc_init_count < 1:
+        raise ValueError(f"lc_init_count must be at least 1, got {lc_init_count}: known classes need prior mass")
+    class_q = np.asarray(class_q, dtype=np.float64)
+    class_lam = np.exp(np.asarray(class_log_lambda, dtype=np.float64))
+    n_kk = class_q.shape[0]
     lam0 = float(np.exp(log_lambda0))
     params = CrpParams(a=a, rho=rho)
     inv = 1.0 / noise_var
-    q0 = np.asarray(q0, dtype=np.float64)
-    n_kk = class_q.shape[0]
 
     raw = (episode.support_x, episode.query_x, episode.adapt_x)
     H_s, H_q, H_a = (np.asarray(x, dtype=np.float64) for x in raw)
@@ -466,7 +479,8 @@ def _episode_grads(
     S, K = support_sums(Z_s, episode.support_y, episode.n_known - n_kk)
     table = ClassTable(
         np.vstack([class_q, q0[None, :] + S * inv]), np.append(class_lam, lam0 + K * inv),
-        np.append(class_counts, ClassTable.counts_after(K)), q0, lam0, noise_var, n_kk=n_kk,
+        np.append(np.full(n_kk, int(lc_init_count), dtype=np.int64), ClassTable.counts_after(K)),
+        q0, lam0, noise_var, n_kk=n_kk,
     )
     if sequential:
         nll, d_Q, d_lam, d_Zq, d_b = _sequential_nll(table, Z_q, episode.query_y, params)
@@ -489,7 +503,7 @@ def _episode_grads(
         d_Za = lambda_w * da_Z
 
     d_weight, d_bias = _encoder_grads(weight, [(H_s, d_Zs), (H_q, d_Zq), (H_a, d_Za)])
-    g = MetaGrads(
+    return MetaGrads(
         value=nll + lambda_w * adapt,
         nll=nll,
         adapt=adapt,
@@ -498,48 +512,13 @@ def _episode_grads(
         d_q0=d_q0,
         d_log_lambda0=d_lam0 * lam0,
         d_rho=d_b * sigmoid(rho),
+        d_class_q=d_Q[:n_kk] if trainable else None,
+        d_class_log_lambda=d_lam[:n_kk] * class_lam if trainable else None,
     )
-    return g, d_Q[:n_kk], d_lam[:n_kk]
 
 
-def sc_meta_grads(
-    weight, bias, q0, log_lambda0, rho, episode, *,
-    a, noise_var, lambda_w, cond_idx, sequential=False,
-):
-    """Small-context episode loss and gradients w.r.t. (encoder, q0, log lam0, rho).
-
-    The shared episode loss with no trainable class rows.
-    """
-    d = np.shape(q0)[0]
-    g, _, _ = _episode_grads(
-        weight, bias, q0, log_lambda0, rho, episode,
-        np.zeros((0, d)), np.zeros(0), np.zeros(0, dtype=np.int64),
-        a=a, noise_var=noise_var, lambda_w=lambda_w, cond_idx=cond_idx, sequential=sequential,
-    )
-    return g
-
-
-def lc_meta_grads(
-    weight, bias, q0, log_lambda0, rho, class_q, class_log_lambda, episode, *,
-    a, noise_var, lambda_w, cond_idx, lc_init_count=1, sequential=False,
-):
-    """Large-context episode loss and gradients; class stats are free parameters.
-
-    The shared episode loss with one trainable row per known class, each
-    starting at lc_init_count observations.
-    """
-    if lc_init_count < 1:
-        raise ValueError(f"lc_init_count must be at least 1, got {lc_init_count}: known classes need prior mass")
-    class_lam = np.exp(np.asarray(class_log_lambda, dtype=np.float64))
-    g, d_class_q, d_class_lam = _episode_grads(
-        weight, bias, q0, log_lambda0, rho, episode,
-        np.asarray(class_q, dtype=np.float64), class_lam,
-        np.full(len(class_lam), int(lc_init_count), dtype=np.int64),
-        a=a, noise_var=noise_var, lambda_w=lambda_w, cond_idx=cond_idx, sequential=sequential,
-    )
-    g.d_class_q = d_class_q
-    g.d_class_log_lambda = d_class_lam * class_lam
-    return g
+# perfbench/tracing.py times and counts the episode loss under this name
+sc_meta_grads = episode_grads
 
 
 def pretrain_grads(weight, bias, H, labels, means, log_variances, beta):

@@ -3,12 +3,13 @@
 Small-context episodes carry a labelled support set plus a query set in
 which every unknown class shares one bucket label N + 1; large-context
 episodes have no support and instead train per-class stats directly. Both
-settings share one episode loss (losses.sc_meta_grads and lc_meta_grads
-only build its initial class table): small-context is the large-context
-case with no trainable class rows. The loss is the query NLL read from the
-frozen post-support state (or, with sequential=True, teacher-forced through
-the query stream as inference would see it) plus a weighted adaptation
-loss that scores one-shot class instantiation on the novel pool.
+settings share one episode loss, losses.episode_grads: small-context is
+the large-context case with no trainable class rows, and meta_grads only
+checks that the parameters carry class stats exactly in large-context.
+The loss is the query NLL read from the frozen post-support state (or,
+with sequential=True, teacher-forced through the query stream as
+inference would see it) plus a weighted adaptation loss that scores
+one-shot class instantiation on the novel pool.
 
 The frozen loss scores novel queries against the bucket label, the novel
 slot of a table that never grows. The sequential loss replays the
@@ -94,26 +95,12 @@ class MetaParams:
         return ClassEmbeddings(means=self.class_q / lam[:, None], variances=1.0 / lam)
 
 
-def init_meta_params(
-    d,
-    rng,
-    *,
-    setting="sc",
-    encoder=None,
-    embeddings: ClassEmbeddings | None = None,
-    a=0.5,
-    init_b=1.0,
-) -> MetaParams:
-    """Random initial parameters; large-context class stats come from
-    pre-trained class embeddings."""
+def init_meta_params(d, rng, *, encoder=None, a=0.5) -> MetaParams:
+    """Random initial small-context parameters with CRP strength b = 1;
+    MetaParams.with_class_embeddings adds large-context class stats."""
     encoder = encoder if encoder is not None else Encoder.identity()
     q0 = rng.normal(0.0, 0.1, size=d)
-    if setting not in ("sc", "lc"):
-        raise ValueError(f"unknown setting {setting!r}")
-    if setting == "lc" and embeddings is None:
-        raise ValueError("large-context initialisation needs class embeddings")
-    params = MetaParams(encoder=encoder, q0=q0, log_lambda0=0.0, rho=inverse_softplus(init_b + a))
-    return params.with_class_embeddings(embeddings) if setting == "lc" else params
+    return MetaParams(encoder=encoder, q0=q0, log_lambda0=0.0, rho=inverse_softplus(1.0 + a))
 
 
 def _pick_rows(rng, rows, k, what):
@@ -254,32 +241,29 @@ def meta_grads(
 ) -> losses.MetaGrads:
     """Episode loss plus analytic gradients for every trainable parameter.
 
-    The sequential loss replays the arrival-order labels of oracle_labels;
-    the frozen loss keeps the novel bucket label.
+    Large-context parameters carry one class row per known class of the
+    episode, small-context ones none. The sequential loss replays the
+    arrival-order labels of oracle_labels; the frozen loss keeps the novel
+    bucket label.
     """
+    if setting not in ("sc", "lc"):
+        raise ValueError(f"unknown setting {setting!r}")
+    if (setting == "lc") != (params.class_q is not None):
+        raise ValueError(
+            "large-context loss needs per-class stats in MetaParams" if setting == "lc"
+            else "small-context loss takes no per-class stats; these are large-context parameters"
+        )
+    if setting == "lc" and params.class_q.shape[0] != episode.n_known:
+        raise ValueError(f"episode has {episode.n_known} known classes but params carry {params.class_q.shape[0]}")
     if sequential:
         episode = replace(episode, query_y=oracle_labels(episode))
     cond = choose_conditioning(episode.adapt_y, np.random.default_rng(cond_seed))
     w, b = params.encoder.params
-    common = dict(a=a, noise_var=noise_variance, lambda_w=lambda_w, cond_idx=cond, sequential=sequential)
-    if setting == "sc":
-        return losses.sc_meta_grads(
-            w, b, params.q0, params.log_lambda0, params.rho, episode, **common
-        )
-    if setting == "lc":
-        if params.class_q is None:
-            raise ValueError("large-context loss needs per-class stats in MetaParams")
-        if params.class_q.shape[0] != episode.n_known:
-            raise ValueError(
-                f"episode has {episode.n_known} known classes but params carry "
-                f"{params.class_q.shape[0]}"
-            )
-        return losses.lc_meta_grads(
-            w, b, params.q0, params.log_lambda0, params.rho,
-            params.class_q, params.class_log_lambda, episode,
-            lc_init_count=lc_init_count, **common,
-        )
-    raise ValueError(f"unknown setting {setting!r}")
+    return losses.episode_grads(
+        w, b, params.q0, params.log_lambda0, params.rho, episode, params.class_q, params.class_log_lambda,
+        a=a, noise_var=noise_variance, lambda_w=lambda_w, cond_idx=cond, lc_init_count=lc_init_count,
+        sequential=sequential,
+    )
 
 
 def meta_loss(params, episode, lambda_w, setting, **kwargs) -> float:
@@ -327,9 +311,11 @@ def run_meta_training(
     **kwargs,
 ):
     """Sample episodes and descend the meta objective; returns (params, trace)."""
+    if init is None and setting != "sc":
+        raise ValueError(f"setting {setting!r} needs init parameters: only small-context training starts at random")
     rng = np.random.default_rng(seed)
     if init is None:
-        init = init_meta_params(dataset.dim, rng, setting=setting, a=kwargs.get("a", 0.5))
+        init = init_meta_params(dataset.dim, rng, a=kwargs.get("a", 0.5))
     params = init
     trace = []
     done = 0

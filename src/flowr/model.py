@@ -69,8 +69,7 @@ class ModelState:
             raise ValueError(f"{n} class stats but {counts.n_classes} counts")
         if not 0 <= n_kk <= n:
             raise ValueError(f"n_kk = {n_kk} outside 0..{n}")
-        if encoder.kind == "affine" and encoder.weight.shape[0] != Q.shape[1]:
-            raise ValueError(f"encoder output dimension {encoder.weight.shape[0]} != class dimension {Q.shape[1]}")
+        _check_width(encoder, Q.shape[1])
         p0 = prior.prior
         table = losses.ClassTable(Q, lam, counts.counts, p0.q, p0.lam, noise.noise_variance, n_kk=int(n_kk))
         if not (np.isfinite(table.Q).all() and np.isfinite(table.lam).all() and (table.lam > 0.0).all()):
@@ -123,16 +122,28 @@ class PredictionRecord:
     true_label: int | None = None
 
 
+def _check_width(encoder: Encoder, dim):
+    """Refuse an affine encoder whose output length is not the class
+    dimension dim, a fault met before any input is read (.row 0)."""
+    k = encoder.weight.shape[0] if encoder.kind == "affine" else dim
+    if k != dim:
+        fault = ValueError(f"encoder output dimension {k} != class dimension {dim}")
+        fault.row = 0
+        raise fault
+
+
 def _encode(encoder: Encoder, dim, inputs) -> np.ndarray:
     """Read and encode a list of raw inputs in one call: Z (m, dim), where
     an identity encoder takes vectors of length dim and an affine one of
     length weight.shape[1]. An affine encoder applies the stacked
     matmul(weight, x[:, :, None]), which gives weight @ x + bias bit for
-    bit for every row (the 2-D GEMM of Encoder.__call__ does not). A bad
-    input raises the error a check of that row alone raises, with the row
-    as .row: the first that is not one vector of length d_in, holds a
+    bit for every row (the 2-D GEMM of Encoder.__call__ does not). An
+    encoder whose output length is not dim is refused first (_check_width).
+    A bad input raises the error a check of that row alone raises, with the
+    row as .row: the first that is not one vector of length d_in, holds a
     number beyond float range or is not finite after encoding.
     """
+    _check_width(encoder, dim)
     d_in = dim if encoder.kind == "identity" else encoder.weight.shape[1]
     m, fault = len(inputs), None
     try:

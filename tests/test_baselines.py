@@ -22,11 +22,11 @@ from flowr.baselines import (
 )
 from flowr.checkpoint import Checkpoint
 from flowr.config import ExperimentConfig
-from flowr.crp import CrpParams
+from flowr.crp import ClassCounts, CrpParams
 from flowr.data import generate_synthetic_world
 from flowr.encoder import ClassEmbeddings, Encoder
 from flowr.gaussian import NaturalClassStats, NoiseModel, SharedPrior
-from flowr.model import ProtocolError, init_small_context, run_episode
+from flowr.model import ModelState, ProtocolError, init_small_context, run_episode
 from test_model import _INPUT_FAULTS
 
 
@@ -203,6 +203,25 @@ class TestRunBaselineEpisode:
         state = PrototypeState.from_means([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ValueError, match=f"^input must be {message}$"):
             run_baseline_episode(state, queries)
+
+
+class TestEncoderWidth:
+    """An affine encoder whose output length is not the class dimension is
+    refused with one line wherever the model's reader meets it."""
+
+    NARROW = Encoder.affine([[1.0]], [0.0])
+    MESSAGE = "^encoder output dimension 1 != class dimension 2$"
+
+    def test_baseline_episode_refuses_a_narrow_encoder(self):
+        """It used to predict class 1 and leave sums [[2, 3]]."""
+        state = PrototypeState.from_means([[1.0, 2.0]])
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            run_baseline_episode(state, [([1.0], 1)], encoder=self.NARROW)
+
+    def test_model_state_refuses_a_narrow_encoder(self):
+        prior = SharedPrior(NaturalClassStats(q=np.zeros(2), lam=1.0))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            ModelState(self.NARROW, (), ClassCounts.empty(), CrpParams.from_b(a=0.5, b=1.0), prior, NoiseModel(0.5))
 
 
 @pytest.mark.parametrize("method", ["ncm", "flowr"])

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from flowr.checkpoint import load_checkpoint
+from flowr.checkpoint import load_checkpoint, save_checkpoint
 from flowr.cli import _build_config, build_parser, main
 from flowr.config import ExperimentConfig
 from flowr.data import read_dataset
@@ -209,6 +209,24 @@ class TestErrorContract:
             "--setting", "lc",
         ]) == 2
         assert "requires --init" in capsys.readouterr().err
+
+    def test_sc_metatrain_refuses_lc_checkpoint(self, pipeline, tmp_path, capsys):
+        """Small-context training from a large-context checkpoint used to
+        fail on a numpy broadcast error; it is refused with one line and
+        writes nothing."""
+        pre = load_checkpoint(pipeline.pre)
+        lc = tmp_path / "lc.ckpt"
+        save_checkpoint(lc, replace(pre, params=pre.params.with_class_embeddings(pre.embeddings), setting="lc"))
+        out = tmp_path / "x.ckpt"
+        assert main([
+            "metatrain", "--data", str(pipeline.data), "--init", str(lc), "--out", str(out),
+            "--setting", "sc", "--episodes", "2", "--support-classes", "3", "--novel-classes", "2",
+            "--shots-max", "3", "--queries-per-class", "2",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: small-context loss takes no per-class stats")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_train_classes_bound(self, pipeline, tmp_path, capsys):
         assert main([

@@ -63,6 +63,15 @@ class TestPresets:
         assert cfg.train_support_classes == 0
         assert cfg.eval_episode_config().n_support_classes == 0
 
+    def test_lc_episodes_have_no_support(self):
+        """Training and evaluation episodes follow one rule: large-context
+        ones draw no support, whatever the support fields hold."""
+        cfg = ExperimentConfig(setting="lc", train_support_classes=7, eval_support_classes=3)
+        train, ev = cfg.train_episode_config(), cfg.eval_episode_config()
+        assert (train.n_support_classes, ev.n_support_classes) == (0, 0)
+        assert (train.n_novel_classes, ev.n_novel_classes) == (10, 5)
+        assert (train.queries_per_class, ev.queries_per_class) == (10, 10)
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset 'huge'"):
             preset("huge")

@@ -24,6 +24,7 @@ from flowr.meta import (
     adaptation_loss,
     choose_conditioning,
     init_meta_params,
+    meta_grads,
     meta_loss,
     meta_step,
     oracle_labels,
@@ -289,6 +290,26 @@ class TestMetaTraining:
         np.testing.assert_array_equal(params_to_vector(back), params_to_vector(params))
         with pytest.raises(ValueError, match="vector has"):
             vector_to_params(params, np.zeros(5))
+
+    def test_sc_refuses_class_stats(self, world):
+        """Small-context training on large-context parameters used to drop
+        their class gradients, so the update vector was too short and
+        meta_step failed with a numpy broadcast error."""
+        cfg = EpisodeConfig(n_support_classes=3, n_novel_classes=2, queries_per_class=3)
+        rng = np.random.default_rng(0)
+        params = init_meta_params(world.dim, rng).with_class_embeddings(
+            ClassEmbeddings(means=rng.normal(size=(3, world.dim)), variances=np.ones(3))
+        )
+        ep = sample_sc_task(world, cfg, rng)
+        with pytest.raises(ValueError, match="^small-context loss takes no per-class stats; [^\n]*$"):
+            meta_grads(params, ep, 0.1, "sc")
+
+    def test_lc_training_needs_init_before_sampling(self):
+        """Only small-context parameters start at random: large-context
+        training without init is refused before the dataset is read."""
+        cfg = EpisodeConfig(n_support_classes=0, n_novel_classes=2)
+        with pytest.raises(ValueError, match="^setting 'lc' needs init parameters: [^\n]*$"):
+            run_meta_training(None, cfg=cfg, setting="lc", n_episodes=1)
 
     def test_lc_requires_class_stats(self, world):
         cfg = EpisodeConfig(n_support_classes=0, n_novel_classes=2, queries_per_class=3)
