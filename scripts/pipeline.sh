@@ -47,10 +47,7 @@ run eval-sc-ncm eval "${sc[@]}" --checkpoint sc.ckpt --method ncm --out-dir eval
 
 lc=(--data world.fse --preset lc-paper --episodes 20 --seed 1)
 for ckpt in lc pre; do
-    for count in 0 1; do
-        run "eval-lc-$ckpt-count$count" eval "${lc[@]}" --checkpoint "$ckpt.ckpt" --lc-init-count "$count" \
-            --out-dir "eval-lc-$ckpt-count$count"
-    done
+    run "eval-lc-$ckpt" eval "${lc[@]}" --checkpoint "$ckpt.ckpt" --out-dir "eval-lc-$ckpt"
 done
 run eval-lc-ncm eval "${lc[@]}" --checkpoint lc.ckpt --method ncm --out-dir eval-lc-ncm
 

@@ -14,7 +14,7 @@ in one call, reports its first fault in stream order, as flowr does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,36 +70,44 @@ class PrototypeState:
 
 def prototype_update(state: PrototypeState, z, y) -> PrototypeState:
     """Fold one labelled point into the running means; y = N + 1 appends."""
-    z = _encode(_IDENTITY, state.sums.shape[1], [z])[0]
+    z = _encode(_IDENTITY, state.sums.shape[1], [z])
     fault = label_fault(y, state.n_classes)
     if fault:
         raise ProtocolError(fault)
-    return _fold(state, z, int(y))
+    return _fold(state, z, [int(y)])[1]
 
 
-def _fold(state: PrototypeState, z, y) -> PrototypeState:
-    """prototype_update on a point and a label the reader has passed."""
-    n = state.n_classes
-    if y == n + 1:
-        return replace(state, sums=np.vstack([state.sums, z[None, :]]), counts=np.append(state.counts, 1))
-    sums = state.sums.copy()
-    counts = state.counts.copy()
-    sums[y - 1] += z
-    counts[y - 1] += 1
-    return replace(state, sums=sums, counts=counts)
+def _fold(state: PrototypeState, Z, labels, score=False):
+    """Fold a checked stream into one copy of the sums, counts and means, rewriting only the
+    folded row's mean; with score set, score each point first. Returns (records, state)."""
+    n, dim = state.sums.shape
+    total = max([n, *labels])  # checked arrival-order labels: the largest opens the last row
+    # -0.0 is the additive identity, so a new row's sum is its first point bit for bit
+    sums, counts, means = np.full((total, dim), -0.0), np.zeros(total, dtype=np.int64), np.empty((total, dim))
+    sums[:n], counts[:n], means[:n] = state.sums, state.counts, state.means
+    records = []
+    for z, y in zip(Z, labels):
+        if score:
+            best, dist = _nearest(means[:n], z)
+            records.append(PredictionRecord(None, best, best, dist, n, true_label=y))
+        r, n = y - 1, max(n, y)
+        sums[r] += z
+        counts[r] += 1
+        means[r] = sums[r] / counts[r]
+    return records, PrototypeState(sums, counts)
 
 
 def ncm_predict(state: PrototypeState, z):
     """Nearest class mean: (1-based argmin class, Euclidean distance); with no
     classes yet, (None, EMPTY_NOVELTY)."""
-    return _nearest(state, _encode(_IDENTITY, state.sums.shape[1], [z])[0])
+    return _nearest(state.means, _encode(_IDENTITY, state.sums.shape[1], [z])[0])
 
 
-def _nearest(state: PrototypeState, z):
-    """ncm_predict on a point the reader has passed."""
-    if state.n_classes == 0:
+def _nearest(means, z):
+    """ncm_predict on a point the reader has passed, against the class means."""
+    if len(means) == 0:
         return None, EMPTY_NOVELTY
-    diff = state.means - z[None, :]
+    diff = means - z[None, :]
     dist = np.sqrt(np.einsum("nd,nd->n", diff, diff))
     best = int(np.argmin(dist))
     return best + 1, float(dist[best])
@@ -108,10 +116,7 @@ def _nearest(state: PrototypeState, z):
 def init_prototypes(support, dim) -> PrototypeState:
     """Prototype state from a labelled stream of dim-vectors in arrival order."""
     Z, labels = _encode_labelled(_IDENTITY, dim, 0, list(support), "support point")
-    state = PrototypeState.empty(dim)
-    for z, y in zip(Z, labels.tolist()):
-        state = _fold(state, z, y)
-    return state
+    return _fold(PrototypeState.empty(dim), Z, labels.tolist())[1]
 
 
 def run_baseline_episode(state: PrototypeState, queries, encoder=None):
@@ -120,9 +125,4 @@ def run_baseline_episode(state: PrototypeState, queries, encoder=None):
     The stream is read and encoded in one call, so every input and label
     is checked before any query is scored."""
     Z, labels = _encode_labelled(encoder or _IDENTITY, state.sums.shape[1], state.n_classes, list(queries), "query")
-    records = []
-    for z, y in zip(Z, labels.tolist()):
-        best, score = _nearest(state, z)
-        records.append(PredictionRecord(None, best, best, score, state.n_classes, true_label=y))
-        state = _fold(state, z, y)
-    return records, state
+    return _fold(state, Z, labels.tolist(), score=True)

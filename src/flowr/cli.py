@@ -119,8 +119,6 @@ def build_parser() -> _Parser:
     ev.add_argument("--queries-per-class", type=int, dest="eval_queries_per_class")
     ev.add_argument("--fine-tune-steps", type=int)
     ev.add_argument("--fine-tune-step-size", type=float)
-    ev.add_argument("--lc-init-count", type=int, dest="lc_eval_init_count",
-                    help="pseudo-count seeded into each known-known class (default 0)")
     _add_config_flags(ev)
 
     rp = sub.add_parser("report", help="re-render the metric table from stored records")
@@ -219,7 +217,6 @@ def _cmd_metatrain(args):
         )
         params = meta.init_meta_params(ds.dim, rng, encoder=encoder, a=cfg.a)
 
-    known = np.arange(1, params.class_q.shape[0] + 1) if cfg.setting == "lc" else None
     params, trace = meta.run_meta_training(
         ds,
         cfg=cfg.train_episode_config(),
@@ -230,7 +227,6 @@ def _cmd_metatrain(args):
         lambda_w=cfg.lambda_w,
         seed=cfg.seed,
         init=params,
-        known_classes=known,
         a=cfg.a,
         noise_variance=cfg.noise_variance,
         sequential=args.sequential,

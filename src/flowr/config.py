@@ -39,7 +39,6 @@ class ExperimentConfig:
     operating_tpr: float = 0.15
     fine_tune_steps: int = 0
     fine_tune_step_size: float = 1e-3
-    lc_eval_init_count: int = 0
     seed: int = 0
 
     def __post_init__(self):

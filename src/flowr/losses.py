@@ -115,6 +115,8 @@ class ClassTable:
     # a class's count after its first point; the two-parameter CRP of
     # crp.sequence_log_prob counts 1, so unlike it this sequential prior is not exchangeable
     NEW_CLASS_COUNT = 2
+    # a persistent (known-known) class's count before its first label, in training and in evaluation
+    PERSISTENT_COUNT = 1
 
     def __init__(self, Q, lam, counts, q0, lam0, noise_var, *, n_kk=0):
         Q, lam = np.vstack([Q, q0[None, :]]), np.append(lam, lam0)
@@ -450,7 +452,7 @@ def _adaptation_term(q0, lam0, noise_var, Za, adapt_labels, cond_idx):
 
 def episode_grads(
     weight, bias, q0, log_lambda0, rho, episode, class_q=None, class_log_lambda=None, *,
-    a, noise_var, lambda_w, cond_idx, lc_init_count=1, sequential=False,
+    a, noise_var, lambda_w, cond_idx, sequential=False,
 ):
     """Episode loss over the table [class_q rows | support rows | novel slot]
     and its gradients w.r.t. (encoder, q0, log lam0, rho) and the class rows.
@@ -458,14 +460,12 @@ def episode_grads(
     class_q=None is small-context: the table has no trainable rows and the
     MetaGrads no class fields. Otherwise each of the class_q rows, with
     precision exp(class_log_lambda), is a free parameter that starts at
-    lc_init_count observations.
+    ClassTable.PERSISTENT_COUNT observations.
     """
     q0 = np.asarray(q0, dtype=np.float64)
     trainable = class_q is not None
     if not trainable:
         class_q, class_log_lambda = np.zeros((0, q0.shape[0])), np.zeros(0)
-    elif lc_init_count < 1:
-        raise ValueError(f"lc_init_count must be at least 1, got {lc_init_count}: known classes need prior mass")
     class_q = np.asarray(class_q, dtype=np.float64)
     class_lam = np.exp(np.asarray(class_log_lambda, dtype=np.float64))
     n_kk = class_q.shape[0]
@@ -479,7 +479,7 @@ def episode_grads(
     S, K = support_sums(Z_s, episode.support_y, episode.n_known - n_kk)
     table = ClassTable(
         np.vstack([class_q, q0[None, :] + S * inv]), np.append(class_lam, lam0 + K * inv),
-        np.append(np.full(n_kk, int(lc_init_count), dtype=np.int64), ClassTable.counts_after(K)),
+        np.append(np.full(n_kk, ClassTable.PERSISTENT_COUNT, dtype=np.int64), ClassTable.counts_after(K)),
         q0, lam0, noise_var, n_kk=n_kk,
     )
     if sequential:

@@ -236,7 +236,6 @@ def meta_grads(
     a=0.5,
     noise_variance=0.5,
     sequential=False,
-    lc_init_count=1,
     cond_seed=0,
 ) -> losses.MetaGrads:
     """Episode loss plus analytic gradients for every trainable parameter.
@@ -261,8 +260,7 @@ def meta_grads(
     w, b = params.encoder.params
     return losses.episode_grads(
         w, b, params.q0, params.log_lambda0, params.rho, episode, params.class_q, params.class_log_lambda,
-        a=a, noise_var=noise_variance, lambda_w=lambda_w, cond_idx=cond, lc_init_count=lc_init_count,
-        sequential=sequential,
+        a=a, noise_var=noise_variance, lambda_w=lambda_w, cond_idx=cond, sequential=sequential,
     )
 
 
@@ -310,12 +308,17 @@ def run_meta_training(
     known_classes=None,
     **kwargs,
 ):
-    """Sample episodes and descend the meta objective; returns (params, trace)."""
+    """Sample episodes and descend the meta objective; returns (params, trace).
+
+    Large-context known_classes defaults to ids 1..n, one per class row of
+    init, as evaluation's does."""
     if init is None and setting != "sc":
         raise ValueError(f"setting {setting!r} needs init parameters: only small-context training starts at random")
     rng = np.random.default_rng(seed)
     if init is None:
         init = init_meta_params(dataset.dim, rng, a=kwargs.get("a", 0.5))
+    if known_classes is None and init.class_q is not None:
+        known_classes = np.arange(1, init.class_q.shape[0] + 1)
     params = init
     trace = []
     done = 0

@@ -197,10 +197,10 @@ def predict(state: ModelState, x) -> PredictionRecord:
     """Posterior over known classes and the novel slot for one raw input.
 
     known_argmax is the most probable known class. When no known class has
-    posterior mass left (every known count is zero, as in a fresh
-    large-context state, or the masses underflow), it is the known class
-    with the highest log posterior, or with the highest predictive
-    log-density when every known prior is zero.
+    posterior mass left (every known count is zero, as in a large-context
+    state started at init_count=0, or the masses underflow), it is the
+    known class with the highest log posterior, or with the highest
+    predictive log-density when every known prior is zero.
     """
     table = state._table
     logf = log_density_matrix(_encode(state.encoder, state.dim, [x]), table.means, table.variances)
@@ -273,15 +273,14 @@ def init_large_context(
     noise: NoiseModel,
     encoder: Encoder,
     *,
-    init_count=0,
+    init_count=losses.ClassTable.PERSISTENT_COUNT,
 ) -> ModelState:
     """Start from pre-trained per-class Gaussians.
 
-    By default every known-known class starts with count zero, which under
-    the clamped class prior means the whole prior mass sits on the novel
-    slot until labels arrive; init_count > 0 seeds each class with that
-    many pseudo-observations instead (matching the count floor used when
-    meta-training in this setting).
+    Every known-known class starts at init_count, by default the count
+    floor that large-context meta-training seeds (ClassTable.PERSISTENT_COUNT).
+    At init_count=0 no known class has prior mass until its first label,
+    so the whole prior sits on the novel slot.
     """
     if embeddings.dim != prior.prior.dim:
         raise ValueError(f"embeddings have dimension {embeddings.dim}, the prior {prior.prior.dim}")

@@ -34,7 +34,7 @@ class EvalResult:
     roc: tuple
 
 
-def _episode_records(ckpt: Checkpoint, cfg: ExperimentConfig, dataset, index, seed, method, known_classes, embeddings):
+def _episode_records(ckpt: Checkpoint, cfg: ExperimentConfig, dataset, index, seed, method, known_classes, start):
     rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
     if cfg.setting == "sc":
         episode = meta.sample_sc_task(dataset, cfg.eval_episode_config(), rng)
@@ -45,28 +45,19 @@ def _episode_records(ckpt: Checkpoint, cfg: ExperimentConfig, dataset, index, se
     support = list(zip(episode.support_x, episode.support_y))
     encoder = ckpt.params.encoder
 
+    if cfg.setting == "lc":
+        state = start
+    elif method == "flowr":
+        state = init_small_context(ckpt.params.prior(), ckpt.crp, ckpt.noise, encoder, support)
+        if cfg.fine_tune_steps > 0 and encoder.kind == "affine":
+            state = fine_tune_output_layer(state, support, cfg.fine_tune_steps, cfg.fine_tune_step_size)
+    else:
+        enc_support = encoder(episode.support_x)
+        state = init_prototypes(zip(enc_support, episode.support_y), enc_support.shape[1])
     if method == "flowr":
-        if cfg.setting == "sc":
-            state = init_small_context(
-                ckpt.params.prior(), ckpt.crp, ckpt.noise, encoder, support
-            )
-            if cfg.fine_tune_steps > 0 and encoder.kind == "affine":
-                state = fine_tune_output_layer(
-                    state, support, cfg.fine_tune_steps, cfg.fine_tune_step_size
-                )
-        else:
-            state = init_large_context(
-                embeddings, ckpt.params.prior(), ckpt.crp, ckpt.noise, encoder,
-                init_count=cfg.lc_eval_init_count,
-            )
         records, _ = run_episode(state, queries)
     else:
-        if cfg.setting == "sc":
-            enc_support = encoder(episode.support_x)
-            proto = init_prototypes(zip(enc_support, episode.support_y), enc_support.shape[1])
-        else:
-            proto = PrototypeState.from_means(embeddings.means)
-        records, _ = run_baseline_episode(proto, queries, encoder=encoder)
+        records, _ = run_baseline_episode(state, queries, encoder=encoder)
     return EpisodeRecords(records, n_initial=episode.n_known)
 
 
@@ -83,10 +74,12 @@ def evaluate(
 ) -> EvalResult:
     """Run sampled evaluation episodes and compute the metric suite.
 
-    For the large-context setting, the class stats (the checkpoint's
-    class_q, else its embeddings) are built once for all episodes, and
-    known_classes defaults to the classes they cover (ids 1..n_kk in the
-    dataset); the remaining classes form the novel pool. `workers` is ignored.
+    For the large-context setting, one start state is built for all
+    episodes, which share it: init_large_context, at the count floor
+    training seeds, or the NCM prototypes, over the checkpoint's class_q,
+    else its embeddings. known_classes defaults to the classes these cover
+    (ids 1..n_kk in the dataset); the remaining classes form the novel
+    pool. `workers` is ignored.
     """
     if method not in ("flowr", "ncm"):
         raise ValueError(f"unknown method {method!r}")
@@ -94,15 +87,20 @@ def evaluate(
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be at least 1, got {n_episodes}")
     seed = cfg.seed if seed is None else seed
-    embeddings = ckpt.params.class_embeddings() if ckpt.params.class_q is not None else ckpt.embeddings
+    start = None
     if cfg.setting == "lc":
+        embeddings = ckpt.params.class_embeddings() if ckpt.params.class_q is not None else ckpt.embeddings
         if embeddings is None:
             raise ValueError("large-context evaluation needs class stats in the checkpoint")
         if known_classes is None:
             known_classes = np.arange(1, embeddings.n_classes + 1)
+        if method == "flowr":
+            start = init_large_context(embeddings, ckpt.params.prior(), ckpt.crp, ckpt.noise, ckpt.params.encoder)
+        else:
+            start = PrototypeState.from_means(embeddings.means)
 
     episodes = [
-        _episode_records(ckpt, cfg, dataset, i, seed, method, known_classes, embeddings)
+        _episode_records(ckpt, cfg, dataset, i, seed, method, known_classes, start)
         for i in range(n_episodes)
     ]
 

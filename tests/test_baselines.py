@@ -152,6 +152,29 @@ class TestRunBaselineEpisode:
         assert records[1].novelty_score > records[0].novelty_score
         assert final.n_classes == 2
 
+    def test_fold_matches_stepping_and_keeps_the_start(self):
+        """The one-copy fold gives, bit for bit, the records and final state
+        of stepping ncm_predict and prototype_update, which rebuild every
+        mean per query; the start state, shared by evaluation's episodes,
+        is left as it was."""
+        rng = np.random.default_rng(3)
+        start = PrototypeState.from_means(rng.normal(size=(3, 4)), counts=[1, 2, 5])
+        before = (start.sums.copy(), start.counts.copy())
+        labels = [2, 4, 1, 4, 5, 3, 5, 6, 1, 2]
+        queries = list(zip(rng.normal(size=(len(labels), 4)), labels))
+        records, final = run_baseline_episode(start, queries)
+        state = start
+        for (z, y), r in zip(queries, records):
+            best, score = ncm_predict(state, z)
+            assert (r.predicted, r.known_argmax, r.novelty_score, r.n_at_prediction, r.true_label) == (
+                best, best, score, state.n_classes, y
+            )
+            state = prototype_update(state, z, y)
+        np.testing.assert_array_equal(final.sums, state.sums)
+        np.testing.assert_array_equal(final.counts, state.counts)
+        np.testing.assert_array_equal(start.sums, before[0])
+        np.testing.assert_array_equal(start.counts, before[1])
+
     def test_encoder_applied(self):
         """Queries are embedded before matching: the doubling encoder maps
         [0.05, 0] onto the prototype at [0.1, 0]."""
@@ -350,7 +373,7 @@ def test_evaluate_decides_large_context_class_stats_once(method):
     )
     cfg = ExperimentConfig(
         setting="lc", d=3, eval_support_classes=0, eval_novel_classes=3,
-        eval_queries_per_class=4, eval_episodes=3, operating_tpr=0.6, seed=5, lc_eval_init_count=1,
+        eval_queries_per_class=4, eval_episodes=3, operating_tpr=0.6, seed=5,
     )
     built = meta.MetaParams.class_embeddings
     with mock.patch.object(meta.MetaParams, "class_embeddings", autospec=True, side_effect=built) as spy:

@@ -293,7 +293,6 @@ class TestConfigOverrides:
         ("eval", "--queries-per-class", "4", "eval_queries_per_class"),
         ("eval", "--fine-tune-steps", "2", "fine_tune_steps"),
         ("eval", "--fine-tune-step-size", "0.02", "fine_tune_step_size"),
-        ("eval", "--lc-init-count", "1", "lc_eval_init_count"),
     ])
     def test_flag_lands_in_its_field(self, command, flag, value, field):
         """Each override flag sets its own config field and no other."""

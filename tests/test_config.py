@@ -24,7 +24,6 @@ class TestDefaults:
         assert cfg.lambda_w == 0.1
         assert cfg.d == 64
         assert cfg.operating_tpr == 0.15
-        assert cfg.lc_eval_init_count == 0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="setting must be"):

@@ -488,9 +488,11 @@ def test_teacher_forced_non_integer_label_is_rejected():
         )
 
 
-def test_lc_zero_init_count_is_rejected():
-    """With lc_init_count=0 every known class has zero prior mass, so the
-    loss was inf with NaN gradients; it is now refused with one line."""
+def test_persistent_classes_start_at_one_count_in_training_and_evaluation():
+    """Meta-training and large-context evaluation seed each persistent
+    class from the one constant ClassTable.PERSISTENT_COUNT: the table
+    episode_grads scores and a default init_large_context state carry it
+    on every class row (evaluation used to start at 0)."""
     rng = np.random.default_rng(13)
     ds = generate_synthetic_world(6, 3, 9.0, 0.5, 16, seed=13)
     params = replace(
@@ -498,9 +500,16 @@ def test_lc_zero_init_count_is_rejected():
     )
     cfg = EpisodeConfig(n_support_classes=0, n_novel_classes=2, queries_per_class=3)
     episode = meta.sample_lc_task(ds, cfg, rng, [1, 2, 3])
-    with pytest.raises(ValueError, match="lc_init_count must be at least 1, got 0"):
-        meta.meta_grads(params, episode, 0.1, "lc", lc_init_count=0)
-    assert np.isfinite(meta.meta_grads(params, episode, 0.1, "lc", lc_init_count=1).value)
+    init = losses.ClassTable.__init__
+    with mock.patch.object(losses.ClassTable, "__init__", autospec=True, side_effect=init) as spy:
+        g = meta.meta_grads(params, episode, 0.1, "lc")
+        tables = [call.args[0] for call in spy.call_args_list]
+    assert np.isfinite(g.value) and tables
+    assert losses.ClassTable.PERSISTENT_COUNT == 1
+    np.testing.assert_array_equal(tables[0].counts[:3], [losses.ClassTable.PERSISTENT_COUNT] * 3)
+    parts = (params.prior(), CrpParams(a=0.5, rho=params.rho), NoiseModel(0.5), Encoder.identity())
+    state = init_large_context(params.class_embeddings(), *parts)
+    np.testing.assert_array_equal(state.counts.counts, [losses.ClassTable.PERSISTENT_COUNT] * 3)
 
 
 def test_hot_path_builds_no_class_counts(monkeypatch):

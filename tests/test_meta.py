@@ -128,7 +128,7 @@ class TestSampleScTask:
             ckpt = Checkpoint(params=start, crp=CrpParams(a=0.5, rho=start.rho), noise=NoiseModel(0.5), setting=setting)
             exp = ExperimentConfig(
                 setting=setting, d=world.dim, eval_support_classes=2, eval_novel_classes=2,
-                eval_queries_per_class=2, eval_episodes=2, lc_eval_init_count=1,
+                eval_queries_per_class=2, eval_episodes=2,
             )
             for method in ("flowr", "ncm"):
                 assert len(runner.evaluate(world, ckpt, exp, method=method).episodes) == 2

@@ -317,6 +317,7 @@ class TestInitLargeContext:
             CrpParams.from_b(a=0.5, b=1.0),
             NOISE,
             Encoder.identity(),
+            init_count=0,
         )
         np.testing.assert_array_equal(state.class_stats[0].q, [0.0])
         assert state.class_stats[0].lam == 1.0
@@ -362,6 +363,7 @@ class TestInitLargeContext:
             CrpParams.from_b(a=0.5, b=1.0),
             NOISE,
             Encoder.identity(),
+            init_count=0,
         )
         record = predict(state, means[k - 1])
         np.testing.assert_array_equal(record.probs, [0.0, 0.0, 0.0, 1.0])
@@ -473,6 +475,7 @@ class TestRunEpisode:
             CrpParams.from_b(a=0.5, b=-0.25),
             NOISE,
             Encoder.identity(),
+            init_count=0,
         )
         with pytest.raises(InvalidStateError, match="no probability mass"):
             run_episode(state, [([0.0], 1), later])
