@@ -4,7 +4,8 @@
 # the eval records, ROC curves and metric tables, and each command's stdout
 # (in <step>.log). Every path is relative to OUT_DIR, so two runs of this
 # script must leave byte-identical directories: `diff -r` checks that the
-# pipeline is deterministic, and a run at two commits that their outputs agree.
+# pipeline is deterministic, and scripts/compare_pipeline.sh that the outputs
+# of two commits agree. Each step's wall time goes to stderr.
 #
 # Usage: scripts/pipeline.sh OUT_DIR
 set -euo pipefail
@@ -18,11 +19,15 @@ cd "$1"
 export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
 unset FLOWR_OUT_DIR
 
-# run STEP ARGS...: one flowr command, its stdout kept in STEP.log
+# run STEP ARGS...: one flowr command, its stdout kept in STEP.log and its
+# wall time printed on stderr as `time STEP SECONDS`, so OUT_DIR holds no timing
 run() {
-    local step=$1
+    local step=$1 start
     shift
+    start=$(date +%s.%N)
     python -m flowr.cli "$@" > "$step.log"
+    awk -v step="$step" -v start="$start" -v end="$(date +%s.%N)" \
+        'BEGIN { printf "time %s %.2f\n", step, end - start }' >&2
 }
 
 # 60 classes: 1-40 train the encoder and the small-context model; small-context

@@ -63,6 +63,7 @@ from .model import (
     init_small_context,
     predict,
     run_episode,
+    run_episodes,
     update,
 )
 from .runner import evaluate, run_grad_check_suite
@@ -123,6 +124,7 @@ __all__ = [
     "read_dataset",
     "roc_curve",
     "run_episode",
+    "run_episodes",
     "run_grad_check_suite",
     "run_meta_training",
     "sample_lc_task",

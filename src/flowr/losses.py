@@ -41,7 +41,8 @@ labels are all known in advance, as in evaluation and the teacher-forced
 loss, Prefix builds every table the stream passes through at once: the
 table before step j is the initial table plus the points before j, so
 predict-then-update becomes one batched pass with the same additions in
-the same order, bit for bit.
+the same order, bit for bit. chunks() runs that pass over several streams
+at once; each value is computed row by row, so each gets its bits alone.
 
 Both meta-training settings run one loss, episode_grads, which scores
 queries against one table
@@ -178,13 +179,16 @@ def _bayes(logf, log_prior):
 
 # most (step, row, dimension) entries a prefix-pass temporary holds, unless one step needs more
 PREFIX_ENTRIES = 1 << 16
+# most queries runner.evaluate scores in one block of whole episodes, unless one episode holds more
+BLOCK_QUERIES = 1 << 12
 
 
 class _Steps:
-    """A run of prefix-pass steps that all see n classes: their class counts
-    before each step (m, n), which the CRP rule reads as .counts, the
-    version index of each step's rows n_kk..n-1 and novel slot, and, unless
-    every_row, the forward pass: log densities and log posteriors (m, n + 1)."""
+    """A run of prefix-pass steps that all see n classes: their numbers
+    across the prefixes, their class counts before each step (m, n), which
+    the CRP rule reads as .counts, the version index of each step's rows
+    n_kk..n-1 and novel slot, and, unless every_row, the forward pass: log
+    densities and log posteriors (m, n + 1)."""
 
     __slots__ = ("steps", "n", "counts", "rows", "logf", "log_post")
 
@@ -196,12 +200,14 @@ class Prefix:
     initial table plus the points before j. Each conditioned row's versions
     are the running sums np.add.accumulate([row; z * (1 / s_eps) ...]) and
     likewise for lam: the same additions condition() makes one step at a
-    time. Means and variances are computed once per version; each step's
-    counts are the table's plus a cumsum of the count increments. chunks()
-    scores the steps in runs that share a class count, split so that no
-    temporary holds more than PREFIX_ENTRIES entries. Rows below n_kk never
-    change and are scored as the table's own rows, never gathered per step
-    for the forward pass. final_table() is the table after the stream.
+    time, folded for all rows with as many versions at once. Means and
+    variances are computed once per version; each step's counts are the
+    table's plus a cumsum of the count increments. chunks() scores the
+    steps of one or more prefixes in runs that share a class count, split
+    so that no temporary holds more than PREFIX_ENTRIES entries. Rows
+    below n_kk never change and are scored as the table's own rows, never
+    gathered per step for the forward pass. final_table() is the table
+    after the stream.
     labels are the stream's int64 labels, checked by crp.arrival_labels.
     """
 
@@ -224,51 +230,14 @@ class Prefix:
         points = np.ones(novel + 1, dtype=bool)
         points[heads] = points[novel] = False
         Q[points] = Z[steps] * inv
-        for lo, hi in zip(heads, self.start[1:]):
-            Q[lo:hi] = np.add.accumulate(Q[lo:hi])
-            lam[lo:hi] = np.add.accumulate(lam[lo:hi])
+        length = np.diff(self.start)
+        for L in np.unique(length[length > 1]):  # every row of one length folded by one call
+            block = heads[length == L][:, None] + np.arange(L)
+            Q[block], lam[block] = np.add.accumulate(Q[block], axis=1), np.add.accumulate(lam[block], axis=1)
         self.Q, self.lam = Q, lam
         self.means, self.variances = Q / lam[:, None], 1.0 / lam + table.noise_var
         # class counts before any step; a row born in the pass counts NEW_CLASS_COUNT after its first point
         self.counts = np.append(table.counts, np.full(self.n - n0, ClassTable.NEW_CLASS_COUNT - 1))
-
-    def chunks(self, every_row=False):
-        """Yield the steps in stream order as _Steps.
-
-        A chunk holds as many steps as keep their counts and the rows
-        gathered for them within PREFIX_ENTRIES entries: the rows from n_kk
-        on, its forward pass done (the rows below n_kk scored in runs of
-        steps of that size too), or every row with every_row, as the loss's
-        fused pass gathers them.
-        """
-        m, d = self.Z.shape
-        table, n_kk = self.table, self.table.n_kk
-        tally = np.zeros(self.n + 1, dtype=np.int64)  # labels so far per table position
-        kk_size = max(1, PREFIX_ENTRIES // (max(n_kk, 1) * d))
-        starts = np.flatnonzero(np.diff(self.n_at, prepend=-1))
-        for lo, hi in zip(starts, np.append(starts[1:], m)):
-            n = int(self.n_at[lo])
-            size = max(1, PREFIX_ENTRIES // ((n + 1) * d if every_row else (n + 1 - n_kk) * d + n + 1))
-            for s in range(lo, hi, size):
-                c = _Steps()
-                c.steps, c.n = slice(s, min(s + size, hi)), n
-                y = self.labels[c.steps] - 1
-                hit = np.zeros((len(y), n + 1), dtype=np.int64)
-                hit[np.arange(len(y)), y] = 1
-                before = np.cumsum(hit, axis=0) - hit + tally[: n + 1]
-                np.add.at(tally, y, 1)
-                c.counts = self.counts[:n] + before[:, :n]
-                c.rows = np.empty((len(y), n + 1 - n_kk), dtype=np.int64)
-                c.rows[:, :-1], c.rows[:, -1] = self.start[: n - n_kk] + before[:, n_kk:n], self.start[-1]
-                if not every_row:
-                    Zc = self.Z[c.steps]
-                    c.logf = np.empty((len(y), n + 1))
-                    c.logf[:, n_kk:] = log_density_matrix(Zc, self.means[c.rows], self.variances[c.rows])
-                    for k in range(0, len(y) if n_kk else 0, kk_size):
-                        kk = slice(k, k + kk_size)
-                        c.logf[kk, :n_kk] = log_density_matrix(Zc[kk], table.means[:n_kk], table.variances[:n_kk])
-                    c.log_post = _bayes(c.logf, log_class_prior(c, self.params))
-                yield c
 
     def columns(self, c, name):
         """Field name (Q, lam, means or variances) of each step's rows in
@@ -292,6 +261,63 @@ class Prefix:
             np.vstack([t.Q[:n_kk], self.Q[last]]), np.append(t.lam[:n_kk], self.lam[last]), counts,
             t.Q[t.n], t.lam[t.n], t.noise_var, n_kk=n_kk,
         )
+
+
+def chunks(prefixes, every_row=False):
+    """Yield the steps of one or more prefixes as _Steps, in increasing class count n.
+
+    Every step that sees n classes is scored in one run, prefix by prefix,
+    so each stream's steps come in stream order. Steps are numbered across
+    the prefixes, and each step's rows index the concatenation of their
+    versions. The prefixes share their CRP parameters, n_kk and the rows
+    below it. A chunk holds as many steps as keep their counts and the rows
+    gathered for them within PREFIX_ENTRIES entries: the rows from n_kk on,
+    its forward pass done (the rows below n_kk scored in runs of steps of
+    that size too), or every row with every_row, as the loss's fused pass
+    gathers them.
+    """
+    table, params, d = prefixes[0].table, prefixes[0].params, prefixes[0].Z.shape[1]
+    n_kk, k = table.n_kk, len(prefixes)
+    stream = np.repeat(np.arange(k), [len(p.labels) for p in prefixes])
+    n_at = np.concatenate([p.n_at for p in prefixes])
+    y = np.concatenate([p.labels for p in prefixes]) - 1
+    # per stream: its counts before the next step (the tally), and what turns a count into a version index
+    tally = np.zeros((k, max(p.n for p in prefixes) + 1), dtype=np.int64)
+    offset, novel, base = np.zeros_like(tally), np.empty(k, dtype=np.int64), 0
+    for i, p in enumerate(prefixes):
+        tally[i, : p.n] = p.counts
+        offset[i, n_kk : p.n] = p.start[:-1] + base - p.counts[n_kk:]
+        novel[i] = p.start[-1] + base
+        base += p.start[-1] + 1
+    if not every_row:
+        Z, means, variances = (np.concatenate([getattr(p, a) for p in prefixes]) for a in ("Z", "means", "variances"))
+    kk_size = max(1, PREFIX_ENTRIES // (max(n_kk, 1) * d))
+    order = np.argsort(n_at, kind="stable")
+    starts = np.flatnonzero(np.diff(n_at[order], prepend=-1))
+    for lo, hi in zip(starts, np.append(starts[1:], len(order))):
+        n = int(n_at[order[lo]])
+        size = max(1, PREFIX_ENTRIES // ((n + 1) * d if every_row else (n + 1 - n_kk) * d + n + 1))
+        for s in range(lo, hi, size):
+            c = _Steps()
+            c.steps, c.n = order[s : min(s + size, hi)], n
+            yc, sc = y[c.steps], stream[c.steps]
+            hit = np.zeros((len(yc), n + 1), dtype=np.int64)
+            hit[np.arange(len(yc)), yc] = 1
+            before = np.cumsum(hit, axis=0) - hit
+            before += tally[sc, : n + 1] - before[np.searchsorted(sc, sc)]  # only the step's own stream's
+            np.add.at(tally, (sc, yc), 1)
+            c.counts = before[:, :n]
+            c.rows = np.empty((len(yc), n + 1 - n_kk), dtype=np.int64)
+            c.rows[:, :-1], c.rows[:, -1] = offset[sc, n_kk:n] + before[:, n_kk:n], novel[sc]
+            if not every_row:
+                Zc = Z[c.steps]
+                c.logf = np.empty((len(yc), n + 1))
+                c.logf[:, n_kk:] = log_density_matrix(Zc, means[c.rows], variances[c.rows])
+                for j in range(0, len(yc) if n_kk else 0, kk_size):
+                    kk = slice(j, j + kk_size)
+                    c.logf[kk, :n_kk] = log_density_matrix(Zc[kk], table.means[:n_kk], table.variances[:n_kk])
+                c.log_post = _bayes(c.logf, log_class_prior(c, params))
+            yield c
 
 
 def _mixture_nll_grads(Z, y_idx, means, variances, log_prior):
@@ -363,7 +389,7 @@ def _sequential_nll(table, Z, labels, params):
     seen, d_Z = np.zeros((m, d)), np.empty((m, d))
     nll, d_b = np.empty(m), np.empty(m)
 
-    for c in prefix.chunks(every_row=True):
+    for c in chunks([prefix], every_row=True):
         n, yc = c.n, y[c.steps]
         means, variances, Q, lam = (prefix.columns(c, name) for name in ("means", "variances", "Q", "lam"))
         nll[c.steps], d_means, d_vars, d_Z[c.steps], G = _mixture_nll_grads(
@@ -377,7 +403,7 @@ def _sequential_nll(table, Z, labels, params):
             np.add.accumulate(terms, axis=0, out=terms)
             running[: n + 1] = terms[-1]
         cond = np.flatnonzero(yc >= table.n_kk)
-        seen[c.steps.start + cond] = d_Q[cond, yc[cond]]
+        seen[c.steps[cond]] = d_Q[cond, yc[cond]]
 
     cond = y >= table.n_kk
     d_Z[cond] += (R[y[cond]] - seen[cond]) * (1.0 / table.noise_var)

@@ -20,7 +20,9 @@ update builds the next table with it, which shares the rows for a
 known-known label and copies them once otherwise. run_episode and
 init_small_context know every label in advance, so they build the final
 table from one losses.Prefix pass, its last row versions and counts,
-stepping nothing; run_episode also scores the whole stream in that pass.
+stepping nothing; run_episode also scores the whole stream in that pass,
+as the one-stream case of run_episodes, which scores several streams in
+one pass.
 _encode and _encode_labelled are flowr's only readers of raw inputs and
 labelled streams: every call here, fine-tuning and the NCM baseline read
 each input once, in one block, refuse a bad one with the same one-line
@@ -293,28 +295,57 @@ def init_large_context(
 
 
 def run_episode(state: ModelState, queries):
-    """Predict-then-update over a labelled query stream.
-
-    Each query is encoded once. With every label known up front, one
-    losses.Prefix pass scores each query against the table conditioned on
-    the queries before it, and the final state is built from the pass's
-    last row versions and counts. A fault is reported as stepping would
-    meet it (_encode_labelled), a label's as `query i: ...`. Returns
-    (records, final_state); records keep stream order and carry the true
-    labels and the class count at prediction time.
+    """Predict-then-update over a labelled query stream: run_episodes'
+    one-stream case. Returns (records, final_state); records keep stream
+    order and carry the true labels and the class count at prediction time.
     """
-    queries = list(queries)
-    if not queries:
-        return [], state
-    table = state._table
-    # the CRP rule refuses to score step 0 when no class has a count yet and b <= 0
-    first_score = None if table.counts.any() else lambda: predictive_class_probs(table, state.crp_params)
-    Z, labels = _encode_labelled(state.encoder, state.dim, table.n, queries, "query", first_score)
-    prefix = losses.Prefix(table, Z, labels, state.crp_params)
-    records = []
-    for c in prefix.chunks():
-        records += _records(c.n, c.logf, c.log_post, prefix.labels[c.steps])
-    return records, state._derive(prefix.final_table())
+    return run_episodes([(state, queries)])[0]
+
+
+def run_episodes(episodes) -> list:
+    """run_episode over several (state, queries) streams, taken in order:
+    one (records, final_state) per stream, bit for bit what it gets alone.
+
+    One losses.chunks pass scores them, every step of every stream that
+    sees the same class count at once, so the states must share the CRP
+    parameters, n_kk and the rows below it, as large-context episodes from
+    one start do. Each stream is read and checked before the next, so a
+    fault is the first faulty stream's, as run_episode reports it.
+    """
+    states, prefixes, first = [], [], None  # a prefix per stream, None for an empty one
+    for state, queries in episodes:
+        queries, table, prefix = list(queries), state._table, None
+        if queries:
+            if first is not None and not _shares_rows(first, state):
+                raise ValueError("episodes must share the CRP parameters and the rows below n_kk")
+            # the CRP rule refuses to score step 0 when no class has a count yet and b <= 0
+            first_score = None if table.counts.any() else lambda: predictive_class_probs(table, state.crp_params)
+            Z, labels = _encode_labelled(state.encoder, state.dim, table.n, queries, "query", first_score)
+            prefix = losses.Prefix(table, Z, labels, state.crp_params)
+            first = first or prefix
+        states.append(state)
+        prefixes.append(prefix)
+    scored = [p for p in prefixes if p is not None]
+    records = [None] * sum(len(p.labels) for p in scored)
+    if scored:
+        labels = np.concatenate([p.labels for p in scored])
+        for c in losses.chunks(scored):
+            for i, record in zip(c.steps.tolist(), _records(c.n, c.logf, c.log_post, labels[c.steps])):
+                records[i] = record
+    out, done = [], 0
+    for state, prefix in zip(states, prefixes):
+        m = 0 if prefix is None else len(prefix.labels)
+        out.append((records[done : done + m], state if prefix is None else state._derive(prefix.final_table())))
+        done += m
+    return out
+
+
+def _shares_rows(prefix, state) -> bool:
+    """Whether state has prefix's CRP parameters, n_kk and rows below it."""
+    t, u, k = prefix.table, state._table, prefix.table.n_kk
+    return prefix.params == state.crp_params and k == u.n_kk and all(
+        np.array_equal(getattr(t, a)[:k], getattr(u, a)[:k]) for a in ("means", "variances")
+    )
 
 
 def fine_tune_output_layer(state: ModelState, support, steps, step_size, *, return_trace=False):

@@ -1,7 +1,10 @@
 """Evaluation orchestration: sampled test episodes, metrics, and reports.
 
-Episodes run serially in index order, each with its own (seed, index) RNG
-split; `evaluate(workers=...)` is kept for compatibility and selects nothing.
+Episodes are sampled serially in index order, each with its own
+(seed, index) RNG split, and run in blocks of whole episodes within
+losses.BLOCK_QUERIES queries: a flowr block goes through one
+model.run_episodes pass, which gives each episode the bits it gets alone.
+`evaluate(workers=...)` is kept for compatibility and selects nothing.
 Record files, ROC CSV, and metric tables are written deterministically
 (floats via repr) so repeated runs are byte-identical.
 """
@@ -22,7 +25,7 @@ from .data import generate_synthetic_world
 from .encoder import Encoder
 from .meta import oracle_labels
 from .metrics import EpisodeRecords, accuracy_suite, roc_curve, scores_from_records, threshold_at_tpr
-from .model import PredictionRecord, fine_tune_output_layer, init_large_context, init_small_context, run_episode
+from .model import PredictionRecord, fine_tune_output_layer, init_large_context, init_small_context, run_episodes
 
 
 @dataclass
@@ -34,31 +37,28 @@ class EvalResult:
     roc: tuple
 
 
-def _episode_records(ckpt: Checkpoint, cfg: ExperimentConfig, dataset, index, seed, method, known_classes, start):
+def _sample(dataset, cfg: ExperimentConfig, index, seed, known_classes):
+    """Episode index of an evaluation run, from its own (seed, index) RNG split."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
     if cfg.setting == "sc":
-        episode = meta.sample_sc_task(dataset, cfg.eval_episode_config(), rng)
-    else:
-        episode = meta.sample_lc_task(dataset, cfg.eval_episode_config(), rng, known_classes)
-    truth = oracle_labels(episode)
-    queries = list(zip(episode.query_x, truth))
-    support = list(zip(episode.support_x, episode.support_y))
-    encoder = ckpt.params.encoder
+        return meta.sample_sc_task(dataset, cfg.eval_episode_config(), rng)
+    return meta.sample_lc_task(dataset, cfg.eval_episode_config(), rng, known_classes)
 
+
+def _start_state(ckpt: Checkpoint, cfg: ExperimentConfig, method, episode, start):
+    """The state an episode starts from: the shared large-context start, or
+    one built from the episode's support."""
     if cfg.setting == "lc":
-        state = start
-    elif method == "flowr":
-        state = init_small_context(ckpt.params.prior(), ckpt.crp, ckpt.noise, encoder, support)
-        if cfg.fine_tune_steps > 0 and encoder.kind == "affine":
-            state = fine_tune_output_layer(state, support, cfg.fine_tune_steps, cfg.fine_tune_step_size)
-    else:
+        return start
+    encoder = ckpt.params.encoder
+    if method == "ncm":
         enc_support = encoder(episode.support_x)
-        state = init_prototypes(zip(enc_support, episode.support_y), enc_support.shape[1])
-    if method == "flowr":
-        records, _ = run_episode(state, queries)
-    else:
-        records, _ = run_baseline_episode(state, queries, encoder=encoder)
-    return EpisodeRecords(records, n_initial=episode.n_known)
+        return init_prototypes(zip(enc_support, episode.support_y), enc_support.shape[1])
+    support = list(zip(episode.support_x, episode.support_y))
+    state = init_small_context(ckpt.params.prior(), ckpt.crp, ckpt.noise, encoder, support)
+    if cfg.fine_tune_steps > 0 and encoder.kind == "affine":
+        state = fine_tune_output_layer(state, support, cfg.fine_tune_steps, cfg.fine_tune_step_size)
+    return state
 
 
 def evaluate(
@@ -73,6 +73,10 @@ def evaluate(
     known_classes=None,
 ) -> EvalResult:
     """Run sampled evaluation episodes and compute the metric suite.
+
+    Episodes run in blocks, as many whole ones as fit in
+    losses.BLOCK_QUERIES queries (at least one), a flowr block through one
+    model.run_episodes pass; beyond its result, evaluate holds one block.
 
     For the large-context setting, one start state is built for all
     episodes, which share it: init_large_context, at the count floor
@@ -99,10 +103,25 @@ def evaluate(
         else:
             start = PrototypeState.from_means(embeddings.means)
 
-    episodes = [
-        _episode_records(ckpt, cfg, dataset, i, seed, method, known_classes, start)
-        for i in range(n_episodes)
-    ]
+    def run(block):
+        """The EpisodeRecords of a block of sampled (episode, queries)."""
+        streams = ((_start_state(ckpt, cfg, method, e, start), queries) for e, queries in block)
+        if method == "flowr":
+            results = run_episodes(streams)
+        else:
+            results = [run_baseline_episode(state, queries, encoder=ckpt.params.encoder) for state, queries in streams]
+        return [EpisodeRecords(records, n_initial=e.n_known) for (e, _), (records, _) in zip(block, results)]
+
+    episodes, block, size = [], [], 0
+    for i in range(n_episodes):
+        episode = _sample(dataset, cfg, i, seed, known_classes)
+        queries = list(zip(episode.query_x, oracle_labels(episode)))
+        if block and size + len(queries) > losses.BLOCK_QUERIES:
+            episodes += run(block)
+            block, size = [], 0
+        block.append((episode, queries))
+        size += len(queries)
+    episodes += run(block)
 
     metrics, scores = metrics_at_tpr(episodes, cfg.operating_tpr)
     metrics.update({"method": method, "n_episodes": n_episodes, "seed": seed})

@@ -437,6 +437,59 @@ def test_prefix_pass_matches_stepped_teacher_forced_loss(case):
     _assert_same(got, want)
 
 
+def _per_row_versions(prefix):
+    """Q and lam of prefix's versions folded as Prefix folded them before
+    the per-length fold, one np.add.accumulate pair per row; kept as the
+    reference that fold must match bit for bit."""
+    table, Z, inv = prefix.table, prefix.Z, 1.0 / prefix.table.noise_var
+    n0, n_kk = table.n, table.n_kk
+    row = prefix.labels - 1 - n_kk
+    steps = np.flatnonzero(row >= 0)
+    steps = steps[np.argsort(row[steps], kind="stable")]
+    heads, novel = prefix.start[:-1], prefix.start[-1]
+    first = np.minimum(np.arange(n_kk, prefix.n), n0)
+    Q, lam = np.empty((novel + 1, Z.shape[1])), np.full(novel + 1, inv)
+    Q[heads], lam[heads] = table.Q[first], table.lam[first]
+    Q[novel], lam[novel] = table.Q[n0], table.lam[n0]
+    points = np.ones(novel + 1, dtype=bool)
+    points[heads] = points[novel] = False
+    Q[points] = Z[steps] * inv
+    for lo, hi in zip(heads, prefix.start[1:]):
+        Q[lo:hi] = np.add.accumulate(Q[lo:hi])
+        lam[lo:hi] = np.add.accumulate(lam[lo:hi])
+    return Q, lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.sampled_from([1, 3, 64]),
+    n0=st.integers(0, 5),
+    kk=st.booleans(),
+    choices=st.lists(st.integers(0, 8), max_size=60),
+    scale=st.floats(-5.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prefix_folds_versions_as_the_per_row_loop(d, n0, kk, choices, scale, seed):
+    """Prefix folds the versions of all rows with as many points in one
+    call per segment length, and gets what one call per row got, bit for
+    bit, for points and rows from 1e-5 to 1e5."""
+    rng = np.random.default_rng(seed)
+    labels, n = [], n0
+    for c in choices:
+        labels.append(min(c, n) + 1)
+        n = max(n, labels[-1])
+    size = 10.0**scale
+    table = losses.ClassTable(
+        rng.normal(size=(n0, d)) * size, rng.uniform(0.5, 5.0, n0), np.ones(n0, dtype=np.int64),
+        rng.normal(size=d) * size, 1.3, rng.uniform(0.05, 5.0), n_kk=n0 // 2 if kk else 0,
+    )
+    Z = rng.normal(size=(len(labels), d)) * size
+    prefix = losses.Prefix(table, Z, np.array(labels, dtype=np.int64), CrpParams(a=0.5, rho=0.3))
+    Q, lam = _per_row_versions(prefix)
+    np.testing.assert_array_equal(prefix.Q, Q)
+    np.testing.assert_array_equal(prefix.lam, lam)
+
+
 def test_teacher_forced_label_skipping_ahead_is_rejected():
     """The teacher-forced loss replays labels through the model's class
     table, so a label past the next free class fails with one line that

@@ -38,6 +38,7 @@ from flowr.model import (
     init_small_context,
     predict,
     run_episode,
+    run_episodes,
     update,
 )
 
@@ -117,6 +118,21 @@ _INPUT_FAULTS = [
     # an int beyond float range before a bad label
     (_empty_state, [[0.0], [10**400], [0.0]], [1, 1, 0], ValueError,
      "input must be finite: int too large to convert to float"),
+]
+
+
+# Faults in one query stream from _empty_state(), as (queries, error, message):
+# the first in stream order, a query's input before its label, is raised.
+_QUERY_FAULTS = [
+    ([([0.0], 1), ([0.0], 3), ([0.0, 0.0], 2)], ProtocolError,
+     "^query 1: label 3 skips ahead of the 1 known classes$"),
+    ([([0.0], 1), ([0.0, 0.0], 2), ([0.0], 5)], ValueError,
+     "^input must be one vector of length 1, got shape \\(2,\\)$"),
+    ([([0.0], 1), ([0.0], 1), ([0.0], 0)], ProtocolError,
+     "^query 2: label 0 is not a positive class index$"),
+    ([([0.0], 0), ([np.nan], 1)], ProtocolError,
+     "^query 0: label 0 is not a positive class index$"),
+    ([([0.0], 1), ([np.nan], 9)], ValueError, "^input must be finite \\(after encoding\\)$"),
 ]
 
 
@@ -430,20 +446,7 @@ class TestRunEpisode:
         with pytest.raises(ProtocolError, match="query 1"):
             run_episode(_empty_state(), [([0.0], 1), ([0.0], 3)])
 
-    @pytest.mark.parametrize(
-        "queries, error, message",
-        [
-            ([([0.0], 1), ([0.0], 3), ([0.0, 0.0], 2)], ProtocolError,
-             "^query 1: label 3 skips ahead of the 1 known classes$"),
-            ([([0.0], 1), ([0.0, 0.0], 2), ([0.0], 5)], ValueError,
-             "^input must be one vector of length 1, got shape \\(2,\\)$"),
-            ([([0.0], 1), ([0.0], 1), ([0.0], 0)], ProtocolError,
-             "^query 2: label 0 is not a positive class index$"),
-            ([([0.0], 0), ([np.nan], 1)], ProtocolError,
-             "^query 0: label 0 is not a positive class index$"),
-            ([([0.0], 1), ([np.nan], 9)], ValueError, "^input must be finite \\(after encoding\\)$"),
-        ],
-    )
+    @pytest.mark.parametrize("queries, error, message", _QUERY_FAULTS)
     def test_first_fault_in_stream_order_is_reported(self, queries, error, message):
         """Each query is encoded, scored, then its label is applied: the
         first fault in that order is the one raised, whatever follows it."""
@@ -726,6 +729,117 @@ class TestArrayStateMatchesDataclassFold:
             for name in ("Q", "lam", "means", "variances"):
                 np.testing.assert_array_equal(getattr(built, name), getattr(states[-1], name))
             np.testing.assert_array_equal(built.counts.counts, states[-1].counts.counts)
+
+
+@st.composite
+def _stream_blocks(draw):
+    """Several dense label streams, empty ones too, from one kind of start:
+    small-context states each built from its own support (with its own
+    encoder when affine, as fine-tuning leaves them), or one large-context
+    start that every stream shares."""
+    n_kk = draw(st.sampled_from([0, 0, 1, 3]))
+    streams = []
+    for _ in range(draw(st.integers(1, 6))):
+        n0 = n_kk or draw(st.integers(0, 3))  # a small-context stream's support classes
+        labels, n = [], n0
+        for c in draw(st.lists(st.integers(0, 6), max_size=15)):
+            labels.append(min(c, n) + 1)  # 1..n, or n + 1 to open a new class
+            n = max(n, labels[-1])
+        streams.append((n0, labels))
+    return dict(
+        d=draw(st.integers(1, 4)),
+        n_kk=n_kk,
+        streams=streams,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        noise=draw(st.floats(0.05, 5.0)),
+        lam0=draw(st.floats(0.05, 5.0)),
+        a=draw(st.floats(0.0, 0.9)),
+        b=draw(st.floats(0.1, 3.0)),
+        affine=draw(st.booleans()),
+        init_count=draw(st.integers(0, 3)),
+        entries=draw(st.sampled_from([None, 1, 6, 30])),
+    )
+
+
+class TestRunEpisodes:
+    """run_episodes scores several streams in one prefix pass, yet gives
+    each stream, bit for bit, what run_episode gives it alone, and reads
+    the streams in order, so it raises the per-episode loop's first fault."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_stream_blocks())
+    def test_each_stream_gets_what_it_gets_alone(self, case):
+        rng = np.random.default_rng(case["seed"])
+        d, n_kk = case["d"], case["n_kk"]
+        noise = NoiseModel(case["noise"])
+        prior = SharedPrior(NaturalClassStats(q=rng.normal(size=d), lam=case["lam0"]))
+        crp = CrpParams.from_b(a=case["a"], b=case["b"])
+
+        def encoder():
+            return Encoder.affine(rng.normal(size=(d, d)), rng.normal(size=d)) if case["affine"] else Encoder.identity()
+
+        if n_kk:
+            emb = ClassEmbeddings(means=rng.normal(size=(n_kk, d)), variances=rng.uniform(0.1, 2.0, n_kk))
+            start = init_large_context(emb, prior, crp, noise, encoder(), init_count=case["init_count"])
+        streams = []
+        for n0, labels in case["streams"]:
+            if not n_kk:
+                support_y = list(range(1, n0 + 1)) + rng.integers(1, n0 + 1, size=3 * (n0 > 0)).tolist()
+                support = zip(rng.normal(size=(len(support_y), d)), support_y)
+                start = init_small_context(prior, crp, noise, encoder(), support)
+            streams.append((start, list(zip(rng.normal(size=(len(labels), d)), labels))))
+
+        with mock.patch.object(losses, "PREFIX_ENTRIES", case["entries"] or losses.PREFIX_ENTRIES):
+            together = run_episodes(iter(streams))
+        assert len(together) == len(streams)
+        for (state, queries), (records, final) in zip(streams, together):
+            want_records, want = run_episode(state, queries)
+            assert len(records) == len(want_records)
+            for got, rec in zip(records, want_records):
+                np.testing.assert_array_equal(got.probs, rec.probs)
+                assert (got.predicted, got.known_argmax, got.novelty_score, got.n_at_prediction, got.true_label) == (
+                    rec.predicted, rec.known_argmax, rec.novelty_score, rec.n_at_prediction, rec.true_label
+                )
+            for name in ("Q", "lam", "means", "variances"):
+                np.testing.assert_array_equal(getattr(final, name), getattr(want, name))
+            np.testing.assert_array_equal(final.counts.counts, want.counts.counts)
+            assert (final.n_kk, final.encoder) == (want.n_kk, want.encoder)
+
+    @pytest.mark.parametrize(
+        "make_state, inputs, labels, error, message",
+        _INPUT_FAULTS + [(_empty_state, [x for x, _ in q], [y for _, y in q], e, m) for q, e, m in _QUERY_FAULTS],
+    )
+    def test_first_faulty_stream_is_reported(self, make_state, inputs, labels, error, message):
+        """A clean stream, the faulty one, then one with a label fault at
+        query 0: the middle stream's fault is raised, as the per-episode
+        loop raised it."""
+        state = make_state()
+        if not message.startswith("^"):  # an _INPUT_FAULTS case
+            message = f"^query {message}$" if error is ProtocolError else f"^{message}$"
+        streams = [(state, [([0.0], 1), ([0.0], 2)]), (state, list(zip(inputs, labels))), (state, [([0.0], 0)])]
+        with np.errstate(over="ignore"):
+            with pytest.raises(error, match=message):
+                for s, queries in streams:
+                    run_episode(s, queries)
+            with pytest.raises(error, match=message):
+                run_episodes(streams)
+
+    def test_streams_must_score_alike(self):
+        """Streams with other CRP parameters, or other rows below n_kk, are
+        refused: one pass scores them under the first stream's."""
+        lc = init_large_context(
+            ClassEmbeddings(means=[[0.0], [1.0]], variances=[1.0, 1.0]),
+            SharedPrior(NaturalClassStats(q=[0.0], lam=1.0)), CrpParams.from_b(a=0.5, b=1.0), NOISE, Encoder.identity(),
+        )
+        moved = update(lc, [3.0], 3)  # a third class: the rows below n_kk stay
+        other = init_large_context(
+            ClassEmbeddings(means=[[0.0], [2.0]], variances=[1.0, 1.0]),
+            lc.prior, lc.crp_params, NOISE, Encoder.identity(),
+        )
+        run_episodes([(lc, [([0.0], 1)]), (moved, [([0.0], 3)])])
+        for first, second in ((lc, other), (_empty_state(), _empty_state(b=2.0)), (_empty_state(), lc)):
+            with pytest.raises(ValueError, match="^episodes must share the CRP parameters and the rows below n_kk$"):
+                run_episodes([(first, [([0.0], 1)]), (second, [([0.0], 1)])])
 
 
 class TestEncode:
