@@ -1,14 +1,20 @@
 #!/usr/bin/env bash
-# Run scripts/pipeline.sh at BASE_REF and in the working tree, print each
-# step's wall time for both, and diff the two output directories. A change
-# that should not alter any output (a speed-up, a refactor) must show no
-# difference: every checkpoint, trace, eval record, ROC and metric file and
-# every log agree byte for byte.
+# Run scripts/pipeline.sh at BASE_REF and in the working tree, diff the two
+# output directories and time each step on both sides. A change that should
+# not alter any output (a speed-up, a refactor) must show no difference:
+# every checkpoint, trace, eval record, ROC and metric file and every log
+# agree byte for byte.
 #
-# BASE_REF is checked out in a temporary `git worktree`, removed on exit, and
-# runs the working tree's pipeline.sh, so both sides run the same steps.
-# Outputs land in OUT_DIR/base and OUT_DIR/change; the timings in
-# OUT_DIR/base.times and OUT_DIR/change.times.
+# BASE_REF's files are exported (`git archive`) into a temporary directory,
+# removed on exit, which runs the working tree's pipeline.sh, so both sides
+# run the same steps. Outputs land in OUT_DIR/base and OUT_DIR/change, each
+# side's timings in OUT_DIR/base.times and OUT_DIR/change.times.
+#
+# The report ends with the verdict, also in OUT_DIR/verdict.txt: "outputs
+# identical", or "outputs differ in N files" and their list (`diff -rq`),
+# printed before the full diff. Then comes the step table, also in
+# OUT_DIR/table.txt: each step's base and change wall seconds, change/base,
+# and a total row.
 #
 # Usage: scripts/compare_pipeline.sh BASE_REF OUT_DIR
 # Exits 0 when the outputs agree and 1 when they differ.
@@ -24,9 +30,9 @@ out=$(cd "$2" && pwd)
 rm -rf "$out/base" "$out/change"
 
 tree=$(mktemp -d)
-trap 'git -C "$root" worktree remove --force "$tree/base" 2> /dev/null || true; rm -rf "$tree"' EXIT
-git -C "$root" worktree add --quiet --detach "$tree/base" "$base_ref"
+trap 'rm -rf "$tree"' EXIT
 mkdir -p "$tree/base/scripts"
+git -C "$root" archive "$base_ref" | tar -x -C "$tree/base"
 cp "$root/scripts/pipeline.sh" "$tree/base/scripts/pipeline.sh"
 
 # side NAME ROOT: the pipeline at ROOT into OUT_DIR/NAME, its stderr (the timings) into OUT_DIR/NAME.times
@@ -40,12 +46,22 @@ side() {
 side base "$tree/base"
 side change "$root"
 
-echo "step base_s change_s"
-awk 'NR == FNR { if ($1 == "time") base[$2] = $3; next } $1 == "time" { print $2, base[$2], $3 }' \
-    "$out/base.times" "$out/change.times"
-if diff -r "$out/base" "$out/change"; then
-    echo "outputs identical"
+cd "$out"
+status=0
+if diff -rq base change > differing.txt; then
+    echo "outputs identical" > verdict.txt
 else
-    echo "outputs differ" >&2
-    exit 1
+    status=1
+    { echo "outputs differ in $(wc -l < differing.txt) files"; cat differing.txt; } > verdict.txt
+    cat verdict.txt
+    diff -r base change || true
 fi
+rm differing.txt
+awk 'function row(step, b, c) { printf("%-20s %8.2f %8.2f %6s\n", step, b, c, (b > 0 ? sprintf("%.2f", c / b) : "-")) }
+     BEGIN { printf("%-20s %8s %8s %6s\n", "step", "base_s", "change_s", "ratio") }
+     NR == FNR { if ($1 == "time") base[$2] = $3; next }
+     $1 == "time" { row($2, base[$2], $3); b += base[$2]; c += $3 }
+     END { row("total", b, c) }' base.times change.times > table.txt
+head -n 1 verdict.txt
+cat table.txt
+exit $status

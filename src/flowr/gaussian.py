@@ -137,8 +137,12 @@ def log_density(g: IsotropicGaussian, z) -> float:
 
 def differences(Z, means):
     """The difference block z - mu (m, c, d) of points Z (m, d) from means
-    (c, d), or per point (m, c, d), and its squared norms (m, c)."""
-    diff = Z[:, None, :] - means
+    (c, d), or per point (m, c, d), and its squared norms (m, c). The block
+    is Z.repeat(c, axis=0) with the means subtracted in place, one
+    contiguous pass (Z[:, None, :] - means loops over each point-mean pair)."""
+    (m, d), c = Z.shape, means.shape[-2]
+    diff = Z.repeat(c, axis=0).reshape(m, c, d)
+    diff -= means
     return diff, np.einsum("mcd,mcd->mc", diff, diff)
 
 

@@ -64,7 +64,10 @@ per-row sum R_c of
 d loss / d Q_c, accumulated in step order, scatters the gradient back to
 the conditioning points: a query that conditioned row c at step j gets
 (R_c at the end - R_c after step j) / s_eps, a support point of row c gets
-R_c at the end / s_eps.
+R_c at the end / s_eps. A chunk's (steps, rows, d) terms fold into R row
+by row, np.add(terms[i - 1], terms[i], out=terms[i]): accumulate's additions
+in its order, each a contiguous pass where np.add.accumulate(axis=0) runs a
+strided loop per column. The narrow (steps, rows) lam terms keep accumulate.
 
 All gradients are certified against central finite differences by grad_check.
 """
@@ -81,10 +84,10 @@ from .gaussian import differences, log_density_matrix, log_density_sq
 
 
 def logsumexp(x, axis=-1):
-    """Stable log-sum-exp tolerating -inf entries (but not all--inf rows)."""
+    """Stable log-sum-exp of entries below +inf; a row of -inf gives NaN, without a warning."""
     x = np.asarray(x, dtype=np.float64)
     m = np.max(x, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
+    m = np.where(m > -np.inf, m, np.nan)
     return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(x - m), axis=axis))
 
 
@@ -172,7 +175,8 @@ def log_class_prior(counts, params: CrpParams) -> np.ndarray:
 
 
 def _bayes(logf, log_prior):
-    """The log posterior (m, c) from log densities (m, c) and a log prior (c,) or (m, c)."""
+    """The log posterior (m, c) from log densities (m, c) and a log prior
+    (c,) or (m, c); NaN for a row of -inf logits."""
     logits = logf + log_prior
     return logits - logsumexp(logits, axis=1)[:, None]
 
@@ -398,10 +402,12 @@ def _sequential_nll(table, Z, labels, params):
         d_Q, d_lam = _natural_chain(d_means, d_vars, Q, lam)
         d_b[c.steps] = predictive_grad_b(c, params, G)
 
-        for running, terms in ((R, d_Q), (R_lam, d_lam)):  # the sums after each step, in place
-            terms[0] += running[: n + 1]
-            np.add.accumulate(terms, axis=0, out=terms)
-            running[: n + 1] = terms[-1]
+        d_Q[0] += R[: n + 1]  # the sums after each step, in place
+        for i in range(1, len(d_Q)):
+            np.add(d_Q[i - 1], d_Q[i], out=d_Q[i])
+        d_lam[0] += R_lam[: n + 1]
+        np.add.accumulate(d_lam, axis=0, out=d_lam)
+        R[: n + 1], R_lam[: n + 1] = d_Q[-1], d_lam[-1]
         cond = np.flatnonzero(yc >= table.n_kk)
         seen[c.steps[cond]] = d_Q[cond, yc[cond]]
 

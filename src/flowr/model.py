@@ -32,6 +32,7 @@ stay valid. `class_stats` builds NaturalClassStats on demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,8 @@ from . import losses
 from .crp import ClassCounts, CrpParams, ProtocolError, arrival_labels, label_fault, predictive_class_probs
 from .encoder import ClassEmbeddings, Encoder
 from .gaussian import NaturalClassStats, NoiseModel, SharedPrior, log_density_matrix
+
+_FAR = "input is too far from every class: no class gives it a finite log density"  # its posterior is NaN
 
 
 class ModelState:
@@ -202,11 +205,14 @@ def predict(state: ModelState, x) -> PredictionRecord:
     posterior mass left (every known count is zero, as in a large-context
     state started at init_count=0, or the masses underflow), it is the
     known class with the highest log posterior, or with the highest
-    predictive log-density when every known prior is zero.
+    predictive log-density when every known prior is zero. An input too
+    far from every class, whose posterior would be NaN, is refused.
     """
     table = state._table
     logf = log_density_matrix(_encode(state.encoder, state.dim, [x]), table.means, table.variances)
     log_post = losses._bayes(logf, losses.log_class_prior(table, state.crp_params))
+    if math.isnan(log_post[0, -1]):
+        raise ValueError(_FAR)
     return _records(table.n, logf, log_post)[0]
 
 
@@ -310,9 +316,11 @@ def run_episodes(episodes) -> list:
     sees the same class count at once, so the states must share the CRP
     parameters, n_kk and the rows below it, as large-context episodes from
     one start do. Each stream is read and checked before the next, so a
-    fault is the first faulty stream's, as run_episode reports it.
+    fault is the first faulty stream's, as run_episode reports it. A query
+    too far from every class (predict's refusal) is found once its stream
+    is scored, after the stream's other faults and before a later stream's.
     """
-    states, prefixes, first = [], [], None  # a prefix per stream, None for an empty one
+    states, prefixes, first, fault = [], [], None, None  # a prefix per stream, None for an empty one
     for state, queries in episodes:
         queries, table, prefix = list(queries), state._table, None
         if queries:
@@ -320,18 +328,28 @@ def run_episodes(episodes) -> list:
                 raise ValueError("episodes must share the CRP parameters and the rows below n_kk")
             # the CRP rule refuses to score step 0 when no class has a count yet and b <= 0
             first_score = None if table.counts.any() else lambda: predictive_class_probs(table, state.crp_params)
-            Z, labels = _encode_labelled(state.encoder, state.dim, table.n, queries, "query", first_score)
+            try:
+                Z, labels = _encode_labelled(state.encoder, state.dim, table.n, queries, "query", first_score)
+            except (TypeError, ValueError) as e:
+                fault = e  # raised after the streams before it are scored, which stepping meets first
+                break
             prefix = losses.Prefix(table, Z, labels, state.crp_params)
             first = first or prefix
         states.append(state)
         prefixes.append(prefix)
     scored = [p for p in prefixes if p is not None]
-    records = [None] * sum(len(p.labels) for p in scored)
+    start = np.cumsum([0] + [len(p.labels) for p in scored])  # each stream's first step
+    records, far = [None] * start[-1], start[-1]  # far: the first step whose posterior is NaN
     if scored:
         labels = np.concatenate([p.labels for p in scored])
         for c in losses.chunks(scored):
+            far = c.steps[np.isnan(c.log_post[:, -1])].min(initial=far)
             for i, record in zip(c.steps.tolist(), _records(c.n, c.logf, c.log_post, labels[c.steps])):
                 records[i] = record
+    if far < start[-1]:
+        raise ValueError(f"query {far - start[np.searchsorted(start, far, 'right') - 1]}: {_FAR}")
+    if fault is not None:
+        raise fault
     out, done = [], 0
     for state, prefix in zip(states, prefixes):
         m = 0 if prefix is None else len(prefix.labels)

@@ -19,6 +19,7 @@ from flowr.gaussian import (
     SharedPrior,
     batch_posterior,
     condition,
+    differences,
     factor_to_natural,
     log_density,
     log_density_matrix,
@@ -203,3 +204,41 @@ class TestLogDensity:
             for c in range(3):
                 g = IsotropicGaussian(mean=means[c], variance=variances[c])
                 np.testing.assert_allclose(out[m, c], log_density(g, Z[m]), rtol=1e-12)
+
+
+def _signed_zeros(rng, a):
+    """a with about a third of its entries set to 0.0 or -0.0."""
+    zeros = np.where(rng.random(a.shape) < 0.5, 0.0, -0.0)
+    return np.where(rng.random(a.shape) < 0.3, zeros, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.sampled_from([0, 1, 2, 24]),
+    c=st.sampled_from([0, 1, 11, 42]),
+    d=st.sampled_from([1, 3, 64]),
+    per_point=st.booleans(),
+    exponent=st.floats(-150.0, 150.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_differences_match_the_broadcast_block(m, c, d, per_point, exponent, seed):
+    """differences() builds its block by tiling the points and subtracting
+    the means in place; block and squared norms equal the broadcast
+    Z[:, None, :] - means and its einsum bit for bit, signed zeros
+    included, for frozen (c, d) and per-point (m, c, d) means, no points
+    or no means, and scales from 1e-150 to 1e150."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    Z = _signed_zeros(rng, rng.normal(size=(m, d)) * scale)
+    means = _signed_zeros(rng, rng.normal(size=(m, c, d) if per_point else (c, d)) * scale)
+    if per_point:
+        means = np.where(rng.random(means.shape) < 0.2, Z[:, None, :], means)  # z - mu = 0 exactly
+    else:
+        k = min(m, c)
+        means[:k] = Z[:k]
+    diff, sq = differences(Z, means)
+    want = Z[:, None, :] - means
+    assert diff.shape == (m, c, d) and sq.shape == (m, c)
+    np.testing.assert_array_equal(diff, want)
+    np.testing.assert_array_equal(np.signbit(diff), np.signbit(want))
+    np.testing.assert_array_equal(sq, np.einsum("mcd,mcd->mc", want, want))

@@ -20,7 +20,7 @@ from flowr import crp, losses, meta
 from flowr.crp import CrpParams
 from flowr.data import generate_synthetic_world
 from flowr.encoder import Encoder
-from flowr.gaussian import LOG_2PI, NoiseModel
+from flowr.gaussian import LOG_2PI, NoiseModel, log_density_matrix
 from flowr.meta import EpisodeConfig, grad_check, meta_loss, meta_loss_functions
 from flowr.model import ProtocolError, init_large_context, init_small_context, predict, run_episode, update
 
@@ -435,6 +435,61 @@ def test_prefix_pass_matches_stepped_teacher_forced_loss(case):
     with mock.patch.object(losses, "PREFIX_ENTRIES", entries):
         got = losses._sequential_nll(table, Z, case["labels"], params)
     _assert_same(got, want)
+
+
+def _sc_paper_sequential_case(seed):
+    """A small-context table of 40 support classes at d = 64 and a dense
+    stream of 500 queries that opens new classes along the way: the
+    sc-paper episode shape."""
+    rng = np.random.default_rng(seed)
+    n, m, d, noise = 40, 500, 64, 0.5
+    q0 = rng.normal(size=d)
+    K = rng.integers(1, 6, size=n)
+    table = losses.ClassTable(
+        q0 + rng.normal(size=(n, d)) * K[:, None], 1.0 + K / noise, losses.ClassTable.counts_after(K), q0, 1.0, noise
+    )
+    labels, k = [], n
+    for c in rng.integers(0, n + 10, size=m):
+        labels.append(min(int(c), k) + 1)
+        k = max(k, labels[-1])
+    return table, rng.normal(size=(m, d)), np.array(labels), CrpParams(a=0.5, rho=0.7)
+
+
+def test_prefix_pass_matches_stepped_teacher_forced_loss_at_sc_paper_width():
+    """At the sc-paper shape and the default PREFIX_ENTRIES the widest
+    chunks hold 20 or more steps of 41 or more rows each, more than the
+    fuzz above builds; the running sums folded row by row still give
+    exactly what stepping the table gave, all five values bit for bit."""
+    table, Z, labels, params = _sc_paper_sequential_case(29)
+    widths = [len(c.steps) for c in losses.chunks([losses.Prefix(table, Z, labels, params)], every_row=True)]
+    assert max(widths) >= 20
+    _assert_same(losses._sequential_nll(table, Z, labels, params), _stepped_sequential_nll(table, Z, labels, params))
+
+
+def test_chunk_scoring_holds_one_difference_block():
+    """Each per-point log_density_matrix call that chunks() makes, on the
+    version means it gathered for a run of steps (steps, rows, d), holds at
+    most 1.5 such blocks beyond its inputs: the difference block is built
+    once and the means are subtracted into it in place."""
+    table, Z, labels, params = _sc_paper_sequential_case(31)
+    prefix = losses.Prefix(table, Z, labels, params)
+    blocks = []
+
+    def measured(Z, means, variances):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = log_density_matrix(Z, means, variances)
+        blocks.append((tracemalloc.get_traced_memory()[1] - base) / means.nbytes)
+        return out
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(losses, "log_density_matrix", measured):
+            for _ in losses.chunks([prefix]):
+                pass
+    finally:
+        tracemalloc.stop()
+    assert blocks and max(blocks) < 1.5, f"peak {max(blocks):.2f} blocks"
 
 
 def _per_row_versions(prefix):

@@ -605,6 +605,22 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="finite"):
             run_episode(self._lc_state(), [([0.5, 0.0], 1), ([np.nan, 0.0], 2)])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_input_far_from_every_class_is_refused(self):
+        """On a 4-d, 2-class state, x = 1e160 * 1 is so far from every class
+        that each squared distance overflows: predict returned NaN
+        posteriors and a NaN novelty score, which the metrics refused later,
+        or raised a RuntimeWarning. 1e150 * 1 still gets a posterior."""
+        prior = SharedPrior(NaturalClassStats(q=np.zeros(4), lam=1.0))
+        support = [(np.zeros(4), 1), (np.ones(4), 2)]
+        state = init_small_context(prior, CrpParams.from_b(a=0.5, b=1.0), NOISE, Encoder.identity(), support)
+        np.testing.assert_array_equal(predict(state, np.full(4, 1e150)).probs, [0.0, 0.0, 1.0])
+        far = "input is too far from every class: no class gives it a finite log density"
+        with pytest.raises(ValueError, match=f"^{far}$"):
+            predict(state, np.full(4, 1e160))
+        with pytest.raises(ValueError, match=f"^query 1: {far}$"):
+            run_episode(state, [(np.ones(4), 1), (np.full(4, 1e160), 3), (np.zeros(4), 1)])
+
 
 def _reference_probs(stats, state, counts, z):
     """The posterior as predict computed it from a tuple of NaturalClassStats
@@ -824,6 +840,30 @@ class TestRunEpisodes:
             with pytest.raises(error, match=message):
                 run_episodes(streams)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_first_far_query_in_stream_order_is_reported(self):
+        """Steps are scored in runs of one class count, not stream by stream,
+        yet the far query reported is the first in stream order, as the
+        per-episode loop reports it: the second stream's query 2 (scored
+        against 2 classes), not the third stream's query 0 (against none),
+        nor the last stream's label fault, though every stream is read
+        before any is scored. A read fault in the first stream comes first."""
+        far = "input is too far from every class: no class gives it a finite log density"
+        state = _empty_state()
+        streams = [
+            (state, [([0.0], 1)]),
+            (state, [([0.0], 1), ([1.0], 2), ([1e160], 3)]),
+            (state, [([-1e160], 1)]),
+            (state, [([0.0], 0)]),
+        ]
+        with pytest.raises(ValueError, match=f"^query 2: {far}$"):
+            for s, queries in streams:
+                run_episode(s, queries)
+        with pytest.raises(ValueError, match=f"^query 2: {far}$"):
+            run_episodes(streams)
+        with pytest.raises(ProtocolError, match="^query 0: label 0 is not a positive class index$"):
+            run_episodes(streams[3:] + streams[:3])
+
     def test_streams_must_score_alike(self):
         """Streams with other CRP parameters, or other rows below n_kk, are
         refused: one pass scores them under the first stream's."""
@@ -940,7 +980,7 @@ def test_init_small_context_matches_stepped_fold(case):
 
 # the edge-state fuzz: every axis at its everyday value, then one moved at a time
 _EDGE_BASE = dict(noise=0.5, lam0=1.0, b=1.0, count=1, scale=1.0)
-_EDGE_EXPONENTS = dict(noise=(-300.0, 6.0), lam0=(-300.0, 300.0), b=(-12.0, 300.0), scale=(0.0, 150.0))
+_EDGE_EXPONENTS = dict(noise=(-300.0, 6.0), lam0=(-300.0, 300.0), b=(-12.0, 300.0), scale=(0.0, 300.0))
 
 
 @st.composite
