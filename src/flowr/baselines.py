@@ -52,12 +52,9 @@ class PrototypeState:
         return cls(sums=np.zeros((0, dim)), counts=np.zeros(0, dtype=np.int64))
 
     @classmethod
-    def from_means(cls, means, counts=None) -> "PrototypeState":
-        means = np.asarray(means, dtype=np.float64)
-        if counts is None:
-            counts = np.ones(means.shape[0], dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        return cls(sums=means * counts[:, None], counts=counts)
+    def from_means(cls, means) -> "PrototypeState":
+        sums = np.array(means, dtype=np.float64)
+        return cls(sums=sums, counts=np.ones(sums.shape[0], dtype=np.int64))
 
     @property
     def n_classes(self) -> int:
@@ -113,9 +110,10 @@ def _nearest(means, z):
     return best + 1, float(dist[best])
 
 
-def init_prototypes(support, dim) -> PrototypeState:
-    """Prototype state from a labelled stream of dim-vectors in arrival order."""
-    Z, labels = _encode_labelled(_IDENTITY, dim, 0, list(support), "support point")
+def init_prototypes(support, dim, encoder=None) -> PrototypeState:
+    """Prototype state from a labelled stream of raw inputs in arrival order,
+    encoded to dim-vectors as run_baseline_episode encodes its queries."""
+    Z, labels = _encode_labelled(encoder or _IDENTITY, dim, 0, list(support), "support point")
     return _fold(PrototypeState.empty(dim), Z, labels.tolist())[1]
 
 

@@ -12,11 +12,10 @@ from .meta import EpisodeConfig
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Every knob of a full run. Defaults are the reference operating
-    values: a=0.5, noise 0.5, beta and lambda_w 0.1, 64-d features, and the
-    per-setting operating TPR (0.15 small-context, 0.6 large-context)."""
+    values: a=0.5, noise 0.5, beta and lambda_w 0.1, and the per-setting
+    operating TPR (0.15 small-context, 0.6 large-context)."""
 
     setting: str = "sc"
-    d: int = 64
     a: float = 0.5
     noise_variance: float = 0.5
     beta: float = 0.1
@@ -44,8 +43,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.setting not in ("sc", "lc"):
             raise ValueError(f"setting must be 'sc' or 'lc', got {self.setting!r}")
-        if self.d < 1:
-            raise ValueError("d must be positive")
         if not 0.0 <= self.a < 1.0:
             raise ValueError(f"a must be in [0, 1), got {self.a}")
         if self.noise_variance <= 0:

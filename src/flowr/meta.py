@@ -88,12 +88,6 @@ class MetaParams:
         Q, lam = embeddings.natural_params()
         return replace(self, class_q=Q, class_log_lambda=np.log(lam))
 
-    def class_embeddings(self) -> ClassEmbeddings:
-        if self.class_q is None:
-            raise ValueError("no per-class stats; this is a small-context parameter set")
-        lam = np.exp(self.class_log_lambda)
-        return ClassEmbeddings(means=self.class_q / lam[:, None], variances=1.0 / lam)
-
 
 def init_meta_params(d, rng, *, encoder=None, a=0.5) -> MetaParams:
     """Random initial small-context parameters with CRP strength b = 1;

@@ -22,7 +22,9 @@ init_small_context know every label in advance, so they build the final
 table from one losses.Prefix pass, its last row versions and counts,
 stepping nothing; run_episode also scores the whole stream in that pass,
 as the one-stream case of run_episodes, which scores several streams in
-one pass.
+one pass. init_large_context and runner.evaluate build a large-context
+state through _large_context, over class rows (Q, lam) as given; evaluate
+passes the class_q and exp(class_log_lambda) that losses.episode_grads trains.
 _encode and _encode_labelled are flowr's only readers of raw inputs and
 labelled streams: every call here, fine-tuning and the NCM baseline read
 each input once, in one block, refuse a bad one with the same one-line
@@ -283,20 +285,25 @@ def init_large_context(
     *,
     init_count=losses.ClassTable.PERSISTENT_COUNT,
 ) -> ModelState:
-    """Start from pre-trained per-class Gaussians.
+    """Start from pre-trained per-class Gaussians (_large_context).
 
     Every known-known class starts at init_count, by default the count
     floor that large-context meta-training seeds (ClassTable.PERSISTENT_COUNT).
     At init_count=0 no known class has prior mass until its first label,
     so the whole prior sits on the novel slot.
     """
-    if embeddings.dim != prior.prior.dim:
-        raise ValueError(f"embeddings have dimension {embeddings.dim}, the prior {prior.prior.dim}")
-    n = embeddings.n_classes
+    return _large_context(*embeddings.natural_params(), prior, crp_params, noise, encoder, init_count)
+
+
+def _large_context(Q, lam, prior, crp_params, noise, encoder, init_count=losses.ClassTable.PERSISTENT_COUNT):
+    """The large-context state over natural class rows (Q, lam) as given,
+    each a known-known class at init_count: at the default, over (class_q,
+    exp(class_log_lambda)), the table losses.episode_grads scores with no support."""
+    if Q.shape[1] != prior.prior.dim:
+        raise ValueError(f"class rows have dimension {Q.shape[1]}, the prior {prior.prior.dim}")
+    counts = ClassCounts(np.full(len(lam), int(init_count), dtype=np.int64))
     return ModelState._from_arrays(
-        *embeddings.natural_params(), encoder=encoder,
-        counts=ClassCounts(np.full(n, int(init_count), dtype=np.int64)), crp_params=crp_params,
-        prior=prior, noise=noise, n_kk=n,
+        Q, lam, encoder=encoder, counts=counts, crp_params=crp_params, prior=prior, noise=noise, n_kk=len(lam)
     )
 
 

@@ -4,6 +4,8 @@ Episodes are sampled serially in index order, each with its own
 (seed, index) RNG split, and run in blocks of whole episodes within
 losses.BLOCK_QUERIES queries: a flowr block goes through one
 model.run_episodes pass, which gives each episode the bits it gets alone.
+Start states come from the checkpoint's arrays as stored: the large-context
+table training scores (model._large_context), an NCM support read as its queries.
 `evaluate(workers=...)` is kept for compatibility and selects nothing.
 Record files, ROC CSV, and metric tables are written deterministically
 (floats via repr) so repeated runs are byte-identical.
@@ -25,14 +27,12 @@ from .data import generate_synthetic_world
 from .encoder import Encoder
 from .meta import oracle_labels
 from .metrics import EpisodeRecords, accuracy_suite, roc_curve, scores_from_records, threshold_at_tpr
-from .model import PredictionRecord, fine_tune_output_layer, init_large_context, init_small_context, run_episodes
+from .model import PredictionRecord, _large_context, fine_tune_output_layer, init_small_context, run_episodes
 
 
 @dataclass
 class EvalResult:
     episodes: list
-    tau: float
-    achieved_tpr: float
     metrics: dict
     roc: tuple
 
@@ -51,10 +51,10 @@ def _start_state(ckpt: Checkpoint, cfg: ExperimentConfig, method, episode, start
     if cfg.setting == "lc":
         return start
     encoder = ckpt.params.encoder
-    if method == "ncm":
-        enc_support = encoder(episode.support_x)
-        return init_prototypes(zip(enc_support, episode.support_y), enc_support.shape[1])
     support = list(zip(episode.support_x, episode.support_y))
+    if method == "ncm":
+        dim = encoder.weight.shape[0] if encoder.kind == "affine" else episode.support_x.shape[1]
+        return init_prototypes(support, dim, encoder)
     state = init_small_context(ckpt.params.prior(), ckpt.crp, ckpt.noise, encoder, support)
     if cfg.fine_tune_steps > 0 and encoder.kind == "affine":
         state = fine_tune_output_layer(state, support, cfg.fine_tune_steps, cfg.fine_tune_step_size)
@@ -79,11 +79,12 @@ def evaluate(
     model.run_episodes pass; beyond its result, evaluate holds one block.
 
     For the large-context setting, one start state is built for all
-    episodes, which share it: init_large_context, at the count floor
-    training seeds, or the NCM prototypes, over the checkpoint's class_q,
-    else its embeddings. known_classes defaults to the classes these cover
-    (ids 1..n_kk in the dataset); the remaining classes form the novel
-    pool. `workers` is ignored.
+    episodes, which share it, from the checkpoint's class_q and
+    exp(class_log_lambda) as stored, else from its embeddings: the
+    model._large_context table at the count floor training seeds, or NCM
+    prototypes at the class means. known_classes defaults to the classes
+    these cover (ids 1..n_kk in the dataset); the remaining classes form
+    the novel pool. `workers` is ignored.
     """
     if method not in ("flowr", "ncm"):
         raise ValueError(f"unknown method {method!r}")
@@ -91,17 +92,21 @@ def evaluate(
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be at least 1, got {n_episodes}")
     seed = cfg.seed if seed is None else seed
-    start = None
+    start, params = None, ckpt.params
     if cfg.setting == "lc":
-        embeddings = ckpt.params.class_embeddings() if ckpt.params.class_q is not None else ckpt.embeddings
-        if embeddings is None:
+        if params.class_q is not None:
+            lam = np.exp(params.class_log_lambda)
+            rows, means = (params.class_q, lam), params.class_q / lam[:, None]
+        elif ckpt.embeddings is not None:
+            rows, means = ckpt.embeddings.natural_params(), ckpt.embeddings.means
+        else:
             raise ValueError("large-context evaluation needs class stats in the checkpoint")
         if known_classes is None:
-            known_classes = np.arange(1, embeddings.n_classes + 1)
+            known_classes = np.arange(1, len(means) + 1)
         if method == "flowr":
-            start = init_large_context(embeddings, ckpt.params.prior(), ckpt.crp, ckpt.noise, ckpt.params.encoder)
+            start = _large_context(*rows, params.prior(), ckpt.crp, ckpt.noise, params.encoder)
         else:
-            start = PrototypeState.from_means(embeddings.means)
+            start = PrototypeState.from_means(means)
 
     def run(block):
         """The EpisodeRecords of a block of sampled (episode, queries)."""
@@ -109,7 +114,7 @@ def evaluate(
         if method == "flowr":
             results = run_episodes(streams)
         else:
-            results = [run_baseline_episode(state, queries, encoder=ckpt.params.encoder) for state, queries in streams]
+            results = [run_baseline_episode(state, queries, encoder=params.encoder) for state, queries in streams]
         return [EpisodeRecords(records, n_initial=e.n_known) for (e, _), (records, _) in zip(block, results)]
 
     episodes, block, size = [], [], 0
@@ -125,10 +130,7 @@ def evaluate(
 
     metrics, scores = metrics_at_tpr(episodes, cfg.operating_tpr)
     metrics.update({"method": method, "n_episodes": n_episodes, "seed": seed})
-    return EvalResult(
-        episodes=episodes, tau=metrics["tau"], achieved_tpr=metrics["achieved_tpr"], metrics=metrics,
-        roc=roc_curve(scores),
-    )
+    return EvalResult(episodes=episodes, metrics=metrics, roc=roc_curve(scores))
 
 
 def metrics_at_tpr(episodes, target_tpr) -> tuple:

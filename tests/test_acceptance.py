@@ -226,7 +226,7 @@ def test_criterion_07_end_to_end_small_context():
         noise=NoiseModel(0.5), setting="sc",
     )
     cfg = ExperimentConfig(
-        setting="sc", d=8, noise_variance=0.5, operating_tpr=0.6,
+        setting="sc", noise_variance=0.5, operating_tpr=0.6,
         eval_support_classes=10, eval_novel_classes=5, eval_queries_per_class=10,
         eval_episodes=200, seed=7,
     )
@@ -307,7 +307,7 @@ def test_criterion_10_worker_count_invariance():
         noise=NoiseModel(0.5), setting="sc",
     )
     cfg = ExperimentConfig(
-        setting="sc", d=4, eval_support_classes=4, eval_novel_classes=2,
+        setting="sc", eval_support_classes=4, eval_novel_classes=2,
         eval_queries_per_class=4, eval_episodes=16, seed=10,
     )
     serial = runner.format_metrics(runner.evaluate(world, ckpt, cfg, workers=1).metrics)

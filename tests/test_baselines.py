@@ -23,7 +23,7 @@ from flowr.baselines import (
 from flowr.checkpoint import Checkpoint
 from flowr.config import ExperimentConfig
 from flowr.crp import ClassCounts, CrpParams
-from flowr.data import generate_synthetic_world
+from flowr.data import EmbeddingDataset, generate_synthetic_world
 from flowr.encoder import ClassEmbeddings, Encoder
 from flowr.gaussian import NaturalClassStats, NoiseModel, SharedPrior
 from flowr.model import ModelState, ProtocolError, init_small_context, run_episode
@@ -65,9 +65,6 @@ class TestPrototypeState:
         state = PrototypeState.from_means([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(state.counts, [1, 1])
         np.testing.assert_array_equal(state.means, [[1.0, 2.0], [3.0, 4.0]])
-        weighted = PrototypeState.from_means([[1.0, 2.0]], counts=[4])
-        np.testing.assert_array_equal(weighted.means, [[1.0, 2.0]])
-        assert weighted.counts[0] == 4
 
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError, match="at least one observation"):
@@ -158,7 +155,7 @@ class TestRunBaselineEpisode:
         mean per query; the start state, shared by evaluation's episodes,
         is left as it was."""
         rng = np.random.default_rng(3)
-        start = PrototypeState.from_means(rng.normal(size=(3, 4)), counts=[1, 2, 5])
+        start = PrototypeState(sums=rng.normal(size=(3, 4)) * [[1], [2], [5]], counts=[1, 2, 5])
         before = (start.sums.copy(), start.counts.copy())
         labels = [2, 4, 1, 4, 5, 3, 5, 6, 1, 2]
         queries = list(zip(rng.normal(size=(len(labels), 4)), labels))
@@ -292,13 +289,13 @@ def test_evaluate_without_support_classes(method):
         params=params, crp=CrpParams(a=0.5, rho=params.rho), noise=NoiseModel(0.5), setting="sc"
     )
     cfg = ExperimentConfig(
-        setting="sc", d=4, eval_support_classes=0, eval_novel_classes=3,
+        setting="sc", eval_support_classes=0, eval_novel_classes=3,
         eval_queries_per_class=4, eval_episodes=4, operating_tpr=0.6, seed=3,
     )
     result = runner.evaluate(world, ckpt, cfg, method=method)
     assert result.metrics["n_support"] == 0
     assert result.metrics["n_queries"] == 48
-    assert np.isfinite(result.tau)
+    assert np.isfinite(result.metrics["tau"])
     assert 0.0 <= result.metrics["auroc"] <= 1.0
     assert np.isfinite(result.metrics["h_measure"])
 
@@ -318,7 +315,7 @@ def test_evaluate_rejects_fewer_than_one_episode(n_episodes, monkeypatch):
     ckpt = Checkpoint(
         params=params, crp=CrpParams(a=0.5, rho=params.rho), noise=NoiseModel(0.5), setting="sc"
     )
-    cfg = ExperimentConfig(setting="sc", d=4, eval_support_classes=2, eval_novel_classes=2, eval_episodes=2)
+    cfg = ExperimentConfig(setting="sc", eval_support_classes=2, eval_novel_classes=2, eval_episodes=2)
 
     def refuse(*args, **kwargs):
         raise AssertionError("an episode was sampled")
@@ -341,7 +338,7 @@ def test_evaluate_ncm_large_context_starts_from_class_means():
         embeddings=ClassEmbeddings(means=means, variances=np.ones(6)),
     )
     cfg = ExperimentConfig(
-        setting="lc", d=3, eval_support_classes=0, eval_novel_classes=3,
+        setting="lc", eval_support_classes=0, eval_novel_classes=3,
         eval_queries_per_class=4, eval_episodes=3, operating_tpr=0.6, seed=5,
     )
     result = runner.evaluate(world, ckpt, cfg, method="ncm")
@@ -358,10 +355,11 @@ def test_evaluate_ncm_large_context_starts_from_class_means():
 
 @pytest.mark.parametrize("method", ["flowr", "ncm"])
 def test_evaluate_decides_large_context_class_stats_once(method):
-    """evaluate builds the large-context class stats once for all episodes,
-    the trained class_q over the embeddings, where each episode used to
-    rebuild them: the records equal those of a checkpoint that carries the
-    same stats as embeddings only, and one with neither is refused."""
+    """evaluate builds the large-context start once for all episodes, from
+    the trained class_q and exp(class_log_lambda) over the embeddings,
+    where each episode used to rebuild it: flowr's through the shared
+    builder model._large_context, NCM's prototypes at the means class_q /
+    lam. A checkpoint with neither is refused."""
     world = generate_synthetic_world(12, 4, 25.0, 0.5, 20, seed=11)
     rng = np.random.default_rng(4)
     params = meta.init_meta_params(3, rng, encoder=Encoder.affine(rng.normal(size=(3, 4)), rng.normal(size=3)))
@@ -372,18 +370,53 @@ def test_evaluate_decides_large_context_class_stats_once(method):
         params=trained, crp=CrpParams(a=0.5, rho=params.rho), noise=NoiseModel(0.5), setting="lc", embeddings=stale
     )
     cfg = ExperimentConfig(
-        setting="lc", d=3, eval_support_classes=0, eval_novel_classes=3,
+        setting="lc", eval_support_classes=0, eval_novel_classes=3,
         eval_queries_per_class=4, eval_episodes=3, operating_tpr=0.6, seed=5,
     )
-    built = meta.MetaParams.class_embeddings
-    with mock.patch.object(meta.MetaParams, "class_embeddings", autospec=True, side_effect=built) as spy:
+    lam = np.exp(trained.class_log_lambda)
+    if method == "flowr":
+        builder, want = mock.patch.object(runner, "_large_context", wraps=runner._large_context), (trained.class_q, lam)
+    else:
+        builder, want = mock.patch.object(PrototypeState, "from_means", wraps=PrototypeState.from_means), (
+            trained.class_q / lam[:, None],
+        )
+    with builder as spy:
         result = runner.evaluate(world, ckpt, cfg, method=method)
     assert spy.call_count == 1 and len(result.episodes) == 3
-    only = replace(ckpt, params=params, embeddings=trained.class_embeddings())
-    for got, want in zip(result.episodes, runner.evaluate(world, only, cfg, method=method).episodes):
-        assert [(r.predicted, r.known_argmax, r.novelty_score, r.n_at_prediction) for r in got.records] == [
-            (r.predicted, r.known_argmax, r.novelty_score, r.n_at_prediction) for r in want.records
-        ]
+    for got, row in zip(spy.call_args.args, want):
+        np.testing.assert_array_equal(got, row)
     for known in (None, [1, 2]):
         with pytest.raises(ValueError, match="^large-context evaluation needs class stats in the checkpoint$"):
-            runner.evaluate(world, replace(only, embeddings=None), cfg, method=method, known_classes=known)
+            runner.evaluate(world, replace(ckpt, params=params, embeddings=None), cfg, method=method, known_classes=known)
+
+
+def test_evaluate_ncm_reads_its_support_as_its_queries():
+    """Small-context NCM reads its raw support through the reader of its
+    queries, run_baseline_episode's: a query equal to a one-shot support
+    point scores exactly 0.0 (the runner used to encode the support with
+    the 2-D GEMM of Encoder.__call__, which differs in the last bits), and
+    the records are run_baseline_episode's from init_prototypes over the
+    raw support."""
+    rng = np.random.default_rng(9)
+    world = EmbeddingDataset(np.repeat(np.arange(1, 13), 4), np.repeat(rng.normal(size=(12, 16)), 4, axis=0))
+    encoder = Encoder.affine(rng.normal(size=(8, 16)), rng.normal(size=8))
+    params = meta.init_meta_params(8, rng, encoder=encoder)
+    ckpt = Checkpoint(
+        params=params, crp=CrpParams(a=0.5, rho=params.rho), noise=NoiseModel(0.5), setting="sc"
+    )
+    cfg = ExperimentConfig(
+        setting="sc", eval_support_classes=4, eval_novel_classes=2, shots_max=1,
+        eval_queries_per_class=2, operating_tpr=0.6, seed=5,
+    )
+    result = runner.evaluate(world, ckpt, cfg, n_episodes=3, method="ncm")
+    for i, got in enumerate(result.episodes):
+        # each known class's two queries are its support point: the first
+        # is scored against it, the second against the mean of two copies
+        assert [r.novelty_score for r in got.records if r.true_label <= 4] == [0.0] * 8
+        sample_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, i)))
+        episode = meta.sample_sc_task(world, cfg.eval_episode_config(), sample_rng)
+        start = init_prototypes(zip(episode.support_x, episode.support_y), 8, encoder)
+        want, _ = run_baseline_episode(start, zip(episode.query_x, meta.oracle_labels(episode)), encoder=encoder)
+        assert [(r.predicted, r.novelty_score, r.n_at_prediction, r.true_label) for r in got.records] == [
+            (r.predicted, r.novelty_score, r.n_at_prediction, r.true_label) for r in want
+        ]

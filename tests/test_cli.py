@@ -311,3 +311,14 @@ class TestConfigOverrides:
         err = capsys.readouterr().err
         assert err.startswith("error: argument --config: not allowed with argument --preset")
         assert err.count("\n") == 1
+
+    def test_config_naming_the_deleted_feature_dimension_is_refused(self, pipeline, tmp_path, capsys):
+        """ExperimentConfig no longer has the field d (the feature dimension,
+        which nothing read): a config file that still sets it is refused in
+        one line naming it, not read with d ignored."""
+        cfg = tmp_path / "old.json"
+        cfg.write_text('{"setting": "sc", "d": 64, "seed": 7}')
+        assert main(_eval_args(pipeline, tmp_path / "out", "--config", str(cfg))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: TypeError: ") and "'d'" in err
+        assert err.count("\n") == 1

@@ -22,7 +22,6 @@ class TestDefaults:
         assert cfg.noise_variance == 0.5
         assert cfg.beta == 0.1
         assert cfg.lambda_w == 0.1
-        assert cfg.d == 64
         assert cfg.operating_tpr == 0.15
 
     def test_validation(self):
@@ -78,7 +77,7 @@ class TestPresets:
 
 class TestSerialization:
     def test_json_round_trip(self):
-        cfg = ExperimentConfig(d=16, seed=9, meta_episodes=123)
+        cfg = ExperimentConfig(seed=9, meta_episodes=123)
         assert config_from_json(config_to_json(cfg)) == cfg
 
     def test_json_is_sorted_and_complete(self):
@@ -87,8 +86,8 @@ class TestSerialization:
         assert payload["setting"] == "sc"
 
     def test_overrides(self):
-        cfg = config_with_overrides(ExperimentConfig(), seed=3, d=None)
-        assert cfg.seed == 3 and cfg.d == 64
+        cfg = config_with_overrides(ExperimentConfig(), seed=3, a=None)
+        assert cfg.seed == 3 and cfg.a == 0.5
         assert config_with_overrides(cfg) is cfg
 
 
@@ -103,7 +102,6 @@ class TestHash:
         seen = {config_hash(base)}
         for change in (
             {"seed": 1},
-            {"d": 32},
             {"a": 0.4},
             {"noise_variance": 0.6},
             {"operating_tpr": 0.6},

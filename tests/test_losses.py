@@ -19,10 +19,10 @@ from scipy.special import logsumexp as scipy_logsumexp
 from flowr import crp, losses, meta
 from flowr.crp import CrpParams
 from flowr.data import generate_synthetic_world
-from flowr.encoder import Encoder
+from flowr.encoder import ClassEmbeddings, Encoder
 from flowr.gaussian import LOG_2PI, NoiseModel, log_density_matrix
 from flowr.meta import EpisodeConfig, grad_check, meta_loss, meta_loss_functions
-from flowr.model import ProtocolError, init_large_context, init_small_context, predict, run_episode, update
+from flowr.model import ProtocolError, _large_context, init_large_context, init_small_context, predict, run_episode, update
 
 TOL = 1e-4
 
@@ -223,7 +223,7 @@ class TestSequentialMatchesInference:
         if setting == "sc":
             state = init_small_context(*parts, zip(episode.support_x, episode.support_y))
         else:
-            state = init_large_context(params.class_embeddings(), *parts, init_count=1)
+            state = _large_context(params.class_q, np.exp(params.class_log_lambda), *parts, init_count=1)
         records, _ = run_episode(state, zip(episode.query_x, meta.oracle_labels(episode)))
         nll = np.mean([-np.log(r.probs[r.true_label - 1]) for r in records])
         np.testing.assert_allclose(g.nll, nll, rtol=1e-12)
@@ -616,7 +616,7 @@ def test_persistent_classes_start_at_one_count_in_training_and_evaluation():
     assert losses.ClassTable.PERSISTENT_COUNT == 1
     np.testing.assert_array_equal(tables[0].counts[:3], [losses.ClassTable.PERSISTENT_COUNT] * 3)
     parts = (params.prior(), CrpParams(a=0.5, rho=params.rho), NoiseModel(0.5), Encoder.identity())
-    state = init_large_context(params.class_embeddings(), *parts)
+    state = init_large_context(ClassEmbeddings(means=params.class_q, variances=np.ones(3)), *parts)
     np.testing.assert_array_equal(state.counts.counts, [losses.ClassTable.PERSISTENT_COUNT] * 3)
 
 

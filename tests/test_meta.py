@@ -127,7 +127,7 @@ class TestSampleScTask:
         for setting, start in (("sc", params), ("lc", lc_params)):
             ckpt = Checkpoint(params=start, crp=CrpParams(a=0.5, rho=start.rho), noise=NoiseModel(0.5), setting=setting)
             exp = ExperimentConfig(
-                setting=setting, d=world.dim, eval_support_classes=2, eval_novel_classes=2,
+                setting=setting, eval_support_classes=2, eval_novel_classes=2,
                 eval_queries_per_class=2, eval_episodes=2,
             )
             for method in ("flowr", "ncm"):

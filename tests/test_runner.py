@@ -1,7 +1,9 @@
 """Evaluation in blocks of episodes: the same outputs as one episode at a
-time, in working memory set by the block, not by the episode count."""
+time, in working memory set by the block, not by the episode count; a
+large-context start holds the rows training learned."""
 
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -34,7 +36,7 @@ def _problem(setting, d_in=6, d=4, **cfg):
         embeddings=embeddings,
     )
     cfg = ExperimentConfig(
-        setting=setting, d=d, eval_support_classes=2 if setting == "sc" else 0, eval_novel_classes=3,
+        setting=setting, eval_support_classes=2 if setting == "sc" else 0, eval_novel_classes=3,
         eval_queries_per_class=4 if setting == "sc" else 4, shots_max=3, operating_tpr=0.6, seed=5, **cfg,
     )
     return world, ckpt, cfg
@@ -117,3 +119,41 @@ def test_working_memory_holds_one_block():
         (one, kept_one), (four, kept_four) = working(16), working(64)
     assert kept_four > 3 * kept_one
     assert four < 1.25 * one, f"working memory {one} B at 4 blocks, {four} B at 16"
+
+
+def test_large_context_start_is_the_trained_table():
+    """evaluate's large-context start holds the checkpoint's class_q and
+    exp(class_log_lambda) as stored: the table losses.episode_grads scores,
+    Q, lam, means, variances, counts and n_kk bit for bit (a round trip
+    through moment form used to move the last bits of about a fifth of
+    the rows' entries)."""
+    world = generate_synthetic_world(40, 6, 9.0, 0.5, 20, seed=3)
+    rng = np.random.default_rng(8)
+    d, n_kk = 8, 30
+    params = replace(
+        meta.init_meta_params(d, rng, encoder=Encoder.affine(rng.normal(size=(d, 6)), rng.normal(size=d))),
+        class_q=rng.normal(size=(n_kk, d)), class_log_lambda=rng.normal(size=n_kk),
+    )
+    ckpt = Checkpoint(params=params, crp=CrpParams(a=0.5, rho=params.rho), noise=NoiseModel(0.5), setting="lc")
+    cfg = ExperimentConfig(
+        setting="lc", eval_support_classes=0, eval_novel_classes=3, eval_queries_per_class=2, operating_tpr=0.6,
+    )
+    starts, run = [], runner.run_episodes
+
+    def spy(streams):
+        streams = list(streams)
+        starts.extend(state for state, _ in streams)
+        return run(streams)
+
+    with mock.patch.object(runner, "run_episodes", spy):
+        runner.evaluate(world, ckpt, cfg, n_episodes=2)
+    episode = meta.sample_lc_task(world, cfg.eval_episode_config(), rng, np.arange(1, n_kk + 1))
+    with mock.patch.object(losses, "_table_nll", side_effect=losses._table_nll) as scored:
+        meta.meta_grads(params, episode, 0.0, "lc", a=cfg.a, noise_variance=cfg.noise_variance)
+    trained, table = scored.call_args.args[0], starts[0]._table
+    assert len(starts) == 2 and starts[1] is starts[0]
+    np.testing.assert_array_equal(table.Q[:n_kk], params.class_q)
+    np.testing.assert_array_equal(table.lam[:n_kk], np.exp(params.class_log_lambda))
+    for name in ("Q", "lam", "means", "variances", "counts"):
+        np.testing.assert_array_equal(getattr(table, name), getattr(trained, name))
+    assert table.n_kk == trained.n_kk == n_kk
