@@ -13,11 +13,19 @@
 # The report ends with the verdict, also in OUT_DIR/verdict.txt: "outputs
 # identical", or "outputs differ in N files" and their list, printed before
 # the full diff. Each differing text file reads "FILE: K of M lines differ"
-# (M lines in the change's copy), a differing binary file "FILE: binary",
-# and a file on one side only as `diff -rq` reports it. Then comes the step
-# table, also in OUT_DIR/table.txt: each step's base and change wall
-# seconds, change/base, a total row, and a last row with the line counts of
-# src/flowr/*.py on both sides.
+# (M lines in the change's copy), then "; fields F R, ..." with each field
+# that differs and the largest relative difference |a - b| / max(|a|, |b|)
+# among its numbers ("-" where a value is not a number), then the largest
+# of them all. Lines are paired within each hunk of `diff`; a hunk that
+# adds or removes lines reads "lines added or removed -". A field is a
+# `key=` token (`novelty=`); on a line with a `name=NAME` token it is NAME
+# for `value=` (a metric, e.g. `tau`) and `NAME key=` otherwise; in a CSV
+# file it is the column's header, and a bare token is named by its
+# position (`word 9`). A differing binary file
+# reads "FILE: binary", and a file on one side only as `diff -rq` reports
+# it. Then comes the step table, also in OUT_DIR/table.txt: each step's
+# base and change wall seconds, change/base, a total row, and a last row
+# with the line counts of src/flowr/*.py on both sides.
 #
 # Usage: scripts/compare_pipeline.sh BASE_REF OUT_DIR
 # Exits 0 when the outputs agree and 1 when they differ.
@@ -54,6 +62,74 @@ is_text() {
     [ ! -s "$1" ] || grep -qI '' "$1"
 }
 
+# fields BASE CHANGE: "; fields ..." for two differing text files, from the hunks of their diff
+fields() {
+    python3 - "$1" "$2" <<'PY'
+import math
+import subprocess
+import sys
+
+def cells(line, header):
+    """The (field, value) pairs of one line; header holds a CSV file's column names."""
+    if header is not None:
+        return list(zip(header, line.split(",")))
+    tokens = [t.partition("=") if "=" in t else (None, "", t) for t in line.split()]
+    name = next((v for k, _, v in tokens if k == "name"), None)
+    out = []
+    for i, (key, _, value) in enumerate(tokens):
+        if key is None:
+            out.append((f"word {i + 1}", value))
+        elif name is not None and key != "name":
+            out.append((name if key == "value" else f"{name} {key}=", value))
+        else:
+            out.append((f"{key}=", value))
+    return out
+
+def rel(a, b):
+    try:
+        a, b = float(a), float(b)
+    except ValueError:
+        return None  # not a number
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return None
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+
+def pairs(base, change):
+    """The differing lines of BASE and CHANGE, paired where a hunk changes
+    as many lines as it replaces; None for a hunk that adds or removes lines."""
+    out, old, new = [], [], []
+    for line in subprocess.run(["diff", base, change], capture_output=True, text=True).stdout.splitlines():
+        if line[:1].isdigit():
+            out.append((old, new) if len(old) == len(new) else None)
+            old, new = [], []
+        elif line[:2] in ("< ", "> "):
+            (old if line[0] == "<" else new).append(line[2:])
+    out.append((old, new) if len(old) == len(new) else None)
+    return out
+
+with open(sys.argv[2]) as f:
+    header = f.readline().rstrip("\n").split(",") if sys.argv[2].endswith(".csv") else None
+worst = {}
+for hunk in pairs(*sys.argv[1:]):
+    if hunk is None:
+        worst["lines added or removed"] = None
+        continue
+    for a, b in zip(*hunk):
+        ca, cb = cells(a, header), cells(b, header)
+        if [k for k, _ in ca] != [k for k, _ in cb]:
+            worst["line layout"] = None
+            continue
+        for (key, va), (_, vb) in zip(ca, cb):
+            if va != vb:
+                r, seen = rel(va, vb), worst.get(key, 0.0)
+                worst[key] = None if r is None or seen is None else max(r, seen)
+show = lambda r: "-" if r is None else f"{r:.2g}"
+numbers = [r for r in worst.values() if r is not None]
+print(f"; fields {', '.join(f'{k} {show(r)}' for k, r in worst.items())}"
+      f"; largest relative difference {show(max(numbers)) if numbers else '-'}")
+PY
+}
+
 cd "$out"
 status=0
 if diff -rq base change > differing.txt; then
@@ -67,7 +143,7 @@ else
                 f=${line#Files base/}
                 f=${f%% and change/*}
                 if is_text "base/$f" && is_text "change/$f"; then
-                    echo "$f: $(diff "base/$f" "change/$f" | grep -c '^>' || true) of $(wc -l < "change/$f") lines differ"
+                    echo "$f: $(diff "base/$f" "change/$f" | grep -c '^>' || true) of $(wc -l < "change/$f") lines differ$(fields "base/$f" "change/$f")"
                 else
                     echo "$f: binary"
                 fi ;;

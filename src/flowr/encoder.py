@@ -55,12 +55,13 @@ class Encoder:
         return cls(kind="affine", weight=np.eye(dim), bias=np.zeros(dim))
 
     def __call__(self, x):
+        """One input (d_in,) or a block (m, d_in) through losses.encode, flowr's one affine map."""
         x = np.asarray(x, dtype=np.float64)
         if self.kind == "identity":
             return x
         if x.ndim == 1:
-            return self.weight @ x + self.bias
-        return x @ self.weight.T + self.bias
+            return losses.encode(self.weight, self.bias, x[None])[0]
+        return losses.encode(self.weight, self.bias, x)
 
     @property
     def params(self):

@@ -51,8 +51,8 @@ queries against one table
 
 Large-context episodes have n_kk free rows (class_q, class_log_lambda) and
 no support; small-context episodes are the n_kk = 0 case (class_q=None),
-with rows Q_c = q0 + S_c / s_eps, lam_c = lam0 + K_c / s_eps built from
-the support.
+with one row per support class, folded by Prefix as init_small_context
+folds it: Q_c = (q0 + z_1 / s_eps) + z_2 / s_eps ..., lam_c likewise.
 Every row at or above n_kk, and the novel slot (q0, lam0), holds one copy
 of the shared prior, so d q0 is the sum of d Q over those rows.
 
@@ -92,11 +92,12 @@ def logsumexp(x, axis=-1):
 
 
 def encode(weight, bias, H):
-    """Apply an affine encoder row-wise; weight=None means identity."""
+    """flowr's one affine map, weight=None meaning identity: weight @ h + bias
+    for each row h of H (m, d_in), bit for bit whatever m (a 2-D GEMM is not)."""
     H = np.asarray(H, dtype=np.float64)
     if weight is None:
         return H
-    return H @ weight.T + bias
+    return np.matmul(weight, H[:, :, None])[:, :, 0] + bias
 
 
 def _encoder_grads(weight, pairs):
@@ -213,6 +214,8 @@ class Prefix:
     gathered per step for the forward pass. final_table() is the table
     after the stream.
     labels are the stream's int64 labels, checked by crp.arrival_labels.
+    final_table() alone needs only dense labels, in any order: a training
+    support is a set.
     """
 
     def __init__(self, table, Z, labels, params):
@@ -418,14 +421,6 @@ def _sequential_nll(table, Z, labels, params):
     return total * scale, R * scale, R_lam * scale, d_Z * scale, d_b * scale
 
 
-def support_sums(Z, labels, n_classes):
-    """Per-class embedding sums and counts for a dense-labelled support set."""
-    idx = np.asarray(labels, dtype=np.int64) - 1
-    S = np.zeros((n_classes, Z.shape[1]))
-    np.add.at(S, idx, Z)
-    return S, np.bincount(idx, minlength=n_classes)
-
-
 @dataclass
 class MetaGrads:
     """Loss value, component terms, and gradients for one episode."""
@@ -505,15 +500,14 @@ def episode_grads(
     params = CrpParams(a=a, rho=rho)
     inv = 1.0 / noise_var
 
+    support_y = np.asarray(episode.support_y, dtype=np.int64)
+    if not np.array_equal(np.unique(support_y), np.arange(1, episode.n_known - n_kk + 1)):
+        raise ValueError(f"episode support must give each of its known classes 1..{episode.n_known - n_kk} a point")
     raw = (episode.support_x, episode.query_x, episode.adapt_x)
     H_s, H_q, H_a = (np.asarray(x, dtype=np.float64) for x in raw)
     Z_s, Z_q, Z_a = (encode(weight, bias, H) for H in (H_s, H_q, H_a))
-    S, K = support_sums(Z_s, episode.support_y, episode.n_known - n_kk)
-    table = ClassTable(
-        np.vstack([class_q, q0[None, :] + S * inv]), np.append(class_lam, lam0 + K * inv),
-        np.append(np.full(n_kk, ClassTable.PERSISTENT_COUNT, dtype=np.int64), ClassTable.counts_after(K)),
-        q0, lam0, noise_var, n_kk=n_kk,
-    )
+    start = ClassTable(class_q, class_lam, np.full(n_kk, ClassTable.PERSISTENT_COUNT), q0, lam0, noise_var, n_kk=n_kk)
+    table = Prefix(start, Z_s, n_kk + support_y, params).final_table()
     if sequential:
         nll, d_Q, d_lam, d_Zq, d_b = _sequential_nll(table, Z_q, episode.query_y, params)
     else:
@@ -578,34 +572,39 @@ def pretrain_grads(weight, bias, H, labels, means, log_variances, beta):
 def loo_support_grads(H, labels, weight, bias, q0, lam0, *, params, noise_var):
     """Leave-one-out support NLL and its gradient w.r.t. the affine layer.
 
-    Each support point is scored against the state built from the remaining
+    Each support point is scored against the table built from the remaining
     points; a held-out point whose class disappears from the reduced support
     becomes a novel-slot target. Only (weight, bias) receive gradients; the
-    prior and CRP parameters are treated as constants here.
+    prior and CRP parameters are treated as constants here. The classes
+    are the sorted labels. A held-out table is the full support's Prefix
+    fold with its point's class row refolded as Prefix folds it, by
+    np.add.accumulate over [q0; the class's other points / s_eps], or
+    dropped when the class leaves with the point.
     """
     H = np.asarray(H, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     q0 = np.asarray(q0, dtype=np.float64)
-    inv = 1.0 / noise_var
+    _, y = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
+    inv, s = 1.0 / noise_var, len(y)
     Z = encode(weight, bias, H)
-    dZ = np.zeros_like(Z)
-    s = len(labels)
-    total = 0.0
+    full = Prefix(ClassTable(np.zeros((0, len(q0))), [], [], q0, lam0, noise_var), Z, y + 1, params).final_table()
+    dZ, total = np.zeros_like(Z), 0.0
 
     for i in range(s):
-        rest = np.arange(s) != i
-        kept, dense = np.unique(labels[rest], return_inverse=True)
-        n = len(kept)
-        y_held = int(np.searchsorted(kept, labels[i]))
-        if y_held == n or kept[y_held] != labels[i]:
-            y_held = n                                # its class left with it: novel slot
-
-        S, K = support_sums(Z[rest], dense + 1, n)
-        table = ClassTable(q0[None, :] + S * inv, lam0 + K * inv, ClassTable.counts_after(K), q0, lam0, noise_var)
-        nll, d_Q, _, d_Zq, _ = _table_nll(table, Z[i : i + 1], np.array([y_held]), params)
+        c, row, others = y[i], y.copy(), np.arange(s) != i  # row: each point's row in the held-out table
+        rest = np.flatnonzero(others & (y == c))
+        Q, lam, counts = full.Q[:-1].copy(), full.lam[:-1].copy(), full.counts.copy()
+        if len(rest):
+            Q[c] = np.add.accumulate(np.vstack([q0, Z[rest] * inv]))[-1]
+            lam[c] = np.add.accumulate(np.append(lam0, np.full(len(rest), inv)))[-1]
+            counts[c] -= 1
+        else:                                         # its class left with it: novel slot
+            keep = np.arange(full.n) != c
+            Q, lam, counts, row, c = Q[keep], lam[keep], counts[keep], row - (row > c), full.n - 1
+        table = ClassTable(Q, lam, counts, q0, lam0, noise_var)
+        nll, d_Q, _, d_Zq, _ = _table_nll(table, Z[i : i + 1], np.array([c]), params)
         total += nll
         dZ[i] += d_Zq[0]
-        dZ[rest] += d_Q[dense] * inv
+        dZ[others] += d_Q[row[others]] * inv
 
     total /= s
     dZ /= s

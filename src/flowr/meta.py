@@ -29,6 +29,7 @@ from . import losses
 from .crp import inverse_softplus
 from .encoder import ClassEmbeddings, Encoder
 from .gaussian import NaturalClassStats, SharedPrior
+from .model import _encode
 
 
 @dataclass(frozen=True)
@@ -190,15 +191,20 @@ def adaptation_loss(prior: SharedPrior, noise, encoder: Encoder, adapt_pool, rng
     One sampled point per class conditions a fresh copy of the shared prior;
     the remaining points are classified under a uniform prior over the
     instantiated classes. A pool with no class of two or more points has
-    nothing to score: the loss is 0 and a warning is emitted.
+    nothing to score: the loss is 0 and a warning is emitted. The pool is
+    read by the model's reader, model._encode; a non-integer label is refused.
     """
     if isinstance(adapt_pool, tuple):
         X, labels = adapt_pool
     else:
         pairs = list(adapt_pool)
-        X = np.stack([np.asarray(x, dtype=np.float64) for x, _ in pairs]) if pairs else np.zeros((0, prior.prior.dim))
-        labels = np.array([int(y) for _, y in pairs], dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
+        X, labels = [x for x, _ in pairs], [y for _, y in pairs]
+    Z = _encode(encoder, prior.prior.dim, X)
+    y = np.asarray(labels, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(y) | (y != np.round(y)))
+    if bad.size:
+        raise ValueError(f"adaptation point {bad[0]}: label {labels[bad[0]]} is not an integer class index")
+    labels = y.astype(np.int64)
     if labels.size:
         _, dense = np.unique(labels, return_inverse=True)
         labels = dense + 1
@@ -209,16 +215,8 @@ def adaptation_loss(prior: SharedPrior, noise, encoder: Encoder, adapt_pool, rng
 
     rng = rng if rng is not None else np.random.default_rng(0)
     cond = choose_conditioning(labels, rng)
-    Z = encoder(np.asarray(X, dtype=np.float64))
-    value, *_ = losses._adaptation_term(
-        np.asarray(prior.prior.q, dtype=np.float64),
-        prior.prior.lam,
-        noise.noise_variance,
-        Z,
-        labels,
-        cond,
-    )
-    return value
+    p0 = prior.prior
+    return losses._adaptation_term(np.asarray(p0.q, dtype=np.float64), p0.lam, noise.noise_variance, Z, labels, cond)[0]
 
 
 def meta_grads(

@@ -26,10 +26,11 @@ one pass. init_large_context and runner.evaluate build a large-context
 state through _large_context, over class rows (Q, lam) as given; evaluate
 passes the class_q and exp(class_log_lambda) that losses.episode_grads trains.
 _encode and _encode_labelled are flowr's only readers of raw inputs and
-labelled streams: every call here, fine-tuning and the NCM baseline read
-each input once, in one block, refuse a bad one with the same one-line
-error and report a stream's first fault in stream order. Earlier states
-stay valid. `class_stats` builds NaturalClassStats on demand.
+labelled streams: every call here, fine-tuning, meta.adaptation_loss and
+the NCM baseline read each input once, in one block, encoded by
+losses.encode as training encodes it, refuse a bad one with the same
+one-line error and report a stream's first fault in stream order. Earlier
+states stay valid. `class_stats` builds NaturalClassStats on demand.
 """
 
 from __future__ import annotations
@@ -142,10 +143,10 @@ def _check_width(encoder: Encoder, dim):
 def _encode(encoder: Encoder, dim, inputs) -> np.ndarray:
     """Read and encode a list of raw inputs in one call: Z (m, dim), where
     an identity encoder takes vectors of length dim and an affine one of
-    length weight.shape[1]. An affine encoder applies the stacked
-    matmul(weight, x[:, :, None]), which gives weight @ x + bias bit for
-    bit for every row (the 2-D GEMM of Encoder.__call__ does not). An
-    encoder whose output length is not dim is refused first (_check_width).
+    length weight.shape[1]. The block is encoded by encoder(X), which
+    applies losses.encode, the map training applies: weight @ x + bias bit
+    for bit for every row. An encoder whose output length is not dim is
+    refused first (_check_width).
     A bad input raises the error a check of that row alone raises, with the
     row as .row: the first that is not one vector of length d_in, holds a
     number beyond float range or is not finite after encoding.
@@ -168,7 +169,7 @@ def _encode(encoder: Encoder, dim, inputs) -> np.ndarray:
                 fault.row = m = row
                 break
         X = np.asarray(inputs[:m], dtype=np.float64).reshape(m, d_in)
-    Z = X if encoder.kind == "identity" else np.matmul(encoder.weight, X[:, :, None])[:, :, 0] + encoder.bias
+    Z = encoder(X)
     finite = np.isfinite(Z)
     if not finite.all():
         fault = ValueError("input must be finite (after encoding)")

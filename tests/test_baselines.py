@@ -394,7 +394,7 @@ def test_evaluate_ncm_reads_its_support_as_its_queries():
     """Small-context NCM reads its raw support through the reader of its
     queries, run_baseline_episode's: a query equal to a one-shot support
     point scores exactly 0.0 (the runner used to encode the support with
-    the 2-D GEMM of Encoder.__call__, which differs in the last bits), and
+    a 2-D GEMM, which differs in the last bits), and
     the records are run_baseline_episode's from init_prototypes over the
     raw support."""
     rng = np.random.default_rng(9)

@@ -5,11 +5,17 @@ regulariser constant 0.8 is beta * sum_n(d / variance_n) for beta=0.1,
 d=2 and two classes at variance 0.5, taken directly from the formula.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from flowr import losses
+from flowr.crp import CrpParams
 from flowr.encoder import ClassEmbeddings, Encoder, gda_predict, pretrain, pretrain_loss
+from flowr.gaussian import NaturalClassStats, NoiseModel, SharedPrior
+from flowr.model import init_small_context, predict, run_episode
 
 
 class TestEncoder:
@@ -21,6 +27,33 @@ class TestEncoder:
         enc = Encoder.affine([[1.0, 2.0]], [0.5])
         np.testing.assert_allclose(enc([1.0, 1.0]), [3.5])
         np.testing.assert_allclose(enc([[1.0, 1.0], [0.0, 1.0]]), [[3.5], [2.5]])
+
+    def test_affine_map_is_weight_times_each_row_whatever_the_batch(self):
+        """Encoder.__call__ is losses.encode, which gives weight @ x + bias
+        bit for bit for every row of a block of any size (a 2-D GEMM, which
+        it used to run, differs in the last bits for most rows)."""
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            d_out, d_in, m = rng.integers(1, 20, size=3)
+            W, b, X = rng.normal(size=(d_out, d_in)), rng.normal(size=d_out), rng.normal(size=(m, d_in))
+            enc = Encoder.affine(W, b)
+            want = np.array([W @ x + b for x in X])
+            np.testing.assert_array_equal(enc(X), want)
+            np.testing.assert_array_equal(losses.encode(W, b, X), want)
+            np.testing.assert_array_equal(enc(X[0]), want[0])
+
+    def test_model_reads_encode_through_the_encoder(self):
+        """Every model call encodes its inputs with one Encoder.__call__ on
+        the block, where the benchmark's trace counts encoded rows."""
+        rng = np.random.default_rng(8)
+        enc = Encoder.affine(rng.normal(size=(3, 4)), rng.normal(size=3))
+        prior = SharedPrior(NaturalClassStats(q=np.zeros(3), lam=1.0))
+        support = [(rng.normal(size=4), y) for y in (1, 2, 2)]
+        with mock.patch.object(Encoder, "__call__", autospec=True, side_effect=Encoder.__call__) as spy:
+            state = init_small_context(prior, CrpParams(a=0.5, rho=1.0), NoiseModel(0.5), enc, support)
+            run_episode(state, support)
+            predict(state, support[0][0])
+        assert [np.shape(call.args[1]) for call in spy.call_args_list] == [(3, 4), (3, 4), (1, 4)]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="bad affine shapes"):

@@ -20,9 +20,11 @@ from flowr import crp, losses, meta
 from flowr.crp import CrpParams
 from flowr.data import generate_synthetic_world
 from flowr.encoder import ClassEmbeddings, Encoder
-from flowr.gaussian import LOG_2PI, NoiseModel, log_density_matrix
+from flowr.gaussian import LOG_2PI, NaturalClassStats, NoiseModel, SharedPrior, log_density_matrix
 from flowr.meta import EpisodeConfig, grad_check, meta_loss, meta_loss_functions
-from flowr.model import ProtocolError, _large_context, init_large_context, init_small_context, predict, run_episode, update
+from flowr.model import (
+    ProtocolError, _encode, _large_context, init_large_context, init_small_context, predict, run_episode, update,
+)
 
 TOL = 1e-4
 
@@ -49,18 +51,6 @@ class TestLogsumexp:
     def test_tolerates_minus_inf(self):
         x = np.array([[-np.inf, 0.0, 1.0]])
         np.testing.assert_allclose(losses.logsumexp(x, axis=1), scipy_logsumexp(x, axis=1), rtol=1e-12)
-
-
-class TestSupportSums:
-    def test_matches_indicator_oracle(self):
-        rng = np.random.default_rng(1)
-        Z = rng.normal(size=(12, 3))
-        labels = rng.integers(1, 4, size=12)
-        S, K = losses.support_sums(Z, labels, 3)
-        for c in range(1, 4):
-            mask = labels == c
-            np.testing.assert_allclose(S[c - 1], Z[mask].sum(axis=0), rtol=1e-12, atol=1e-12)
-            assert K[c - 1] == mask.sum()
 
 
 class TestGradients:
@@ -680,3 +670,135 @@ def test_condition_returns_the_next_table_and_leaves_its_input(y):
         np.testing.assert_array_equal(after.Q[y - 1], start + z * (1.0 / noise))
         np.testing.assert_array_equal(after.means[y - 1], after.Q[y - 1] / after.lam[y - 1])
         np.testing.assert_array_equal(after.Q[: y - 1], before["Q"][: y - 1])
+
+
+def _affine_sc_cases(n, seed=41):
+    """n small-context (params, episode) pairs with affine 16 -> 8 encoders."""
+    rng = np.random.default_rng(seed)
+    ds = generate_synthetic_world(12, 16, 4.0, 0.5, 24, seed=seed)
+    cfg = EpisodeConfig(n_support_classes=4, n_novel_classes=2, shots_min=1, shots_max=5, queries_per_class=3)
+    return [
+        (meta.init_meta_params(8, rng, encoder=_affine(rng, 8, 16)), meta.sample_sc_task(ds, cfg, rng))
+        for _ in range(n)
+    ]
+
+
+def _spy(name, calls):
+    """Patch losses.<name> to record each call's positional arguments and result in calls."""
+    real = getattr(losses, name)
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    return mock.patch.object(losses, name, spy)
+
+
+@pytest.mark.parametrize("sequential", [False, True])
+def test_training_scores_the_table_and_inputs_evaluation_reads(sequential):
+    """The frozen and teacher-forced losses score the support table
+    init_small_context builds, bit for bit, and encode the queries and the
+    adaptation pool as model._encode does (training used to sum the support
+    as q0 + S / s_eps and encode with a 2-D GEMM, both off in the last bits)."""
+    for params, episode in _affine_sc_cases(10):
+        calls, adapt = [], []
+        with _spy("_sequential_nll" if sequential else "_table_nll", calls), _spy("_adaptation_term", adapt):
+            meta.meta_grads(params, episode, 0.1, "sc", sequential=sequential, noise_variance=0.3)
+        (table, Z_q, *_), _ = calls[0]
+        parts = (params.prior(), CrpParams(a=0.5, rho=params.rho), NoiseModel(0.3), params.encoder)
+        want = init_small_context(*parts, zip(episode.support_x, episode.support_y))._table
+        for name in ("Q", "lam", "means", "variances", "counts"):
+            np.testing.assert_array_equal(getattr(table, name), getattr(want, name), err_msg=name)
+        np.testing.assert_array_equal(Z_q, _encode(params.encoder, 8, episode.query_x))
+        np.testing.assert_array_equal(adapt[0][0][3], _encode(params.encoder, 8, episode.adapt_x))
+
+
+def test_pretraining_encodes_as_the_model_reads():
+    """pretrain_grads scores the inputs model._encode gives, bit for bit."""
+    rng = np.random.default_rng(43)
+    W, b, H = rng.normal(size=(8, 16)), rng.normal(size=8), rng.normal(size=(64, 16))
+    calls = []
+    with _spy("_mixture_nll_grads", calls):
+        losses.pretrain_grads(W, b, H, np.arange(64) % 5 + 1, rng.normal(size=(5, 8)), np.zeros(5), 0.1)
+    np.testing.assert_array_equal(calls[0][0][0], _encode(Encoder.affine(W, b), 8, H))
+
+
+def test_sequential_nll_per_query_is_evaluations_minus_log_post():
+    """Each query's teacher-forced NLL is -log_post of the true label in the
+    losses.chunks pass run_episodes scores the same stream with, from the
+    state init_small_context builds, bit for bit."""
+    for params, episode in _affine_sc_cases(10, seed=47):
+        steps, nlls, real_chunks = [], [], losses.chunks
+
+        def chunks(prefixes, every_row=False):
+            for c in real_chunks(prefixes, every_row):
+                steps.append(c.steps)
+                yield c
+
+        with mock.patch.object(losses, "chunks", chunks), _spy("_mixture_nll_grads", nlls):
+            meta.meta_grads(params, episode, 0.0, "sc", sequential=True, noise_variance=0.3)
+        got = np.empty(len(episode.query_x))
+        for s, (_, out) in zip(steps, nlls):
+            got[s] = out[0]
+
+        crp_params = CrpParams(a=0.5, rho=params.rho)
+        parts = (params.prior(), crp_params, NoiseModel(0.3), params.encoder)
+        state = init_small_context(*parts, zip(episode.support_x, episode.support_y))
+        Z = _encode(params.encoder, 8, episode.query_x)
+        labels = meta.oracle_labels(episode)
+        want = np.empty(len(labels))
+        for c in real_chunks([losses.Prefix(state._table, Z, labels, crp_params)]):
+            want[c.steps] = -c.log_post[np.arange(len(c.steps)), labels[c.steps] - 1]
+        np.testing.assert_array_equal(got, want)
+
+
+def test_leave_one_out_tables_are_init_small_context_tables():
+    """Each held-out table loo_support_grads scores is init_small_context's
+    over the support without that point, row for row and bit for bit (a
+    class that leaves with its point drops its row), and the held-out point
+    is encoded as model._encode encodes it."""
+    rng = np.random.default_rng(53)
+    crp_params, noise = CrpParams(a=0.5, rho=1.0), NoiseModel(0.3)
+    for _ in range(10):
+        k = int(rng.integers(1, 5))
+        labels = np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=int(rng.integers(0, 9)))])
+        X = rng.normal(size=(len(labels), 16))
+        encoder, prior = _affine(rng, 8, 16), SharedPrior(NaturalClassStats(q=rng.normal(size=8), lam=1.3))
+        calls = []
+        with _spy("_table_nll", calls):
+            losses.loo_support_grads(
+                X, labels, *encoder.params, prior.prior.q, 1.3, params=crp_params, noise_var=0.3
+            )
+        assert len(calls) == len(labels)
+        for i, ((table, z, *_), _) in enumerate(calls):
+            np.testing.assert_array_equal(z, _encode(encoder, 8, X[i : i + 1]))
+            rest = np.arange(len(labels)) != i
+            if not rest.any():
+                assert table.n == 0
+                continue
+            # the reduced support in arrival order; the held-out table keeps its classes sorted
+            _, first, inverse = np.unique(labels[rest], return_index=True, return_inverse=True)
+            rank = np.argsort(np.argsort(first))
+            state = init_small_context(prior, crp_params, noise, encoder, zip(X[rest], rank[inverse] + 1))
+            rows = np.append(rank, len(rank))
+            for name in ("Q", "lam", "means", "variances"):
+                np.testing.assert_array_equal(getattr(table, name), getattr(state._table, name)[rows], err_msg=name)
+            np.testing.assert_array_equal(table.counts, state._table.counts[rank])
+
+
+@pytest.mark.parametrize("support_y", [[1, 1], [2, 2], [1, 3]])
+def test_training_refuses_a_known_class_without_support(support_y):
+    """An episode whose support gives a known class no point is refused
+    with one line: folded, an empty last class would drop out of the table
+    and its queries score against the novel slot."""
+    rng = np.random.default_rng(59)
+    X = rng.normal(size=(2, 3))
+    episode = meta.Episode(
+        support_x=X, support_y=np.array(support_y), query_x=X, query_y=np.array([1, 2]),
+        adapt_x=np.zeros((0, 3)), adapt_y=np.zeros(0, dtype=np.int64), n_known=2,
+        support_rows=np.arange(2), query_rows=np.arange(2), query_class=np.array([1, 2]),
+        known_classes=np.array([1, 2]), novel_classes=np.zeros(0, dtype=np.int64),
+    )
+    with pytest.raises(ValueError, match=r"^episode support must give each of its known classes 1\.\.2 a point$"):
+        meta.meta_grads(meta.init_meta_params(3, rng), episode, 0.1, "sc")

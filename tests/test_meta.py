@@ -7,6 +7,7 @@ under a uniform class prior.
 """
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from flowr.meta import (
     sample_sc_task,
     vector_to_params,
 )
+from flowr.model import _encode
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +207,28 @@ class TestAdaptationLoss:
         with pytest.warns(RuntimeWarning, match="no class with two points"):
             value = adaptation_loss(self.PRIOR, self.NOISE, Encoder.identity(), pool)
         assert value == 0.0
+
+    def test_refuses_a_non_integer_label(self):
+        """The pool is read as every other reader reads labels: 1.9 is
+        refused with one line (it used to be truncated to 1, giving the
+        loss of the pool [1, 1, 2, 2])."""
+        X = [[2.0], [2.1], [-2.0], [-2.2]]
+        assert adaptation_loss(self.PRIOR, self.NOISE, Encoder.identity(), list(zip(X, [1, 1, 2, 2]))) > 0.0
+        with pytest.raises(ValueError, match=r"^adaptation point 1: label 1\.9 is not an integer class index$"):
+            adaptation_loss(self.PRIOR, self.NOISE, Encoder.identity(), list(zip(X, [1, 1.9, 2, 2])))
+
+    def test_reads_inputs_through_the_model_reader(self):
+        """Inputs go through model._encode: a short input is refused with
+        its one-line error, and an affine pool is encoded as the model
+        encodes it, not by a second map."""
+        with pytest.raises(ValueError, match=r"^input must be one vector of length 1, got shape \(2,\)$"):
+            adaptation_loss(self.PRIOR, self.NOISE, Encoder.identity(), [([2.0], 1), ([2.0, 1.0], 1)])
+        rng = np.random.default_rng(3)
+        enc = Encoder.affine(rng.normal(size=(1, 5)), rng.normal(size=1))
+        X, labels = rng.normal(size=(6, 5)), np.array([1, 1, 1, 2, 2, 2])
+        with mock.patch("flowr.meta.losses._adaptation_term", return_value=(0.0,)) as spy:
+            adaptation_loss(self.PRIOR, self.NOISE, enc, (X, labels))
+        np.testing.assert_array_equal(spy.call_args.args[3], _encode(enc, 1, X))
 
     def test_accepts_array_tuple(self):
         pool = (np.array([[2.0], [2.0], [-2.0]]), np.array([1, 1, 2]))
