@@ -64,7 +64,7 @@ def label_fault(y, n):
 def arrival_labels(n, labels, what) -> np.ndarray:
     """A stream's labels, arriving at n known classes, as int64; or a
     ProtocolError `{what} i: {why}` for its first label i that label_fault
-    refuses."""
+    refuses, with i as .row."""
     if not isinstance(labels, np.ndarray):
         labels = list(labels)
     y = np.asarray(labels).astype(np.float64)
@@ -74,7 +74,9 @@ def arrival_labels(n, labels, what) -> np.ndarray:
     bad = np.flatnonzero((y < 1) | (y > n_at + 1))
     if bad.size:
         i = int(bad[0])
-        raise ProtocolError(f"{what} {i}: {label_fault(labels[i], int(n_at[i]))}")
+        fault = ProtocolError(f"{what} {i}: {label_fault(labels[i], int(n_at[i]))}")
+        fault.row = i
+        raise fault
     return y
 
 
@@ -146,6 +148,33 @@ def _numerators(counts: np.ndarray, a, b) -> np.ndarray:
     return u
 
 
+def class_prior(counts: np.ndarray, params: CrpParams) -> tuple:
+    """(u, p) for int64 counts (..., N), row by row: the CRP rule's masses u
+    (..., N + 1) and the predictive p = u / (k + b) over the N classes and
+    the novel slot, renormalised; N = 0 gives p = 1. Zero-count classes keep
+    exactly zero mass; the masses sum to k + b, so the renormalisation is a
+    no-op up to rounding. A row with no count is refused when b <= 0."""
+    a, b = params.a, params.b
+    u = _numerators(counts, a, b)
+    if counts.shape[-1] == 0:
+        return u, np.ones_like(u)
+    k = counts.sum(axis=-1, keepdims=True)
+    # b > -a makes k + b and the total mass positive once any count is
+    if b <= 0.0 and not k.all():
+        raise InvalidStateError(f"no observations and b = {b} <= 0 leaves no probability mass")
+    p = u / (k + b)
+    p /= p.sum(axis=-1, keepdims=True)
+    return u, p
+
+
+def grad_b(u, d_log_probs):
+    """d loss / d b given the masses u of class_prior and d loss / d log p,
+    row by row. The predictive is u / T with T = sum(u) = k + b; only the
+    novel mass u_novel = b + a N+ moves with b, so
+    d log p_c / d b = 1[c == novel] / u_novel - 1 / T."""
+    return d_log_probs[..., -1] / u[..., -1] - d_log_probs.sum(axis=-1) / u.sum(axis=-1)
+
+
 def predictive_class_probs(counts, params: CrpParams) -> np.ndarray:
     """Predictive over the N existing classes plus one novel slot (length N + 1).
 
@@ -154,33 +183,15 @@ def predictive_class_probs(counts, params: CrpParams) -> np.ndarray:
     an (m, N) .counts gives the m predictives (m, N + 1) row by row.
     p[n] = max(k_n - a, 0) / (k + b) for existing classes and
     p[novel] = (b + a * N+) / (k + b) where N+ counts classes with k_n > 0,
-    renormalised. Zero-count classes keep exactly zero mass; the masses sum
-    to k + b, so the renormalisation is a no-op up to rounding.
+    renormalised (class_prior).
     """
-    a, b = params.a, params.b
-    c = counts.counts
-    if c.shape[-1] == 0:
-        return np.ones(c.shape[:-1] + (1,))
-    k = c.sum(axis=-1, keepdims=True)
-    # b > -a makes k + b and the total mass positive once any count is
-    if b <= 0.0 and not k.all():
-        raise InvalidStateError(f"no observations and b = {b} <= 0 leaves no probability mass")
-    p = _numerators(c, a, b)
-    p /= k + b
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
+    return class_prior(counts.counts, params)[1]
 
 
 def predictive_grad_b(counts, params: CrpParams, d_log_probs):
     """d loss / d b given d loss / d log predictive_class_probs(counts, params),
-    row by row for (m, N) counts.
-
-    The predictive is u / T with masses u from the rule above and
-    T = sum(u) = k + b; only the novel mass u_novel = b + a N+ moves with
-    b, so d log p_c / d b = 1[c == novel] / u_novel - 1 / T.
-    """
-    u = _numerators(counts.counts, params.a, params.b)
-    return d_log_probs[..., -1] / u[..., -1] - d_log_probs.sum(axis=-1) / u.sum(axis=-1)
+    row by row for (m, N) counts (grad_b over the rule's masses)."""
+    return grad_b(_numerators(counts.counts, params.a, params.b), d_log_probs)
 
 
 def sequence_log_prob(labels, params: CrpParams) -> float:

@@ -24,7 +24,8 @@ pi_c = u_c / T with T = sum(u), u_novel = b + a N+, so
 
     d logpi_c / d b = 1[c == novel] / u_novel - 1 / T,
 
-which crp.predictive_grad_b applies next to the CRP rule itself.
+which crp.grad_b applies to the masses u that crp.class_prior builds the
+prior from: the rule and its derivative are written once, in crp.
 
 The model's recursion lives here too, shared with flowr.model: ClassTable
 is an immutable value holding the rows [classes | novel slot] and the
@@ -43,6 +44,10 @@ table before step j is the initial table plus the points before j, so
 predict-then-update becomes one batched pass with the same additions in
 the same order, bit for bit. chunks() runs that pass over several streams
 at once; each value is computed row by row, so each gets its bits alone.
+It walks the steps that see one class count at two sizes, both bounded by
+PREFIX_ENTRIES: a block computes its steps' class counts, version rows,
+CRP masses and log prior once, and its cache-sized chunks, slices of
+those arrays, gather the rows and run the numerics.
 
 Both meta-training settings run one loss, episode_grads, which scores
 queries against one table
@@ -68,6 +73,8 @@ R_c at the end / s_eps. A chunk's (steps, rows, d) terms fold into R row
 by row, np.add(terms[i - 1], terms[i], out=terms[i]): accumulate's additions
 in its order, each a contiguous pass where np.add.accumulate(axis=0) runs a
 strided loop per column. The narrow (steps, rows) lam terms keep accumulate.
+_natural_chain takes d lam first and then divides d mu by lam in place, so
+a chunk holds one (steps, rows, d) gradient block.
 
 All gradients are certified against central finite differences by grad_check.
 """
@@ -75,10 +82,11 @@ All gradients are certified against central finite differences by grad_check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .crp import CrpParams, arrival_labels, predictive_class_probs, predictive_grad_b, sigmoid
+from .crp import CrpParams, arrival_labels, class_prior, grad_b, predictive_class_probs, predictive_grad_b, sigmoid
 from .crp import ProtocolError  # noqa: F401  re-exported as flowr.losses.ProtocolError
 from .gaussian import differences, log_density_matrix, log_density_sq
 
@@ -189,13 +197,14 @@ BLOCK_QUERIES = 1 << 12
 
 
 class _Steps:
-    """A run of prefix-pass steps that all see n classes: their numbers
-    across the prefixes, their class counts before each step (m, n), which
-    the CRP rule reads as .counts, the version index of each step's rows
-    n_kk..n-1 and novel slot, and, unless every_row, the forward pass: log
-    densities and log posteriors (m, n + 1)."""
+    """A chunk of prefix-pass steps that all see n classes: their numbers
+    across the prefixes, the version index of each step's rows n_kk..n-1
+    and novel slot, the CRP rule's masses u (m, n + 1) from each step's
+    class counts (crp.class_prior) and the log prior they give, and, unless
+    every_row, the forward pass: log densities and log posteriors
+    (m, n + 1). rows, u and log_prior are slices of their block's arrays."""
 
-    __slots__ = ("steps", "n", "counts", "rows", "logf", "log_post")
+    __slots__ = ("steps", "n", "rows", "u", "log_prior", "logf", "log_post")
 
 
 class Prefix:
@@ -206,13 +215,14 @@ class Prefix:
     are the running sums np.add.accumulate([row; z * (1 / s_eps) ...]) and
     likewise for lam: the same additions condition() makes one step at a
     time, folded for all rows with as many versions at once. Means and
-    variances are computed once per version; each step's counts are the
-    table's plus a cumsum of the count increments. chunks() scores the
-    steps of one or more prefixes in runs that share a class count, split
-    so that no temporary holds more than PREFIX_ENTRIES entries. Rows
-    below n_kk never change and are scored as the table's own rows, never
-    gathered per step for the forward pass. final_table() is the table
-    after the stream.
+    variances are computed once per version, when columns() first reads
+    them (chunks() writes a forward pass's straight into its own array);
+    each step's counts are the table's plus a cumsum of the count
+    increments. chunks() scores the steps of one or more prefixes in runs
+    that share a class count, split into blocks and chunks so that no
+    temporary holds more than PREFIX_ENTRIES entries. Rows below n_kk never
+    change and are scored as the table's own rows, never gathered per step
+    for the forward pass. final_table() is the table after the stream.
     labels are the stream's int64 labels, checked by crp.arrival_labels.
     final_table() alone needs only dense labels, in any order: a training
     support is a set.
@@ -242,9 +252,16 @@ class Prefix:
             block = heads[length == L][:, None] + np.arange(L)
             Q[block], lam[block] = np.add.accumulate(Q[block], axis=1), np.add.accumulate(lam[block], axis=1)
         self.Q, self.lam = Q, lam
-        self.means, self.variances = Q / lam[:, None], 1.0 / lam + table.noise_var
         # class counts before any step; a row born in the pass counts NEW_CLASS_COUNT after its first point
         self.counts = np.append(table.counts, np.full(self.n - n0, ClassTable.NEW_CLASS_COUNT - 1))
+
+    @cached_property
+    def means(self):
+        return self.Q / self.lam[:, None]
+
+    @cached_property
+    def variances(self):
+        return 1.0 / self.lam + self.table.noise_var
 
     def columns(self, c, name):
         """Field name (Q, lam, means or variances) of each step's rows in
@@ -277,11 +294,18 @@ def chunks(prefixes, every_row=False):
     so each stream's steps come in stream order. Steps are numbered across
     the prefixes, and each step's rows index the concatenation of their
     versions. The prefixes share their CRP parameters, n_kk and the rows
-    below it. A chunk holds as many steps as keep their counts and the rows
-    gathered for them within PREFIX_ENTRIES entries: the rows from n_kk on,
-    its forward pass done (the rows below n_kk scored in runs of steps of
-    that size too), or every row with every_row, as the loss's fused pass
-    gathers them.
+    below it.
+
+    A run is walked at two sizes. A block holds as many steps as keep its
+    (step, class) arrays within PREFIX_ENTRIES entries; the steps' class
+    counts, version rows, CRP masses and log prior are computed once per
+    block. A chunk, a slice of its block, holds as many steps as keep the
+    rows gathered for them within PREFIX_ENTRIES entries: the rows from
+    n_kk on, its forward pass done (the rows below n_kk scored in runs of
+    steps of that size too), or every row with every_row, as the loss's
+    fused pass gathers them. The forward pass reads the prefixes' encoded
+    queries and version means and variances, written once into one array
+    each.
     """
     table, params, d = prefixes[0].table, prefixes[0].params, prefixes[0].Z.shape[1]
     n_kk, k = table.n_kk, len(prefixes)
@@ -297,34 +321,44 @@ def chunks(prefixes, every_row=False):
         novel[i] = p.start[-1] + base
         base += p.start[-1] + 1
     if not every_row:
-        Z, means, variances = (np.concatenate([getattr(p, a) for p in prefixes]) for a in ("Z", "means", "variances"))
+        Z, means, variances = np.concatenate([p.Z for p in prefixes]), np.empty((base, d)), np.empty(base)
+        for p, end in zip(prefixes, novel + 1):
+            v = slice(end - len(p.lam), end)
+            np.divide(p.Q, p.lam[:, None], out=means[v])
+            np.divide(1.0, p.lam, out=variances[v])
+            variances[v] += p.table.noise_var
     kk_size = max(1, PREFIX_ENTRIES // (max(n_kk, 1) * d))
     order = np.argsort(n_at, kind="stable")
     starts = np.flatnonzero(np.diff(n_at[order], prepend=-1))
     for lo, hi in zip(starts, np.append(starts[1:], len(order))):
         n = int(n_at[order[lo]])
+        block = max(1, PREFIX_ENTRIES // (n + 1))
         size = max(1, PREFIX_ENTRIES // ((n + 1) * d if every_row else (n + 1 - n_kk) * d + n + 1))
-        for s in range(lo, hi, size):
-            c = _Steps()
-            c.steps, c.n = order[s : min(s + size, hi)], n
-            yc, sc = y[c.steps], stream[c.steps]
-            hit = np.zeros((len(yc), n + 1), dtype=np.int64)
-            hit[np.arange(len(yc)), yc] = 1
+        for b in range(lo, hi, block):
+            steps = order[b : min(b + block, hi)]
+            yb, sb = y[steps], stream[steps]
+            hit = np.zeros((len(steps), n + 1), dtype=np.int64)
+            hit[np.arange(len(steps)), yb] = 1
             before = np.cumsum(hit, axis=0) - hit
-            before += tally[sc, : n + 1] - before[np.searchsorted(sc, sc)]  # only the step's own stream's
-            np.add.at(tally, (sc, yc), 1)
-            c.counts = before[:, :n]
-            c.rows = np.empty((len(yc), n + 1 - n_kk), dtype=np.int64)
-            c.rows[:, :-1], c.rows[:, -1] = offset[sc, n_kk:n] + before[:, n_kk:n], novel[sc]
-            if not every_row:
-                Zc = Z[c.steps]
-                c.logf = np.empty((len(yc), n + 1))
-                c.logf[:, n_kk:] = log_density_matrix(Zc, means[c.rows], variances[c.rows])
-                for j in range(0, len(yc) if n_kk else 0, kk_size):
-                    kk = slice(j, j + kk_size)
-                    c.logf[kk, :n_kk] = log_density_matrix(Zc[kk], table.means[:n_kk], table.variances[:n_kk])
-                c.log_post = _bayes(c.logf, log_class_prior(c, params))
-            yield c
+            before += tally[sb, : n + 1] - before[np.searchsorted(sb, sb)]  # only the step's own stream's
+            np.add.at(tally, (sb, yb), 1)
+            rows = np.empty((len(steps), n + 1 - n_kk), dtype=np.int64)
+            rows[:, :-1], rows[:, -1] = offset[sb, n_kk:n] + before[:, n_kk:n], novel[sb]
+            u, log_prior = class_prior(before[:, :n], params)
+            with np.errstate(divide="ignore"):
+                np.log(log_prior, out=log_prior)
+            for s in range(0, len(steps), size):
+                c, part = _Steps(), slice(s, s + size)
+                c.steps, c.n, c.rows, c.u, c.log_prior = steps[part], n, rows[part], u[part], log_prior[part]
+                if not every_row:
+                    Zc = Z[c.steps]
+                    c.logf = np.empty((len(c.steps), n + 1))
+                    c.logf[:, n_kk:] = log_density_matrix(Zc, means[c.rows], variances[c.rows])
+                    for j in range(0, len(c.steps) if n_kk else 0, kk_size):
+                        kk = slice(j, j + kk_size)
+                        c.logf[kk, :n_kk] = log_density_matrix(Zc[kk], table.means[:n_kk], table.variances[:n_kk])
+                    c.log_post = _bayes(c.logf, c.log_prior)
+                yield c
 
 
 def _mixture_nll_grads(Z, y_idx, means, variances, log_prior):
@@ -358,10 +392,10 @@ def _mixture_nll_grads(Z, y_idx, means, variances, log_prior):
 
 def _natural_chain(d_means, d_vars, Q, lam):
     """Chain gradients from (mu, v) back to natural parameters (Q, lam),
-    for one table (c, ...) or one per point (m, c, ...)."""
-    d_Q = d_means / lam[..., None]
+    for one table (c, ...) or one per point (m, c, ...). d lam reads
+    d_means first; d_Q is then d_means divided by lam in place."""
     d_lam = -(np.einsum("...cd,...cd->...c", d_means, Q) + d_vars) / lam**2
-    return d_Q, d_lam
+    return np.divide(d_means, lam[..., None], out=d_means), d_lam
 
 
 def _table_nll(table, Z, y_idx, params):
@@ -400,10 +434,10 @@ def _sequential_nll(table, Z, labels, params):
         n, yc = c.n, y[c.steps]
         means, variances, Q, lam = (prefix.columns(c, name) for name in ("means", "variances", "Q", "lam"))
         nll[c.steps], d_means, d_vars, d_Z[c.steps], G = _mixture_nll_grads(
-            Z[c.steps], yc, means, variances, log_class_prior(c, params)
+            Z[c.steps], yc, means, variances, c.log_prior
         )
         d_Q, d_lam = _natural_chain(d_means, d_vars, Q, lam)
-        d_b[c.steps] = predictive_grad_b(c, params, G)
+        d_b[c.steps] = grad_b(c.u, G)
 
         d_Q[0] += R[: n + 1]  # the sums after each step, in place
         for i in range(1, len(d_Q)):

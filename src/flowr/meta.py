@@ -134,25 +134,25 @@ def _episode(dataset, cfg: EpisodeConfig, rng, known_classes, novel_classes, *, 
     set), then each novel class's, and build the shuffled episode."""
     n_known, q = len(known_classes), cfg.queries_per_class
     classes = np.concatenate([known_classes, novel_classes]).astype(np.int64)
-    support_rows, support_y, query_rows = [], [], []
+    # each class's picked rows; the empty int64 heads make an episode of no classes concatenate, as int64
+    support_rows, query_rows, shots = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], []
     for j, c in enumerate(classes):
-        shots = int(rng.integers(cfg.shots_min, cfg.shots_max + 1)) if support and j < n_known else 0
+        shots.append(int(rng.integers(cfg.shots_min, cfg.shots_max + 1)) if support and j < n_known else 0)
         what = "novel queries" if j >= n_known else "support plus queries" if support else "queries"
-        picked = _pick_rows(rng, dataset.class_rows(int(c)), shots + q, what)
-        support_rows.extend(picked[:shots])
-        support_y.extend([j + 1] * shots)
-        query_rows.extend(picked[shots:])
+        picked = _pick_rows(rng, dataset.class_rows(int(c)), shots[j] + q, what)
+        support_rows.append(picked[: shots[j]])
+        query_rows.append(picked[shots[j] :])
 
-    perm = rng.permutation(len(query_rows))
+    perm = rng.permutation(len(classes) * q)
     which = np.repeat(np.arange(len(classes)), q)[perm]  # each query's index into classes
-    query_rows = np.asarray(query_rows, dtype=np.int64)[perm]
-    support_rows = np.asarray(support_rows, dtype=np.int64)
+    query_rows = np.concatenate(query_rows)[perm]
+    support_rows = np.concatenate(support_rows)
     novel_mask = which >= n_known
     # gathered from the float32 features and converted, which is exact
     query_x = dataset.features[query_rows].astype(np.float64)
     return Episode(
         support_x=dataset.features[support_rows].astype(np.float64),
-        support_y=np.asarray(support_y, dtype=np.int64),
+        support_y=np.repeat(np.arange(1, len(classes) + 1), shots),
         query_x=query_x,
         query_y=np.minimum(which + 1, n_known + 1),
         adapt_x=query_x[novel_mask],

@@ -323,10 +323,12 @@ def run_episodes(episodes) -> list:
     One losses.chunks pass scores them, every step of every stream that
     sees the same class count at once, so the states must share the CRP
     parameters, n_kk and the rows below it, as large-context episodes from
-    one start do. Each stream is read and checked before the next, so a
-    fault is the first faulty stream's, as run_episode reports it. A query
-    too far from every class (predict's refusal) is found once its stream
-    is scored, after the stream's other faults and before a later stream's.
+    one start do. Each stream is read and checked before the next, and a
+    stream whose read fails ends the reading. The streams read are scored
+    with the queries of the failed one that stepping predicts before it
+    meets the fault (_before_fault); a query among them too far from every
+    class (predict's refusal), the first in stream order, is raised, else
+    the read fault: the first fault stepping the streams one by one meets.
     """
     states, prefixes, first, fault = [], [], None, None  # a prefix per stream, None for an empty one
     for state, queries in episodes:
@@ -339,7 +341,8 @@ def run_episodes(episodes) -> list:
             try:
                 Z, labels = _encode_labelled(state.encoder, state.dim, table.n, queries, "query", first_score)
             except (TypeError, ValueError) as e:
-                fault = e  # raised after the streams before it are scored, which stepping meets first
+                fault = e  # raised once the queries stepping predicts before it are scored
+                prefixes.append(_before_fault(state, queries, e))
                 break
             prefix = losses.Prefix(table, Z, labels, state.crp_params)
             first = first or prefix
@@ -364,6 +367,21 @@ def run_episodes(episodes) -> list:
         out.append((records[done : done + m], state if prefix is None else state._derive(prefix.final_table())))
         done += m
     return out
+
+
+def _before_fault(state, queries, fault):
+    """The prefix of a stream's queries that stepping predicts before it
+    meets the stream's read fault, or None if it predicts none: the first
+    i + 1 for a label fault at query i (a query is predicted before its
+    label is applied), the first r for an input fault at row r. The last
+    of them conditions no table that is scored, so label 1 stands in for
+    its own."""
+    j = getattr(fault, "row", 0) + isinstance(fault, ProtocolError)
+    if not j:
+        return None
+    Z = _encode(state.encoder, state.dim, [x for x, _ in queries[:j]])
+    labels = np.append(arrival_labels(state.n_classes, [y for _, y in queries[: j - 1]], "query"), 1)
+    return losses.Prefix(state._table, Z, labels, state.crp_params)
 
 
 def _shares_rows(prefix, state) -> bool:

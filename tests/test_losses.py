@@ -395,7 +395,9 @@ def _teacher_forced_cases(draw):
         init_count=draw(st.integers(0, 3)),
         a=draw(st.floats(0.0, 0.9)),
         b=draw(st.floats(0.1, 3.0)),
-        entries=draw(st.sampled_from([None, 1, 7, 40])),
+        # the default (None), numbers, and the stream's largest class count n
+        # or n + 1 (a block of one step at n classes, more below it)
+        entries=draw(st.sampled_from([None, 1, "n", "n + 1", 7, 40, 97])),
     )
 
 
@@ -406,8 +408,8 @@ def test_prefix_pass_matches_stepped_teacher_forced_loss(case):
     table query by query returned: all five values, bit for bit, across
     small- and large-context tables (known-known counts 0 or more), streams
     that open a class first or only ever name known-known classes, runs of
-    steps split into several chunks, noise variances from 1e-6 to 1e6, and
-    d = 64, where numpy's reductions take their SIMD paths."""
+    steps split into several blocks and chunks, noise variances from 1e-6
+    to 1e6, and d = 64, where numpy's reductions take their SIMD paths."""
     rng = np.random.default_rng(case["seed"])
     d, n_kk, n_support = case["d"], case["n_kk"], case["n_support"]
     noise, lam0 = case["noise"], case["lam0"]
@@ -421,7 +423,8 @@ def test_prefix_pass_matches_stepped_teacher_forced_loss(case):
     params = CrpParams.from_b(a=case["a"], b=case["b"])
 
     want = _stepped_sequential_nll(table, Z, case["labels"], params)
-    entries = case["entries"] or losses.PREFIX_ENTRIES
+    n = max([n_kk + n_support, *case["labels"]])
+    entries = {None: losses.PREFIX_ENTRIES, "n": n, "n + 1": n + 1}.get(case["entries"], case["entries"])
     with mock.patch.object(losses, "PREFIX_ENTRIES", entries):
         got = losses._sequential_nll(table, Z, case["labels"], params)
     _assert_same(got, want)
@@ -480,6 +483,68 @@ def test_chunk_scoring_holds_one_difference_block():
     finally:
         tracemalloc.stop()
     assert blocks and max(blocks) < 1.5, f"peak {max(blocks):.2f} blocks"
+
+
+def test_sequential_loss_takes_each_steps_d_b_from_its_counts():
+    """The teacher-forced loss takes d/db from the CRP masses its block
+    built once for the log prior: each step's d/db equals
+    crp.predictive_grad_b on the counts of the table stepping reaches
+    before that step, bit for bit, at the sc-paper shape."""
+    table, Z, labels, params = _sc_paper_sequential_case(37)
+    steps, calls, real_chunks, real_grad_b = [], [], losses.chunks, losses.grad_b
+
+    def chunks(prefixes, every_row=False):
+        for c in real_chunks(prefixes, every_row):
+            steps.append(c.steps)
+            yield c
+
+    def grad_b(u, d_log_probs):
+        calls.append((d_log_probs.copy(), real_grad_b(u, d_log_probs)))
+        return calls[-1][1]
+
+    with mock.patch.object(losses, "chunks", chunks), mock.patch.object(losses, "grad_b", grad_b):
+        losses._sequential_nll(table, Z, labels, params)
+    before, t = [], table
+    for z, y in zip(Z, labels):
+        before.append(t)
+        t = t.condition(z, int(y))
+    assert len(calls) == len(steps) > 1
+    for s, (G, got) in zip(steps, calls):
+        want = [crp.predictive_grad_b(before[j], params, G[i]) for i, j in enumerate(s)]
+        np.testing.assert_array_equal(got, want)
+
+
+def test_prefix_pass_block_arrays_do_not_grow_with_the_run():
+    """At a large-context shape (1,000 persistent rows, d = 64, 50 classes
+    opened along the stream) the peak traced memory of one teacher-forced
+    chunks pass over 4,100 steps is within 10 % of that over 2,050: the
+    per-block arrays (counts, version rows, CRP masses, log prior) are
+    bounded by PREFIX_ENTRIES, not by the run of steps that see one class
+    count, which holds most of the stream."""
+    rng = np.random.default_rng(59)
+    n_kk, d = 1000, 64
+    table = losses.ClassTable(
+        rng.normal(size=(n_kk, d)), rng.uniform(0.5, 2.0, n_kk), np.ones(n_kk, dtype=np.int64),
+        rng.normal(size=d), 1.0, 0.5, n_kk=n_kk,
+    )
+    params = CrpParams(a=0.5, rho=0.7)
+
+    def peak(m):
+        labels, n = [], n_kk
+        for c in rng.integers(0, n_kk + 50, size=m):
+            labels.append(min(int(c), n) + 1)
+            n = max(n, labels[-1])
+        prefix = losses.Prefix(table, rng.normal(size=(m, d)), np.array(labels), params)
+        tracemalloc.start()
+        try:
+            for _ in losses.chunks([prefix], every_row=True):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(2050), peak(4100)
+    assert abs(long - short) < 0.1 * short, f"peak {short} B over 2,050 steps, {long} B over 4,100"
 
 
 def _per_row_versions(prefix):

@@ -6,13 +6,15 @@ N(+-4/3, 5/6); the single query at 2 then has NLL -log softmax = 0.0016602
 under a uniform class prior.
 """
 
+import re
+from dataclasses import fields
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from flowr import runner
+from flowr import meta, runner
 from flowr.checkpoint import Checkpoint
 from flowr.config import ExperimentConfig
 from flowr.crp import CrpParams
@@ -139,6 +141,73 @@ class TestSampleScTask:
                 world, cfg=train, setting=setting, n_episodes=2, init=start, known_classes=[1, 2, 3]
             )
             assert len(trace) == 2
+
+
+def _episode_lists(dataset, cfg, rng, known_classes, novel_classes, *, support):
+    """meta._episode as it was written with Python lists (list.extend over
+    numpy scalars, np.asarray of the lists), the reference the array build
+    must match field for field."""
+    n_known, q = len(known_classes), cfg.queries_per_class
+    classes = np.concatenate([known_classes, novel_classes]).astype(np.int64)
+    support_rows, support_y, query_rows = [], [], []
+    for j, c in enumerate(classes):
+        shots = int(rng.integers(cfg.shots_min, cfg.shots_max + 1)) if support and j < n_known else 0
+        what = "novel queries" if j >= n_known else "support plus queries" if support else "queries"
+        picked = meta._pick_rows(rng, dataset.class_rows(int(c)), shots + q, what)
+        support_rows.extend(picked[:shots])
+        support_y.extend([j + 1] * shots)
+        query_rows.extend(picked[shots:])
+    perm = rng.permutation(len(query_rows))
+    which = np.repeat(np.arange(len(classes)), q)[perm]
+    query_rows = np.asarray(query_rows, dtype=np.int64)[perm]
+    support_rows = np.asarray(support_rows, dtype=np.int64)
+    novel_mask = which >= n_known
+    query_x = dataset.features[query_rows].astype(np.float64)
+    return meta.Episode(
+        support_x=dataset.features[support_rows].astype(np.float64),
+        support_y=np.asarray(support_y, dtype=np.int64),
+        query_x=query_x,
+        query_y=np.minimum(which + 1, n_known + 1),
+        adapt_x=query_x[novel_mask],
+        adapt_y=which[novel_mask] - n_known + 1,
+        n_known=n_known,
+        support_rows=support_rows,
+        query_rows=query_rows,
+        query_class=classes[which],
+        known_classes=classes[:n_known],
+        novel_classes=classes[n_known:],
+    )
+
+
+@pytest.mark.parametrize("support", [True, False])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        EpisodeConfig(n_support_classes=3, n_novel_classes=2, shots_min=1, shots_max=5, queries_per_class=4),
+        EpisodeConfig(n_support_classes=0, n_novel_classes=0),
+        # at most 15 + 10 rows of a 20-point class: some draws are refused
+        EpisodeConfig(n_support_classes=4, n_novel_classes=1, shots_min=1, shots_max=10, queries_per_class=15),
+    ],
+)
+def test_episode_sampling_matches_the_list_build(world, cfg, support):
+    """_episode gives every Episode field of the list build, values and
+    dtype, or the same error, and leaves the generator where it left it."""
+    for seed in range(8):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        classes = np.random.default_rng([seed, 1]).permutation(world.class_ids)
+        known, novel = classes[: cfg.n_support_classes], classes[cfg.n_support_classes :][: cfg.n_novel_classes]
+        try:
+            want = _episode_lists(world, cfg, want_rng, known, novel, support=support)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                meta._episode(world, cfg, got_rng, known, novel, support=support)
+        else:
+            got = meta._episode(world, cfg, got_rng, known, novel, support=support)
+            for field in fields(meta.Episode):
+                g, w = getattr(got, field.name), getattr(want, field.name)
+                assert np.asarray(g).dtype == np.asarray(w).dtype, field.name
+                np.testing.assert_array_equal(g, w, err_msg=field.name)
+        assert got_rng.integers(2**62) == want_rng.integers(2**62)
 
 
 class TestSampleLcTask:

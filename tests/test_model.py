@@ -6,6 +6,7 @@ N(0,5) and class prior [0.45, 0.45, 0.10]; that prior is realised exactly
 by counts [14, 14] with a=0.5, b=2 ((14-0.5)/30 = 0.45, (2+0.5*2)/30 = 0.1).
 """
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -43,6 +44,7 @@ from flowr.model import (
 )
 
 NOISE = NoiseModel(0.5)
+_FAR = "input is too far from every class: no class gives it a finite log density"
 
 
 def _two_class_state():
@@ -462,6 +464,36 @@ class TestRunEpisode:
         with np.errstate(over="ignore"), pytest.raises(error, match=message):
             run_episode(state, zip(inputs, labels))
 
+    @pytest.mark.parametrize(
+        "queries, error, message",
+        [
+            # a far query before a label fault
+            ([([0.0], 1), ([1e160], 2), ([0.0], 0)], ValueError, f"query 1: {_FAR}"),
+            # a far query before an input of the wrong shape
+            ([([0.0], 1), ([1e160], 2), ([0.0, 0.0], 1)], ValueError, f"query 1: {_FAR}"),
+            # a far query with a label fault of its own: it is predicted before its label is applied
+            ([([0.0], 1), ([1e160], 5)], ValueError, f"query 1: {_FAR}"),
+            # a label fault before a far query
+            ([([0.0], 1), ([0.0], 5), ([1e160], 2)], ProtocolError, "query 1: label 5 skips ahead of the 1 known classes"),
+        ],
+    )
+    def test_far_query_and_read_fault_in_stream_order(self, queries, error, message):
+        """A stream's read fault is reported only after the queries stepping
+        predicts before it are scored: a far query among them is raised, as
+        stepping predict/update raises it, by run_episode and by
+        run_episodes, between a clean stream and a later faulty one."""
+        state = _empty_state()
+        with pytest.raises(error) as stepped:
+            for x, y in queries:
+                predict(state, x)
+                state = update(state, x, y)
+        assert message.endswith(str(stepped.value))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            run_episode(_empty_state(), queries)
+        streams = [(_empty_state(), [([0.0], 1)]), (_empty_state(), queries), (_empty_state(), [([0.0], 0)])]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            run_episodes(streams)
+
     def test_non_integer_label_is_refused(self):
         """2.7 used to open class 2 and be recorded as true_label=2."""
         with pytest.raises(ProtocolError, match="^query 1: label 2.7 is not an integer class index$"):
@@ -638,6 +670,16 @@ def _reference_probs(stats, state, counts, z):
     return np.exp(logits - losses.logsumexp(logits, axis=1)[:, None])[0]
 
 
+# PREFIX_ENTRIES values that split a run into blocks and chunks differently:
+# the default (None), numbers, and the stream's largest class count n or n + 1
+# (a block of one step at n classes, more below it)
+_ENTRIES = [None, 1, "n", "n + 1", 6, 30, 97]
+
+
+def _prefix_entries(entries, n):
+    return {None: losses.PREFIX_ENTRIES, "n": n, "n + 1": n + 1}.get(entries, entries)
+
+
 @st.composite
 def _streams(draw):
     """A random state (small- or large-context) and a dense label stream."""
@@ -660,7 +702,7 @@ def _streams(draw):
         b=draw(st.floats(0.1, 3.0)),
         affine=draw(st.booleans()),
         init_count=draw(st.integers(1, 3)),
-        entries=draw(st.sampled_from([None, 1, 6, 30])),
+        entries=draw(st.sampled_from(_ENTRIES)),
     )
 
 
@@ -717,11 +759,11 @@ class TestArrayStateMatchesDataclassFold:
                 assert got.lam == want.lam
 
         # run_episode's prefix pass gives the same outputs, also when its
-        # steps are split over several chunks, and leaves the input state
-        # as it was
+        # steps are split over several blocks and chunks, and leaves the
+        # input state as it was
         start = states[0]
         before = [a.copy() for a in (start.Q, start.lam, start.means, start.variances, start.counts.counts)]
-        with mock.patch.object(losses, "PREFIX_ENTRIES", case["entries"] or losses.PREFIX_ENTRIES):
+        with mock.patch.object(losses, "PREFIX_ENTRIES", _prefix_entries(case["entries"], states[-1].n_classes)):
             records, final = run_episode(start, zip(X, case["labels"]))
         assert len(records) == len(case["labels"])
         for i, record in enumerate(records):
@@ -773,7 +815,7 @@ def _stream_blocks(draw):
         b=draw(st.floats(0.1, 3.0)),
         affine=draw(st.booleans()),
         init_count=draw(st.integers(0, 3)),
-        entries=draw(st.sampled_from([None, 1, 6, 30])),
+        entries=draw(st.sampled_from(_ENTRIES)),
     )
 
 
@@ -805,7 +847,8 @@ class TestRunEpisodes:
                 start = init_small_context(prior, crp, noise, encoder(), support)
             streams.append((start, list(zip(rng.normal(size=(len(labels), d)), labels))))
 
-        with mock.patch.object(losses, "PREFIX_ENTRIES", case["entries"] or losses.PREFIX_ENTRIES):
+        n = max(max([n0, *labels]) for n0, labels in case["streams"])  # the largest class count
+        with mock.patch.object(losses, "PREFIX_ENTRIES", _prefix_entries(case["entries"], n)):
             together = run_episodes(iter(streams))
         assert len(together) == len(streams)
         for (state, queries), (records, final) in zip(streams, together):
