@@ -1,61 +1,74 @@
 #!/usr/bin/env bash
-# Run one perfbench workload in alternating pairs at BASE_REF and in the
+# Run perfbench workloads in alternating pairs at BASE_REF and in the
 # working tree, and compare the end-to-end metrics of the two sides.
 #
 # BASE_REF's files are exported (`git archive`) into a temporary directory,
 # removed on exit, as scripts/compare_pipeline.sh exports them. Each side
 # runs its own perfbench/run.py on inputs it builds from SEED in its own
-# checkout. Pair i runs the base first when i is odd and the working tree
-# first when i is even, so neither side always runs on a machine the other
-# has just warmed or loaded.
+# checkout. WORKLOADS is one workload, a comma-separated list of them, or
+# `all`, every workload of BENCHMARK.json; they run one after another.
+# Pair i of a workload runs the base first when i is odd and the working
+# tree first when i is even, so neither side always runs on a machine the
+# other has just warmed or loaded.
 #
-# Each run's full report goes to OUT_DIR/{base,change}-i.log and its last
-# line, the result JSON, to OUT_DIR/{base,change}-i.json. The table, also
-# in OUT_DIR/pairs.txt, has one row per end-to-end metric of
-# BENCHMARK.json: each side's median and quartiles over its runs,
-# change/base of the medians, and the pairs the change won in the metric's
-# better direction (ties count for neither side).
+# Each run's full report goes to OUT_DIR/WORKLOAD/{base,change}-i.log and
+# its last line, the result JSON, to OUT_DIR/WORKLOAD/{base,change}-i.json.
+# A workload's table, also in OUT_DIR/WORKLOAD/pairs.txt, has one row per
+# end-to-end metric of BENCHMARK.json: each side's median and quartiles
+# over its runs, change/base of the medians, and the pairs the change won
+# in the metric's better direction (ties count for neither side).
 #
-# Usage: scripts/bench_pairs.sh BASE_REF OUT_DIR WORKLOAD [PAIRS] [SECONDS] [SEED]
+# Usage: scripts/bench_pairs.sh BASE_REF OUT_DIR WORKLOADS [PAIRS] [SECONDS] [SEED]
 # PAIRS defaults to 10, SECONDS to BENCHMARK.json's run_seconds, SEED to 1.
-# Exits 1 if any run is not `correct: true` or prints no result.
+# Exits 1 if any run of any workload is not `correct: true` or prints no result.
 set -euo pipefail
 if [ $# -lt 3 ] || [ $# -gt 6 ]; then
-    echo "usage: $0 BASE_REF OUT_DIR WORKLOAD [PAIRS] [SECONDS] [SEED]" >&2
+    echo "usage: $0 BASE_REF OUT_DIR WORKLOADS [PAIRS] [SECONDS] [SEED]" >&2
     exit 2
 fi
 root=$(cd "$(dirname "$0")/.." && pwd)
 base_ref=$(git -C "$root" rev-parse --verify "$1^{commit}")
-workload=$3
+spec() {
+    python3 -c "import json, sys; s = json.load(open(sys.argv[1])); print($1)" "$root/BENCHMARK.json"
+}
+if [ "$3" = all ]; then
+    workloads=$(spec '" ".join(w["name"] for w in s["workloads"])')
+else
+    workloads=${3//,/ }
+fi
 pairs=${4:-10}
-seconds=${5:-$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$root/BENCHMARK.json")}
+seconds=${5:-$(spec 's["run_seconds"]')}
 seed=${6:-1}
 mkdir -p "$2"
-out=$(cd "$2" && pwd)
-rm -f "$out"/base-*.json "$out"/change-*.json "$out"/base-*.log "$out"/change-*.log "$out/pairs.txt"
+root_out=$(cd "$2" && pwd)
 
 tree=$(mktemp -d)
 trap 'rm -rf "$tree"' EXIT
 git -C "$root" archive "$base_ref" | tar -x -C "$tree"
 
-# run SIDE ROOT I: one run of the workload at ROOT, its report into OUT_DIR/SIDE-I.log, its result into SIDE-I.json
+# run SIDE ROOT I: one run of the workload at ROOT, its report into OUT_DIR/WORKLOAD/SIDE-I.log, its result into SIDE-I.json
 run() {
-    echo "== pair $3: $1" >&2
+    echo "== $workload pair $3: $1" >&2
     (cd "$2" && python3 perfbench/run.py --workload "$workload" --seed "$seed" --seconds "$seconds") \
         > "$out/$1-$3.log" 2>&1 || true
     tail -n 1 "$out/$1-$3.log" > "$out/$1-$3.json"
 }
-for i in $(seq 1 "$pairs"); do
-    if [ $((i % 2)) -eq 1 ]; then
-        run base "$tree" "$i"
-        run change "$root" "$i"
-    else
-        run change "$root" "$i"
-        run base "$tree" "$i"
-    fi
-done
-
-python3 - "$out" "$pairs" "$root/BENCHMARK.json" <<'PY' | tee "$out/pairs.txt"
+status=0
+for workload in $workloads; do
+    out=$root_out/$workload
+    mkdir -p "$out"
+    rm -f "$out"/base-*.json "$out"/change-*.json "$out"/base-*.log "$out"/change-*.log "$out/pairs.txt"
+    for i in $(seq 1 "$pairs"); do
+        if [ $((i % 2)) -eq 1 ]; then
+            run base "$tree" "$i"
+            run change "$root" "$i"
+        else
+            run change "$root" "$i"
+            run base "$tree" "$i"
+        fi
+    done
+    echo "== $workload"
+    python3 - "$out" "$pairs" "$root/BENCHMARK.json" <<'PY' | tee "$out/pairs.txt" || status=1
 import json
 import statistics
 import sys
@@ -100,3 +113,5 @@ if bad:
     print(f"not correct: {' '.join(bad)}")
     sys.exit(1)
 PY
+done
+exit $status

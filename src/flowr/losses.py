@@ -27,54 +27,36 @@ pi_c = u_c / T with T = sum(u), u_novel = b + a N+, so
 which crp.grad_b applies to the masses u that crp.class_prior builds the
 prior from: the rule and its derivative are written once, in crp.
 
-The model's recursion lives here too, shared with flowr.model: ClassTable
-is an immutable value holding the rows [classes | novel slot] and the
-class counts. Its one online conditioning step, condition(), on a label
-that crp's arrival protocol check has passed, returns the next table: a
-known-known label shares the rows and moves a count, any other copies the
-rows once. A class counts NEW_CLASS_COUNT = 2 after its first point, not
-the 1 of the two-parameter CRP (crp.sequence_log_prob), so the model's
-sequential prior is not exchangeable. Every training loss runs
-_mixture_nll_grads, one forward and backward pass over a single
-difference block z - mu; _bayes is Bayes rule under a CRP log prior,
-which model.predict applies to its log densities too. When a stream's
-labels are all known in advance, as in evaluation and the teacher-forced
-loss, Prefix builds every table the stream passes through at once: the
-table before step j is the initial table plus the points before j, so
-predict-then-update becomes one batched pass with the same additions in
-the same order, bit for bit. chunks() runs that pass over several streams
-at once; each value is computed row by row, so each gets its bits alone.
-It walks the steps that see one class count at two sizes, both bounded by
-PREFIX_ENTRIES: a block computes its steps' class counts, version rows,
-CRP masses and log prior once, and its cache-sized chunks, slices of
-those arrays, gather the rows and run the numerics.
+The model's recursion lives here too, shared with flowr.model. ClassTable
+is an immutable value, the rows [classes | novel slot] and the class
+counts; condition() is its one online step, on a label crp's arrival check
+passed: a known-known label shares the rows and moves a count, any other
+copies the rows once. A class counts NEW_CLASS_COUNT = 2 after its first
+point, not the 1 of crp.sequence_log_prob, so the model's sequential prior
+is not exchangeable. When every label is known in advance, Prefix builds
+every table a block of streams passes through at once, a stream's support
+as the conditioning-only head of its queries: the table before step j is
+the initial table plus the points before j, the same additions in the
+same order, bit for bit. chunks() scores the queries, all that see one
+class count together, in blocks and cache-sized chunks bounded by
+PREFIX_ENTRIES. Evaluation (model._fold) and the teacher-forced loss run
+this pass. Every training loss runs _mixture_nll_grads, one forward and
+backward pass over a single difference block z - mu; _bayes is Bayes rule
+under a CRP log prior, which model.predict applies too.
 
-Both meta-training settings run one loss, episode_grads, which scores
-queries against one table
+Both meta-training settings run one loss, episode_grads, over the table
 
     [ n_kk trainable rows | one row per support class | novel slot ]
 
 Large-context episodes have n_kk free rows (class_q, class_log_lambda) and
 no support; small-context episodes are the n_kk = 0 case (class_q=None),
-with one row per support class, folded by Prefix as init_small_context
-folds it: Q_c = (q0 + z_1 / s_eps) + z_2 / s_eps ..., lam_c likewise.
-Every row at or above n_kk, and the novel slot (q0, lam0), holds one copy
-of the shared prior, so d q0 is the sum of d Q over those rows.
-
-The frozen loss scores every query against that table. The teacher-forced
-sequential loss scores query j against the table conditioned on the
-queries before it, with their arrival-order labels, through the same
-Prefix pass as model.run_episode and the same fused pass. A running
-per-row sum R_c of
-d loss / d Q_c, accumulated in step order, scatters the gradient back to
-the conditioning points: a query that conditioned row c at step j gets
-(R_c at the end - R_c after step j) / s_eps, a support point of row c gets
-R_c at the end / s_eps. A chunk's (steps, rows, d) terms fold into R row
-by row, np.add(terms[i - 1], terms[i], out=terms[i]): accumulate's additions
-in its order, each a contiguous pass where np.add.accumulate(axis=0) runs a
-strided loop per column. The narrow (steps, rows) lam terms keep accumulate.
-_natural_chain takes d lam first and then divides d mu by lam in place, so
-a chunk holds one (steps, rows, d) gradient block.
+their support folded by Prefix as init_small_context folds it. Every row
+at or above n_kk, and the novel slot (q0, lam0), holds one copy of the
+shared prior, so d q0 is the sum of d Q over those rows. The frozen loss
+scores every query against that table; the teacher-forced loss scores
+query j against it conditioned on the queries before it (_sequential_nll)
+and scatters the gradient back to the conditioning points through running
+per-row sums.
 
 All gradients are certified against central finite differences by grad_check.
 """
@@ -197,63 +179,83 @@ BLOCK_QUERIES = 1 << 12
 
 
 class _Steps:
-    """A chunk of prefix-pass steps that all see n classes: their numbers
-    across the prefixes, the version index of each step's rows n_kk..n-1
-    and novel slot, the CRP rule's masses u (m, n + 1) from each step's
-    class counts (crp.class_prior) and the log prior they give, and, unless
-    every_row, the forward pass: log densities and log posteriors
-    (m, n + 1). rows, u and log_prior are slices of their block's arrays."""
+    """A chunk of prefix-pass steps that all see n classes: their numbers,
+    each step's version rows n_kk..n-1 and novel slot, the CRP masses u
+    (m, n + 1) and log prior of its counts (slices of its block's), and,
+    unless every_row, the log densities and log posteriors (m, n + 1)."""
 
     __slots__ = ("steps", "n", "rows", "u", "log_prior", "logf", "log_post")
 
 
 class Prefix:
-    """Every table a labelled stream passes through, built without stepping one.
+    """Every table a block of labelled streams passes through, built without stepping one.
 
-    With all labels known in advance, the table before step j is the
-    initial table plus the points before j. Each conditioned row's versions
-    are the running sums np.add.accumulate([row; z * (1 / s_eps) ...]) and
-    likewise for lam: the same additions condition() makes one step at a
-    time, folded for all rows with as many versions at once. Means and
-    variances are computed once per version, when columns() first reads
-    them (chunks() writes a forward pass's straight into its own array);
-    each step's counts are the table's plus a cumsum of the count
-    increments. chunks() scores the steps of one or more prefixes in runs
-    that share a class count, split into blocks and chunks so that no
-    temporary holds more than PREFIX_ENTRIES entries. Rows below n_kk never
-    change and are scored as the table's own rows, never gathered per step
-    for the forward pass. final_table() is the table after the stream.
-    labels are the stream's int64 labels, checked by crp.arrival_labels.
-    final_table() alone needs only dense labels, in any order: a training
-    support is a set.
+    Z and labels hold the streams' steps one stream after another, lengths[i]
+    for stream i (one stream by default), which starts from table, or from
+    the i-th of a list of tables that share n_kk and the rows below it (the
+    first's are scored, never gathered per step). A stream's first heads[i]
+    steps (head) only condition it, a support folded as the head of its
+    queries; chunks() scores the others. Each conditioned row's versions are the
+    running sums [row; row + z * (1 / s_eps); ...], and likewise for lam:
+    the additions condition() makes, folded level by level for every row of
+    the block. They lie stream by stream in segments, one per row n_kk..n-1
+    and one for the novel slot, from start[j]; made[v] is the step that made
+    version v, -1 for a segment's first. counts holds each stream's class
+    counts before its first step; final_table(i) is stream i's table after
+    its last. labels are int64 and checked by crp.arrival_labels;
+    final_table() alone needs only dense labels, in any order.
     """
 
-    def __init__(self, table, Z, labels, params):
-        self.table, self.Z, self.labels, self.params = table, Z, labels, params
-        n0, n_kk, inv = table.n, table.n_kk, 1.0 / table.noise_var
-        n_at = np.maximum.accumulate(np.append(n0, self.labels))
-        self.n_at, self.n = n_at[:-1], int(n_at[-1])
+    def __init__(self, table, Z, labels, params, lengths=None, heads=0):
+        tables = [table] if isinstance(table, ClassTable) else list(table)
+        self.table, self.tables, self.Z, self.labels, self.params = tables[0], tables, Z, labels, params
+        k, n_kk, m = len(tables), tables[0].n_kk, len(labels)
+        self.lengths = np.array([m] if lengths is None else lengths, dtype=np.int64)
+        self.first = np.cumsum(self.lengths) - self.lengths  # each stream's first step
+        self.stream = stream = np.repeat(np.arange(k), self.lengths)
+        at = np.arange(m) - self.first[stream]  # each step's place in its stream
+        self.head = at < np.broadcast_to(heads, k)[stream]  # the steps that only condition
+        self.scored = np.flatnonzero(~self.head)
+        n0 = np.array([t.n for t in tables], dtype=np.int64)
+        # classes seen after each step: a running max per stream, lifted above every earlier stream's
+        lift = stream * (max(int(labels.max(initial=0)), int(n0.max())) + 1)
+        seen = np.maximum(np.maximum.accumulate(labels + lift) - lift, n0[stream])
+        self.n_at = np.empty_like(seen)  # classes seen before each step
+        self.n_at[1:], self.n_at[at == 0] = seen[:-1], n0[stream[at == 0]]
+        self.n, ran = n0.copy(), self.lengths > 0
+        self.n[ran] = seen[(self.first + self.lengths - 1)[ran]]
 
-        # versions: one block [first; after each of its points] per row n_kk..n-1, then the novel slot
-        row = self.labels - 1 - n_kk  # the row each step conditions, counted from n_kk
-        steps = np.flatnonzero(row >= 0)
-        steps = steps[np.argsort(row[steps], kind="stable")]
-        self.start = np.append(0, np.cumsum(np.bincount(row[steps], minlength=self.n - n_kk) + 1))
-        heads, novel = self.start[:-1], self.start[-1]
-        first = np.minimum(np.arange(n_kk, self.n), n0)  # rows born in the pass start as the prior's row
-        Q, lam = np.empty((novel + 1, Z.shape[1])), np.full(novel + 1, inv)
-        Q[heads], lam[heads] = table.Q[first], table.lam[first]
-        Q[novel], lam[novel] = table.Q[n0], table.lam[n0]
-        points = np.ones(novel + 1, dtype=bool)
-        points[heads] = points[novel] = False
-        Q[points] = Z[steps] * inv
-        length = np.diff(self.start)
-        for L in np.unique(length[length > 1]):  # every row of one length folded by one call
-            block = heads[length == L][:, None] + np.arange(L)
-            Q[block], lam[block] = np.add.accumulate(Q[block], axis=1), np.add.accumulate(lam[block], axis=1)
-        self.Q, self.lam = Q, lam
+        rows = self.n - n_kk + 1  # each stream's segments
+        self.base = np.cumsum(rows) - rows  # its first
+        owner = np.repeat(np.arange(k), rows)
+        steps = np.flatnonzero(labels > n_kk)
+        seg = self.base[stream[steps]] + labels[steps] - 1 - n_kk
+        steps = steps[np.argsort(seg, kind="stable")]
+        length = np.bincount(seg, minlength=len(owner)) + 1
+        self.start = np.append(0, np.cumsum(length))
+        heads_at, total = self.start[:-1], self.start[-1]
+        src = np.minimum(np.arange(len(owner)) - self.base[owner] + n_kk, n0[owner])  # the table row it starts as
+        src += (np.cumsum(n0 - n_kk + 1) - (n0 - n_kk + 1) - n_kk)[owner]  # in the tables' rows n_kk.., end to end
+        Q, lam = np.empty((total, Z.shape[1])), np.empty(total)
+        Q[heads_at] = np.concatenate([t.Q[n_kk:] for t in tables])[src]
+        lam[heads_at] = np.concatenate([t.lam[n_kk:] for t in tables])[src]
+        points, self.made = np.ones(total, dtype=bool), np.full(total, -1)
+        points[heads_at] = False
+        self.made[points] = steps
+        noise = np.array([t.noise_var for t in tables])
+        lam[points] = inv = 1.0 / noise[stream[steps]]
+        scaled = Z[steps]
+        Q[points] = np.multiply(scaled, inv[:, None], out=scaled)
+        longest = np.argsort(-length, kind="stable")
+        for j in range(1, length.max(initial=1)):  # version j of every segment that has one: a running sum
+            v = heads_at[longest[: np.count_nonzero(length > j)]] + j
+            Q[v] += Q[v - 1]
+            lam[v] += lam[v - 1]
+        self.Q, self.lam, self.noise_var = Q, lam, np.repeat(noise[owner], length)
         # class counts before any step; a row born in the pass counts NEW_CLASS_COUNT after its first point
-        self.counts = np.append(table.counts, np.full(self.n - n0, ClassTable.NEW_CLASS_COUNT - 1))
+        self.counts = np.where(np.arange(self.n.max() + 1) < self.n[:, None], ClassTable.NEW_CLASS_COUNT - 1, 0)
+        at = np.arange(n0.sum()) - np.repeat(np.cumsum(n0) - n0, n0)
+        self.counts[np.repeat(np.arange(k), n0), at] = np.concatenate([t.counts for t in tables])
 
     @cached_property
     def means(self):
@@ -261,7 +263,7 @@ class Prefix:
 
     @cached_property
     def variances(self):
-        return 1.0 / self.lam + self.table.noise_var
+        return 1.0 / self.lam + self.noise_var
 
     def columns(self, c, name):
         """Field name (Q, lam, means or variances) of each step's rows in
@@ -276,59 +278,40 @@ class Prefix:
         out[:, :n_kk], out[:, n_kk:] = getattr(self.table, name)[:n_kk], versions
         return out
 
-    def final_table(self) -> "ClassTable":
-        """The table after the whole stream: every row's last version and the final counts."""
-        t, n_kk = self.table, self.table.n_kk
-        last = self.start[1:] - 1
-        counts = self.counts + np.bincount(self.labels - 1, minlength=self.n)
+    def final_table(self, i=0) -> "ClassTable":
+        """Stream i's table after all of its steps: each row's last version and the final counts."""
+        t, n_kk, n = self.tables[i], self.table.n_kk, self.n[i]
+        last = self.start[self.base[i] + 1 : self.base[i] + n - n_kk + 1] - 1
+        counts = self.counts[i, :n] + np.bincount(self.labels[self.first[i] :][: self.lengths[i]] - 1, minlength=n)
         return ClassTable(
             np.vstack([t.Q[:n_kk], self.Q[last]]), np.append(t.lam[:n_kk], self.lam[last]), counts,
             t.Q[t.n], t.lam[t.n], t.noise_var, n_kk=n_kk,
         )
 
 
-def chunks(prefixes, every_row=False):
-    """Yield the steps of one or more prefixes as _Steps, in increasing class count n.
+def chunks(prefix, every_row=False):
+    """Yield a Prefix's scored steps as _Steps, in increasing class count n.
 
-    Every step that sees n classes is scored in one run, prefix by prefix,
-    so each stream's steps come in stream order. Steps are numbered across
-    the prefixes, and each step's rows index the concatenation of their
-    versions. The prefixes share their CRP parameters, n_kk and the rows
-    below it.
-
-    A run is walked at two sizes. A block holds as many steps as keep its
-    (step, class) arrays within PREFIX_ENTRIES entries; the steps' class
-    counts, version rows, CRP masses and log prior are computed once per
-    block. A chunk, a slice of its block, holds as many steps as keep the
-    rows gathered for them within PREFIX_ENTRIES entries: the rows from
-    n_kk on, its forward pass done (the rows below n_kk scored in runs of
-    steps of that size too), or every row with every_row, as the loss's
-    fused pass gathers them. The forward pass reads the prefixes' encoded
-    queries and version means and variances, written once into one array
-    each.
+    Every step that sees n classes is scored in one run, stream after
+    stream, each stream's steps in order; steps keep their numbers in the
+    prefix, and heads are counted, never scored. A run is walked at two
+    sizes bounded by PREFIX_ENTRIES: a block's (step, class) arrays (class
+    counts, version rows, CRP masses, log prior) are built once, and each of
+    its chunks gathers rows for its steps, from n_kk on for the forward pass
+    (the rows below n_kk scored in runs of that size too), or every row with
+    every_row, as the loss's fused pass gathers them.
     """
-    table, params, d = prefixes[0].table, prefixes[0].params, prefixes[0].Z.shape[1]
-    n_kk, k = table.n_kk, len(prefixes)
-    stream = np.repeat(np.arange(k), [len(p.labels) for p in prefixes])
-    n_at = np.concatenate([p.n_at for p in prefixes])
-    y = np.concatenate([p.labels for p in prefixes]) - 1
-    # per stream: its counts before the next step (the tally), and what turns a count into a version index
-    tally = np.zeros((k, max(p.n for p in prefixes) + 1), dtype=np.int64)
-    offset, novel, base = np.zeros_like(tally), np.empty(k, dtype=np.int64), 0
-    for i, p in enumerate(prefixes):
-        tally[i, : p.n] = p.counts
-        offset[i, n_kk : p.n] = p.start[:-1] + base - p.counts[n_kk:]
-        novel[i] = p.start[-1] + base
-        base += p.start[-1] + 1
-    if not every_row:
-        Z, means, variances = np.concatenate([p.Z for p in prefixes]), np.empty((base, d)), np.empty(base)
-        for p, end in zip(prefixes, novel + 1):
-            v = slice(end - len(p.lam), end)
-            np.divide(p.Q, p.lam[:, None], out=means[v])
-            np.divide(1.0, p.lam, out=variances[v])
-            variances[v] += p.table.noise_var
+    table, params, d = prefix.table, prefix.params, prefix.Z.shape[1]
+    n_kk, start, stream, n_at, head = table.n_kk, prefix.start, prefix.stream, prefix.n_at, prefix.head
+    y, (k, width) = prefix.labels - 1, prefix.counts.shape
+    # per stream: its counts before the next scored step (the tally), and what turns a count into a version index
+    tally = prefix.counts + np.bincount(stream[head] * width + y[head], minlength=k * width).reshape(k, width)
+    offset = np.zeros_like(tally)
+    at = np.minimum(prefix.base[:, None] + np.arange(width - 1 - n_kk), len(start) - 1)
+    offset[:, n_kk:-1] = start[at] - prefix.counts[:, n_kk:-1]
+    novel = start[prefix.base + prefix.n - n_kk]
     kk_size = max(1, PREFIX_ENTRIES // (max(n_kk, 1) * d))
-    order = np.argsort(n_at, kind="stable")
+    order = prefix.scored[np.argsort(n_at[prefix.scored], kind="stable")]
     starts = np.flatnonzero(np.diff(n_at[order], prepend=-1))
     for lo, hi in zip(starts, np.append(starts[1:], len(order))):
         n = int(n_at[order[lo]])
@@ -351,9 +334,9 @@ def chunks(prefixes, every_row=False):
                 c, part = _Steps(), slice(s, s + size)
                 c.steps, c.n, c.rows, c.u, c.log_prior = steps[part], n, rows[part], u[part], log_prior[part]
                 if not every_row:
-                    Zc = Z[c.steps]
+                    Zc = prefix.Z[c.steps]
                     c.logf = np.empty((len(c.steps), n + 1))
-                    c.logf[:, n_kk:] = log_density_matrix(Zc, means[c.rows], variances[c.rows])
+                    c.logf[:, n_kk:] = log_density_matrix(Zc, prefix.means[c.rows], prefix.variances[c.rows])
                     for j in range(0, len(c.steps) if n_kk else 0, kk_size):
                         kk = slice(j, j + kk_size)
                         c.logf[kk, :n_kk] = log_density_matrix(Zc[kk], table.means[:n_kk], table.variances[:n_kk])
@@ -426,11 +409,11 @@ def _sequential_nll(table, Z, labels, params):
     m, d = Z.shape
     prefix = Prefix(table, Z, arrival_labels(table.n, labels, "query"), params)
     y = prefix.labels - 1
-    R, R_lam = np.zeros((prefix.n + 1, d)), np.zeros(prefix.n + 1)
+    R, R_lam = np.zeros((prefix.n[0] + 1, d)), np.zeros(prefix.n[0] + 1)
     seen, d_Z = np.zeros((m, d)), np.empty((m, d))
     nll, d_b = np.empty(m), np.empty(m)
 
-    for c in chunks([prefix], every_row=True):
+    for c in chunks(prefix, every_row=True):
         n, yc = c.n, y[c.steps]
         means, variances, Q, lam = (prefix.columns(c, name) for name in ("means", "variances", "Q", "lam"))
         nll[c.steps], d_means, d_vars, d_Z[c.steps], G = _mixture_nll_grads(
@@ -439,7 +422,7 @@ def _sequential_nll(table, Z, labels, params):
         d_Q, d_lam = _natural_chain(d_means, d_vars, Q, lam)
         d_b[c.steps] = grad_b(c.u, G)
 
-        d_Q[0] += R[: n + 1]  # the sums after each step, in place
+        d_Q[0] += R[: n + 1]  # the sums after each step, in place: accumulate's additions, row by row
         for i in range(1, len(d_Q)):
             np.add(d_Q[i - 1], d_Q[i], out=d_Q[i])
         d_lam[0] += R_lam[: n + 1]
@@ -607,13 +590,12 @@ def loo_support_grads(H, labels, weight, bias, q0, lam0, *, params, noise_var):
     """Leave-one-out support NLL and its gradient w.r.t. the affine layer.
 
     Each support point is scored against the table built from the remaining
-    points; a held-out point whose class disappears from the reduced support
-    becomes a novel-slot target. Only (weight, bias) receive gradients; the
-    prior and CRP parameters are treated as constants here. The classes
-    are the sorted labels. A held-out table is the full support's Prefix
-    fold with its point's class row refolded as Prefix folds it, by
-    np.add.accumulate over [q0; the class's other points / s_eps], or
-    dropped when the class leaves with the point.
+    points; a held-out point whose class leaves the reduced support becomes
+    a novel-slot target. Only (weight, bias) receive gradients; the prior
+    and CRP parameters are constants here. The classes are the sorted
+    labels. A held-out table is the full support's Prefix fold with the
+    point's class row refolded with Prefix's additions, np.add.accumulate
+    over [q0; the class's other points / s_eps], or dropped with its class.
     """
     H = np.asarray(H, dtype=np.float64)
     q0 = np.asarray(q0, dtype=np.float64)

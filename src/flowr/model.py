@@ -4,48 +4,39 @@ The model state holds one natural-parameter Gaussian per known class plus a
 shared prior that doubles as the predictive model for the next brand-new
 class. Prediction is Bayes rule over N known classes and one novel slot;
 updates are pure functions so episodes can be replayed and states shared.
-
-Labels follow the dense arrival protocol: classes are numbered 1..N in order
-of first appearance, and a label of exactly N + 1 announces a new class.
-crp checks it: update with the one-label rule, the streams with its scan.
+Labels follow crp's dense arrival protocol: classes are numbered 1..N in
+order of first appearance, and a label of N + 1 announces a new class.
 
 A state wraps a losses.ClassTable, the immutable class table the training
-losses use too: one row per class and the prior's row (the novel slot)
-last, natural parameters Q (N + 1, d) and lam (N + 1,), the cached
-predictive means Q / lam and variances 1 / lam + s_eps, and int64 counts.
-The table is the only holder of the counts: predict is the table's forward
-pass under the CRP prior read straight from the table's counts, and
-`counts` builds a crp.ClassCounts on demand. condition is the online step:
-update builds the next table with it, which shares the rows for a
-known-known label and copies them once otherwise. run_episode and
-init_small_context know every label in advance, so they build the final
-table from one losses.Prefix pass, its last row versions and counts,
-stepping nothing; run_episode also scores the whole stream in that pass,
-as the one-stream case of run_episodes, which scores several streams in
-one pass. init_large_context and runner.evaluate build a large-context
-state through _large_context, over class rows (Q, lam) as given; evaluate
-passes the class_q and exp(class_log_lambda) that losses.episode_grads trains.
-_encode and _encode_labelled are flowr's only readers of raw inputs and
-labelled streams: every call here, fine-tuning, meta.adaptation_loss and
-the NCM baseline read each input once, in one block, encoded by
-losses.encode as training encodes it, refuse a bad one with the same
-one-line error and report a stream's first fault in stream order. Earlier
-states stay valid. `class_stats` builds NaturalClassStats on demand.
+losses use too (the prior's row, the novel slot, last). update conditions
+it one step at a time; predict scores it. _fold is the one pass for
+streams whose labels are all known: one losses.Prefix folds a block of
+streams, each a support (a conditioning-only head) and its queries, and
+one losses.chunks pass scores the queries. init_small_context (a head and
+no queries), run_episode(s) (queries and no head) and runner.evaluate are
+its cases. _encode and _encode_labelled are flowr's only readers of raw
+inputs: each call reads its inputs as one block encoded by losses.encode,
+refuses a bad one with a one-line error, and reports a stream's first
+fault as stepping would meet it, an overflowing class row included.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from . import losses
-from .crp import ClassCounts, CrpParams, ProtocolError, arrival_labels, label_fault, predictive_class_probs
+from .crp import (
+    ClassCounts, CrpParams, InvalidStateError, ProtocolError, arrival_labels, label_fault, predictive_class_probs,
+)
 from .encoder import ClassEmbeddings, Encoder
 from .gaussian import NaturalClassStats, NoiseModel, SharedPrior, log_density_matrix
 
 _FAR = "input is too far from every class: no class gives it a finite log density"  # its posterior is NaN
+_OVERFLOW = "conditioning on it overflows its class row: the row's mean or variance is not finite"
 
 
 class ModelState:
@@ -63,13 +54,6 @@ class ModelState:
             encoder=encoder, counts=counts, crp_params=crp_params, prior=prior, noise=noise, n_kk=n_kk,
         )
 
-    @classmethod
-    def _from_arrays(cls, Q, lam, **fields) -> "ModelState":
-        """A validated state from the class rows (Q, lam)."""
-        state = object.__new__(cls)
-        state._fill(Q, lam, **fields)
-        return state
-
     def _fill(self, Q, lam, *, encoder, counts: ClassCounts, crp_params, prior, noise, n_kk):
         """Validate, build the class table and set every field."""
         n = lam.shape[0]
@@ -79,9 +63,10 @@ class ModelState:
             raise ValueError(f"n_kk = {n_kk} outside 0..{n}")
         _check_width(encoder, Q.shape[1])
         p0 = prior.prior
-        table = losses.ClassTable(Q, lam, counts.counts, p0.q, p0.lam, noise.noise_variance, n_kk=int(n_kk))
-        if not (np.isfinite(table.Q).all() and np.isfinite(table.lam).all() and (table.lam > 0.0).all()):
-            raise ValueError("class stats must be finite with positive precision")
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
+            table = losses.ClassTable(Q, lam, counts.counts, p0.q, p0.lam, noise.noise_variance, n_kk=int(n_kk))
+        if not (np.isfinite(table.Q).all() and (table.lam > 0.0).all() and _finite(table).all()):
+            raise ValueError("class stats must be finite, with positive precision and a finite predictive")
         self.__dict__.update(encoder=encoder, crp_params=crp_params, prior=prior, noise=noise, _table=table)
 
     def _derive(self, table) -> "ModelState":
@@ -141,14 +126,12 @@ def _check_width(encoder: Encoder, dim):
 
 
 def _encode(encoder: Encoder, dim, inputs) -> np.ndarray:
-    """Read and encode a list of raw inputs in one call: Z (m, dim), where
-    an identity encoder takes vectors of length dim and an affine one of
-    length weight.shape[1]. The block is encoded by encoder(X), which
-    applies losses.encode, the map training applies: weight @ x + bias bit
-    for bit for every row. An encoder whose output length is not dim is
-    refused first (_check_width).
-    A bad input raises the error a check of that row alone raises, with the
-    row as .row: the first that is not one vector of length d_in, holds a
+    """Read and encode raw inputs (a list or an array) in one call: Z (m,
+    dim) from vectors of length dim (identity) or weight.shape[1] (affine),
+    by encoder(X), which applies losses.encode as training does. An encoder
+    whose output length is not dim is refused first (_check_width); a bad
+    input raises the error a check of that row alone raises, with the row
+    as .row: the first that is not one vector of length d_in, holds a
     number beyond float range or is not finite after encoding.
     """
     _check_width(encoder, dim)
@@ -179,37 +162,28 @@ def _encode(encoder: Encoder, dim, inputs) -> np.ndarray:
     return Z
 
 
-def _encode_labelled(encoder: Encoder, dim, n, stream, what, first_score=None) -> tuple:
+def _encode_labelled(encoder: Encoder, dim, n, stream, what) -> tuple:
     """Read and encode a labelled stream (a list of (input, label)) in one
     call and check its labels against n known classes: Z (m, dim) and the
-    int64 labels. A fault is reported as stepping the stream would meet
-    it: the first in stream order, a point's input before its label, and
-    first_score() (run_episode's CRP check of scoring step 0) after point
-    0's input and before any label. A label fault reads `{what} i: ...`."""
+    int64 labels, or the first fault in stream order, a point's input
+    before its label. A label fault reads `{what} i: ...`."""
     labels = [y for _, y in stream]
-
-    def checked(labels):
-        if first_score is not None and labels:
-            first_score()
-        return arrival_labels(n, labels, what)
-
     try:
         Z = _encode(encoder, dim, [x for x, _ in stream])
     except (TypeError, ValueError) as e:
-        checked(labels[: e.row])
+        arrival_labels(n, labels[: e.row], what)
         raise
-    return Z, checked(labels)
+    return Z, arrival_labels(n, labels, what)
 
 
 def predict(state: ModelState, x) -> PredictionRecord:
     """Posterior over known classes and the novel slot for one raw input.
 
-    known_argmax is the most probable known class. When no known class has
-    posterior mass left (every known count is zero, as in a large-context
-    state started at init_count=0, or the masses underflow), it is the
-    known class with the highest log posterior, or with the highest
-    predictive log-density when every known prior is zero. An input too
-    far from every class, whose posterior would be NaN, is refused.
+    known_argmax is the most probable known class; when no known class has
+    mass left (every known count zero, or the masses underflow), the one
+    with the highest log posterior, else the highest predictive log
+    density. An input too far from every class, whose posterior would be
+    NaN, is refused.
     """
     table = state._table
     logf = log_density_matrix(_encode(state.encoder, state.dim, [x]), table.means, table.variances)
@@ -235,56 +209,49 @@ def _records(n, logf, log_post, labels=None) -> list:
         known_argmax = (known.argmax(axis=1) + 1).tolist()
     predicted, novelty = (probs.argmax(axis=1) + 1).tolist(), probs[:, -1].tolist()
     labels = [None] * m if labels is None else labels.tolist()
-    return [
-        PredictionRecord(
-            probs=probs[i], predicted=predicted[i], known_argmax=known_argmax[i], novelty_score=novelty[i],
-            n_at_prediction=n, true_label=labels[i],
-        )
-        for i in range(m)
-    ]
+    rows = zip(list(probs), predicted, known_argmax, novelty, labels)  # positional: the records' field order
+    return [PredictionRecord(p, c, k, s, n, y) for p, c, k, s, y in rows]
 
 
 def update(state: ModelState, x, y) -> ModelState:
     """Condition the state on one labelled point; returns a new state over
     the next class table, which shares the rows for a known-known label
-    (y <= n_kk)."""
+    (y <= n_kk). A row the point would overflow is refused."""
     z = _encode(state.encoder, state.dim, [x])[0]
     fault = label_fault(y, state.n_classes)
     if fault:
         raise ProtocolError(fault)
-    return state._derive(state._table.condition(z, int(y)))
+    y = int(y)
+    if y <= state.n_kk:  # a known-known label conditions no row
+        return state._derive(state._table.condition(z, y))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        table = state._table.condition(z, y)
+    if not _finite(table, y - 1):
+        raise ValueError(_OVERFLOW)
+    return state._derive(table)
+
+
+def _finite(t, rows=slice(None)):
+    """Whether each row of t (a class table or a Prefix's versions) has a finite lam, variance and mean."""
+    return np.isfinite(t.lam[rows]) & np.isfinite(t.variances[rows]) & np.isfinite(t.means[rows]).all(axis=-1)
 
 
 def init_small_context(
-    prior: SharedPrior,
-    crp_params: CrpParams,
-    noise: NoiseModel,
-    encoder: Encoder,
-    support,
+    prior: SharedPrior, crp_params: CrpParams, noise: NoiseModel, encoder: Encoder, support
 ) -> ModelState:
-    """Condition an empty state on a labelled support set in arrival order.
-
-    The support is encoded in one call and its table built by one
-    losses.Prefix pass, which nothing scores. A fault is reported as
-    stepping would meet it (_encode_labelled), a label's as
-    `support point i: ...`.
+    """Condition an empty state on a labelled support set in arrival order:
+    the one pass (_fold) over a stream that is all head, which scores
+    nothing. A fault is reported as stepping would meet it, a label's or an
+    overflowing row's as `support point i: ...`.
     """
     state = ModelState(encoder, (), ClassCounts.empty(), crp_params, prior, noise)
     support = list(support)
-    if not support:
-        return state
-    Z, labels = _encode_labelled(encoder, prior.prior.dim, 0, support, "support point")
-    return state._derive(losses.Prefix(state._table, Z, labels, crp_params).final_table())
+    return _fold([(state, [x for x, _ in support], [y for _, y in support], (), ())])[0][1]
 
 
 def init_large_context(
-    embeddings: ClassEmbeddings,
-    prior: SharedPrior,
-    crp_params: CrpParams,
-    noise: NoiseModel,
-    encoder: Encoder,
-    *,
-    init_count=losses.ClassTable.PERSISTENT_COUNT,
+    embeddings: ClassEmbeddings, prior: SharedPrior, crp_params: CrpParams, noise: NoiseModel, encoder: Encoder,
+    *, init_count=losses.ClassTable.PERSISTENT_COUNT,
 ) -> ModelState:
     """Start from pre-trained per-class Gaussians (_large_context).
 
@@ -302,10 +269,9 @@ def _large_context(Q, lam, prior, crp_params, noise, encoder, init_count=losses.
     exp(class_log_lambda)), the table losses.episode_grads scores with no support."""
     if Q.shape[1] != prior.prior.dim:
         raise ValueError(f"class rows have dimension {Q.shape[1]}, the prior {prior.prior.dim}")
-    counts = ClassCounts(np.full(len(lam), int(init_count), dtype=np.int64))
-    return ModelState._from_arrays(
-        Q, lam, encoder=encoder, counts=counts, crp_params=crp_params, prior=prior, noise=noise, n_kk=len(lam)
-    )
+    counts, state = ClassCounts(np.full(len(lam), int(init_count), dtype=np.int64)), object.__new__(ModelState)
+    state._fill(Q, lam, encoder=encoder, counts=counts, crp_params=crp_params, prior=prior, noise=noise, n_kk=len(lam))
+    return state
 
 
 def run_episode(state: ModelState, queries):
@@ -318,78 +284,135 @@ def run_episode(state: ModelState, queries):
 
 def run_episodes(episodes) -> list:
     """run_episode over several (state, queries) streams, taken in order:
-    one (records, final_state) per stream, bit for bit what it gets alone.
+    one (records, final_state) per stream, bit for bit what it gets alone;
+    the one pass (_fold) over streams with no head."""
+    episodes = [(state, list(queries)) for state, queries in episodes]
+    return _fold([(state, (), (), [x for x, _ in q], [y for _, y in q]) for state, q in episodes])
 
-    One losses.chunks pass scores them, every step of every stream that
-    sees the same class count at once, so the states must share the CRP
-    parameters, n_kk and the rows below it, as large-context episodes from
-    one start do. Each stream is read and checked before the next, and a
-    stream whose read fails ends the reading. The streams read are scored
-    with the queries of the failed one that stepping predicts before it
-    meets the fault (_before_fault); a query among them too far from every
-    class (predict's refusal), the first in stream order, is raised, else
-    the read fault: the first fault stepping the streams one by one meets.
+
+def _fold(streams, finals=True) -> list:
+    """The one pass over (state, head inputs, head labels, query inputs,
+    query labels) streams: a stream's head (a support) only conditions its
+    state, then each query is predicted and conditioned in turn. One
+    (records, final state, None unless finals) per stream, bit for bit what
+    stepping gives it; a stream of no steps keeps its state. One
+    losses.Prefix folds every stream and one losses.chunks pass scores the
+    queries, so the states of streams with steps must share the CRP
+    parameters, n_kk and the rows below it. The streams are read in order
+    (_read) up to the first read fault; the steps before it are folded and
+    scored, and the first fault that stepping the streams one by one meets
+    is raised: a read fault, a query too far from every class (predict's)
+    or a step that overflows the row it conditions (update's), as `query i:
+    ...` or `support point i: ...`.
     """
-    states, prefixes, first, fault = [], [], None, None  # a prefix per stream, None for an empty one
-    for state, queries in episodes:
-        queries, table, prefix = list(queries), state._table, None
-        if queries:
-            if first is not None and not _shares_rows(first, state):
-                raise ValueError("episodes must share the CRP parameters and the rows below n_kk")
-            # the CRP rule refuses to score step 0 when no class has a count yet and b <= 0
-            first_score = None if table.counts.any() else lambda: predictive_class_probs(table, state.crp_params)
-            try:
-                Z, labels = _encode_labelled(state.encoder, state.dim, table.n, queries, "query", first_score)
-            except (TypeError, ValueError) as e:
-                fault = e  # raised once the queries stepping predicts before it are scored
-                prefixes.append(_before_fault(state, queries, e))
-                break
-            prefix = losses.Prefix(table, Z, labels, state.crp_params)
-            first = first or prefix
-        states.append(state)
-        prefixes.append(prefix)
-    scored = [p for p in prefixes if p is not None]
-    start = np.cumsum([0] + [len(p.labels) for p in scored])  # each stream's first step
-    records, far = [None] * start[-1], start[-1]  # far: the first step whose posterior is NaN
-    if scored:
-        labels = np.concatenate([p.labels for p in scored])
-        for c in losses.chunks(scored):
-            far = c.steps[np.isnan(c.log_post[:, -1])].min(initial=far)
-            for i, record in zip(c.steps.tolist(), _records(c.n, c.logf, c.log_post, labels[c.steps])):
-                records[i] = record
-    if far < start[-1]:
-        raise ValueError(f"query {far - start[np.searchsorted(start, far, 'right') - 1]}: {_FAR}")
-    if fault is not None:
-        raise fault
-    out, done = [], 0
-    for state, prefix in zip(states, prefixes):
-        m = 0 if prefix is None else len(prefix.labels)
-        out.append((records[done : done + m], state if prefix is None else state._derive(prefix.final_table())))
-        done += m
+    streams = list(streams)
+    if not streams:
+        return []
+    live = [s[0] for s in streams if len(s[1]) + len(s[3])]
+    if any(not _shares_rows(live[0], state) for state in live[1:]):
+        raise ValueError("episodes must share the CRP parameters and the rows below n_kk")
+    (Z, input_fault), read, done, fault = _read(streams), [], 0, None
+    for state, sx, sy, qx, qy in streams:
+        y, fault = _read_labels(state, sy, qy, Z[done : done + len(sx) + len(qx)], input_fault)
+        if len(y):
+            read.append((state._table, y, min(len(sx), len(y))))
+        fault = fault and (done + fault[0], *fault[1:])  # its step in the block
+        done += len(y)
+        if fault:
+            break
+    faults = [fault] if fault else []
+    if read:
+        tables, labels, heads = zip(*read)
+        lengths = [len(y) for y in labels]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing row is refused below
+            prefix = losses.Prefix(tables, Z[:done], np.concatenate(labels), live[0].crp_params, lengths, heads)
+            made = prefix.made[~_finite(prefix)]
+            records, at = [None] * len(prefix.scored), np.empty(done, dtype=np.int64)
+            at[prefix.scored] = np.arange(len(prefix.scored))
+            far = done  # the first step whose posterior is NaN
+            for c in losses.chunks(prefix):
+                far = c.steps[np.isnan(c.log_post[:, -1])].min(initial=far)
+                for i, r in zip(at[c.steps].tolist(), _records(c.n, c.logf, c.log_post, prefix.labels[c.steps])):
+                    records[i] = r
+
+        def fault_at(step, kind, why):
+            """(step, kind, the error) for a step of the block: `query i` or `support point i`."""
+            i, h = step - prefix.first[prefix.stream[step]], heads[prefix.stream[step]]
+            return step, kind, ValueError(f"query {i - h}: {why}" if i >= h else f"support point {i}: {why}")
+
+        over = made[made >= 0].min(initial=done)
+        faults += [fault_at(*f) for f in ((far, 1, _FAR), (over, 3, _OVERFLOW)) if f[0] < done]
+    if faults:
+        raise min(faults, key=lambda f: f[:2])[2]
+    out, j, done = [], 0, 0
+    for state, sx, _, qx, _ in streams:
+        if len(sx) + len(qx):
+            q = lengths[j] - heads[j]
+            out.append((records[done : done + q], state._derive(prefix.final_table(j)) if finals else None))
+            j, done = j + 1, done + q
+        else:
+            out.append(([], state))
     return out
 
 
-def _before_fault(state, queries, fault):
-    """The prefix of a stream's queries that stepping predicts before it
-    meets the stream's read fault, or None if it predicts none: the first
-    i + 1 for a label fault at query i (a query is predicted before its
-    label is applied), the first r for an input fault at row r. The last
-    of them conditions no table that is scored, so label 1 stands in for
-    its own."""
-    j = getattr(fault, "row", 0) + isinstance(fault, ProtocolError)
-    if not j:
-        return None
-    Z = _encode(state.encoder, state.dim, [x for x, _ in queries[:j]])
-    labels = np.append(arrival_labels(state.n_classes, [y for _, y in queries[: j - 1]], "query"), 1)
-    return losses.Prefix(state._table, Z, labels, state.crp_params)
+def _read(streams) -> tuple:
+    """The streams' encoded inputs, each stream's head then its queries, in
+    stream order up to the first input fault, as one array, and that fault
+    or None: one _encode call per run of streams with one encoder, its
+    inputs stacked into one array when they stack."""
+    Z, fault = [], None
+    for _, run in groupby(streams, lambda s: (id(s[0].encoder), s[0].dim)):
+        run = list(run)
+        state, parts = run[0][0], [p for s in run for p in (s[1], s[3])]
+        try:
+            X = np.concatenate(parts)
+        except (TypeError, ValueError):  # no block: the row check finds the first bad row
+            X = [x for p in parts for x in p]
+        try:
+            Z.append(_encode(state.encoder, state.dim, X))
+        except (TypeError, ValueError) as e:
+            Z.append(_encode(state.encoder, state.dim, X[: e.row]))
+            fault = e
+            break
+    return (Z[0] if len(Z) == 1 else np.concatenate(Z)), fault
 
 
-def _shares_rows(prefix, state) -> bool:
-    """Whether state has prefix's CRP parameters, n_kk and rows below it."""
-    t, u, k = prefix.table, state._table, prefix.table.n_kk
-    return prefix.params == state.crp_params and k == u.n_kk and all(
-        np.array_equal(getattr(t, a)[:k], getattr(u, a)[:k]) for a in ("means", "variances")
-    )
+def _read_labels(state, sy, qy, z, input_fault) -> tuple:
+    """A stream's int64 labels for the steps stepping it reaches, and its
+    first fault as (step, kind, error) or None; z holds its inputs read,
+    cut short by input_fault. Kind orders a step's faults as stepping meets
+    them: input 0, prediction 1, label 2, conditioning 3. A query is
+    predicted before its label is read, so label 1 stands in for a bad one."""
+    h, t, n = len(sy), len(z), state.n_classes
+    y, e = _checked(n, sy[: min(t, h)], "support point")
+    if e is not None:
+        return y, (len(y), 2, e)
+    if t > h:
+        if not h and not state._table.counts.any():
+            try:  # the CRP rule refuses to score step 0 when no class has a count yet and b <= 0
+                predictive_class_probs(state._table, state.crp_params)
+            except InvalidStateError as e:
+                return y, (0, 1, e)
+        q, e = _checked(max(n, int(y.max(initial=0))), qy[: t - h], "query")
+        if e is not None:
+            return np.concatenate([y, q, [1]]), (h + len(q), 2, e)
+        y = np.concatenate([y, q])
+    return y, (t, 0, input_fault) if t < h + len(qy) else None
+
+
+def _checked(n, labels, what) -> tuple:
+    """crp.arrival_labels of labels up to their first fault, and that fault or None."""
+    try:
+        return arrival_labels(n, labels, what), None
+    except ProtocolError as e:
+        return arrival_labels(n, labels[: e.row], what), e
+
+
+def _shares_rows(a, b) -> bool:
+    """Whether states a and b have the same CRP parameters, n_kk and rows below it."""
+    k = a.n_kk
+    return a is b or a.crp_params == b.crp_params and k == b.n_kk and all(
+        np.array_equal(getattr(a, x)[:k], getattr(b, x)[:k]) for x in ("means", "variances"))
 
 
 def fine_tune_output_layer(state: ModelState, support, steps, step_size, *, return_trace=False):
@@ -398,8 +421,8 @@ def fine_tune_output_layer(state: ModelState, support, steps, step_size, *, retu
     Minimises the leave-one-out support NLL with a fixed step plus
     backtracking halving (at most 20 halvings per step); a step that cannot
     decrease the loss is rejected, so the trajectory never increases. The
-    support is read as init_small_context reads it (_encode_labelled),
-    before the first step, and the raw inputs are taken once it has passed.
+    support is read and folded by init_small_context before the first step,
+    and the raw inputs are taken once it has passed.
     The returned state is rebuilt from the support with the adapted encoder.
     """
     if state.encoder.kind != "affine":
@@ -407,7 +430,8 @@ def fine_tune_output_layer(state: ModelState, support, steps, step_size, *, retu
     support = list(support)
     if not support:
         raise ValueError("fine-tuning requires a non-empty support set")
-    _, labels = _encode_labelled(state.encoder, state.dim, 0, support, "support point")
+    init_small_context(state.prior, state.crp_params, state.noise, state.encoder, support)
+    labels = arrival_labels(0, [y for _, y in support], "support point")
     if steps == 0:
         return (state, []) if return_trace else state
 
@@ -420,19 +444,14 @@ def fine_tune_output_layer(state: ModelState, support, steps, step_size, *, retu
     trace = [loss]
     for _ in range(int(steps)):
         alpha = step_size
-        accepted = False
         for _ in range(20):
-            w_try = w - alpha * d_w
-            b_try = b - alpha * d_b
-            new_loss, nd_w, nd_b = losses.loo_support_grads(
-                X, labels, w_try, b_try, p0.q, p0.lam, **kwargs
-            )
+            w_try, b_try = w - alpha * d_w, b - alpha * d_b
+            new_loss, nd_w, nd_b = losses.loo_support_grads(X, labels, w_try, b_try, p0.q, p0.lam, **kwargs)
             if np.isfinite(new_loss) and new_loss <= loss:
                 w, b, loss, d_w, d_b = w_try, b_try, new_loss, nd_w, nd_b
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:  # no step decreased the loss
             break
         trace.append(loss)
 

@@ -2,10 +2,9 @@
 
 Episodes are sampled serially in index order, each with its own
 (seed, index) RNG split, and run in blocks of whole episodes within
-losses.BLOCK_QUERIES queries: a flowr block goes through one
-model.run_episodes pass, which gives each episode the bits it gets alone.
-Start states come from the checkpoint's arrays as stored: the large-context
-table training scores (model._large_context), an NCM support read as its queries.
+losses.BLOCK_QUERIES queries: a flowr block is one model._fold pass from
+one start state, each episode's support folded as the head of its
+queries, which gives each episode the bits it gets alone.
 `evaluate(workers=...)` is kept for compatibility and selects nothing.
 Record files, ROC CSV, and metric tables are written deterministically
 (floats via repr) so repeated runs are byte-identical.
@@ -27,7 +26,7 @@ from .data import generate_synthetic_world
 from .encoder import Encoder
 from .meta import oracle_labels
 from .metrics import EpisodeRecords, accuracy_suite, roc_curve, scores_from_records, threshold_at_tpr
-from .model import PredictionRecord, _large_context, fine_tune_output_layer, init_small_context, run_episodes
+from .model import PredictionRecord, _fold, _large_context, fine_tune_output_layer, init_small_context
 
 
 @dataclass
@@ -45,22 +44,6 @@ def _sample(dataset, cfg: ExperimentConfig, index, seed, known_classes):
     return meta.sample_lc_task(dataset, cfg.eval_episode_config(), rng, known_classes)
 
 
-def _start_state(ckpt: Checkpoint, cfg: ExperimentConfig, method, episode, start):
-    """The state an episode starts from: the shared large-context start, or
-    one built from the episode's support."""
-    if cfg.setting == "lc":
-        return start
-    encoder = ckpt.params.encoder
-    support = list(zip(episode.support_x, episode.support_y))
-    if method == "ncm":
-        dim = encoder.weight.shape[0] if encoder.kind == "affine" else episode.support_x.shape[1]
-        return init_prototypes(support, dim, encoder)
-    state = init_small_context(ckpt.params.prior(), ckpt.crp, ckpt.noise, encoder, support)
-    if cfg.fine_tune_steps > 0 and encoder.kind == "affine":
-        state = fine_tune_output_layer(state, support, cfg.fine_tune_steps, cfg.fine_tune_step_size)
-    return state
-
-
 def evaluate(
     dataset,
     ckpt: Checkpoint,
@@ -76,15 +59,14 @@ def evaluate(
 
     Episodes run in blocks, as many whole ones as fit in
     losses.BLOCK_QUERIES queries (at least one), a flowr block through one
-    model.run_episodes pass; beyond its result, evaluate holds one block.
-
-    For the large-context setting, one start state is built for all
-    episodes, which share it, from the checkpoint's class_q and
-    exp(class_log_lambda) as stored, else from its embeddings: the
-    model._large_context table at the count floor training seeds, or NCM
-    prototypes at the class means. known_classes defaults to the classes
-    these cover (ids 1..n_kk in the dataset); the remaining classes form
-    the novel pool. `workers` is ignored.
+    model._fold pass; beyond its result, evaluate holds one block. Flowr
+    episodes share one start state: empty in small context, each support
+    the head of its stream (fine-tuning builds a tuned state per episode),
+    or the model._large_context table over the checkpoint's class_q and
+    exp(class_log_lambda) as stored, else its embeddings. NCM starts from
+    each support, or from the class means. known_classes defaults to the
+    large-context classes (ids 1..n_kk); the rest form the novel pool.
+    `workers` is ignored.
     """
     if method not in ("flowr", "ncm"):
         raise ValueError(f"unknown method {method!r}")
@@ -107,25 +89,41 @@ def evaluate(
             start = _large_context(*rows, params.prior(), ckpt.crp, ckpt.noise, params.encoder)
         else:
             start = PrototypeState.from_means(means)
+    elif method == "flowr":
+        start = init_small_context(params.prior(), ckpt.crp, ckpt.noise, params.encoder, [])
+    dim = params.encoder.weight.shape[0] if params.encoder.kind == "affine" else dataset.dim
+    tune = cfg.setting == "sc" and cfg.fine_tune_steps > 0 and params.encoder.kind == "affine"
 
     def run(block):
-        """The EpisodeRecords of a block of sampled (episode, queries)."""
-        streams = ((_start_state(ckpt, cfg, method, e, start), queries) for e, queries in block)
-        if method == "flowr":
-            results = run_episodes(streams)
+        """The EpisodeRecords of a block of sampled (episode, labels)."""
+        if method == "ncm":
+            results = [
+                run_baseline_episode(
+                    start or init_prototypes(zip(e.support_x, e.support_y), dim, params.encoder),
+                    list(zip(e.query_x, y)), encoder=params.encoder,
+                )
+                for e, y in block
+            ]
+        elif tune:  # a tuned start state per episode, its support folded into it
+            streams = []
+            for e, y in block:
+                support = list(zip(e.support_x, e.support_y))
+                tuned = fine_tune_output_layer(start, support, cfg.fine_tune_steps, cfg.fine_tune_step_size)
+                streams.append((tuned, (), (), e.query_x, y))
+            results = _fold(streams, finals=False)
         else:
-            results = [run_baseline_episode(state, queries, encoder=params.encoder) for state, queries in streams]
+            results = _fold([(start, e.support_x, e.support_y, e.query_x, y) for e, y in block], finals=False)
         return [EpisodeRecords(records, n_initial=e.n_known) for (e, _), (records, _) in zip(block, results)]
 
     episodes, block, size = [], [], 0
     for i in range(n_episodes):
         episode = _sample(dataset, cfg, i, seed, known_classes)
-        queries = list(zip(episode.query_x, oracle_labels(episode)))
-        if block and size + len(queries) > losses.BLOCK_QUERIES:
+        labels = oracle_labels(episode)
+        if block and size + len(labels) > losses.BLOCK_QUERIES:
             episodes += run(block)
             block, size = [], 0
-        block.append((episode, queries))
-        size += len(queries)
+        block.append((episode, labels))
+        size += len(labels)
     episodes += run(block)
 
     metrics, scores = metrics_at_tpr(episodes, cfg.operating_tpr)

@@ -454,7 +454,7 @@ def test_prefix_pass_matches_stepped_teacher_forced_loss_at_sc_paper_width():
     fuzz above builds; the running sums folded row by row still give
     exactly what stepping the table gave, all five values bit for bit."""
     table, Z, labels, params = _sc_paper_sequential_case(29)
-    widths = [len(c.steps) for c in losses.chunks([losses.Prefix(table, Z, labels, params)], every_row=True)]
+    widths = [len(c.steps) for c in losses.chunks(losses.Prefix(table, Z, labels, params), every_row=True)]
     assert max(widths) >= 20
     _assert_same(losses._sequential_nll(table, Z, labels, params), _stepped_sequential_nll(table, Z, labels, params))
 
@@ -478,7 +478,7 @@ def test_chunk_scoring_holds_one_difference_block():
     tracemalloc.start()
     try:
         with mock.patch.object(losses, "log_density_matrix", measured):
-            for _ in losses.chunks([prefix]):
+            for _ in losses.chunks(prefix):
                 pass
     finally:
         tracemalloc.stop()
@@ -493,8 +493,8 @@ def test_sequential_loss_takes_each_steps_d_b_from_its_counts():
     table, Z, labels, params = _sc_paper_sequential_case(37)
     steps, calls, real_chunks, real_grad_b = [], [], losses.chunks, losses.grad_b
 
-    def chunks(prefixes, every_row=False):
-        for c in real_chunks(prefixes, every_row):
+    def chunks(prefix, every_row=False):
+        for c in real_chunks(prefix, every_row):
             steps.append(c.steps)
             yield c
 
@@ -537,7 +537,7 @@ def test_prefix_pass_block_arrays_do_not_grow_with_the_run():
         prefix = losses.Prefix(table, rng.normal(size=(m, d)), np.array(labels), params)
         tracemalloc.start()
         try:
-            for _ in losses.chunks([prefix], every_row=True):
+            for _ in losses.chunks(prefix, every_row=True):
                 pass
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -548,26 +548,19 @@ def test_prefix_pass_block_arrays_do_not_grow_with_the_run():
 
 
 def _per_row_versions(prefix):
-    """Q and lam of prefix's versions folded as Prefix folded them before
-    the per-length fold, one np.add.accumulate pair per row; kept as the
-    reference that fold must match bit for bit."""
+    """Q and lam of a one-stream prefix's versions folded one row at a
+    time, one np.add.accumulate pair per row (its segment: rows n_kk..n-1,
+    then the novel slot); kept as the reference the per-length fold must
+    match bit for bit."""
     table, Z, inv = prefix.table, prefix.Z, 1.0 / prefix.table.noise_var
-    n0, n_kk = table.n, table.n_kk
-    row = prefix.labels - 1 - n_kk
-    steps = np.flatnonzero(row >= 0)
-    steps = steps[np.argsort(row[steps], kind="stable")]
-    heads, novel = prefix.start[:-1], prefix.start[-1]
-    first = np.minimum(np.arange(n_kk, prefix.n), n0)
-    Q, lam = np.empty((novel + 1, Z.shape[1])), np.full(novel + 1, inv)
-    Q[heads], lam[heads] = table.Q[first], table.lam[first]
-    Q[novel], lam[novel] = table.Q[n0], table.lam[n0]
-    points = np.ones(novel + 1, dtype=bool)
-    points[heads] = points[novel] = False
-    Q[points] = Z[steps] * inv
-    for lo, hi in zip(heads, prefix.start[1:]):
-        Q[lo:hi] = np.add.accumulate(Q[lo:hi])
-        lam[lo:hi] = np.add.accumulate(lam[lo:hi])
-    return Q, lam
+    n0, n_kk, n = table.n, table.n_kk, prefix.n[0]
+    Q, lam = [], []
+    for r in range(n_kk, n + 1):
+        steps = np.flatnonzero(prefix.labels - 1 == r) if r < n else []
+        first = min(r, n0)  # a row born in the pass, and the novel slot, start as the prior's row
+        Q.append(np.add.accumulate(np.vstack([table.Q[first], *(Z[j] * inv for j in steps)])))
+        lam.append(np.add.accumulate(np.append(table.lam[first], np.full(len(steps), inv))))
+    return np.vstack(Q), np.concatenate(lam)
 
 
 @settings(max_examples=300, deadline=None)
@@ -598,6 +591,89 @@ def test_prefix_folds_versions_as_the_per_row_loop(d, n0, kk, choices, scale, se
     Q, lam = _per_row_versions(prefix)
     np.testing.assert_array_equal(prefix.Q, Q)
     np.testing.assert_array_equal(prefix.lam, lam)
+
+
+@st.composite
+def _prefix_blocks(draw):
+    """Streams of one block, each from its own start table (the n_kk shared
+    rows and 0-3 classes of its own above them), with a head of 0-10
+    points and a query stream of dense labels."""
+    n_kk = draw(st.sampled_from([0, 0, 1, 3]))
+    streams = []
+    for _ in range(draw(st.integers(1, 5))):
+        n0 = n_kk + draw(st.integers(0, 3))
+        labels, n = [], n0
+        for c in draw(st.lists(st.integers(0, 6), max_size=25)):
+            labels.append(min(c, n) + 1)  # 1..n, or n + 1 to open a new class
+            n = max(n, labels[-1])
+        streams.append((n0, draw(st.integers(0, min(10, len(labels)))), labels))
+    return dict(
+        d=draw(st.integers(1, 4)),
+        n_kk=n_kk,
+        streams=streams,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        noise=draw(st.floats(0.05, 5.0)),
+        a=draw(st.floats(0.0, 0.9)),
+        b=draw(st.floats(0.1, 3.0)),
+        entries=draw(st.sampled_from([None, 1, 7, 40, 97])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_prefix_blocks())
+def test_block_prefix_matches_one_prefix_per_stream(case):
+    """One Prefix over a block of streams gives each stream, bit for bit,
+    what a Prefix over that stream alone gives it: its versions, the steps
+    that made them, its counts, its final table and its scored log
+    posteriors, with the steps split over blocks and chunks differently.
+    A stream's head conditions it and is never scored: its queries score
+    and end as they do from the table its head folds first."""
+    rng = np.random.default_rng(case["seed"])
+    d, n_kk, noise = case["d"], case["n_kk"], case["noise"]
+    params, q0 = CrpParams.from_b(a=case["a"], b=case["b"]), rng.normal(size=d)
+    kk = (rng.normal(size=(n_kk, d)), rng.uniform(0.5, 2.0, n_kk), rng.integers(0, 3, n_kk))
+    tables, Z, labels = [], [], []
+    for n0, _, y in case["streams"]:
+        extra = n0 - n_kk
+        Q = np.vstack([kk[0], q0 + rng.normal(size=(extra, d))])
+        lam = np.append(kk[1], 1.0 + rng.uniform(1.0, 3.0, extra))
+        counts = np.append(kk[2], rng.integers(1, 4, extra))
+        tables.append(losses.ClassTable(Q, lam, counts, q0, 1.3, noise, n_kk=n_kk))
+        Z.append(rng.normal(size=(len(y), d)))
+        labels.append(np.array(y, dtype=np.int64))
+    heads = [h for _, h, _ in case["streams"]]
+    entries = case["entries"] or losses.PREFIX_ENTRIES
+    with mock.patch.object(losses, "PREFIX_ENTRIES", entries):
+        block = losses.Prefix(tables, np.vstack(Z), np.concatenate(labels), params, [len(y) for y in labels], heads)
+        scored = {
+            int(step): (c.n, c.u[i], c.logf[i], c.log_post[i]) for c in losses.chunks(block) for i, step in enumerate(c.steps)
+        }
+        for i, (table, z, y, h) in enumerate(zip(tables, Z, labels, heads)):
+            alone, first = losses.Prefix(table, z, y, params, heads=h), block.first[i]
+            versions = slice(block.start[block.base[i]], block.start[block.base[i] + len(alone.start) - 1])
+            for name in ("Q", "lam", "means", "variances"):
+                np.testing.assert_array_equal(getattr(block, name)[versions], getattr(alone, name))
+            np.testing.assert_array_equal(np.where(alone.made >= 0, alone.made + first, -1), block.made[versions])
+            width = alone.counts.shape[1]
+            np.testing.assert_array_equal(block.counts[i, :width], alone.counts[0])
+            assert not block.counts[i, width:].any()
+            folded = losses.Prefix(table, z[:h], y[:h], params).final_table()
+            two_pass = losses.Prefix(folded, z[h:], y[h:], params)
+            for name in ("Q", "lam", "means", "variances", "counts"):
+                got = getattr(block.final_table(i), name)
+                np.testing.assert_array_equal(got, getattr(alone.final_table(), name))
+                np.testing.assert_array_equal(got, getattr(two_pass.final_table(), name))
+            for want in (alone, two_pass):
+                got = 0
+                for c in losses.chunks(want):
+                    for j, step in enumerate(c.steps + (first + h if want is two_pass else first)):
+                        n, u, logf, log_post = scored[int(step)]
+                        assert n == c.n
+                        for a, b in ((u, c.u[j]), (logf, c.logf[j]), (log_post, c.log_post[j])):
+                            np.testing.assert_array_equal(a, b)
+                        got += 1
+                assert got == len(y) - h
+    assert len(scored) == sum(len(y) - h for y, h in zip(labels, heads))
 
 
 def test_teacher_forced_label_skipping_ahead_is_rejected():
@@ -796,8 +872,8 @@ def test_sequential_nll_per_query_is_evaluations_minus_log_post():
     for params, episode in _affine_sc_cases(10, seed=47):
         steps, nlls, real_chunks = [], [], losses.chunks
 
-        def chunks(prefixes, every_row=False):
-            for c in real_chunks(prefixes, every_row):
+        def chunks(prefix, every_row=False):
+            for c in real_chunks(prefix, every_row):
                 steps.append(c.steps)
                 yield c
 
@@ -813,7 +889,7 @@ def test_sequential_nll_per_query_is_evaluations_minus_log_post():
         Z = _encode(params.encoder, 8, episode.query_x)
         labels = meta.oracle_labels(episode)
         want = np.empty(len(labels))
-        for c in real_chunks([losses.Prefix(state._table, Z, labels, crp_params)]):
+        for c in real_chunks(losses.Prefix(state._table, Z, labels, crp_params)):
             want[c.steps] = -c.log_post[np.arange(len(c.steps)), labels[c.steps] - 1]
         np.testing.assert_array_equal(got, want)
 

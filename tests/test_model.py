@@ -34,6 +34,7 @@ from flowr.model import (
     ModelState,
     ProtocolError,
     _encode,
+    _large_context,
     fine_tune_output_layer,
     init_large_context,
     init_small_context,
@@ -45,6 +46,7 @@ from flowr.model import (
 
 NOISE = NoiseModel(0.5)
 _FAR = "input is too far from every class: no class gives it a finite log density"
+_OVERFLOW = "conditioning on it overflows its class row: the row's mean or variance is not finite"
 
 
 def _two_class_state():
@@ -90,9 +92,30 @@ def _overflowing_state():
     )
 
 
-# Input faults against label faults, as (state, inputs, labels, error,
-# message after "query i: " or "support point i: " for a ProtocolError);
-# stream order decides, and a point's input comes before its label.
+def _fine_noise_state():
+    """An empty 1-d state with noise variance 1e-200: an input of 1e150 is
+    scored with a finite log density (on the novel slot) but conditioning
+    a row on it overflows, 1e150 / 1e-200 being past the largest float."""
+    return ModelState(
+        encoder=Encoder.identity(),
+        class_stats=(),
+        counts=ClassCounts.empty(),
+        crp_params=CrpParams.from_b(a=0.5, b=1.0),
+        prior=SharedPrior(NaturalClassStats(q=np.zeros(1), lam=1.0)),
+        noise=NoiseModel(1e-200),
+    )
+
+
+def _at(what, message):
+    """A fault's full message: a message that starts with the point's index
+    reads `{what} i: ...`."""
+    return f"^{what} {message}$" if message[0].isdigit() else f"^{message}$"
+
+
+# Input faults against label faults and overflowing rows, as (state,
+# inputs, labels, error, message, after "query " or "support point " when
+# it starts with the point's index); stream order decides, and a point's
+# input comes before its label, its label before its conditioning.
 _INPUT_FAULTS = [
     # wrong shape (all rows alike, so they stack) before a bad label
     (_empty_state, [[0.0, 0.0], [0.0, 0.0]], [1, 5], ValueError,
@@ -120,21 +143,33 @@ _INPUT_FAULTS = [
     # an int beyond float range before a bad label
     (_empty_state, [[0.0], [10**400], [0.0]], [1, 1, 0], ValueError,
      "input must be finite: int too large to convert to float"),
+    # a point that overflows its row before a bad label, and before an input of the wrong shape
+    (_fine_noise_state, [[0.0], [1e150], [0.0]], [1, 1, 0], ValueError, f"1: {_OVERFLOW}"),
+    (_fine_noise_state, [[0.0], [1e150], [0.0, 0.0]], [1, 1, 1], ValueError, f"1: {_OVERFLOW}"),
+    # a bad label before a point that would overflow its row
+    (_fine_noise_state, [[0.0], [0.0], [1e150]], [1, 5, 1], ProtocolError,
+     "1: label 5 skips ahead of the 1 known classes"),
 ]
 
 
-# Faults in one query stream from _empty_state(), as (queries, error, message):
-# the first in stream order, a query's input before its label, is raised.
+# Faults in one query stream, as (state, queries, error, message): the
+# first in stream order, a query's input before its prediction, its
+# prediction before its label, its label before its conditioning, is raised.
 _QUERY_FAULTS = [
-    ([([0.0], 1), ([0.0], 3), ([0.0, 0.0], 2)], ProtocolError,
+    (_empty_state, [([0.0], 1), ([0.0], 3), ([0.0, 0.0], 2)], ProtocolError,
      "^query 1: label 3 skips ahead of the 1 known classes$"),
-    ([([0.0], 1), ([0.0, 0.0], 2), ([0.0], 5)], ValueError,
+    (_empty_state, [([0.0], 1), ([0.0, 0.0], 2), ([0.0], 5)], ValueError,
      "^input must be one vector of length 1, got shape \\(2,\\)$"),
-    ([([0.0], 1), ([0.0], 1), ([0.0], 0)], ProtocolError,
+    (_empty_state, [([0.0], 1), ([0.0], 1), ([0.0], 0)], ProtocolError,
      "^query 2: label 0 is not a positive class index$"),
-    ([([0.0], 0), ([np.nan], 1)], ProtocolError,
+    (_empty_state, [([0.0], 0), ([np.nan], 1)], ProtocolError,
      "^query 0: label 0 is not a positive class index$"),
-    ([([0.0], 1), ([np.nan], 9)], ValueError, "^input must be finite \\(after encoding\\)$"),
+    (_empty_state, [([0.0], 1), ([np.nan], 9)], ValueError, "^input must be finite \\(after encoding\\)$"),
+    # query 1 overflows its row after it is predicted: before query 2 is predicted far, and before its bad label
+    (_fine_noise_state, [([0.0], 1), ([1e150], 1), ([1e200], 1)], ValueError, f"^query 1: {re.escape(_OVERFLOW)}$"),
+    (_fine_noise_state, [([0.0], 1), ([1e150], 1), ([0.0], 9)], ValueError, f"^query 1: {re.escape(_OVERFLOW)}$"),
+    # a query too far from every class is refused before conditioning on it would overflow
+    (_fine_noise_state, [([0.0], 1), ([1e300], 1)], ValueError, f"^query 1: {_FAR}$"),
 ]
 
 
@@ -266,6 +301,38 @@ class TestUpdate:
         assert after > before
 
 
+class TestOverflowingRows:
+    """A conditioning step that overflows its class row, and class rows
+    whose predictive overflows, are refused with one line: such a row of
+    inf used to get no posterior mass, and nothing said why."""
+
+    def _parts(self):
+        prior = SharedPrior(NaturalClassStats(q=np.zeros(2), lam=1.0))
+        return prior, CrpParams.from_b(a=0.5, b=1.0), NoiseModel(1e-10), Encoder.identity()
+
+    def test_update_refuses_the_row_it_conditions(self):
+        state = init_small_context(*self._parts(), [([0.0, 0.0], 1)])
+        for y in (1, 2):  # a row conditioned again, and a row born from the prior's
+            with pytest.raises(ValueError, match=f"^{re.escape(_OVERFLOW)}$"):
+                update(state, [1e300, 1e300], y)
+        np.testing.assert_array_equal(update(state, [1e10, 1e10], 1).Q[0], [1e20, 1e20])
+
+    def test_update_on_a_known_known_label_conditions_nothing(self):
+        prior, crp, noise, enc = self._parts()
+        state = _large_context(np.zeros((1, 2)), np.ones(1), prior, crp, noise, enc)
+        assert update(state, [1e300, 1e300], 1).counts.counts.tolist() == [2]
+
+    def test_init_small_context(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^support point 1: {re.escape(_OVERFLOW)}$"):
+            init_small_context(*self._parts(), [([0.0, 0.0], 1), ([1e300, 1e300], 1), ([0.0, 0.0], 5)])
+
+    def test_large_context_rows_with_an_overflowing_mean(self):
+        """Q = 1e308 and lam = 1e-10 are finite, their mean is not."""
+        message = "^class stats must be finite, with positive precision and a finite predictive$"
+        with pytest.raises(ValueError, match=message):
+            _large_context(np.full((1, 2), 1e308), np.array([1e-10]), *self._parts())
+
+
 class TestInitSmallContext:
     def _ingredients(self, dim=2):
         prior = SharedPrior(NaturalClassStats(q=np.zeros(dim), lam=0.5))
@@ -313,8 +380,7 @@ class TestInitSmallContext:
         """The support is encoded in one call, yet the fault raised is the
         one stepping point by point met first: a point's input, then its label."""
         state = make_state()
-        message = f"^support point {message}$" if error is ProtocolError else f"^{message}$"
-        with np.errstate(over="ignore"), pytest.raises(error, match=message):
+        with np.errstate(over="ignore"), pytest.raises(error, match=_at("support point", message)):
             init_small_context(state.prior, state.crp_params, state.noise, state.encoder, zip(inputs, labels))
 
     def test_no_mass_prior_still_builds(self):
@@ -448,20 +514,25 @@ class TestRunEpisode:
         with pytest.raises(ProtocolError, match="query 1"):
             run_episode(_empty_state(), [([0.0], 1), ([0.0], 3)])
 
-    @pytest.mark.parametrize("queries, error, message", _QUERY_FAULTS)
-    def test_first_fault_in_stream_order_is_reported(self, queries, error, message):
-        """Each query is encoded, scored, then its label is applied: the
-        first fault in that order is the one raised, whatever follows it."""
+    @pytest.mark.parametrize("make_state, queries, error, message", _QUERY_FAULTS)
+    def test_first_fault_in_stream_order_is_reported(self, make_state, queries, error, message):
+        """Each query is encoded, scored, then its label is applied and it
+        conditions its row: the first fault in that order is the one
+        raised, whatever follows it, as stepping predict and update raises it."""
+        with np.errstate(over="ignore"), pytest.raises(error, match=re.sub(r"^\^query \d+: ", "^", message)):
+            state = make_state()
+            for x, y in queries:
+                predict(state, x)
+                state = update(state, x, y)
         with pytest.raises(error, match=message):
-            run_episode(_empty_state(), queries)
+            run_episode(make_state(), queries)
 
     @pytest.mark.parametrize("make_state, inputs, labels, error, message", _INPUT_FAULTS)
     def test_first_input_fault_in_stream_order_is_reported(self, make_state, inputs, labels, error, message):
         """The stream is encoded in one call, yet the fault raised is the
         one stepping query by query met first."""
         state = make_state()
-        message = f"^query {message}$" if error is ProtocolError else f"^{message}$"
-        with np.errstate(over="ignore"), pytest.raises(error, match=message):
+        with np.errstate(over="ignore"), pytest.raises(error, match=_at("query", message)):
             run_episode(state, zip(inputs, labels))
 
     @pytest.mark.parametrize(
@@ -581,7 +652,7 @@ class TestFineTune:
         state = make_state()
         if state.encoder.kind != "affine":
             state = init_small_context(state.prior, state.crp_params, state.noise, Encoder.affine([[1.0]], [0.0]), [])
-        message = f"^support point {message}$" if error is ProtocolError else f"^{message}$"
+        message = _at("support point", message)
         with mock.patch.object(losses, "loo_support_grads", wraps=losses.loo_support_grads) as loo:
             with np.errstate(over="ignore"), pytest.raises(error, match=message):
                 fine_tune_output_layer(state, zip(inputs, labels), 5, 0.1)
@@ -866,7 +937,7 @@ class TestRunEpisodes:
 
     @pytest.mark.parametrize(
         "make_state, inputs, labels, error, message",
-        _INPUT_FAULTS + [(_empty_state, [x for x, _ in q], [y for _, y in q], e, m) for q, e, m in _QUERY_FAULTS],
+        _INPUT_FAULTS + [(make, [x for x, _ in q], [y for _, y in q], e, m) for make, q, e, m in _QUERY_FAULTS],
     )
     def test_first_faulty_stream_is_reported(self, make_state, inputs, labels, error, message):
         """A clean stream, the faulty one, then one with a label fault at
@@ -874,7 +945,7 @@ class TestRunEpisodes:
         loop raised it."""
         state = make_state()
         if not message.startswith("^"):  # an _INPUT_FAULTS case
-            message = f"^query {message}$" if error is ProtocolError else f"^{message}$"
+            message = _at("query", message)
         streams = [(state, [([0.0], 1), ([0.0], 2)]), (state, list(zip(inputs, labels))), (state, [([0.0], 0)])]
         with np.errstate(over="ignore"):
             with pytest.raises(error, match=message):

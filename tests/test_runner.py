@@ -18,7 +18,7 @@ from flowr.encoder import ClassEmbeddings, Encoder
 from flowr.gaussian import NoiseModel
 from flowr.meta import oracle_labels
 from flowr.metrics import EpisodeRecords, roc_curve
-from flowr.model import fine_tune_output_layer, init_large_context, init_small_context, run_episode
+from flowr.model import _large_context, fine_tune_output_layer, init_large_context, init_small_context, run_episode
 
 
 def _problem(setting, d_in=6, d=4, **cfg):
@@ -47,9 +47,13 @@ def _per_episode_evaluate(dataset, ckpt, cfg, n_episodes):
     sampled, started and run through run_episode on its own, in index
     order. Returns (episodes, metrics, roc)."""
     start = known = None
-    if cfg.setting == "lc":
-        known = np.arange(1, ckpt.embeddings.n_classes + 1)
-        start = init_large_context(ckpt.embeddings, ckpt.params.prior(), ckpt.crp, ckpt.noise, ckpt.params.encoder)
+    p = ckpt.params
+    if cfg.setting == "lc" and p.class_q is not None:
+        start = _large_context(p.class_q, np.exp(p.class_log_lambda), p.prior(), ckpt.crp, ckpt.noise, p.encoder)
+    elif cfg.setting == "lc":
+        start = init_large_context(ckpt.embeddings, p.prior(), ckpt.crp, ckpt.noise, p.encoder)
+    if start is not None:
+        known = np.arange(1, start.n_kk + 1)
     episodes = []
     for i in range(n_episodes):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, i)))
@@ -80,19 +84,41 @@ def test_blocks_give_what_one_episode_at_a_time_gave(setting, fine_tune_steps, b
     budget) give the records, metrics and ROC of the per-episode loop, bit
     for bit; the 7 episodes cross block boundaries at budgets 40 and 100."""
     world, ckpt, cfg = _problem(setting, fine_tune_steps=fine_tune_steps)
-    want_episodes, want_metrics, want_roc = _per_episode_evaluate(world, ckpt, cfg, 7)
+    want = _per_episode_evaluate(world, ckpt, cfg, 7)
     with mock.patch.object(losses, "BLOCK_QUERIES", budget or losses.BLOCK_QUERIES):
-        result = runner.evaluate(world, ckpt, cfg, n_episodes=7)
-    assert len(result.episodes) == 7
-    for got, want in zip(result.episodes, want_episodes):
+        _assert_same_evaluation(runner.evaluate(world, ckpt, cfg, n_episodes=7), *want)
+
+
+@pytest.mark.parametrize("setting, fine_tune_steps", [("sc", 0), ("sc", 1), ("lc", 0)])
+def test_one_pass_per_block_gives_what_each_episode_gets_alone(setting, fine_tune_steps):
+    """evaluate folds each support into its query stream as a head and
+    scores a block of streams in one pass, yet gives every record, the
+    metrics and the ROC that starting each episode (init_small_context,
+    fine-tuned or not, or _large_context over the trained rows) and running
+    it through run_episode gives, with blocks of a few episodes and chunks
+    of a few steps, both splitting mid-run."""
+    world, ckpt, cfg = _problem(setting, fine_tune_steps=fine_tune_steps)
+    if setting == "lc":
+        rng = np.random.default_rng(9)
+        rows = dict(class_q=rng.normal(size=(8, 4)), class_log_lambda=rng.normal(size=8))
+        ckpt = replace(ckpt, params=replace(ckpt.params, **rows))
+    want = _per_episode_evaluate(world, ckpt, cfg, 9)
+    with mock.patch.object(losses, "BLOCK_QUERIES", 40), mock.patch.object(losses, "PREFIX_ENTRIES", 60):
+        _assert_same_evaluation(runner.evaluate(world, ckpt, cfg, n_episodes=9), *want)
+
+
+def _assert_same_evaluation(result, episodes, metrics, roc):
+    """result's records (every field, probs bit for bit), metrics and ROC are the reference's."""
+    assert len(result.episodes) == len(episodes)
+    for got, want in zip(result.episodes, episodes):
         assert (len(got.records), got.n_initial) == (len(want.records), want.n_initial)
         for r, w in zip(got.records, want.records):
             np.testing.assert_array_equal(r.probs, w.probs)
             assert (r.predicted, r.known_argmax, r.novelty_score, r.n_at_prediction, r.true_label) == (
                 w.predicted, w.known_argmax, w.novelty_score, w.n_at_prediction, w.true_label
             )
-    assert runner.format_metrics(result.metrics) == runner.format_metrics(want_metrics)
-    for got, want in zip(result.roc, want_roc):
+    assert runner.format_metrics(result.metrics) == runner.format_metrics(metrics)
+    for got, want in zip(result.roc, roc):
         np.testing.assert_array_equal(got, want)
 
 
@@ -138,14 +164,13 @@ def test_large_context_start_is_the_trained_table():
     cfg = ExperimentConfig(
         setting="lc", eval_support_classes=0, eval_novel_classes=3, eval_queries_per_class=2, operating_tpr=0.6,
     )
-    starts, run = [], runner.run_episodes
+    starts, run = [], runner._fold
 
-    def spy(streams):
-        streams = list(streams)
-        starts.extend(state for state, _ in streams)
-        return run(streams)
+    def spy(streams, finals=True):
+        starts.extend(state for state, *_ in streams)
+        return run(streams, finals)
 
-    with mock.patch.object(runner, "run_episodes", spy):
+    with mock.patch.object(runner, "_fold", spy):
         runner.evaluate(world, ckpt, cfg, n_episodes=2)
     episode = meta.sample_lc_task(world, cfg.eval_episode_config(), rng, np.arange(1, n_kk + 1))
     with mock.patch.object(losses, "_table_nll", side_effect=losses._table_nll) as scored:
