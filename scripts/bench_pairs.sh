@@ -16,7 +16,11 @@
 # A workload's table, also in OUT_DIR/WORKLOAD/pairs.txt, has one row per
 # end-to-end metric of BENCHMARK.json: each side's median and quartiles
 # over its runs, change/base of the medians, and the pairs the change won
-# in the metric's better direction (ties count for neither side).
+# in the metric's better direction (ties count for neither side). Rows
+# marked `reported` follow, for the per-query latency p50 and p99 that a
+# workload's report prints (lc-stream), read from each run's report log:
+# they gate nothing, and show the per-query effect that the gated
+# throughput averages away.
 #
 # Usage: scripts/bench_pairs.sh BASE_REF OUT_DIR WORKLOADS [PAIRS] [SECONDS] [SEED]
 # PAIRS defaults to 10, SECONDS to BENCHMARK.json's run_seconds, SEED to 1.
@@ -70,6 +74,7 @@ for workload in $workloads; do
     echo "== $workload"
     python3 - "$out" "$pairs" "$root/BENCHMARK.json" <<'PY' | tee "$out/pairs.txt" || status=1
 import json
+import re
 import statistics
 import sys
 
@@ -85,26 +90,39 @@ def result(side, i):
 runs = {side: [result(side, i) for i in range(1, pairs + 1)] for side in ("base", "change")}
 bad = [f"{side}-{i + 1}" for side, rs in runs.items() for i, r in enumerate(rs) if not (r and r.get("correct") is True)]
 
+def reported(side, i, name):
+    """A figure the run's report log prints as `  name = value`, or None."""
+    try:
+        with open(f"{out}/{side}-{i}.log") as f:
+            found = re.search(rf"^  {name} = (\S+)$", f.read(), re.M)
+    except OSError:
+        return None
+    return float(found.group(1)) if found else None
+
 def quartiles(xs):
     if len(xs) < 2:
         return xs[0], xs[0], xs[0]
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q2, q3
 
-print(f"{'metric':<20} {'base q1':>11} {'base med':>11} {'base q3':>11} "
-      f"{'change q1':>11} {'change med':>11} {'change q3':>11} {'ratio':>7} {'won':>7}")
-for metric in spec["end_to_end"]:
-    name, higher = metric["name"], metric["better"] == "higher"
-    values = {side: [r["metrics"][name]["value"] if r and name in r.get("metrics", {}) else None for r in rs]
-              for side, rs in runs.items()}
+def row(name, values, higher, note=""):
     both = [(b, c) for b, c in zip(values["base"], values["change"]) if b is not None and c is not None]
     if not both:
-        continue
+        return
     base, change = quartiles([b for b, _ in both]), quartiles([c for _, c in both])
     won = sum((c > b) if higher else (c < b) for b, c in both)
     ratio = f"{change[1] / base[1]:.3f}" if base[1] else "-"
     print(f"{name:<20} {base[0]:>11.5g} {base[1]:>11.5g} {base[2]:>11.5g} "
-          f"{change[0]:>11.5g} {change[1]:>11.5g} {change[2]:>11.5g} {ratio:>7} {won:>3}/{len(both):<3}")
+          f"{change[0]:>11.5g} {change[1]:>11.5g} {change[2]:>11.5g} {ratio:>7} {won:>3}/{len(both):<3}{note}")
+
+print(f"{'metric':<20} {'base q1':>11} {'base med':>11} {'base q3':>11} "
+      f"{'change q1':>11} {'change med':>11} {'change q3':>11} {'ratio':>7} {'won':>7}")
+for metric in spec["end_to_end"]:
+    name = metric["name"]
+    row(name, {side: [r["metrics"][name]["value"] if r and name in r.get("metrics", {}) else None for r in rs]
+               for side, rs in runs.items()}, metric["better"] == "higher")
+for name in ("query_latency_p50_us", "query_latency_p99_us"):  # lower is better
+    row(name, {side: [reported(side, i, name) for i in range(1, pairs + 1)] for side in runs}, False, " reported")
 for side, rs in runs.items():
     attempted = sum(r["attempted"] for r in rs if r)
     failed = sum(r["failed"] for r in rs if r)

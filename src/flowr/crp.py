@@ -19,6 +19,7 @@ class table (losses.ClassTable) counts 2, so its sequential prior is not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,7 +96,7 @@ class CrpParams:
         if not np.isfinite(self.rho):
             raise ValueError("rho must be finite")
 
-    @property
+    @cached_property
     def b(self) -> float:
         return softplus(self.rho) - self.a
 

@@ -146,9 +146,16 @@ def differences(Z, means):
     return diff, np.einsum("mcd,mcd->mc", diff, diff)
 
 
+def density_constants(variances, d):
+    """-d/2 (log 2 pi + log v) and 2 v of N(mu, v I) in d dimensions, as
+    log_density_sq reads them; losses.ClassTable keeps them per row."""
+    return -0.5 * d * (LOG_2PI + np.log(variances)), 2.0 * variances
+
+
 def log_density_sq(sq, variances, d):
     """Log density of N(mu, v I) in d dimensions at squared distance sq from mu."""
-    return -0.5 * d * (LOG_2PI + np.log(variances)) - sq / (2.0 * variances)
+    norm, two_v = density_constants(variances, d)
+    return norm - sq / two_v
 
 
 def log_density_matrix(Z, means, variances):
@@ -156,9 +163,8 @@ def log_density_matrix(Z, means, variances):
 
     Z: (m, d), means: (c, d), variances: (c,). Returns (m, c). Means
     (m, c, d) and variances (m, c) give each point its own c Gaussians.
-    This is differences() then log_density_sq(), the forward pass of
-    prediction; every training loss runs the same two steps in
-    losses._mixture_nll_grads, which keeps the block for its gradients.
+    This is differences() then log_density_sq(), as are model.predict and
+    every training loss (losses._mixture_nll_grads keeps the block).
     """
     Z = np.asarray(Z, dtype=np.float64)
     means = np.asarray(means, dtype=np.float64)

@@ -42,7 +42,7 @@ class count together, in blocks and cache-sized chunks bounded by
 PREFIX_ENTRIES. Evaluation (model._fold) and the teacher-forced loss run
 this pass. Every training loss runs _mixture_nll_grads, one forward and
 backward pass over a single difference block z - mu; _bayes is Bayes rule
-under a CRP log prior, which model.predict applies too.
+under a CRP log prior, whose rounding model.predict repeats on one query.
 
 Both meta-training settings run one loss, episode_grads, over the table
 
@@ -68,9 +68,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .crp import CrpParams, arrival_labels, class_prior, grad_b, predictive_class_probs, predictive_grad_b, sigmoid
+from .crp import CrpParams, arrival_labels, class_prior, grad_b, predictive_grad_b, sigmoid
 from .crp import ProtocolError  # noqa: F401  re-exported as flowr.losses.ProtocolError
-from .gaussian import differences, log_density_matrix, log_density_sq
+from .gaussian import density_constants, differences, log_density_matrix, log_density_sq
 
 
 def logsumexp(x, axis=-1):
@@ -99,12 +99,12 @@ def _encoder_grads(weight, pairs):
 
 class ClassTable:
     """The class table [classes | novel slot], the prior's row last: Q, lam,
-    the cached predictive means Q / lam and variances 1 / lam + s_eps, and
-    int64 counts (the novel slot holds none), every array exact-size and
-    read-only. A table is a value: condition() returns the next one. Rows
-    below n_kk count labels but are never conditioned. The table is the
-    only holder of the class counts: its .counts is what
-    crp.predictive_class_probs reads.
+    the cached predictive means Q / lam, variances v = 1 / lam + s_eps and
+    density constants log_norm and two_v (gaussian.density_constants of v),
+    and int64 counts (the novel slot holds none), every array exact-size
+    and read-only. A table is a value: condition() returns the next one.
+    Rows below n_kk count labels but are never conditioned. The table is
+    the only holder of the class counts, which crp.class_prior reads.
     """
 
     # a class's count after its first point; the two-parameter CRP of
@@ -115,13 +115,15 @@ class ClassTable:
 
     def __init__(self, Q, lam, counts, q0, lam0, noise_var, *, n_kk=0):
         Q, lam = np.vstack([Q, q0[None, :]]), np.append(lam, lam0)
-        self._set(Q, lam, Q / lam[:, None], 1.0 / lam + noise_var, np.array(counts, dtype=np.int64), n_kk, noise_var)
+        variances = 1.0 / lam + noise_var
+        rows = (Q, lam, Q / lam[:, None], variances, *density_constants(variances, Q.shape[1]))
+        self._set(rows, np.array(counts, dtype=np.int64), n_kk, noise_var)
 
-    def _set(self, Q, lam, means, variances, counts, n_kk, noise_var) -> "ClassTable":
-        for a in (Q, lam, means, variances, counts):
+    def _set(self, rows, counts, n_kk, noise_var) -> "ClassTable":
+        for a in (*rows, counts):
             a.setflags(write=False)
-        self.Q, self.lam, self.means, self.variances, self.counts = Q, lam, means, variances, counts
-        self.n, self.n_kk, self.noise_var = len(counts), n_kk, noise_var
+        self._rows, self.counts, self.n, self.n_kk, self.noise_var = rows, counts, len(counts), n_kk, noise_var
+        self.Q, self.lam, self.means, self.variances, self.log_norm, self.two_v = rows
         return self
 
     @classmethod
@@ -134,35 +136,29 @@ class ClassTable:
         y, which crp.label_fault accepts; this table stays as it is. A
         known-known label (y <= n_kk) moves only its count and shares the
         rows. Any other label copies the rows once and conditions row
-        y - 1; a label n + 1 opens it as a copy of the prior's row, which
-        stays last."""
-        n, rows = self.n, (self.Q, self.lam, self.means, self.variances)
+        y - 1, its density constants included; a label n + 1 opens it as a
+        copy of the prior's row, which stays last."""
+        n = self.n
         if y == n + 1:
             counts = np.append(self.counts, self.NEW_CLASS_COUNT)
-            rows = [np.concatenate((a[: n + 1], a[n:])) for a in rows]
+            rows = [np.concatenate((a[: n + 1], a[n:])) for a in self._rows]
         else:
             counts = self.counts.copy()
             counts[y - 1] += 1
             if y <= self.n_kk:
-                return self._next(rows, counts)
-            rows = [a.copy() for a in rows]
-        Q, lam, means, variances = rows
+                return self._next(self._rows, counts)
+            rows = [a.copy() for a in self._rows]
+        Q, lam, means, variances, log_norm, two_v = rows
         r, inv = y - 1, 1.0 / self.noise_var
         Q[r] += z * inv
         lam[r] += inv
         means[r] = Q[r] / lam[r]
         variances[r] = 1.0 / lam[r] + self.noise_var
+        log_norm[r:y], two_v[r:y] = density_constants(variances[r:y], Q.shape[1])  # by slice, as the table was built
         return self._next(rows, counts)
 
     def _next(self, rows, counts) -> "ClassTable":
-        return object.__new__(ClassTable)._set(*rows, counts, self.n_kk, self.noise_var)
-
-
-def log_class_prior(counts, params: CrpParams) -> np.ndarray:
-    """Log CRP predictive over the classes and the novel slot (-inf for no
-    mass); counts is a ClassTable or a crp.ClassCounts."""
-    with np.errstate(divide="ignore"):
-        return np.log(predictive_class_probs(counts, params))
+        return object.__new__(ClassTable)._set(rows, counts, self.n_kk, self.noise_var)
 
 
 def _bayes(logf, log_prior):
@@ -388,7 +384,8 @@ def _table_nll(table, Z, y_idx, params):
     (nll, d_Q, d_lam, d_Z, d_log_prior); d_Q and d_lam end with the novel
     slot's row. Only the losses that train b take d/db from d_log_prior.
     """
-    log_prior = log_class_prior(table, params)
+    with np.errstate(divide="ignore"):  # a class with no mass: -inf
+        log_prior = np.log(class_prior(table.counts, params)[1])
     nll, d_means, d_vars, d_Z, d_log_prior = _mixture_nll_grads(Z, y_idx, table.means, table.variances, log_prior)
     d_Q, d_lam = _natural_chain(d_means, d_vars, table.Q, table.lam)
     return nll, d_Q, d_lam, d_Z, d_log_prior

@@ -14,26 +14,23 @@ streams whose labels are all known: one losses.Prefix folds a block of
 streams, each a support (a conditioning-only head) and its queries, and
 one losses.chunks pass scores the queries. init_small_context (a head and
 no queries), run_episode(s) (queries and no head) and runner.evaluate are
-its cases. _encode and _encode_labelled are flowr's only readers of raw
-inputs: each call reads its inputs as one block encoded by losses.encode,
+its cases. _encode, _encode_one and _encode_labelled are flowr's only
+readers of raw inputs: each call encodes its inputs by losses.encode,
 refuses a bad one with a one-line error, and reports a stream's first
 fault as stepping would meet it, an overflowing class row included.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
 
 from . import losses
-from .crp import (
-    ClassCounts, CrpParams, InvalidStateError, ProtocolError, arrival_labels, label_fault, predictive_class_probs,
-)
+from .crp import ClassCounts, CrpParams, InvalidStateError, ProtocolError, arrival_labels, class_prior, label_fault
 from .encoder import ClassEmbeddings, Encoder
-from .gaussian import NaturalClassStats, NoiseModel, SharedPrior, log_density_matrix
+from .gaussian import NaturalClassStats, NoiseModel, SharedPrior, differences
 
 _FAR = "input is too far from every class: no class gives it a finite log density"  # its posterior is NaN
 _OVERFLOW = "conditioning on it overflows its class row: the row's mean or variance is not finite"
@@ -115,51 +112,61 @@ class PredictionRecord:
     true_label: int | None = None
 
 
-def _check_width(encoder: Encoder, dim):
-    """Refuse an affine encoder whose output length is not the class
-    dimension dim, a fault met before any input is read (.row 0)."""
-    k = encoder.weight.shape[0] if encoder.kind == "affine" else dim
+def _check_width(encoder: Encoder, dim) -> int:
+    """The input length d_in the encoder reads; an affine encoder whose output length
+    is not the class dimension dim is refused before any input is read (.row 0)."""
+    if encoder.kind != "affine":
+        return dim
+    k, d_in = encoder.weight.shape
     if k != dim:
         fault = ValueError(f"encoder output dimension {k} != class dimension {dim}")
         fault.row = 0
         raise fault
+    return d_in
 
 
 def _encode(encoder: Encoder, dim, inputs) -> np.ndarray:
     """Read and encode raw inputs (a list or an array) in one call: Z (m,
-    dim) from vectors of length dim (identity) or weight.shape[1] (affine),
-    by encoder(X), which applies losses.encode as training does. An encoder
-    whose output length is not dim is refused first (_check_width); a bad
-    input raises the error a check of that row alone raises, with the row
-    as .row: the first that is not one vector of length d_in, holds a
-    number beyond float range or is not finite after encoding.
+    dim) by encoder(X), which applies losses.encode as training does, after
+    _check_width. The first bad input raises what _encode_one raises for it
+    alone, with its row as .row: not one vector of length d_in, a number
+    beyond float range, or not finite after encoding.
     """
-    _check_width(encoder, dim)
-    d_in = dim if encoder.kind == "identity" else encoder.weight.shape[1]
-    m, fault = len(inputs), None
+    d_in = _check_width(encoder, dim)
     try:
         X = np.asarray(inputs, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
-        X = None  # ragged, not numbers, or beyond float range: the row check below finds the row
-    if X is None or X.shape != (m, d_in):
+        X = None  # ragged, not numbers, or beyond float range: the rows are read one by one below
+    if X is None or X.shape != (len(inputs), d_in):
         for row, x in enumerate(inputs):
-            try:
-                shape = np.asarray(x, dtype=np.float64).shape
-                if shape != (d_in,):
-                    raise ValueError(f"input must be one vector of length {d_in}, got shape {shape}")
-            except (TypeError, ValueError, OverflowError) as e:
-                fault = ValueError(f"input must be finite: {e}") if isinstance(e, OverflowError) else e
-                fault.row = m = row
-                break
-        X = np.asarray(inputs[:m], dtype=np.float64).reshape(m, d_in)
+            _encode_one(encoder, dim, x, row)  # raises the first bad row's fault
+        X = np.asarray(inputs, dtype=np.float64).reshape(len(inputs), d_in)
     Z = encoder(X)
     finite = np.isfinite(Z)
     if not finite.all():
         fault = ValueError("input must be finite (after encoding)")
         fault.row = int(finite.all(axis=1).argmin())
-    if fault is not None:
         raise fault
     return Z
+
+
+def _encode_one(encoder: Encoder, dim, x, row=0) -> np.ndarray:
+    """_encode([x])[0] bit for bit with no block to build, the read of
+    predict and update; a bad input raises its fault with row as .row."""
+    d_in = _check_width(encoder, dim)
+    try:
+        v = np.asarray(x, dtype=np.float64)
+        if v.shape != (d_in,):
+            raise ValueError(f"input must be one vector of length {d_in}, got shape {v.shape}")
+    except (TypeError, ValueError, OverflowError) as e:
+        fault = ValueError(f"input must be finite: {e}") if isinstance(e, OverflowError) else e
+    else:
+        z = encoder(v[None])[0]
+        if np.isfinite(z).all():
+            return z
+        fault = ValueError("input must be finite (after encoding)")
+    fault.row = row
+    raise fault
 
 
 def _encode_labelled(encoder: Encoder, dim, n, stream, what) -> tuple:
@@ -184,13 +191,22 @@ def predict(state: ModelState, x) -> PredictionRecord:
     with the highest log posterior, else the highest predictive log
     density. An input too far from every class, whose posterior would be
     NaN, is refused.
+
+    The difference block and a few vector operations over the class table's
+    density constants and counts score it, bit for bit as _fold does.
     """
-    table = state._table
-    logf = log_density_matrix(_encode(state.encoder, state.dim, [x]), table.means, table.variances)
-    log_post = losses._bayes(logf, losses.log_class_prior(table, state.crp_params))
-    if math.isnan(log_post[0, -1]):
+    table, z = state._table, _encode_one(state.encoder, state.dim, x)
+    with np.errstate(over="ignore", divide="ignore"):  # -inf for a class too far or with no mass
+        logf = table.log_norm - differences(z[None], table.means)[1][0] / table.two_v
+        logits = logf + np.log(class_prior(table.counts, state.crp_params)[1])
+    top = logits.max()
+    if not top > -np.inf:
         raise ValueError(_FAR)
-    return _records(table.n, logf, log_post)[0]
+    log_post = logits - (top + np.log(np.exp(logits - top).sum()))
+    probs, n = np.exp(log_post), table.n
+    if not probs[:n].any():  # no known class has mass: known_argmax falls back
+        return _records(n, logf[None], log_post[None])[0]
+    return PredictionRecord(probs, int(probs.argmax()) + 1, int(probs[:n].argmax()) + 1, float(probs[-1]), n)
 
 
 def _records(n, logf, log_post, labels=None) -> list:
@@ -217,7 +233,7 @@ def update(state: ModelState, x, y) -> ModelState:
     """Condition the state on one labelled point; returns a new state over
     the next class table, which shares the rows for a known-known label
     (y <= n_kk). A row the point would overflow is refused."""
-    z = _encode(state.encoder, state.dim, [x])[0]
+    z = _encode_one(state.encoder, state.dim, x)
     fault = label_fault(y, state.n_classes)
     if fault:
         raise ProtocolError(fault)
@@ -390,7 +406,7 @@ def _read_labels(state, sy, qy, z, input_fault) -> tuple:
     if t > h:
         if not h and not state._table.counts.any():
             try:  # the CRP rule refuses to score step 0 when no class has a count yet and b <= 0
-                predictive_class_probs(state._table, state.crp_params)
+                class_prior(state._table.counts, state.crp_params)
             except InvalidStateError as e:
                 return y, (0, 1, e)
         q, e = _checked(max(n, int(y.max(initial=0))), qy[: t - h], "query")

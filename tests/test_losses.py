@@ -251,7 +251,8 @@ def _two_pass_nll_grads(Z, y_idx, means, variances, log_prior):
 def _two_pass_table_nll(table, Z, y_idx, params):
     """_table_nll through the two-pass reference, with d/db as the frozen
     episode loss takes it."""
-    log_prior = losses.log_class_prior(table, params)
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(crp.class_prior(table.counts, params)[1])
     nll, d_means, d_vars, d_Z, d_log_prior = _two_pass_nll_grads(Z, y_idx, table.means, table.variances, log_prior)
     d_Q, d_lam = losses._natural_chain(d_means, d_vars, table.Q, table.lam)
     return nll, d_Q, d_lam, d_Z, float(crp.predictive_grad_b(table, params, d_log_prior))

@@ -6,6 +6,7 @@ N(0,5) and class prior [0.45, 0.45, 0.10]; that prior is realised exactly
 by counts [14, 14] with a=0.5, b=2 ((14-0.5)/30 = 0.45, (2+0.5*2)/30 = 0.1).
 """
 
+import math
 import re
 from unittest import mock
 
@@ -25,6 +26,7 @@ from flowr.gaussian import (
     SharedPrior,
     batch_posterior,
     condition,
+    density_constants,
     factor_to_natural,
     log_density,
     log_density_matrix,
@@ -34,7 +36,9 @@ from flowr.model import (
     ModelState,
     ProtocolError,
     _encode,
+    _encode_one,
     _large_context,
+    _records,
     fine_tune_output_layer,
     init_large_context,
     init_small_context,
@@ -233,6 +237,19 @@ class TestPredict:
             record = predict(state, rng.normal(size=d))
             np.testing.assert_allclose(record.probs.sum(), 1.0, rtol=0, atol=1e-9)
             assert 0.0 <= record.novelty_score <= 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_class_too_far_for_its_variance_gets_no_mass(self):
+        """A class whose squared distance over its tiny predictive variance
+        overflows has log density -inf and no mass: predict warned
+        `overflow encountered in divide` here, which the repository's
+        warning filter turns into an error, though the posterior is well
+        defined."""
+        state = init_small_context(
+            SharedPrior(NaturalClassStats(q=np.zeros(1), lam=1.0)), CrpParams.from_b(a=0.5, b=1.0),
+            NoiseModel(1e-200), Encoder.identity(), [([0.0], 1)],
+        )
+        np.testing.assert_array_equal(predict(state, [1e150]).probs, [0.0, 1.0])
 
     def test_novel_slot_never_closes_while_b_positive(self):
         state = _two_class_state()
@@ -996,10 +1013,112 @@ class TestRunEpisodes:
                 run_episodes([(first, [([0.0], 1)]), (second, [([0.0], 1)])])
 
 
+def _batch_predict(state, x):
+    """predict as the batch helpers wrote it before it scored one query on
+    vectors: log_density_matrix on a block of one encoded input, the log
+    CRP prior, losses._bayes and _records. Kept as the reference the
+    one-query path must match bit for bit."""
+    table = state._table
+    logf = log_density_matrix(_encode(state.encoder, state.dim, [x]), table.means, table.variances)
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(predictive_class_probs(table, state.crp_params))
+    log_post = losses._bayes(logf, log_prior)
+    if math.isnan(log_post[0, -1]):
+        raise ValueError(_FAR)
+    return _records(table.n, logf, log_post)[0]
+
+
+def _same_record(got, want):
+    np.testing.assert_array_equal(got.probs, want.probs)
+    assert (got.predicted, got.known_argmax, got.novelty_score, got.n_at_prediction) == (
+        want.predicted, want.known_argmax, want.novelty_score, want.n_at_prediction
+    )
+
+
+class TestLargeContextShape:
+    """predict and update at the shape of the benchmark's online stream:
+    1,000 persistent classes, d = 64, an identity-affine encoder and 5
+    novel classes interleaved, where the difference block's einsum takes
+    its vector path and the sums and logs run over long rows, which the
+    property tests (d <= 4, a few classes) do not reach."""
+
+    N, D, NOVEL = 1000, 64, 5
+
+    def _start(self, init_count, b=1.0):
+        rng = np.random.default_rng(init_count)
+        emb = ClassEmbeddings(means=rng.normal(size=(self.N, self.D)), variances=np.full(self.N, 0.5 / 20))
+        prior = SharedPrior(NaturalClassStats(q=np.zeros(self.D), lam=1.0))
+        crp = CrpParams.from_b(a=0.5, b=b)
+        state = init_large_context(emb, prior, crp, NOISE, Encoder.identity_affine(self.D), init_count=init_count)
+        return state, emb.means, rng
+
+    def _stream(self, means, rng, known=240):
+        """known points of random persistent classes and 8 of each novel
+        class, shuffled: a novel class is labelled n + 1 at its first point,
+        n counting the classes seen before it (the N persistent ones when
+        known > 0)."""
+        centres = np.vstack([means, rng.normal(size=(self.NOVEL, self.D))])
+        novel = np.repeat(self.N + np.arange(self.NOVEL), 8)
+        classes = rng.permutation(np.append(rng.integers(0, self.N, size=known), novel))
+        opened, n0 = {}, self.N if known else 0
+        labels = [c + 1 if c < self.N else opened.setdefault(c, n0 + len(opened) + 1) for c in classes]
+        X = centres[classes] + rng.normal(size=(len(classes), self.D)) * math.sqrt(NOISE.noise_variance)
+        return list(zip(X, labels))
+
+    @pytest.mark.parametrize("init_count", [1, 0])
+    def test_stepping_matches_the_batch_predict_and_run_episode(self, init_count):
+        """At init_count=0 no known class has mass until its first label,
+        so known_argmax falls back to the highest log posterior."""
+        start, means, rng = self._start(init_count)
+        stream = self._stream(means, rng)
+        records, final = run_episode(start, stream)
+        state, fallbacks = start, 0
+        for (x, y), rec in zip(stream, records):
+            got = predict(state, x)
+            _same_record(got, _batch_predict(state, x))
+            _same_record(got, rec)
+            fallbacks += not got.probs[: state.n_classes].any()
+            state = update(state, x, y)
+        assert state.n_classes == self.N + self.NOVEL
+        assert fallbacks > 0 if init_count == 0 else fallbacks == 0
+        for name in ("Q", "lam", "means", "variances", "log_norm", "two_v", "counts"):
+            np.testing.assert_array_equal(getattr(state._table, name), getattr(final._table, name))
+        for got, want in zip((state._table.log_norm, state._table.two_v), density_constants(state.variances, self.D)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_empty_state(self):
+        """No class yet: the whole posterior on the novel slot, then the
+        classes the stream opens, as the batch predict scores them."""
+        state, means, rng = self._start(1)
+        state = init_small_context(state.prior, state.crp_params, NOISE, state.encoder, [])
+        stream = self._stream(means, rng, known=0)
+        np.testing.assert_array_equal(predict(state, stream[0][0]).probs, [1.0])
+        records, final = run_episode(state, stream)
+        for (x, y), rec in zip(stream, records):
+            _same_record(predict(state, x), _batch_predict(state, x))
+            _same_record(predict(state, x), rec)
+            state = update(state, x, y)
+        for name in ("Q", "lam", "means", "variances", "log_norm", "two_v", "counts"):
+            np.testing.assert_array_equal(getattr(state._table, name), getattr(final._table, name))
+
+    def test_faults(self):
+        """b <= 0 with no count yet, and a query too far from every class,
+        are refused with the batch predict's messages."""
+        no_mass, means, _ = self._start(0, b=-0.25)
+        far = (self._start(1)[0], np.full(self.D, 1e160), ValueError)
+        for state, x, error in ((no_mass, means[0], InvalidStateError), far):
+            with pytest.raises(error) as want:
+                _batch_predict(state, x)
+            with pytest.raises(error, match=f"^{re.escape(str(want.value))}$"):
+                predict(state, x)
+        assert str(want.value) == _FAR
+
+
 class TestEncode:
-    """_encode, the one encoding path of predict, update, run_episode,
-    init_small_context, fine-tuning and the NCM baseline, encodes a whole block at once and gives each row
-    what encoding that vector alone gives, bit for bit."""
+    """_encode, the one encoding path of run_episode, init_small_context,
+    fine-tuning and the NCM baseline (predict and update read one input
+    with its one-vector case, _encode_one), encodes a whole block at once
+    and gives each row what encoding that vector alone gives, bit for bit."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -1027,6 +1146,26 @@ class TestEncode:
         want = np.array([enc.weight @ x + enc.bias if affine else x for x in X])
         assert Z.shape == (m, d)
         np.testing.assert_array_equal(Z, want)
+        np.testing.assert_array_equal(_encode_one(state.encoder, state.dim, X[-1]), want[-1])
+
+    @pytest.mark.parametrize("x", [[0.0, 0.0], [[0.0]], 0.0, [np.nan], [np.inf], [10**400], [{}], "a", [1e10]])
+    @pytest.mark.parametrize(
+        "encoder", [Encoder.identity(), Encoder.affine([[1e300]], [0.0]), Encoder.affine([[1.0, 1.0]], [0.0]),
+                    Encoder.affine(np.eye(2), np.zeros(2))],
+    )
+    def test_one_input_as_in_a_block(self, x, encoder):
+        """_encode_one, the read of predict and update, gives what _encode
+        gives a block of the one input, bit for bit, or refuses it with the
+        same error, message and row."""
+        with np.errstate(over="ignore"):  # 1e300 * 1e10 overflows the encoder's matmul
+            try:
+                want = _encode(encoder, 1, [x])[0]
+            except (TypeError, ValueError) as e:
+                with pytest.raises(type(e)) as got:
+                    _encode_one(encoder, 1, x)
+                assert (str(got.value), got.value.row) == (str(e), e.row)
+            else:
+                np.testing.assert_array_equal(_encode_one(encoder, 1, x), want)
 
 
 def _stepped_support_table(state, support):
