@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crp import ProtocolError, label_fault
+from .crp import ProtocolError, integers, label_fault
 from .encoder import Encoder
 from .model import PredictionRecord, _encode, _encode_labelled
 
@@ -35,7 +35,7 @@ class PrototypeState:
 
     def __post_init__(self):
         sums = np.asarray(self.sums, dtype=np.float64)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = integers(self.counts, "count {i}: {v} is not an integer")
         if sums.ndim != 2:
             raise ValueError(f"sums must be (n_classes, dim), got shape {sums.shape}")
         if counts.shape != (sums.shape[0],):

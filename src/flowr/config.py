@@ -53,6 +53,8 @@ class ExperimentConfig:
                      "meta_batch_size", "eval_episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (float(self.fine_tune_steps).is_integer() and self.fine_tune_steps >= 0):
+            raise ValueError(f"fine_tune_steps must be a non-negative integer, got {self.fine_tune_steps}")
 
     def train_episode_config(self) -> EpisodeConfig:
         return self._episode_config("train")

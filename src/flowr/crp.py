@@ -106,57 +106,52 @@ class CrpParams:
         return cls(a=a, rho=inverse_softplus(float(b) + float(a)))
 
 
+def integers(values, fault) -> np.ndarray:
+    """values as int64, or ValueError(fault.format(i=i, v=value)) for the first entry i
+    (in flat order) that is no integer in int64 range: a fraction is refused, not truncated."""
+    v = np.asarray(values)
+    if v.dtype.kind in "iu":
+        return v.astype(np.int64, copy=False)
+    f = v.astype(np.float64)
+    bad = np.flatnonzero((f != np.round(f)) | ~(np.abs(f) < 2.0**62))
+    if bad.size:
+        raise ValueError(fault.format(i=int(bad[0]), v=v.ravel()[bad[0]]))
+    return f.astype(np.int64)
+
+
+def checked_counts(counts) -> np.ndarray:
+    """Class counts as an owned read-only int64 vector, or a one-line
+    ValueError: an entry that is no integer, not 1-d, or a negative entry."""
+    c = np.array(integers(counts, "count {i}: {v} is not an integer"))
+    if c.ndim != 1:
+        raise ValueError(f"counts must be a 1-d vector, got shape {c.shape}")
+    if np.any(c < 0):
+        raise ValueError("counts must be non-negative")
+    c.setflags(write=False)
+    return c
+
+
 @dataclass(frozen=True)
 class ClassCounts:
-    """Per-class observation counts; updates return new values."""
+    """Validated class counts (checked_counts), an input to predictive_class_probs."""
 
     counts: np.ndarray
 
     def __post_init__(self):
-        # owned copy: freezing an aliased caller array would be a side effect
-        c = np.array(self.counts, dtype=np.int64)
-        if c.ndim != 1:
-            raise ValueError(f"counts must be a 1-d vector, got shape {c.shape}")
-        if np.any(c < 0):
-            raise ValueError("counts must be non-negative")
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
-
-    @classmethod
-    def empty(cls) -> "ClassCounts":
-        return cls(counts=np.zeros(0, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, n) -> "ClassCounts":
-        return cls(counts=np.zeros(int(n), dtype=np.int64))
-
-    @property
-    def n_classes(self) -> int:
-        return int(self.counts.shape[0])
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def _numerators(counts: np.ndarray, a, b) -> np.ndarray:
-    """The CRP rule's unnormalised masses along the last axis: max(k_n - a, 0)
-    per class, then b + a * N+ for the novel slot, N+ counting classes with
-    k_n > 0."""
-    u = np.empty(counts.shape[:-1] + (counts.shape[-1] + 1,))
-    np.maximum(np.subtract(counts, a, out=u[..., :-1]), 0.0, out=u[..., :-1])
-    u[..., -1] = b + a * np.count_nonzero(counts, axis=-1 if counts.ndim > 1 else None)  # None: numpy's fast path
-    return u
+        object.__setattr__(self, "counts", checked_counts(self.counts))
 
 
 def class_prior(counts: np.ndarray, params: CrpParams) -> tuple:
     """(u, p) for int64 counts (..., N), row by row: the CRP rule's masses u
-    (..., N + 1) and the predictive p = u / (k + b) over the N classes and
-    the novel slot, renormalised; N = 0 gives p = 1. Zero-count classes keep
-    exactly zero mass; the masses sum to k + b, so the renormalisation is a
-    no-op up to rounding. A row with no count is refused when b <= 0."""
+    (..., N + 1), max(k_n - a, 0) per class and b + a * N+ for the novel slot
+    (N+ classes have k_n > 0), and the predictive p = u / (k + b), renormalised;
+    N = 0 gives p = 1. Zero-count classes keep exactly zero mass; the masses
+    sum to k + b, so the renormalisation is a no-op up to rounding. A row with
+    no count is refused when b <= 0."""
     a, b = params.a, params.b
-    u = _numerators(counts, a, b)
+    u = np.empty(counts.shape[:-1] + (counts.shape[-1] + 1,))
+    np.maximum(np.subtract(counts, a, out=u[..., :-1]), 0.0, out=u[..., :-1])
+    u[..., -1] = b + a * np.count_nonzero(counts, axis=-1 if counts.ndim > 1 else None)  # None: numpy's fast path
     if counts.shape[-1] == 0:
         return u, np.ones_like(u)
     k = counts.sum(axis=-1, keepdims=True)
@@ -177,22 +172,10 @@ def grad_b(u, d_log_probs):
 
 
 def predictive_class_probs(counts, params: CrpParams) -> np.ndarray:
-    """Predictive over the N existing classes plus one novel slot (length N + 1).
-
-    counts is anything whose .counts is a non-negative int64 vector: a
-    ClassCounts, or the class table the model steps (losses.ClassTable);
-    an (m, N) .counts gives the m predictives (m, N + 1) row by row.
-    p[n] = max(k_n - a, 0) / (k + b) for existing classes and
-    p[novel] = (b + a * N+) / (k + b) where N+ counts classes with k_n > 0,
-    renormalised (class_prior).
-    """
+    """class_prior's predictive p over the N classes and the novel slot, for
+    anything whose .counts is a non-negative int64 vector (a ClassCounts, or
+    a losses.ClassTable); an (m, N) .counts gives (m, N + 1), row by row."""
     return class_prior(counts.counts, params)[1]
-
-
-def predictive_grad_b(counts, params: CrpParams, d_log_probs):
-    """d loss / d b given d loss / d log predictive_class_probs(counts, params),
-    row by row for (m, N) counts (grad_b over the rule's masses)."""
-    return grad_b(_numerators(counts.counts, params.a, params.b), d_log_probs)
 
 
 def sequence_log_prob(labels, params: CrpParams) -> float:
@@ -207,7 +190,7 @@ def sequence_log_prob(labels, params: CrpParams) -> float:
     counts = np.zeros(int(labels.max(initial=0)), dtype=np.int64)
     total, n = 0.0, 0
     for i, y in enumerate(labels):
-        p = predictive_class_probs(ClassCounts(counts[:n]), params)
+        p = class_prior(counts[:n], params)[1]
         if p[y - 1] <= 0.0:
             raise InvalidStateError(f"label {y} at position {i} has zero predictive probability")
         total += float(np.log(p[y - 1]))

@@ -23,6 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .crp import integers
+
 _MAGIC = b"FSE1"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")
@@ -32,7 +34,7 @@ class EmbeddingDataset:
     """Labelled feature vectors with labels densely numbered 1..N."""
 
     def __init__(self, labels, features):
-        labels = np.asarray(labels, dtype=np.int64).ravel()
+        labels = integers(labels, "row {i}: label {v} is not an integer class index").ravel()
         features = np.asarray(features, dtype=np.float32)
         if features.ndim != 2:
             raise ValueError(f"features must be (count, dim), got shape {features.shape}")

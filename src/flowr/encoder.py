@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
+from .crp import integers
 from .gaussian import log_density_matrix
 
 
@@ -115,15 +116,6 @@ def gda_predict(emb: ClassEmbeddings, z) -> np.ndarray:
     return p[0] if single else p
 
 
-def pretrain_loss(encoder: Encoder, emb: ClassEmbeddings, X, labels, beta) -> float:
-    """Mean classification NLL plus beta * sum_n d / variance_n."""
-    w, b = encoder.params
-    value, *_ = losses.pretrain_grads(
-        w, b, X, labels, emb.means, np.log(emb.variances), beta
-    )
-    return value
-
-
 @dataclass
 class PretrainResult:
     encoder: Encoder
@@ -154,7 +146,7 @@ def pretrain(
     if labels is None and hasattr(X, "features"):
         X, labels = X.features, X.labels
     X = np.asarray(X, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = integers(labels, "row {i}: label {v} is not an integer class index")
     if X.ndim != 2 or labels.ndim != 1 or len(labels) != len(X):
         raise ValueError(f"bad training set shapes: X {X.shape}, labels {labels.shape}")
     n_classes = int(labels.max())

@@ -68,7 +68,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .crp import CrpParams, arrival_labels, class_prior, grad_b, predictive_grad_b, sigmoid
+from .crp import CrpParams, arrival_labels, class_prior, grad_b, sigmoid
 from .crp import ProtocolError  # noqa: F401  re-exported as flowr.losses.ProtocolError
 from .gaussian import density_constants, differences, log_density_matrix, log_density_sq
 
@@ -381,14 +381,16 @@ def _table_nll(table, Z, y_idx, params):
     """Mean NLL of Z against the table under its CRP prior.
 
     y_idx is 0-based, the novel slot being index table.n. Returns
-    (nll, d_Q, d_lam, d_Z, d_log_prior); d_Q and d_lam end with the novel
-    slot's row. Only the losses that train b take d/db from d_log_prior.
+    (nll, d_Q, d_lam, d_Z, d_b); d_Q and d_lam end with the novel slot's
+    row, and d_b is grad_b over the prior's masses, 0 with no class (p = 1
+    whatever b).
     """
+    u, prior = class_prior(table.counts, params)
     with np.errstate(divide="ignore"):  # a class with no mass: -inf
-        log_prior = np.log(class_prior(table.counts, params)[1])
+        log_prior = np.log(prior)
     nll, d_means, d_vars, d_Z, d_log_prior = _mixture_nll_grads(Z, y_idx, table.means, table.variances, log_prior)
     d_Q, d_lam = _natural_chain(d_means, d_vars, table.Q, table.lam)
-    return nll, d_Q, d_lam, d_Z, d_log_prior
+    return nll, d_Q, d_lam, d_Z, float(grad_b(u, d_log_prior)) if table.n else 0.0
 
 
 def _sequential_nll(table, Z, labels, params):
@@ -526,8 +528,7 @@ def episode_grads(
         nll, d_Q, d_lam, d_Zq, d_b = _sequential_nll(table, Z_q, episode.query_y, params)
     else:
         y_idx = np.asarray(episode.query_y, dtype=np.int64) - 1
-        nll, d_Q, d_lam, d_Zq, d_log_prior = _table_nll(table, Z_q, y_idx, params)
-        d_b = float(predictive_grad_b(table, params, d_log_prior))
+        nll, d_Q, d_lam, d_Zq, d_b = _table_nll(table, Z_q, y_idx, params)
     d_q0 = d_Q[n_kk:].sum(axis=0)
     d_lam0 = float(d_lam[n_kk:].sum())
     d_Zs = d_Q[n_kk + np.asarray(episode.support_y, dtype=np.int64) - 1] * inv

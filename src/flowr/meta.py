@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import losses
-from .crp import inverse_softplus
+from .crp import integers, inverse_softplus
 from .encoder import ClassEmbeddings, Encoder
 from .gaussian import NaturalClassStats, SharedPrior
 from .model import _encode
@@ -200,11 +200,7 @@ def adaptation_loss(prior: SharedPrior, noise, encoder: Encoder, adapt_pool, rng
         pairs = list(adapt_pool)
         X, labels = [x for x, _ in pairs], [y for _, y in pairs]
     Z = _encode(encoder, prior.prior.dim, X)
-    y = np.asarray(labels, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(y) | (y != np.round(y)))
-    if bad.size:
-        raise ValueError(f"adaptation point {bad[0]}: label {labels[bad[0]]} is not an integer class index")
-    labels = y.astype(np.int64)
+    labels = integers(labels, "adaptation point {i}: label {v} is not an integer class index")
     if labels.size:
         _, dense = np.unique(labels, return_inverse=True)
         labels = dense + 1

@@ -28,9 +28,9 @@ from itertools import groupby
 import numpy as np
 
 from . import losses
-from .crp import ClassCounts, CrpParams, InvalidStateError, ProtocolError, arrival_labels, class_prior, label_fault
+from .crp import CrpParams, InvalidStateError, ProtocolError, arrival_labels, checked_counts, class_prior, label_fault
 from .encoder import ClassEmbeddings, Encoder
-from .gaussian import NaturalClassStats, NoiseModel, SharedPrior, differences
+from .gaussian import NoiseModel, SharedPrior, differences
 
 _FAR = "input is too far from every class: no class gives it a finite log density"  # its posterior is NaN
 _OVERFLOW = "conditioning on it overflows its class row: the row's mean or variance is not finite"
@@ -38,30 +38,20 @@ _OVERFLOW = "conditioning on it overflows its class row: the row's mean or varia
 
 class ModelState:
     """Immutable model state over a losses.ClassTable (see the module
-    docstring); ModelState(...) is the validated constructor, the model's
-    steps derive states without it."""
+    docstring). ModelState(encoder, Q, lam, counts, ...) is the validated
+    constructor over N class rows Q (N, d) and lam (N,) and N counts; the
+    model's steps derive states without it."""
 
-    def __init__(self, encoder, class_stats, counts, crp_params, prior, noise, n_kk=0):
-        class_stats = tuple(class_stats)
-        d = prior.prior.dim
-        if any(s.dim != d for s in class_stats):
-            raise ValueError(f"class stats must have the prior's dimension {d}")
-        self._fill(
-            np.array([s.q for s in class_stats]).reshape(len(class_stats), d), np.array([s.lam for s in class_stats]),
-            encoder=encoder, counts=counts, crp_params=crp_params, prior=prior, noise=noise, n_kk=n_kk,
-        )
-
-    def _fill(self, Q, lam, *, encoder, counts: ClassCounts, crp_params, prior, noise, n_kk):
-        """Validate, build the class table and set every field."""
-        n = lam.shape[0]
-        if n != counts.n_classes:
-            raise ValueError(f"{n} class stats but {counts.n_classes} counts")
+    def __init__(self, encoder, Q, lam, counts, crp_params, prior, noise, n_kk=0):
+        p0, counts = prior.prior, checked_counts(counts)
+        Q, lam, n = np.asarray(Q, dtype=np.float64), np.asarray(lam, dtype=np.float64), len(counts)
+        if Q.shape != (n, p0.dim) or lam.shape != (n,):
+            raise ValueError(f"class rows Q {Q.shape} and lam {lam.shape} do not fit {n} counts at dimension {p0.dim}")
         if not 0 <= n_kk <= n:
             raise ValueError(f"n_kk = {n_kk} outside 0..{n}")
-        _check_width(encoder, Q.shape[1])
-        p0 = prior.prior
+        _check_width(encoder, p0.dim)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
-            table = losses.ClassTable(Q, lam, counts.counts, p0.q, p0.lam, noise.noise_variance, n_kk=int(n_kk))
+            table = losses.ClassTable(Q, lam, counts, p0.q, p0.lam, noise.noise_variance, n_kk=int(n_kk))
         if not (np.isfinite(table.Q).all() and (table.lam > 0.0).all() and _finite(table).all()):
             raise ValueError("class stats must be finite, with positive precision and a finite predictive")
         self.__dict__.update(encoder=encoder, crp_params=crp_params, prior=prior, noise=noise, _table=table)
@@ -75,27 +65,15 @@ class ModelState:
     def __setattr__(self, name, value):
         raise AttributeError(f"ModelState is immutable; cannot set {name!r}")
 
-    # the table's read-only rows
+    # the table's read-only rows and int64 class counts
     Q = property(lambda s: s._table.Q)
     lam = property(lambda s: s._table.lam)
     means = property(lambda s: s._table.means)
     variances = property(lambda s: s._table.variances)
     n_kk = property(lambda s: s._table.n_kk)
     dim = property(lambda s: s._table.Q.shape[1])
-
-    @property
-    def n_classes(self) -> int:
-        return self._table.n
-
-    @property
-    def counts(self) -> ClassCounts:
-        """The table's class counts as a ClassCounts, built on demand."""
-        return ClassCounts(self._table.counts)
-
-    @property
-    def class_stats(self) -> tuple:
-        """The N class rows as NaturalClassStats, built on demand."""
-        return tuple(NaturalClassStats(q=self.Q[i], lam=self.lam[i]) for i in range(self.n_classes))
+    counts = property(lambda s: s._table.counts)
+    n_classes = property(lambda s: s._table.n)
 
 
 @dataclass
@@ -260,7 +238,7 @@ def init_small_context(
     nothing. A fault is reported as stepping would meet it, a label's or an
     overflowing row's as `support point i: ...`.
     """
-    state = ModelState(encoder, (), ClassCounts.empty(), crp_params, prior, noise)
+    state = ModelState(encoder, np.zeros((0, prior.prior.dim)), [], [], crp_params, prior, noise)
     support = list(support)
     return _fold([(state, [x for x, _ in support], [y for _, y in support], (), ())])[0][1]
 
@@ -274,7 +252,7 @@ def init_large_context(
     Every known-known class starts at init_count, by default the count
     floor that large-context meta-training seeds (ClassTable.PERSISTENT_COUNT).
     At init_count=0 no known class has prior mass until its first label,
-    so the whole prior sits on the novel slot.
+    so the whole prior sits on the novel slot. A non-integer count is refused.
     """
     return _large_context(*embeddings.natural_params(), prior, crp_params, noise, encoder, init_count)
 
@@ -283,11 +261,7 @@ def _large_context(Q, lam, prior, crp_params, noise, encoder, init_count=losses.
     """The large-context state over natural class rows (Q, lam) as given,
     each a known-known class at init_count: at the default, over (class_q,
     exp(class_log_lambda)), the table losses.episode_grads scores with no support."""
-    if Q.shape[1] != prior.prior.dim:
-        raise ValueError(f"class rows have dimension {Q.shape[1]}, the prior {prior.prior.dim}")
-    counts, state = ClassCounts(np.full(len(lam), int(init_count), dtype=np.int64)), object.__new__(ModelState)
-    state._fill(Q, lam, encoder=encoder, counts=counts, crp_params=crp_params, prior=prior, noise=noise, n_kk=len(lam))
-    return state
+    return ModelState(encoder, Q, lam, np.full(len(lam), init_count), crp_params, prior, noise, n_kk=len(lam))
 
 
 def run_episode(state: ModelState, queries):
@@ -440,7 +414,10 @@ def fine_tune_output_layer(state: ModelState, support, steps, step_size, *, retu
     support is read and folded by init_small_context before the first step,
     and the raw inputs are taken once it has passed.
     The returned state is rebuilt from the support with the adapted encoder.
+    steps must be a non-negative integer.
     """
+    if not (float(steps).is_integer() and steps >= 0):
+        raise ValueError(f"fine-tuning steps must be a non-negative integer, got {steps}")
     if state.encoder.kind != "affine":
         raise ValueError("fine-tuning requires an encoder with an affine output layer")
     support = list(support)

@@ -74,13 +74,12 @@ def test_criterion_02_predictions_normalize():
     for _ in range(1000):
         d = int(rng.integers(1, 9))
         n = int(rng.integers(0, 9))
+        rows = [(rng.normal(0, 3, size=d), float(rng.uniform(0.1, 4))) for _ in range(n)]
         state = ModelState(
             encoder=Encoder.identity(),
-            class_stats=tuple(
-                NaturalClassStats(q=rng.normal(0, 3, size=d), lam=float(rng.uniform(0.1, 4)))
-                for _ in range(n)
-            ),
-            counts=ClassCounts(rng.integers(0, 20, size=n)),
+            Q=np.array([q for q, _ in rows]).reshape(n, d),
+            lam=[lam for _, lam in rows],
+            counts=rng.integers(0, 20, size=n),
             crp_params=CrpParams(a=float(rng.uniform(0, 0.9)), rho=float(rng.uniform(0.5, 3))),
             prior=SharedPrior(
                 NaturalClassStats(q=rng.normal(0, 2, size=d), lam=float(rng.uniform(0.1, 4)))
@@ -249,11 +248,9 @@ def test_criterion_08_novel_label_protocol():
     noise = NoiseModel(0.5)
     state = ModelState(
         encoder=Encoder.identity(),
-        class_stats=(
-            NaturalClassStats(q=[-4.0], lam=2.0),
-            NaturalClassStats(q=[4.0], lam=2.0),
-        ),
-        counts=ClassCounts([14, 14]),
+        Q=[[-4.0], [4.0]],
+        lam=[2.0, 2.0],
+        counts=[14, 14],
         crp_params=CrpParams.from_b(a=0.5, b=2.0),
         prior=prior,
         noise=noise,
@@ -262,11 +259,11 @@ def test_criterion_08_novel_label_protocol():
     z = np.array([2.0])
     before = predict(state, z)
     grown = update(state, z, 3)
-    assert len(grown.class_stats) == len(state.class_stats) + 1
-    assert grown.counts.n_classes == 3
+    assert len(grown.lam) == len(state.lam) + 1
+    assert len(grown.counts) == 3
     expected = condition(prior.prior, z, noise)
-    np.testing.assert_array_equal(grown.class_stats[2].q, expected.q)
-    assert grown.class_stats[2].lam == expected.lam
+    np.testing.assert_array_equal(grown.Q[2], expected.q)
+    assert grown.lam[2] == expected.lam
     after = predict(grown, z)
     assert after.probs[2] > before.novelty_score
     print(f"criterion 08 PASS: N 2 -> 3, stats == condition(prior, z), repeat "

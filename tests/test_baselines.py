@@ -69,6 +69,11 @@ class TestPrototypeState:
         np.testing.assert_array_equal(state.counts, [1, 1])
         np.testing.assert_array_equal(state.means, [[1.0, 2.0], [3.0, 4.0]])
 
+    def test_non_integer_count_rejected(self):
+        """[1.9] used to be truncated to the count [1]."""
+        with pytest.raises(ValueError, match=r"^count 0: 1\.9 is not an integer$"):
+            PrototypeState(np.zeros((1, 2)), [1.9])
+
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError, match="at least one observation"):
             PrototypeState(sums=np.zeros((1, 2)), counts=np.zeros(1, dtype=np.int64))
@@ -244,7 +249,7 @@ class TestEncoderWidth:
     def test_model_state_refuses_a_narrow_encoder(self):
         prior = SharedPrior(NaturalClassStats(q=np.zeros(2), lam=1.0))
         with pytest.raises(ValueError, match=self.MESSAGE):
-            ModelState(self.NARROW, (), ClassCounts.empty(), CrpParams.from_b(a=0.5, b=1.0), prior, NoiseModel(0.5))
+            ModelState(self.NARROW, np.zeros((0, 2)), [], [], CrpParams.from_b(a=0.5, b=1.0), prior, NoiseModel(0.5))
 
 
 @pytest.mark.parametrize("method", ["ncm", "flowr"])

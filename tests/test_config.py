@@ -34,6 +34,12 @@ class TestDefaults:
         with pytest.raises(ValueError, match="operating_tpr"):
             ExperimentConfig(operating_tpr=1.5)
 
+    @pytest.mark.parametrize("steps", [-1, 2.5, float("nan")])
+    def test_fine_tune_steps_must_be_a_non_negative_integer(self, steps):
+        """-1 used to be accepted, and evaluation then skipped fine-tuning without a word."""
+        with pytest.raises(ValueError, match=f"^fine_tune_steps must be a non-negative integer, got {steps}$"):
+            ExperimentConfig(fine_tune_steps=steps)
+
     def test_episode_shapes(self):
         """Small-context: 40 support + 10 novel classes for training, 10 + 5
         with 10 queries per class for evaluation."""
@@ -96,6 +102,12 @@ class TestHash:
         """The digest depends only on content, not object identity."""
         assert config_hash(ExperimentConfig()) == config_hash(ExperimentConfig())
         assert len(config_hash(ExperimentConfig())) == 16
+
+    def test_valid_configs_keep_their_digests(self):
+        """Refusing bad fine_tune_steps moved no valid config's digest."""
+        assert config_hash(ExperimentConfig()) == "1201b8b66794f187"
+        assert config_hash(preset("lc-paper")) == "3b7144c8390956c4"
+        assert config_hash(ExperimentConfig(fine_tune_steps=3)) == "1d98cf0657290882"
 
     def test_sensitive_to_every_field(self):
         base = ExperimentConfig()

@@ -17,10 +17,11 @@ from flowr.crp import (
     InvalidStateError,
     ProtocolError,
     arrival_labels,
+    class_prior,
+    grad_b,
     inverse_softplus,
     label_fault,
     predictive_class_probs,
-    predictive_grad_b,
     sequence_log_prob,
     softplus,
 )
@@ -80,6 +81,16 @@ class TestCounts:
         with pytest.raises(ValueError):
             ClassCounts(counts=[-1])
 
+    @pytest.mark.parametrize("raw, bad", [([1.5, 2.7], "0: 1.5"), ([1.0, 2.7], "1: 2.7"), ([2, np.nan], "1: nan")])
+    def test_non_integer_counts_rejected(self, raw, bad):
+        """[1.5, 2.7] used to be truncated to the counts [1, 2]."""
+        with pytest.raises(ValueError, match=f"^count {bad} is not an integer$"):
+            ClassCounts(counts=raw)
+
+    def test_integer_valued_float_counts_accepted(self):
+        np.testing.assert_array_equal(ClassCounts(counts=[1.0, 2.0]).counts, [1, 2])
+        assert ClassCounts(counts=[1.0, 2.0]).counts.dtype == np.int64
+
 
 class TestPredictive:
     def test_hand_case(self):
@@ -93,7 +104,7 @@ class TestPredictive:
         np.testing.assert_allclose(p, [0.9, 0.1], rtol=1e-12)
 
     def test_no_classes_is_all_novel(self):
-        p = predictive_class_probs(ClassCounts.empty(), CrpParams.from_b(a=0.5, b=1.0))
+        p = predictive_class_probs(ClassCounts(np.zeros(0, dtype=np.int64)), CrpParams.from_b(a=0.5, b=1.0))
         np.testing.assert_array_equal(p, [1.0])
 
     def test_zero_counts_with_nonpositive_b(self):
@@ -101,7 +112,7 @@ class TestPredictive:
         params = CrpParams(a=0.5, rho=inverse_softplus(0.4))  # b = -0.1
         assert params.b < 0
         with pytest.raises(InvalidStateError):
-            predictive_class_probs(ClassCounts.zeros(3), params)
+            predictive_class_probs(ClassCounts(np.zeros(3, dtype=np.int64)), params)
 
     @given(
         counts=st.lists(st.integers(0, 40), min_size=1, max_size=12),
@@ -113,7 +124,7 @@ class TestPredictive:
         """Renormalised output sums to 1 within 1e-12 and lies in [0, 1]."""
         params = CrpParams(a=a, rho=rho)
         c = ClassCounts(counts=np.array(counts))
-        if c.total == 0 and params.b <= 0.0:
+        if sum(counts) == 0 and params.b <= 0.0:
             return
         p = predictive_class_probs(c, params)
         assert len(p) == len(counts) + 1
@@ -131,7 +142,7 @@ class TestPredictive:
         numerator b + a N+ is positive."""
         params = CrpParams(a=a, rho=rho)
         c = ClassCounts(counts=np.array(counts))
-        if c.total == 0 and params.b <= 0.0:
+        if sum(counts) == 0 and params.b <= 0.0:
             return
         n_pos = int(np.count_nonzero(c.counts))
         p = predictive_class_probs(c, params)
@@ -161,20 +172,19 @@ class TestPredictiveGradB:
     )
     @settings(max_examples=200)
     def test_matches_central_differences(self, counts, a, b):
-        """Fed a one-hot d loss / d log p, predictive_grad_b is d log p_c / d b,
-        which matches central differences in b on every class with mass."""
-        c = ClassCounts(counts=np.array(counts, dtype=np.int64))
+        """Fed a one-hot d loss / d log p, grad_b over class_prior's masses
+        is d log p_c / d b, which matches central differences in b on every
+        class with mass."""
+        c = np.array(counts, dtype=np.int64)
         params = CrpParams.from_b(a=a, b=b)
         b, h = params.b, 1e-5
-        p = predictive_class_probs(c, params)
+        u, p = class_prior(c, params)
         with np.errstate(divide="ignore"):
-            hi, lo = (np.log(predictive_class_probs(c, CrpParams.from_b(a=a, b=b + s))) for s in (h, -h))
+            hi, lo = (np.log(class_prior(c, CrpParams.from_b(a=a, b=b + s))[1]) for s in (h, -h))
         for k in np.flatnonzero(p > 0.0):
             one_hot = np.zeros(len(p))
             one_hot[k] = 1.0
-            np.testing.assert_allclose(
-                predictive_grad_b(c, params, one_hot), (hi[k] - lo[k]) / (2 * h), rtol=1e-6, atol=1e-6
-            )
+            np.testing.assert_allclose(grad_b(u, one_hot), (hi[k] - lo[k]) / (2 * h), rtol=1e-6, atol=1e-6)
 
 
 def _canonical_arrival(labels):

@@ -58,6 +58,16 @@ class TestEmbeddingDataset:
         with pytest.raises(ValueError, match="finite"):
             EmbeddingDataset([1], [[np.inf, 0.0]])
 
+    def test_rejects_non_integer_labels(self):
+        """[1.0, 2.6] used to be truncated to the labels [1, 2]."""
+        with pytest.raises(ValueError, match=r"^row 1: label 2\.6 is not an integer class index$"):
+            EmbeddingDataset([1.0, 2.6], np.zeros((2, 4), dtype=np.float32))
+
+    def test_integer_valued_float_labels_are_accepted(self):
+        ds = EmbeddingDataset([1.0, 2.0], np.zeros((2, 4), dtype=np.float32))
+        assert ds.labels.dtype == np.int64
+        np.testing.assert_array_equal(ds.labels, [1, 2])
+
     def test_class_rows_partition_the_dataset(self):
         ds = generate_synthetic_world(4, 3, 1.0, 0.1, 5, seed=0)
         rows = np.concatenate([ds.class_rows(c) for c in ds.class_ids])

@@ -13,7 +13,7 @@ from scipy.stats import norm
 
 from flowr import losses
 from flowr.crp import CrpParams
-from flowr.encoder import ClassEmbeddings, Encoder, gda_predict, pretrain, pretrain_loss
+from flowr.encoder import ClassEmbeddings, Encoder, gda_predict, pretrain
 from flowr.gaussian import NaturalClassStats, NoiseModel, SharedPrior
 from flowr.model import init_small_context, predict, run_episode
 
@@ -85,6 +85,11 @@ class TestGdaPredict:
         emb = ClassEmbeddings(means=rng.normal(size=(5, 3)), variances=rng.uniform(0.2, 2.0, 5))
         P = gda_predict(emb, rng.normal(size=(40, 3)))
         np.testing.assert_allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def pretrain_loss(encoder, emb, X, labels, beta):
+    """Mean classification NLL plus beta * sum_n d / variance_n: the value of losses.pretrain_grads."""
+    return losses.pretrain_grads(*encoder.params, X, labels, emb.means, np.log(emb.variances), beta)[0]
 
 
 class TestPretrainLoss:
@@ -177,3 +182,14 @@ class TestPretrain:
     def test_dense_label_validation(self):
         with pytest.raises(ValueError, match="dense"):
             pretrain(np.zeros((4, 2)), np.array([1, 1, 3, 3]), epochs=1)
+
+    def test_non_integer_labels_are_refused(self):
+        """[1, 2.6, 2, 1] used to be truncated to the labels [1, 2, 2, 1]."""
+        with pytest.raises(ValueError, match=r"^row 1: label 2\.6 is not an integer class index$"):
+            pretrain(np.zeros((4, 2)), [1, 2.6, 2, 1], epochs=1)
+
+    def test_integer_valued_float_labels_are_accepted(self):
+        rng = np.random.default_rng(2)
+        X, labels = self._separable_data(rng)
+        as_floats = pretrain(X, labels.astype(np.float64), epochs=1, rng_seed=0)
+        np.testing.assert_array_equal(as_floats.loss_trace, pretrain(X, labels, epochs=1, rng_seed=0).loss_trace)

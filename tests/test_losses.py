@@ -255,7 +255,7 @@ def _two_pass_table_nll(table, Z, y_idx, params):
         log_prior = np.log(crp.class_prior(table.counts, params)[1])
     nll, d_means, d_vars, d_Z, d_log_prior = _two_pass_nll_grads(Z, y_idx, table.means, table.variances, log_prior)
     d_Q, d_lam = losses._natural_chain(d_means, d_vars, table.Q, table.lam)
-    return nll, d_Q, d_lam, d_Z, float(crp.predictive_grad_b(table, params, d_log_prior))
+    return nll, d_Q, d_lam, d_Z, float(crp.grad_b(crp.class_prior(table.counts, params)[0], d_log_prior))
 
 
 def _assert_same(got, want):
@@ -488,8 +488,8 @@ def test_chunk_scoring_holds_one_difference_block():
 
 def test_sequential_loss_takes_each_steps_d_b_from_its_counts():
     """The teacher-forced loss takes d/db from the CRP masses its block
-    built once for the log prior: each step's d/db equals
-    crp.predictive_grad_b on the counts of the table stepping reaches
+    built once for the log prior: each step's d/db equals crp.grad_b over
+    the crp.class_prior masses of the counts of the table stepping reaches
     before that step, bit for bit, at the sc-paper shape."""
     table, Z, labels, params = _sc_paper_sequential_case(37)
     steps, calls, real_chunks, real_grad_b = [], [], losses.chunks, losses.grad_b
@@ -511,7 +511,7 @@ def test_sequential_loss_takes_each_steps_d_b_from_its_counts():
         t = t.condition(z, int(y))
     assert len(calls) == len(steps) > 1
     for s, (G, got) in zip(steps, calls):
-        want = [crp.predictive_grad_b(before[j], params, G[i]) for i, j in enumerate(s)]
+        want = [crp.grad_b(crp.class_prior(before[j].counts, params)[0], G[i]) for i, j in enumerate(s)]
         np.testing.assert_array_equal(got, want)
 
 
@@ -749,7 +749,7 @@ def test_persistent_classes_start_at_one_count_in_training_and_evaluation():
     np.testing.assert_array_equal(tables[0].counts[:3], [losses.ClassTable.PERSISTENT_COUNT] * 3)
     parts = (params.prior(), CrpParams(a=0.5, rho=params.rho), NoiseModel(0.5), Encoder.identity())
     state = init_large_context(ClassEmbeddings(means=params.class_q, variances=np.ones(3)), *parts)
-    np.testing.assert_array_equal(state.counts.counts, [losses.ClassTable.PERSISTENT_COUNT] * 3)
+    np.testing.assert_array_equal(state.counts, [losses.ClassTable.PERSISTENT_COUNT] * 3)
 
 
 def test_hot_path_builds_no_class_counts(monkeypatch):

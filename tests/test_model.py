@@ -56,15 +56,12 @@ _OVERFLOW = "conditioning on it overflows its class row: the row's mean or varia
 def _two_class_state():
     """Two 1-d classes with predictives N(-2, 1) and N(2, 1), shared prior
     predictive N(0, 5), counts [14, 14], a=0.5, b=2."""
-    stats = (
-        NaturalClassStats(q=[-4.0], lam=2.0),
-        NaturalClassStats(q=[4.0], lam=2.0),
-    )
     prior = SharedPrior(NaturalClassStats(q=[0.0], lam=2.0 / 9.0))
     return ModelState(
         encoder=Encoder.identity(),
-        class_stats=stats,
-        counts=ClassCounts(counts=[14, 14]),
+        Q=[[-4.0], [4.0]],
+        lam=[2.0, 2.0],
+        counts=[14, 14],
         crp_params=CrpParams.from_b(a=0.5, b=2.0),
         prior=prior,
         noise=NOISE,
@@ -75,8 +72,9 @@ def _empty_state(dim=1, *, b=1.0):
     prior = SharedPrior(NaturalClassStats(q=np.zeros(dim), lam=1.0))
     return ModelState(
         encoder=Encoder.identity(),
-        class_stats=(),
-        counts=ClassCounts.empty(),
+        Q=np.zeros((0, dim)),
+        lam=[],
+        counts=[],
         crp_params=CrpParams.from_b(a=0.5, b=b),
         prior=prior,
         noise=NOISE,
@@ -88,8 +86,9 @@ def _overflowing_state():
     input of 1e10 past the largest float, to inf."""
     return ModelState(
         encoder=Encoder.affine([[1e300]], [0.0]),
-        class_stats=(),
-        counts=ClassCounts.empty(),
+        Q=np.zeros((0, 1)),
+        lam=[],
+        counts=[],
         crp_params=CrpParams.from_b(a=0.5, b=1.0),
         prior=SharedPrior(NaturalClassStats(q=np.zeros(1), lam=1.0)),
         noise=NOISE,
@@ -102,8 +101,9 @@ def _fine_noise_state():
     a row on it overflows, 1e150 / 1e-200 being past the largest float."""
     return ModelState(
         encoder=Encoder.identity(),
-        class_stats=(),
-        counts=ClassCounts.empty(),
+        Q=np.zeros((0, 1)),
+        lam=[],
+        counts=[],
         crp_params=CrpParams.from_b(a=0.5, b=1.0),
         prior=SharedPrior(NaturalClassStats(q=np.zeros(1), lam=1.0)),
         noise=NoiseModel(1e-200),
@@ -177,6 +177,57 @@ _QUERY_FAULTS = [
 ]
 
 
+class TestConstructor:
+    """ModelState(encoder, Q, lam, counts, ...) over N class rows and N counts."""
+
+    PRIOR = SharedPrior(NaturalClassStats(q=np.zeros(2), lam=1.0))
+    ROWS = {"Q": [[0.0, 1.0], [2.0, 3.0]], "lam": [1.0, 2.0], "counts": [3, 4]}
+
+    def _state(self, prior=PRIOR, **rows):
+        rows = {**self.ROWS, **rows}
+        return ModelState(Encoder.identity(), **rows, crp_params=CrpParams.from_b(a=0.5, b=1.0), prior=prior, noise=NOISE)
+
+    def test_builds_the_class_table(self):
+        state = self._state()
+        np.testing.assert_array_equal(state.Q, [[0.0, 1.0], [2.0, 3.0], [0.0, 0.0]])  # the prior's row last
+        np.testing.assert_array_equal(state.lam, [1.0, 2.0, 1.0])
+        assert state.n_classes == 2 and state.dim == 2 and state.n_kk == 0
+
+    def test_counts_are_the_tables_read_only_array(self):
+        raw = np.array([3, 4])
+        state = self._state(counts=raw)
+        assert state.counts.dtype == np.int64 and not state.counts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            state.counts[0] = 9
+        raw[0] = 5  # the caller's array stays writable and is not aliased
+        np.testing.assert_array_equal(state.counts, [3, 4])
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ({"Q": [[0.0, 1.0]]}, r"class rows Q \(1, 2\) and lam \(2,\) do not fit 2 counts at dimension 2"),
+            ({"Q": [0.0, 1.0, 2.0, 3.0]}, r"class rows Q \(4,\) and lam \(2,\) do not fit 2 counts at dimension 2"),
+            ({"lam": [1.0]}, r"class rows Q \(2, 2\) and lam \(1,\) do not fit 2 counts at dimension 2"),
+            ({"lam": [[1.0, 2.0]]}, r"class rows Q \(2, 2\) and lam \(1, 2\) do not fit 2 counts at dimension 2"),
+            ({"counts": [3]}, r"class rows Q \(2, 2\) and lam \(2,\) do not fit 1 counts at dimension 2"),
+            ({"counts": [[3, 4]]}, r"counts must be a 1-d vector, got shape \(1, 2\)"),
+            ({"counts": [3, -1]}, "counts must be non-negative"),
+            ({"counts": [3, 4.5]}, r"count 1: 4\.5 is not an integer"),
+        ],
+    )
+    def test_bad_rows_or_counts_are_refused(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self._state(**rows)
+
+    def test_rows_of_another_dimension_than_the_prior_are_refused(self):
+        prior = SharedPrior(NaturalClassStats(q=np.zeros(3), lam=1.0))
+        with pytest.raises(ValueError, match=r"^class rows Q \(2, 2\) and lam \(2,\) do not fit 2 counts at dimension 3$"):
+            self._state(prior)
+
+    def test_integer_valued_float_counts_are_accepted(self):
+        np.testing.assert_array_equal(self._state(counts=[3.0, 4.0]).counts, [3, 4])
+
+
 class TestPredict:
     def test_frozen_two_class_posterior(self):
         """z=2 against the fixture state: scipy oracle gives posterior
@@ -222,14 +273,15 @@ class TestPredict:
         for _ in range(200):
             d = int(rng.integers(1, 6))
             n = int(rng.integers(1, 5))
-            stats = tuple(
-                NaturalClassStats(q=rng.normal(size=d), lam=float(rng.uniform(0.2, 4.0)))
-                for _ in range(n)
-            )
+            Q, lam = [], []
+            for _ in range(n):  # each row's draws in the order the stats were drawn
+                Q.append(rng.normal(size=d))
+                lam.append(float(rng.uniform(0.2, 4.0)))
             state = ModelState(
                 encoder=Encoder.identity(),
-                class_stats=stats,
-                counts=ClassCounts(counts=rng.integers(0, 20, size=n)),
+                Q=Q,
+                lam=lam,
+                counts=rng.integers(0, 20, size=n),
                 crp_params=CrpParams(a=float(rng.uniform(0, 0.9)), rho=float(rng.normal())),
                 prior=SharedPrior(NaturalClassStats(q=rng.normal(size=d), lam=1.0)),
                 noise=NoiseModel(float(rng.uniform(0.1, 2.0))),
@@ -264,7 +316,7 @@ class TestUpdate:
         state = _two_class_state()
         out = update(state, [1.9], 2)
         assert out.n_classes == 2
-        np.testing.assert_array_equal(out.counts.counts, [14, 15])
+        np.testing.assert_array_equal(out.counts, [14, 15])
 
     def test_novel_label_appends_conditioned_prior(self):
         """A label of N+1 grows the state by one class whose stats equal
@@ -274,10 +326,10 @@ class TestUpdate:
         out = update(state, z, 3)
         assert out.n_classes == 3
         expected = condition(state.prior.prior, z, state.noise)
-        np.testing.assert_allclose(out.class_stats[2].q, expected.q, rtol=1e-12)
-        np.testing.assert_allclose(out.class_stats[2].lam, expected.lam, rtol=1e-12)
+        np.testing.assert_allclose(out.Q[2], expected.q, rtol=1e-12)
+        np.testing.assert_allclose(out.lam[2], expected.lam, rtol=1e-12)
         # default bookkeeping: append 1, then the observe step lands on 2
-        np.testing.assert_array_equal(out.counts.counts, [14, 14, 2])
+        np.testing.assert_array_equal(out.counts, [14, 14, 2])
 
     def test_protocol_errors(self):
         state = _two_class_state()
@@ -295,17 +347,16 @@ class TestUpdate:
 
     def test_integer_valued_float_label_is_accepted(self):
         out = update(_two_class_state(), [1.9], 2.0)
-        np.testing.assert_array_equal(out.counts.counts, [14, 15])
+        np.testing.assert_array_equal(out.counts, [14, 15])
 
     def test_update_is_pure(self):
         state = _two_class_state()
-        before = [(s.q.copy(), s.lam) for s in state.class_stats]
+        before = (state.Q.copy(), state.lam.copy())
         update(state, [1.0], 3)
         update(state, [1.0], 1)
-        for (q, lam), s in zip(before, state.class_stats):
-            np.testing.assert_array_equal(q, s.q)
-            assert lam == s.lam
-        np.testing.assert_array_equal(state.counts.counts, [14, 14])
+        np.testing.assert_array_equal(state.Q, before[0])
+        np.testing.assert_array_equal(state.lam, before[1])
+        np.testing.assert_array_equal(state.counts, [14, 14])
 
     def test_conditioning_expands_decision_region(self):
         """Conditioning a class on a far point strictly raises that class's
@@ -337,7 +388,7 @@ class TestOverflowingRows:
     def test_update_on_a_known_known_label_conditions_nothing(self):
         prior, crp, noise, enc = self._parts()
         state = _large_context(np.zeros((1, 2)), np.ones(1), prior, crp, noise, enc)
-        assert update(state, [1e300, 1e300], 1).counts.counts.tolist() == [2]
+        assert update(state, [1e300, 1e300], 1).counts.tolist() == [2]
 
     def test_init_small_context(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^support point 1: {re.escape(_OVERFLOW)}$"):
@@ -358,14 +409,14 @@ class TestInitSmallContext:
     def test_empty_support(self):
         state = init_small_context(*self._ingredients(), support=[])
         assert state.n_classes == 0
-        assert state.counts.n_classes == 0
+        assert len(state.counts) == 0
 
     def test_single_point_equals_single_update(self):
         prior, crp, noise, enc = self._ingredients()
         via_init = init_small_context(prior, crp, noise, enc, [([1.0, 2.0], 1)])
         via_update = update(init_small_context(prior, crp, noise, enc, []), [1.0, 2.0], 1)
-        np.testing.assert_allclose(via_init.class_stats[0].q, via_update.class_stats[0].q)
-        assert via_init.counts.counts[0] == via_update.counts.counts[0]
+        np.testing.assert_allclose(via_init.Q[0], via_update.Q[0])
+        assert via_init.counts[0] == via_update.counts[0]
 
     def test_stats_match_batch_posterior(self):
         """Per-class stats after ingesting a support set equal the one-shot
@@ -378,8 +429,8 @@ class TestInitSmallContext:
         state = init_small_context(prior, crp, noise, enc, support)
         for c in (1, 2):
             expected = batch_posterior(prior.prior, points[c], noise)
-            np.testing.assert_allclose(state.class_stats[c - 1].q, expected.q, rtol=1e-9)
-            np.testing.assert_allclose(state.class_stats[c - 1].lam, expected.lam, rtol=1e-9)
+            np.testing.assert_allclose(state.Q[c - 1], expected.q, rtol=1e-9)
+            np.testing.assert_allclose(state.lam[c - 1], expected.lam, rtol=1e-9)
 
     def test_position_in_error(self):
         prior, crp, noise, enc = self._ingredients()
@@ -420,9 +471,9 @@ class TestInitLargeContext:
             Encoder.identity(),
             init_count=0,
         )
-        np.testing.assert_array_equal(state.class_stats[0].q, [0.0])
-        assert state.class_stats[0].lam == 1.0
-        np.testing.assert_array_equal(state.counts.counts, [0])
+        np.testing.assert_array_equal(state.Q[0], [0.0])
+        assert state.lam[0] == 1.0
+        np.testing.assert_array_equal(state.counts, [0])
         assert state.n_kk == 1
 
     def test_factor_roundtrip(self):
@@ -435,10 +486,17 @@ class TestInitLargeContext:
             NOISE,
             Encoder.identity(),
         )
-        for s, mean, var in zip(state.class_stats, emb.means, emb.variances):
+        for q, lam, mean, var in zip(state.Q, state.lam, emb.means, emb.variances):
             g = factor_to_natural(IsotropicGaussian(mean=mean, variance=var))
-            np.testing.assert_allclose(s.q, g.q, rtol=1e-12)
-            np.testing.assert_allclose(s.lam, g.lam, rtol=1e-12)
+            np.testing.assert_allclose(q, g.q, rtol=1e-12)
+            np.testing.assert_allclose(lam, g.lam, rtol=1e-12)
+
+    def test_non_integer_init_count_is_refused(self):
+        """1.9 used to seed the count 1."""
+        emb = ClassEmbeddings(means=[[0.0], [1.0]], variances=[1.0, 1.0])
+        parts = (SharedPrior(NaturalClassStats(q=[0.0], lam=1.0)), CrpParams.from_b(a=0.5, b=1.0), NOISE)
+        with pytest.raises(ValueError, match=r"^count 0: 1\.9 is not an integer$"):
+            init_large_context(emb, *parts, Encoder.identity(), init_count=1.9)
 
     def test_init_count_seeds_pseudo_observations(self):
         emb = ClassEmbeddings(means=[[0.0], [1.0]], variances=[1.0, 1.0])
@@ -450,7 +508,7 @@ class TestInitLargeContext:
             Encoder.identity(),
             init_count=1,
         )
-        np.testing.assert_array_equal(state.counts.counts, [1, 1])
+        np.testing.assert_array_equal(state.counts, [1, 1])
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_zero_counts_known_argmax_follows_likelihood(self, k):
@@ -522,9 +580,8 @@ class TestRunEpisode:
         )
         queries = [([-1.9], 1), ([2.2], 2), ([8.0], 3), ([8.1], 3), ([-2.1], 1)]
         _, final = run_episode(state, queries)
-        for before, after in zip(state.class_stats, final.class_stats[:2]):
-            np.testing.assert_array_equal(after.q, before.q)
-            assert after.lam == before.lam
+        np.testing.assert_array_equal(final.Q[:2], state.Q[:2])
+        np.testing.assert_array_equal(final.lam[:2], state.lam[:2])
         assert final.n_classes == 3
 
     def test_query_position_in_error(self):
@@ -617,6 +674,18 @@ class TestFineTune:
     def test_zero_steps_is_identity(self):
         state, support = self._affine_state()
         assert fine_tune_output_layer(state, support, 0, 0.1) is state
+
+    @pytest.mark.parametrize("steps", [-1, 2.5, float("inf")])
+    def test_step_count_must_be_a_non_negative_integer(self, steps):
+        """-1 used to return the state untuned without a word, and 2.5 ran 2 steps."""
+        state, support = self._affine_state()
+        with pytest.raises(ValueError, match=f"^fine-tuning steps must be a non-negative integer, got {steps}$"):
+            fine_tune_output_layer(state, support, steps, 0.1)
+
+    def test_integer_valued_float_step_count_is_accepted(self):
+        state, support = self._affine_state()
+        tuned = fine_tune_output_layer(state, support, 2.0, 0.05)
+        np.testing.assert_array_equal(tuned.Q, fine_tune_output_layer(state, support, 2, 0.05).Q)
 
     def test_identity_requires_affine(self):
         state = _empty_state()
@@ -753,7 +822,7 @@ def _reference_probs(stats, state, counts, z):
     variances = 1.0 / lam + state.noise.noise_variance
     logf = log_density_matrix(z[None, :], means, variances)
     with np.errstate(divide="ignore"):
-        log_prior = np.log(predictive_class_probs(counts, state.crp_params))
+        log_prior = np.log(predictive_class_probs(ClassCounts(counts), state.crp_params))
     logits = logf + log_prior[None, :]
     return np.exp(logits - losses.logsumexp(logits, axis=1)[:, None])[0]
 
@@ -813,10 +882,10 @@ class TestArrayStateMatchesDataclassFold:
             emb = ClassEmbeddings(means=rng.normal(size=(n_kk, d)), variances=rng.uniform(0.1, 2.0, n_kk))
             state = init_large_context(emb, prior, crp, noise, enc, init_count=case["init_count"])
             stats = [factor_to_natural(IsotropicGaussian(m, v)) for m, v in zip(emb.means, emb.variances)]
-            counts = ClassCounts(np.full(n_kk, case["init_count"]))
+            counts = np.full(n_kk, case["init_count"])
         else:
             state = init_small_context(prior, crp, noise, enc, [])
-            stats, counts = [], ClassCounts.empty()
+            stats, counts = [], np.zeros(0, dtype=np.int64)
         X = rng.normal(size=(len(case["labels"]), d))
 
         states, expected = [state], [(list(stats), counts)]
@@ -825,11 +894,10 @@ class TestArrayStateMatchesDataclassFold:
             state = update(state, x, y)
             if y == len(stats) + 1:
                 stats.append(prior.prior)
-                counts = ClassCounts(np.append(counts.counts, 2))  # a new class counts 2 after its first point
+                counts = np.append(counts, 2)  # a new class counts 2 after its first point
             else:
-                k = counts.counts.copy()
-                k[y - 1] += 1
-                counts = ClassCounts(k)
+                counts = counts.copy()
+                counts[y - 1] += 1
             if y > n_kk:
                 stats[y - 1] = condition(stats[y - 1], enc(x), noise)
             states.append(state)
@@ -838,19 +906,19 @@ class TestArrayStateMatchesDataclassFold:
         for state, (stats, counts) in zip(states, expected):
             n = len(stats)
             assert state.n_classes == n
-            np.testing.assert_array_equal(state.counts.counts, counts.counts)
+            np.testing.assert_array_equal(state.counts, counts)
             np.testing.assert_array_equal(state.Q[:n].reshape(n, d), np.array([s.q for s in stats]).reshape(n, d))
             np.testing.assert_array_equal(state.lam[:n], [s.lam for s in stats])
             np.testing.assert_array_equal(state.Q[n], prior.prior.q)  # the novel slot stays last
-            for got, want in zip(state.class_stats, stats):
-                np.testing.assert_array_equal(got.q, want.q)
-                assert got.lam == want.lam
+            for q, lam, want in zip(state.Q, state.lam, stats):
+                np.testing.assert_array_equal(q, want.q)
+                assert lam == want.lam
 
         # run_episode's prefix pass gives the same outputs, also when its
         # steps are split over several blocks and chunks, and leaves the
         # input state as it was
         start = states[0]
-        before = [a.copy() for a in (start.Q, start.lam, start.means, start.variances, start.counts.counts)]
+        before = [a.copy() for a in (start.Q, start.lam, start.means, start.variances, start.counts)]
         with mock.patch.object(losses, "PREFIX_ENTRIES", _prefix_entries(case["entries"], states[-1].n_classes)):
             records, final = run_episode(start, zip(X, case["labels"]))
         assert len(records) == len(case["labels"])
@@ -862,19 +930,19 @@ class TestArrayStateMatchesDataclassFold:
                 stepped.predicted, stepped.known_argmax, stepped.novelty_score, stepped.n_at_prediction
             )
             assert record.true_label == case["labels"][i]
-        for got, want in zip((start.Q, start.lam, start.means, start.variances, start.counts.counts), before):
+        for got, want in zip((start.Q, start.lam, start.means, start.variances, start.counts), before):
             np.testing.assert_array_equal(got, want)
         for name in ("Q", "lam", "means", "variances"):
             np.testing.assert_array_equal(getattr(final, name), getattr(states[-1], name))
             assert not getattr(final, name).flags.writeable
-        np.testing.assert_array_equal(final.counts.counts, states[-1].counts.counts)
+        np.testing.assert_array_equal(final.counts, states[-1].counts)
 
         # init_small_context steps the same table: the rows of the update fold
         if n_kk == 0:
             built = init_small_context(prior, crp, noise, enc, zip(X, case["labels"]))
             for name in ("Q", "lam", "means", "variances"):
                 np.testing.assert_array_equal(getattr(built, name), getattr(states[-1], name))
-            np.testing.assert_array_equal(built.counts.counts, states[-1].counts.counts)
+            np.testing.assert_array_equal(built.counts, states[-1].counts)
 
 
 @st.composite
@@ -949,7 +1017,7 @@ class TestRunEpisodes:
                 )
             for name in ("Q", "lam", "means", "variances"):
                 np.testing.assert_array_equal(getattr(final, name), getattr(want, name))
-            np.testing.assert_array_equal(final.counts.counts, want.counts.counts)
+            np.testing.assert_array_equal(final.counts, want.counts)
             assert (final.n_kk, final.encoder) == (want.n_kk, want.encoder)
 
     @pytest.mark.parametrize(
