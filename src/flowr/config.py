@@ -55,6 +55,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not (float(self.fine_tune_steps).is_integer() and self.fine_tune_steps >= 0):
             raise ValueError(f"fine_tune_steps must be a non-negative integer, got {self.fine_tune_steps}")
+        if not 0.0 < self.fine_tune_step_size < float("inf"):
+            raise ValueError(f"fine_tune_step_size must be positive and finite, got {self.fine_tune_step_size}")
 
     def train_episode_config(self) -> EpisodeConfig:
         return self._episode_config("train")

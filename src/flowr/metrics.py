@@ -153,9 +153,10 @@ def threshold_at_tpr(s: ScoreSet, target_tpr):
     pos = np.sort(np.asarray(s.positives, dtype=np.float64))[::-1]
     if len(pos) == 0:
         raise ValueError("threshold_at_tpr needs at least one positive score")
-    k = int(np.ceil(target_tpr * len(pos)))
+    n = len(pos)
+    k = int(np.searchsorted(np.arange(1, n + 1) / n, target_tpr)) + 1  # the least k with k / n >= target_tpr
     tau = float(pos[k - 1])
-    achieved = float(np.count_nonzero(pos >= tau) / len(pos))
+    achieved = float(np.count_nonzero(pos >= tau) / n)
     return tau, achieved
 
 

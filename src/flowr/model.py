@@ -14,10 +14,12 @@ streams whose labels are all known: one losses.Prefix folds a block of
 streams, each a support (a conditioning-only head) and its queries, and
 one losses.chunks pass scores the queries. init_small_context (a head and
 no queries), run_episode(s) (queries and no head) and runner.evaluate are
-its cases. _encode, _encode_one and _encode_labelled are flowr's only
-readers of raw inputs: each call encodes its inputs by losses.encode,
-refuses a bad one with a one-line error, and reports a stream's first
-fault as stepping would meet it, an overflowing class row included.
+its cases. A block's first fault is found by stepping its streams with
+update and predict, so the pass and stepping refuse the same input,
+label, far query or overflowing row. _encode, _encode_one and
+_encode_labelled are flowr's only readers of raw inputs: each call
+encodes its inputs by losses.encode and refuses a bad one with a one-line
+error.
 """
 
 from __future__ import annotations
@@ -288,52 +290,40 @@ def _fold(streams, finals=True) -> list:
     stepping gives it; a stream of no steps keeps its state. One
     losses.Prefix folds every stream and one losses.chunks pass scores the
     queries, so the states of streams with steps must share the CRP
-    parameters, n_kk and the rows below it. The streams are read in order
-    (_read) up to the first read fault; the steps before it are folded and
-    scored, and the first fault that stepping the streams one by one meets
-    is raised: a read fault, a query too far from every class (predict's)
-    or a step that overflows the row it conditions (update's), as `query i:
-    ...` or `support point i: ...`.
+    parameters, n_kk and the rows below it. A block the pass finds faulty
+    (a bad input or label, a step with no CRP mass, a query too far from
+    every class, a row that overflows) is stepped stream by stream (_step):
+    a block's first fault is the first one stepping meets, and the pass's
+    own error if stepping meets none.
     """
     streams = list(streams)
-    if not streams:
-        return []
-    live = [s[0] for s in streams if len(s[1]) + len(s[3])]
-    if any(not _shares_rows(live[0], state) for state in live[1:]):
+    live = [s for s in streams if len(s[1]) + len(s[3])]
+    if any(not _shares_rows(live[0][0], s[0]) for s in live[1:]):
         raise ValueError("episodes must share the CRP parameters and the rows below n_kk")
-    (Z, input_fault), read, done, fault = _read(streams), [], 0, None
-    for state, sx, sy, qx, qy in streams:
-        y, fault = _read_labels(state, sy, qy, Z[done : done + len(sx) + len(qx)], input_fault)
-        if len(y):
-            read.append((state._table, y, min(len(sx), len(y))))
-        fault = fault and (done + fault[0], *fault[1:])  # its step in the block
-        done += len(y)
-        if fault:
-            break
-    faults = [fault] if fault else []
-    if read:
-        tables, labels, heads = zip(*read)
-        lengths = [len(y) for y in labels]
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing row is refused below
-            prefix = losses.Prefix(tables, Z[:done], np.concatenate(labels), live[0].crp_params, lengths, heads)
-            made = prefix.made[~_finite(prefix)]
-            records, at = [None] * len(prefix.scored), np.empty(done, dtype=np.int64)
+    if not live:
+        return [([], s[0]) for s in streams]
+    try:
+        Z, tables = _read(live), [s[0]._table for s in live]
+        labels = [arrival_labels(s[0].n_classes, np.concatenate([s[2], s[4]]), "step") for s in live]
+        lengths, heads = [len(y) for y in labels], [len(s[1]) for s in live]
+        with np.errstate(over="ignore", invalid="ignore"):  # a faulty block is stepped below
+            prefix = losses.Prefix(tables, Z, np.concatenate(labels), live[0][0].crp_params, lengths, heads)
+            if not _finite(prefix).all():
+                raise ValueError(_OVERFLOW)
+            records, at = [None] * len(prefix.scored), np.empty(len(Z), dtype=np.int64)
             at[prefix.scored] = np.arange(len(prefix.scored))
-            far = done  # the first step whose posterior is NaN
             for c in losses.chunks(prefix):
-                far = c.steps[np.isnan(c.log_post[:, -1])].min(initial=far)
+                if np.isnan(c.log_post[:, -1]).any():
+                    raise ValueError(_FAR)
                 for i, r in zip(at[c.steps].tolist(), _records(c.n, c.logf, c.log_post, prefix.labels[c.steps])):
                     records[i] = r
-
-        def fault_at(step, kind, why):
-            """(step, kind, the error) for a step of the block: `query i` or `support point i`."""
-            i, h = step - prefix.first[prefix.stream[step]], heads[prefix.stream[step]]
-            return step, kind, ValueError(f"query {i - h}: {why}" if i >= h else f"support point {i}: {why}")
-
-        over = made[made >= 0].min(initial=done)
-        faults += [fault_at(*f) for f in ((far, 1, _FAR), (over, 3, _OVERFLOW)) if f[0] < done]
-    if faults:
-        raise min(faults, key=lambda f: f[:2])[2]
+    except (TypeError, ValueError):
+        for state, sx, sy, qx, qy in streams:
+            for i, (x, y) in enumerate(zip(sx, sy)):
+                state = _step(state, x, y, "support point", i)
+            for i, (x, y) in enumerate(zip(qx, qy)):
+                state = _step(state, x, y, "query", i)
+        raise  # stepping met no fault: the pass's own
     out, j, done = [], 0, 0
     for state, sx, _, qx, _ in streams:
         if len(sx) + len(qx):
@@ -345,12 +335,29 @@ def _fold(streams, finals=True) -> list:
     return out
 
 
-def _read(streams) -> tuple:
+def _step(state, x, y, what, i) -> ModelState:
+    """Point i of a stream stepped: update for a support point, predict then
+    update for a query. An input fault is raised as _encode_one raises it,
+    with i as .row, an InvalidStateError as it is, and any other fault as
+    `{what} i: ...`, of the same type."""
+    _encode_one(state.encoder, state.dim, x, i)
+    try:
+        if what == "query":
+            predict(state, x)
+        return update(state, x, y)
+    except InvalidStateError:
+        raise
+    except ValueError as e:
+        fault = type(e)(f"{what} {i}: {e}")
+        fault.row = i
+        raise fault from None
+
+
+def _read(streams) -> np.ndarray:
     """The streams' encoded inputs, each stream's head then its queries, in
-    stream order up to the first input fault, as one array, and that fault
-    or None: one _encode call per run of streams with one encoder, its
-    inputs stacked into one array when they stack."""
-    Z, fault = [], None
+    stream order, as one array: one _encode call per run of streams with one
+    encoder, its inputs stacked into one array when they stack."""
+    Z = []
     for _, run in groupby(streams, lambda s: (id(s[0].encoder), s[0].dim)):
         run = list(run)
         state, parts = run[0][0], [p for s in run for p in (s[1], s[3])]
@@ -358,44 +365,8 @@ def _read(streams) -> tuple:
             X = np.concatenate(parts)
         except (TypeError, ValueError):  # no block: the row check finds the first bad row
             X = [x for p in parts for x in p]
-        try:
-            Z.append(_encode(state.encoder, state.dim, X))
-        except (TypeError, ValueError) as e:
-            Z.append(_encode(state.encoder, state.dim, X[: e.row]))
-            fault = e
-            break
-    return (Z[0] if len(Z) == 1 else np.concatenate(Z)), fault
-
-
-def _read_labels(state, sy, qy, z, input_fault) -> tuple:
-    """A stream's int64 labels for the steps stepping it reaches, and its
-    first fault as (step, kind, error) or None; z holds its inputs read,
-    cut short by input_fault. Kind orders a step's faults as stepping meets
-    them: input 0, prediction 1, label 2, conditioning 3. A query is
-    predicted before its label is read, so label 1 stands in for a bad one."""
-    h, t, n = len(sy), len(z), state.n_classes
-    y, e = _checked(n, sy[: min(t, h)], "support point")
-    if e is not None:
-        return y, (len(y), 2, e)
-    if t > h:
-        if not h and not state._table.counts.any():
-            try:  # the CRP rule refuses to score step 0 when no class has a count yet and b <= 0
-                class_prior(state._table.counts, state.crp_params)
-            except InvalidStateError as e:
-                return y, (0, 1, e)
-        q, e = _checked(max(n, int(y.max(initial=0))), qy[: t - h], "query")
-        if e is not None:
-            return np.concatenate([y, q, [1]]), (h + len(q), 2, e)
-        y = np.concatenate([y, q])
-    return y, (t, 0, input_fault) if t < h + len(qy) else None
-
-
-def _checked(n, labels, what) -> tuple:
-    """crp.arrival_labels of labels up to their first fault, and that fault or None."""
-    try:
-        return arrival_labels(n, labels, what), None
-    except ProtocolError as e:
-        return arrival_labels(n, labels[: e.row], what), e
+        Z.append(_encode(state.encoder, state.dim, X))
+    return Z[0] if len(Z) == 1 else np.concatenate(Z)
 
 
 def _shares_rows(a, b) -> bool:
@@ -414,10 +385,12 @@ def fine_tune_output_layer(state: ModelState, support, steps, step_size, *, retu
     support is read and folded by init_small_context before the first step,
     and the raw inputs are taken once it has passed.
     The returned state is rebuilt from the support with the adapted encoder.
-    steps must be a non-negative integer.
+    steps must be a non-negative integer and step_size positive and finite.
     """
     if not (float(steps).is_integer() and steps >= 0):
         raise ValueError(f"fine-tuning steps must be a non-negative integer, got {steps}")
+    if not 0.0 < step_size < np.inf:
+        raise ValueError(f"fine-tuning step size must be positive and finite, got {step_size}")
     if state.encoder.kind != "affine":
         raise ValueError("fine-tuning requires an encoder with an affine output layer")
     support = list(support)

@@ -40,6 +40,12 @@ class TestDefaults:
         with pytest.raises(ValueError, match=f"^fine_tune_steps must be a non-negative integer, got {steps}$"):
             ExperimentConfig(fine_tune_steps=steps)
 
+    @pytest.mark.parametrize("step_size", [0.0, -0.1, float("nan"), float("inf")])
+    def test_fine_tune_step_size_must_be_positive_and_finite(self, step_size):
+        """-0.1 used to be accepted: each tuning step then spent 20 rejected halvings and tuned nothing."""
+        with pytest.raises(ValueError, match=f"^fine_tune_step_size must be positive and finite, got {step_size}$"):
+            ExperimentConfig(fine_tune_step_size=step_size)
+
     def test_episode_shapes(self):
         """Small-context: 40 support + 10 novel classes for training, 10 + 5
         with 10 queries per class for evaluation."""

@@ -196,6 +196,12 @@ class TestThresholdAtTpr:
         assert tau == 0.5
         assert achieved == 0.6
 
+    def test_target_whose_product_rounds_up_is_met_exactly(self):
+        """0.55 * 100 is 55.00000000000001, whose ceiling asked for 56 of
+        the 100 positives: (44.0, 0.56) instead of the 55 that meet the target."""
+        tau, achieved = threshold_at_tpr(ScoreSet(np.arange(100.0), [0.0]), 0.55)
+        assert (tau, achieved) == (45.0, 0.55)
+
     def test_target_one_takes_minimum(self):
         tau, achieved = threshold_at_tpr(ScoreSet([0.9, 0.1, 0.4], [0.0]), 1.0)
         assert tau == 0.1

@@ -37,6 +37,7 @@ from flowr.model import (
     ProtocolError,
     _encode,
     _encode_one,
+    _fold,
     _large_context,
     _records,
     fine_tune_output_layer,
@@ -451,6 +452,21 @@ class TestInitSmallContext:
         with np.errstate(over="ignore"), pytest.raises(error, match=_at("support point", message)):
             init_small_context(state.prior, state.crp_params, state.noise, state.encoder, zip(inputs, labels))
 
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ([0.0, np.nan], "input must be finite \\(after encoding\\)"),
+            ([0.0], "input must be one vector of length 2, got shape \\(1,\\)"),
+        ],
+    )
+    def test_input_fault_carries_its_row(self, x, message):
+        """An input fault reads as the reader raises it, with no prefix, and
+        carries the point's index in the support as .row."""
+        support = [([0.0, 0.0], 1), ([1.0, 0.0], 2), (x, 1)]
+        with pytest.raises(ValueError, match=f"^{message}$") as fault:
+            init_small_context(*self._ingredients(), support)
+        assert fault.value.row == 2
+
     def test_no_mass_prior_still_builds(self):
         """Building the support table scores nothing, so b <= 0 is no fault."""
         prior, _, noise, enc = self._ingredients()
@@ -639,6 +655,26 @@ class TestRunEpisode:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             run_episodes(streams)
 
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ([np.nan], "input must be finite \\(after encoding\\)"),
+            ([0.0, 0.0], "input must be one vector of length 1, got shape \\(2,\\)"),
+        ],
+    )
+    def test_input_fault_carries_its_row(self, x, message):
+        """An input fault reads as the reader raises it, with no prefix, and
+        carries the query's index in its stream as .row, by run_episode and
+        by run_episodes after a clean stream read in the same call (it used
+        to carry the index in the block read)."""
+        state, queries = _empty_state(), [([0.0], 1), ([1.0], 2), (x, 1)]
+        with pytest.raises(ValueError, match=f"^{message}$") as fault:
+            run_episode(state, queries)
+        assert fault.value.row == 2
+        with pytest.raises(ValueError, match=f"^{message}$") as fault:
+            run_episodes([(state, [([0.0], 1)]), (state, queries)])
+        assert fault.value.row == 2
+
     def test_non_integer_label_is_refused(self):
         """2.7 used to open class 2 and be recorded as true_label=2."""
         with pytest.raises(ProtocolError, match="^query 1: label 2.7 is not an integer class index$"):
@@ -681,6 +717,17 @@ class TestFineTune:
         state, support = self._affine_state()
         with pytest.raises(ValueError, match=f"^fine-tuning steps must be a non-negative integer, got {steps}$"):
             fine_tune_output_layer(state, support, steps, 0.1)
+
+    @pytest.mark.parametrize("step_size", [0.0, -0.05, float("nan"), float("inf")])
+    def test_step_size_must_be_positive_and_finite(self, step_size):
+        """-0.05 used to spend 20 rejected halvings (each a leave-one-out
+        evaluation) and return the state untuned; 0.0 "accepted" every step."""
+        state, support = self._affine_state()
+        message = f"^fine-tuning step size must be positive and finite, got {step_size}$"
+        with mock.patch.object(losses, "loo_support_grads", wraps=losses.loo_support_grads) as loo:
+            with pytest.raises(ValueError, match=message):
+                fine_tune_output_layer(state, support, 5, step_size)
+        assert loo.call_count == 0
 
     def test_integer_valued_float_step_count_is_accepted(self):
         state, support = self._affine_state()
@@ -1079,6 +1126,65 @@ class TestRunEpisodes:
         for first, second in ((lc, other), (_empty_state(), _empty_state(b=2.0)), (_empty_state(), lc)):
             with pytest.raises(ValueError, match="^episodes must share the CRP parameters and the rows below n_kk$"):
                 run_episodes([(first, [([0.0], 1)]), (second, [([0.0], 1)])])
+
+
+def _stepped(streams):
+    """The test-local reference for _fold's faults: each stream's head
+    points conditioned by update, then each query predicted and
+    conditioned in turn. The first fault raised, unprefixed, and the
+    (what, i) of the point it was raised at; (None, None, None) if none."""
+    for state, sx, sy, qx, qy in streams:
+        for what, xs, ys in (("support point", sx, sy), ("query", qx, qy)):
+            for i, (x, y) in enumerate(zip(xs, ys)):
+                try:
+                    if what == "query":
+                        predict(state, x)
+                    state = update(state, x, y)
+                except ValueError as e:
+                    return e, what, i
+    return None, None, None
+
+
+class TestFold:
+    """_fold over streams that each have a head (a support) and queries,
+    the shape runner.evaluate feeds it, which no public entry point can
+    put a fault into."""
+
+    @pytest.mark.parametrize("part", ["support point", "query"])
+    @pytest.mark.parametrize(
+        "x, y, prefixed",
+        [
+            ([1e150], 1, True),  # conditioning on it overflows its row
+            ([0.0], 5, True),  # its label skips ahead
+            ([1e300], 1, True),  # a query too far from every class; in the head, a row it overflows
+            ([0.0, 0.0], 1, False),  # an input of the wrong shape
+        ],
+    )
+    def test_fault_is_raised_as_stepping_raises_it(self, part, x, y, prefixed):
+        """The middle stream's fault, at its point 1, is raised with the
+        type and message stepping gives it, prefixed `{what} 1: ` unless it
+        is an input fault, ahead of the last stream's label fault."""
+        state = _fine_noise_state()
+        streams = [[state, [[0.0], [1.0]], [1, 2], [[0.5], [0.0], [2.0]], [1, 3, 2]] for _ in range(3)]
+        at = 1 if part == "support point" else 3
+        streams[1][at].insert(1, x)
+        streams[1][at + 1].insert(1, y)
+        streams[2][4][0] = 0
+        with np.errstate(over="ignore"):
+            want, what, i = _stepped(streams)
+            assert (what, i) == (part, 1)
+            with pytest.raises(type(want)) as got:
+                _fold(streams)
+        assert type(got.value) is type(want)
+        assert str(got.value) == (f"{part} 1: {want}" if prefixed else str(want))
+        assert got.value.row == 1
+
+    def test_clean_streams_are_not_stepped(self):
+        """A clean block is one pass: nothing is predicted or updated one by one."""
+        streams = [(_empty_state(), [[0.0], [1.0]], [1, 2], [[0.5], [3.0]], [1, 3]) for _ in range(2)]
+        with mock.patch("flowr.model.update", side_effect=AssertionError("stepped")):
+            results = _fold(streams)
+        assert [len(records) for records, _ in results] == [2, 2]
 
 
 def _batch_predict(state, x):
