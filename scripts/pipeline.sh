@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Run the whole flowr pipeline on a small synthetic world and write every
 # output to OUT_DIR: the dataset, the checkpoints, the meta-training traces,
-# the eval records, ROC curves and metric tables, and each command's stdout
+# the eval records, ROC curves and metric tables, the metric tables `flowr
+# report` re-renders from two record files, and each command's stdout
 # (in <step>.log). Every path is relative to OUT_DIR, so two runs of this
 # script must leave byte-identical directories: `diff -r` checks that the
 # pipeline is deterministic, and scripts/compare_pipeline.sh that the outputs
@@ -55,5 +56,10 @@ for ckpt in lc pre; do
     run "eval-lc-$ckpt" eval "${lc[@]}" --checkpoint "$ckpt.ckpt" --out-dir "eval-lc-$ckpt"
 done
 run eval-lc-ncm eval "${lc[@]}" --checkpoint lc.ckpt --method ncm --out-dir eval-lc-ncm
+
+# re-render two metric tables from their record files, at each preset's operating TPR,
+# so the record reader's output is in OUT_DIR too
+run report-sc report --records eval-sc/flowr_records.txt --tpr 0.15
+run report-lc-lc report --records eval-lc-lc/flowr_records.txt --tpr 0.6
 
 run grad-check grad-check --trials 3

@@ -10,10 +10,13 @@ a dense cost grid, which the tests enforce.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import betainc
+
+from .model import NO_CLASS, Outcomes
 
 
 @dataclass(frozen=True)
@@ -160,56 +163,58 @@ def threshold_at_tpr(s: ScoreSet, target_tpr):
     return tau, achieved
 
 
-@dataclass(frozen=True)
 class EpisodeRecords:
-    """Per-query records of one episode plus derived ground-truth flags.
+    """One episode's per-query outcomes as model.Outcomes columns, plus
+    derived ground-truth flags.
 
-    first_novel marks only the first encounter of each brand-new class;
-    once its label has been seen, later queries of that class count as
-    incremental. support_class marks classes known before the query phase.
+    records are the episode's PredictionRecords, or its Outcomes (the
+    columns model._fold scores). Built from records, .records keeps them as
+    given; built from columns, .records builds them on first read and keeps
+    them. first_novel marks only the first encounter of each brand-new
+    class; once its label has been seen, later queries of that class count
+    as incremental. support_class marks classes known before the query phase.
     """
 
-    records: tuple
-    n_initial: int
-    first_novel: np.ndarray = field(init=False)
-    support_class: np.ndarray = field(init=False)
-    incremental: np.ndarray = field(init=False)
+    def __init__(self, records, n_initial):
+        if isinstance(records, Outcomes):
+            self.columns = records
+        else:
+            self.records = tuple(records)
+            self.columns = Outcomes.of(self.records)
+        self.n_initial = n_initial
 
-    def __post_init__(self):
-        records = tuple(self.records)
-        if any(r.true_label is None for r in records):
-            raise ValueError("episode records need true labels")
-        true = np.array([r.true_label for r in records], dtype=np.int64)
-        seen = np.array([r.n_at_prediction for r in records], dtype=np.int64)
-        first_novel = true > seen
-        support = true <= self.n_initial
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "first_novel", first_novel)
-        object.__setattr__(self, "support_class", support)
-        object.__setattr__(self, "incremental", ~first_novel & ~support)
+    @cached_property
+    def records(self) -> tuple:
+        return tuple(self.columns.records())
+
+    first_novel = property(lambda s: s.columns.true > s.columns.n_at)
+    support_class = property(lambda s: s.columns.true <= s.n_initial)
+    incremental = property(lambda s: ~s.first_novel & ~s.support_class)
 
     def __len__(self):
-        return len(self.records)
+        return len(self.columns)
 
 
 def _pool(episodes):
+    """The episodes' columns end to end: novelty, true and known_argmax,
+    then the first_novel, support_class and incremental flags."""
     if isinstance(episodes, EpisodeRecords):
         episodes = [episodes]
     episodes = list(episodes)
     if not episodes or all(len(e) == 0 for e in episodes):
         raise ValueError("accuracy_suite needs at least one recorded query")
-    records = [r for e in episodes for r in e.records]
-
-    def cat(name):
-        return np.concatenate([getattr(e, name) for e in episodes])
-
-    return records, cat("first_novel"), cat("support_class"), cat("incremental")
+    novelty, true, known_argmax, n_at = (
+        np.concatenate([getattr(e.columns, name) for e in episodes])
+        for name in ("novelty", "true", "known_argmax", "n_at")
+    )
+    first_novel = true > n_at
+    support = true <= np.repeat([e.n_initial for e in episodes], [len(e) for e in episodes])
+    return novelty, true, known_argmax, first_novel, support, ~first_novel & ~support
 
 
 def scores_from_records(episodes) -> ScoreSet:
     """Pool novelty scores: first encounters are positives, the rest negatives."""
-    records, first_novel, _, _ = _pool(episodes)
-    scores = np.array([r.novelty_score for r in records])
+    scores, _, _, first_novel, _, _ = _pool(episodes)
     return ScoreSet(positives=scores[first_novel], negatives=scores[~first_novel])
 
 
@@ -226,14 +231,9 @@ def accuracy_suite(episodes, tau, *, alpha=2.0, beta=2.0) -> dict:
     Subsets with no queries report None rather than NaN. h_measure and
     auroc are threshold-free and computed from the pooled scores.
     """
-    records, first_novel, support, incremental = _pool(episodes)
-    scores = np.array([r.novelty_score for r in records])
-    true = np.array([r.true_label for r in records], dtype=np.int64)
-    argmax = np.array(
-        [r.known_argmax if r.known_argmax is not None else -1 for r in records], dtype=np.int64
-    )
+    scores, true, argmax, first_novel, support, incremental = _pool(episodes)
     flagged = scores >= tau
-    correct = np.where(first_novel, flagged, ~flagged & (argmax == true))
+    correct = np.where(first_novel, flagged, ~flagged & (argmax == true) & (argmax != NO_CLASS))
 
     have_both = np.any(first_novel) and not np.all(first_novel)
     score_set = (
@@ -249,7 +249,7 @@ def accuracy_suite(episodes, tau, *, alpha=2.0, beta=2.0) -> dict:
         "novel_detection_accuracy": _mean_or_none(first_novel, correct),
         "h_measure": h_measure(score_set, alpha, beta) if score_set else None,
         "auroc": auroc(score_set) if score_set else None,
-        "n_queries": int(len(records)),
+        "n_queries": int(len(scores)),
         "n_support": int(np.count_nonzero(support)),
         "n_incremental": int(np.count_nonzero(incremental)),
         "n_novel": int(np.count_nonzero(first_novel)),

@@ -12,9 +12,11 @@ losses use too (the prior's row, the novel slot, last). update conditions
 it one step at a time; predict scores it. _fold is the one pass for
 streams whose labels are all known: one losses.Prefix folds a block of
 streams, each a support (a conditioning-only head) and its queries, and
-one losses.chunks pass scores the queries. init_small_context (a head and
-no queries), run_episode(s) (queries and no head) and runner.evaluate are
-its cases. A block's first fault is found by stepping its streams with
+one losses.chunks pass scores the queries into Outcomes, the block's
+outcomes as columns. init_small_context (a head and no queries),
+run_episode(s) (queries and no head, the columns built into
+PredictionRecords) and runner.evaluate (the columns as they are) are its
+cases. A block's first fault is found by stepping its streams with
 update and predict, so the pass and stepping refuse the same input,
 label, far query or overflowing row. _encode, _encode_one and
 _encode_labelled are flowr's only readers of raw inputs: each call
@@ -90,6 +92,49 @@ class PredictionRecord:
     novelty_score: float
     n_at_prediction: int
     true_label: int | None = None
+
+
+NO_CLASS = 0  # a predicted or known_argmax column's entry for None: classes count from 1
+
+
+class Outcomes:
+    """The outcomes of m labelled queries as columns: int64 true labels,
+    predicted classes, known argmaxes (NO_CLASS for None) and class counts
+    at prediction n_at, float64 novelty scores, and probs (m, width) or
+    None, row i's posterior in its first n_at[i] + 1 entries, the novel
+    slot last, padding beyond. Slicing gives the views of a run of rows;
+    records() builds the PredictionRecords, probs as views of those rows."""
+
+    __slots__ = ("true", "predicted", "known_argmax", "novelty", "n_at", "probs")
+
+    def __init__(self, true, predicted, known_argmax, novelty, n_at, probs=None):
+        self.true, self.predicted, self.known_argmax = true, predicted, known_argmax
+        self.novelty, self.n_at, self.probs = novelty, n_at, probs
+
+    @classmethod
+    def of(cls, records) -> "Outcomes":
+        """The columns of PredictionRecords that carry true labels; probs are not kept."""
+        if any(r.true_label is None for r in records):
+            raise ValueError("episode records need true labels")
+        ints = np.array(
+            [(r.true_label, r.predicted or NO_CLASS, r.known_argmax or NO_CLASS, r.n_at_prediction) for r in records],
+            dtype=np.int64,
+        ).reshape(-1, 4)
+        true, predicted, known_argmax, n_at = ints.T.copy()
+        return cls(true, predicted, known_argmax, np.array([r.novelty_score for r in records], dtype=np.float64), n_at)
+
+    def __len__(self):
+        return len(self.true)
+
+    def __getitem__(self, rows: slice) -> "Outcomes":
+        return Outcomes(*(None if c is None else c[rows] for c in (getattr(self, f) for f in self.__slots__)))
+
+    def records(self) -> list:
+        n_at = self.n_at.tolist()
+        probs = [None] * len(n_at) if self.probs is None else [p[: n + 1] for p, n in zip(self.probs, n_at)]
+        rows = zip(probs, self.predicted.tolist(), self.known_argmax.tolist(), self.novelty.tolist(), n_at,
+                   self.true.tolist())
+        return [PredictionRecord(p, c or None, k or None, s, n, y) for p, c, k, s, n, y in rows]
 
 
 def _check_width(encoder: Encoder, dim) -> int:
@@ -184,29 +229,36 @@ def predict(state: ModelState, x) -> PredictionRecord:
         raise ValueError(_FAR)
     log_post = logits - (top + np.log(np.exp(logits - top).sum()))
     probs, n = np.exp(log_post), table.n
-    if not probs[:n].any():  # no known class has mass: known_argmax falls back
-        return _records(n, logf[None], log_post[None])[0]
-    return PredictionRecord(probs, int(probs.argmax()) + 1, int(probs[:n].argmax()) + 1, float(probs[-1]), n)
+    if probs[:n].any():
+        known = int(probs[:n].argmax()) + 1
+    else:  # no known class has mass: known_argmax falls back
+        known = int(_known_argmax(n, probs[None], log_post[None], logf[None])[0]) or None
+    return PredictionRecord(probs, int(probs.argmax()) + 1, known, float(probs[-1]), n)
 
 
-def _records(n, logf, log_post, labels=None) -> list:
-    """PredictionRecords of m queries, each scored against a table of n
-    classes: their log densities and log posteriors (m, n + 1)."""
+def _known_argmax(n, probs, log_post, logf) -> np.ndarray:
+    """The 1-based most probable known class of each of m queries scored
+    against n classes (probs, log_post, logf (m, n + 1)), as predict
+    defines it; NO_CLASS with no class."""
+    if n == 0:
+        return np.full(len(probs), NO_CLASS, dtype=np.int64)
+    known = probs[:, :n]
+    has_mass = known.any(axis=1)
+    if not has_mass.all():
+        post = log_post[:, :n]
+        fallback = np.where(np.isfinite(post).any(axis=1, keepdims=True), post, logf[:, :n])
+        known = np.where(has_mass[:, None], known, fallback)
+    return known.argmax(axis=1) + 1
+
+
+def _score(out, rows, n, logf, log_post):
+    """Fill rows of out (Outcomes) with the outcomes of queries scored
+    against n classes: their log densities and log posteriors (m, n + 1)."""
     probs = np.exp(log_post)
-    m = len(probs)
-    known_argmax = [None] * m
-    if n > 0:
-        known = probs[:, :n]
-        has_mass = known.any(axis=1)
-        if not has_mass.all():
-            post = log_post[:, :n]
-            fallback = np.where(np.isfinite(post).any(axis=1, keepdims=True), post, logf[:, :n])
-            known = np.where(has_mass[:, None], known, fallback)
-        known_argmax = (known.argmax(axis=1) + 1).tolist()
-    predicted, novelty = (probs.argmax(axis=1) + 1).tolist(), probs[:, -1].tolist()
-    labels = [None] * m if labels is None else labels.tolist()
-    rows = zip(list(probs), predicted, known_argmax, novelty, labels)  # positional: the records' field order
-    return [PredictionRecord(p, c, k, s, n, y) for p, c, k, s, y in rows]
+    out.probs[rows, : n + 1] = probs
+    out.predicted[rows] = probs.argmax(axis=1) + 1
+    out.known_argmax[rows] = _known_argmax(n, probs, log_post, logf)
+    out.novelty[rows] = probs[:, -1]
 
 
 def update(state: ModelState, x, y) -> ModelState:
@@ -277,19 +329,21 @@ def run_episode(state: ModelState, queries):
 def run_episodes(episodes) -> list:
     """run_episode over several (state, queries) streams, taken in order:
     one (records, final_state) per stream, bit for bit what it gets alone;
-    the one pass (_fold) over streams with no head."""
+    the one pass (_fold) over streams with no head, its columns built into records."""
     episodes = [(state, list(queries)) for state, queries in episodes]
-    return _fold([(state, (), (), [x for x, _ in q], [y for _, y in q]) for state, q in episodes])
+    streams = [(state, (), (), [x for x, _ in q], [y for _, y in q]) for state, q in episodes]
+    return [(out.records(), state) for out, state in _fold(streams)]
 
 
 def _fold(streams, finals=True) -> list:
     """The one pass over (state, head inputs, head labels, query inputs,
     query labels) streams: a stream's head (a support) only conditions its
     state, then each query is predicted and conditioned in turn. One
-    (records, final state, None unless finals) per stream, bit for bit what
+    (Outcomes, final state, None unless finals) per stream, bit for bit what
     stepping gives it; a stream of no steps keeps its state. One
     losses.Prefix folds every stream and one losses.chunks pass scores the
-    queries, so the states of streams with steps must share the CRP
+    queries into the block's columns (_score), each stream's Outcomes
+    their views, so the states of streams with steps must share the CRP
     parameters, n_kk and the rows below it. A block the pass finds faulty
     (a bad input or label, a step with no CRP mass, a query too far from
     every class, a row that overflows) is stepped stream by stream (_step):
@@ -301,7 +355,7 @@ def _fold(streams, finals=True) -> list:
     if any(not _shares_rows(live[0][0], s[0]) for s in live[1:]):
         raise ValueError("episodes must share the CRP parameters and the rows below n_kk")
     if not live:
-        return [([], s[0]) for s in streams]
+        return [(Outcomes.of(()), s[0]) for s in streams]
     try:
         Z, tables = _read(live), [s[0]._table for s in live]
         labels = [arrival_labels(s[0].n_classes, np.concatenate([s[2], s[4]]), "step") for s in live]
@@ -310,13 +364,14 @@ def _fold(streams, finals=True) -> list:
             prefix = losses.Prefix(tables, Z, np.concatenate(labels), live[0][0].crp_params, lengths, heads)
             if not _finite(prefix).all():
                 raise ValueError(_OVERFLOW)
-            records, at = [None] * len(prefix.scored), np.empty(len(Z), dtype=np.int64)
-            at[prefix.scored] = np.arange(len(prefix.scored))
+            m, n_at, at = len(prefix.scored), prefix.n_at[prefix.scored], np.empty(len(Z), dtype=np.int64)
+            at[prefix.scored] = np.arange(m)
+            block = Outcomes(prefix.labels[prefix.scored], np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64),
+                             np.empty(m), n_at, np.zeros((m, n_at.max(initial=0) + 1)))
             for c in losses.chunks(prefix):
                 if np.isnan(c.log_post[:, -1]).any():
                     raise ValueError(_FAR)
-                for i, r in zip(at[c.steps].tolist(), _records(c.n, c.logf, c.log_post, prefix.labels[c.steps])):
-                    records[i] = r
+                _score(block, at[c.steps], c.n, c.logf, c.log_post)
     except (TypeError, ValueError):
         for state, sx, sy, qx, qy in streams:
             for i, (x, y) in enumerate(zip(sx, sy)):
@@ -328,10 +383,10 @@ def _fold(streams, finals=True) -> list:
     for state, sx, _, qx, _ in streams:
         if len(sx) + len(qx):
             q = lengths[j] - heads[j]
-            out.append((records[done : done + q], state._derive(prefix.final_table(j)) if finals else None))
+            out.append((block[done : done + q], state._derive(prefix.final_table(j)) if finals else None))
             j, done = j + 1, done + q
         else:
-            out.append(([], state))
+            out.append((Outcomes.of(()), state))
     return out
 
 

@@ -26,7 +26,7 @@ from .data import generate_synthetic_world
 from .encoder import Encoder
 from .meta import oracle_labels
 from .metrics import EpisodeRecords, accuracy_suite, roc_curve, scores_from_records, threshold_at_tpr
-from .model import PredictionRecord, _fold, _large_context, fine_tune_output_layer, init_small_context
+from .model import NO_CLASS, Outcomes, _fold, _large_context, fine_tune_output_layer, init_small_context
 
 
 @dataclass
@@ -113,7 +113,7 @@ def evaluate(
             results = _fold(streams, finals=False)
         else:
             results = _fold([(start, e.support_x, e.support_y, e.query_x, y) for e, y in block], finals=False)
-        return [EpisodeRecords(records, n_initial=e.n_known) for (e, _), (records, _) in zip(block, results)]
+        return [EpisodeRecords(outcomes, n_initial=e.n_known) for (e, _), (outcomes, _) in zip(block, results)]
 
     episodes, block, size = [], [], 0
     for i in range(n_episodes):
@@ -164,54 +164,114 @@ def write_metrics(path, metrics):
 
 
 def write_roc_csv(path, roc):
-    fpr, tpr, thresholds = roc
-    text = "".join(f"{float(f)!r},{float(t)!r},{float(th)!r}\n" for f, t, th in zip(fpr, tpr, thresholds))
+    rows = np.column_stack(roc).astype(np.float64)
     with open(path, "w") as fh:
-        fh.write("fpr,tpr,threshold\n" + text)
+        fh.write("fpr,tpr,threshold\n" + ("%r,%r,%r\n" * len(rows)) % tuple(rows.ravel().tolist()))
+
+
+_RECORD = (
+    "record episode=%d query=%d true=%d predicted=%s known_argmax=%s novelty=%r n_at_prediction=%d n_initial=%s\n"
+)
+_FIELDS = ("episode", "query", "true", "predicted", "known_argmax", "novelty", "n_at_prediction", "n_initial")
+_LEAST = {"episode": 0, "query": 0, "predicted": 1, "known_argmax": 1}  # a class counts from 1; none is NO_CLASS
 
 
 def write_records(path, episodes):
-    text = "".join(
-        f"record episode={e} query={i} true={r.true_label} "
-        f"predicted={_fmt(r.predicted)} known_argmax={_fmt(r.known_argmax)} "
-        f"novelty={float(r.novelty_score)!r} n_at_prediction={r.n_at_prediction} "
-        f"n_initial={ep.n_initial}\n"
-        for e, ep in enumerate(episodes)
-        for i, r in enumerate(ep.records)
-    )
+    """One `record` line per query, episode after episode, formatted from
+    the episodes' columns by one % over all of them."""
+    episodes = list(episodes)
+
+    def column(name):
+        return np.concatenate([getattr(e.columns, name) for e in episodes] or [np.empty(0)])
+
+    total = sum(len(e) for e in episodes)
+    values = [None] * (len(_FIELDS) * total)
+    values[0::8] = [e for e, ep in enumerate(episodes) for _ in range(len(ep))]
+    values[1::8] = [i for ep in episodes for i in range(len(ep))]
+    values[2::8] = column("true").tolist()
+    values[3::8] = _none_as_named(column("predicted"))
+    values[4::8] = _none_as_named(column("known_argmax"))
+    values[5::8] = column("novelty").tolist()
+    values[6::8] = column("n_at").tolist()
+    values[7::8] = [ep.n_initial for ep in episodes for _ in range(len(ep))]
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write((_RECORD * total) % tuple(values))
+
+
+def _none_as_named(column) -> list:
+    """column.tolist(), NO_CLASS as none."""
+    named = column.astype(object)
+    named[column == NO_CLASS] = "none"
+    return named.tolist()
 
 
 def read_records(path) -> list:
-    """Rebuild EpisodeRecords from a record file written by write_records."""
-    grouped = {}
-    n_initial = {}
+    """Rebuild EpisodeRecords, as columns without probs, from a record file
+    written by write_records: each episode's lines in query order. A line
+    with an unknown tag, a token that is not key=value, a missing field, a
+    value that does not parse, is out of range or is a novelty that is not
+    finite, an episode whose lines disagree on n_initial, and one whose
+    query indices are not 0..m-1, each once, are refused with a one-line
+    `path:line: ...` ValueError.
+    """
+    rows, line_nos = [], []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tag, *fields = line.split()
-            if tag != "record":
-                raise ValueError(f"{path}:{line_no}: unknown record tag {tag!r}")
-            kv = dict(f.split("=", 1) for f in fields)
-            e = int(kv["episode"])
-            rec = PredictionRecord(
-                probs=None,
-                predicted=None if kv["predicted"] == "none" else int(kv["predicted"]),
-                known_argmax=None if kv["known_argmax"] == "none" else int(kv["known_argmax"]),
-                novelty_score=float(kv["novelty"]),
-                n_at_prediction=int(kv["n_at_prediction"]),
-                true_label=int(kv["true"]),
-            )
-            grouped.setdefault(e, []).append((int(kv["query"]), rec))
-            n_initial[e] = int(kv["n_initial"])
+            if line.strip():
+                try:
+                    rows.append(_parse_record(line.split()))
+                except ValueError as e:
+                    raise ValueError(f"{path}:{line_no}: {e}") from None
+                line_nos.append(line_no)
+    if not rows:
+        return []
+    columns = [np.array(c) for c in zip(*rows)]
+    order = np.lexsort((columns[1], columns[0]))  # by episode, then query, stably
+    episode, query, true, predicted, known, novelty, n_at, n_initial = (c[order] for c in columns)
+    bounds = np.append(np.flatnonzero(np.diff(episode, prepend=-1)), len(episode))  # each episode's lines
+    first = np.repeat(bounds[:-1], np.diff(bounds))  # each line's episode's first line
+    expected = np.arange(len(episode)) - first
+    bad = np.flatnonzero((query != expected) | (n_initial != n_initial[first]))
+    if len(bad):
+        i = bad[0]
+        e, q, k, at = episode[i], query[i], expected[i], line_nos[order[first[i]]]
+        fault = (f"has no query {k}" if q > k else f"repeats query {q}" if q < k else
+                 f"has n_initial {n_initial[i]}, not {n_initial[first[i]]} as on line {at}")
+        raise ValueError(f"{path}:{line_nos[order[i]]}: episode {e} {fault}")
     episodes = []
-    for e in sorted(grouped):
-        ordered = [rec for _, rec in sorted(grouped[e], key=lambda pair: pair[0])]
-        episodes.append(EpisodeRecords(ordered, n_initial=n_initial[e]))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        outcomes = Outcomes(true[a:b], predicted[a:b], known[a:b], novelty[a:b], n_at[a:b])
+        episodes.append(EpisodeRecords(outcomes, n_initial=int(n_initial[a])))
     return episodes
+
+
+def _parse_record(tokens) -> list:
+    """A record line's values in _FIELDS order, none as NO_CLASS."""
+    if tokens[0] != "record":
+        raise ValueError(f"unknown record tag {tokens[0]!r}")
+    fields = {}
+    for token in tokens[1:]:
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise ValueError(f"field {token!r} is not key=value")
+        fields[key] = value
+    row = []
+    for name in _FIELDS:
+        if name not in fields:
+            raise ValueError(f"missing field {name!r}")
+        value = fields[name]
+        try:
+            if name == "novelty":
+                row.append(float(value))
+            else:
+                row.append(NO_CLASS if value == "none" and name in ("predicted", "known_argmax") else int(value))
+        except ValueError:
+            raise ValueError(f"{name}={value} is not {'a number' if name == 'novelty' else 'an integer'}") from None
+        if name == "novelty" and not np.isfinite(row[-1]):
+            raise ValueError(f"novelty {value} is not finite")
+        if value != "none" and row[-1] < _LEAST.get(name, row[-1]):
+            raise ValueError(f"{name}={value} is below {_LEAST[name]}")
+    return row
 
 
 def output_dir(flag_value=None) -> str:

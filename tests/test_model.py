@@ -34,12 +34,12 @@ from flowr.gaussian import (
 )
 from flowr.model import (
     ModelState,
+    PredictionRecord,
     ProtocolError,
     _encode,
     _encode_one,
     _fold,
     _large_context,
-    _records,
     fine_tune_output_layer,
     init_large_context,
     init_small_context,
@@ -543,6 +543,39 @@ class TestInitLargeContext:
         record = predict(state, means[k - 1])
         np.testing.assert_array_equal(record.probs, [0.0, 0.0, 0.0, 1.0])
         assert record.known_argmax == k
+
+    def test_run_episodes_known_argmax_falls_back_as_stepping(self):
+        """From an init_count=0 state, known classes have no mass until their
+        first label: run_episodes over several streams gives each query the
+        record stepping predict then update gives it, the known_argmax
+        fallback included, in blocks split mid-stream and mid-run."""
+        means = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]])
+        start = init_large_context(
+            ClassEmbeddings(means=means, variances=[1.0, 1.0, 1.0]),
+            SharedPrior(NaturalClassStats(q=np.zeros(2), lam=0.1)),
+            CrpParams.from_b(a=0.5, b=1.0),
+            NOISE,
+            Encoder.identity(),
+            init_count=0,
+        )
+        rng = np.random.default_rng(4)
+        streams = []
+        for labels in ([2, 3, 2, 4, 1, 4, 3], [4, 1, 5, 1, 2], [3, 3, 4]):
+            centres = np.vstack([means, rng.normal(scale=6.0, size=(2, 2))])
+            streams.append((start, [(centres[y - 1] + rng.normal(size=2), y) for y in labels]))
+        with mock.patch.object(losses, "PREFIX_ENTRIES", 8):
+            results = run_episodes(streams)
+        fallbacks = 0
+        for (state, queries), (records, final) in zip(streams, results):
+            assert len(records) == len(queries)
+            for (x, y), rec in zip(queries, records):
+                want = predict(state, x)
+                _same_record(rec, want)
+                assert rec.true_label == y
+                fallbacks += not want.probs[: state.n_classes].any()
+                state = update(state, x, y)
+            np.testing.assert_array_equal(final.counts, state.counts)
+        assert fallbacks == len(streams)  # each stream's first query: no label yet
 
     def test_underflowed_known_mass_keeps_posterior_argmax(self):
         """A far outlier drives every known posterior below the smallest
@@ -1190,8 +1223,8 @@ class TestFold:
 def _batch_predict(state, x):
     """predict as the batch helpers wrote it before it scored one query on
     vectors: log_density_matrix on a block of one encoded input, the log
-    CRP prior, losses._bayes and _records. Kept as the reference the
-    one-query path must match bit for bit."""
+    CRP prior, losses._bayes, and known_argmax by its documented fallbacks.
+    Kept as the reference the one-query path must match bit for bit."""
     table = state._table
     logf = log_density_matrix(_encode(state.encoder, state.dim, [x]), table.means, table.variances)
     with np.errstate(divide="ignore"):
@@ -1199,7 +1232,16 @@ def _batch_predict(state, x):
     log_post = losses._bayes(logf, log_prior)
     if math.isnan(log_post[0, -1]):
         raise ValueError(_FAR)
-    return _records(table.n, logf, log_post)[0]
+    probs, n = np.exp(log_post[0]), table.n
+    if n == 0:
+        known = None
+    elif probs[:n].any():
+        known = int(probs[:n].argmax()) + 1
+    elif np.isfinite(log_post[0, :n]).any():
+        known = int(log_post[0, :n].argmax()) + 1
+    else:
+        known = int(logf[0, :n].argmax()) + 1
+    return PredictionRecord(probs, int(probs.argmax()) + 1, known, float(probs[-1]), n)
 
 
 def _same_record(got, want):

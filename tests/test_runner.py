@@ -1,7 +1,10 @@
 """Evaluation in blocks of episodes: the same outputs as one episode at a
-time, in working memory set by the block, not by the episode count; a
-large-context start holds the rows training learned."""
+time, in working memory set by the block, not by the episode count, and
+no PredictionRecord built; a large-context start holds the rows training
+learned. The record, ROC and metric files byte for byte, and the record
+reader's one-line refusals."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 from flowr import losses, meta, runner
+from flowr.baselines import PrototypeState, run_baseline_episode
 from flowr.checkpoint import Checkpoint
 from flowr.config import ExperimentConfig
 from flowr.crp import CrpParams
@@ -18,7 +22,9 @@ from flowr.encoder import ClassEmbeddings, Encoder
 from flowr.gaussian import NoiseModel
 from flowr.meta import oracle_labels
 from flowr.metrics import EpisodeRecords, roc_curve
-from flowr.model import _large_context, fine_tune_output_layer, init_large_context, init_small_context, run_episode
+from flowr.model import (
+    PredictionRecord, _large_context, fine_tune_output_layer, init_large_context, init_small_context, run_episode,
+)
 
 
 def _problem(setting, d_in=6, d=4, **cfg):
@@ -107,6 +113,25 @@ def test_one_pass_per_block_gives_what_each_episode_gets_alone(setting, fine_tun
         _assert_same_evaluation(runner.evaluate(world, ckpt, cfg, n_episodes=9), *want)
 
 
+@pytest.mark.parametrize("setting, fine_tune_steps", [("sc", 0), ("sc", 1), ("lc", 0)])
+def test_evaluation_and_its_files_build_no_record(setting, fine_tune_steps, tmp_path):
+    """evaluate, the three writers and the metric suite read and write
+    columns: no PredictionRecord is built until .records is read, which
+    then gives the per-episode reference's records."""
+    world, ckpt, cfg = _problem(setting, fine_tune_steps=fine_tune_steps)
+    want = _per_episode_evaluate(world, ckpt, cfg, 5)
+    init = PredictionRecord.__init__
+    with mock.patch.object(PredictionRecord, "__init__", autospec=True, side_effect=init) as built:
+        result = runner.evaluate(world, ckpt, cfg, n_episodes=5)
+        runner.write_records(tmp_path / "records.txt", result.episodes)
+        runner.write_roc_csv(tmp_path / "roc.csv", result.roc)
+        runner.write_metrics(tmp_path / "metrics.txt", result.metrics)
+        runner.metrics_at_tpr(result.episodes, cfg.operating_tpr)
+        assert built.call_count == 0
+        _assert_same_evaluation(result, *want)
+        assert built.call_count == sum(len(e) for e in result.episodes)
+
+
 def _assert_same_evaluation(result, episodes, metrics, roc):
     """result's records (every field, probs bit for bit), metrics and ROC are the reference's."""
     assert len(result.episodes) == len(episodes)
@@ -182,3 +207,135 @@ def test_large_context_start_is_the_trained_table():
     for name in ("Q", "lam", "means", "variances", "counts"):
         np.testing.assert_array_equal(getattr(table, name), getattr(trained, name))
     assert table.n_kk == trained.n_kk == n_kk
+
+
+def _golden_episodes():
+    """Two hand-built episodes: NCM from no class (predicted and known_argmax
+    None, novelty EMPTY_NOVELTY, then real distances) and records with an
+    integer-valued and a subnormal novelty."""
+    ncm, _ = run_baseline_episode(PrototypeState.empty(2), [([0.0, 0.0], 1), ([3.0, 4.0], 1), ([3.0, 4.0], 2)])
+    hand = [
+        PredictionRecord(None, 1, 1, 1.0, 1, 1),
+        PredictionRecord(None, 2, 1, 5e-324, 1, 2),
+        PredictionRecord(None, 2, 2, 0.1, 2, 2),
+    ]
+    return [EpisodeRecords(ncm, n_initial=0), EpisodeRecords(hand, n_initial=1)]
+
+
+GOLDEN_RECORDS = """\
+record episode=0 query=0 true=1 predicted=none known_argmax=none novelty=1.7976931348623157e+308 n_at_prediction=0 n_initial=0
+record episode=0 query=1 true=1 predicted=1 known_argmax=1 novelty=5.0 n_at_prediction=1 n_initial=0
+record episode=0 query=2 true=2 predicted=1 known_argmax=1 novelty=2.5 n_at_prediction=1 n_initial=0
+record episode=1 query=0 true=1 predicted=1 known_argmax=1 novelty=1.0 n_at_prediction=1 n_initial=1
+record episode=1 query=1 true=2 predicted=2 known_argmax=1 novelty=5e-324 n_at_prediction=1 n_initial=1
+record episode=1 query=2 true=2 predicted=2 known_argmax=2 novelty=0.1 n_at_prediction=2 n_initial=1
+"""
+
+GOLDEN_ROC = """\
+fpr,tpr,threshold
+0.0,0.0,inf
+0.0,0.3333333333333333,1.7976931348623157e+308
+0.3333333333333333,0.3333333333333333,5.0
+0.3333333333333333,0.6666666666666666,2.5
+0.6666666666666666,0.6666666666666666,1.0
+1.0,0.6666666666666666,0.1
+1.0,1.0,5e-324
+"""
+
+GOLDEN_METRICS = """\
+metric name=accuracy value=0.6666666666666666
+metric name=achieved_tpr value=0.6666666666666666
+metric name=auroc value=0.5555555555555556
+metric name=h_measure value=0.23209876543209862
+metric name=incremental_accuracy value=0.5
+metric name=incremental_accuracy_with_first value=0.6
+metric name=n_incremental value=2
+metric name=n_novel value=3
+metric name=n_queries value=6
+metric name=n_support value=1
+metric name=novel_detection_accuracy value=0.6666666666666666
+metric name=support_accuracy value=1.0
+metric name=target_tpr value=0.5
+metric name=tau value=2.5
+"""
+
+
+class TestWriters:
+    """The record, ROC and metric files, byte for byte: none for a missing
+    class, floats by repr (the largest finite, integer-valued, subnormal)."""
+
+    def test_golden_bytes(self, tmp_path):
+        episodes = _golden_episodes()
+        metrics, scores = runner.metrics_at_tpr(episodes, 0.5)
+        runner.write_records(tmp_path / "records.txt", episodes)
+        runner.write_roc_csv(tmp_path / "roc.csv", roc_curve(scores))
+        assert (tmp_path / "records.txt").read_text() == GOLDEN_RECORDS
+        assert (tmp_path / "roc.csv").read_text() == GOLDEN_ROC
+        assert runner.format_metrics(metrics) == GOLDEN_METRICS
+
+    def test_read_then_write_is_byte_identical(self, tmp_path):
+        (tmp_path / "a.txt").write_text(GOLDEN_RECORDS)
+        episodes = runner.read_records(tmp_path / "a.txt")
+        runner.write_records(tmp_path / "b.txt", episodes)
+        assert (tmp_path / "b.txt").read_text() == GOLDEN_RECORDS
+        assert runner.format_metrics(runner.metrics_at_tpr(episodes, 0.5)[0]) == GOLDEN_METRICS
+        first = episodes[0].records[0]
+        assert (first.predicted, first.known_argmax, first.true_label) == (None, None, 1)
+
+
+class TestReadRecords:
+    """read_records refuses a malformed file with one `path:line: ...` line."""
+
+    FIELDS = dict(episode=0, query=0, true=1, predicted=1, known_argmax=1, novelty=0.5, n_at_prediction=1, n_initial=1)
+
+    def _line(self, drop=None, **values):
+        return "record " + " ".join(f"{k}={v}" for k, v in {**self.FIELDS, **values}.items() if k != drop)
+
+    def _refused(self, tmp_path, lines, line_no, message):
+        path = tmp_path / "records.txt"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line_no}: {message}$"):
+            runner.read_records(path)
+
+    def test_clean_file_reads_in_query_order(self, tmp_path):
+        path = tmp_path / "records.txt"
+        lines = [self._line(query=1, novelty=0.5), "", self._line(novelty=0.25), self._line(episode=3, n_initial=2)]
+        path.write_text("\n".join(lines) + "\n")
+        episodes = runner.read_records(path)
+        assert [len(e) for e in episodes] == [2, 1] and [e.n_initial for e in episodes] == [1, 2]
+        assert [r.novelty_score for r in episodes[0].records] == [0.25, 0.5]
+
+    def test_missing_field(self, tmp_path):
+        self._refused(tmp_path, [self._line(), self._line(query=1, drop="novelty")], 2, "missing field 'novelty'")
+
+    def test_token_without_equals(self, tmp_path):
+        self._refused(tmp_path, [self._line() + " stray"], 1, "field 'stray' is not key=value")
+
+    def test_unknown_tag(self, tmp_path):
+        self._refused(tmp_path, ["score episode=0"], 1, "unknown record tag 'score'")
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [(dict(true="x"), "true=x is not an integer"), (dict(novelty="x"), "novelty=x is not a number"),
+         (dict(query=-1), "query=-1 is below 0"), (dict(episode=-2), "episode=-2 is below 0"),
+         (dict(predicted=0), "predicted=0 is below 1"), (dict(known_argmax=-1), "known_argmax=-1 is below 1")],
+    )
+    def test_bad_value(self, tmp_path, values, message):
+        """A class counts from 1, so 0 cannot stand for none, which reads back as none."""
+        self._refused(tmp_path, [self._line(**values)], 1, re.escape(message))
+
+    def test_episode_disagrees_on_n_initial(self, tmp_path):
+        lines = [self._line(), self._line(query=1, n_initial=2)]
+        self._refused(tmp_path, lines, 2, "episode 0 has n_initial 2, not 1 as on line 1")
+
+    @pytest.mark.parametrize(
+        "queries, line_no, message",
+        [([0, 1, 1], 3, "episode 0 repeats query 1"), ([0, 2], 2, "episode 0 has no query 1"),
+         ([1], 1, "episode 0 has no query 0"), ([2, 0, 0], 3, "episode 0 repeats query 0")],
+    )
+    def test_query_indices_must_be_each_once(self, tmp_path, queries, line_no, message):
+        self._refused(tmp_path, [self._line(query=q) for q in queries], line_no, message)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_novelty_must_be_finite(self, tmp_path, score):
+        self._refused(tmp_path, [self._line(), self._line(query=1, novelty=score)], 2, f"novelty {score} is not finite")
