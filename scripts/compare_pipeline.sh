@@ -24,8 +24,9 @@
 # position (`word 9`). A differing binary file
 # reads "FILE: binary", and a file on one side only as `diff -rq` reports
 # it. Then comes the step table, also in OUT_DIR/table.txt: each step's
-# base and change wall seconds, change/base, a total row, and a last row
-# with the line counts of src/flowr/*.py on both sides.
+# base and change wall seconds, change/base, a total row, and two last rows
+# with the line counts of src/flowr/*.py on both sides: every line, then the
+# code lines alone (no docstring, comment or blank line).
 #
 # Usage: scripts/compare_pipeline.sh BASE_REF OUT_DIR
 # Exits 0 when the outputs agree and 1 when they differ.
@@ -154,13 +155,45 @@ else
     diff -r base change || true
 fi
 rm differing.txt
-awk -v lines_b="$(cat "$tree"/base/src/flowr/*.py | wc -l)" -v lines_c="$(cat "$root"/src/flowr/*.py | wc -l)" '
+
+# code_lines FILE...: how many lines of the Python files hold code, not a docstring, a comment or nothing
+code_lines() {
+    python3 - "$@" <<'PY'
+import ast
+import io
+import sys
+import tokenize
+
+total = 0
+for path in sys.argv[1:]:
+    with open(path) as f:
+        text = f.read()
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in skip:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    total += len(lines - docs)
+print(total)
+PY
+}
+awk -v lines_b="$(cat "$tree"/base/src/flowr/*.py | wc -l)" -v lines_c="$(cat "$root"/src/flowr/*.py | wc -l)" \
+    -v code_b="$(code_lines "$tree"/base/src/flowr/*.py)" -v code_c="$(code_lines "$root"/src/flowr/*.py)" '
      function ratio(b, c) { return b > 0 ? sprintf("%.2f", c / b) : "-" }
      function row(step, b, c) { printf("%-20s %8.2f %8.2f %6s\n", step, b, c, ratio(b, c)) }
      BEGIN { printf("%-20s %8s %8s %6s\n", "step", "base_s", "change_s", "ratio") }
      NR == FNR { if ($1 == "time") base[$2] = $3; next }
      $1 == "time" { row($2, base[$2], $3); b += base[$2]; c += $3 }
-     END { row("total", b, c); printf("%-20s %8d %8d %6s\n", "src/flowr lines", lines_b, lines_c, ratio(lines_b, lines_c)) }
+     END {
+         row("total", b, c)
+         printf("%-20s %8d %8d %6s\n", "src/flowr lines", lines_b, lines_c, ratio(lines_b, lines_c))
+         printf("%-20s %8d %8d %6s\n", "src/flowr code lines", code_b, code_c, ratio(code_b, code_c))
+     }
 ' base.times change.times > table.txt
 head -n 1 verdict.txt
 cat table.txt

@@ -29,15 +29,17 @@ prior from: the rule and its derivative are written once, in crp.
 
 The model's recursion lives here too, shared with flowr.model. ClassTable
 is an immutable value, the rows [classes | novel slot] and the class
-counts; condition() is its one online step, on a label crp's arrival check
-passed: a known-known label shares the rows and moves a count, any other
-copies the rows once. A class counts NEW_CLASS_COUNT = 2 after its first
-point, not the 1 of crp.sequence_log_prob, so the model's sequential prior
-is not exchangeable. When every label is known in advance, Prefix builds
-every table a block of streams passes through at once, a stream's support
-as the conditioning-only head of its queries: the table before step j is
-the initial table plus the points before j, the same additions in the
-same order, bit for bit. chunks() scores the queries, all that see one
+counts; fold() is the one builder of a conditioned table, q += z / s_eps
+and lam += 1 / s_eps per point in arrival order, and condition(), its one
+online step on a label crp's arrival check passed, is fold()'s one-point
+case, save that a known-known label shares the rows and moves a count. A
+class counts NEW_CLASS_COUNT = 2 after its first point, not the 1 of
+crp.sequence_log_prob, so the model's sequential prior is not
+exchangeable. When every label is known in advance, Prefix builds every
+table a block of streams passes through at once, a stream's support as the
+conditioning-only head of its queries: the table before step j is the
+initial table plus the points before j, the same additions in the same
+order, bit for bit. chunks() scores the queries, all that see one
 class count together, in blocks and cache-sized chunks bounded by
 PREFIX_ENTRIES. Evaluation (model._fold) and the teacher-forced loss run
 this pass. Every training loss runs _mixture_nll_grads, one forward and
@@ -50,7 +52,7 @@ Both meta-training settings run one loss, episode_grads, over the table
 
 Large-context episodes have n_kk free rows (class_q, class_log_lambda) and
 no support; small-context episodes are the n_kk = 0 case (class_q=None),
-their support folded by Prefix as init_small_context folds it. Every row
+their support folded by fold() as init_small_context folds it. Every row
 at or above n_kk, and the novel slot (q0, lam0), holds one copy of the
 shared prior, so d q0 is the sum of d Q over those rows. The frozen loss
 scores every query against that table; the teacher-forced loss scores
@@ -102,7 +104,7 @@ class ClassTable:
     the cached predictive means Q / lam, variances v = 1 / lam + s_eps and
     density constants log_norm and two_v (gaussian.density_constants of v),
     and int64 counts (the novel slot holds none), every array exact-size
-    and read-only. A table is a value: condition() returns the next one.
+    and read-only. A table is a value: fold() and condition() return the next one.
     Rows below n_kk count labels but are never conditioned. The table is
     the only holder of the class counts, which crp.class_prior reads.
     """
@@ -114,10 +116,14 @@ class ClassTable:
     PERSISTENT_COUNT = 1
 
     def __init__(self, Q, lam, counts, q0, lam0, noise_var, *, n_kk=0):
-        Q, lam = np.vstack([Q, q0[None, :]]), np.append(lam, lam0)
-        variances = 1.0 / lam + noise_var
-        rows = (Q, lam, Q / lam[:, None], variances, *density_constants(variances, Q.shape[1]))
+        rows = self._derived(np.vstack([Q, q0[None, :]]), np.append(lam, lam0), noise_var)
         self._set(rows, np.array(counts, dtype=np.int64), n_kk, noise_var)
+
+    @staticmethod
+    def _derived(Q, lam, noise_var) -> tuple:
+        """Every row array of the table over natural rows Q and lam, the prior's last."""
+        variances = 1.0 / lam + noise_var
+        return Q, lam, Q / lam[:, None], variances, *density_constants(variances, Q.shape[1])
 
     def _set(self, rows, counts, n_kk, noise_var) -> "ClassTable":
         for a in (*rows, counts):
@@ -135,27 +141,30 @@ class ClassTable:
         """The table after one conditioning step on point z with int label
         y, which crp.label_fault accepts; this table stays as it is. A
         known-known label (y <= n_kk) moves only its count and shares the
-        rows. Any other label copies the rows once and conditions row
-        y - 1, its density constants included; a label n + 1 opens it as a
-        copy of the prior's row, which stays last."""
-        n = self.n
-        if y == n + 1:
-            counts = np.append(self.counts, self.NEW_CLASS_COUNT)
-            rows = [np.concatenate((a[: n + 1], a[n:])) for a in self._rows]
-        else:
-            counts = self.counts.copy()
-            counts[y - 1] += 1
-            if y <= self.n_kk:
-                return self._next(self._rows, counts)
-            rows = [a.copy() for a in self._rows]
-        Q, lam, means, variances, log_norm, two_v = rows
-        r, inv = y - 1, 1.0 / self.noise_var
-        Q[r] += z * inv
-        lam[r] += inv
-        means[r] = Q[r] / lam[r]
-        variances[r] = 1.0 / lam[r] + self.noise_var
-        log_norm[r:y], two_v[r:y] = density_constants(variances[r:y], Q.shape[1])  # by slice, as the table was built
-        return self._next(rows, counts)
+        rows; any other is fold()'s one-point case."""
+        if y > self.n_kk:
+            return self.fold(z[None], [y])
+        counts = self.counts.copy()
+        counts[y - 1] += 1
+        return self._next(self._rows, counts)
+
+    def fold(self, Z, labels) -> "ClassTable":
+        """The table after conditioning on points Z (m, d) with dense 1-based
+        labels in any order; this table stays as it is. Each row above n_kk
+        adds its points' z / s_eps and 1 / s_eps in arrival order, the
+        additions of stepping condition() and of Prefix's versions, bit for
+        bit; rows below n_kk only count. A row opened here starts as a copy
+        of the prior's row, which stays last, and counts NEW_CLASS_COUNT
+        after its first point."""
+        y = np.asarray(labels, dtype=np.int64) - 1
+        hits, n, d = np.bincount(y, minlength=self.n), self.n, self.Q.shape[1]
+        at = np.minimum(np.arange(len(hits) + 1), n)  # the table row each row starts as
+        Q, lam, cond, inv = self.Q[at], self.lam[at], y >= self.n_kk, 1.0 / self.noise_var
+        # one unbuffered add over the flat rows: each row's points in arrival order
+        np.add.at(Q.reshape(-1), (y[cond, None] * d + np.arange(d)).reshape(-1), (Z[cond] * inv).reshape(-1))
+        np.add.at(lam, y[cond], inv)
+        counts = np.append(self.counts, np.full(len(hits) - n, self.NEW_CLASS_COUNT - 1)) + hits
+        return self._next(self._derived(Q, lam, self.noise_var), counts)
 
     def _next(self, rows, counts) -> "ClassTable":
         return object.__new__(ClassTable)._set(rows, counts, self.n_kk, self.noise_var)
@@ -195,16 +204,15 @@ class Prefix:
     running sums [row; row + z * (1 / s_eps); ...], and likewise for lam:
     the additions condition() makes, folded level by level for every row of
     the block. They lie stream by stream in segments, one per row n_kk..n-1
-    and one for the novel slot, from start[j]; made[v] is the step that made
-    version v, -1 for a segment's first. counts holds each stream's class
-    counts before its first step; final_table(i) is stream i's table after
-    its last. labels are int64 and checked by crp.arrival_labels;
-    final_table() alone needs only dense labels, in any order.
+    and one for the novel slot, from start[j]. counts holds each stream's
+    class counts before its first step. labels are int64 and checked by
+    crp.arrival_labels. A stream's table after its last step is
+    ClassTable.fold of its steps.
     """
 
     def __init__(self, table, Z, labels, params, lengths=None, heads=0):
         tables = [table] if isinstance(table, ClassTable) else list(table)
-        self.table, self.tables, self.Z, self.labels, self.params = tables[0], tables, Z, labels, params
+        self.table, self.Z, self.labels, self.params = tables[0], Z, labels, params
         k, n_kk, m = len(tables), tables[0].n_kk, len(labels)
         self.lengths = np.array([m] if lengths is None else lengths, dtype=np.int64)
         self.first = np.cumsum(self.lengths) - self.lengths  # each stream's first step
@@ -235,9 +243,8 @@ class Prefix:
         Q, lam = np.empty((total, Z.shape[1])), np.empty(total)
         Q[heads_at] = np.concatenate([t.Q[n_kk:] for t in tables])[src]
         lam[heads_at] = np.concatenate([t.lam[n_kk:] for t in tables])[src]
-        points, self.made = np.ones(total, dtype=bool), np.full(total, -1)
+        points = np.ones(total, dtype=bool)
         points[heads_at] = False
-        self.made[points] = steps
         noise = np.array([t.noise_var for t in tables])
         lam[points] = inv = 1.0 / noise[stream[steps]]
         scaled = Z[steps]
@@ -273,16 +280,6 @@ class Prefix:
         out = np.empty((len(versions), n_kk + versions.shape[1]) + versions.shape[2:])
         out[:, :n_kk], out[:, n_kk:] = getattr(self.table, name)[:n_kk], versions
         return out
-
-    def final_table(self, i=0) -> "ClassTable":
-        """Stream i's table after all of its steps: each row's last version and the final counts."""
-        t, n_kk, n = self.tables[i], self.table.n_kk, self.n[i]
-        last = self.start[self.base[i] + 1 : self.base[i] + n - n_kk + 1] - 1
-        counts = self.counts[i, :n] + np.bincount(self.labels[self.first[i] :][: self.lengths[i]] - 1, minlength=n)
-        return ClassTable(
-            np.vstack([t.Q[:n_kk], self.Q[last]]), np.append(t.lam[:n_kk], self.lam[last]), counts,
-            t.Q[t.n], t.lam[t.n], t.noise_var, n_kk=n_kk,
-        )
 
 
 def chunks(prefix, every_row=False):
@@ -469,27 +466,24 @@ def _adaptation_term(q0, lam0, noise_var, Za, adapt_labels, cond_idx):
     if n_classes == 0:
         return 0.0, d_q0, 0.0, d_Za
 
-    inv = 1.0 / noise_var
     cond_idx = np.asarray(cond_idx, dtype=np.int64)
-    Qa = q0[None, :] + Za[cond_idx] * inv
-    lama = np.full(n_classes, lam0 + inv)
     query_mask = np.ones(len(adapt_labels), dtype=bool)
     query_mask[cond_idx] = False
     if not query_mask.any() or n_classes == 1:
         # one-class pools score log(1) = 0; empty pools have nothing to score
         return 0.0, d_q0, 0.0, d_Za
 
-    Zq = Za[query_mask]
-    yq = adapt_labels[query_mask] - 1
-    means = Qa / lama[:, None]
-    variances = 1.0 / lama + noise_var
+    prior = ClassTable(np.zeros((0, len(q0))), [], [], q0, lam0, noise_var)
+    table = prior.fold(Za[cond_idx], np.arange(1, n_classes + 1))  # one conditioning point per class
+    Zq, yq = Za[query_mask], adapt_labels[query_mask] - 1
+    means, variances = table.means[:-1], table.variances[:-1]
     nll, d_means, d_vars, d_Zq, _ = _mixture_nll_grads(Zq, yq, means, variances, np.zeros(n_classes))
-    d_Qa, d_lama = _natural_chain(d_means, d_vars, Qa, lama)
+    d_Qa, d_lama = _natural_chain(d_means, d_vars, table.Q[:-1], table.lam[:-1])
 
     d_q0 = d_Qa.sum(axis=0)
     d_lam0 = float(d_lama.sum())
     d_Za[query_mask] += d_Zq
-    d_Za[cond_idx] += d_Qa * inv
+    d_Za[cond_idx] += d_Qa * (1.0 / noise_var)
     return nll, d_q0, d_lam0, d_Za
 
 
@@ -523,7 +517,7 @@ def episode_grads(
     H_s, H_q, H_a = (np.asarray(x, dtype=np.float64) for x in raw)
     Z_s, Z_q, Z_a = (encode(weight, bias, H) for H in (H_s, H_q, H_a))
     start = ClassTable(class_q, class_lam, np.full(n_kk, ClassTable.PERSISTENT_COUNT), q0, lam0, noise_var, n_kk=n_kk)
-    table = Prefix(start, Z_s, n_kk + support_y, params).final_table()
+    table = start.fold(Z_s, n_kk + support_y)
     if sequential:
         nll, d_Q, d_lam, d_Zq, d_b = _sequential_nll(table, Z_q, episode.query_y, params)
     else:
@@ -591,8 +585,8 @@ def loo_support_grads(H, labels, weight, bias, q0, lam0, *, params, noise_var):
     points; a held-out point whose class leaves the reduced support becomes
     a novel-slot target. Only (weight, bias) receive gradients; the prior
     and CRP parameters are constants here. The classes are the sorted
-    labels. A held-out table is the full support's Prefix fold with the
-    point's class row refolded with Prefix's additions, np.add.accumulate
+    labels. A held-out table is the full support's ClassTable.fold with the
+    point's class row refolded with fold's additions, np.add.accumulate
     over [q0; the class's other points / s_eps], or dropped with its class.
     """
     H = np.asarray(H, dtype=np.float64)
@@ -600,7 +594,7 @@ def loo_support_grads(H, labels, weight, bias, q0, lam0, *, params, noise_var):
     _, y = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
     inv, s = 1.0 / noise_var, len(y)
     Z = encode(weight, bias, H)
-    full = Prefix(ClassTable(np.zeros((0, len(q0))), [], [], q0, lam0, noise_var), Z, y + 1, params).final_table()
+    full = ClassTable(np.zeros((0, len(q0))), [], [], q0, lam0, noise_var).fold(Z, y + 1)
     dZ, total = np.zeros_like(Z), 0.0
 
     for i in range(s):

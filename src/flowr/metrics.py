@@ -109,40 +109,23 @@ def h_measure(s: ScoreSet, alpha=2.0, beta=2.0) -> float:
     order = np.argsort(fpr, kind="stable")
     hull = _upper_hull(fpr[order].tolist(), tpr[order].tolist())
 
-    n_pos, n_neg = len(s.positives), len(s.negatives)
-    pi1 = n_pos / (n_pos + n_neg)
+    pi1 = len(s.positives) / (len(s.positives) + len(s.negatives))
     pi0 = 1.0 - pi1
-    mean_c = alpha / (alpha + beta)
-
-    def cdf(x):
-        return betainc(alpha, beta, x)
-
-    def first_moment(x):
-        # integral of c * Beta(alpha, beta) density over [0, x]
-        return mean_c * betainc(alpha + 1.0, beta, x)
-
-    def vertex_cost(f, t, lo, hi):
-        int_c = first_moment(hi) - first_moment(lo)
-        int_1 = cdf(hi) - cdf(lo)
-        return pi0 * f * int_c + pi1 * (1.0 - t) * (int_1 - int_c)
-
+    f, t = np.array(hull).T
     # breakpoint between hull vertices i and i+1: below it the higher
     # (more-novel-flagging) vertex wins, above it the lower one does
-    breaks = []
-    for (f1, t1), (f2, t2) in zip(hull[:-1], hull[1:]):
-        df, dt = f2 - f1, t2 - t1
-        breaks.append(pi1 * dt / (pi0 * df + pi1 * dt))
-
-    loss = 0.0
-    m = len(hull) - 1
-    for i, (f, t) in enumerate(hull):
-        lo = 0.0 if i == m else breaks[i]
-        hi = 1.0 if i == 0 else breaks[i - 1]
-        if hi > lo:
-            loss += vertex_cost(f, t, lo, hi)
-
-    loss_ref = vertex_cost(1.0, 1.0, 0.0, pi1) + vertex_cost(0.0, 0.0, pi1, 1.0)
-    return float(1.0 - loss / loss_ref)
+    df, dt = np.diff(f), np.diff(t)
+    breaks = pi1 * dt / (pi0 * df + pi1 * dt)
+    # vertex i wins on costs (lo, hi); the two trivial classifiers (all novel, all known) follow, for L_ref
+    f, t = np.append(f, [1.0, 0.0]), np.append(t, [1.0, 0.0])
+    lo, hi = np.concatenate([breaks, [0.0, 0.0, pi1]]), np.concatenate([[1.0], breaks, [pi1, 1.0]])
+    # over (lo, hi): the integral of c times the Beta density, and of the density
+    m_lo, m_hi = alpha / (alpha + beta) * betainc(alpha + 1.0, beta, [lo, hi])
+    c_lo, c_hi = betainc(alpha, beta, [lo, hi])
+    int_c, int_1 = m_hi - m_lo, c_hi - c_lo
+    cost = pi0 * f * int_c + pi1 * (1.0 - t) * (int_1 - int_c)
+    loss = np.cumsum(np.where(hi[:-2] > lo[:-2], cost[:-2], 0.0))[-1]  # in vertex order, as a loop adds
+    return float(1.0 - loss / (cost[-2] + cost[-1]))
 
 
 def threshold_at_tpr(s: ScoreSet, target_tpr):

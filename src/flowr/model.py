@@ -13,7 +13,8 @@ it one step at a time; predict scores it. _fold is the one pass for
 streams whose labels are all known: one losses.Prefix folds a block of
 streams, each a support (a conditioning-only head) and its queries, and
 one losses.chunks pass scores the queries into Outcomes, the block's
-outcomes as columns. init_small_context (a head and no queries),
+outcomes as columns; a stream's final state is ClassTable.fold of its
+steps. init_small_context (a head and no queries),
 run_episode(s) (queries and no head, the columns built into
 PredictionRecords) and runner.evaluate (the columns as they are) are its
 cases. A block's first fault is found by stepping its streams with
@@ -382,8 +383,9 @@ def _fold(streams, finals=True) -> list:
     out, j, done = [], 0, 0
     for state, sx, _, qx, _ in streams:
         if len(sx) + len(qx):
-            q = lengths[j] - heads[j]
-            out.append((block[done : done + q], state._derive(prefix.final_table(j)) if finals else None))
+            q, steps = lengths[j] - heads[j], slice(prefix.first[j], prefix.first[j] + lengths[j])
+            final = state._derive(state._table.fold(Z[steps], labels[j])) if finals else None
+            out.append((block[done : done + q], final))
             j, done = j + 1, done + q
         else:
             out.append((Outcomes.of(()), state))
@@ -439,7 +441,8 @@ def fine_tune_output_layer(state: ModelState, support, steps, step_size, *, retu
     decrease the loss is rejected, so the trajectory never increases. The
     support is read and folded by init_small_context before the first step,
     and the raw inputs are taken once it has passed.
-    The returned state is rebuilt from the support with the adapted encoder.
+    The returned state is rebuilt from the support with the adapted encoder,
+    at 0 steps with the state's own.
     steps must be a non-negative integer and step_size positive and finite.
     """
     if not (float(steps).is_integer() and steps >= 0):
@@ -451,10 +454,10 @@ def fine_tune_output_layer(state: ModelState, support, steps, step_size, *, retu
     support = list(support)
     if not support:
         raise ValueError("fine-tuning requires a non-empty support set")
-    init_small_context(state.prior, state.crp_params, state.noise, state.encoder, support)
+    built = init_small_context(state.prior, state.crp_params, state.noise, state.encoder, support)
     labels = arrival_labels(0, [y for _, y in support], "support point")
     if steps == 0:
-        return (state, []) if return_trace else state
+        return (built, []) if return_trace else built
 
     X = np.asarray([x for x, _ in support], dtype=np.float64)
     w, b = state.encoder.params

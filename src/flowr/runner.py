@@ -66,7 +66,8 @@ def evaluate(
     exp(class_log_lambda) as stored, else its embeddings. NCM starts from
     each support, or from the class means. known_classes defaults to the
     large-context classes (ids 1..n_kk); the rest form the novel pool.
-    `workers` is ignored.
+    fine_tune_steps > 0 is refused where nothing fine-tunes: NCM, large
+    context, or an encoder that is not affine. `workers` is ignored.
     """
     if method not in ("flowr", "ncm"):
         raise ValueError(f"unknown method {method!r}")
@@ -75,6 +76,8 @@ def evaluate(
         raise ValueError(f"n_episodes must be at least 1, got {n_episodes}")
     seed = cfg.seed if seed is None else seed
     start, params = None, ckpt.params
+    if cfg.fine_tune_steps and (method != "flowr" or cfg.setting != "sc" or params.encoder.kind != "affine"):
+        raise ValueError(f"fine_tune_steps = {cfg.fine_tune_steps} needs small-context flowr with an affine encoder")
     if cfg.setting == "lc":
         if params.class_q is not None:
             lam = np.exp(params.class_log_lambda)
@@ -92,7 +95,6 @@ def evaluate(
     elif method == "flowr":
         start = init_small_context(params.prior(), ckpt.crp, ckpt.noise, params.encoder, [])
     dim = params.encoder.weight.shape[0] if params.encoder.kind == "affine" else dataset.dim
-    tune = cfg.setting == "sc" and cfg.fine_tune_steps > 0 and params.encoder.kind == "affine"
 
     def run(block):
         """The EpisodeRecords of a block of sampled (episode, labels)."""
@@ -104,7 +106,7 @@ def evaluate(
                 )
                 for e, y in block
             ]
-        elif tune:  # a tuned start state per episode, its support folded into it
+        elif cfg.fine_tune_steps:  # a tuned start state per episode, its support folded into it
             streams = []
             for e, y in block:
                 support = list(zip(e.support_x, e.support_y))

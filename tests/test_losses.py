@@ -8,6 +8,7 @@ actually fail.
 
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -620,15 +621,79 @@ def _prefix_blocks(draw):
     )
 
 
+def _last_versions(prefix, i=0):
+    """Stream i's last version of every row in a Prefix, the rows below n_kk
+    and the novel slot as its start table holds them, and its final counts,
+    as attributes Q, lam, means, variances and counts."""
+    t, n = prefix.table, prefix.n[i]
+    last = prefix.start[prefix.base[i] + 1 : prefix.base[i] + n - t.n_kk + 1] - 1
+    y = prefix.labels[prefix.first[i] :][: prefix.lengths[i]]
+    return SimpleNamespace(
+        counts=prefix.counts[i, :n] + np.bincount(y - 1, minlength=n),
+        **{name: np.concatenate([getattr(t, name)[: t.n_kk], getattr(prefix, name)[last], getattr(t, name)[-1:]])
+           for name in ("Q", "lam", "means", "variances")},
+    )
+
+
+@st.composite
+def _fold_cases(draw):
+    """A class table (0-3 known-known rows, 0-3 rows of its own, scales
+    1e-3..1e3) and up to 30 points with dense arrival-order labels."""
+    n_kk, own = draw(st.sampled_from([0, 0, 1, 3])), draw(st.integers(0, 3))
+    labels, n = [], n_kk + own
+    for c in draw(st.lists(st.integers(0, 6), max_size=30)):
+        labels.append(min(c, n) + 1)  # 1..n, or n + 1 to open a new class
+        n = max(n, labels[-1])
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    return dict(n_kk=n_kk, own=own, labels=labels, scale=scale, noise=draw(st.sampled_from([1e-3, 0.5, 1e3])),
+                d=draw(st.integers(1, 5)), seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fold_cases())
+def test_fold_is_stepping_condition_and_prefix_last_versions(case):
+    """fold() is the one builder of conditioned tables: from one table and
+    one stream it gives, bit for bit, every row array and the counts that
+    stepping condition() gives and that a Prefix's last versions hold, and
+    the derived rows a table built from its Q and lam has; the same points
+    in any order of labels give the same table, and no points give the
+    table back by value."""
+    rng = np.random.default_rng(case["seed"])
+    d, n0, scale = case["d"], case["n_kk"] + case["own"], case["scale"]
+    table = losses.ClassTable(
+        rng.normal(size=(n0, d)) * scale, rng.uniform(0.5, 2.0, n0) / scale, rng.integers(0, 4, n0),
+        rng.normal(size=d) * scale, 1.3 / scale, case["noise"], n_kk=case["n_kk"],
+    )
+    y = np.array(case["labels"], dtype=np.int64)
+    Z = rng.normal(size=(len(y), d)) * scale
+    stepped = table
+    for z, label in zip(Z, y):
+        stepped = stepped.condition(z, int(label))
+    folded, by_label = table.fold(Z, y), np.argsort(y, kind="stable")
+    prefix = _last_versions(losses.Prefix(table, Z, y, CrpParams(a=0.5, rho=0.3)))
+    for got in (stepped, prefix, table.fold(Z[by_label], y[by_label])):
+        for name in ("Q", "lam", "means", "variances", "counts"):
+            np.testing.assert_array_equal(getattr(folded, name), getattr(got, name))
+    built = losses.ClassTable(folded.Q[:-1], folded.lam[:-1], folded.counts, table.Q[-1], table.lam[-1],
+                              case["noise"], n_kk=case["n_kk"])
+    for name in ("means", "variances", "log_norm", "two_v"):  # derived as a table build derives them
+        np.testing.assert_array_equal(getattr(folded, name), getattr(stepped, name))
+        np.testing.assert_array_equal(getattr(folded, name), getattr(built, name))
+    empty = table.fold(np.zeros((0, d)), np.zeros(0, dtype=np.int64))
+    for name in ("Q", "lam", "means", "variances", "log_norm", "two_v", "counts"):
+        np.testing.assert_array_equal(getattr(empty, name), getattr(table, name))
+        assert not getattr(folded, name).flags.writeable
+
+
 @settings(max_examples=150, deadline=None)
 @given(_prefix_blocks())
 def test_block_prefix_matches_one_prefix_per_stream(case):
     """One Prefix over a block of streams gives each stream, bit for bit,
-    what a Prefix over that stream alone gives it: its versions, the steps
-    that made them, its counts, its final table and its scored log
-    posteriors, with the steps split over blocks and chunks differently.
-    A stream's head conditions it and is never scored: its queries score
-    and end as they do from the table its head folds first."""
+    what a Prefix over that stream alone gives it: its versions, its
+    counts, its last versions (the table fold() ends at) and its scored log
+    posteriors, with the steps split over blocks and chunks differently. A
+    stream's head conditions it and is never scored: its queries score and
+    end as they do from the table its head folds first."""
     rng = np.random.default_rng(case["seed"])
     d, n_kk, noise = case["d"], case["n_kk"], case["noise"]
     params, q0 = CrpParams.from_b(a=case["a"], b=case["b"]), rng.normal(size=d)
@@ -654,16 +719,14 @@ def test_block_prefix_matches_one_prefix_per_stream(case):
             versions = slice(block.start[block.base[i]], block.start[block.base[i] + len(alone.start) - 1])
             for name in ("Q", "lam", "means", "variances"):
                 np.testing.assert_array_equal(getattr(block, name)[versions], getattr(alone, name))
-            np.testing.assert_array_equal(np.where(alone.made >= 0, alone.made + first, -1), block.made[versions])
             width = alone.counts.shape[1]
             np.testing.assert_array_equal(block.counts[i, :width], alone.counts[0])
             assert not block.counts[i, width:].any()
-            folded = losses.Prefix(table, z[:h], y[:h], params).final_table()
+            folded, final = table.fold(z[:h], y[:h]), table.fold(z, y)
             two_pass = losses.Prefix(folded, z[h:], y[h:], params)
-            for name in ("Q", "lam", "means", "variances", "counts"):
-                got = getattr(block.final_table(i), name)
-                np.testing.assert_array_equal(got, getattr(alone.final_table(), name))
-                np.testing.assert_array_equal(got, getattr(two_pass.final_table(), name))
+            for got in (_last_versions(block, i), _last_versions(alone), folded.fold(z[h:], y[h:])):
+                for name in ("Q", "lam", "means", "variances", "counts"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(final, name))
             for want in (alone, two_pass):
                 got = 0
                 for c in losses.chunks(want):

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 from scipy.stats import beta as beta_dist
 from scipy.stats import rankdata
 
@@ -28,6 +29,7 @@ from flowr.metrics import (
     RankingFlip,
     ScoreSet,
     _average_ranks,
+    _upper_hull,
     accuracy_suite,
     auroc,
     h_measure,
@@ -152,7 +154,43 @@ def test_import_leaves_out_scipy_stats():
     assert proc.stdout.strip() == "False"
 
 
+def loop_h_measure(s, alpha, beta):
+    """h_measure as it was written: a Python loop over the hull's vertices,
+    their costs added in vertex order, then L_ref's two trivial vertices."""
+    fpr, tpr, _ = roc_curve(s)
+    order = np.argsort(fpr, kind="stable")
+    hull = _upper_hull(fpr[order].tolist(), tpr[order].tolist())
+    pi1 = len(s.positives) / (len(s.positives) + len(s.negatives))
+    pi0, mean_c = 1.0 - pi1, alpha / (alpha + beta)
+
+    def cost(f, t, lo, hi):
+        int_c = mean_c * betainc(alpha + 1.0, beta, hi) - mean_c * betainc(alpha + 1.0, beta, lo)
+        int_1 = betainc(alpha, beta, hi) - betainc(alpha, beta, lo)
+        return pi0 * f * int_c + pi1 * (1.0 - t) * (int_1 - int_c)
+
+    breaks = [pi1 * (t2 - t1) / (pi0 * (f2 - f1) + pi1 * (t2 - t1)) for (f1, t1), (f2, t2) in zip(hull, hull[1:])]
+    loss, m = 0.0, len(hull) - 1
+    for i, (f, t) in enumerate(hull):
+        lo, hi = 0.0 if i == m else breaks[i], 1.0 if i == 0 else breaks[i - 1]
+        if hi > lo:
+            loss += cost(f, t, lo, hi)
+    return float(1.0 - loss / (cost(1.0, 1.0, 0.0, pi1) + cost(0.0, 0.0, pi1, 1.0)))
+
+
 class TestHMeasure:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(-3.0, 3.0), min_size=1, max_size=40),
+        st.lists(st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(-3.0, 3.0), min_size=1, max_size=40),
+        st.floats(0.5, 5.0),
+        st.floats(0.5, 5.0),
+    )
+    def test_matches_the_vertex_loop_bit_for_bit(self, pos, neg, alpha, beta):
+        """The vertex costs on arrays, summed by one cumsum in vertex order,
+        give the loop's bits, ties and constant score sets included."""
+        s = ScoreSet(pos, neg)
+        assert h_measure(s, alpha, beta) == loop_h_measure(s, alpha, beta)
+
     def test_perfect_is_exactly_one(self):
         assert h_measure(ScoreSet([2.0, 3.0], [0.0, 1.0])) == 1.0
 

@@ -741,8 +741,21 @@ class TestFineTune:
         return state, support
 
     def test_zero_steps_is_identity(self):
+        """At 0 steps the state comes back rebuilt from the support, as at
+        any other count: equal by value to the state that support built."""
         state, support = self._affine_state()
-        assert fine_tune_output_layer(state, support, 0, 0.1) is state
+        tuned, trace = fine_tune_output_layer(state, support, 0, 0.1, return_trace=True)
+        assert trace == [] and tuned.encoder is state.encoder
+        for name in ("Q", "lam", "means", "variances", "counts"):
+            np.testing.assert_array_equal(getattr(tuned, name), getattr(state, name))
+
+    def test_zero_steps_from_an_empty_start_folds_the_support(self):
+        """0 steps used to return its input state: from an empty start, a
+        state of 0 classes where 1 step gives the support's 2."""
+        state, support = self._affine_state()
+        empty = init_small_context(state.prior, state.crp_params, state.noise, state.encoder, [])
+        assert [fine_tune_output_layer(empty, support, k, 0.1).n_classes for k in (0, 1)] == [2, 2]
+        np.testing.assert_array_equal(fine_tune_output_layer(empty, support, 0, 0.1).Q, state.Q)
 
     @pytest.mark.parametrize("steps", [-1, 2.5, float("inf")])
     def test_step_count_must_be_a_non_negative_integer(self, steps):

@@ -260,6 +260,23 @@ metric name=tau value=2.5
 """
 
 
+@pytest.mark.parametrize("setting, method, encoder", [
+    ("sc", "flowr", "identity"), ("sc", "ncm", "affine"), ("lc", "flowr", "affine"),
+])
+def test_fine_tune_steps_where_nothing_fine_tunes_are_refused(setting, method, encoder):
+    """fine_tune_steps > 0 used to be ignored without a word where nothing
+    fine-tunes: the metrics read as at 0 steps. It is refused in one line
+    before any episode is sampled."""
+    world, ckpt, cfg = _problem(setting, fine_tune_steps=3)
+    if encoder == "identity":
+        ckpt = replace(ckpt, params=meta.init_meta_params(world.dim, np.random.default_rng(7)))
+    message = "^fine_tune_steps = 3 needs small-context flowr with an affine encoder$"
+    with mock.patch.object(runner, "_sample", side_effect=runner._sample) as sampled:
+        with pytest.raises(ValueError, match=message):
+            runner.evaluate(world, ckpt, cfg, n_episodes=2, method=method)
+    assert sampled.call_count == 0
+
+
 class TestWriters:
     """The record, ROC and metric files, byte for byte: none for a missing
     class, floats by repr (the largest finite, integer-valued, subnormal)."""
