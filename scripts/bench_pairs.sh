@@ -17,10 +17,14 @@
 # end-to-end metric of BENCHMARK.json: each side's median and quartiles
 # over its runs, change/base of the medians, and the pairs the change won
 # in the metric's better direction (ties count for neither side). Rows
-# marked `reported` follow, for the per-query latency p50 and p99 that a
-# workload's report prints (lc-stream), read from each run's report log:
-# they gate nothing, and show the per-query effect that the gated
-# throughput averages away.
+# marked `reported` follow, read from each run's report log: they gate
+# nothing. The wall-clock throughputs and set-up time (`queries_per_s`,
+# `episodes_per_s`, `setup_wall_s`) and the calibration kernels' median
+# durations (`small_calls_s_median`, `array_ops_s_median`) show when the
+# reference clock, which scales wall time by those kernels, reads a change
+# differently from the wall clock; the per-query latency p50 and p99 that
+# a workload's report prints (lc-stream) show the per-query effect that
+# the gated throughput averages away.
 #
 # Usage: scripts/bench_pairs.sh BASE_REF OUT_DIR WORKLOADS [PAIRS] [SECONDS] [SEED]
 # PAIRS defaults to 10, SECONDS to BENCHMARK.json's run_seconds, SEED to 1.
@@ -121,8 +125,10 @@ for metric in spec["end_to_end"]:
     name = metric["name"]
     row(name, {side: [r["metrics"][name]["value"] if r and name in r.get("metrics", {}) else None for r in rs]
                for side, rs in runs.items()}, metric["better"] == "higher")
-for name in ("query_latency_p50_us", "query_latency_p99_us"):  # lower is better
-    row(name, {side: [reported(side, i, name) for i in range(1, pairs + 1)] for side in runs}, False, " reported")
+for name, higher in (("queries_per_s", True), ("episodes_per_s", True), ("setup_wall_s", False),
+                     ("small_calls_s_median", False), ("array_ops_s_median", False),
+                     ("query_latency_p50_us", False), ("query_latency_p99_us", False)):
+    row(name, {side: [reported(side, i, name) for i in range(1, pairs + 1)] for side in runs}, higher, " reported")
 for side, rs in runs.items():
     attempted = sum(r["attempted"] for r in rs if r)
     failed = sum(r["failed"] for r in rs if r)

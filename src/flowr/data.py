@@ -6,16 +6,17 @@ dim u32, count u64, then count records of [label u32][dim x float32].
 Features are stored as float32 in memory so a write/read round trip is
 bit-exact.
 
-Loading costs one size check, one read and one sort: `read_dataset` sizes
-the payload with `os.fstat` and rejects a truncated or overlong file (or a
-pipe, which has no size) before it allocates anything, then reads every
-record into one structured array, whose features it keeps as a read-only
-view. `EmbeddingDataset` indexes the rows of every class from one stable
-argsort of the labels.
+Loading costs one size check, one mapping and one sort: `read_dataset`
+sizes the payload with `os.fstat` and rejects a truncated or overlong file
+(or a pipe, which has no size) before it maps anything, then maps the
+records read-only, so no record-sized buffer is allocated and the features
+are a read-only view of the file's pages. `EmbeddingDataset` indexes the
+rows of every class from one stable argsort of the labels.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import stat
 import struct
@@ -122,15 +123,25 @@ def split_dataset(ds: EmbeddingDataset, first_k) -> tuple[EmbeddingDataset, Embe
 
 
 def write_dataset(path, ds: EmbeddingDataset):
+    """Write ds beside path, then move it over path: datasets read from the old file keep their pages."""
     rec = np.empty(len(ds), dtype=_record_dtype(ds.dim))
     rec["label"] = ds.labels
     rec["feat"] = ds.features
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, ds.dim, len(ds)))
-        fh.write(rec.tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER.pack(_MAGIC, _VERSION, ds.dim, len(ds)))
+            fh.write(rec)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def read_dataset(path) -> EmbeddingDataset:
+    """Map an FSE1 file read-only. The dataset reads the file's pages while it lives: do not truncate
+    the file in place meanwhile, as reading a page cut off kills the process (SIGBUS); replace it, as
+    `write_dataset` does."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -150,9 +161,8 @@ def read_dataset(path) -> EmbeddingDataset:
         if not stat.S_ISREG(st.st_mode):
             raise ValueError(f"{path}: not a regular file, so its records cannot be sized")
         _check_payload(path, st.st_size - _HEADER.size, need, rec_size)
-        rec = np.empty(count, dtype=_record_dtype(dim))
-        _check_payload(path, fh.readinto(rec), need, rec_size)
-    rec.flags.writeable = False
+        pages = mmap.mmap(fh.fileno(), _HEADER.size + need, access=mmap.ACCESS_READ)
+    rec = np.frombuffer(pages, dtype=_record_dtype(dim), count=count, offset=_HEADER.size)
     labels = rec["label"].astype(np.int64)
     if np.any(labels == 0):
         raise ValueError(f"{path}: record {int(np.flatnonzero(labels == 0)[0])}: label 0")

@@ -83,8 +83,12 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 
 def _upper_hull(fpr, tpr):
+    """Upper hull of ROC points sorted by fpr, collinear points dropped. A point strictly inside a vertical
+    or horizontal run (both neighbours share its fpr, or both its tpr) is never a vertex: the loop skips it."""
+    inner = ((fpr[:-2] == fpr[1:-1]) & (fpr[1:-1] == fpr[2:])) | ((tpr[:-2] == tpr[1:-1]) & (tpr[1:-1] == tpr[2:]))
+    keep = np.concatenate([[True], ~inner, [True]])
     hull = []
-    for p in zip(fpr, tpr):
+    for p in zip(fpr[keep].tolist(), tpr[keep].tolist()):
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) >= 0:
@@ -107,7 +111,7 @@ def h_measure(s: ScoreSet, alpha=2.0, beta=2.0) -> float:
     _require_both(s, "h_measure")
     fpr, tpr, _ = roc_curve(s)
     order = np.argsort(fpr, kind="stable")
-    hull = _upper_hull(fpr[order].tolist(), tpr[order].tolist())
+    hull = _upper_hull(fpr[order], tpr[order])
 
     pi1 = len(s.positives) / (len(s.positives) + len(s.negatives))
     pi0 = 1.0 - pi1

@@ -9,6 +9,9 @@ replaced, so sampled episodes cannot move.
 
 import os
 import struct
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 
@@ -176,6 +179,60 @@ class TestSubsetAndSplit:
         ds = generate_synthetic_world(3, 2, 1.0, 0.2, 2, seed=0)
         with pytest.raises(ValueError, match="first_k must be in 1..2"):
             split_dataset(ds, 3)
+
+
+class TestDatasetMapping:
+    """The FSE1 payload is mapped, not copied, and a rewrite of the file
+    replaces it, so a dataset read before the rewrite keeps its values."""
+
+    def test_read_allocates_no_record_sized_buffer(self, tmp_path):
+        """What a read allocates is the labels, the class index and the
+        count x dim bool temporary of the finite check: dim / (4 + 4 dim)
+        of the payload, under a half, where a copied payload is all of it."""
+        path = tmp_path / "d.fse"
+        write_dataset(path, generate_synthetic_world(40, 64, 1.0, 0.1, 400, seed=3))
+        payload = os.path.getsize(path) - 20
+        assert payload >= 1 << 20
+        tracemalloc.start()
+        try:
+            ds = read_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 16_000
+        assert peak < payload / 2
+
+    def test_rewrite_keeps_a_live_dataset(self, tmp_path):
+        """A rewrite that truncated the mapped file in place would kill this
+        process with SIGBUS when the old dataset is next read."""
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            from flowr.data import generate_synthetic_world, read_dataset, write_dataset
+
+            path = sys.argv[1]
+            write_dataset(path, generate_synthetic_world(30, 16, 1.0, 0.1, 200, seed=1))
+            old = read_dataset(path)
+            labels, features = old.labels.copy(), np.array(old.features)
+            write_dataset(path, generate_synthetic_world(2, 4, 1.0, 0.1, 3, seed=2))
+            assert np.array_equal(old.labels, labels)
+            assert np.array_equal(old.features, features)
+            assert len(read_dataset(path)) == 6
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "d.fse")], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert os.listdir(tmp_path) == ["d.fse"]
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        (tmp_path / "d.fse").mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_dataset(tmp_path / "d.fse", generate_synthetic_world(2, 2, 1.0, 0.1, 3, seed=7))
+        assert os.listdir(tmp_path) == ["d.fse"]
 
 
 class TestDatasetFile:

@@ -154,12 +154,28 @@ def test_import_leaves_out_scipy_stats():
     assert proc.stdout.strip() == "False"
 
 
+def loop_upper_hull(fpr, tpr):
+    """_upper_hull as it was written: every point through the monotone-chain
+    loop, which pops the last vertex while the turn to the next point is
+    not clockwise."""
+    hull = []
+    for p in zip(fpr, tpr):
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) >= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
+
 def loop_h_measure(s, alpha, beta):
     """h_measure as it was written: a Python loop over the hull's vertices,
     their costs added in vertex order, then L_ref's two trivial vertices."""
     fpr, tpr, _ = roc_curve(s)
     order = np.argsort(fpr, kind="stable")
-    hull = _upper_hull(fpr[order].tolist(), tpr[order].tolist())
+    hull = loop_upper_hull(fpr[order].tolist(), tpr[order].tolist())
     pi1 = len(s.positives) / (len(s.positives) + len(s.negatives))
     pi0, mean_c = 1.0 - pi1, alpha / (alpha + beta)
 
@@ -190,6 +206,18 @@ class TestHMeasure:
         give the loop's bits, ties and constant score sets included."""
         s = ScoreSet(pos, neg)
         assert h_measure(s, alpha, beta) == loop_h_measure(s, alpha, beta)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(st.integers(0, 6).map(float) | st.floats(-3.0, 3.0), min_size=1, max_size=80),
+        st.lists(st.integers(0, 6).map(float) | st.floats(-3.0, 3.0), min_size=1, max_size=80),
+    )
+    def test_hull_keeps_the_loops_vertices(self, pos, neg):
+        """Skipping the points inside vertical and horizontal runs keeps
+        exactly the loop's vertices: quantised scores give tied thresholds
+        and collinear diagonal runs, and one score of each class is drawn."""
+        fpr, tpr, _ = roc_curve(ScoreSet(pos, neg))
+        assert _upper_hull(fpr, tpr) == loop_upper_hull(fpr.tolist(), tpr.tolist())
 
     def test_perfect_is_exactly_one(self):
         assert h_measure(ScoreSet([2.0, 3.0], [0.0, 1.0])) == 1.0
