@@ -221,10 +221,7 @@ class TestDatasetMapping:
             assert len(read_dataset(path)) == 6
             """
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "d.fse")], env=env, capture_output=True, text=True
-        )
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "d.fse")], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert os.listdir(tmp_path) == ["d.fse"]
 
