@@ -113,7 +113,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--method", choices=["flowr", "ncm"], default="flowr")
     ev.add_argument("--out-dir", help="output directory (FLOWR_OUT_DIR overrides the default)")
     ev.add_argument("--train-classes", type=int, default=0,
-                    help="leading class ids reserved for training; sc eval samples the rest")
+                    help="leading class ids reserved for training; sc eval samples the rest (refused in lc)")
     ev.add_argument("--support-classes", type=int, dest="eval_support_classes")
     ev.add_argument("--novel-classes", type=int, dest="eval_novel_classes")
     ev.add_argument("--queries-per-class", type=int, dest="eval_queries_per_class")
@@ -250,7 +250,9 @@ def _cmd_eval(args):
     ckpt = load_checkpoint(args.checkpoint)
     cfg = _build_config(args, default_setting=ckpt.setting)
     ds = read_dataset(args.data)
-    if cfg.setting == "sc" and args.train_classes > 0:
+    if args.train_classes > 0:
+        if cfg.setting != "sc":
+            raise CliError("--train-classes applies to small-context evaluation: large context keeps its known classes")
         if args.train_classes >= ds.n_classes:
             raise CliError(f"--train-classes {args.train_classes} leaves no evaluation classes")
         ds = subset_classes(ds, range(args.train_classes + 1, ds.n_classes + 1))

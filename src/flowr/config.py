@@ -6,6 +6,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 
+from .crp import check_finite
 from .meta import EpisodeConfig
 
 
@@ -13,7 +14,9 @@ from .meta import EpisodeConfig
 class ExperimentConfig:
     """Every knob of a full run. Defaults are the reference operating
     values: a=0.5, noise 0.5, beta and lambda_w 0.1, and the per-setting
-    operating TPR (0.15 small-context, 0.6 large-context)."""
+    operating TPR (0.15 small-context, 0.6 large-context). Step sizes and
+    the noise variance must be positive and finite, beta and lambda_w
+    finite and non-negative."""
 
     setting: str = "sc"
     a: float = 0.5
@@ -45,8 +48,10 @@ class ExperimentConfig:
             raise ValueError(f"setting must be 'sc' or 'lc', got {self.setting!r}")
         if not 0.0 <= self.a < 1.0:
             raise ValueError(f"a must be in [0, 1), got {self.a}")
-        if self.noise_variance <= 0:
-            raise ValueError("noise_variance must be positive")
+        for name in ("noise_variance", "pretrain_step_size", "meta_step_size", "fine_tune_step_size"):
+            check_finite(name, getattr(self, name))
+        for name in ("beta", "lambda_w"):
+            check_finite(name, getattr(self, name), positive=False)
         if not 0.0 < self.operating_tpr <= 1.0:
             raise ValueError(f"operating_tpr must be in (0, 1], got {self.operating_tpr}")
         for name in ("pretrain_epochs", "pretrain_batch_size", "meta_episodes",
@@ -55,8 +60,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not (float(self.fine_tune_steps).is_integer() and self.fine_tune_steps >= 0):
             raise ValueError(f"fine_tune_steps must be a non-negative integer, got {self.fine_tune_steps}")
-        if not 0.0 < self.fine_tune_step_size < float("inf"):
-            raise ValueError(f"fine_tune_step_size must be positive and finite, got {self.fine_tune_step_size}")
 
     def train_episode_config(self) -> EpisodeConfig:
         return self._episode_config("train")

@@ -119,6 +119,14 @@ def integers(values, fault) -> np.ndarray:
     return f.astype(np.int64)
 
 
+def check_finite(name, value, *, positive=True):
+    """Refuse in one line a value that is not finite and positive, or with
+    positive=False, finite and non-negative: a step size, a noise variance
+    or a loss weight."""
+    if not (0.0 < value < np.inf if positive else 0.0 <= value < np.inf):
+        raise ValueError(f"{name} must be {'positive' if positive else 'non-negative'} and finite, got {value}")
+
+
 def checked_counts(counts) -> np.ndarray:
     """Class counts as an owned read-only int64 vector, or a one-line
     ValueError: an entry that is no integer, not 1-d, or a negative entry."""

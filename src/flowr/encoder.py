@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from .crp import integers
+from .crp import check_finite, integers
 from .gaussian import log_density_matrix
 
 
@@ -141,8 +141,11 @@ def pretrain(
     with a diagnostic rather than continuing from a poisoned state.
 
     Accepts either (X, labels) arrays or a dataset object carrying
-    `.features` and `.labels`.
+    `.features` and `.labels`. step_size must be positive and finite, beta
+    finite and non-negative.
     """
+    check_finite("step_size", step_size)
+    check_finite("beta", beta, positive=False)
     if labels is None and hasattr(X, "features"):
         X, labels = X.features, X.labels
     X = np.asarray(X, dtype=np.float64)

@@ -36,9 +36,9 @@ case, save that a known-known label shares the rows and moves a count. A
 class counts NEW_CLASS_COUNT = 2 after its first point, not the 1 of
 crp.sequence_log_prob, so the model's sequential prior is not
 exchangeable. When every label is known in advance, Prefix builds every
-table a block of streams passes through at once, a stream's support as the
-conditioning-only head of its queries: the table before step j is the
-initial table plus the points before j, the same additions in the same
+table a block of streams from one table passes through at once, a
+stream's support as the conditioning-only head of its queries: the table
+before step j is the initial table plus the points before j, the same additions in the same
 order, bit for bit. chunks() scores the queries, all that see one
 class count together, in blocks and cache-sized chunks bounded by
 PREFIX_ENTRIES. Evaluation (model._fold) and the teacher-forced loss run
@@ -193,41 +193,37 @@ class _Steps:
 
 
 class Prefix:
-    """Every table a block of labelled streams passes through, built without stepping one.
+    """Every table a block of labelled streams from one table passes through, built without stepping one.
 
     Z and labels hold the streams' steps one stream after another, lengths[i]
-    for stream i (one stream by default), which starts from table, or from
-    the i-th of a list of tables that share n_kk and the rows below it (the
-    first's are scored, never gathered per step). A stream's first heads[i]
-    steps (head) only condition it, a support folded as the head of its
-    queries; chunks() scores the others. Each conditioned row's versions are the
-    running sums [row; row + z * (1 / s_eps); ...], and likewise for lam:
-    the additions condition() makes, folded level by level for every row of
-    the block. They lie stream by stream in segments, one per row n_kk..n-1
-    and one for the novel slot, from start[j]. counts holds each stream's
-    class counts before its first step. labels are int64 and checked by
-    crp.arrival_labels. A stream's table after its last step is
+    for stream i (one stream by default), each from table. A stream's first
+    heads[i] steps (head) only condition it, a support folded as the head of
+    its queries; chunks() scores the others. Each conditioned row's versions
+    are the running sums [row; row + z * (1 / s_eps); ...], and likewise for
+    lam: the additions condition() makes, folded level by level for every
+    row of the block. They lie stream by stream in segments, one per row
+    n_kk..n-1 and one for the novel slot, from start[j]. counts holds each
+    stream's class counts before its first step. labels are int64 and
+    checked by crp.arrival_labels. A stream's table after its last step is
     ClassTable.fold of its steps.
     """
 
     def __init__(self, table, Z, labels, params, lengths=None, heads=0):
-        tables = [table] if isinstance(table, ClassTable) else list(table)
-        self.table, self.Z, self.labels, self.params = tables[0], Z, labels, params
-        k, n_kk, m = len(tables), tables[0].n_kk, len(labels)
+        self.table, self.Z, self.labels, self.params = table, Z, labels, params
+        n0, n_kk, m = table.n, table.n_kk, len(labels)
         self.lengths = np.array([m] if lengths is None else lengths, dtype=np.int64)
+        k = len(self.lengths)
         self.first = np.cumsum(self.lengths) - self.lengths  # each stream's first step
         self.stream = stream = np.repeat(np.arange(k), self.lengths)
         at = np.arange(m) - self.first[stream]  # each step's place in its stream
         self.head = at < np.broadcast_to(heads, k)[stream]  # the steps that only condition
         self.scored = np.flatnonzero(~self.head)
-        n0 = np.array([t.n for t in tables], dtype=np.int64)
         # classes seen after each step: a running max per stream, lifted above every earlier stream's
-        lift = stream * (max(int(labels.max(initial=0)), int(n0.max())) + 1)
-        seen = np.maximum(np.maximum.accumulate(labels + lift) - lift, n0[stream])
-        self.n_at = np.empty_like(seen)  # classes seen before each step
-        self.n_at[1:], self.n_at[at == 0] = seen[:-1], n0[stream[at == 0]]
-        self.n, ran = n0.copy(), self.lengths > 0
-        self.n[ran] = seen[(self.first + self.lengths - 1)[ran]]
+        lift = stream * (max(int(labels.max(initial=0)), n0) + 1)
+        seen = np.maximum(np.maximum.accumulate(labels + lift) - lift, n0)
+        self.n_at = np.where(at == 0, n0, np.roll(seen, 1))  # classes seen before each step
+        self.n = np.full(k, n0)  # classes seen after each stream's last step
+        np.maximum.at(self.n, stream, labels)
 
         rows = self.n - n_kk + 1  # each stream's segments
         self.base = np.cumsum(rows) - rows  # its first
@@ -238,27 +234,21 @@ class Prefix:
         length = np.bincount(seg, minlength=len(owner)) + 1
         self.start = np.append(0, np.cumsum(length))
         heads_at, total = self.start[:-1], self.start[-1]
-        src = np.minimum(np.arange(len(owner)) - self.base[owner] + n_kk, n0[owner])  # the table row it starts as
-        src += (np.cumsum(n0 - n_kk + 1) - (n0 - n_kk + 1) - n_kk)[owner]  # in the tables' rows n_kk.., end to end
-        Q, lam = np.empty((total, Z.shape[1])), np.empty(total)
-        Q[heads_at] = np.concatenate([t.Q[n_kk:] for t in tables])[src]
-        lam[heads_at] = np.concatenate([t.lam[n_kk:] for t in tables])[src]
-        points = np.ones(total, dtype=bool)
-        points[heads_at] = False
-        noise = np.array([t.noise_var for t in tables])
-        lam[points] = inv = 1.0 / noise[stream[steps]]
+        src = np.minimum(np.arange(len(owner)) - self.base[owner] + n_kk, n0)  # the table row it starts as
+        inv = 1.0 / table.noise_var
+        Q, lam = np.empty((total, Z.shape[1])), np.full(total, inv)
+        Q[heads_at], lam[heads_at] = table.Q[src], table.lam[src]
         scaled = Z[steps]
-        Q[points] = np.multiply(scaled, inv[:, None], out=scaled)
+        Q[np.delete(np.arange(total), heads_at)] = np.multiply(scaled, inv, out=scaled)
         longest = np.argsort(-length, kind="stable")
         for j in range(1, length.max(initial=1)):  # version j of every segment that has one: a running sum
             v = heads_at[longest[: np.count_nonzero(length > j)]] + j
             Q[v] += Q[v - 1]
             lam[v] += lam[v - 1]
-        self.Q, self.lam, self.noise_var = Q, lam, np.repeat(noise[owner], length)
+        self.Q, self.lam, self.noise_var = Q, lam, table.noise_var
         # class counts before any step; a row born in the pass counts NEW_CLASS_COUNT after its first point
         self.counts = np.where(np.arange(self.n.max() + 1) < self.n[:, None], ClassTable.NEW_CLASS_COUNT - 1, 0)
-        at = np.arange(n0.sum()) - np.repeat(np.cumsum(n0) - n0, n0)
-        self.counts[np.repeat(np.arange(k), n0), at] = np.concatenate([t.counts for t in tables])
+        self.counts[:, :n0] = table.counts
 
     @cached_property
     def means(self):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import losses
-from .crp import integers, inverse_softplus
+from .crp import check_finite, integers, inverse_softplus
 from .encoder import ClassEmbeddings, Encoder
 from .gaussian import NaturalClassStats, SharedPrior
 from .model import _encode
@@ -231,10 +231,11 @@ def meta_grads(
     Large-context parameters carry one class row per known class of the
     episode, small-context ones none. The sequential loss replays the
     arrival-order labels of oracle_labels; the frozen loss keeps the novel
-    bucket label.
+    bucket label. noise_variance must be positive and finite.
     """
     if setting not in ("sc", "lc"):
         raise ValueError(f"unknown setting {setting!r}")
+    check_finite("noise_variance", noise_variance)
     if (setting == "lc") != (params.class_q is not None):
         raise ValueError(
             "large-context loss needs per-class stats in MetaParams" if setting == "lc"
@@ -299,7 +300,11 @@ def run_meta_training(
     """Sample episodes and descend the meta objective; returns (params, trace).
 
     Large-context known_classes defaults to ids 1..n, one per class row of
-    init, as evaluation's does."""
+    init, as evaluation's does. step_size must be positive and finite,
+    lambda_w finite and non-negative, and meta_grads refuses a noise
+    variance that is not positive and finite."""
+    check_finite("step_size", step_size)
+    check_finite("lambda_w", lambda_w, positive=False)
     if init is None and setting != "sc":
         raise ValueError(f"setting {setting!r} needs init parameters: only small-context training starts at random")
     rng = np.random.default_rng(seed)

@@ -11,11 +11,11 @@ A state wraps a losses.ClassTable, the immutable class table the training
 losses use too (the prior's row, the novel slot, last). update conditions
 it one step at a time; predict scores it. _fold is the one pass for
 streams whose labels are all known: one losses.Prefix folds a block of
-streams, each a support (a conditioning-only head) and its queries, and
-one losses.chunks pass scores the queries into Outcomes, the block's
-outcomes as columns; a stream's final state is ClassTable.fold of its
-steps. init_small_context (a head and no queries),
-run_episode(s) (queries and no head, the columns built into
+streams from one start state, each a support (a conditioning-only head)
+and its queries, and one losses.chunks pass scores the queries into
+Outcomes, the block's outcomes as columns; a stream's final state is
+ClassTable.fold of its steps. init_small_context (a head and no
+queries), run_episode (queries and no head, the columns built into
 PredictionRecords) and runner.evaluate (the columns as they are) are its
 cases. A block's first fault is found by stepping its streams with
 update and predict, so the pass and stepping refuse the same input,
@@ -28,7 +28,6 @@ error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -295,7 +294,7 @@ def init_small_context(
     """
     state = ModelState(encoder, np.zeros((0, prior.prior.dim)), [], [], crp_params, prior, noise)
     support = list(support)
-    return _fold([(state, [x for x, _ in support], [y for _, y in support], (), ())])[0][1]
+    return _fold(state, [([x for x, _ in support], [y for _, y in support], (), ())])[0][1]
 
 
 def init_large_context(
@@ -320,49 +319,51 @@ def _large_context(Q, lam, prior, crp_params, noise, encoder, init_count=losses.
 
 
 def run_episode(state: ModelState, queries):
-    """Predict-then-update over a labelled query stream: run_episodes'
-    one-stream case. Returns (records, final_state); records keep stream
-    order and carry the true labels and the class count at prediction time.
+    """Predict-then-update over a labelled query stream: the one pass
+    (_fold) over a stream with no head, its columns built into records.
+    Returns (records, final_state); records keep stream order and carry the
+    true labels and the class count at prediction time.
     """
-    return run_episodes([(state, queries)])[0]
+    queries = list(queries)
+    out, final = _fold(state, [((), (), [x for x, _ in queries], [y for _, y in queries])])[0]
+    return out.records(), final
 
 
 def run_episodes(episodes) -> list:
     """run_episode over several (state, queries) streams, taken in order:
-    one (records, final_state) per stream, bit for bit what it gets alone;
-    the one pass (_fold) over streams with no head, its columns built into records."""
-    episodes = [(state, list(queries)) for state, queries in episodes]
-    streams = [(state, (), (), [x for x, _ in q], [y for _, y in q]) for state, q in episodes]
-    return [(out.records(), state) for out, state in _fold(streams)]
+    one (records, final_state) per stream, and the first fault in stream order."""
+    return [run_episode(state, queries) for state, queries in episodes]
 
 
-def _fold(streams, finals=True) -> list:
-    """The one pass over (state, head inputs, head labels, query inputs,
-    query labels) streams: a stream's head (a support) only conditions its
+def _fold(state, streams, finals=True) -> list:
+    """The one pass from state over (head inputs, head labels, query inputs,
+    query labels) streams: a stream's head (a support) only conditions the
     state, then each query is predicted and conditioned in turn. One
     (Outcomes, final state, None unless finals) per stream, bit for bit what
-    stepping gives it; a stream of no steps keeps its state. One
-    losses.Prefix folds every stream and one losses.chunks pass scores the
-    queries into the block's columns (_score), each stream's Outcomes
-    their views, so the states of streams with steps must share the CRP
-    parameters, n_kk and the rows below it. A block the pass finds faulty
-    (a bad input or label, a step with no CRP mass, a query too far from
-    every class, a row that overflows) is stepped stream by stream (_step):
-    a block's first fault is the first one stepping meets, and the pass's
-    own error if stepping meets none.
+    stepping gives it; a block of no steps keeps the state. The streams'
+    inputs are encoded in one _encode call, one losses.Prefix folds them
+    and one losses.chunks pass scores the queries into the block's columns
+    (_score), each stream's Outcomes their views. A block the pass finds
+    faulty (a bad input or label, a step with no CRP mass, a query too far
+    from every class, a row that overflows) is stepped stream by stream
+    (_step): a block's first fault is the first one stepping meets, and the
+    pass's own error if stepping meets none.
     """
     streams = list(streams)
-    live = [s for s in streams if len(s[1]) + len(s[3])]
-    if any(not _shares_rows(live[0][0], s[0]) for s in live[1:]):
-        raise ValueError("episodes must share the CRP parameters and the rows below n_kk")
-    if not live:
-        return [(Outcomes.of(()), s[0]) for s in streams]
+    if not any(len(s[0]) + len(s[2]) for s in streams):
+        return [(Outcomes.of(()), state) for _ in streams]
     try:
-        Z, tables = _read(live), [s[0]._table for s in live]
-        labels = [arrival_labels(s[0].n_classes, np.concatenate([s[2], s[4]]), "step") for s in live]
-        lengths, heads = [len(y) for y in labels], [len(s[1]) for s in live]
+        parts = [p for s in streams for p in (s[0], s[2])]
+        try:
+            X = np.concatenate(parts)
+        except (TypeError, ValueError):  # no block: _encode's row check finds the first bad row
+            X = [x for p in parts for x in p]
+        Z = _encode(state.encoder, state.dim, X)
+        del X  # the raw block is not held through the pass
+        labels = [arrival_labels(state.n_classes, np.concatenate([s[1], s[3]]), "step") for s in streams]
+        lengths, heads = [len(y) for y in labels], [len(s[0]) for s in streams]
         with np.errstate(over="ignore", invalid="ignore"):  # a faulty block is stepped below
-            prefix = losses.Prefix(tables, Z, np.concatenate(labels), live[0][0].crp_params, lengths, heads)
+            prefix = losses.Prefix(state._table, Z, np.concatenate(labels), state.crp_params, lengths, heads)
             if not _finite(prefix).all():
                 raise ValueError(_OVERFLOW)
             m, n_at, at = len(prefix.scored), prefix.n_at[prefix.scored], np.empty(len(Z), dtype=np.int64)
@@ -374,21 +375,18 @@ def _fold(streams, finals=True) -> list:
                     raise ValueError(_FAR)
                 _score(block, at[c.steps], c.n, c.logf, c.log_post)
     except (TypeError, ValueError):
-        for state, sx, sy, qx, qy in streams:
+        for sx, sy, qx, qy in streams:
+            s = state
             for i, (x, y) in enumerate(zip(sx, sy)):
-                state = _step(state, x, y, "support point", i)
+                s = _step(s, x, y, "support point", i)
             for i, (x, y) in enumerate(zip(qx, qy)):
-                state = _step(state, x, y, "query", i)
+                s = _step(s, x, y, "query", i)
         raise  # stepping met no fault: the pass's own
-    out, j, done = [], 0, 0
-    for state, sx, _, qx, _ in streams:
-        if len(sx) + len(qx):
-            q, steps = lengths[j] - heads[j], slice(prefix.first[j], prefix.first[j] + lengths[j])
-            final = state._derive(state._table.fold(Z[steps], labels[j])) if finals else None
-            out.append((block[done : done + q], final))
-            j, done = j + 1, done + q
-        else:
-            out.append((Outcomes.of(()), state))
+    out, done = [], 0
+    for first, y, h in zip(prefix.first, labels, heads):
+        final = state._derive(state._table.fold(Z[first : first + len(y)], y)) if finals else None
+        out.append((block[done : done + len(y) - h], final))
+        done += len(y) - h
     return out
 
 
@@ -408,29 +406,6 @@ def _step(state, x, y, what, i) -> ModelState:
         fault = type(e)(f"{what} {i}: {e}")
         fault.row = i
         raise fault from None
-
-
-def _read(streams) -> np.ndarray:
-    """The streams' encoded inputs, each stream's head then its queries, in
-    stream order, as one array: one _encode call per run of streams with one
-    encoder, its inputs stacked into one array when they stack."""
-    Z = []
-    for _, run in groupby(streams, lambda s: (id(s[0].encoder), s[0].dim)):
-        run = list(run)
-        state, parts = run[0][0], [p for s in run for p in (s[1], s[3])]
-        try:
-            X = np.concatenate(parts)
-        except (TypeError, ValueError):  # no block: the row check finds the first bad row
-            X = [x for p in parts for x in p]
-        Z.append(_encode(state.encoder, state.dim, X))
-    return Z[0] if len(Z) == 1 else np.concatenate(Z)
-
-
-def _shares_rows(a, b) -> bool:
-    """Whether states a and b have the same CRP parameters, n_kk and rows below it."""
-    k = a.n_kk
-    return a is b or a.crp_params == b.crp_params and k == b.n_kk and all(
-        np.array_equal(getattr(a, x)[:k], getattr(b, x)[:k]) for x in ("means", "variances"))
 
 
 def fine_tune_output_layer(state: ModelState, support, steps, step_size, *, return_trace=False):

@@ -4,7 +4,8 @@ Episodes are sampled serially in index order, each with its own
 (seed, index) RNG split, and run in blocks of whole episodes within
 losses.BLOCK_QUERIES queries: a flowr block is one model._fold pass from
 one start state, each episode's support folded as the head of its
-queries, which gives each episode the bits it gets alone.
+queries, which gives each episode the bits it gets alone (with
+fine-tuning, one pass per episode from its tuned state).
 `evaluate(workers=...)` is kept for compatibility and selects nothing.
 Record files, ROC CSV, and metric tables are written deterministically
 (floats via repr) so repeated runs are byte-identical.
@@ -61,11 +62,12 @@ def evaluate(
     losses.BLOCK_QUERIES queries (at least one), a flowr block through one
     model._fold pass; beyond its result, evaluate holds one block. Flowr
     episodes share one start state: empty in small context, each support
-    the head of its stream (fine-tuning builds a tuned state per episode),
-    or the model._large_context table over the checkpoint's class_q and
+    the head of its stream (fine-tuning folds each episode's queries from
+    its own tuned state, one pass per episode), or the model._large_context table over the checkpoint's class_q and
     exp(class_log_lambda) as stored, else its embeddings. NCM starts from
     each support, or from the class means. known_classes defaults to the
-    large-context classes (ids 1..n_kk); the rest form the novel pool.
+    large-context classes (ids 1..n_kk); the rest form the novel pool. A
+    list that does not give one distinct dataset class per class row is refused.
     fine_tune_steps > 0 is refused where nothing fine-tunes: NCM, large
     context, or an encoder that is not affine. `workers` is ignored.
     """
@@ -88,6 +90,8 @@ def evaluate(
             raise ValueError("large-context evaluation needs class stats in the checkpoint")
         if known_classes is None:
             known_classes = np.arange(1, len(means) + 1)
+        if len(known_classes) != len(means) or len(np.intersect1d(known_classes, dataset.class_ids)) != len(means):
+            raise ValueError(f"known_classes must give one distinct dataset class per class row ({len(means)})")
         if method == "flowr":
             start = _large_context(*rows, params.prior(), ckpt.crp, ckpt.noise, params.encoder)
         else:
@@ -107,14 +111,13 @@ def evaluate(
                 for e, y in block
             ]
         elif cfg.fine_tune_steps:  # a tuned start state per episode, its support folded into it
-            streams = []
+            results = []
             for e, y in block:
                 support = list(zip(e.support_x, e.support_y))
                 tuned = fine_tune_output_layer(start, support, cfg.fine_tune_steps, cfg.fine_tune_step_size)
-                streams.append((tuned, (), (), e.query_x, y))
-            results = _fold(streams, finals=False)
+                results += _fold(tuned, [((), (), e.query_x, y)], finals=False)
         else:
-            results = _fold([(start, e.support_x, e.support_y, e.query_x, y) for e, y in block], finals=False)
+            results = _fold(start, [(e.support_x, e.support_y, e.query_x, y) for e, y in block], finals=False)
         return [EpisodeRecords(outcomes, n_initial=e.n_known) for (e, _), (outcomes, _) in zip(block, results)]
 
     episodes, block, size = [], [], 0

@@ -241,6 +241,22 @@ class TestErrorContract:
         ) == 2
         assert "leaves no evaluation classes" in capsys.readouterr().err
 
+    def test_eval_train_classes_is_refused_in_large_context(self, pipeline, tmp_path, capsys):
+        """Large-context evaluation keeps its class rows' ids as the known
+        classes: --train-classes used to be ignored there without a word."""
+        pre = tmp_path / "pre.ckpt"
+        assert main(["pretrain", "--data", str(pipeline.data), "--out", str(pre), "--train-classes", "6",
+                     "--epochs", "1", "--seed", "0"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["eval", "--data", str(pipeline.data), "--checkpoint", str(pre), "--setting", "lc",
+                     "--out-dir", str(out), "--episodes", "2", "--novel-classes", "2", "--queries-per-class", "2",
+                     "--train-classes", "6"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --train-classes applies to small-context evaluation: large context keeps its known classes\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag, field", [
         ("pretrain", "--epochs", "pretrain_epochs"),
         ("pretrain", "--batch-size", "pretrain_batch_size"),

@@ -46,6 +46,28 @@ class TestDefaults:
         with pytest.raises(ValueError, match=f"^fine_tune_step_size must be positive and finite, got {step_size}$"):
             ExperimentConfig(fine_tune_step_size=step_size)
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("meta_step_size", -1.0, "positive"),
+        ("meta_step_size", 0.0, "positive"),
+        ("meta_step_size", float("inf"), "positive"),
+        ("pretrain_step_size", -1e-3, "positive"),
+        ("noise_variance", float("nan"), "positive"),
+        ("noise_variance", float("inf"), "positive"),
+        ("beta", float("nan"), "non-negative"),
+        ("beta", -0.5, "non-negative"),
+        ("lambda_w", float("nan"), "non-negative"),
+        ("lambda_w", -1.0, "non-negative"),
+    ])
+    def test_training_hyperparameters_must_be_finite(self, field, value, rule):
+        """Each of these used to be accepted, and training then ran uphill
+        or failed as a divergence that a smaller step size would cure."""
+        with pytest.raises(ValueError, match=f"^{field} must be {rule} and finite, got {value}$"):
+            ExperimentConfig(**{field: value})
+
+    def test_loss_weights_may_be_zero(self):
+        cfg = ExperimentConfig(beta=0.0, lambda_w=0.0)
+        assert (cfg.beta, cfg.lambda_w) == (0.0, 0.0)
+
     def test_episode_shapes(self):
         """Small-context: 40 support + 10 novel classes for training, 10 + 5
         with 10 queries per class for evaluation."""

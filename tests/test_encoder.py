@@ -172,6 +172,19 @@ class TestPretrain:
         with pytest.raises(FloatingPointError, match="reduce step_size"):
             pretrain(X, labels, step_size=1e6, epochs=5, rng_seed=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(step_size=-1e-3), "step_size must be positive and finite, got -0.001"),
+        (dict(step_size=np.nan), "step_size must be positive and finite, got nan"),
+        (dict(beta=np.nan), "beta must be non-negative and finite, got nan"),
+        (dict(beta=-1.0), "beta must be non-negative and finite, got -1.0"),
+    ])
+    def test_meaningless_hyperparameters_are_refused(self, kwargs, message):
+        """A negative step size used to train uphill, and a NaN beta to
+        fail as a divergence that a smaller step size would cure."""
+        X, labels = self._separable_data(np.random.default_rng(2))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pretrain(X, labels, epochs=1, **kwargs)
+
     def test_accepts_dataset_object(self):
         from flowr.data import generate_synthetic_world
 

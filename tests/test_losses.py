@@ -597,21 +597,22 @@ def test_prefix_folds_versions_as_the_per_row_loop(d, n0, kk, choices, scale, se
 
 @st.composite
 def _prefix_blocks(draw):
-    """Streams of one block, each from its own start table (the n_kk shared
-    rows and 0-3 classes of its own above them), with a head of 0-10
-    points and a query stream of dense labels."""
+    """Streams of one block from one start table (n_kk known-known rows and
+    0-3 classes above them), each with a head of 0-10 points and a stream
+    of dense labels."""
     n_kk = draw(st.sampled_from([0, 0, 1, 3]))
+    n0 = n_kk + draw(st.integers(0, 3))
     streams = []
     for _ in range(draw(st.integers(1, 5))):
-        n0 = n_kk + draw(st.integers(0, 3))
         labels, n = [], n0
         for c in draw(st.lists(st.integers(0, 6), max_size=25)):
             labels.append(min(c, n) + 1)  # 1..n, or n + 1 to open a new class
             n = max(n, labels[-1])
-        streams.append((n0, draw(st.integers(0, min(10, len(labels)))), labels))
+        streams.append((draw(st.integers(0, min(10, len(labels)))), labels))
     return dict(
         d=draw(st.integers(1, 4)),
         n_kk=n_kk,
+        n0=n0,
         streams=streams,
         seed=draw(st.integers(0, 2**32 - 1)),
         noise=draw(st.floats(0.05, 5.0)),
@@ -688,33 +689,29 @@ def test_fold_is_stepping_condition_and_prefix_last_versions(case):
 @settings(max_examples=150, deadline=None)
 @given(_prefix_blocks())
 def test_block_prefix_matches_one_prefix_per_stream(case):
-    """One Prefix over a block of streams gives each stream, bit for bit,
-    what a Prefix over that stream alone gives it: its versions, its
-    counts, its last versions (the table fold() ends at) and its scored log
-    posteriors, with the steps split over blocks and chunks differently. A
-    stream's head conditions it and is never scored: its queries score and
-    end as they do from the table its head folds first."""
+    """One Prefix over a block of streams from one table gives each stream,
+    bit for bit, what a Prefix over that stream alone gives it: its
+    versions, its counts, its last versions (the table fold() ends at) and
+    its scored log posteriors, with the steps split over blocks and chunks
+    differently. A stream's head conditions it and is never scored: its
+    queries score and end as they do from the table its head folds first."""
     rng = np.random.default_rng(case["seed"])
-    d, n_kk, noise = case["d"], case["n_kk"], case["noise"]
+    d, n_kk, n0 = case["d"], case["n_kk"], case["n0"]
     params, q0 = CrpParams.from_b(a=case["a"], b=case["b"]), rng.normal(size=d)
-    kk = (rng.normal(size=(n_kk, d)), rng.uniform(0.5, 2.0, n_kk), rng.integers(0, 3, n_kk))
-    tables, Z, labels = [], [], []
-    for n0, _, y in case["streams"]:
-        extra = n0 - n_kk
-        Q = np.vstack([kk[0], q0 + rng.normal(size=(extra, d))])
-        lam = np.append(kk[1], 1.0 + rng.uniform(1.0, 3.0, extra))
-        counts = np.append(kk[2], rng.integers(1, 4, extra))
-        tables.append(losses.ClassTable(Q, lam, counts, q0, 1.3, noise, n_kk=n_kk))
-        Z.append(rng.normal(size=(len(y), d)))
-        labels.append(np.array(y, dtype=np.int64))
-    heads = [h for _, h, _ in case["streams"]]
+    Q = np.vstack([rng.normal(size=(n_kk, d)), q0 + rng.normal(size=(n0 - n_kk, d))])
+    lam = np.append(rng.uniform(0.5, 2.0, n_kk), 1.0 + rng.uniform(1.0, 3.0, n0 - n_kk))
+    counts = np.append(rng.integers(0, 3, n_kk), rng.integers(1, 4, n0 - n_kk))
+    table = losses.ClassTable(Q, lam, counts, q0, 1.3, case["noise"], n_kk=n_kk)
+    heads = [h for h, _ in case["streams"]]
+    labels = [np.array(y, dtype=np.int64) for _, y in case["streams"]]
+    Z = [rng.normal(size=(len(y), d)) for y in labels]
     entries = case["entries"] or losses.PREFIX_ENTRIES
     with mock.patch.object(losses, "PREFIX_ENTRIES", entries):
-        block = losses.Prefix(tables, np.vstack(Z), np.concatenate(labels), params, [len(y) for y in labels], heads)
+        block = losses.Prefix(table, np.vstack(Z), np.concatenate(labels), params, [len(y) for y in labels], heads)
         scored = {
             int(step): (c.n, c.u[i], c.logf[i], c.log_post[i]) for c in losses.chunks(block) for i, step in enumerate(c.steps)
         }
-        for i, (table, z, y, h) in enumerate(zip(tables, Z, labels, heads)):
+        for i, (z, y, h) in enumerate(zip(Z, labels, heads)):
             alone, first = losses.Prefix(table, z, y, params, heads=h), block.first[i]
             versions = slice(block.start[block.base[i]], block.start[block.base[i] + len(alone.start) - 1])
             for name in ("Q", "lam", "means", "variances"):

@@ -404,6 +404,22 @@ class TestMetaTraining:
         with pytest.raises(ValueError, match="^setting 'lc' needs init parameters: [^\n]*$"):
             run_meta_training(None, cfg=cfg, setting="lc", n_episodes=1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(step_size=-1.0), "step_size must be positive and finite, got -1.0"),
+        (dict(step_size=0.0), "step_size must be positive and finite, got 0.0"),
+        (dict(step_size=np.inf), "step_size must be positive and finite, got inf"),
+        (dict(lambda_w=np.nan), "lambda_w must be non-negative and finite, got nan"),
+        (dict(lambda_w=-1.0), "lambda_w must be non-negative and finite, got -1.0"),
+        (dict(noise_variance=np.nan), "noise_variance must be positive and finite, got nan"),
+    ])
+    def test_meaningless_hyperparameters_are_refused(self, world, kwargs, message):
+        """A negative step size used to train uphill (the loss rose from
+        0.0016 to 2.42 over 20 episodes), and a NaN lambda_w or noise
+        variance to fail as `meta-training diverged ...; reduce step_size`."""
+        cfg = EpisodeConfig(n_support_classes=2, n_novel_classes=2, queries_per_class=3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_meta_training(world, cfg=cfg, setting="sc", n_episodes=2, **kwargs)
+
     def test_lc_requires_class_stats(self, world):
         cfg = EpisodeConfig(n_support_classes=0, n_novel_classes=2, queries_per_class=3)
         rng = np.random.default_rng(0)

@@ -1040,19 +1040,17 @@ class TestArrayStateMatchesDataclassFold:
 
 @st.composite
 def _stream_blocks(draw):
-    """Several dense label streams, empty ones too, from one kind of start:
-    small-context states each built from its own support (with its own
-    encoder when affine, as fine-tuning leaves them), or one large-context
-    start that every stream shares."""
+    """Several dense label streams, empty ones too, from one start, the
+    empty small-context state or a large-context one, each with a head of
+    0-5 points."""
     n_kk = draw(st.sampled_from([0, 0, 1, 3]))
     streams = []
     for _ in range(draw(st.integers(1, 6))):
-        n0 = n_kk or draw(st.integers(0, 3))  # a small-context stream's support classes
-        labels, n = [], n0
-        for c in draw(st.lists(st.integers(0, 6), max_size=15)):
+        labels, n = [], n_kk
+        for c in draw(st.lists(st.integers(0, 6), max_size=20)):
             labels.append(min(c, n) + 1)  # 1..n, or n + 1 to open a new class
             n = max(n, labels[-1])
-        streams.append((n0, labels))
+        streams.append((draw(st.integers(0, min(5, len(labels)))), labels))
     return dict(
         d=draw(st.integers(1, 4)),
         n_kk=n_kk,
@@ -1069,49 +1067,54 @@ def _stream_blocks(draw):
 
 
 class TestRunEpisodes:
-    """run_episodes scores several streams in one prefix pass, yet gives
-    each stream, bit for bit, what run_episode gives it alone, and reads
-    the streams in order, so it raises the per-episode loop's first fault."""
+    """One _fold pass over a block of streams from one start gives each
+    stream, bit for bit, what run_episode gives it alone; run_episodes runs
+    its streams in order, so it raises the per-episode loop's first fault."""
 
     @settings(max_examples=80, deadline=None)
     @given(_stream_blocks())
     def test_each_stream_gets_what_it_gets_alone(self, case):
+        """Each stream's head stepped by update, then its queries run by
+        run_episode, give the outcomes and final state the block pass gives
+        it, and run_episodes from the states the heads leave gives them too."""
         rng = np.random.default_rng(case["seed"])
         d, n_kk = case["d"], case["n_kk"]
         noise = NoiseModel(case["noise"])
         prior = SharedPrior(NaturalClassStats(q=rng.normal(size=d), lam=case["lam0"]))
         crp = CrpParams.from_b(a=case["a"], b=case["b"])
-
-        def encoder():
-            return Encoder.affine(rng.normal(size=(d, d)), rng.normal(size=d)) if case["affine"] else Encoder.identity()
-
+        encoder = Encoder.affine(rng.normal(size=(d, d)), rng.normal(size=d)) if case["affine"] else Encoder.identity()
         if n_kk:
             emb = ClassEmbeddings(means=rng.normal(size=(n_kk, d)), variances=rng.uniform(0.1, 2.0, n_kk))
-            start = init_large_context(emb, prior, crp, noise, encoder(), init_count=case["init_count"])
-        streams = []
-        for n0, labels in case["streams"]:
-            if not n_kk:
-                support_y = list(range(1, n0 + 1)) + rng.integers(1, n0 + 1, size=3 * (n0 > 0)).tolist()
-                support = zip(rng.normal(size=(len(support_y), d)), support_y)
-                start = init_small_context(prior, crp, noise, encoder(), support)
-            streams.append((start, list(zip(rng.normal(size=(len(labels), d)), labels))))
+            start = init_large_context(emb, prior, crp, noise, encoder, init_count=case["init_count"])
+        else:
+            start = init_small_context(prior, crp, noise, encoder, [])
+        streams, heads = [], []
+        for h, labels in case["streams"]:
+            X = rng.normal(size=(len(labels), d))
+            streams.append((X[:h], labels[:h], X[h:], labels[h:]))
+            state = start
+            for x, y in zip(X[:h], labels[:h]):
+                state = update(state, x, y)
+            heads.append((state, list(zip(X[h:], labels[h:]))))
 
-        n = max(max([n0, *labels]) for n0, labels in case["streams"])  # the largest class count
+        n = max(max([n_kk, *labels]) for _, labels in case["streams"])  # the largest class count
         with mock.patch.object(losses, "PREFIX_ENTRIES", _prefix_entries(case["entries"], n)):
-            together = run_episodes(iter(streams))
-        assert len(together) == len(streams)
-        for (state, queries), (records, final) in zip(streams, together):
+            together = [(out.records(), final) for out, final in _fold(start, streams)]
+            one_by_one = run_episodes(iter(heads))
+        assert len(together) == len(one_by_one) == len(streams)
+        for (state, queries), *results in zip(heads, together, one_by_one):
             want_records, want = run_episode(state, queries)
-            assert len(records) == len(want_records)
-            for got, rec in zip(records, want_records):
-                np.testing.assert_array_equal(got.probs, rec.probs)
-                assert (got.predicted, got.known_argmax, got.novelty_score, got.n_at_prediction, got.true_label) == (
-                    rec.predicted, rec.known_argmax, rec.novelty_score, rec.n_at_prediction, rec.true_label
-                )
-            for name in ("Q", "lam", "means", "variances"):
-                np.testing.assert_array_equal(getattr(final, name), getattr(want, name))
-            np.testing.assert_array_equal(final.counts, want.counts)
-            assert (final.n_kk, final.encoder) == (want.n_kk, want.encoder)
+            for records, final in results:
+                assert len(records) == len(want_records)
+                for got, rec in zip(records, want_records):
+                    np.testing.assert_array_equal(got.probs, rec.probs)
+                    assert (got.predicted, got.known_argmax, got.novelty_score, got.n_at_prediction,
+                            got.true_label) == (rec.predicted, rec.known_argmax, rec.novelty_score,
+                                                rec.n_at_prediction, rec.true_label)
+                for name in ("Q", "lam", "means", "variances"):
+                    np.testing.assert_array_equal(getattr(final, name), getattr(want, name))
+                np.testing.assert_array_equal(final.counts, want.counts)
+                assert (final.n_kk, final.encoder) == (want.n_kk, want.encoder)
 
     @pytest.mark.parametrize(
         "make_state, inputs, labels, error, message",
@@ -1156,9 +1159,9 @@ class TestRunEpisodes:
         with pytest.raises(ProtocolError, match="^query 0: label 0 is not a positive class index$"):
             run_episodes(streams[3:] + streams[:3])
 
-    def test_streams_must_score_alike(self):
-        """Streams with other CRP parameters, or other rows below n_kk, are
-        refused: one pass scores them under the first stream's."""
+    def test_streams_from_other_states_get_what_they_get_alone(self):
+        """Streams from states with other CRP parameters, other rows below
+        n_kk or other n_kk each get what run_episode gives them alone."""
         lc = init_large_context(
             ClassEmbeddings(means=[[0.0], [1.0]], variances=[1.0, 1.0]),
             SharedPrior(NaturalClassStats(q=[0.0], lam=1.0)), CrpParams.from_b(a=0.5, b=1.0), NOISE, Encoder.identity(),
@@ -1168,24 +1171,29 @@ class TestRunEpisodes:
             ClassEmbeddings(means=[[0.0], [2.0]], variances=[1.0, 1.0]),
             lc.prior, lc.crp_params, NOISE, Encoder.identity(),
         )
-        run_episodes([(lc, [([0.0], 1)]), (moved, [([0.0], 3)])])
-        for first, second in ((lc, other), (_empty_state(), _empty_state(b=2.0)), (_empty_state(), lc)):
-            with pytest.raises(ValueError, match="^episodes must share the CRP parameters and the rows below n_kk$"):
-                run_episodes([(first, [([0.0], 1)]), (second, [([0.0], 1)])])
+        pairs = [(lc, moved, 3), (lc, other, 1), (_empty_state(), _empty_state(b=2.0), 1), (_empty_state(), lc, 1)]
+        for streams in ([(first, [([0.0], 1)]), (second, [([0.0], y)])] for first, second, y in pairs):
+            for (state, queries), (records, final) in zip(streams, run_episodes(streams)):
+                (want,), want_final = run_episode(state, queries)
+                np.testing.assert_array_equal(records[0].probs, want.probs)
+                assert (records[0].predicted, records[0].novelty_score) == (want.predicted, want.novelty_score)
+                np.testing.assert_array_equal(final.Q, want_final.Q)
+                np.testing.assert_array_equal(final.counts, want_final.counts)
 
 
-def _stepped(streams):
+def _stepped(state, streams):
     """The test-local reference for _fold's faults: each stream's head
-    points conditioned by update, then each query predicted and
+    points conditioned by update from state, then each query predicted and
     conditioned in turn. The first fault raised, unprefixed, and the
     (what, i) of the point it was raised at; (None, None, None) if none."""
-    for state, sx, sy, qx, qy in streams:
+    for sx, sy, qx, qy in streams:
+        s = state
         for what, xs, ys in (("support point", sx, sy), ("query", qx, qy)):
             for i, (x, y) in enumerate(zip(xs, ys)):
                 try:
                     if what == "query":
-                        predict(state, x)
-                    state = update(state, x, y)
+                        predict(s, x)
+                    s = update(s, x, y)
                 except ValueError as e:
                     return e, what, i
     return None, None, None
@@ -1211,25 +1219,25 @@ class TestFold:
         type and message stepping gives it, prefixed `{what} 1: ` unless it
         is an input fault, ahead of the last stream's label fault."""
         state = _fine_noise_state()
-        streams = [[state, [[0.0], [1.0]], [1, 2], [[0.5], [0.0], [2.0]], [1, 3, 2]] for _ in range(3)]
-        at = 1 if part == "support point" else 3
+        streams = [[[[0.0], [1.0]], [1, 2], [[0.5], [0.0], [2.0]], [1, 3, 2]] for _ in range(3)]
+        at = 0 if part == "support point" else 2
         streams[1][at].insert(1, x)
         streams[1][at + 1].insert(1, y)
-        streams[2][4][0] = 0
+        streams[2][3][0] = 0
         with np.errstate(over="ignore"):
-            want, what, i = _stepped(streams)
+            want, what, i = _stepped(state, streams)
             assert (what, i) == (part, 1)
             with pytest.raises(type(want)) as got:
-                _fold(streams)
+                _fold(state, streams)
         assert type(got.value) is type(want)
         assert str(got.value) == (f"{part} 1: {want}" if prefixed else str(want))
         assert got.value.row == 1
 
     def test_clean_streams_are_not_stepped(self):
         """A clean block is one pass: nothing is predicted or updated one by one."""
-        streams = [(_empty_state(), [[0.0], [1.0]], [1, 2], [[0.5], [3.0]], [1, 3]) for _ in range(2)]
+        streams = [([[0.0], [1.0]], [1, 2], [[0.5], [3.0]], [1, 3]) for _ in range(2)]
         with mock.patch("flowr.model.update", side_effect=AssertionError("stepped")):
-            results = _fold(streams)
+            results = _fold(_empty_state(), streams)
         assert [len(records) for records, _ in results] == [2, 2]
 
 

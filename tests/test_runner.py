@@ -191,12 +191,12 @@ def test_large_context_start_is_the_trained_table():
     )
     starts, run = [], runner._fold
 
-    def spy(streams, finals=True):
-        starts.extend(state for state, *_ in streams)
-        return run(streams, finals)
+    def spy(state, streams, finals=True):
+        starts.append(state)
+        return run(state, streams, finals)
 
-    with mock.patch.object(runner, "_fold", spy):
-        runner.evaluate(world, ckpt, cfg, n_episodes=2)
+    with mock.patch.object(runner, "_fold", spy), mock.patch.object(losses, "BLOCK_QUERIES", 1):
+        runner.evaluate(world, ckpt, cfg, n_episodes=2)  # a block, and a pass, per episode
     episode = meta.sample_lc_task(world, cfg.eval_episode_config(), rng, np.arange(1, n_kk + 1))
     with mock.patch.object(losses, "_table_nll", side_effect=losses._table_nll) as scored:
         meta.meta_grads(params, episode, 0.0, "lc", a=cfg.a, noise_variance=cfg.noise_variance)
@@ -207,6 +207,21 @@ def test_large_context_start_is_the_trained_table():
     for name in ("Q", "lam", "means", "variances", "counts"):
         np.testing.assert_array_equal(getattr(table, name), getattr(trained, name))
     assert table.n_kk == trained.n_kk == n_kk
+
+
+@pytest.mark.parametrize("known", [[1, 2, 3, 4], list(range(1, 11)), [1, 2, 3, 4, 5, 6, 7, 7], [*range(1, 8), 21]])
+@pytest.mark.parametrize("method", ["flowr", "ncm"])
+def test_known_classes_must_give_one_dataset_class_per_row(known, method):
+    """A known-class list that does not give each of the 8 class rows its
+    own dataset class is refused before any episode is sampled: 4 ids used
+    to score 4 novel classes as persistent rows, 10 to fail mid-run on a
+    label that skips ahead."""
+    world, ckpt, cfg = _problem("lc")
+    with mock.patch.object(runner, "_sample", side_effect=AssertionError("sampled")):
+        with pytest.raises(ValueError, match=r"^known_classes must give one distinct dataset class per class row \(8\)$"):
+            runner.evaluate(world, ckpt, cfg, n_episodes=3, known_classes=known, method=method)
+    result = runner.evaluate(world, ckpt, cfg, n_episodes=3, known_classes=np.arange(12, 4, -1), method=method)
+    assert result.metrics["n_novel"] == 3 * cfg.eval_novel_classes  # each novel class's first query
 
 
 def _golden_episodes():
