@@ -4,12 +4,14 @@ Layout: magic "FLCK", version u32, header-length u32, a JSON header with
 scalars and an array manifest, then the arrays as raw little-endian
 float64 in manifest order. Raw bytes make the save/load round trip
 bit-exact; the JSON carries the experiment-config hash so a load against
-a different configuration can warn.
+a different configuration can warn. A malformed file is refused in one
+`path: ...` line, and a save replaces its target whole.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -24,6 +26,7 @@ from .meta import MetaParams
 _MAGIC = b"FLCK"
 _VERSION = 1
 _PREFIX = struct.Struct("<4sII")
+_HEADER_KEYS = ("setting", "encoder_kind", "a", "rho", "log_lambda0", "noise_variance", "config_hash", "arrays")
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,7 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
+    """Write ckpt beside path, then move it over path, so no reader sees a partly written file."""
     arrays = {"q0": np.asarray(ckpt.params.q0, dtype=np.float64)}
     enc = ckpt.params.encoder
     if enc.kind == "affine":
@@ -60,14 +64,45 @@ def save_checkpoint(path, ckpt: Checkpoint):
         "arrays": [[name, list(arr.shape)] for name, arr in arrays.items()],
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(blob)))
-        fh.write(blob)
-        for arr in arrays.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(blob)))
+            fh.write(blob)
+            for arr in arrays.values():
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _header(path, blob) -> dict:
+    """The checkpoint's JSON header, or a one-line ValueError naming path:
+    text that is no JSON object, a missing key, or an array manifest entry
+    that is not [name, shape] with non-negative integer dimensions."""
+    try:
+        header = json.loads(blob)
+    except ValueError as e:
+        raise ValueError(f"{path}: checkpoint header is not JSON ({e})") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise ValueError(f"{path}: checkpoint header has no {missing[0]!r}")
+    if not isinstance(header["arrays"], list):
+        raise ValueError(f"{path}: checkpoint header 'arrays' is not a list")
+    for i, entry in enumerate(header["arrays"]):
+        if not (
+            isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str) and isinstance(entry[1], list)
+            and all(type(n) is int and n >= 0 for n in entry[1])
+        ):
+            raise ValueError(f"{path}: checkpoint array entry {i} is not [name, shape of non-negative integers]")
+    return header
 
 
 def load_checkpoint(path, expected_config_hash=None) -> Checkpoint:
+    """Read a checkpoint; a malformed file is refused in one `path: ...` line."""
     with open(path, "rb") as fh:
         prefix = fh.read(_PREFIX.size)
         if len(prefix) < _PREFIX.size:
@@ -80,7 +115,7 @@ def load_checkpoint(path, expected_config_hash=None) -> Checkpoint:
         blob = fh.read(header_len)
         if len(blob) < header_len:
             raise ValueError(f"{path}: checkpoint truncated in section 'header'")
-        header = json.loads(blob)
+        header = _header(path, blob)
         arrays = {}
         for name, shape in header["arrays"]:
             n = int(np.prod(shape)) if shape else 1
@@ -91,6 +126,15 @@ def load_checkpoint(path, expected_config_hash=None) -> Checkpoint:
         extra = fh.read(1)
     if extra:
         raise ValueError(f"{path}: trailing garbage after last section")
+    need = ["q0"]
+    if header["encoder_kind"] == "affine":
+        need += ["encoder_weight", "encoder_bias"]
+    for pair in (("class_q", "class_log_lambda"), ("embedding_means", "embedding_variances")):
+        if any(name in arrays for name in pair):
+            need += pair
+    missing = [name for name in need if name not in arrays]
+    if missing:
+        raise ValueError(f"{path}: checkpoint has no array {missing[0]!r}")
 
     if expected_config_hash is not None and header["config_hash"] != expected_config_hash:
         warnings.warn(

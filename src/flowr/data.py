@@ -11,12 +11,14 @@ sizes the payload with `os.fstat` and rejects a truncated or overlong file
 (or a pipe, which has no size) before it maps anything, then maps the
 records read-only, so no record-sized buffer is allocated and the features
 are a read-only view of the file's pages. `EmbeddingDataset` indexes the
-rows of every class from one stable argsort of the labels.
+rows of every class from one stable argsort of the labels: a class's rows
+are a slice of it between two bounds.
 """
 
 from __future__ import annotations
 
 import mmap
+import operator
 import os
 import stat
 import struct
@@ -54,7 +56,8 @@ class EmbeddingDataset:
             raise ValueError(f"labels must be dense 1..N ({what})")
         self.labels = labels
         self.features = features
-        self._rows = dict(zip(uniq.tolist(), np.split(order, heads)))
+        # class c's rows are order[bounds[c - 1]:bounds[c]]
+        self._order, self._bounds = order, [0, *heads.tolist(), len(order)] if len(order) else [0]
 
     @property
     def dim(self) -> int:
@@ -62,14 +65,21 @@ class EmbeddingDataset:
 
     @property
     def n_classes(self) -> int:
-        return len(self._rows)
+        return len(self._bounds) - 1
 
     @property
     def class_ids(self) -> np.ndarray:
         return np.arange(1, self.n_classes + 1)
 
     def class_rows(self, c) -> np.ndarray:
-        return self._rows[int(c)]
+        """The rows of class c, an integer in 1..n_classes, in ascending order."""
+        try:
+            c = operator.index(c)
+        except TypeError:
+            raise ValueError(f"class id {c!r} is not an integer") from None
+        if not 1 <= c <= self.n_classes:
+            raise ValueError(f"class id {c} is not in 1..{self.n_classes}")
+        return self._order[self._bounds[c - 1] : self._bounds[c]]
 
     @cached_property
     def features_f64(self) -> np.ndarray:

@@ -164,7 +164,8 @@ def log_density_matrix(Z, means, variances):
     Z: (m, d), means: (c, d), variances: (c,). Returns (m, c). Means
     (m, c, d) and variances (m, c) give each point its own c Gaussians.
     This is differences() then log_density_sq(), as are model.predict and
-    every training loss (losses._mixture_nll_grads keeps the block).
+    every training loss (losses._mixture_nll_grads fills the blocks itself and
+    keeps each for its gradients).
     """
     Z = np.asarray(Z, dtype=np.float64)
     means = np.asarray(means, dtype=np.float64)

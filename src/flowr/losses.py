@@ -43,8 +43,10 @@ order, bit for bit. chunks() scores the queries, all that see one
 class count together, in blocks and cache-sized chunks bounded by
 PREFIX_ENTRIES. Evaluation (model._fold) and the teacher-forced loss run
 this pass. Every training loss runs _mixture_nll_grads, one forward and
-backward pass over a single difference block z - mu; _bayes is Bayes rule
-under a CRP log prior, whose rounding model.predict repeats on one query.
+backward pass over the difference blocks z - mu, at most PREFIX_ENTRIES
+entries each, whose sums over queries carry the earlier blocks' totals so
+that any block size gives the same bits; _bayes is Bayes rule under a CRP
+log prior, whose rounding model.predict repeats on one query.
 
 Both meta-training settings run one loss, episode_grads, over the table
 
@@ -78,9 +80,9 @@ from .gaussian import density_constants, differences, log_density_matrix, log_de
 def logsumexp(x, axis=-1):
     """Stable log-sum-exp of entries below +inf; a row of -inf gives NaN, without a warning."""
     x = np.asarray(x, dtype=np.float64)
-    m = np.max(x, axis=axis, keepdims=True)
-    m = np.where(m > -np.inf, m, np.nan)
-    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(x - m), axis=axis))
+    m = x.max(axis=axis, keepdims=True)
+    m[m == -np.inf] = np.nan
+    return m.squeeze(axis=axis) + np.log(np.exp(x - m).sum(axis=axis))
 
 
 def encode(weight, bias, H):
@@ -177,7 +179,7 @@ def _bayes(logf, log_prior):
     return logits - logsumexp(logits, axis=1)[:, None]
 
 
-# most (step, row, dimension) entries a prefix-pass temporary holds, unless one step needs more
+# most (step or query, row, dimension) entries a prefix-pass or loss temporary holds, unless one step needs more
 PREFIX_ENTRIES = 1 << 16
 # most queries runner.evaluate scores in one block of whole episodes, unless one episode holds more
 BLOCK_QUERIES = 1 << 12
@@ -329,31 +331,60 @@ def chunks(prefix, every_row=False):
 
 def _mixture_nll_grads(Z, y_idx, means, variances, log_prior):
     """Mean NLL of a Gaussian mixture classifier under log_prior (c,) plus
-    gradients: the forward and backward pass over one difference block.
+    gradients: the forward and backward pass over the difference blocks z - mu.
 
     Z: (m, d) points, y_idx: (m,) 0-based targets, means: (c, d) and
     variances: (c,). Returns (nll, d_means, d_variances, d_Z, d_log_prior).
-    Means (m, c, d), variances (m, c) and log_prior (m, c) give each point
-    its own rows and its own loss: every value and gradient but d_Z then
-    keeps the point axis.
+    The queries are scored in blocks of at most PREFIX_ENTRIES (query, row,
+    d) entries, one query when one needs more. Each block's sums over its
+    queries start from the earlier blocks' totals, a leading row of weight 1,
+    so every sum adds in query order and the result is the one block's, bit
+    for bit. A table with one row is one block: numpy sums a one-column
+    reduction pairwise. Means (m, c, d), variances (m, c) and log_prior
+    (m, c) give each point its own rows and its own loss, in one block:
+    every value and gradient but d_Z then keeps the point axis.
     """
     m, d = Z.shape
-    own = means.ndim == 3
-    diff, sq = differences(Z, means)                   # (m, c, d), the only such block
-    log_post = _bayes(log_density_sq(sq, variances, d), log_prior)
-    nll = -log_post[np.arange(m), y_idx]
-    G = np.exp(log_post)
-    G[np.arange(m), y_idx] -= 1.0
-    if not own:
-        nll = float(np.mean(nll))
-        G /= m
-
-    r = np.divide(diff, variances[..., None], out=diff)   # (z - mu) / v
-    d_v = -d / (2.0 * variances) + sq / (2.0 * variances**2)
-    d_Z = -np.einsum("mc,mcd->md", G, r)
-    if own:
+    if means.ndim == 3:
+        diff, sq = differences(Z, means)
+        log_post = _bayes(log_density_sq(sq, variances, d), log_prior)
+        nll = -log_post[np.arange(m), y_idx]
+        G = np.exp(log_post)
+        G[np.arange(m), y_idx] -= 1.0
+        r = np.divide(diff, variances[..., None], out=diff)  # (z - mu) / v
+        d_v = -d / (2.0 * variances) + sq / (2.0 * variances**2)
+        d_Z = -np.einsum("mc,mcd->md", G, r)
         return nll, np.multiply(r, G[:, :, None], out=r), G * d_v, d_Z, G
-    return nll, np.einsum("mc,mcd->cd", G, r), np.einsum("mc,mc->c", G, d_v), d_Z, G.sum(axis=0)
+
+    c = len(means)
+    size = max(m, 1) if c == 1 else max(1, PREFIX_ENTRIES // max(c * d, 1))
+    norm, two_v = density_constants(variances, d)
+    half, two_v2, tile = -d / (2.0 * variances), 2.0 * variances**2, variances.repeat(d).reshape(c, d)
+    # row 0: the earlier blocks' totals (weight 1 in G); rows 1..k: a block's (z - mu) / v, G and d nll / d v
+    R, G, V = np.empty((size + 1, c, d)), np.empty((size + 1, c)), np.empty((size + 1, c))
+    nll, d_Z = np.empty(m), np.empty((m, d))
+    for lo in range(0, max(m, 1), size):
+        at, k, top = slice(lo, lo + size), min(size, m - lo), 0 if lo else 1
+        (r, g, v), (Rk, Gk, Vk), dz = (a[1 : k + 1] for a in (R, G, V)), (a[top : k + 1] for a in (R, G, V)), d_Z[at]
+        hit = (np.arange(k), y_idx[at])
+        np.copyto(r, Z[at, None, :])
+        r -= means
+        np.einsum("mcd,mcd->mc", r, r, out=v)
+        log_post = _bayes(norm - v / two_v, log_prior)
+        nll[at] = -log_post[hit]
+        np.exp(log_post, out=g)
+        g[hit] -= 1.0
+        g /= m
+        np.divide(r, tile, out=r)
+        np.divide(v, two_v2, out=v)
+        v += half
+        np.negative(np.einsum("mc,mcd->md", g, r, out=dz), out=dz)
+        if lo:
+            G[0], R[0], V[0] = d_log_prior, d_means, d_v
+        d_log_prior = Gk.sum(axis=0)
+        G[0] = 1.0
+        d_means, d_v = np.einsum("mc,mcd->cd", Gk, Rk), np.einsum("mc,mc->c", Gk, Vk)
+    return float(nll.mean()), d_means, d_v, d_Z, d_log_prior
 
 
 def _natural_chain(d_means, d_vars, Q, lam):

@@ -7,19 +7,23 @@ of subsets are checked against the per-class scan and the dict remap they
 replaced, so sampled episodes cannot move.
 """
 
+import json
 import os
+import re
 import struct
 import subprocess
 import sys
 import textwrap
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowr import checkpoint
 from flowr.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from flowr.crp import CrpParams
 from flowr.data import (
@@ -77,6 +81,25 @@ class TestEmbeddingDataset:
         assert sorted(rows) == list(range(len(ds)))
         for c in ds.class_ids:
             assert np.all(ds.labels[ds.class_rows(c)] == c)
+
+    @pytest.mark.parametrize(
+        ("c", "message"),
+        [
+            (0, r"class id 0 is not in 1\.\.3"),
+            (4, r"class id 4 is not in 1\.\.3"),
+            (-1, r"class id -1 is not in 1\.\.3"),
+            (3.7, r"class id 3\.7 is not an integer"),
+            (2.0, r"class id 2\.0 is not an integer"),
+            ("1", r"class id '1' is not an integer"),
+        ],
+    )
+    def test_class_rows_refuses_a_bad_class_id(self, c, message):
+        """class_rows(0) used to raise a bare KeyError and class_rows(3.7)
+        to return class 3's rows."""
+        ds = EmbeddingDataset([1, 2, 3, 3], np.zeros((4, 2), dtype=np.float32))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ds.class_rows(c)
+        np.testing.assert_array_equal(ds.class_rows(np.int64(3)), [2, 3])
 
     @given(labels=shuffled_dense_labels())
     @example(labels=np.array([1, 1, 1], dtype=np.int64))  # one class
@@ -477,6 +500,79 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + bytes(8))
         with pytest.raises(ValueError, match="bad magic"):
             load_checkpoint(path)
+
+    @staticmethod
+    def _rewritten(tmp_path, edit=None, blob=None):
+        """A saved affine checkpoint whose header is edit(header), or the bytes blob, followed by
+        the saved bytes of each array its manifest still names."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, _random_checkpoint(np.random.default_rng(15)))
+        raw = path.read_bytes()
+        end = 12 + struct.unpack_from("<4sII", raw)[2]
+        header, chunks = json.loads(raw[12:end]), {}
+        for name, shape in header["arrays"]:
+            chunks[name], end = raw[end : end + 8 * int(np.prod(shape))], end + 8 * int(np.prod(shape))
+        if blob is None:
+            edit(header)
+            blob = json.dumps(header).encode()
+            raw = b"".join(chunks[entry[0]] for entry in header.get("arrays", ()) if entry[0] in chunks)
+        else:
+            raw = b"".join(chunks.values())
+        path.write_bytes(struct.pack("<4sII", b"FLCK", 1, len(blob)) + blob + raw)
+        return path
+
+    @pytest.mark.parametrize(
+        ("blob", "message"),
+        [
+            (b"{not json", r"checkpoint header is not JSON \(Expecting property name .*\)"),
+            (b"\xff\xfe", r"checkpoint header is not JSON \(.*\)"),
+            (b"[1, 2]", r"checkpoint header is not a JSON object"),
+        ],
+    )
+    def test_refuses_a_header_that_is_not_a_json_object(self, tmp_path, blob, message):
+        """Header text that is not JSON raised a JSONDecodeError that did not name the file."""
+        path = self._rewritten(tmp_path, blob=blob)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_checkpoint(path)
+
+    def test_refuses_a_header_without_arrays(self, tmp_path):
+        """A header without 'arrays' raised KeyError: 'arrays'."""
+        path = self._rewritten(tmp_path, lambda h: h.pop("arrays"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint header has no 'arrays'$"):
+            load_checkpoint(path)
+
+    def test_refuses_an_affine_checkpoint_without_its_weight(self, tmp_path):
+        """An affine header whose manifest lists no encoder_weight raised KeyError."""
+        path = self._rewritten(tmp_path, lambda h: h.update(arrays=[a for a in h["arrays"] if a[0] != "encoder_weight"]))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint has no array 'encoder_weight'$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [[-1], [2, -3], [1.5], ["2"], True])
+    def test_refuses_a_bad_array_shape(self, tmp_path, shape):
+        """A negative dimension raised `read length must be non-negative`."""
+        path = self._rewritten(tmp_path, lambda h: h["arrays"][0].__setitem__(1, shape))
+        with pytest.raises(
+            ValueError,
+            match=f"^{re.escape(str(path))}: checkpoint array entry 0 is not \\[name, shape of non-negative integers\\]$",
+        ):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        """save_checkpoint writes beside its target and moves the file over
+        it, as write_dataset does: a save that fails part-way (here the
+        first array write) leaves the old checkpoint whole and no temporary
+        file. It used to truncate the old file first."""
+        path = tmp_path / "m.ckpt"
+        old, new = _random_checkpoint(np.random.default_rng(16)), _random_checkpoint(np.random.default_rng(17))
+        save_checkpoint(path, old)
+        with mock.patch.object(checkpoint.np, "ascontiguousarray", side_effect=OSError("no space left")):
+            with pytest.raises(OSError, match="no space left"):
+                save_checkpoint(path, new)
+        assert os.listdir(tmp_path) == ["m.ckpt"]
+        np.testing.assert_array_equal(load_checkpoint(path).params.q0, old.params.q0)
+        save_checkpoint(path, new)
+        assert os.listdir(tmp_path) == ["m.ckpt"]
+        np.testing.assert_array_equal(load_checkpoint(path).params.q0, new.params.q0)
 
     def test_config_hash_mismatch_warns(self, tmp_path):
         ckpt = _random_checkpoint(np.random.default_rng(14))

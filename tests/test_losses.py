@@ -293,32 +293,37 @@ def _fused_pass_callers(d):
     }
 
 
+@pytest.mark.parametrize("entries", [None, 64])
 @pytest.mark.parametrize("d", [2, 64])
 @pytest.mark.parametrize("caller", ["_table_nll", "_adaptation_term", "pretrain_grads", "loo_support_grads"])
-def test_fused_pass_matches_two_pass_reference(d, caller):
+def test_fused_pass_matches_two_pass_reference(d, caller, entries):
     """Every training loss that scores one table returns exactly what the
     two-pass code returned, bit for bit, at small d and at d = 64, where
-    numpy's reductions take their SIMD paths."""
+    numpy's reductions take their SIMD paths; with PREFIX_ENTRIES = 64 each
+    caller scores its queries in blocks of one query or a few."""
     call = _fused_pass_callers(d)[caller]
     with mock.patch.object(losses, "_mixture_nll_grads", _two_pass_nll_grads):
         want = call()
-    _assert_same(call(), want)
+    with mock.patch.object(losses, "PREFIX_ENTRIES", entries or losses.PREFIX_ENTRIES):
+        _assert_same(call(), want)
 
 
-def test_table_nll_holds_one_difference_block():
-    """The frozen loss builds its (queries, rows, d) difference block once
-    and takes (z - mu) / v from it in place: on 500 queries against 50
-    classes and the novel slot at d = 64, it never holds more than 1.5
-    such blocks (the two-pass code held 2.12)."""
+def test_table_nll_holds_bounded_difference_blocks():
+    """The frozen loss scores its queries in blocks of at most
+    PREFIX_ENTRIES (query, row, d) entries: on 1,000 queries against 50
+    classes and the novel slot at d = 64, whose one difference block would
+    take 26 MB, it holds no more than its (queries, d) gradient and two
+    bounded blocks."""
     rng = np.random.default_rng(43)
-    m, n, d = 500, 50, 64
+    m, n, d = 1000, 50, 64
     q0 = rng.normal(size=d)
     K = rng.integers(1, 6, size=n)
     Q = q0 + rng.normal(size=(n, d)) * K[:, None]
     table = losses.ClassTable(Q, 1.0 + K, losses.ClassTable.counts_after(K), q0, 1.0, 1.0)
     Z, y_idx = rng.normal(size=(m, d)), rng.integers(0, n + 1, size=m)
     params = CrpParams(a=0.5, rho=0.7)
-    block = m * (n + 1) * d * 8
+    block, d_Z = losses.PREFIX_ENTRIES * 8, m * d * 8
+    assert m * (n + 1) * d * 8 > 40 * block
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -327,7 +332,66 @@ def test_table_nll_holds_one_difference_block():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * block, f"peak {peak / block:.2f} blocks"
+    assert peak < d_Z + 2 * block, f"peak {(peak - d_Z) / block:.2f} blocks beyond d_Z"
+
+
+def _one_block_nll_grads(Z, y_idx, means, variances, log_prior):
+    """The shared-rows pass as it was before it scored queries in blocks:
+    one (m, c, d) difference block. Kept as the reference the blocked
+    losses._mixture_nll_grads must match bit for bit."""
+    m, d = Z.shape
+    diff = Z.repeat(len(means), axis=0).reshape(m, len(means), d)
+    diff -= means
+    sq = np.einsum("mcd,mcd->mc", diff, diff)
+    logf = -0.5 * d * (LOG_2PI + np.log(variances)) - sq / (2.0 * variances)
+    logits = logf + log_prior
+    log_post = logits - losses.logsumexp(logits, axis=1)[:, None]
+    nll = float(np.mean(-log_post[np.arange(m), y_idx]))
+    G = np.exp(log_post)
+    G[np.arange(m), y_idx] -= 1.0
+    G /= m
+    r = np.divide(diff, variances[..., None], out=diff)
+    d_v = -d / (2.0 * variances) + sq / (2.0 * variances**2)
+    d_Z = -np.einsum("mc,mcd->md", G, r)
+    return nll, np.einsum("mc,mcd->cd", G, r), np.einsum("mc,mc->c", G, d_v), d_Z, G.sum(axis=0)
+
+
+@st.composite
+def _blocked_passes(draw):
+    """(Z, targets, means, variances, log prior, PREFIX_ENTRIES): up to 60
+    rows, one and two included, d from 1 to 100, inputs at scales 1e-3 to
+    1e3, and blocks of b queries with m below b, equal to it, a multiple of
+    it, or anything up to 600."""
+    c = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 60)))
+    d = draw(st.sampled_from([1, 2, 3, 8, 64, 100]))
+    b = draw(st.integers(1, 40))
+    m = draw(st.one_of(st.sampled_from([max(b - 1, 1), b, 3 * b]), st.integers(1, 600)))
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Z, means = rng.normal(size=(m, d)) * scale, rng.normal(size=(c, d)) * scale
+    means[0] = Z[0]  # a zero difference
+    variances = np.exp(rng.normal(size=c)) * scale**2 * 10.0 ** draw(st.floats(-3, 3))
+    log_prior = rng.normal(size=c)
+    if c > 1 and draw(st.booleans()):
+        log_prior[-1] = -np.inf  # a row with no prior mass
+    entries = b * c * d + draw(st.integers(0, c * d - 1))  # PREFIX_ENTRIES // (c d) = b
+    return Z, rng.integers(0, c, size=m), means, variances, log_prior, entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocked_passes())
+def test_blocked_pass_matches_one_block(case):
+    """Scoring the queries in blocks, each block's sums started from the
+    earlier blocks' totals, changes no bit of any of the five outputs (a
+    one-row table stays one block)."""
+    *inputs, entries = case
+    want = _one_block_nll_grads(*inputs)
+    with mock.patch.object(losses, "PREFIX_ENTRIES", entries):
+        got = losses._mixture_nll_grads(*inputs)
+    assert got[0] == want[0] or (np.isnan(got[0]) and np.isnan(want[0]))
+    for g, w in zip(got[1:], want[1:], strict=True):
+        assert np.array_equal(g, w, equal_nan=True)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
 
 
 def _stepped_sequential_nll(table, Z, labels, params):
