@@ -364,9 +364,8 @@ def _mixture_nll_grads(Z, y_idx, means, variances, log_prior):
     R, G, V = np.empty((size + 1, c, d)), np.empty((size + 1, c)), np.empty((size + 1, c))
     nll, d_Z = np.empty(m), np.empty((m, d))
     for lo in range(0, max(m, 1), size):
-        at, k, top = slice(lo, lo + size), min(size, m - lo), 0 if lo else 1
-        (r, g, v), (Rk, Gk, Vk), dz = (a[1 : k + 1] for a in (R, G, V)), (a[top : k + 1] for a in (R, G, V)), d_Z[at]
-        hit = (np.arange(k), y_idx[at])
+        at, k = slice(lo, lo + size), min(size, m - lo)
+        r, g, v, dz, hit = R[1 : k + 1], G[1 : k + 1], V[1 : k + 1], d_Z[at], (np.arange(k), y_idx[at])
         np.copyto(r, Z[at, None, :])
         r -= means
         np.einsum("mcd,mcd->mc", r, r, out=v)
@@ -379,11 +378,13 @@ def _mixture_nll_grads(Z, y_idx, means, variances, log_prior):
         np.divide(v, two_v2, out=v)
         v += half
         np.negative(np.einsum("mc,mcd->md", g, r, out=dz), out=dz)
+        top = 0 if lo else 1  # the first block has no earlier totals
         if lo:
             G[0], R[0], V[0] = d_log_prior, d_means, d_v
-        d_log_prior = Gk.sum(axis=0)
+        d_log_prior = G[top : k + 1].sum(axis=0)
         G[0] = 1.0
-        d_means, d_v = np.einsum("mc,mcd->cd", Gk, Rk), np.einsum("mc,mc->c", Gk, Vk)
+        d_means = np.einsum("mc,mcd->cd", G[top : k + 1], R[top : k + 1])
+        d_v = np.einsum("mc,mc->c", G[top : k + 1], V[top : k + 1])
     return float(nll.mean()), d_means, d_v, d_Z, d_log_prior
 
 
