@@ -143,28 +143,24 @@ def load_checkpoint(path, expected_config_hash=None) -> Checkpoint:
             RuntimeWarning,
         )
 
-    if header["encoder_kind"] == "affine":
-        encoder = Encoder.affine(arrays["encoder_weight"], arrays["encoder_bias"])
-    else:
-        encoder = Encoder.identity()
-    params = MetaParams(
-        encoder=encoder,
-        q0=arrays["q0"],
-        log_lambda0=header["log_lambda0"],
-        rho=header["rho"],
-        class_q=arrays.get("class_q"),
-        class_log_lambda=arrays.get("class_log_lambda"),
-    )
-    embeddings = None
-    if "embedding_means" in arrays:
-        embeddings = ClassEmbeddings(
-            means=arrays["embedding_means"], variances=arrays["embedding_variances"]
+    try:  # the constructors refuse a value the file holds, such as an unknown encoder kind
+        embeddings = None
+        if "embedding_means" in arrays:
+            embeddings = ClassEmbeddings(means=arrays["embedding_means"], variances=arrays["embedding_variances"])
+        return Checkpoint(
+            params=MetaParams(
+                encoder=Encoder(header["encoder_kind"], arrays.get("encoder_weight"), arrays.get("encoder_bias")),
+                q0=arrays["q0"],
+                log_lambda0=header["log_lambda0"],
+                rho=header["rho"],
+                class_q=arrays.get("class_q"),
+                class_log_lambda=arrays.get("class_log_lambda"),
+            ),
+            crp=CrpParams(a=header["a"], rho=header["rho"]),
+            noise=NoiseModel(noise_variance=header["noise_variance"]),
+            setting=header["setting"],
+            embeddings=embeddings,
+            config_hash=header["config_hash"],
         )
-    return Checkpoint(
-        params=params,
-        crp=CrpParams(a=header["a"], rho=header["rho"]),
-        noise=NoiseModel(noise_variance=header["noise_variance"]),
-        setting=header["setting"],
-        embeddings=embeddings,
-        config_hash=header["config_hash"],
-    )
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -547,6 +547,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint has no array 'encoder_weight'$"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            (lambda h: h.update(encoder_kind="bogus"), "unknown encoder kind 'bogus'"),
+            (lambda h: h.update(encoder_kind="identity"), "identity encoder takes no parameters"),
+            (lambda h: h.update(a=2.0), r"discount a must lie in \[0, 1\), got 2\.0"),
+        ],
+        ids=["unknown-kind", "identity-over-a-weight", "crp-discount"],
+    )
+    def test_refuses_a_value_its_model_would_refuse(self, tmp_path, edit, message):
+        """An unknown encoder kind loaded as the identity encoder, and an
+        identity kind over a saved weight dropped the weight."""
+        path = self._rewritten(tmp_path, edit)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("shape", [[-1], [2, -3], [1.5], ["2"], True])
     def test_refuses_a_bad_array_shape(self, tmp_path, shape):
         """A negative dimension raised `read length must be non-negative`."""
