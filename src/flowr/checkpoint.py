@@ -11,6 +11,7 @@ a different configuration can warn. A malformed file is refused in one
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import warnings
@@ -79,8 +80,10 @@ def save_checkpoint(path, ckpt: Checkpoint):
 
 def _header(path, blob) -> dict:
     """The checkpoint's JSON header, or a one-line ValueError naming path:
-    text that is no JSON object, a missing key, or an array manifest entry
-    that is not [name, shape] with non-negative integer dimensions."""
+    text that is no JSON object, a missing key, a scalar that is not a
+    finite number, a setting other than sc or lc, a config hash that is not
+    a string, or an array manifest entry that is not [name, shape] with
+    non-negative integer dimensions."""
     try:
         header = json.loads(blob)
     except ValueError as e:
@@ -90,6 +93,13 @@ def _header(path, blob) -> dict:
     missing = [key for key in _HEADER_KEYS if key not in header]
     if missing:
         raise ValueError(f"{path}: checkpoint header has no {missing[0]!r}")
+    for key in ("a", "rho", "log_lambda0", "noise_variance"):
+        if type(header[key]) not in (int, float) or not math.isfinite(header[key]):
+            raise ValueError(f"{path}: checkpoint header {key!r} is not a finite number: {header[key]!r}")
+    if header["setting"] not in ("sc", "lc"):
+        raise ValueError(f"{path}: checkpoint header 'setting' is not 'sc' or 'lc': {header['setting']!r}")
+    if not isinstance(header["config_hash"], (str, type(None))):
+        raise ValueError(f"{path}: checkpoint header 'config_hash' is not a string: {header['config_hash']!r}")
     if not isinstance(header["arrays"], list):
         raise ValueError(f"{path}: checkpoint header 'arrays' is not a list")
     for i, entry in enumerate(header["arrays"]):

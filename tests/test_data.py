@@ -548,6 +548,25 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
+        ("key", "value", "message"),
+        [
+            ("log_lambda0", "x", "'log_lambda0' is not a finite number: 'x'"),
+            ("rho", None, "'rho' is not a finite number: None"),
+            ("noise_variance", [1], r"'noise_variance' is not a finite number: \[1\]"),
+            ("a", True, "'a' is not a finite number: True"),
+            ("log_lambda0", float("inf"), "'log_lambda0' is not a finite number: inf"),
+            ("setting", 5, "'setting' is not 'sc' or 'lc': 5"),
+            ("config_hash", 7, "'config_hash' is not a string: 7"),
+        ],
+    )
+    def test_refuses_a_bad_header_value(self, tmp_path, key, value, message):
+        """A string log_lambda0, a setting of 5 and an infinite log_lambda0
+        loaded silently; a null rho raised a TypeError that did not name the file."""
+        path = self._rewritten(tmp_path, lambda h: h.update({key: value}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint header {message}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
         ("edit", "message"),
         [
             (lambda h: h.update(encoder_kind="bogus"), "unknown encoder kind 'bogus'"),
