@@ -293,18 +293,18 @@ def _fused_pass_callers(d):
     }
 
 
-@pytest.mark.parametrize("entries", [None, 64])
 @pytest.mark.parametrize("d", [2, 64])
 @pytest.mark.parametrize("caller", ["_table_nll", "_adaptation_term", "pretrain_grads", "loo_support_grads"])
-def test_fused_pass_matches_two_pass_reference(d, caller, entries):
+def test_fused_pass_matches_two_pass_reference(d, caller):
     """Every training loss that scores one table returns exactly what the
     two-pass code returned, bit for bit, at small d and at d = 64, where
-    numpy's reductions take their SIMD paths; with PREFIX_ENTRIES = 64 each
-    caller scores its queries in blocks of one query or a few."""
+    numpy's reductions take their SIMD paths, also with PREFIX_ENTRIES = 64,
+    where each caller scores its queries in blocks of one query or a few."""
     call = _fused_pass_callers(d)[caller]
     with mock.patch.object(losses, "_mixture_nll_grads", _two_pass_nll_grads):
         want = call()
-    with mock.patch.object(losses, "PREFIX_ENTRIES", entries or losses.PREFIX_ENTRIES):
+    _assert_same(call(), want)
+    with mock.patch.object(losses, "PREFIX_ENTRIES", 64):
         _assert_same(call(), want)
 
 
