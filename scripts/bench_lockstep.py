@@ -61,9 +61,11 @@ BLOCK = 10
 RESAMPLES = 10_000
 
 
-def worker(tree, workload, seed, inputs):
-    """One side: set up, then run a step per `step` line on stdin and answer
-    with one JSON line; `end` runs the final check and answers the same way."""
+def worker(tree, workload, seed, inputs, cpu):
+    """One side, pinned to cpu: set up, then run a step per `step` line on
+    stdin and answer with one JSON line; `end` runs the final check and
+    answers the same way."""
+    os.sched_setaffinity(0, {cpu})
     sys.path.insert(0, str(Path(tree) / "perfbench"))
     import workloads  # noqa: PLC0415  the side's own tree's
 
@@ -110,9 +112,9 @@ class Side:
     def start(self, cpu):
         self.steps.append([])
         self.proc = subprocess.Popen(
-            [sys.executable, __file__, "--worker", str(self.tree), self.workload, str(self.seed), str(self.inputs)],
+            [sys.executable, __file__, "--worker", str(self.tree), self.workload, str(self.seed), str(self.inputs),
+             str(cpu)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=self.env,
-            preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
         )
 
     def ask(self, what):
@@ -175,8 +177,12 @@ def main(argv):
     if pairs < ROUNDS:
         print(f"PAIRS must be at least {ROUNDS}, one per round", file=sys.stderr)
         return 2
-    commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{ref}^{{commit}}"],
-                            capture_output=True, text=True, check=True).stdout.strip()
+    found = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{ref}^{{commit}}"],
+                           capture_output=True, text=True)
+    if found.returncode:
+        print(f"{ref!r} names no commit", file=sys.stderr)
+        return 2
+    commit = found.stdout.strip()
     cpu = min(os.sched_getaffinity(0))
     scratch = tempfile.mkdtemp()
     sides, failed = [], 0
@@ -212,5 +218,5 @@ def main(argv):
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--worker"]:
-        sys.exit(worker(sys.argv[2], sys.argv[3], int(sys.argv[4]), sys.argv[5]))
+        sys.exit(worker(sys.argv[2], sys.argv[3], int(sys.argv[4]), sys.argv[5], int(sys.argv[6])))
     sys.exit(main(sys.argv[1:]))
