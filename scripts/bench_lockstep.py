@@ -11,7 +11,7 @@ perfbench/workloads.py, in a process of its own as perfbench/run.py does,
 into a temporary directory. The pairs run in ROUNDS rounds. In each round
 every side starts one worker process that imports its own tree's
 workloads.py and runs set-up as run.py runs it; both workers are pinned to
-the same core, with one BLAS thread. The driver passes a token over pipes,
+the same core, with one BLAS thread. The main process passes a token over pipes,
 so the two sides run one `step()` each in turn: while one side runs, the
 other waits on its pipe. A side checks each step after timing it, as
 run.py does, and runs the workload's final check at the end of a round.
@@ -98,9 +98,9 @@ def worker(tree, workload, seed, inputs, cpu):
 class Side:
     """One tree: its inputs, and the worker process of the current round."""
 
-    def __init__(self, name, tree, workload, seed, scratch):
+    def __init__(self, name, tree, workload, seed, work):
         self.name, self.tree, self.workload, self.seed = name, tree, workload, seed
-        self.inputs, self.steps, self.proc = Path(scratch) / f"{name}-inputs", [], None
+        self.inputs, self.steps, self.proc = Path(work) / f"{name}-inputs", [], None
         self.inputs.mkdir()
         self.env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -184,20 +184,20 @@ def main(argv):
         return 2
     commit = found.stdout.strip()
     cpu = min(os.sched_getaffinity(0))
-    scratch = tempfile.mkdtemp()
+    work = tempfile.mkdtemp()
     sides, failed = [], 0
     try:
-        base = Path(scratch) / "base"
+        base = Path(work) / "base"
         base.mkdir()
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit], capture_output=True, check=True)
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
-        sides = [Side("base", base, workload, seed, scratch), Side("change", ROOT, workload, seed, scratch)]
+        sides = [Side("base", base, workload, seed, work), Side("change", ROOT, workload, seed, work)]
         for i in range(ROUNDS):
             failed += run_round(sides, pairs // ROUNDS + (i < pairs % ROUNDS), cpu)
     finally:
         for side in sides:
             side.stop()
-        shutil.rmtree(scratch, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
 
     base, change = sides
     rounds = [[c["s"] / b["s"] for b, c in zip(*steps)] for steps in zip(base.steps, change.steps)]
