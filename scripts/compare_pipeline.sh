@@ -26,7 +26,9 @@
 # it. Then comes the step table, also in OUT_DIR/table.txt: each step's
 # base and change wall seconds, change/base, a total row, and two last rows
 # with the line counts of src/flowr/*.py on both sides: every line, then the
-# code lines alone (no docstring, comment or blank line).
+# code lines alone (no docstring, comment or blank line). Last come the
+# public names that leave and enter flowr.__all__ (importing flowr from each
+# side's src), also in OUT_DIR/names.txt; they gate nothing.
 #
 # Usage: scripts/compare_pipeline.sh BASE_REF OUT_DIR
 # Exits 0 when the outputs agree and 1 when they differ.
@@ -195,6 +197,17 @@ awk -v lines_b="$(cat "$tree"/base/src/flowr/*.py | wc -l)" -v lines_c="$(cat "$
          printf("%-20s %8d %8d %6s\n", "src/flowr code lines", code_b, code_c, ratio(code_b, code_c))
      }
 ' base.times change.times > table.txt
+# public_names ROOT: flowr.__all__ imported from ROOT/src, one name a line, in C order
+public_names() {
+    PYTHONPATH="$1/src" python3 -c 'import flowr; print("\n".join(sorted(flowr.__all__)))'
+}
+public_names "$tree/base" > base.names
+public_names "$root" > change.names
+for what in "leave:-23" "enter:-13"; do
+    names=$(LC_ALL=C comm "${what#*:}" base.names change.names | paste -sd ' ' -)
+    echo "flowr.__all__ names that ${what%%:*}: ${names:-none}"
+done > names.txt
+rm base.names change.names
 head -n 1 verdict.txt
-cat table.txt
+cat table.txt names.txt
 exit $status

@@ -38,7 +38,6 @@ from .meta import (
     MetaParams,
     adaptation_loss,
     grad_check,
-    meta_loss,
     meta_step,
     run_meta_training,
     sample_lc_task,
@@ -63,7 +62,6 @@ from .model import (
     init_small_context,
     predict,
     run_episode,
-    run_episodes,
     update,
 )
 from .runner import evaluate, run_grad_check_suite
@@ -109,7 +107,6 @@ __all__ = [
     "init_large_context",
     "init_small_context",
     "load_checkpoint",
-    "meta_loss",
     "meta_step",
     "natural_to_moment",
     "ncm_predict",
@@ -124,7 +121,6 @@ __all__ = [
     "read_dataset",
     "roc_curve",
     "run_episode",
-    "run_episodes",
     "run_grad_check_suite",
     "run_meta_training",
     "sample_lc_task",

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .crp import CrpParams
+from .data import replace_file
 from .encoder import ClassEmbeddings, Encoder
 from .gaussian import NoiseModel
 from .meta import MetaParams
@@ -41,7 +42,7 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
-    """Write ckpt beside path, then move it over path, so no reader sees a partly written file."""
+    """Write ckpt by data.replace_file, so no reader sees a partly written file."""
     arrays = {"q0": np.asarray(ckpt.params.q0, dtype=np.float64)}
     enc = ckpt.params.encoder
     if enc.kind == "affine":
@@ -65,17 +66,8 @@ def save_checkpoint(path, ckpt: Checkpoint):
         "arrays": [[name, list(arr.shape)] for name, arr in arrays.items()],
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(blob)))
-            fh.write(blob)
-            for arr in arrays.values():
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    raw = (np.ascontiguousarray(arr, dtype="<f8") for arr in arrays.values())
+    replace_file(path, chain([_PREFIX.pack(_MAGIC, _VERSION, len(blob)), blob], raw))
 
 
 def _header(path, blob) -> dict:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
-from .crp import check_finite
+from .crp import check_finite, non_negative_int
 from .meta import EpisodeConfig
 
 
@@ -16,7 +16,7 @@ class ExperimentConfig:
     values: a=0.5, noise 0.5, beta and lambda_w 0.1, and the per-setting
     operating TPR (0.15 small-context, 0.6 large-context). Step sizes and
     the noise variance must be positive and finite, beta and lambda_w
-    finite and non-negative."""
+    finite and non-negative, and int fields non-negative integers."""
 
     setting: str = "sc"
     a: float = 0.5
@@ -54,12 +54,13 @@ class ExperimentConfig:
             check_finite(name, getattr(self, name), positive=False)
         if not 0.0 < self.operating_tpr <= 1.0:
             raise ValueError(f"operating_tpr must be in (0, 1], got {self.operating_tpr}")
+        for f in fields(self):
+            if f.type == "int":
+                object.__setattr__(self, f.name, non_negative_int(f.name, getattr(self, f.name)))
         for name in ("pretrain_epochs", "pretrain_batch_size", "meta_episodes",
                      "meta_batch_size", "eval_episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not (float(self.fine_tune_steps).is_integer() and self.fine_tune_steps >= 0):
-            raise ValueError(f"fine_tune_steps must be a non-negative integer, got {self.fine_tune_steps}")
 
     def train_episode_config(self) -> EpisodeConfig:
         return self._episode_config("train")

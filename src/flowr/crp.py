@@ -119,6 +119,18 @@ def integers(values, fault) -> np.ndarray:
     return f.astype(np.int64)
 
 
+def non_negative_int(name, value) -> int:
+    """A count or seed setting as an int by integers' policy, or a one-line
+    ValueError naming it for a fraction, a negative value or no number."""
+    try:
+        n = int(integers(value, ""))
+    except (TypeError, ValueError):
+        n = -1
+    if n < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
+    return n
+
+
 def check_finite(name, value, *, positive=True):
     """Refuse in one line a value that is not finite and positive, or with
     positive=False, finite and non-negative: a step size, a noise variance

@@ -132,20 +132,26 @@ def split_dataset(ds: EmbeddingDataset, first_k) -> tuple[EmbeddingDataset, Embe
     return subset_classes(ds, ids[:first_k]), subset_classes(ds, ids[first_k:])
 
 
-def write_dataset(path, ds: EmbeddingDataset):
-    """Write ds beside path, then move it over path: datasets read from the old file keep their pages."""
-    rec = np.empty(len(ds), dtype=_record_dtype(ds.dim))
-    rec["label"] = ds.labels
-    rec["feat"] = ds.features
+def replace_file(path, chunks):
+    """Write chunks (bytes-like) to a new file beside path, then move it over path: no reader
+    sees a partly written file, one that mapped the old file keeps its pages, a failed write no change."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, _VERSION, ds.dim, len(ds)))
-            fh.write(rec)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def write_dataset(path, ds: EmbeddingDataset):
+    """Write ds by replace_file: datasets read from the old file keep their pages."""
+    rec = np.empty(len(ds), dtype=_record_dtype(ds.dim))
+    rec["label"] = ds.labels
+    rec["feat"] = ds.features
+    replace_file(path, [_HEADER.pack(_MAGIC, _VERSION, ds.dim, len(ds)), rec])
 
 
 def read_dataset(path) -> EmbeddingDataset:

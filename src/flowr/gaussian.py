@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .crp import check_finite
+
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -35,8 +37,7 @@ class IsotropicGaussian:
     def __post_init__(self):
         object.__setattr__(self, "mean", _as_vector(self.mean, "mean"))
         object.__setattr__(self, "variance", float(self.variance))
-        if not (np.isfinite(self.variance) and self.variance > 0.0):
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        check_finite("variance", self.variance)
 
     @property
     def dim(self):
@@ -53,8 +54,7 @@ class NaturalClassStats:
     def __post_init__(self):
         object.__setattr__(self, "q", _as_vector(self.q, "q"))
         object.__setattr__(self, "lam", float(self.lam))
-        if not (np.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        check_finite("lam", self.lam)
 
     @property
     def dim(self):
@@ -69,8 +69,7 @@ class NoiseModel:
 
     def __post_init__(self):
         object.__setattr__(self, "noise_variance", float(self.noise_variance))
-        if not (np.isfinite(self.noise_variance) and self.noise_variance > 0.0):
-            raise ValueError(f"noise_variance must be positive, got {self.noise_variance}")
+        check_finite("noise_variance", self.noise_variance)
 
 
 @dataclass(frozen=True)

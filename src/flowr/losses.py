@@ -30,9 +30,9 @@ prior from: the rule and its derivative are written once, in crp.
 The model's recursion lives here too, shared with flowr.model. ClassTable
 is an immutable value, the rows [classes | novel slot] and the class
 counts; fold() is the one builder of a conditioned table, q += z / s_eps
-and lam += 1 / s_eps per point in arrival order, and condition(), its one
-online step on a label crp's arrival check passed, is fold()'s one-point
-case, save that a known-known label shares the rows and moves a count. A
+and lam += 1 / s_eps per point in arrival order, and count() is the online
+step on a known-known label, which shares the rows and moves a count
+(model.update folds any other label as fold()'s one-point case). A
 class counts NEW_CLASS_COUNT = 2 after its first point, not the 1 of
 crp.sequence_log_prob, so the model's sequential prior is not
 exchangeable. When every label is known in advance, Prefix builds every
@@ -73,7 +73,6 @@ from functools import cached_property
 import numpy as np
 
 from .crp import CrpParams, arrival_labels, class_prior, grad_b, sigmoid
-from .crp import ProtocolError  # noqa: F401  re-exported as flowr.losses.ProtocolError
 from .gaussian import density_constants, differences, log_density_matrix, log_density_sq
 
 
@@ -106,7 +105,7 @@ class ClassTable:
     the cached predictive means Q / lam, variances v = 1 / lam + s_eps and
     density constants log_norm and two_v (gaussian.density_constants of v),
     and int64 counts (the novel slot holds none), every array exact-size
-    and read-only. A table is a value: fold() and condition() return the next one.
+    and read-only. A table is a value: fold() and count() return the next one.
     Rows below n_kk count labels but are never conditioned. The table is
     the only holder of the class counts, which crp.class_prior reads.
     """
@@ -136,16 +135,13 @@ class ClassTable:
 
     @classmethod
     def counts_after(cls, K):
-        """The counts condition() leaves on classes that have seen K >= 1 points each."""
+        """The counts fold() leaves on classes that have seen K >= 1 points each."""
         return K + (cls.NEW_CLASS_COUNT - 1)
 
-    def condition(self, z, y) -> "ClassTable":
-        """The table after one conditioning step on point z with int label
-        y, which crp.label_fault accepts; this table stays as it is. A
-        known-known label (y <= n_kk) moves only its count and shares the
-        rows; any other is fold()'s one-point case."""
-        if y > self.n_kk:
-            return self.fold(z[None], [y])
+    def count(self, y) -> "ClassTable":
+        """The table after one label y <= n_kk of a known-known class, which
+        conditions no row: it moves only that class's count and shares the
+        rows; this table stays as it is."""
         counts = self.counts.copy()
         counts[y - 1] += 1
         return self._next(self._rows, counts)
@@ -154,10 +150,10 @@ class ClassTable:
         """The table after conditioning on points Z (m, d) with dense 1-based
         labels in any order; this table stays as it is. Each row above n_kk
         adds its points' z / s_eps and 1 / s_eps in arrival order, the
-        additions of stepping condition() and of Prefix's versions, bit for
-        bit; rows below n_kk only count. A row opened here starts as a copy
-        of the prior's row, which stays last, and counts NEW_CLASS_COUNT
-        after its first point."""
+        additions of folding one point at a time and of Prefix's versions,
+        bit for bit; rows below n_kk only count, as count() does. A row
+        opened here starts as a copy of the prior's row, which stays last,
+        and counts NEW_CLASS_COUNT after its first point."""
         y = np.asarray(labels, dtype=np.int64) - 1
         hits, n, d = np.bincount(y, minlength=self.n), self.n, self.Q.shape[1]
         at = np.minimum(np.arange(len(hits) + 1), n)  # the table row each row starts as
@@ -202,7 +198,7 @@ class Prefix:
     heads[i] steps (head) only condition it, a support folded as the head of
     its queries; chunks() scores the others. Each conditioned row's versions
     are the running sums [row; row + z * (1 / s_eps); ...], and likewise for
-    lam: the additions condition() makes, folded level by level for every
+    lam: the additions fold() makes, folded level by level for every
     row of the block. They lie stream by stream in segments, one per row
     n_kk..n-1 and one for the novel slot, from start[j]. counts holds each
     stream's class counts before its first step. labels are int64 and
@@ -483,17 +479,13 @@ def _adaptation_term(q0, lam0, noise_var, Za, adapt_labels, cond_idx):
     """
     adapt_labels = np.asarray(adapt_labels, dtype=np.int64)
     n_classes = int(adapt_labels.max()) if adapt_labels.size else 0
-    d_q0 = np.zeros_like(q0)
-    d_Za = np.zeros_like(Za)
-    if n_classes == 0:
-        return 0.0, d_q0, 0.0, d_Za
-
     cond_idx = np.asarray(cond_idx, dtype=np.int64)
     query_mask = np.ones(len(adapt_labels), dtype=bool)
     query_mask[cond_idx] = False
+    d_Za = np.zeros_like(Za)
     if not query_mask.any() or n_classes == 1:
         # one-class pools score log(1) = 0; empty pools have nothing to score
-        return 0.0, d_q0, 0.0, d_Za
+        return 0.0, np.zeros_like(q0), 0.0, d_Za
 
     prior = ClassTable(np.zeros((0, len(q0))), [], [], q0, lam0, noise_var)
     table = prior.fold(Za[cond_idx], np.arange(1, n_classes + 1))  # one conditioning point per class

@@ -21,14 +21,14 @@ class are scored against it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import losses
-from .crp import check_finite, integers, inverse_softplus
+from .crp import check_finite, integers, inverse_softplus, non_negative_int
 from .encoder import ClassEmbeddings, Encoder
-from .gaussian import NaturalClassStats, SharedPrior
+from .gaussian import NaturalClassStats, SharedPrior, _as_vector
 from .model import _encode
 
 
@@ -41,8 +41,8 @@ class EpisodeConfig:
     queries_per_class: int = 10
 
     def __post_init__(self):
-        if self.n_support_classes < 0 or self.n_novel_classes < 0:
-            raise ValueError("class counts must be non-negative")
+        for f in fields(self):
+            object.__setattr__(self, f.name, non_negative_int(f.name, getattr(self, f.name)))
         if not 1 <= self.shots_min <= self.shots_max:
             raise ValueError(f"bad shot range [{self.shots_min}, {self.shots_max}]")
         if self.queries_per_class < 1:
@@ -72,7 +72,8 @@ class Episode:
 @dataclass(frozen=True)
 class MetaParams:
     """Trainable parameters: encoder, shared prior (precision in log space),
-    raw CRP strength, plus per-class stats in the large-context setting."""
+    raw CRP strength, plus per-class stats (n, len(q0)) and (n,) in the
+    large-context setting; a value the model cannot use is refused."""
 
     encoder: Encoder
     q0: np.ndarray
@@ -80,6 +81,20 @@ class MetaParams:
     rho: float
     class_q: np.ndarray | None = None
     class_log_lambda: np.ndarray | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "q0", _as_vector(self.q0, "q0"))
+        for name in ("log_lambda0", "rho"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if (self.class_q is None) != (self.class_log_lambda is None):
+            raise ValueError("class_q and class_log_lambda must be given together")
+        if self.class_q is not None:
+            log_lam, Q = _as_vector(self.class_log_lambda, "class_log_lambda"), np.asarray(self.class_q, dtype=float)
+            if Q.shape != (len(log_lam), len(self.q0)) or not np.isfinite(Q).all():
+                raise ValueError(f"class_q must be finite, of shape {(len(log_lam), len(self.q0))}, got {Q.shape}")
+            object.__setattr__(self, "class_q", Q)
+            object.__setattr__(self, "class_log_lambda", log_lam)
 
     def prior(self) -> SharedPrior:
         return SharedPrior(prior=NaturalClassStats(q=self.q0, lam=float(np.exp(self.log_lambda0))))
@@ -253,11 +268,6 @@ def meta_grads(
     )
 
 
-def meta_loss(params, episode, lambda_w, setting, **kwargs) -> float:
-    """Scalar episode objective: query NLL + lambda_w * adaptation loss."""
-    return meta_grads(params, episode, lambda_w, setting, **kwargs).value
-
-
 def meta_step(params: MetaParams, episodes, step_size, lambda_w, setting, *, rng=None, **kwargs):
     """One SGD step on a batch of episodes; aborts on non-finite gradients."""
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -415,7 +425,7 @@ def meta_loss_functions(template: MetaParams, episode, lambda_w, setting, **kwar
     """(loss_fn, grad_fn) over the flat parameter vector, for grad_check."""
 
     def loss_fn(vec):
-        return meta_loss(vector_to_params(template, vec), episode, lambda_w, setting, **kwargs)
+        return meta_grads(vector_to_params(template, vec), episode, lambda_w, setting, **kwargs).value
 
     def grad_fn(vec):
         g = meta_grads(vector_to_params(template, vec), episode, lambda_w, setting, **kwargs)

@@ -109,9 +109,8 @@ def h_measure(s: ScoreSet, alpha=2.0, beta=2.0) -> float:
     (all-novel or all-known) classifier. 0 is chance, 1 is perfect.
     """
     _require_both(s, "h_measure")
-    fpr, tpr, _ = roc_curve(s)
-    order = np.argsort(fpr, kind="stable")
-    hull = _upper_hull(fpr[order], tpr[order])
+    fpr, tpr, _ = roc_curve(s)  # fpr non-decreasing, as the hull walk needs
+    hull = _upper_hull(fpr, tpr)
 
     pi1 = len(s.positives) / (len(s.positives) + len(s.negatives))
     pi0 = 1.0 - pi1
@@ -257,15 +256,15 @@ class RankingFlip:
     trials_used: int
 
 
-def ranking_flip_search(rng, trials, *, n_scores=400, fixture_path=None):
+def ranking_flip_search(rng, trials, *, n_scores=400):
     """Search random crossing-ROC score pairs for an AUROC/H-measure rank flip.
 
     Classifier A concentrates most positives far above the negatives but
     leaves a hard tail below them (an ROC that rises fast, then flattens);
     classifier B separates uniformly but weakly (a smooth ROC). The two
     curves cross, so the area and the cost-weighted loss can disagree.
-    Returns the first flip found (optionally persisted to fixture_path as
-    JSON) or None after exhausting the trials.
+    Returns the first flip found (save_flip_fixture persists it) or None
+    after exhausting the trials.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -281,10 +280,7 @@ def ranking_flip_search(rng, trials, *, n_scores=400, fixture_path=None):
         auroc_a, auroc_b = auroc(set_a), auroc(set_b)
         h_a, h_b = h_measure(set_a), h_measure(set_b)
         if (auroc_a - auroc_b) * (h_a - h_b) < 0:
-            flip = RankingFlip(set_a, set_b, auroc_a, auroc_b, h_a, h_b, trial + 1)
-            if fixture_path is not None:
-                save_flip_fixture(flip, fixture_path)
-            return flip
+            return RankingFlip(set_a, set_b, auroc_a, auroc_b, h_a, h_b, trial + 1)
     return None
 
 

@@ -8,16 +8,17 @@ Labels follow crp's dense arrival protocol: classes are numbered 1..N in
 order of first appearance, and a label of N + 1 announces a new class.
 
 A state wraps a losses.ClassTable, the immutable class table the training
-losses use too (the prior's row, the novel slot, last). update conditions
-it one step at a time; predict scores it. _fold is the one pass for
-streams whose labels are all known: one losses.Prefix folds a block of
-streams from one start state, each a support (a conditioning-only head)
-and its queries, and one losses.chunks pass scores the queries into
-Outcomes, the block's outcomes as columns; a stream's final state is
-ClassTable.fold of its steps. init_small_context (a head and no
-queries), run_episode (queries and no head, the columns built into
-PredictionRecords) and runner.evaluate (the columns as they are) are its
-cases. A block's first fault is found by stepping its streams with
+losses use too (the prior's row, the novel slot, last). update steps it
+one label at a time, by ClassTable.count for a known-known label and
+ClassTable.fold of the one point for any other; predict scores it. _fold
+is the one pass for streams whose labels are all known: one
+losses.Prefix folds a block of streams from one start state, each a
+support (a conditioning-only head) and its queries, and one
+losses.chunks pass scores the queries into Outcomes, the block's
+outcomes as columns; a stream's final state is ClassTable.fold of its
+steps. init_small_context (a head and no queries), run_episode (queries
+and no head, the columns built into PredictionRecords) and
+runner.evaluate (the columns as they are) are its cases. A block's first fault is found by stepping its streams with
 update and predict, so the pass and stepping refuse the same input,
 label, far query or overflowing row. _encode, _encode_one and
 _encode_labelled are flowr's only readers of raw inputs: each call
@@ -33,6 +34,7 @@ import numpy as np
 
 from . import losses
 from .crp import CrpParams, InvalidStateError, ProtocolError, arrival_labels, checked_counts, class_prior, label_fault
+from .crp import check_finite, non_negative_int
 from .encoder import ClassEmbeddings, Encoder
 from .gaussian import NoiseModel, SharedPrior, differences
 
@@ -271,9 +273,9 @@ def update(state: ModelState, x, y) -> ModelState:
         raise ProtocolError(fault)
     y = int(y)
     if y <= state.n_kk:  # a known-known label conditions no row
-        return state._derive(state._table.condition(z, y))
+        return state._derive(state._table.count(y))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        table = state._table.condition(z, y)
+        table = state._table.fold(z[None], [y])
     if not _finite(table, y - 1):
         raise ValueError(_OVERFLOW)
     return state._derive(table)
@@ -327,12 +329,6 @@ def run_episode(state: ModelState, queries):
     queries = list(queries)
     out, final = _fold(state, [((), (), [x for x, _ in queries], [y for _, y in queries])])[0]
     return out.records(), final
-
-
-def run_episodes(episodes) -> list:
-    """run_episode over several (state, queries) streams, taken in order:
-    one (records, final_state) per stream, and the first fault in stream order."""
-    return [run_episode(state, queries) for state, queries in episodes]
 
 
 def _fold(state, streams, finals=True) -> list:
@@ -420,10 +416,8 @@ def fine_tune_output_layer(state: ModelState, support, steps, step_size, *, retu
     at 0 steps with the state's own.
     steps must be a non-negative integer and step_size positive and finite.
     """
-    if not (float(steps).is_integer() and steps >= 0):
-        raise ValueError(f"fine-tuning steps must be a non-negative integer, got {steps}")
-    if not 0.0 < step_size < np.inf:
-        raise ValueError(f"fine-tuning step size must be positive and finite, got {step_size}")
+    steps = non_negative_int("fine-tuning steps", steps)
+    check_finite("fine-tuning step size", step_size)
     if state.encoder.kind != "affine":
         raise ValueError("fine-tuning requires an encoder with an affine output layer")
     support = list(support)
@@ -441,7 +435,7 @@ def fine_tune_output_layer(state: ModelState, support, steps, step_size, *, retu
 
     loss, d_w, d_b = losses.loo_support_grads(X, labels, w, b, p0.q, p0.lam, **kwargs)
     trace = [loss]
-    for _ in range(int(steps)):
+    for _ in range(steps):
         alpha = step_size
         for _ in range(20):
             w_try, b_try = w - alpha * d_w, b - alpha * d_b

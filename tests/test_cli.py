@@ -328,6 +328,18 @@ class TestConfigOverrides:
         assert err.startswith("error: argument --config: not allowed with argument --preset")
         assert err.count("\n") == 1
 
+    def test_config_with_integral_float_episode_count_runs(self, pipeline, tmp_path):
+        """"eval_episodes": 3.0 in a config file used to end flowr eval with
+        `TypeError: 'float' object cannot be interpreted as an integer`."""
+        cfg = tmp_path / "f.json"
+        cfg.write_text('{"eval_episodes": 3.0, "eval_support_classes": 3, "eval_novel_classes": 2, '
+                       '"eval_queries_per_class": 3, "seed": 1}')
+        out = tmp_path / "out"
+        argv = ["eval", "--data", str(pipeline.data), "--checkpoint", str(pipeline.trained),
+                "--out-dir", str(out), "--config", str(cfg)]
+        assert main(argv) == 0
+        assert len(read_records(out / "flowr_records.txt")) == 3
+
     def test_config_naming_the_deleted_feature_dimension_is_refused(self, pipeline, tmp_path, capsys):
         """ExperimentConfig no longer has the field d (the feature dimension,
         which nothing read): a config file that still sets it is refused in

@@ -40,6 +40,24 @@ class TestDefaults:
         with pytest.raises(ValueError, match=f"^fine_tune_steps must be a non-negative integer, got {steps}$"):
             ExperimentConfig(fine_tune_steps=steps)
 
+    @pytest.mark.parametrize("field", [
+        "pretrain_epochs", "pretrain_batch_size", "meta_episodes", "meta_batch_size", "train_support_classes",
+        "train_novel_classes", "train_queries_per_class", "eval_support_classes", "eval_novel_classes",
+        "eval_queries_per_class", "shots_min", "shots_max", "eval_episodes", "fine_tune_steps", "seed",
+    ])
+    def test_integer_fields_are_integers(self, field):
+        """An integral value is stored as an int, and a fraction or a value
+        that is no number is refused naming its field. From a JSON config, shots_max 2.5 used to draw
+        supports of up to 3 shots without a word, and eval_episodes 2.5 or
+        3.0 to end flowr eval with a TypeError."""
+        value = getattr(ExperimentConfig(), field) + 1
+        cfg = config_from_json(json.dumps({field: float(value)}))
+        assert type(getattr(cfg, field)) is int and getattr(cfg, field) == value
+        assert config_hash(cfg) == config_hash(ExperimentConfig(**{field: value}))
+        for bad in (2.5, "two", None):
+            with pytest.raises(ValueError, match=f"^{field} must be a non-negative integer, got {bad}$"):
+                config_from_json(json.dumps({field: bad}))
+
     @pytest.mark.parametrize("step_size", [0.0, -0.1, float("nan"), float("inf")])
     def test_fine_tune_step_size_must_be_positive_and_finite(self, step_size):
         """-0.1 used to be accepted: each tuning step then spent 20 rejected halvings and tuned nothing."""

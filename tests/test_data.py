@@ -592,6 +592,46 @@ class TestCheckpoint:
         ):
             load_checkpoint(path)
 
+    def test_refuses_an_unsupported_version(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, _random_checkpoint(np.random.default_rng(18)))
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 4, 2)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unsupported version 2 \\(expected 1\\)$"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _raw(path, arrays):
+        """An identity-encoder checkpoint file whose arrays are
+        written as given, unchecked; class_q makes it large-context."""
+        header = {"setting": "lc" if "class_q" in arrays else "sc", "encoder_kind": "identity", "a": 0.5,
+                  "rho": 0.3, "log_lambda0": 0.2, "noise_variance": 0.5, "config_hash": None,
+                  "arrays": [[name, list(np.shape(a))] for name, a in arrays.items()]}
+        blob = json.dumps(header).encode()
+        raw = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays.values())
+        path.write_bytes(struct.pack("<4sII", b"FLCK", 1, len(blob)) + blob + raw)
+        return path
+
+    @pytest.mark.parametrize(
+        ("arrays", "message"),
+        [
+            (dict(q0=[0.0, np.nan, 1.0]), "q0 must be finite"),
+            (dict(q0=np.zeros(3), class_q=np.zeros((2, 5)), class_log_lambda=np.zeros(4)),
+             r"class_q must be finite, of shape \(4, 3\), got \(2, 5\)"),
+            (dict(q0=np.zeros(3), class_q=np.zeros((2, 3)), class_log_lambda=np.zeros(4)),
+             r"class_q must be finite, of shape \(4, 3\), got \(2, 3\)"),
+        ],
+        ids=["nan-q0", "class-q-width", "class-q-rows"],
+    )
+    def test_refuses_parameters_the_model_cannot_use(self, tmp_path, arrays, message):
+        """A q0 holding a NaN loaded, and failed only at params.prior() with
+        `q must be finite` and no path; class_q (2, 5) beside a q0 of 3 and
+        4 class_log_lambda values loaded without a word."""
+        path = self._raw(tmp_path / "m.ckpt", arrays)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_checkpoint(path)
+
     def test_failed_save_keeps_the_old_file(self, tmp_path):
         """save_checkpoint writes beside its target and moves the file over
         it, as write_dataset does: a save that fails part-way (here the

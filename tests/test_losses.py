@@ -22,7 +22,7 @@ from flowr.crp import CrpParams
 from flowr.data import generate_synthetic_world
 from flowr.encoder import ClassEmbeddings, Encoder
 from flowr.gaussian import LOG_2PI, NaturalClassStats, NoiseModel, SharedPrior, log_density_matrix
-from flowr.meta import EpisodeConfig, grad_check, meta_loss, meta_loss_functions
+from flowr.meta import EpisodeConfig, grad_check, meta_loss_functions
 from flowr.model import (
     ProtocolError, _encode, _large_context, init_large_context, init_small_context, predict, run_episode, update,
 )
@@ -160,7 +160,7 @@ class TestMetaLossStructure:
         adaptation term."""
         template, episode = _sc_problem(seed=23)
         g = meta.meta_grads(template, episode, 0.1, "sc", cond_seed=5)
-        loss_double = meta_loss(template, episode, 0.2, "sc", cond_seed=5)
+        loss_double = meta.meta_grads(template, episode, 0.2, "sc", cond_seed=5).value
         np.testing.assert_allclose(loss_double - g.value, 0.1 * g.adapt, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(g.value, g.nll + 0.1 * g.adapt, rtol=1e-12)
 
@@ -177,9 +177,9 @@ class TestMetaLossStructure:
                 [y if y == bucket else perm[int(y)] for y in episode.query_y]
             ),
         )
-        base = meta_loss(template, episode, 0.1, "sc", cond_seed=5)
+        base = meta.meta_grads(template, episode, 0.1, "sc", cond_seed=5).value
         np.testing.assert_allclose(
-            meta_loss(template, swapped, 0.1, "sc", cond_seed=5), base, rtol=1e-12
+            meta.meta_grads(template, swapped, 0.1, "sc", cond_seed=5).value, base, rtol=1e-12
         )
 
 
@@ -394,10 +394,16 @@ def test_blocked_pass_matches_one_block(case):
         assert np.array_equal(np.signbit(g), np.signbit(w))
 
 
+def _step(table, z, y):
+    """One conditioning step as model.update takes it: count() for a
+    known-known label y <= n_kk, fold() of the one point for any other."""
+    return table.count(y) if y <= table.n_kk else table.fold(z[None], [y])
+
+
 def _stepped_sequential_nll(table, Z, labels, params):
     """The teacher-forced loss as it was written before the prefix pass:
     score query j against the table through the two-pass reference, then
-    step the table with condition(). Kept as the reference the batched
+    step the table with _step(). Kept as the reference the batched
     pass must match bit for bit."""
     m, d = Z.shape
     R = np.zeros((table.n + m + 1, d))
@@ -418,7 +424,7 @@ def _stepped_sequential_nll(table, Z, labels, params):
         d_Z[j] = d_z[0]
         R[: len(d_lamp)] += d_Qp
         R_lam[: len(d_lamp)] += d_lamp
-        table = table.condition(Z[j], y)
+        table = _step(table, Z[j], y)
         if y > table.n_kk:
             row[j] = y - 1
             seen[j] = R[y - 1]
@@ -573,7 +579,7 @@ def test_sequential_loss_takes_each_steps_d_b_from_its_counts():
     before, t = [], table
     for z, y in zip(Z, labels):
         before.append(t)
-        t = t.condition(z, int(y))
+        t = _step(t, z, int(y))
     assert len(calls) == len(steps) > 1
     for s, (G, got) in zip(steps, calls):
         want = [crp.grad_b(crp.class_prior(before[j].counts, params)[0], G[i]) for i, j in enumerate(s)]
@@ -716,10 +722,10 @@ def _fold_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_fold_cases())
-def test_fold_is_stepping_condition_and_prefix_last_versions(case):
+def test_fold_is_stepping_one_point_at_a_time_and_prefix_last_versions(case):
     """fold() is the one builder of conditioned tables: from one table and
     one stream it gives, bit for bit, every row array and the counts that
-    stepping condition() gives and that a Prefix's last versions hold, and
+    stepping one label at a time (_step) gives and that a Prefix's last versions hold, and
     the derived rows a table built from its Q and lam has; the same points
     in any order of labels give the same table, and no points give the
     table back by value."""
@@ -733,7 +739,7 @@ def test_fold_is_stepping_condition_and_prefix_last_versions(case):
     Z = rng.normal(size=(len(y), d)) * scale
     stepped = table
     for z, label in zip(Z, y):
-        stepped = stepped.condition(z, int(label))
+        stepped = _step(stepped, z, int(label))
     folded, by_label = table.fold(Z, y), np.argsort(y, kind="stable")
     prefix = _last_versions(losses.Prefix(table, Z, y, CrpParams(a=0.5, rho=0.3)))
     for got in (stepped, prefix, table.fold(Z[by_label], y[by_label])):
@@ -905,8 +911,8 @@ def test_hot_path_builds_no_class_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("y", [1, 3, 4])
-def test_condition_returns_the_next_table_and_leaves_its_input(y):
-    """ClassTable is a value: condition() returns the next table, every
+def test_count_and_fold_return_the_next_table_and_leave_their_input(y):
+    """ClassTable is a value: count() and fold() return the next table, every
     array of it read-only, and never writes to its input. A known-known
     label (y = 1 <= n_kk) moves only a count and shares the row arrays with
     its parent, which is all model.update pays for one; label 3 conditions
@@ -920,7 +926,7 @@ def test_condition_returns_the_next_table_and_leaves_its_input(y):
     before = {name: getattr(table, name).copy() for name in names}
     z = rng.normal(size=d)
 
-    after = table.condition(z, y)
+    after = table.count(y) if y == 1 else table.fold(z[None], [y])
     for name in names:
         np.testing.assert_array_equal(getattr(table, name), before[name])
         assert not getattr(table, name).flags.writeable

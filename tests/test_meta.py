@@ -28,7 +28,6 @@ from flowr.meta import (
     choose_conditioning,
     init_meta_params,
     meta_grads,
-    meta_loss,
     meta_step,
     oracle_labels,
     params_to_vector,
@@ -53,6 +52,51 @@ class TestEpisodeConfig:
             EpisodeConfig(n_support_classes=1, n_novel_classes=1, shots_min=3, shots_max=2)
         with pytest.raises(ValueError):
             EpisodeConfig(n_support_classes=1, n_novel_classes=1, queries_per_class=0)
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(EpisodeConfig)])
+    def test_every_field_is_an_integer(self, field):
+        """An integral value of any type is stored as an int, and a fraction
+        is refused naming its field: shots_max=2.5 used to draw supports of
+        up to 3 shots (numpy draws below 3.5)."""
+        base = dict(n_support_classes=2, n_novel_classes=2, shots_min=1, shots_max=3, queries_per_class=2)
+        cfg = EpisodeConfig(**{**base, field: np.float64(base[field])})
+        assert type(getattr(cfg, field)) is int and getattr(cfg, field) == base[field]
+        with pytest.raises(ValueError, match=f"^{field} must be a non-negative integer, got 2.5$"):
+            EpisodeConfig(**{**base, field: 2.5})
+
+
+def _class_q_fault(want, got):
+    return re.escape(f"class_q must be finite, of shape {want}, got {got}")
+
+
+class TestMetaParams:
+    @pytest.mark.parametrize(
+        ("fields_", "message"),
+        [
+            (dict(q0=[[0.0, 1.0]]), r"q0 must be a 1-d vector, got shape \(1, 2\)"),
+            (dict(q0=[0.0, np.nan]), "q0 must be finite"),
+            (dict(log_lambda0=np.nan), "log_lambda0 must be finite, got nan"),
+            (dict(rho=-np.inf), "rho must be finite, got -inf"),
+            (dict(class_q=np.zeros((3, 2))), "class_q and class_log_lambda must be given together"),
+            (dict(class_log_lambda=np.zeros(3)), "class_q and class_log_lambda must be given together"),
+            (dict(class_q=np.zeros((3, 5)), class_log_lambda=np.zeros(3)), _class_q_fault((3, 2), (3, 5))),
+            (dict(class_q=np.zeros(2), class_log_lambda=np.zeros(3)), _class_q_fault((3, 2), (2,))),
+            (dict(class_q=np.zeros((3, 2)), class_log_lambda=np.zeros(4)), _class_q_fault((4, 2), (3, 2))),
+            (dict(class_q=np.zeros((3, 2)), class_log_lambda=np.zeros((3, 1))),
+             r"class_log_lambda must be a 1-d vector, got shape \(3, 1\)"),
+            (dict(class_q=[[0.0, np.inf]], class_log_lambda=[0.0]), _class_q_fault((1, 2), (1, 2))),
+            (dict(class_q=[[0.0, 1.0]], class_log_lambda=[np.nan]), "class_log_lambda must be finite"),
+        ],
+    )
+    def test_refuses_a_value_the_model_cannot_use(self, fields_, message):
+        """Each used to be accepted; a NaN q0 failed only at prior(), and
+        class rows of the wrong shape not until a loss read them."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MetaParams(**{**dict(encoder=Encoder.identity(), q0=np.zeros(2), log_lambda0=0.0, rho=0.3), **fields_})
+
+    def test_stores_arrays_as_float64(self):
+        params = MetaParams(Encoder.identity(), [1, 2], 0.0, 0.3, class_q=[[1, 2]], class_log_lambda=[0])
+        assert all(a.dtype == np.float64 for a in (params.q0, params.class_q, params.class_log_lambda))
 
 
 class TestSampleScTask:
@@ -319,7 +363,7 @@ class TestMetaTraining:
         for trial in range(100):
             params = init_meta_params(world.dim, rng)
             ep = sample_sc_task(world, cfg, rng)
-            value = meta_loss(params, ep, 0.1, "sc", cond_seed=trial)
+            value = meta_grads(params, ep, 0.1, "sc", cond_seed=trial).value
             assert np.isfinite(value)
 
     def test_zero_step_size_is_identity(self, world):
@@ -420,10 +464,34 @@ class TestMetaTraining:
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_meta_training(world, cfg=cfg, setting="sc", n_episodes=2, **kwargs)
 
+    def test_lc_refuses_class_stats_of_another_class_count(self, world):
+        cfg = EpisodeConfig(n_support_classes=0, n_novel_classes=2, queries_per_class=3)
+        rng = np.random.default_rng(0)
+        params = init_meta_params(world.dim, rng).with_class_embeddings(
+            ClassEmbeddings(means=rng.normal(size=(3, world.dim)), variances=np.ones(3))
+        )
+        ep = sample_lc_task(world, cfg, rng, [1, 2])
+        with pytest.raises(ValueError, match="^episode has 2 known classes but params carry 3$"):
+            meta_grads(params, ep, 0.1, "lc")
+
+    @pytest.mark.filterwarnings("error")
+    def test_episode_without_novel_classes_has_no_adaptation_term(self, world):
+        """With no novel class the adaptation pool is empty: lambda_w > 0
+        adds 0.0 to the loss and nothing to any gradient, without a warning."""
+        cfg = EpisodeConfig(n_support_classes=3, n_novel_classes=0, queries_per_class=3)
+        rng = np.random.default_rng(2)
+        params = init_meta_params(world.dim, rng, encoder=Encoder.identity_affine(world.dim))
+        ep = sample_sc_task(world, cfg, rng)
+        assert len(ep.adapt_y) == 0
+        g, without = (meta_grads(params, ep, w, "sc") for w in (0.5, 0.0))
+        assert g.adapt == 0.0 and g.value == g.nll == without.value
+        for name in ("d_weight", "d_bias", "d_q0", "d_log_lambda0", "d_rho"):
+            np.testing.assert_array_equal(getattr(g, name), getattr(without, name))
+
     def test_lc_requires_class_stats(self, world):
         cfg = EpisodeConfig(n_support_classes=0, n_novel_classes=2, queries_per_class=3)
         rng = np.random.default_rng(0)
         params = init_meta_params(world.dim, rng)
         ep = sample_lc_task(world, cfg, rng, [1, 2])
         with pytest.raises(ValueError, match="per-class stats"):
-            meta_loss(params, ep, 0.1, "lc")
+            meta_grads(params, ep, 0.1, "lc")

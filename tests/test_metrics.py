@@ -70,6 +70,14 @@ class TestRocCurve:
         np.testing.assert_array_equal(fpr, [0.0, 0.0, 0.5, 1.0, 1.0])
         np.testing.assert_array_equal(tpr, [0.0, 0.5, 0.5, 0.5, 1.0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=40), st.lists(st.integers(0, 6), min_size=1, max_size=40))
+    def test_points_come_in_fpr_order(self, pos, neg):
+        """fpr and tpr never fall along the curve, ties included, so
+        h_measure walks the hull over the points as roc_curve returns them."""
+        fpr, tpr, _ = roc_curve(ScoreSet(pos, neg))
+        assert np.all(np.diff(fpr) >= 0.0) and np.all(np.diff(tpr) >= 0.0)
+
     def test_perfect_separation_hits_corner(self):
         fpr, tpr, _ = roc_curve(ScoreSet([2.0, 3.0], [0.0, 1.0]))
         assert any(f == 0.0 and t == 1.0 for f, t in zip(fpr, tpr))

@@ -45,7 +45,6 @@ from flowr.model import (
     init_small_context,
     predict,
     run_episode,
-    run_episodes,
     update,
 )
 
@@ -544,11 +543,11 @@ class TestInitLargeContext:
         np.testing.assert_array_equal(record.probs, [0.0, 0.0, 0.0, 1.0])
         assert record.known_argmax == k
 
-    def test_run_episodes_known_argmax_falls_back_as_stepping(self):
+    def test_run_episode_known_argmax_falls_back_as_stepping(self):
         """From an init_count=0 state, known classes have no mass until their
-        first label: run_episodes over several streams gives each query the
-        record stepping predict then update gives it, the known_argmax
-        fallback included, in blocks split mid-stream and mid-run."""
+        first label: run_episode over each of several streams gives each
+        query the record stepping predict then update gives it, the
+        known_argmax fallback included, in blocks split mid-stream and mid-run."""
         means = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]])
         start = init_large_context(
             ClassEmbeddings(means=means, variances=[1.0, 1.0, 1.0]),
@@ -564,7 +563,7 @@ class TestInitLargeContext:
             centres = np.vstack([means, rng.normal(scale=6.0, size=(2, 2))])
             streams.append((start, [(centres[y - 1] + rng.normal(size=2), y) for y in labels]))
         with mock.patch.object(losses, "PREFIX_ENTRIES", 8):
-            results = run_episodes(streams)
+            results = [run_episode(state, queries) for state, queries in streams]
         fallbacks = 0
         for (state, queries), (records, final) in zip(streams, results):
             assert len(records) == len(queries)
@@ -674,8 +673,8 @@ class TestRunEpisode:
     def test_far_query_and_read_fault_in_stream_order(self, queries, error, message):
         """A stream's read fault is reported only after the queries stepping
         predicts before it are scored: a far query among them is raised, as
-        stepping predict/update raises it, by run_episode and by
-        run_episodes, between a clean stream and a later faulty one."""
+        stepping predict/update raises it, by run_episode, also on a stream
+        run between a clean stream and a later faulty one."""
         state = _empty_state()
         with pytest.raises(error) as stepped:
             for x, y in queries:
@@ -686,7 +685,8 @@ class TestRunEpisode:
             run_episode(_empty_state(), queries)
         streams = [(_empty_state(), [([0.0], 1)]), (_empty_state(), queries), (_empty_state(), [([0.0], 0)])]
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            run_episodes(streams)
+            for s, q in streams:
+                run_episode(s, q)
 
     @pytest.mark.parametrize(
         "x, message",
@@ -697,15 +697,11 @@ class TestRunEpisode:
     )
     def test_input_fault_carries_its_row(self, x, message):
         """An input fault reads as the reader raises it, with no prefix, and
-        carries the query's index in its stream as .row, by run_episode and
-        by run_episodes after a clean stream read in the same call (it used
-        to carry the index in the block read)."""
+        carries the query's index in its stream as .row (it used to carry
+        the index in the block read)."""
         state, queries = _empty_state(), [([0.0], 1), ([1.0], 2), (x, 1)]
         with pytest.raises(ValueError, match=f"^{message}$") as fault:
             run_episode(state, queries)
-        assert fault.value.row == 2
-        with pytest.raises(ValueError, match=f"^{message}$") as fault:
-            run_episodes([(state, [([0.0], 1)]), (state, queries)])
         assert fault.value.row == 2
 
     def test_non_integer_label_is_refused(self):
@@ -739,6 +735,31 @@ class TestFineTune:
         prior = SharedPrior(NaturalClassStats(q=np.zeros(2), lam=0.2))
         state = init_small_context(prior, CrpParams.from_b(a=0.5, b=1.0), NOISE, enc, support)
         return state, support
+
+    def test_stops_when_no_halving_lowers_the_loss(self):
+        """When none of a step's 20 halvings lowers the loss, tuning stops:
+        the trace ends at the last accepted step, and the state is built
+        with the last accepted encoder."""
+        state, support = self._affine_state()
+        real, calls = losses.loo_support_grads, []
+
+        def loo(X, labels, w, b, *args, **kwargs):
+            calls.append((w, b))
+            loss, d_w, d_b = real(X, labels, w, b, *args, **kwargs)
+            return (loss if len(calls) <= 2 else loss + 1.0), d_w, d_b  # only the first step is accepted
+
+        with mock.patch.object(losses, "loo_support_grads", loo):
+            tuned, trace = fine_tune_output_layer(state, support, 5, 0.05, return_trace=True)
+        assert len(calls) == 2 + 20 and len(trace) == 2
+        w, b = calls[1]
+        assert trace[1] == real(np.asarray([x for x, _ in support]), [y for _, y in support], w, b,
+                                state.prior.prior.q, state.prior.prior.lam, params=state.crp_params,
+                                noise_var=NOISE.noise_variance)[0]
+        np.testing.assert_array_equal(tuned.encoder.weight, w)
+        np.testing.assert_array_equal(tuned.encoder.bias, b)
+        want = init_small_context(state.prior, state.crp_params, NOISE, Encoder.affine(w, b), support)
+        for name in ("Q", "lam", "counts"):
+            np.testing.assert_array_equal(getattr(tuned, name), getattr(want, name))
 
     def test_zero_steps_is_identity(self):
         """At 0 steps the state comes back rebuilt from the support, as at
@@ -1068,15 +1089,15 @@ def _stream_blocks(draw):
 
 class TestRunEpisodes:
     """One _fold pass over a block of streams from one start gives each
-    stream, bit for bit, what run_episode gives it alone; run_episodes runs
-    its streams in order, so it raises the per-episode loop's first fault."""
+    stream, bit for bit, what run_episode gives it alone; run_episode over
+    the streams in order raises the first stream's fault."""
 
     @settings(max_examples=80, deadline=None)
     @given(_stream_blocks())
     def test_each_stream_gets_what_it_gets_alone(self, case):
         """Each stream's head stepped by update, then its queries run by
         run_episode, give the outcomes and final state the block pass gives
-        it, and run_episodes from the states the heads leave gives them too."""
+        it."""
         rng = np.random.default_rng(case["seed"])
         d, n_kk = case["d"], case["n_kk"]
         noise = NoiseModel(case["noise"])
@@ -1100,21 +1121,19 @@ class TestRunEpisodes:
         n = max(max([n_kk, *labels]) for _, labels in case["streams"])  # the largest class count
         with mock.patch.object(losses, "PREFIX_ENTRIES", _prefix_entries(case["entries"], n)):
             together = [(out.records(), final) for out, final in _fold(start, streams)]
-            one_by_one = run_episodes(iter(heads))
-        assert len(together) == len(one_by_one) == len(streams)
-        for (state, queries), *results in zip(heads, together, one_by_one):
-            want_records, want = run_episode(state, queries)
-            for records, final in results:
-                assert len(records) == len(want_records)
-                for got, rec in zip(records, want_records):
-                    np.testing.assert_array_equal(got.probs, rec.probs)
-                    assert (got.predicted, got.known_argmax, got.novelty_score, got.n_at_prediction,
-                            got.true_label) == (rec.predicted, rec.known_argmax, rec.novelty_score,
-                                                rec.n_at_prediction, rec.true_label)
-                for name in ("Q", "lam", "means", "variances"):
-                    np.testing.assert_array_equal(getattr(final, name), getattr(want, name))
-                np.testing.assert_array_equal(final.counts, want.counts)
-                assert (final.n_kk, final.encoder) == (want.n_kk, want.encoder)
+            alone = [run_episode(state, queries) for state, queries in heads]
+        assert len(together) == len(streams)
+        for (records, final), (want_records, want) in zip(together, alone):
+            assert len(records) == len(want_records)
+            for got, rec in zip(records, want_records):
+                np.testing.assert_array_equal(got.probs, rec.probs)
+                assert (got.predicted, got.known_argmax, got.novelty_score, got.n_at_prediction,
+                        got.true_label) == (rec.predicted, rec.known_argmax, rec.novelty_score,
+                                            rec.n_at_prediction, rec.true_label)
+            for name in ("Q", "lam", "means", "variances"):
+                np.testing.assert_array_equal(getattr(final, name), getattr(want, name))
+            np.testing.assert_array_equal(final.counts, want.counts)
+            assert (final.n_kk, final.encoder) == (want.n_kk, want.encoder)
 
     @pytest.mark.parametrize(
         "make_state, inputs, labels, error, message",
@@ -1132,17 +1151,16 @@ class TestRunEpisodes:
             with pytest.raises(error, match=message):
                 for s, queries in streams:
                     run_episode(s, queries)
-            with pytest.raises(error, match=message):
-                run_episodes(streams)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_first_far_query_in_stream_order_is_reported(self):
         """Steps are scored in runs of one class count, not stream by stream,
-        yet the far query reported is the first in stream order, as the
-        per-episode loop reports it: the second stream's query 2 (scored
-        against 2 classes), not the third stream's query 0 (against none),
-        nor the last stream's label fault, though every stream is read
-        before any is scored. A read fault in the first stream comes first."""
+        yet the far query _fold reports for a block is the first in stream
+        order, as the per-episode loop reports it: the second stream's query
+        2 (scored against 2 classes), not the third stream's query 0
+        (against none), nor the last stream's label fault, though every
+        stream is read before any is scored. A read fault in the first
+        stream comes first."""
         far = "input is too far from every class: no class gives it a finite log density"
         state = _empty_state()
         streams = [
@@ -1154,31 +1172,11 @@ class TestRunEpisodes:
         with pytest.raises(ValueError, match=f"^query 2: {far}$"):
             for s, queries in streams:
                 run_episode(s, queries)
-        with pytest.raises(ValueError, match=f"^query 2: {far}$"):
-            run_episodes(streams)
-        with pytest.raises(ProtocolError, match="^query 0: label 0 is not a positive class index$"):
-            run_episodes(streams[3:] + streams[:3])
-
-    def test_streams_from_other_states_get_what_they_get_alone(self):
-        """Streams from states with other CRP parameters, other rows below
-        n_kk or other n_kk each get what run_episode gives them alone."""
-        lc = init_large_context(
-            ClassEmbeddings(means=[[0.0], [1.0]], variances=[1.0, 1.0]),
-            SharedPrior(NaturalClassStats(q=[0.0], lam=1.0)), CrpParams.from_b(a=0.5, b=1.0), NOISE, Encoder.identity(),
-        )
-        moved = update(lc, [3.0], 3)  # a third class: the rows below n_kk stay
-        other = init_large_context(
-            ClassEmbeddings(means=[[0.0], [2.0]], variances=[1.0, 1.0]),
-            lc.prior, lc.crp_params, NOISE, Encoder.identity(),
-        )
-        pairs = [(lc, moved, 3), (lc, other, 1), (_empty_state(), _empty_state(b=2.0), 1), (_empty_state(), lc, 1)]
-        for streams in ([(first, [([0.0], 1)]), (second, [([0.0], y)])] for first, second, y in pairs):
-            for (state, queries), (records, final) in zip(streams, run_episodes(streams)):
-                (want,), want_final = run_episode(state, queries)
-                np.testing.assert_array_equal(records[0].probs, want.probs)
-                assert (records[0].predicted, records[0].novelty_score) == (want.predicted, want.novelty_score)
-                np.testing.assert_array_equal(final.Q, want_final.Q)
-                np.testing.assert_array_equal(final.counts, want_final.counts)
+        label_0 = "query 0: label 0 is not a positive class index"
+        for block, error, message in ((streams, ValueError, f"query 2: {far}"),
+                                      (streams[3:] + streams[:3], ProtocolError, label_0)):
+            with pytest.raises(error, match=f"^{message}$"):
+                _fold(state, [((), (), [x for x, _ in q], [y for _, y in q]) for _, q in block])
 
 
 def _stepped(state, streams):
@@ -1407,12 +1405,12 @@ class TestEncode:
 
 def _stepped_support_table(state, support):
     """init_small_context as it was written before the prefix pass: encode
-    each point alone and step the empty state's class table with
-    condition(). Kept as the reference the one-pass build must match bit
+    each point alone and step the empty state's class table with fold() of
+    that one point. Kept as the reference the one-pass build must match bit
     for bit."""
     table = state._table
     for x, y in support:
-        table = table.condition(state.encoder(np.asarray(x, dtype=np.float64)), y)
+        table = table.fold(state.encoder(np.asarray(x, dtype=np.float64))[None], [y])
     return table
 
 
