@@ -131,9 +131,8 @@ def load_checkpoint(path, expected_config_hash=None) -> Checkpoint:
     need = ["q0"]
     if header["encoder_kind"] == "affine":
         need += ["encoder_weight", "encoder_bias"]
-    for pair in (("class_q", "class_log_lambda"), ("embedding_means", "embedding_variances")):
-        if any(name in arrays for name in pair):
-            need += pair
+    if "embedding_means" in arrays or "embedding_variances" in arrays:  # both read below; MetaParams pairs class_q
+        need += ["embedding_means", "embedding_variances"]
     missing = [name for name in need if name not in arrays]
     if missing:
         raise ValueError(f"{path}: checkpoint has no array {missing[0]!r}")

@@ -108,11 +108,12 @@ class CrpParams:
 
 def integers(values, fault) -> np.ndarray:
     """values as int64, or ValueError(fault.format(i=i, v=value)) for the first entry i
-    (in flat order) that is no integer in int64 range: a fraction is refused, not truncated."""
+    (in flat order) that is no integer in int64 range: a fraction is refused, not truncated,
+    and so is a boolean or a string, even one that reads as a number."""
     v = np.asarray(values)
     if v.dtype.kind in "iu":
         return v.astype(np.int64, copy=False)
-    f = v.astype(np.float64)
+    f = np.full(v.shape, np.nan) if v.dtype.kind in "bSU" else v.astype(np.float64)
     bad = np.flatnonzero((f != np.round(f)) | ~(np.abs(f) < 2.0**62))
     if bad.size:
         raise ValueError(fault.format(i=int(bad[0]), v=v.ravel()[bad[0]]))

@@ -138,7 +138,8 @@ def differences(Z, means):
     """The difference block z - mu (m, c, d) of points Z (m, d) from means
     (c, d), or per point (m, c, d), and its squared norms (m, c). The block
     is Z.repeat(c, axis=0) with the means subtracted in place, one
-    contiguous pass (Z[:, None, :] - means loops over each point-mean pair)."""
+    contiguous pass (Z[:, None, :] - means loops over each point-mean pair;
+    it pays only written into a spare per-point means block, as losses does)."""
     (m, d), c = Z.shape, means.shape[-2]
     diff = Z.repeat(c, axis=0).reshape(m, c, d)
     diff -= means

@@ -45,8 +45,10 @@ PREFIX_ENTRIES. Evaluation (model._fold) and the teacher-forced loss run
 this pass. Every training loss runs _mixture_nll_grads, one forward and
 backward pass over the difference blocks z - mu, at most PREFIX_ENTRIES
 entries each, whose sums over queries carry the earlier blocks' totals so
-that any block size gives the same bits; _bayes is Bayes rule under a CRP
-log prior, whose rounding model.predict repeats on one query.
+that any block size gives the same bits (the teacher-forced loss's block
+is each chunk's gathered version means, overwritten in place); _bayes is
+Bayes rule under a CRP log prior, whose rounding model.predict repeats on
+one query.
 
 Both meta-training settings run one loss, episode_grads, over the table
 
@@ -73,7 +75,7 @@ from functools import cached_property
 import numpy as np
 
 from .crp import CrpParams, arrival_labels, class_prior, grad_b, sigmoid
-from .gaussian import density_constants, differences, log_density_matrix, log_density_sq
+from .gaussian import density_constants, log_density_matrix, log_density_sq
 
 
 def logsumexp(x, axis=-1):
@@ -338,11 +340,14 @@ def _mixture_nll_grads(Z, y_idx, means, variances, log_prior):
     for bit. A table with one row is one block: numpy sums a one-column
     reduction pairwise. Means (m, c, d), variances (m, c) and log_prior
     (m, c) give each point its own rows and its own loss, in one block:
-    every value and gradient but d_Z then keeps the point axis.
+    every value and gradient but d_Z then keeps the point axis. That block
+    is the caller's means, overwritten with z - mu and then d_means, which
+    is returned in it; no other input is written.
     """
     m, d = Z.shape
     if means.ndim == 3:
-        diff, sq = differences(Z, means)
+        diff = np.subtract(Z[:, None, :], means, out=means)
+        sq = np.einsum("mcd,mcd->mc", diff, diff)
         log_post = _bayes(log_density_sq(sq, variances, d), log_prior)
         nll = -log_post[np.arange(m), y_idx]
         G = np.exp(log_post)
@@ -415,8 +420,11 @@ def _sequential_nll(table, Z, labels, params):
     position: a row born in the pass shares its position's sum with the
     novel slot that held it before; both hold one copy of q0.
 
-    One Prefix pass scores every step. Each step's terms are summed in step
-    order, as stepping the table would: R is the running sum of
+    One Prefix pass scores every step. A chunk's (steps, rows, d) blocks are
+    its version means, overwritten in place with z - mu, d mu, d Q and the
+    running sums below, and Q, gathered only for _natural_chain; both are
+    freed before the next chunk's are gathered. Each step's terms are summed
+    in step order, as stepping the table would: R is the running sum of
     d loss / d Q per position, and seen[j] is R at the row query j
     conditioned just after step j.
     """
@@ -429,12 +437,11 @@ def _sequential_nll(table, Z, labels, params):
 
     for c in chunks(prefix, every_row=True):
         n, yc = c.n, y[c.steps]
-        means, variances, Q, lam = (prefix.columns(c, name) for name in ("means", "variances", "Q", "lam"))
         nll[c.steps], d_means, d_vars, d_Z[c.steps], G = _mixture_nll_grads(
-            Z[c.steps], yc, means, variances, c.log_prior
+            Z[c.steps], yc, prefix.columns(c, "means"), prefix.columns(c, "variances"), c.log_prior
         )
-        d_Q, d_lam = _natural_chain(d_means, d_vars, Q, lam)
         d_b[c.steps] = grad_b(c.u, G)
+        d_Q, d_lam = _natural_chain(d_means, d_vars, prefix.columns(c, "Q"), prefix.columns(c, "lam"))
 
         d_Q[0] += R[: n + 1]  # the sums after each step, in place: accumulate's additions, row by row
         for i in range(1, len(d_Q)):
@@ -444,6 +451,7 @@ def _sequential_nll(table, Z, labels, params):
         R[: n + 1], R_lam[: n + 1] = d_Q[-1], d_lam[-1]
         cond = np.flatnonzero(yc >= table.n_kk)
         seen[c.steps[cond]] = d_Q[cond, yc[cond]]
+        del d_means, d_Q  # the chunk's one block, freed before the next chunk gathers its own
 
     cond = y >= table.n_kk
     d_Z[cond] += (R[y[cond]] - seen[cond]) * (1.0 / table.noise_var)

@@ -58,6 +58,13 @@ class TestDefaults:
             with pytest.raises(ValueError, match=f"^{field} must be a non-negative integer, got {bad}$"):
                 config_from_json(json.dumps({field: bad}))
 
+    @pytest.mark.parametrize("value", ['"7"', "true", "false"])
+    def test_numeric_strings_and_booleans_are_no_integers(self, value):
+        """A JSON config is typed: "7" used to load as the seed 7 and true as 1, without a word."""
+        shown = json.loads(value)
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {shown}$"):
+            config_from_json(f'{{"seed": {value}}}')
+
     @pytest.mark.parametrize("step_size", [0.0, -0.1, float("nan"), float("inf")])
     def test_fine_tune_step_size_must_be_positive_and_finite(self, step_size):
         """-0.1 used to be accepted: each tuning step then spent 20 rejected halvings and tuned nothing."""

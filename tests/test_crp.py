@@ -87,6 +87,12 @@ class TestCounts:
         with pytest.raises(ValueError, match=f"^count {bad} is not an integer$"):
             ClassCounts(counts=raw)
 
+    @pytest.mark.parametrize("raw, bad", [([True, True], "0: True"), (np.array(["1", "2"]), "0: 1")])
+    def test_booleans_and_numeric_strings_rejected(self, raw, bad):
+        """[True, True] used to be taken as the counts [1, 1] and ["1", "2"] as [1, 2]."""
+        with pytest.raises(ValueError, match=f"^count {bad} is not an integer$"):
+            ClassCounts(counts=raw)
+
     def test_integer_valued_float_counts_accepted(self):
         np.testing.assert_array_equal(ClassCounts(counts=[1.0, 2.0]).counts, [1, 2])
         assert ClassCounts(counts=[1.0, 2.0]).counts.dtype == np.int64

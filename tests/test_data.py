@@ -70,6 +70,11 @@ class TestEmbeddingDataset:
         with pytest.raises(ValueError, match=r"^row 1: label 2\.6 is not an integer class index$"):
             EmbeddingDataset([1.0, 2.6], np.zeros((2, 4), dtype=np.float32))
 
+    def test_rejects_boolean_labels(self):
+        """A label array of True used to be read as class 1 throughout."""
+        with pytest.raises(ValueError, match=r"^row 0: label True is not an integer class index$"):
+            EmbeddingDataset(np.ones(2, dtype=bool), np.zeros((2, 4), dtype=np.float32))
+
     def test_integer_valued_float_labels_are_accepted(self):
         ds = EmbeddingDataset([1.0, 2.0], np.zeros((2, 4), dtype=np.float32))
         assert ds.labels.dtype == np.int64
@@ -621,13 +626,17 @@ class TestCheckpoint:
              r"class_q must be finite, of shape \(4, 3\), got \(2, 5\)"),
             (dict(q0=np.zeros(3), class_q=np.zeros((2, 3)), class_log_lambda=np.zeros(4)),
              r"class_q must be finite, of shape \(4, 3\), got \(2, 3\)"),
+            (dict(q0=np.zeros(3), class_q=np.zeros((2, 3))), "class_q and class_log_lambda must be given together"),
+            (dict(q0=np.zeros(3), class_log_lambda=np.zeros(2)), "class_q and class_log_lambda must be given together"),
         ],
-        ids=["nan-q0", "class-q-width", "class-q-rows"],
+        ids=["nan-q0", "class-q-width", "class-q-rows", "class-q-alone", "class-log-lambda-alone"],
     )
     def test_refuses_parameters_the_model_cannot_use(self, tmp_path, arrays, message):
         """A q0 holding a NaN loaded, and failed only at params.prior() with
         `q must be finite` and no path; class_q (2, 5) beside a q0 of 3 and
-        4 class_log_lambda values loaded without a word."""
+        4 class_log_lambda values loaded without a word. Half of the class
+        pair is refused by MetaParams' rule, not by a second copy of it in
+        the loader, which named only the missing array."""
         path = self._raw(tmp_path / "m.ckpt", arrays)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
             load_checkpoint(path)

@@ -283,7 +283,21 @@ def _fused_pass_callers(d):
     H, labels = rng.normal(size=(m, d_in)), np.concatenate([np.arange(1, n + 1), rng.integers(1, n + 1, size=m - n)])
     adapt_y = np.repeat(np.arange(1, 5), 4)
     means, log_vars = rng.normal(size=(n, d)), 0.3 * rng.normal(size=n)
+    # each point's own rows, as the teacher-forced loss hands them over: a zero difference, a row with no prior mass
+    own = [rng.normal(size=(m, n + 1, d)) * 2.0, np.exp(rng.normal(size=(m, n + 1))), rng.normal(size=(m, n + 1))]
+    own[0][0, 0], own[2][1, -1] = Z[0], -np.inf
+
+    def per_point():
+        """The pass on a fresh means block, which it may overwrite; it writes no other input."""
+        inputs = (Z, y_idx, *own[1:])
+        before = [a.copy() for a in inputs]
+        out = losses._mixture_nll_grads(Z, y_idx, own[0].copy(), *own[1:])
+        for a, b in zip(inputs, before, strict=True):
+            np.testing.assert_array_equal(a, b)
+        return out
+
     return {
+        "per-point": per_point,
         "_table_nll": lambda: losses._table_nll(table, Z, y_idx, params),
         "_adaptation_term": lambda: losses._adaptation_term(q0, 1.3, noise, Z[:16], adapt_y, np.arange(4) * 4),
         "pretrain_grads": lambda: losses.pretrain_grads(W, b, H, labels, means, log_vars, 0.1),
@@ -293,10 +307,13 @@ def _fused_pass_callers(d):
     }
 
 
-@pytest.mark.parametrize("d", [2, 64])
-@pytest.mark.parametrize("caller", ["_table_nll", "_adaptation_term", "pretrain_grads", "loo_support_grads"])
+@pytest.mark.parametrize("d", [1, 2, 3, 64])
+@pytest.mark.parametrize(
+    "caller", ["per-point", "_table_nll", "_adaptation_term", "pretrain_grads", "loo_support_grads"]
+)
 def test_fused_pass_matches_two_pass_reference(d, caller):
-    """Every training loss that scores one table returns exactly what the
+    """Every training loss that scores one table, and the per-point pass
+    the teacher-forced loss runs on each chunk, returns exactly what the
     two-pass code returned, bit for bit, at small d and at d = 64, where
     numpy's reductions take their SIMD paths, also with PREFIX_ENTRIES = 64,
     where each caller scores its queries in blocks of one query or a few."""
@@ -306,6 +323,18 @@ def test_fused_pass_matches_two_pass_reference(d, caller):
     _assert_same(call(), want)
     with mock.patch.object(losses, "PREFIX_ENTRIES", 64):
         _assert_same(call(), want)
+
+
+def _traced_peak(f):
+    """The peak traced memory f() allocates beyond what is live when it starts."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        f()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def test_table_nll_holds_bounded_difference_blocks():
@@ -324,15 +353,47 @@ def test_table_nll_holds_bounded_difference_blocks():
     params = CrpParams(a=0.5, rho=0.7)
     block, d_Z = losses.PREFIX_ENTRIES * 8, m * d * 8
     assert m * (n + 1) * d * 8 > 40 * block
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        losses._table_nll(table, Z, y_idx, params)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: losses._table_nll(table, Z, y_idx, params))
     assert peak < d_Z + 2 * block, f"peak {(peak - d_Z) / block:.2f} blocks beyond d_Z"
+
+
+def _lc_sequential_case(seed, m, n_kk=1000, d=64):
+    """A large-context table of n_kk persistent rows at d = 64 and a dense
+    stream of m queries that opens up to 50 classes along the way."""
+    rng = np.random.default_rng(seed)
+    table = losses.ClassTable(
+        rng.normal(size=(n_kk, d)), rng.uniform(0.5, 2.0, n_kk), np.ones(n_kk, dtype=np.int64),
+        rng.normal(size=d), 1.0, 0.5, n_kk=n_kk,
+    )
+    labels, n = [], n_kk
+    for c in rng.integers(0, n_kk + 50, size=m):
+        labels.append(min(int(c), n) + 1)
+        n = max(n, labels[-1])
+    return table, rng.normal(size=(m, d)), np.array(labels), CrpParams(a=0.5, rho=0.7)
+
+
+@pytest.mark.parametrize("case", ["sc-paper", "1,000 persistent rows"])
+def test_sequential_loss_holds_one_chunk_of_blocks(case):
+    """Beyond what walking its chunks holds (the Prefix and each block's
+    arrays), the teacher-forced loss holds its (steps, d) arrays (d_Z, the
+    conditioned rows' sums and the version means) and one chunk's (steps,
+    rows, d) blocks: the version means, into which the queries are
+    subtracted in place, and Q while the gradient is chained to it, about
+    two PREFIX_ENTRIES blocks. Building a second difference block, gathering
+    Q before the mixture pass or keeping the last chunk's blocks while the
+    next is gathered took 4.2 to 4.9 blocks."""
+    table, Z, labels, params = _sc_paper_sequential_case(31) if case == "sc-paper" else _lc_sequential_case(61, 1000)
+    (m, d), block = Z.shape, losses.PREFIX_ENTRIES * 8
+    prefix = losses.Prefix(table, Z, labels, params)
+
+    def walk_chunks():
+        for _ in losses.chunks(losses.Prefix(table, Z, labels, params), every_row=True):
+            pass
+
+    walk = _traced_peak(walk_chunks)
+    loss = _traced_peak(lambda: losses._sequential_nll(table, Z, labels, params))
+    beyond = (loss - walk - (2 * m + len(prefix.Q)) * d * 8) / block
+    assert beyond < 2.5, f"peak {beyond:.2f} blocks beyond the chunks walk and the (steps, d) arrays"
 
 
 def _one_block_nll_grads(Z, y_idx, means, variances, log_prior):
